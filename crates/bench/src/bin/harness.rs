@@ -8,17 +8,47 @@
 //! harness --list             # list experiment ids
 //! harness --json             # print JSON instead of markdown
 //! harness f4 --out BENCH_F4.json   # also write the JSON tables to a file
+//! harness gate f6 a.json b.json    # CI perf gate: best of two `--out` runs
+//!                                  # against ./BENCH_F6.json
 //! ```
 //!
 //! By convention, perf-tracking runs are written to `BENCH_<id>.json` at the
 //! repository root and committed, so the performance trajectory accumulates
 //! across PRs.
 
-use alexander_bench::{experiments, table};
+use alexander_bench::{experiments, gate, table};
 use std::io::Write;
+
+/// `harness gate <id> <run-a.json> <run-b.json>`: exits non-zero unless the
+/// better of the two runs holds the gate against `./BENCH_<ID>.json`.
+fn run_gate(args: &[String]) -> Result<String, String> {
+    let [id, run_a, run_b] = args else {
+        return Err("usage: harness gate <id> <run-a.json> <run-b.json>".into());
+    };
+    let id = id.to_ascii_uppercase();
+    let gate = gate::GATES
+        .iter()
+        .find(|g| g.id == id)
+        .ok_or_else(|| format!("no perf gate for `{id}`"))?;
+    let read = |path: &str| std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"));
+    gate.check(
+        &read(&format!("BENCH_{id}.json"))?,
+        &read(run_a)?,
+        &read(run_b)?,
+    )
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.first().map(String::as_str) == Some("gate") {
+        match run_gate(&args[1..]) {
+            Ok(report) => return println!("{report}"),
+            Err(e) => {
+                eprintln!("perf gate: {e}");
+                std::process::exit(1);
+            }
+        }
+    }
     let json = args.iter().any(|a| a == "--json");
     let list = args.iter().any(|a| a == "--list");
     let mut out_path: Option<String> = None;

@@ -1,9 +1,10 @@
 //! F5 (figure): governance overhead — a governed-but-never-tripped run vs
 //! the ungoverned baseline.
 //!
-//! The resource governor sits on the hottest path in the system (one check
-//! per rule firing, via the claim-before-emit wrapper in `join_rule`), so
-//! its cost when budgets are generous must be negligible: the `active: bool`
+//! The resource governor sits on the hottest path in the system (the
+//! blocked executor's sink in `exec_plan`: one interrupt look per block, a
+//! claim before every new fact, and a claim per firing under a step
+//! budget), so its cost when budgets are generous must be negligible: the `active: bool`
 //! fast path reduces an absent budget to one branch, and a present-but-
 //! roomy budget to a couple of relaxed atomic updates amortised over the
 //! deadline stride. This experiment pins that claim with numbers: each

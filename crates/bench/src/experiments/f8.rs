@@ -13,7 +13,7 @@
 //! * `edbload(n)` — a facts-only database (no rules): isolates the snapshot
 //!   codec itself. Its `load_facts_per_sec` (best-of-reps decode throughput)
 //!   is the number the CI perf gate tracks against the committed
-//!   `BENCH_F8.json` (20% band, best-of-2 harness runs, like F6/F7).
+//!   `BENCH_F8.json` (20% band, best-of-2 harness runs, like F6).
 //!
 //! Snapshot files carry a string table plus tagged cells (9 bytes per
 //! 2-symbol row + shared interned names), so `snap_kb` also documents the

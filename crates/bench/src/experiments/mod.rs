@@ -24,7 +24,6 @@ pub mod f3;
 pub mod f4;
 pub mod f5;
 pub mod f6;
-pub mod f7;
 pub mod f8;
 pub mod f9;
 
@@ -54,7 +53,6 @@ pub fn all() -> Vec<Table> {
         f4::run(),
         f5::run(),
         f6::run(),
-        f7::run(),
         f8::run(),
         f9::run(),
         f10::run(),
@@ -83,7 +81,6 @@ pub fn by_id(id: &str) -> Option<Table> {
         "f4" => f4::run,
         "f5" => f5::run,
         "f6" => f6::run,
-        "f7" => f7::run,
         "f8" => f8::run,
         "f9" => f9::run,
         "f10" => f10::run,
@@ -93,9 +90,9 @@ pub fn by_id(id: &str) -> Option<Table> {
 }
 
 /// All experiment ids, in report order.
-pub const IDS: [&str; 23] = [
+pub const IDS: [&str; 22] = [
     "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "f1", "f2",
-    "f3", "f4", "f5", "f6", "f7", "f8", "f9", "f10",
+    "f3", "f4", "f5", "f6", "f8", "f9", "f10",
 ];
 
 /// The per-strategy row every comparison table shares: run the query, report

@@ -1,5 +1,5 @@
-//! The pre-arena evaluation engine, preserved as experiment F6's "before"
-//! side.
+//! The pre-arena evaluation engine: the workspace's one reference
+//! implementation, and experiment F6's "before" side.
 //!
 //! This is a faithful copy of the storage layer and semi-naive loop the
 //! workspace shipped before the arena rewrite: relations keep each tuple as
@@ -12,7 +12,15 @@
 //! duplicate counters must agree exactly — F6 asserts that before trusting
 //! the throughput comparison.
 //!
-//! Nothing outside the F6 experiment should use this module.
+//! Beyond that shared rule compilation it has nothing in common with the
+//! arena engine: its own storage, its own indexes, its own tuple-at-a-time
+//! `descend`. That independence is why it is the differential oracle for
+//! the blocked executor (`alexander_eval::exec`, the only join kernel the
+//! product runs): `tests/random_programs.rs` asserts model *and* counter
+//! equality against it on random programs across rewriting strategies,
+//! thread counts and budgets, and F6 asserts the same before timing.
+//!
+//! Nothing outside F6 and that differential test should use this module.
 
 use alexander_eval::join::{CompiledRule, Pat};
 use alexander_eval::{compile_rule, EvalMetrics};

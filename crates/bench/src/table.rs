@@ -113,6 +113,100 @@ pub fn tables_to_json(tables: &[Table]) -> String {
     out
 }
 
+/// A cursor over the JSON [`tables_to_json`] emits (strings, arrays and one
+/// known object shape); every `parse_*` leaves it after what it read.
+struct JsonReader<'a> {
+    rest: std::str::Chars<'a>,
+}
+
+impl JsonReader<'_> {
+    fn peek(&mut self) -> Option<char> {
+        self.rest = self.rest.as_str().trim_start().chars();
+        self.rest.clone().next()
+    }
+
+    fn expect(&mut self, want: char) -> Result<(), String> {
+        match (self.peek(), self.rest.next()) {
+            (Some(c), _) if c == want => Ok(()),
+            (got, _) => Err(format!("expected `{want}`, found {got:?}")),
+        }
+    }
+
+    /// Comma-separated items up to `close`, each read by `item`.
+    fn parse_seq<T>(
+        &mut self,
+        close: char,
+        mut item: impl FnMut(&mut Self) -> Result<T, String>,
+    ) -> Result<Vec<T>, String> {
+        let mut out = Vec::new();
+        while self.peek() != Some(close) {
+            if !out.is_empty() {
+                self.expect(',')?;
+            }
+            out.push(item(self)?);
+        }
+        self.expect(close)?;
+        Ok(out)
+    }
+
+    fn parse_str(&mut self) -> Result<String, String> {
+        self.expect('"')?;
+        let mut out = String::new();
+        loop {
+            match self.rest.next().ok_or("unterminated string")? {
+                '"' => return Ok(out),
+                '\\' => match self.rest.next().ok_or("unterminated escape")? {
+                    'n' => out.push('\n'),
+                    'r' => out.push('\r'),
+                    't' => out.push('\t'),
+                    'u' => {
+                        let hex: String = self.rest.by_ref().take(4).collect();
+                        let code = u32::from_str_radix(&hex, 16).ok();
+                        out.push(code.and_then(char::from_u32).ok_or("bad \\u escape")?);
+                    }
+                    c => out.push(c),
+                },
+                c => out.push(c),
+            }
+        }
+    }
+
+    fn parse_strings(&mut self) -> Result<Vec<String>, String> {
+        self.expect('[')?;
+        self.parse_seq(']', Self::parse_str)
+    }
+
+    fn parse_table(&mut self) -> Result<Table, String> {
+        let mut t = Table::new("", "", "", &[]);
+        self.expect('{')?;
+        self.parse_seq('}', |r| {
+            let key = r.parse_str()?;
+            r.expect(':')?;
+            match key.as_str() {
+                "id" => t.id = r.parse_str()?,
+                "title" => t.title = r.parse_str()?,
+                "note" => t.note = r.parse_str()?,
+                "columns" => t.columns = r.parse_strings()?,
+                "rows" => {
+                    r.expect('[')?;
+                    t.rows = r.parse_seq(']', Self::parse_strings)?;
+                }
+                other => return Err(format!("unexpected table field `{other}`")),
+            }
+            Ok(())
+        })?;
+        Ok(t)
+    }
+}
+
+/// Reads back what [`tables_to_json`] wrote (a `--out` file or a committed
+/// `BENCH_*.json`).
+pub fn tables_from_json(text: &str) -> Result<Vec<Table>, String> {
+    let mut reader = JsonReader { rest: text.chars() };
+    reader.expect('[')?;
+    reader.parse_seq(']', JsonReader::parse_table)
+}
+
 impl fmt::Display for Table {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "### {} — {}", self.id, self.title)?;
@@ -190,6 +284,21 @@ mod tests {
         assert!(json.contains("\"line\\nbreak\""));
         assert!(json.contains("[\"a\\\\b\", \"1\"]"));
         assert!(json.ends_with(']'));
+    }
+
+    #[test]
+    fn json_round_trips() {
+        let mut t = Table::new("F0", "json \"demo\"", "line\nbreak\u{1}", &["k", "v"]);
+        t.row(vec!["a\\b".into(), "1".into()]);
+        let empty = Table::new("F1", "", "", &["only"]);
+        let back = tables_from_json(&tables_to_json(&[t.clone(), empty])).unwrap();
+        assert_eq!(back.len(), 2);
+        assert_eq!((&back[0].id, &back[0].title), (&t.id, &t.title));
+        assert_eq!(back[0].note, t.note);
+        assert_eq!((&back[0].columns, &back[0].rows), (&t.columns, &t.rows));
+        assert!(back[1].rows.is_empty());
+        assert!(tables_from_json("[{\"id\": 7}]").is_err());
+        assert!(tables_from_json("[{\"id\": \"x\"").is_err());
     }
 
     #[test]

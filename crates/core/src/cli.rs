@@ -9,7 +9,7 @@
 //! ```
 
 use crate::{Engine, Strategy};
-use alexander_eval::{eval_with_provenance, Budget, ExecMode};
+use alexander_eval::{eval_with_provenance, Budget};
 use alexander_ir::analysis::{loosely_stratified, stratify};
 use alexander_ir::{Atom, Program};
 use alexander_parser::{parse, parse_atom};
@@ -32,9 +32,6 @@ pub struct CliOptions {
     pub loads: Vec<String>,
     /// Worker threads for bottom-up fixpoint rounds (`None` = sequential).
     pub threads: Option<usize>,
-    /// Rule executor for bottom-up fixpoints: `blocked` (default) or
-    /// `tuple` (the per-tuple oracle).
-    pub exec: Option<String>,
     /// Wall-clock budget per query, in milliseconds.
     pub timeout_ms: Option<u64>,
     /// Derived-fact budget per query.
@@ -83,8 +80,6 @@ usage: alexander <file.dl | -> [options]
       --load P/N=FILE bulk-load relation P (arity N) from a CSV/TSV file
       --threads N     worker threads per bottom-up fixpoint round (default 1);
                       answers and counters are identical at any thread count
-      --exec E        blocked | tuple — rule executor for bottom-up fixpoints
-                      (default blocked); answers and counters are identical
       --timeout-ms N  wall-clock budget per query; on expiry the partial
                       answers derived so far are printed and flagged
       --max-facts N   stop after deriving N facts (partial answers, flagged)
@@ -153,11 +148,6 @@ pub fn parse_args(args: &[String]) -> Result<(Option<String>, CliOptions), Strin
                     return Err("--threads expects a positive integer, got `0`".into());
                 }
                 opts.threads = Some(n);
-            }
-            "--exec" => {
-                i += 1;
-                let e = args.get(i).ok_or("missing argument to --exec")?;
-                opts.exec = Some(e.clone());
             }
             "--timeout-ms" | "--max-facts" | "--max-rounds" => {
                 let flag = a.to_string();
@@ -270,14 +260,6 @@ pub fn validate(opts: &CliOptions) -> Result<(), String> {
     if opts.serve {
         // Serve mode answers queries over the wire against a durable store;
         // one-shot flags would be silently ignored — reject them instead.
-        if opts.exec.as_deref() == Some("tuple") {
-            return Err(
-                "--exec tuple is the per-tuple differential oracle, kept for \
-                 cross-checking the blocked executor; it cannot serve concurrent \
-                 traffic. Drop --exec (blocked is the default) with `serve`"
-                    .into(),
-            );
-        }
         if opts.analyze {
             return Err(
                 "--analyze is a one-shot analysis pass and does nothing under \
@@ -459,18 +441,6 @@ pub fn run(source: &str, opts: &CliOptions) -> Result<String, String> {
 
     if let Some(threads) = opts.threads {
         engine = engine.with_threads(threads);
-    }
-    if let Some(exec) = &opts.exec {
-        let mode = match exec.as_str() {
-            "blocked" => ExecMode::Blocked,
-            "tuple" => ExecMode::Tuple,
-            other => {
-                return Err(format!(
-                    "unknown executor `{other}`; one of: blocked, tuple"
-                ))
-            }
-        };
-        engine = engine.with_exec(mode);
     }
     let mut budget = Budget::default();
     if let Some(ms) = opts.timeout_ms {
@@ -779,37 +749,13 @@ seth,enos
     }
 
     #[test]
-    fn exec_flag_selects_the_executor() {
+    fn retired_exec_flag_is_an_unknown_option() {
         let args: Vec<String> = ["prog.dl", "--exec", "tuple"]
             .iter()
             .map(|s| s.to_string())
             .collect();
-        let (_, opts) = parse_args(&args).unwrap();
-        assert_eq!(opts.exec.as_deref(), Some("tuple"));
-
-        // The oracle is flagged in the stats line; the default is silent.
-        let base = CliOptions {
-            queries: vec!["anc(adam, X)".into()],
-            strategy: Some("seminaive".into()),
-            stats: true,
-            ..CliOptions::default()
-        };
-        let tuple = CliOptions {
-            exec: Some("tuple".into()),
-            ..base.clone()
-        };
-        let out = run(SRC, &tuple).unwrap();
-        assert!(out.contains("exec=tuple"), "{out}");
-        assert!(out.contains("anc(adam, enos)"), "{out}");
-        let out = run(SRC, &base).unwrap();
-        assert!(!out.contains("exec="), "{out}");
-
-        let bad = CliOptions {
-            exec: Some("quantum".into()),
-            ..base
-        };
-        let err = run(SRC, &bad).unwrap_err();
-        assert!(err.contains("unknown executor"), "{err}");
+        let err = parse_args(&args).unwrap_err();
+        assert!(err.starts_with("unknown option `--exec`"), "{err}");
     }
 
     #[test]
@@ -1047,10 +993,6 @@ seth,enos
         ])
         .unwrap_err();
         assert!(err.contains("mutually exclusive"), "{err}");
-
-        // The per-tuple oracle cannot serve concurrent traffic.
-        let err = parse(&["serve", "prog.dl", "--listen", "x:1", "--exec", "tuple"]).unwrap_err();
-        assert!(err.contains("--exec tuple"), "{err}");
 
         // One-shot flags are rejected rather than silently ignored.
         for extra in [

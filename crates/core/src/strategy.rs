@@ -1,6 +1,6 @@
 //! Evaluation strategies and their instrumentation reports.
 
-use alexander_eval::{Completion, Consumption, EvalMetrics, ExecMode};
+use alexander_eval::{Completion, Consumption, EvalMetrics};
 use alexander_ir::Atom;
 use alexander_topdown::OldtMetrics;
 use std::fmt;
@@ -85,9 +85,6 @@ pub struct Report {
     /// Worker threads the bottom-up fixpoint ran with (0 when no bottom-up
     /// evaluation happened, e.g. pure OLDT runs or EDB lookups).
     pub threads: usize,
-    /// Which rule executor the bottom-up fixpoint ran (`None` when no
-    /// bottom-up evaluation happened, e.g. pure OLDT runs or EDB lookups).
-    pub exec: Option<ExecMode>,
     /// Whether the evaluation ran to its full fixpoint / answer set. A
     /// non-`Complete` value means the answers are a sound *partial* result:
     /// everything reported holds, but more may be derivable.
@@ -114,10 +111,6 @@ impl fmt::Display for Report {
         }
         if self.threads > 1 {
             write!(f, " threads={}", self.threads)?;
-        }
-        // The blocked executor is the default; only flag the oracle.
-        if self.exec == Some(ExecMode::Tuple) {
-            write!(f, " exec=tuple")?;
         }
         if !self.completion.is_complete() {
             write!(f, " PARTIAL: {} ({})", self.completion, self.consumed)?;
@@ -174,20 +167,6 @@ mod tests {
         let shown = partial.to_string();
         assert!(shown.contains("PARTIAL"), "{shown}");
         assert!(shown.contains("facts"), "{shown}");
-    }
-
-    #[test]
-    fn report_display_flags_only_the_tuple_oracle() {
-        let blocked = Report {
-            exec: Some(ExecMode::Blocked),
-            ..Report::default()
-        };
-        assert!(!blocked.to_string().contains("exec="));
-        let tuple = Report {
-            exec: Some(ExecMode::Tuple),
-            ..Report::default()
-        };
-        assert!(tuple.to_string().contains("exec=tuple"));
     }
 
     #[test]

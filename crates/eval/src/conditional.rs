@@ -39,12 +39,12 @@
 //! facts), with `completion` reporting the trip and `undefined` left empty.
 
 use crate::error::EvalError;
+use crate::exec::{exec_plan_bindings, ExecScratch};
 use crate::govern::Completion;
-use crate::join::{
-    compile_rule, ensure_rule_indexes, join_rule_bindings, CompiledRule, JoinInput, JoinScratch,
-};
+use crate::join::{compile_rule, ensure_rule_indexes, CompiledRule, JoinInput};
 use crate::metrics::EvalMetrics;
 use crate::naive::seed_database;
+use crate::plan::{compile_plans, RulePlan};
 use alexander_ir::{Atom, FxHashMap, FxHashSet, Polarity, Program};
 use alexander_storage::Database;
 use std::collections::BTreeSet;
@@ -178,6 +178,7 @@ pub fn eval_conditional_opts(
         .filter(|r| tainted.contains(&r.head.predicate()))
         .map(|r| compile_rule(r).map_err(EvalError::from))
         .collect::<Result<_, _>>()?;
+    let plans: Vec<RulePlan> = compile_plans(&compiled, &mut metrics);
 
     // On a definite program (or one whose negations are all static) there
     // is nothing to delay: the phase-0 result IS the answer. Returning here
@@ -193,7 +194,7 @@ pub fn eval_conditional_opts(
 
     // ---- Phase 1: the monotone T_c fixpoint. ----
     let mut stmts = Statements::default();
-    let mut scratch = JoinScratch::new();
+    let mut scratch = ExecScratch::new();
     let mut stopped = false;
     'phase1: loop {
         if gov.note_round().is_break() {
@@ -204,8 +205,8 @@ pub fn eval_conditional_opts(
         // premises can match conditional statements.
         let mut known = static_db.clone();
         for h in stmts.heads() {
-            // invariant: statement heads come out of `to_tuple` on a full
-            // body match, which only produces ground atoms.
+            // invariant: statement heads are grounded against a full body
+            // match, which only produces ground atoms.
             known.insert_atom(h).expect("statement heads are ground");
         }
         for r in &compiled {
@@ -213,7 +214,7 @@ pub fn eval_conditional_opts(
         }
 
         let mut changed = false;
-        for rule in &compiled {
+        for (rule, plan) in compiled.iter().zip(&plans) {
             let input = JoinInput {
                 total: &known,
                 delta: None,
@@ -223,29 +224,18 @@ pub fn eval_conditional_opts(
             };
             // Collect matches first: `stmts` is mutated after the join.
             let mut matches: Vec<(Atom, Vec<Atom>, Conditions)> = Vec::new();
-            let flow = join_rule_bindings(
-                rule,
+            let flow = exec_plan_bindings(
+                plan,
                 &input,
                 &mut scratch,
                 &mut metrics,
-                &mut |rule, bind, metrics| {
+                &mut |row, metrics| {
                     metrics.firings += 1;
-                    let head = rule
-                        .head
-                        // invariant: rule safety is validated before evaluation.
-                        .to_tuple(bind)
-                        .expect("safe rules ground their heads")
-                        .to_atom(rule.head.pred.name);
+                    let head = rule.head.ground(row);
                     let mut premises = Vec::new();
                     let mut delayed = Conditions::new();
                     for lit in &rule.body {
-                        let atom = lit
-                            .atom
-                            // invariant: EmitBindings fires after a full body
-                            // match, when every body variable is bound.
-                            .to_tuple(bind)
-                            .expect("ordered bodies are ground at emit")
-                            .to_atom(lit.atom.pred.name);
+                        let atom = lit.atom.ground(row);
                         match lit.polarity {
                             Polarity::Positive => {
                                 if tainted.contains(&lit.atom.pred) {

@@ -1,5 +1,6 @@
-//! The blocked executor: drives a compiled [`RulePlan`] over the arena in
-//! fixed-size blocks of binding rows instead of one tuple at a time.
+//! The blocked executor — the one join kernel every evaluator runs: it
+//! drives a compiled [`RulePlan`] over the arena in fixed-size blocks of
+//! binding rows.
 //!
 //! ## Shape
 //!
@@ -11,27 +12,40 @@
 //! matching arena row (indexed probe, delta-narrowed posting list, or
 //! contiguous scan), [`Builtin`](crate::plan::PlanOp::Builtin) and
 //! [`Negative`](crate::plan::PlanOp::Negative) filter rows in place, and the
-//! sink projects head rows, hashing each one **once** — the digest is reused
-//! for the duplicate check and the insert via the storage layer's `_hashed`
-//! entry points, where the tuple-at-a-time path hashes the same row three
-//! times.
+//! sink receives fully bound rows.
 //!
 //! When an operator's output block fills, the block is flushed through the
 //! remaining operators *before* the operator resumes — downstream work for
 //! earlier rows always completes before later rows are generated. Emissions
-//! therefore occur in exactly the depth-first order of the tuple-at-a-time
-//! join, which is what preserves the bit-identical-across-threads merge
-//! discipline: insertion order into staging databases, and hence delta
-//! spans and row ids, match the tuple path row for row.
+//! therefore occur in exactly the depth-first order of a nested-loop join
+//! over the body literals with rows in id order, which is what preserves
+//! the bit-identical-across-threads merge discipline (insertion order into
+//! staging databases, and hence delta spans and row ids, are a function of
+//! the input alone) and what the boxed-tuple reference engine in
+//! `alexander-bench` reproduces counter for counter.
+//!
+//! ## Entry points
+//!
+//! * [`exec_plan`] — the fixpoint sink: projects each bound row onto the
+//!   head, hashes it **once** (the digest is reused for the duplicate check
+//!   and the insert via the storage layer's `_hashed` entry points), counts
+//!   the firing, and charges the governor.
+//! * [`exec_plan_bindings`] — the bindings sink: hands the caller the bound
+//!   row itself, for evaluators that need the ground body instance and not
+//!   just the head (conditional statements, provenance). The caller counts
+//!   firings and charges the governor, and may `Break` at any row.
+//! * [`exec_plan_seeded`] — the bindings sink started from a *pre-bound*
+//!   seed row: the head slots are filled from a fact, so a plan lowered from
+//!   [`compile_rule_seeded`](crate::join::compile_rule_seeded) answers "does
+//!   this fact still have a derivation?" with indexed point lookups.
 //!
 //! ## Governance
 //!
 //! Budget checks are amortised per block, not per tuple: with no step
 //! budget, the governor's cancellation/deadline look happens once per block
-//! reaching the emission sink. A step budget still claims per firing
+//! reaching [`exec_plan`]'s sink. A step budget still claims per firing
 //! (claim-before-work exactness demands it), and fact claims stay in the
-//! caller's emit closure — identical to the tuple path, so
-//! `consumed.facts == max` exactness carries over unchanged.
+//! caller's emit closure, so `consumed.facts == max` holds exactly.
 //!
 //! All buffers live in an [`ExecScratch`] the caller keeps per worker; the
 //! steady state allocates nothing.
@@ -41,35 +55,7 @@ use crate::metrics::EvalMetrics;
 use crate::plan::{PlanOp, RulePlan};
 use alexander_ir::{hash_row, Const, RowHasher};
 use alexander_storage::Database;
-use std::fmt;
 use std::ops::ControlFlow;
-
-/// Which executor drives rule bodies.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum ExecMode {
-    /// Compiled plans over binding blocks (the default).
-    #[default]
-    Blocked,
-    /// The tuple-at-a-time nested-loop join — retained as the differential
-    ///-testing oracle behind this switch.
-    Tuple,
-}
-
-impl ExecMode {
-    /// The mode's CLI / report name.
-    pub fn name(self) -> &'static str {
-        match self {
-            ExecMode::Blocked => "blocked",
-            ExecMode::Tuple => "tuple",
-        }
-    }
-}
-
-impl fmt::Display for ExecMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
 
 /// Rows per binding block. 1024 keeps a block of typical width (2–4 slots
 /// × 16-byte `Const`) within L2 while amortising per-block overhead
@@ -114,6 +100,26 @@ impl Block {
         self.len = 1;
     }
 
+    /// A seed row with the slots of `head`'s variables pre-bound from
+    /// `head_row`. Returns `false` — leaving the block unusable until the
+    /// next reset — when the fact cannot match the head pattern: a constant
+    /// differs, or a repeated variable would need two values.
+    fn push_bound_seed_row(&mut self, head: &[Pat], head_row: &[Const]) -> bool {
+        debug_assert_eq!(head.len(), head_row.len());
+        self.push_seed_row();
+        for (&p, &v) in head.iter().zip(head_row) {
+            if let Pat::Var(s) = p {
+                self.data[s as usize] = v;
+            }
+        }
+        // Every head position must now read back its fact column: a
+        // mismatched constant fails directly, a conflicting repeated
+        // variable because the later write won.
+        head.iter()
+            .zip(head_row)
+            .all(|(&p, &v)| resolve(p, &self.data) == v)
+    }
+
     /// Appends `base` extended with the candidate row's `load` columns.
     #[inline]
     fn push_extended(&mut self, base: &[Const], cand: &[Const], load: &[(u32, u32)]) {
@@ -128,7 +134,8 @@ impl Block {
 
 /// Reusable per-worker buffers for the blocked executor: the seed block,
 /// one output block per plan operator, and the head-row scratch. One
-/// `ExecScratch` serves a whole fixpoint run.
+/// `ExecScratch` serves a whole fixpoint run, and every entry point resets
+/// what it uses — a run that stopped early leaves nothing behind.
 #[derive(Default)]
 pub struct ExecScratch {
     seed: Block,
@@ -152,14 +159,25 @@ fn resolve(p: Pat, row: &[Const]) -> Const {
     }
 }
 
+/// What happens to a block of fully bound rows once it has passed every
+/// operator.
+type Sink<'a> = dyn FnMut(&Block, &mut EvalMetrics) -> ControlFlow<()> + 'a;
+
+/// The callback the bindings entry points hand each satisfying assignment
+/// to: the full binding row (slot `v` holds variable `v`'s constant; ground
+/// any compiled atom against it with [`AtomPat::ground`]). Returning
+/// [`ControlFlow::Break`] stops the run.
+///
+/// [`AtomPat::ground`]: crate::join::AtomPat::ground
+pub type EmitBindings<'a> = dyn FnMut(&[Const], &mut EvalMetrics) -> ControlFlow<()> + 'a;
+
 /// Executes `plan` over `input` blockwise, calling `emit` with each
 /// instantiated head row and its [`hash_row`] digest (computed once here so
 /// the sink can reuse it for both the membership check and the insert). The
 /// row lives in scratch and is only valid for the duration of the call.
 ///
-/// Emission order, metric counters, and governance semantics replicate
-/// [`join_rule`](crate::join::join_rule) exactly — the two executors are
-/// interchangeable and differential-tested against each other. Returns
+/// `emit` reports whether the row was new, a duplicate, or refused by the
+/// fact budget; firings and fact counters are charged here. Returns
 /// [`ControlFlow::Break`] when the run stopped early (budget refusal,
 /// cancellation, deadline).
 pub fn exec_plan(
@@ -170,50 +188,15 @@ pub fn exec_plan(
     emit: &mut dyn FnMut(u64, &[Const]) -> Emitted,
 ) -> ControlFlow<()> {
     let exact_steps = input.governor.is_some_and(|g| g.counts_steps());
-    let neg_db = input.negatives.unwrap_or(input.total);
-    if scratch.bufs.len() < plan.ops.len() {
-        scratch.bufs.resize_with(plan.ops.len(), Block::default);
-    }
-    scratch.seed.reset(plan.nvars);
-    scratch.seed.push_seed_row();
-    run_ops(
-        plan,
-        &plan.ops,
-        &mut scratch.bufs[..plan.ops.len()],
-        &scratch.seed,
-        input,
-        neg_db,
-        exact_steps,
-        &mut scratch.head,
-        metrics,
-        emit,
-    )
-}
-
-/// Pushes `block` through the remaining operators. `bufs[0]` is this
-/// stage's output block; flushing it recursively *before* generating more
-/// rows is what keeps emissions in depth-first (tuple-path) order.
-#[allow(clippy::too_many_arguments)]
-fn run_ops(
-    plan: &RulePlan,
-    ops: &[PlanOp],
-    bufs: &mut [Block],
-    block: &Block,
-    input: &JoinInput<'_>,
-    neg_db: &Database,
-    exact_steps: bool,
-    head: &mut Vec<Const>,
-    metrics: &mut EvalMetrics,
-    emit: &mut dyn FnMut(u64, &[Const]) -> Emitted,
-) -> ControlFlow<()> {
-    metrics.exec.blocks_executed += 1;
-    metrics.exec.block_rows += block.len as u64;
-
-    // Sink: every row is a full body match — project, hash once, emit.
-    let Some((op, rest_ops)) = ops.split_first() else {
+    let ExecScratch { seed, bufs, head } = scratch;
+    seed.reset(plan.nvars);
+    seed.push_seed_row();
+    run(plan, input, seed, bufs, metrics, &mut |block, metrics| {
         if !exact_steps {
-            // The per-block (amortised) governance look: blocks are at most
-            // BLOCK_ROWS rows, matching the tuple path's interrupt stride.
+            // The per-block (amortised) governance look: with no step
+            // budget there is nothing to claim per firing, so a
+            // governed-but-unhit run costs the same as an ungoverned one
+            // (experiment F5).
             if let Some(g) = input.governor {
                 g.check_interrupt()?;
             }
@@ -221,8 +204,8 @@ fn run_ops(
         for i in 0..block.len {
             let row = block.row(i);
             // The step claim comes before the emission: a refused firing
-            // does no work and touches no counters (identical to the tuple
-            // path's claim-before-work ordering).
+            // does no work and touches no counters, so an ungoverned run
+            // and a run whose budget is never hit report identical metrics.
             if exact_steps {
                 if let Some(g) = input.governor {
                     g.note_firing()?;
@@ -245,7 +228,121 @@ fn run_ops(
                 Emitted::Refused => return ControlFlow::Break(()),
             }
         }
-        return ControlFlow::Continue(());
+        ControlFlow::Continue(())
+    })
+}
+
+/// Like [`exec_plan`], but hands the bound row itself to `emit` on every
+/// satisfying assignment, so callers can reconstruct body instances (the
+/// conditional fixpoint needs the ground premises, not just the head).
+/// `emit` is responsible for the firing/fact counters and for charging the
+/// governor. Returns [`ControlFlow::Break`] iff `emit` did.
+pub fn exec_plan_bindings(
+    plan: &RulePlan,
+    input: &JoinInput<'_>,
+    scratch: &mut ExecScratch,
+    metrics: &mut EvalMetrics,
+    emit: &mut EmitBindings<'_>,
+) -> ControlFlow<()> {
+    scratch.seed.reset(plan.nvars);
+    scratch.seed.push_seed_row();
+    run_bindings(plan, input, scratch, metrics, emit)
+}
+
+/// A head-seeded derivability probe: pre-binds the head slots from
+/// `head_row` and runs the body over `input`, calling `emit` with the bound
+/// row of each satisfying assignment (which may `Break` at the first
+/// witness). This is DRed's rederivation question — "does *this specific*
+/// doomed fact still have a derivation?" — asked as indexed point lookups
+/// instead of a full rule join.
+///
+/// `plan` must be lowered from a [`compile_rule_seeded`] compilation: only
+/// there do the operators treat the head slots as bound (probe keys) rather
+/// than as variables to load.
+///
+/// Returns `None` (without joining) when `head_row` cannot match the head
+/// pattern (constant mismatch or conflicting repeated variables); otherwise
+/// the run's flow — `Break` iff `emit` broke. Candidates are enumerated a
+/// block at a time, so a `Break` at the first witness may already have
+/// charged `probes`/`tuples_considered` for later candidates of the same
+/// block.
+///
+/// [`compile_rule_seeded`]: crate::join::compile_rule_seeded
+pub fn exec_plan_seeded(
+    plan: &RulePlan,
+    head_row: &[Const],
+    input: &JoinInput<'_>,
+    scratch: &mut ExecScratch,
+    metrics: &mut EvalMetrics,
+    emit: &mut EmitBindings<'_>,
+) -> Option<ControlFlow<()>> {
+    scratch.seed.reset(plan.nvars);
+    if !scratch.seed.push_bound_seed_row(&plan.head, head_row) {
+        return None;
+    }
+    Some(run_bindings(plan, input, scratch, metrics, emit))
+}
+
+/// Runs `plan` from the seed row already in `scratch`, row-at-a-time into
+/// `emit`.
+fn run_bindings(
+    plan: &RulePlan,
+    input: &JoinInput<'_>,
+    scratch: &mut ExecScratch,
+    metrics: &mut EvalMetrics,
+    emit: &mut EmitBindings<'_>,
+) -> ControlFlow<()> {
+    let ExecScratch { seed, bufs, .. } = scratch;
+    run(plan, input, seed, bufs, metrics, &mut |block, metrics| {
+        (0..block.len).try_for_each(|i| emit(block.row(i), metrics))
+    })
+}
+
+/// Pushes the seed block through the whole plan into `sink`.
+fn run(
+    plan: &RulePlan,
+    input: &JoinInput<'_>,
+    seed: &Block,
+    bufs: &mut Vec<Block>,
+    metrics: &mut EvalMetrics,
+    sink: &mut Sink<'_>,
+) -> ControlFlow<()> {
+    let neg_db = input.negatives.unwrap_or(input.total);
+    if bufs.len() < plan.ops.len() {
+        bufs.resize_with(plan.ops.len(), Block::default);
+    }
+    run_ops(
+        plan,
+        &plan.ops,
+        &mut bufs[..plan.ops.len()],
+        seed,
+        input,
+        neg_db,
+        metrics,
+        sink,
+    )
+}
+
+/// Pushes `block` through the remaining operators. `bufs[0]` is this
+/// stage's output block; flushing it recursively *before* generating more
+/// rows is what keeps emissions in depth-first order.
+#[allow(clippy::too_many_arguments)]
+fn run_ops(
+    plan: &RulePlan,
+    ops: &[PlanOp],
+    bufs: &mut [Block],
+    block: &Block,
+    input: &JoinInput<'_>,
+    neg_db: &Database,
+    metrics: &mut EvalMetrics,
+    sink: &mut Sink<'_>,
+) -> ControlFlow<()> {
+    metrics.exec.blocks_executed += 1;
+    metrics.exec.block_rows += block.len as u64;
+
+    // Past the last operator every row is a full body match.
+    let Some((op, rest_ops)) = ops.split_first() else {
+        return sink(block, metrics);
     };
 
     let (out, rest_bufs) = bufs.split_first_mut().expect("one buffer per operator");
@@ -256,18 +353,7 @@ fn run_ops(
     macro_rules! flush_full {
         () => {
             if out.is_full() {
-                run_ops(
-                    plan,
-                    rest_ops,
-                    rest_bufs,
-                    out,
-                    input,
-                    neg_db,
-                    exact_steps,
-                    head,
-                    metrics,
-                    emit,
-                )?;
+                run_ops(plan, rest_ops, rest_bufs, out, input, neg_db, metrics, sink)?;
                 out.clear_rows();
             }
         };
@@ -306,10 +392,9 @@ fn run_ops(
         } => {
             // Resolve the (up to two) sources this access reads and the id
             // range the delta (if this is the delta position) restricts
-            // each to — once per block; the tuple path resolves identically
-            // per binding. An unresolved access matches nothing and charges
-            // no probe; a second source appears only under counting-update
-            // side resolutions (total ∪ removed).
+            // each to — once per block. An unresolved access matches nothing
+            // and charges no probe; a second source appears only under
+            // counting-update side resolutions (total ∪ removed).
             let sources = crate::join::resolve_access(input, *lit, *pred);
             for (relation, range) in sources.into_iter().flatten() {
                 let (lo, hi) = range.unwrap_or((0, relation.len() as u32));
@@ -321,9 +406,10 @@ fn run_ops(
                 if mask.is_empty() {
                     // Contiguous arena scan of the (possibly delta-restricted)
                     // id range — one slice of the pool, walked in stride-sized
-                    // steps; the whole enumeration is charged, as in the tuple
-                    // path. (Propositional relations have stride 0 and at most
-                    // one row.)
+                    // steps. `tuples_considered` charges the whole enumeration,
+                    // which is what the index ablation (E10) measures.
+                    // (Propositional relations have stride 0 and at most one
+                    // row.)
                     let a = relation.arity();
                     for i in 0..block.len {
                         let row = block.row(i);
@@ -370,7 +456,8 @@ fn run_ops(
                         }
                     }
                 } else {
-                    // No index: filtered scan over the range per input row.
+                    // No index: filtered scan over the range per input row,
+                    // charged like the unmasked scan above.
                     for i in 0..block.len {
                         let row = block.row(i);
                         metrics.probes += 1;
@@ -393,18 +480,7 @@ fn run_ops(
     }
 
     if out.len > 0 {
-        run_ops(
-            plan,
-            rest_ops,
-            rest_bufs,
-            out,
-            input,
-            neg_db,
-            exact_steps,
-            head,
-            metrics,
-            emit,
-        )?;
+        run_ops(plan, rest_ops, rest_bufs, out, input, neg_db, metrics, sink)?;
     }
     ControlFlow::Continue(())
 }
@@ -413,9 +489,9 @@ fn run_ops(
 mod tests {
     use super::*;
     use crate::govern::{Budget, Completion, Governor, Resource};
-    use crate::join::{compile_rule, join_rule, CompiledRule, DeltaSource, JoinScratch};
+    use crate::join::{compile_rule, compile_rule_seeded, CompiledRule, DeltaSource};
     use crate::plan::compile_plan;
-    use alexander_ir::{atom, Literal, Predicate, Rule, Term};
+    use alexander_ir::{atom, match_atom, Atom, Builtin, Literal, Predicate, Rule, Subst, Term};
     use alexander_storage::{tuple_of_syms, DeltaSpans, Mask, Tuple};
 
     fn edb() -> Database {
@@ -427,60 +503,136 @@ mod tests {
         db
     }
 
+    fn rule(head: Atom, body: Vec<Literal>) -> CompiledRule {
+        compile_rule(&Rule::new(head, body)).unwrap()
+    }
+
+    fn var(name: &str) -> Term {
+        Term::var(name)
+    }
+
+    /// p(X, Y) :- e(X, Z), e(Z, Y).
     fn composition_rule() -> CompiledRule {
-        let r = Rule::new(
-            atom("p", [Term::var("X"), Term::var("Y")]),
+        rule(
+            atom("p", [var("X"), var("Y")]),
             vec![
-                Literal::pos(atom("e", [Term::var("X"), Term::var("Z")])),
-                Literal::pos(atom("e", [Term::var("Z"), Term::var("Y")])),
+                Literal::pos(atom("e", [var("X"), var("Z")])),
+                Literal::pos(atom("e", [var("Z"), var("Y")])),
             ],
-        );
-        compile_rule(&r).unwrap()
+        )
     }
 
-    /// Runs both executors over the same input and asserts identical
-    /// emission sequences and identical metrics.
-    fn assert_executors_agree(rule: &CompiledRule, input: &JoinInput<'_>) -> Vec<Tuple> {
+    /// q(X) :- e(X, Y), neq(X, Y), !blocked(X).
+    fn filtered_rule() -> CompiledRule {
+        rule(
+            atom("q", [var("X")]),
+            vec![
+                Literal::pos(atom("e", [var("X"), var("Y")])),
+                Literal::pos(atom("neq", [var("X"), var("Y")])),
+                Literal::neg(atom("blocked", [var("X")])),
+            ],
+        )
+    }
+
+    /// The stored rows literal `i` ranges over, in id order: the delta's
+    /// at the delta position, the whole relation anywhere else.
+    fn rows_of<'a>(input: &JoinInput<'a>, i: usize, pred: Predicate) -> Vec<&'a [Const]> {
+        let (db, span) = match input.delta {
+            Some((d, DeltaSource::Db(db))) if d == i => (db, None),
+            Some((d, DeltaSource::Spans(sp))) if d == i => {
+                (input.total, Some(sp.get(pred).unwrap_or((0, 0))))
+            }
+            _ => (input.total, None),
+        };
+        let Some(rel) = db.relation(pred) else {
+            return Vec::new();
+        };
+        let (lo, hi) = span.unwrap_or((0, rel.len() as u32));
+        rel.rows_in(lo, hi).collect()
+    }
+
+    /// The obviously-correct reference: nested loops over the (ordered)
+    /// source literals, stored rows in id order, one substitution per
+    /// match. Returns every satisfying substitution in depth-first order.
+    fn brute_force(rule: &CompiledRule, input: &JoinInput<'_>) -> Vec<Subst> {
+        fn go(r: &Rule, input: &JoinInput<'_>, i: usize, s: &Subst, out: &mut Vec<Subst>) {
+            let Some(lit) = r.body.get(i) else {
+                return out.push(s.clone());
+            };
+            let inst = s.apply_atom(&lit.atom);
+            if let Some(b) = Builtin::of(inst.predicate()) {
+                let (Term::Const(x), Term::Const(y)) = (inst.terms[0], inst.terms[1]) else {
+                    panic!("builtin reached with unbound arguments");
+                };
+                if b.eval(x, y) == lit.is_positive() {
+                    go(r, input, i + 1, s, out);
+                }
+            } else if lit.is_negative() {
+                if !input.negatives.unwrap_or(input.total).contains_atom(&inst) {
+                    go(r, input, i + 1, s, out);
+                }
+            } else {
+                for row in rows_of(input, i, inst.predicate()) {
+                    let mut s2 = s.clone();
+                    if match_atom(&inst, &Tuple::new(row).to_atom(inst.pred), &mut s2) {
+                        go(r, input, i + 1, &s2, out);
+                    }
+                }
+            }
+        }
+        let mut out = Vec::new();
+        go(&rule.source, input, 0, &Subst::new(), &mut out);
+        out
+    }
+
+    /// Runs the executor over `input` and asserts its emitted rows *and*
+    /// their order against the brute-force reference, and its logical
+    /// counters against the pinned `(probes, tuples_considered, firings)`.
+    fn assert_matches_reference(
+        rule: &CompiledRule,
+        input: &JoinInput<'_>,
+        pinned: (u64, u64, u64),
+    ) -> Vec<Tuple> {
+        let want: Vec<Tuple> = brute_force(rule, input)
+            .iter()
+            .map(|s| Tuple::from_atom(&s.apply_atom(&rule.source.head)).expect("ground head"))
+            .collect();
         let plan = compile_plan(rule);
-        let mut tm = EvalMetrics::default();
-        let mut ts = JoinScratch::new();
-        let mut tuple_out = Vec::new();
-        let flow = join_rule(rule, input, &mut ts, &mut tm, &mut |row| {
-            tuple_out.push(Tuple::new(row));
-            Emitted::New
-        });
-        assert!(flow.is_continue());
-
-        let mut bm = EvalMetrics::default();
-        let mut bs = ExecScratch::new();
-        let mut blocked_out = Vec::new();
-        let flow = exec_plan(&plan, input, &mut bs, &mut bm, &mut |h, row| {
-            assert_eq!(h, hash_row(row), "sink digest must be the row hash");
-            blocked_out.push(Tuple::new(row));
-            Emitted::New
-        });
-        assert!(flow.is_continue());
-
-        assert_eq!(tuple_out, blocked_out, "emission order must match");
-        assert_eq!(tm, bm, "logical counters must match");
-        assert!(
-            bm.exec.blocks_executed > 0,
-            "blocked path must count blocks"
+        let mut m = EvalMetrics::default();
+        let mut out = Vec::new();
+        let flow = exec_plan(
+            &plan,
+            input,
+            &mut ExecScratch::new(),
+            &mut m,
+            &mut |h, row| {
+                assert_eq!(h, hash_row(row), "sink digest must be the row hash");
+                out.push(Tuple::new(row));
+                Emitted::New
+            },
         );
-        assert_eq!(tm.exec.blocks_executed, 0, "tuple path executes no blocks");
-        blocked_out
+        assert!(flow.is_continue());
+        assert_eq!(out, want, "emitted rows and their order");
+        assert_eq!((m.probes, m.tuples_considered, m.firings), pinned);
+        assert_eq!(m.new_facts, m.firings);
+        assert!(m.exec.blocks_executed > 0, "executor must count blocks");
+        out
     }
 
     #[test]
-    fn matches_tuple_path_on_naive_composition() {
+    fn naive_composition() {
         let db = edb();
-        let out = assert_executors_agree(&composition_rule(), &JoinInput::naive(&db));
-        assert!(out.contains(&tuple_of_syms(&["a", "c"])));
-        assert!(out.contains(&tuple_of_syms(&["b", "d"])));
+        // Unindexed: the second literal is a filtered scan per binding, so
+        // every probe charges the whole relation (4 + 4 × 4).
+        let out = assert_matches_reference(&composition_rule(), &JoinInput::naive(&db), (5, 20, 2));
+        assert_eq!(
+            out,
+            [tuple_of_syms(&["a", "c"]), tuple_of_syms(&["b", "d"])]
+        );
     }
 
     #[test]
-    fn matches_tuple_path_with_indexes_and_delta_spans() {
+    fn indexes_and_delta_spans() {
         let e = Predicate::new("e", 2);
         let rule = composition_rule();
         let mut db = edb();
@@ -489,83 +641,102 @@ mod tests {
         fresh.insert(e, tuple_of_syms(&["d", "q"]));
         db.merge(&fresh);
         let spans = DeltaSpans::after_merge(&db, &fresh);
-        for delta_pos in [0, 1] {
+        for (delta_pos, pinned, want) in [
+            // d->q joined with q->? : nothing.
+            (0, (2, 1, 0), vec![]),
+            // ?->d joined with the delta d->q.
+            (
+                1,
+                (6, 7, 2),
+                vec![tuple_of_syms(&["c", "q"]), tuple_of_syms(&["a", "q"])],
+            ),
+        ] {
             let input = JoinInput {
-                total: &db,
                 delta: Some((delta_pos, DeltaSource::Spans(&spans))),
-                sides: None,
-                negatives: None,
-                governor: None,
+                ..JoinInput::naive(&db)
             };
-            assert_executors_agree(&rule, &input);
+            assert_eq!(assert_matches_reference(&rule, &input, pinned), want);
         }
     }
 
     #[test]
-    fn matches_tuple_path_on_negation_builtin_and_repeats() {
-        // q(X) :- e(X, Y), neq(X, Y), !blocked(X).
-        let r = Rule::new(
-            atom("q", [Term::var("X")]),
-            vec![
-                Literal::pos(atom("e", [Term::var("X"), Term::var("Y")])),
-                Literal::pos(atom("neq", [Term::var("X"), Term::var("Y")])),
-                Literal::neg(atom("blocked", [Term::var("X")])),
-            ],
+    fn delta_database_restricts_one_literal() {
+        let db = edb();
+        let mut delta = Database::new();
+        delta.insert(Predicate::new("e", 2), tuple_of_syms(&["b", "c"]));
+        let input = JoinInput {
+            delta: Some((0, DeltaSource::Db(&delta))),
+            ..JoinInput::naive(&db)
+        };
+        let out = assert_matches_reference(&composition_rule(), &input, (2, 5, 1));
+        assert_eq!(out, [tuple_of_syms(&["b", "d"])]);
+    }
+
+    #[test]
+    fn constants_in_the_body_filter() {
+        // p(Y) :- e(a, Y).
+        let r = rule(
+            atom("p", [var("Y")]),
+            vec![Literal::pos(atom("e", [Term::sym("a"), var("Y")]))],
         );
-        let rule = compile_rule(&r).unwrap();
+        let db = edb();
+        let out = assert_matches_reference(&r, &JoinInput::naive(&db), (1, 4, 2));
+        assert_eq!(out, [tuple_of_syms(&["b"]), tuple_of_syms(&["d"])]);
+    }
+
+    #[test]
+    fn negation_builtin_and_repeated_variables() {
         let mut db = edb();
         db.insert(Predicate::new("e", 2), tuple_of_syms(&["z", "z"]));
         db.insert(Predicate::new("blocked", 1), tuple_of_syms(&["a"]));
-        assert_executors_agree(&rule, &JoinInput::naive(&db));
+        // a is blocked, z->z fails neq: b and c survive.
+        let out = assert_matches_reference(&filtered_rule(), &JoinInput::naive(&db), (10, 5, 2));
+        assert_eq!(out, [tuple_of_syms(&["b"]), tuple_of_syms(&["c"])]);
 
         // loop(X) :- e(X, X): repeated free variable inside one literal.
-        let r = Rule::new(
-            atom("loop", [Term::var("X")]),
-            vec![Literal::pos(atom("e", [Term::var("X"), Term::var("X")]))],
+        let r = rule(
+            atom("loop", [var("X")]),
+            vec![Literal::pos(atom("e", [var("X"), var("X")]))],
         );
-        let rule = compile_rule(&r).unwrap();
-        let out = assert_executors_agree(&rule, &JoinInput::naive(&db));
-        assert_eq!(out, vec![tuple_of_syms(&["z"])]);
+        let out = assert_matches_reference(&r, &JoinInput::naive(&db), (1, 5, 1));
+        assert_eq!(out, [tuple_of_syms(&["z"])]);
     }
 
     #[test]
     fn missing_relation_matches_nothing_and_counts_nothing() {
-        let r = Rule::new(
-            atom("p", [Term::var("X")]),
-            vec![Literal::pos(atom("ghost", [Term::var("X")]))],
+        let r = rule(
+            atom("p", [var("X")]),
+            vec![Literal::pos(atom("ghost", [var("X")]))],
         );
-        let rule = compile_rule(&r).unwrap();
         let db = edb();
-        let out = assert_executors_agree(&rule, &JoinInput::naive(&db));
+        let out = assert_matches_reference(&r, &JoinInput::naive(&db), (0, 0, 0));
         assert!(out.is_empty());
     }
 
     #[test]
     fn blocks_larger_than_block_rows_flush_in_order() {
         // A cross product wide enough to overflow BLOCK_ROWS several times:
-        // emission order must still match the tuple path row for row.
+        // emission order must still be depth-first, row for row.
         let d = Predicate::new("d", 1);
         let mut db = Database::new();
         for i in 0..70 {
             db.insert(d, Tuple::new(vec![Const::int(i)]));
         }
         // cross(X, Y) :- d(X), d(Y).   70 * 70 = 4900 > 4 * BLOCK_ROWS.
-        let r = Rule::new(
-            atom("cross", [Term::var("X"), Term::var("Y")]),
+        let r = rule(
+            atom("cross", [var("X"), var("Y")]),
             vec![
-                Literal::pos(atom("d", [Term::var("X")])),
-                Literal::pos(atom("d", [Term::var("Y")])),
+                Literal::pos(atom("d", [var("X")])),
+                Literal::pos(atom("d", [var("Y")])),
             ],
         );
-        let rule = compile_rule(&r).unwrap();
-        let out = assert_executors_agree(&rule, &JoinInput::naive(&db));
+        let out = assert_matches_reference(&r, &JoinInput::naive(&db), (71, 4970, 4900));
         assert_eq!(out.len(), 4900);
     }
 
     #[test]
     fn step_budget_breaks_with_exact_claims() {
-        let rule = composition_rule();
-        let plan = compile_plan(&rule);
+        let plan = compile_plan(&composition_rule());
         let db = edb();
         let gov = Governor::new(Budget::default().with_max_steps(1), None);
         let input = JoinInput {
@@ -581,6 +752,7 @@ mod tests {
         });
         assert!(flow.is_break());
         assert_eq!(out, 1, "exactly one firing fits a 1-step budget");
+        assert_eq!((m.probes, m.tuples_considered, m.firings), (5, 20, 1));
         assert_eq!(
             gov.completion(),
             Completion::BudgetExhausted {
@@ -591,8 +763,7 @@ mod tests {
 
     #[test]
     fn refused_emission_stops_and_counts_nothing() {
-        let rule = composition_rule();
-        let plan = compile_plan(&rule);
+        let plan = compile_plan(&composition_rule());
         let db = edb();
         let mut m = EvalMetrics::default();
         let mut s = ExecScratch::new();
@@ -614,7 +785,7 @@ mod tests {
         assert!(flow.is_break());
         assert_eq!(calls, 2, "executor must stop right at the refusal");
         assert_eq!(m.firings, 1, "the refused emission counts no firing");
-        assert_eq!(m.new_facts, 1);
+        assert_eq!((m.new_facts, m.duplicate_facts), (1, 0));
     }
 
     #[test]
@@ -623,12 +794,208 @@ mod tests {
         let d = Predicate::new("d", 1);
         let mut db = Database::new();
         db.insert(d, Tuple::new(vec![Const::int(1)]));
-        let r = Rule::new(
-            atom("ok", []),
-            vec![Literal::pos(atom("d", [Term::var("X")]))],
-        );
-        let rule = compile_rule(&r).unwrap();
-        let out = assert_executors_agree(&rule, &JoinInput::naive(&db));
+        let r = rule(atom("ok", []), vec![Literal::pos(atom("d", [var("X")]))]);
+        let out = assert_matches_reference(&r, &JoinInput::naive(&db), (1, 1, 1));
         assert_eq!(out, vec![Tuple::new(Vec::<Const>::new())]);
+    }
+
+    #[test]
+    fn scratch_is_reused_across_rules_of_different_widths() {
+        let wide = compile_plan(&composition_rule());
+        let narrow = compile_plan(&rule(
+            atom("q", [var("X")]),
+            vec![Literal::pos(atom("e", [var("X"), var("Y")]))],
+        ));
+        let db = edb();
+        let mut scratch = ExecScratch::new();
+        let mut m = EvalMetrics::default();
+        for _ in 0..3 {
+            for (plan, want) in [(&wide, 2), (&narrow, 4)] {
+                let mut n = 0;
+                let flow = exec_plan(
+                    plan,
+                    &JoinInput::naive(&db),
+                    &mut scratch,
+                    &mut m,
+                    &mut |_, _| {
+                        n += 1;
+                        Emitted::New
+                    },
+                );
+                assert!(flow.is_continue());
+                assert_eq!(n, want);
+            }
+        }
+    }
+
+    /// Grounds every body literal of `rule` under each bound row the
+    /// bindings sink hands out.
+    fn body_instances(rule: &CompiledRule, input: &JoinInput<'_>) -> Vec<Vec<Atom>> {
+        let plan = compile_plan(rule);
+        let mut m = EvalMetrics::default();
+        let mut out = Vec::new();
+        let flow = exec_plan_bindings(
+            &plan,
+            input,
+            &mut ExecScratch::new(),
+            &mut m,
+            &mut |row, _| {
+                out.push(rule.body.iter().map(|l| l.atom.ground(row)).collect());
+                ControlFlow::Continue(())
+            },
+        );
+        assert!(flow.is_continue());
+        assert_eq!(m.firings, 0, "the bindings sink leaves counting to emit");
+        out
+    }
+
+    #[test]
+    fn bindings_sink_yields_the_ground_body_instances() {
+        // A negative literal and a builtin: the sink must hand out exactly
+        // the ground premises the conditional fixpoint and provenance
+        // record, in body order.
+        let r = filtered_rule();
+        let mut db = edb();
+        db.insert(Predicate::new("e", 2), tuple_of_syms(&["z", "z"]));
+        db.insert(Predicate::new("blocked", 1), tuple_of_syms(&["a"]));
+        let input = JoinInput::naive(&db);
+        let want: Vec<Vec<Atom>> = brute_force(&r, &input)
+            .iter()
+            .map(|s| {
+                r.source
+                    .body
+                    .iter()
+                    .map(|l| s.apply_atom(&l.atom))
+                    .collect()
+            })
+            .collect();
+        let got = body_instances(&r, &input);
+        assert_eq!(got, want);
+        let shown: Vec<String> = got[0].iter().map(Atom::to_string).collect();
+        assert_eq!(shown, ["e(b, c)", "neq(b, c)", "blocked(b)"]);
+    }
+
+    /// tc(X, Y) :- e(X, Z), tc(Z, Y), compiled head-seeded, over a database
+    /// where tc(a, d) has two derivations (via b and via c).
+    fn seeded_fixture() -> (CompiledRule, RulePlan, Database) {
+        let seeded = compile_rule_seeded(&Rule::new(
+            atom("tc", [var("X"), var("Y")]),
+            vec![
+                Literal::pos(atom("e", [var("X"), var("Z")])),
+                Literal::pos(atom("tc", [var("Z"), var("Y")])),
+            ],
+        ))
+        .unwrap();
+        let plan = compile_plan(&seeded);
+        let mut db = Database::new();
+        for (a, b) in [("a", "b"), ("a", "c"), ("x", "y")] {
+            db.insert(Predicate::new("e", 2), tuple_of_syms(&[a, b]));
+        }
+        for (a, b) in [("b", "d"), ("c", "d"), ("y", "w")] {
+            db.insert(Predicate::new("tc", 2), tuple_of_syms(&[a, b]));
+        }
+        crate::join::ensure_rule_indexes(&seeded, &mut db);
+        (seeded, plan, db)
+    }
+
+    #[test]
+    fn seeded_probe_that_cannot_match_the_head_performs_no_join() {
+        let db = edb();
+        // p(X, k) :- e(X, Y): the fact's second column is not `k`.
+        let constant_head = compile_plan(
+            &compile_rule_seeded(&Rule::new(
+                atom("p", [var("X"), Term::sym("k")]),
+                vec![Literal::pos(atom("e", [var("X"), var("Y")]))],
+            ))
+            .unwrap(),
+        );
+        // same(X, X) :- e(X, Y): the fact's columns differ.
+        let repeated_head = compile_plan(
+            &compile_rule_seeded(&Rule::new(
+                atom("same", [var("X"), var("X")]),
+                vec![Literal::pos(atom("e", [var("X"), var("Y")]))],
+            ))
+            .unwrap(),
+        );
+        let mut scratch = ExecScratch::new();
+        let mut m = EvalMetrics::default();
+        for plan in [&constant_head, &repeated_head] {
+            let fact = tuple_of_syms(&["a", "b"]);
+            let flow = exec_plan_seeded(
+                plan,
+                fact.values(),
+                &JoinInput::naive(&db),
+                &mut scratch,
+                &mut m,
+                &mut |_, _| panic!("no assignment can exist"),
+            );
+            assert!(flow.is_none());
+        }
+        assert_eq!((m.probes, m.tuples_considered), (0, 0));
+        assert_eq!(m.exec.blocks_executed, 0);
+
+        // The same plans do join when the fact fits the head.
+        for (plan, fact) in [(&constant_head, ["a", "k"]), (&repeated_head, ["a", "a"])] {
+            let mut hits = 0;
+            let flow = exec_plan_seeded(
+                plan,
+                tuple_of_syms(&fact).values(),
+                &JoinInput::naive(&db),
+                &mut scratch,
+                &mut m,
+                &mut |_, _| {
+                    hits += 1;
+                    ControlFlow::Continue(())
+                },
+            );
+            assert_eq!(flow, Some(ControlFlow::Continue(())));
+            assert_eq!(hits, 2, "a has two outgoing edges");
+        }
+    }
+
+    #[test]
+    fn seeded_probe_breaks_at_the_first_witness_and_scratch_stays_reusable() {
+        let (seeded, plan, db) = seeded_fixture();
+        let input = JoinInput::naive(&db);
+        let mut scratch = ExecScratch::new();
+        let mut m = EvalMetrics::default();
+        let mut first_witness = |fact: [&str; 2], m: &mut EvalMetrics| {
+            let mut witness = None;
+            let flow = exec_plan_seeded(
+                &plan,
+                tuple_of_syms(&fact).values(),
+                &input,
+                &mut scratch,
+                m,
+                &mut |row, m| {
+                    m.firings += 1;
+                    witness = Some(
+                        seeded
+                            .body
+                            .iter()
+                            .map(|l| l.atom.ground(row).to_string())
+                            .collect::<Vec<_>>(),
+                    );
+                    ControlFlow::Break(())
+                },
+            );
+            (flow, witness)
+        };
+
+        // Two derivations exist; the sink stops the run at the first.
+        let (flow, witness) = first_witness(["a", "d"], &mut m);
+        assert_eq!(flow, Some(ControlFlow::Break(())));
+        assert_eq!(witness.unwrap(), ["e(a, b)", "tc(b, d)"]);
+        assert_eq!(m.firings, 1, "exactly one firing before the Break");
+
+        // The interrupted run left nothing behind: the next probes on the
+        // same scratch see only their own fact.
+        let (flow, witness) = first_witness(["x", "w"], &mut m);
+        assert_eq!(flow, Some(ControlFlow::Break(())));
+        assert_eq!(witness.unwrap(), ["e(x, y)", "tc(y, w)"]);
+        let (flow, witness) = first_witness(["x", "d"], &mut m);
+        assert_eq!(flow, Some(ControlFlow::Continue(())));
+        assert!(witness.is_none(), "x reaches only w");
+        assert_eq!(m.firings, 2);
     }
 }

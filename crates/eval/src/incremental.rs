@@ -28,7 +28,7 @@
 //! falls back per-SCC to **DRed** (delete-and-rederive,
 //! Gupta–Mumick–Subrahmanian). The DRed fallback itself is accelerated two
 //! ways: rederivation is asked per doomed fact as a *head-seeded* indexed
-//! probe ([`crate::join::join_rule_seeded`]) instead of a stratum re-join,
+//! probe ([`crate::exec::exec_plan_seeded`]) instead of a stratum re-join,
 //! and witnesses found that way are memoised as [`Justification`]s
 //! (see [`crate::provenance`]) so the next deletion touching the same fact
 //! re-checks the stored premises before joining at all.
@@ -44,14 +44,14 @@
 //! both directions and need stratified counting, out of scope here.
 
 use crate::error::EvalError;
-use crate::exec::{exec_plan, ExecScratch};
+use crate::exec::{exec_plan, exec_plan_seeded, ExecScratch};
 use crate::join::{
-    compile_rule, compile_rule_seeded, ensure_rule_indexes, join_rule_seeded, CompiledRule,
-    DeltaSource, Emitted, JoinInput, JoinScratch, SideSources,
+    compile_rule, compile_rule_seeded, ensure_rule_indexes, CompiledRule, DeltaSource, Emitted,
+    JoinInput, SideSources,
 };
 use crate::metrics::EvalMetrics;
 use crate::naive::seed_database;
-use crate::plan::{compile_plan, RulePlan};
+use crate::plan::{compile_plans, RulePlan};
 use crate::provenance::{Justification, Provenance};
 use alexander_ir::analysis::{tarjan, DepGraph};
 use alexander_ir::{Atom, FxHashMap, FxHashSet, Predicate, Program};
@@ -97,13 +97,13 @@ struct SccGroup {
 pub struct IncrementalEngine {
     program: Program,
     compiled: Vec<CompiledRule>,
-    /// One blocked-executor plan per compiled rule; maintenance always runs
-    /// the blocked executor (updates are not governed, so the tuple oracle
-    /// has nothing extra to offer here).
+    /// One executor plan per compiled rule.
     plans: Vec<RulePlan>,
     /// Head-seeded compilations of the same rules, for per-fact
     /// rederivation probes during the DRed fallback.
     seeded: Vec<CompiledRule>,
+    /// One executor plan per seeded compilation.
+    seeded_plans: Vec<RulePlan>,
     /// EDB + all derived facts, with the support-count column live.
     total: Database,
     /// The extensional predicates (facts the user may insert/delete).
@@ -158,8 +158,8 @@ impl IncrementalEngine {
             .collect::<Result<_, _>>()?;
         let mut total = seed_database(&program, &edb);
         let mut metrics = EvalMetrics::default();
-        let plans: Vec<RulePlan> = compiled.iter().map(compile_plan).collect();
-        metrics.exec.plans_compiled += plans.len() as u64;
+        let plans: Vec<RulePlan> = compile_plans(&compiled, &mut metrics);
+        let seeded_plans: Vec<RulePlan> = compile_plans(&seeded, &mut metrics);
         let mut edb_preds: FxHashSet<Predicate> = edb.predicates().into_iter().collect();
         let mut protected: FxHashMap<Predicate, FxHashSet<Tuple>> = FxHashMap::default();
         for f in &program.facts {
@@ -185,6 +185,7 @@ impl IncrementalEngine {
             compiled,
             plans,
             seeded,
+            seeded_plans,
             total,
             edb_preds,
             protected,
@@ -682,7 +683,6 @@ impl IncrementalEngine {
         // exactly the facts with support in the new state.
         let mut alive = vec![false; doomed_list.len()];
         let mut rederived = 0usize;
-        let mut jscratch = JoinScratch::new();
         loop {
             self.metrics.iterations += 1;
             for &ri in &group.rules {
@@ -705,35 +705,17 @@ impl IncrementalEngine {
                         if rule.head.pred != *p {
                             continue;
                         }
-                        let input = JoinInput {
-                            total: &self.total,
-                            delta: None,
-                            sides: None,
-                            negatives: None,
-                            governor: None,
-                        };
                         let mut found: Option<Justification> = None;
-                        join_rule_seeded(
-                            rule,
+                        exec_plan_seeded(
+                            &self.seeded_plans[ri],
                             t.values(),
-                            &input,
-                            &mut jscratch,
+                            &JoinInput::naive(&self.total),
+                            scratch,
                             &mut self.metrics,
-                            &mut |rule, bind, metrics| {
+                            &mut |row, metrics| {
                                 metrics.firings += 1;
-                                let premises = rule
-                                    .body
-                                    .iter()
-                                    .map(|lit| {
-                                        lit.atom
-                                            .to_tuple(bind)
-                                            // invariant: emit fires after a
-                                            // full body match, when every
-                                            // body variable is bound.
-                                            .expect("ordered bodies ground at emit")
-                                            .to_atom(lit.atom.pred.name)
-                                    })
-                                    .collect();
+                                let premises =
+                                    rule.body.iter().map(|lit| lit.atom.ground(row)).collect();
                                 found = Some(Justification {
                                     rule: ri,
                                     premises,
@@ -894,28 +876,21 @@ mod tests {
         let db = inc.db();
         // Expected firing counts per counted head fact, recomputed naively.
         let mut expected: FxHashMap<(Predicate, Tuple), u32> = FxHashMap::default();
-        let mut scratch = JoinScratch::new();
+        let mut scratch = ExecScratch::new();
         let mut metrics = EvalMetrics::default();
         for rule in &inc.program().rules {
             let compiled = compile_rule(rule).unwrap();
             if !inc.is_counted(compiled.head.pred) {
                 continue;
             }
-            let input = JoinInput {
-                total: db,
-                delta: None,
-                sides: None,
-                negatives: None,
-                governor: None,
-            };
-            let head = compiled.head.clone();
-            let _ = crate::join::join_rule_bindings(
-                &compiled,
-                &input,
+            let head = &compiled.head;
+            let _ = crate::exec::exec_plan_bindings(
+                &crate::plan::compile_plan(&compiled),
+                &JoinInput::naive(db),
                 &mut scratch,
                 &mut metrics,
-                &mut |_, bind, _| {
-                    let t = head.to_tuple(bind).unwrap();
+                &mut |row, _| {
+                    let t = Tuple::from_atom(&head.ground(row)).expect("ground");
                     *expected.entry((head.pred, t)).or_insert(0) += 1;
                     ControlFlow::Continue(())
                 },

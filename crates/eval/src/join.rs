@@ -1,17 +1,12 @@
-//! Compiled rules and the nested-loop index join at the heart of every
-//! bottom-up evaluator.
+//! Compiled rules and join inputs: what every rule body is lowered to
+//! before the blocked executor ([`crate::exec`]) runs it.
 //!
 //! Rules are compiled once per fixpoint run: variables become dense slots,
 //! terms become [`Pat`]s, and each body literal gets the static [`Mask`] of
 //! positions that are bound when the join reaches it left to right, plus the
-//! precomputed `(column, source)` list those positions resolve from. Joining
-//! then works on a flat `Vec<Option<Const>>` binding array with a shared
-//! trail for backtracking — no hash-map substitutions, and **no heap
-//! allocation per probe or per firing**: probe keys are hashed in place with
-//! [`RowHasher`] (never materialised), candidates are read as `&[Const]`
-//! rows straight out of the relation arena, and the instantiated head is
-//! written into a reusable scratch buffer. All reusable buffers live in a
-//! [`JoinScratch`] that callers keep for the whole run (one per worker).
+//! precomputed `(column, source)` list those positions resolve from.
+//! [`crate::plan`] lowers the result into the operator pipeline the executor
+//! drives; this module also defines what a join reads ([`JoinInput`]).
 //!
 //! Semi-naive deltas arrive as [`DeltaSource::Spans`] — id ranges into the
 //! total database — so a delta probe reuses the total's indexes and narrows
@@ -19,18 +14,15 @@
 //! engine's non-contiguous deltas still pass a separate database via
 //! [`DeltaSource::Db`].
 //!
-//! The join is also where mid-round governance lives: when a
-//! [`Governor`](crate::govern::Governor) rides along in the [`JoinInput`],
-//! every emission charges it and the join unwinds with
-//! [`ControlFlow::Break`] the moment a budget trips or cancellation is
-//! requested — so even a single enormous round is interruptible.
+//! Mid-round governance rides along in the [`JoinInput`]: when it carries a
+//! [`Governor`](crate::govern::Governor), the executor's sink charges it and
+//! unwinds the moment a budget trips or cancellation is requested — so even
+//! a single enormous round is interruptible.
 
 use crate::govern::Governor;
-use crate::metrics::EvalMetrics;
 use crate::order::{order_for_evaluation, Unorderable};
-use alexander_ir::{Atom, Const, FxHashMap, Polarity, Predicate, RowHasher, Rule, Term, Var};
+use alexander_ir::{Atom, Const, FxHashMap, Polarity, Predicate, Rule, Term, Var};
 use alexander_storage::{Database, DeltaSpans, Mask, Relation, Tuple};
-use std::ops::ControlFlow;
 
 /// A compiled term: a constant or a variable slot.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -47,9 +39,22 @@ pub struct AtomPat {
 }
 
 impl AtomPat {
-    /// Instantiates the pattern under `bind` into a tuple; `None` if any slot
-    /// is unbound. Allocates — for cold paths (conditional statements,
-    /// provenance); the join itself writes into scratch buffers instead.
+    /// The ground atom this pattern denotes under a fully bound binding row
+    /// (what the executor's bindings sink hands out). Allocates — for cold
+    /// paths (conditional statements, provenance, rederivation witnesses).
+    pub fn ground(&self, row: &[Const]) -> Atom {
+        let terms = self.args.iter().map(|p| match p {
+            Pat::Const(c) => Term::Const(*c),
+            Pat::Var(v) => Term::Const(row[*v as usize]),
+        });
+        Atom {
+            pred: self.pred.name,
+            terms: terms.collect(),
+        }
+    }
+
+    /// Instantiates the pattern under a partial binding array into a tuple;
+    /// `None` if any slot is unbound.
     pub fn to_tuple(&self, bind: &[Option<Const>]) -> Option<Tuple> {
         let vals: Option<Vec<Const>> = self
             .args
@@ -92,8 +97,8 @@ pub fn compile_rule(rule: &Rule) -> Result<CompiledRule, Unorderable> {
     compile_rule_inner(rule, false)
 }
 
-/// Compiles `rule` for head-seeded joining ([`join_rule_seeded`]): binding
-/// masks are computed as if every head slot were already bound, so body
+/// Compiles `rule` for head-seeded execution
+/// ([`exec_plan_seeded`](crate::exec::exec_plan_seeded)): binding masks are computed as if every head slot were already bound, so body
 /// literals sharing head variables probe indexes with those constants
 /// instead of scanning. A rederivation check over a seeded compilation is
 /// an indexed point lookup; over a plain compilation it would start with a
@@ -256,9 +261,8 @@ pub(crate) type AccessSource<'a> = (&'a Relation, Option<(u32, u32)>);
 
 /// Resolves the (up to two) `(relation, id range)` sources a positive
 /// literal at body position `lit` enumerates, honouring the delta and any
-/// [`SideSources`]. Shared by both executors so their emission sequences
-/// stay bit-identical; the two sources are always disjoint (a removed fact
-/// is by construction absent from the total), so enumerating them in order
+/// [`SideSources`]. The two sources are always disjoint (a removed fact is
+/// by construction absent from the total), so enumerating them in order
 /// needs no dedup.
 #[inline]
 pub(crate) fn resolve_access<'a>(
@@ -308,30 +312,6 @@ pub(crate) fn resolve_access<'a>(
     }
 }
 
-/// Reusable per-worker buffers for the join: the binding array, the
-/// backtracking trail, and the head-row scratch. One `JoinScratch` serves a
-/// whole fixpoint run — every `join_rule` call resets what it needs and
-/// reuses the capacity, so steady-state joining performs no allocation at
-/// all.
-#[derive(Default)]
-pub struct JoinScratch {
-    bind: Vec<Option<Const>>,
-    trail: Vec<u32>,
-    head: Vec<Const>,
-}
-
-impl JoinScratch {
-    /// Fresh scratch buffers.
-    pub fn new() -> JoinScratch {
-        JoinScratch::default()
-    }
-}
-
-/// Firings between governor cancellation/deadline looks inside one join,
-/// when no step budget demands exact per-firing claims. Matches the
-/// governor's own deadline stride.
-const INTERRUPT_STRIDE: u32 = 1024;
-
 /// What happened to an emitted head tuple.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Emitted {
@@ -344,346 +324,6 @@ pub enum Emitted {
     /// which is what keeps sequential `BudgetExhausted { Facts }`
     /// equivalent to "strict subset of the fixpoint".
     Refused,
-}
-
-/// Joins `rule`'s body over `input`, calling `emit` with the instantiated
-/// head row for every satisfying assignment. The row lives in
-/// `scratch.head` and is only valid for the duration of the call — copy it
-/// (e.g. via `Database::insert_row`) to keep it. `emit` reports whether the
-/// row was new, a duplicate, or refused by the fact budget; the join
-/// returns [`ControlFlow::Break`] when it stopped early (refusal, or any
-/// governor budget/cancellation trip).
-pub fn join_rule(
-    rule: &CompiledRule,
-    input: &JoinInput<'_>,
-    scratch: &mut JoinScratch,
-    metrics: &mut EvalMetrics,
-    emit: &mut dyn FnMut(&[Const]) -> Emitted,
-) -> ControlFlow<()> {
-    // With no step budget there is nothing to claim per firing; the
-    // governor only needs a periodic cancellation/deadline look, which a
-    // local (non-atomic) counter amortises so a governed-but-unhit run
-    // costs the same as an ungoverned one (experiment F5).
-    let exact_steps = input.governor.is_some_and(|g| g.counts_steps());
-    let mut since_check: u32 = 0;
-    let JoinScratch { bind, trail, head } = scratch;
-    bind.clear();
-    bind.resize(rule.nvars, None);
-    trail.clear();
-    let neg_db = input.negatives.unwrap_or(input.total);
-    descend(
-        rule,
-        input,
-        neg_db,
-        0,
-        bind,
-        trail,
-        metrics,
-        &mut |rule, bind, metrics| {
-            // The step claim comes before the emission: a refused firing does
-            // no work and touches no counters, so an ungoverned run and a run
-            // whose budget is never hit produce identical metrics.
-            if let Some(g) = input.governor {
-                if exact_steps {
-                    g.note_firing()?;
-                } else {
-                    since_check += 1;
-                    if since_check >= INTERRUPT_STRIDE {
-                        since_check = 0;
-                        g.check_interrupt()?;
-                    }
-                }
-            }
-            head.clear();
-            for p in &rule.head.args {
-                head.push(match p {
-                    Pat::Const(c) => *c,
-                    // invariant: rule safety (head vars ⊆ positive body vars) is
-                    // checked by `Program::validate` before any evaluation.
-                    Pat::Var(v) => bind[*v as usize]
-                        .expect("safety guarantees a ground head after a full body match"),
-                });
-            }
-            match emit(head) {
-                Emitted::New => {
-                    metrics.firings += 1;
-                    metrics.new_facts += 1;
-                    ControlFlow::Continue(())
-                }
-                Emitted::Duplicate => {
-                    metrics.firings += 1;
-                    metrics.duplicate_facts += 1;
-                    ControlFlow::Continue(())
-                }
-                Emitted::Refused => ControlFlow::Break(()),
-            }
-        },
-    )
-}
-
-/// The callback [`join_rule_bindings`] hands each satisfying assignment to.
-/// Returning [`ControlFlow::Break`] unwinds the whole join immediately.
-pub type EmitBindings<'a> =
-    dyn FnMut(&CompiledRule, &[Option<Const>], &mut EvalMetrics) -> ControlFlow<()> + 'a;
-
-/// Like [`join_rule`], but hands the raw binding array to `emit` on every
-/// satisfying assignment, so callers can reconstruct body instances (the
-/// conditional-fixpoint procedure needs the ground premises, not just the
-/// head). `emit` is responsible for the firing/fact counters and for
-/// charging the governor. Returns [`ControlFlow::Break`] iff `emit` did.
-pub fn join_rule_bindings(
-    rule: &CompiledRule,
-    input: &JoinInput<'_>,
-    scratch: &mut JoinScratch,
-    metrics: &mut EvalMetrics,
-    emit: &mut EmitBindings<'_>,
-) -> ControlFlow<()> {
-    let JoinScratch { bind, trail, .. } = scratch;
-    bind.clear();
-    bind.resize(rule.nvars, None);
-    trail.clear();
-    let neg_db = input.negatives.unwrap_or(input.total);
-    descend(rule, input, neg_db, 0, bind, trail, metrics, emit)
-}
-
-/// A head-seeded derivability probe: pre-binds the rule's head slots from
-/// `head_row` and joins the body over `input`, calling `emit` for each
-/// satisfying assignment (which may `Break` at the first witness). This is
-/// DRed's rederivation question — "does *this specific* doomed fact still
-/// have a derivation?" — asked as an indexed point lookup instead of a full
-/// rule join: with the head bound, the body literals sharing its variables
-/// probe with those constants, so a transitive-closure rederivation check
-/// costs a handful of probes rather than a stratum re-evaluation.
-///
-/// Returns `None` (without joining) when `head_row` cannot match the head
-/// pattern (constant mismatch or conflicting repeated variables); otherwise
-/// the join's flow — `Break` iff `emit` broke.
-pub fn join_rule_seeded(
-    rule: &CompiledRule,
-    head_row: &[Const],
-    input: &JoinInput<'_>,
-    scratch: &mut JoinScratch,
-    metrics: &mut EvalMetrics,
-    emit: &mut EmitBindings<'_>,
-) -> Option<ControlFlow<()>> {
-    debug_assert_eq!(head_row.len(), rule.head.args.len());
-    let JoinScratch { bind, trail, .. } = scratch;
-    bind.clear();
-    bind.resize(rule.nvars, None);
-    trail.clear();
-    for (p, &v) in rule.head.args.iter().zip(head_row) {
-        match p {
-            Pat::Const(c) => {
-                if *c != v {
-                    return None;
-                }
-            }
-            Pat::Var(s) => match bind[*s as usize] {
-                Some(prev) if prev != v => return None,
-                _ => bind[*s as usize] = Some(v),
-            },
-        }
-    }
-    let neg_db = input.negatives.unwrap_or(input.total);
-    Some(descend(rule, input, neg_db, 0, bind, trail, metrics, emit))
-}
-
-/// Resolves a compiled term under the binding array. Only called for
-/// positions the evaluation order has already bound.
-#[inline]
-fn resolve(p: Pat, bind: &[Option<Const>]) -> Const {
-    match p {
-        Pat::Const(c) => c,
-        // invariant: the caller consults only positions the ordering has
-        // already bound (probe masks, ground negatives, ground built-ins).
-        Pat::Var(v) => bind[v as usize].expect("masked position is bound"),
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn descend(
-    rule: &CompiledRule,
-    input: &JoinInput<'_>,
-    neg_db: &Database,
-    depth: usize,
-    bind: &mut Vec<Option<Const>>,
-    trail: &mut Vec<u32>,
-    metrics: &mut EvalMetrics,
-    emit: &mut EmitBindings<'_>,
-) -> ControlFlow<()> {
-    if depth == rule.body.len() {
-        return emit(rule, bind, metrics);
-    }
-
-    let lit = &rule.body[depth];
-
-    // Built-in comparisons are evaluated natively, whatever their polarity;
-    // the body ordering guarantees their arguments are ground here.
-    if let Some(b) = alexander_ir::Builtin::of(lit.atom.pred) {
-        metrics.probes += 1;
-        let holds = b.eval(
-            resolve(lit.atom.args[0], bind),
-            resolve(lit.atom.args[1], bind),
-        );
-        let want = lit.polarity == Polarity::Positive;
-        if holds == want {
-            descend(rule, input, neg_db, depth + 1, bind, trail, metrics, emit)?;
-        }
-        return ControlFlow::Continue(());
-    }
-
-    match lit.polarity {
-        Polarity::Negative => {
-            // invariant: `order_for_evaluation` schedules negative literals
-            // only after every variable they use is bound, so the candidate
-            // row is checked column by column straight off the binding
-            // array — no tuple is built.
-            let present = neg_db
-                .relation(lit.atom.pred)
-                .is_some_and(|r| r.contains_with(|i| resolve(lit.atom.args[i], bind)));
-            metrics.probes += 1;
-            if !present {
-                descend(rule, input, neg_db, depth + 1, bind, trail, metrics, emit)?;
-            }
-        }
-        Polarity::Positive => {
-            // Resolve the (up to two) sources this literal enumerates; the
-            // second appears only for counting-update side resolutions.
-            let sources = resolve_access(input, depth, lit.atom.pred);
-            for (relation, range) in sources.into_iter().flatten() {
-                let (lo, hi) = range.unwrap_or((0, relation.len() as u32));
-                metrics.probes += 1;
-
-                let base = trail.len();
-                if lit.mask.is_empty() {
-                    // Full scan of the (possibly range-restricted) relation.
-                    // `tuples_considered` charges the whole enumeration, which
-                    // is what the index ablation (E10) measures.
-                    metrics.tuples_considered += u64::from(hi - lo);
-                    for row in relation.rows_in(lo, hi) {
-                        match_candidate(
-                            rule, input, neg_db, depth, row, bind, trail, base, metrics, emit,
-                        )?;
-                    }
-                } else {
-                    // Hash the bound columns in place — no key vector. The
-                    // digest matches the index's projection hashes because both
-                    // sides stream the same constants in ascending column
-                    // order.
-                    let mut h = RowHasher::new();
-                    for &(_, p) in &lit.bound {
-                        h.push(&resolve(p, bind));
-                    }
-                    let ids = relation.probe_ids(lit.mask, h.finish(), |rep| {
-                        lit.bound
-                            .iter()
-                            .all(|&(c, p)| rep[c as usize] == resolve(p, bind))
-                    });
-                    match ids {
-                        Some(ids) => {
-                            // Narrow the id-sorted posting list to the delta
-                            // range; for a full probe this is the whole list.
-                            let ids = match range {
-                                Some(_) => {
-                                    let from = ids.partition_point(|&id| id < lo);
-                                    let to = ids.partition_point(|&id| id < hi);
-                                    &ids[from..to]
-                                }
-                                None => ids,
-                            };
-                            for &id in ids {
-                                metrics.tuples_considered += 1;
-                                let row = relation.row(id);
-                                match_candidate(
-                                    rule, input, neg_db, depth, row, bind, trail, base, metrics,
-                                    emit,
-                                )?;
-                            }
-                        }
-                        None => {
-                            // Fallback scan: storage enumerates the whole range
-                            // to filter it, and that cost is what
-                            // `tuples_considered` measures (ablation E10).
-                            metrics.tuples_considered += u64::from(hi - lo);
-                            for row in relation.rows_in(lo, hi) {
-                                if lit
-                                    .bound
-                                    .iter()
-                                    .all(|&(c, p)| row[c as usize] == resolve(p, bind))
-                                {
-                                    match_candidate(
-                                        rule, input, neg_db, depth, row, bind, trail, base,
-                                        metrics, emit,
-                                    )?;
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-    ControlFlow::Continue(())
-}
-
-/// Matches one candidate row against a positive literal at `depth`: binds
-/// its free positions (recording them on the trail), recurses on success,
-/// and unwinds the trail back to `base` either way. `Break` propagates
-/// after the unwind so the binding array stays clean for the caller.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn match_candidate(
-    rule: &CompiledRule,
-    input: &JoinInput<'_>,
-    neg_db: &Database,
-    depth: usize,
-    row: &[Const],
-    bind: &mut Vec<Option<Const>>,
-    trail: &mut Vec<u32>,
-    base: usize,
-    metrics: &mut EvalMetrics,
-    emit: &mut EmitBindings<'_>,
-) -> ControlFlow<()> {
-    let lit = &rule.body[depth];
-    let mut ok = true;
-    for (i, p) in lit.atom.args.iter().enumerate() {
-        match p {
-            Pat::Const(c) => {
-                if row[i] != *c {
-                    ok = false;
-                    break;
-                }
-            }
-            Pat::Var(v) => {
-                let v = *v as usize;
-                match bind[v] {
-                    Some(c) => {
-                        if row[i] != c {
-                            ok = false;
-                            break;
-                        }
-                    }
-                    None => {
-                        bind[v] = Some(row[i]);
-                        trail.push(v as u32);
-                    }
-                }
-            }
-        }
-    }
-    let flow = if ok {
-        descend(rule, input, neg_db, depth + 1, bind, trail, metrics, emit)
-    } else {
-        ControlFlow::Continue(())
-    };
-    // Unwind this candidate's bindings; on Break later candidates are
-    // abandoned by the caller, which sees the propagated flow.
-    while trail.len() > base {
-        // invariant: entries above `base` were pushed by this candidate.
-        let v = trail.pop().expect("trail entries above base exist");
-        bind[v as usize] = None;
-    }
-    flow
 }
 
 /// Ensures the indexes a compiled rule will probe exist in `db` (for the
@@ -699,44 +339,23 @@ pub fn ensure_rule_indexes(rule: &CompiledRule, db: &mut Database) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::govern::{Budget, Completion, Resource};
     use alexander_ir::{atom, Literal};
     use alexander_storage::tuple_of_syms;
 
-    fn edb() -> Database {
-        let mut db = Database::new();
-        let e = Predicate::new("e", 2);
-        for (a, b) in [("a", "b"), ("b", "c"), ("c", "d")] {
-            db.insert(e, tuple_of_syms(&[a, b]));
-        }
-        db
-    }
-
-    fn collect_join(
-        rule: &CompiledRule,
-        input: &JoinInput<'_>,
-        metrics: &mut EvalMetrics,
-    ) -> (Vec<Tuple>, ControlFlow<()>) {
-        let mut scratch = JoinScratch::new();
-        let mut out = Vec::new();
-        let flow = join_rule(rule, input, &mut scratch, metrics, &mut |row| {
-            out.push(Tuple::new(row));
-            Emitted::New
-        });
-        (out, flow)
-    }
-
-    #[test]
-    fn compile_assigns_slots_masks_and_bound_sources() {
-        // p(X, Y) :- e(X, Z), e(Z, Y).
-        let r = Rule::new(
+    /// p(X, Y) :- e(X, Z), e(Z, Y).
+    fn composition() -> Rule {
+        Rule::new(
             atom("p", [Term::var("X"), Term::var("Y")]),
             vec![
                 Literal::pos(atom("e", [Term::var("X"), Term::var("Z")])),
                 Literal::pos(atom("e", [Term::var("Z"), Term::var("Y")])),
             ],
-        );
-        let c = compile_rule(&r).unwrap();
+        )
+    }
+
+    #[test]
+    fn compile_assigns_slots_masks_and_bound_sources() {
+        let c = compile_rule(&composition()).unwrap();
         assert_eq!(c.nvars, 3);
         // First literal: nothing bound.
         assert!(c.body[0].mask.is_empty());
@@ -748,29 +367,17 @@ mod tests {
     }
 
     #[test]
-    fn join_computes_composition() {
-        let r = Rule::new(
-            atom("p", [Term::var("X"), Term::var("Y")]),
-            vec![
-                Literal::pos(atom("e", [Term::var("X"), Term::var("Z")])),
-                Literal::pos(atom("e", [Term::var("Z"), Term::var("Y")])),
-            ],
-        );
-        let c = compile_rule(&r).unwrap();
-        let db = edb();
-        let mut m = EvalMetrics::default();
-        let (out, flow) = collect_join(&c, &JoinInput::naive(&db), &mut m);
-        assert!(flow.is_continue());
-        // a->b->c and b->c->d.
-        assert_eq!(out.len(), 2);
-        assert!(out.contains(&tuple_of_syms(&["a", "c"])));
-        assert!(out.contains(&tuple_of_syms(&["b", "d"])));
-        assert_eq!(m.firings, 2);
-        assert_eq!(m.new_facts, 2);
+    fn seeded_compile_treats_head_slots_as_bound() {
+        let c = compile_rule_seeded(&composition()).unwrap();
+        assert_eq!(c.nvars, 3);
+        // X comes from the head, so the first literal probes on column 0;
+        // by the second literal both Z and the head's Y are bound.
+        assert_eq!(c.body[0].mask, Mask::of_columns(&[0]));
+        assert_eq!(c.body[1].mask, Mask::of_columns(&[0, 1]));
     }
 
     #[test]
-    fn join_with_constants_filters() {
+    fn constants_are_masked() {
         // p(Y) :- e(a, Y).
         let r = Rule::new(
             atom("p", [Term::var("Y")]),
@@ -778,251 +385,26 @@ mod tests {
         );
         let c = compile_rule(&r).unwrap();
         assert_eq!(c.body[0].mask, Mask::of_columns(&[0]));
-        let db = edb();
-        let mut m = EvalMetrics::default();
-        let (out, _) = collect_join(&c, &JoinInput::naive(&db), &mut m);
-        assert_eq!(out, vec![tuple_of_syms(&["b"])]);
     }
 
     #[test]
-    fn repeated_variables_require_equal_columns() {
-        // loop(X) :- e(X, X).
-        let r = Rule::new(
-            atom("loop", [Term::var("X")]),
-            vec![Literal::pos(atom("e", [Term::var("X"), Term::var("X")]))],
-        );
-        let c = compile_rule(&r).unwrap();
-        let mut db = edb();
-        let mut m = EvalMetrics::default();
-        let (out, _) = collect_join(&c, &JoinInput::naive(&db), &mut m);
-        assert!(out.is_empty());
-        db.insert(Predicate::new("e", 2), tuple_of_syms(&["z", "z"]));
-        let (out2, _) = collect_join(&c, &JoinInput::naive(&db), &mut m);
-        assert_eq!(out2, vec![tuple_of_syms(&["z"])]);
-    }
-
-    #[test]
-    fn negative_literal_filters_bound_tuples() {
-        // q(X) :- e(X, Y), !blocked(X).
-        let r = Rule::new(
-            atom("q", [Term::var("X")]),
-            vec![
-                Literal::pos(atom("e", [Term::var("X"), Term::var("Y")])),
-                Literal::neg(atom("blocked", [Term::var("X")])),
-            ],
-        );
-        let c = compile_rule(&r).unwrap();
-        let mut db = edb();
-        db.insert(Predicate::new("blocked", 1), tuple_of_syms(&["a"]));
-        let mut m = EvalMetrics::default();
-        let (out, _) = collect_join(&c, &JoinInput::naive(&db), &mut m);
-        // a is blocked; b and c survive.
-        assert_eq!(out.len(), 2);
-        assert!(!out.contains(&tuple_of_syms(&["a"])));
-    }
-
-    #[test]
-    fn delta_db_restricts_one_literal() {
-        let r = Rule::new(
-            atom("p", [Term::var("X"), Term::var("Y")]),
-            vec![
-                Literal::pos(atom("e", [Term::var("X"), Term::var("Z")])),
-                Literal::pos(atom("e", [Term::var("Z"), Term::var("Y")])),
-            ],
-        );
-        let c = compile_rule(&r).unwrap();
-        let db = edb();
-        // Delta holds only (b, c): position 0 restricted to it.
-        let mut delta = Database::new();
-        delta.insert(Predicate::new("e", 2), tuple_of_syms(&["b", "c"]));
-        let mut m = EvalMetrics::default();
-        let input = JoinInput {
-            total: &db,
-            delta: Some((0, DeltaSource::Db(&delta))),
-            sides: None,
-            negatives: None,
-            governor: None,
-        };
-        let (out, _) = collect_join(&c, &input, &mut m);
-        assert_eq!(out, vec![tuple_of_syms(&["b", "d"])]);
-    }
-
-    #[test]
-    fn delta_spans_restrict_like_a_database() {
-        // The same restriction expressed as an id range of the total: grow
-        // the edb by (b, c)-like suffix rows and span them.
-        let e = Predicate::new("e", 2);
-        let r = Rule::new(
-            atom("p", [Term::var("X"), Term::var("Y")]),
-            vec![
-                Literal::pos(atom("e", [Term::var("X"), Term::var("Z")])),
-                Literal::pos(atom("e", [Term::var("Z"), Term::var("Y")])),
-            ],
-        );
-        let c = compile_rule(&r).unwrap();
-        let mut db = edb(); // rows 0..3
-        let mut fresh = Database::new();
-        fresh.insert(e, tuple_of_syms(&["d", "q"]));
-        db.merge(&fresh);
-        let spans = alexander_storage::DeltaSpans::after_merge(&db, &fresh);
-        for delta_pos in [0, 1] {
-            let mut m = EvalMetrics::default();
-            let input = JoinInput {
-                total: &db,
-                delta: Some((delta_pos, DeltaSource::Spans(&spans))),
-                sides: None,
-                negatives: None,
-                governor: None,
-            };
-            let (out, _) = collect_join(&c, &input, &mut m);
-            // Position 0 in delta: d->q joined with q->? (none). Position 1:
-            // ?->d joined with delta d->q gives (c, q).
-            if delta_pos == 0 {
-                assert!(out.is_empty(), "{out:?}");
-            } else {
-                assert_eq!(out, vec![tuple_of_syms(&["c", "q"])]);
-            }
-        }
-        // With indexes built, the spans path takes the posting-list route
-        // and must agree.
-        let mut db2 = db.clone();
-        db2.ensure_index(e, Mask::of_columns(&[0]));
-        db2.ensure_index(e, Mask::of_columns(&[1]));
-        let mut m = EvalMetrics::default();
-        let input = JoinInput {
-            total: &db2,
-            delta: Some((1, DeltaSource::Spans(&spans))),
-            sides: None,
-            negatives: None,
-            governor: None,
-        };
-        let (out, _) = collect_join(&c, &input, &mut m);
-        assert_eq!(out, vec![tuple_of_syms(&["c", "q"])]);
-    }
-
-    #[test]
-    fn missing_relation_yields_no_matches() {
-        let r = Rule::new(
-            atom("p", [Term::var("X")]),
-            vec![Literal::pos(atom("ghost", [Term::var("X")]))],
-        );
-        let c = compile_rule(&r).unwrap();
-        let db = edb();
-        let mut m = EvalMetrics::default();
-        let (out, _) = collect_join(&c, &JoinInput::naive(&db), &mut m);
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn refused_emission_stops_the_join_and_counts_nothing() {
-        let r = Rule::new(
-            atom("p", [Term::var("X"), Term::var("Y")]),
-            vec![
-                Literal::pos(atom("e", [Term::var("X"), Term::var("Z")])),
-                Literal::pos(atom("e", [Term::var("Z"), Term::var("Y")])),
-            ],
-        );
-        let c = compile_rule(&r).unwrap();
-        let db = edb();
-        let mut m = EvalMetrics::default();
-        let mut scratch = JoinScratch::new();
-        let mut calls = 0;
-        let flow = join_rule(
-            &c,
-            &JoinInput::naive(&db),
-            &mut scratch,
-            &mut m,
-            &mut |_| {
-                calls += 1;
-                if calls == 1 {
-                    Emitted::New
-                } else {
-                    Emitted::Refused
-                }
-            },
-        );
-        assert!(flow.is_break());
-        assert_eq!(calls, 2, "join must stop right at the refusal");
-        assert_eq!(m.firings, 1, "the refused emission counts no firing");
-        assert_eq!(m.new_facts, 1);
-        assert_eq!(m.duplicate_facts, 0);
-    }
-
-    #[test]
-    fn step_governed_join_breaks_mid_rule() {
-        let r = Rule::new(
-            atom("p", [Term::var("X"), Term::var("Y")]),
-            vec![
-                Literal::pos(atom("e", [Term::var("X"), Term::var("Z")])),
-                Literal::pos(atom("e", [Term::var("Z"), Term::var("Y")])),
-            ],
-        );
-        let c = compile_rule(&r).unwrap();
-        let db = edb();
-        let gov = crate::govern::Governor::new(Budget::default().with_max_steps(1), None);
-        let mut m = EvalMetrics::default();
-        let input = JoinInput {
-            governor: Some(&gov),
-            ..JoinInput::naive(&db)
-        };
-        let (out, flow) = collect_join(&c, &input, &mut m);
-        assert!(flow.is_break());
-        assert_eq!(out.len(), 1, "exactly one firing fits a 1-step budget");
-        assert_eq!(
-            gov.completion(),
-            Completion::BudgetExhausted {
-                resource: Resource::Steps
-            }
-        );
+    fn ground_instantiates_against_a_bound_row() {
+        let c = compile_rule(&composition()).unwrap();
+        // Slots in first-occurrence order: X, Z, Y.
+        let row: Vec<Const> = ["a", "b", "c"].map(Const::sym).to_vec();
+        assert_eq!(c.head.ground(&row).to_string(), "p(a, c)");
+        assert_eq!(c.body[1].atom.ground(&row).to_string(), "e(b, c)");
     }
 
     #[test]
     fn ensure_rule_indexes_builds_probe_masks() {
-        let r = Rule::new(
-            atom("p", [Term::var("X"), Term::var("Y")]),
-            vec![
-                Literal::pos(atom("e", [Term::var("X"), Term::var("Z")])),
-                Literal::pos(atom("e", [Term::var("Z"), Term::var("Y")])),
-            ],
-        );
-        let c = compile_rule(&r).unwrap();
-        let mut db = edb();
+        let c = compile_rule(&composition()).unwrap();
+        let mut db = Database::new();
+        db.insert(Predicate::new("e", 2), tuple_of_syms(&["a", "b"]));
         ensure_rule_indexes(&c, &mut db);
         assert!(db
             .relation(Predicate::new("e", 2))
             .unwrap()
             .has_index(Mask::of_columns(&[0])));
-    }
-
-    #[test]
-    fn scratch_is_reused_across_calls() {
-        // One scratch serves many joins over rules of different widths.
-        let r1 = Rule::new(
-            atom("p", [Term::var("X"), Term::var("Y")]),
-            vec![
-                Literal::pos(atom("e", [Term::var("X"), Term::var("Z")])),
-                Literal::pos(atom("e", [Term::var("Z"), Term::var("Y")])),
-            ],
-        );
-        let r2 = Rule::new(
-            atom("q", [Term::var("X")]),
-            vec![Literal::pos(atom("e", [Term::var("X"), Term::var("Y")]))],
-        );
-        let c1 = compile_rule(&r1).unwrap();
-        let c2 = compile_rule(&r2).unwrap();
-        let db = edb();
-        let mut scratch = JoinScratch::new();
-        let mut m = EvalMetrics::default();
-        for _ in 0..3 {
-            for c in [&c1, &c2] {
-                let mut n = 0;
-                let flow = join_rule(c, &JoinInput::naive(&db), &mut scratch, &mut m, &mut |_| {
-                    n += 1;
-                    Emitted::New
-                });
-                assert!(flow.is_continue());
-                assert!(n > 0);
-            }
-        }
     }
 }

@@ -16,13 +16,17 @@
 //! All evaluators return machine-independent [`EvalMetrics`] counters; the
 //! benchmark tables of the reproduction are built from these.
 //!
-//! By default rule bodies are compiled once per run into flat columnar
-//! plans ([`plan`]) and driven by a blocked executor ([`exec`]) that moves
-//! fixed-size blocks of binding rows through the operator pipeline and
-//! hashes each derived head row exactly once. The per-tuple join
-//! ([`ExecMode::Tuple`], via [`EvalOptions::with_exec`]) is retained as a
-//! differential oracle: both executors produce identical relations,
-//! identical emission order, and identical [`EvalMetrics`].
+//! There is one join kernel. Rule bodies are compiled once per run into
+//! flat columnar plans ([`plan`]) and driven by the blocked executor
+//! ([`exec`]), which moves fixed-size blocks of binding rows through the
+//! operator pipeline. Its sink either projects and hashes each derived head
+//! row exactly once (the fixpoint evaluators — this is also where the
+//! governor's per-firing and per-fact claims happen), or hands the caller
+//! the bound row itself (conditional statements, provenance, and the
+//! incremental engine's head-seeded rederivation probes). The independent
+//! oracle is the boxed-tuple reference engine in `alexander-bench`, which
+//! shares neither storage nor join code and must agree on the model and on
+//! every [`EvalMetrics`] counter.
 //!
 //! The semi-naive engine (and everything layered on it) can parallelise each
 //! fixpoint round across worker threads via [`EvalOptions::threads`]; the
@@ -88,12 +92,14 @@ pub(crate) fn fail_point(_site: &str) {}
 
 pub use conditional::{eval_conditional, eval_conditional_opts, ConditionalResult, Conditions};
 pub use error::EvalError;
-pub use exec::{exec_plan, ExecMode, ExecScratch, BLOCK_ROWS};
+pub use exec::{
+    exec_plan, exec_plan_bindings, exec_plan_seeded, EmitBindings, ExecScratch, BLOCK_ROWS,
+};
 pub use govern::{Budget, CancelHandle, Completion, Consumption, Governor, Resource};
 pub use incremental::{BatchOutcome, IncrementalEngine, Maintenance};
 pub use join::{
-    compile_rule, compile_rule_seeded, ensure_rule_indexes, join_rule, join_rule_bindings,
-    join_rule_seeded, CompiledRule, DeltaSource, Emitted, JoinInput, JoinScratch, SideSources,
+    compile_rule, compile_rule_seeded, ensure_rule_indexes, CompiledRule, DeltaSource, Emitted,
+    JoinInput, SideSources,
 };
 pub use metrics::{EvalMetrics, ExecStats};
 pub use naive::{eval_naive, eval_naive_opts, EvalOptions, EvalResult};

@@ -2,12 +2,10 @@
 //! saturation. The baseline every other strategy is measured against.
 
 use crate::error::EvalError;
-use crate::exec::{exec_plan, ExecMode, ExecScratch};
+use crate::exec::{exec_plan, ExecScratch};
 use crate::fail_point;
 use crate::govern::{Budget, CancelHandle, Completion, Governor};
-use crate::join::{
-    compile_rule, ensure_rule_indexes, join_rule, CompiledRule, Emitted, JoinInput, JoinScratch,
-};
+use crate::join::{compile_rule, ensure_rule_indexes, CompiledRule, Emitted, JoinInput};
 use crate::metrics::EvalMetrics;
 use crate::plan::{compile_plans, RulePlan};
 use alexander_ir::{Polarity, Program};
@@ -32,11 +30,6 @@ pub struct EvalOptions {
     /// [`CancelHandle::cancel`] and the run stops at its next governance
     /// check, reporting [`Completion::Cancelled`].
     pub cancel: Option<CancelHandle>,
-    /// Which executor drives rule bodies: compiled plans over binding
-    /// blocks (the default), or the tuple-at-a-time join kept as the
-    /// differential-testing oracle. Both produce bit-identical results and
-    /// logical metrics.
-    pub exec: ExecMode,
 }
 
 impl Default for EvalOptions {
@@ -46,7 +39,6 @@ impl Default for EvalOptions {
             threads: 1,
             budget: Budget::UNLIMITED,
             cancel: None,
-            exec: ExecMode::default(),
         }
     }
 }
@@ -69,12 +61,6 @@ impl EvalOptions {
     /// Builder: attach a cancellation token.
     pub fn with_cancel(mut self, cancel: CancelHandle) -> EvalOptions {
         self.cancel = Some(cancel);
-        self
-    }
-
-    /// Builder: select the executor.
-    pub fn with_exec(mut self, exec: ExecMode) -> EvalOptions {
-        self.exec = exec;
         self
     }
 
@@ -140,11 +126,10 @@ pub fn eval_naive_opts(
     let rules = compile_program(program)?;
     let mut db = seed_database(program, edb);
     let mut metrics = EvalMetrics::default();
-    let plans: Option<Vec<RulePlan>> = compile_plans(&rules, opts.exec, &mut metrics);
+    let plans: Vec<RulePlan> = compile_plans(&rules, &mut metrics);
     let gov = opts.governor();
     let gov_ref = gov.as_join_ref();
-    let mut scratch = JoinScratch::new();
-    let mut exec_scratch = ExecScratch::new();
+    let mut scratch = ExecScratch::new();
 
     loop {
         if gov.note_round().is_break() {
@@ -161,8 +146,8 @@ pub fn eval_naive_opts(
         // facts only become visible next round.
         let mut staged = Database::new();
         let mut interrupted = false;
-        for (ri, rule) in rules.iter().enumerate() {
-            let head_pred = rule.head.pred;
+        for plan in &plans {
+            let head_pred = plan.head_pred;
             let input = JoinInput {
                 total: &db,
                 delta: None,
@@ -170,36 +155,18 @@ pub fn eval_naive_opts(
                 negatives: None,
                 governor: gov_ref,
             };
-            let flow = match plans.as_ref() {
-                Some(plans) => exec_plan(
-                    &plans[ri],
-                    &input,
-                    &mut exec_scratch,
-                    &mut metrics,
-                    &mut |h, row| {
-                        if db.contains_row_hashed(head_pred, h, row)
-                            || staged.contains_row_hashed(head_pred, h, row)
-                        {
-                            Emitted::Duplicate
-                        } else if gov.claim_fact().is_break() {
-                            Emitted::Refused
-                        } else {
-                            staged.insert_row_hashed(head_pred, h, row);
-                            Emitted::New
-                        }
-                    },
-                ),
-                None => join_rule(rule, &input, &mut scratch, &mut metrics, &mut |row| {
-                    if db.contains_row(head_pred, row) || staged.contains_row(head_pred, row) {
-                        Emitted::Duplicate
-                    } else if gov.claim_fact().is_break() {
-                        Emitted::Refused
-                    } else {
-                        staged.insert_row(head_pred, row);
-                        Emitted::New
-                    }
-                }),
-            };
+            let flow = exec_plan(plan, &input, &mut scratch, &mut metrics, &mut |h, row| {
+                if db.contains_row_hashed(head_pred, h, row)
+                    || staged.contains_row_hashed(head_pred, h, row)
+                {
+                    Emitted::Duplicate
+                } else if gov.claim_fact().is_break() {
+                    Emitted::Refused
+                } else {
+                    staged.insert_row_hashed(head_pred, h, row);
+                    Emitted::New
+                }
+            });
             if flow.is_break() {
                 interrupted = true;
                 break;

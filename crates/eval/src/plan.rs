@@ -15,7 +15,11 @@
 //! position is a property of the [`JoinInput`](crate::join::JoinInput), not
 //! the plan, so the executor compares each access's literal index against
 //! the input's delta position at run time. Plans are compiled once per
-//! fixpoint run and shared read-only across workers.
+//! fixpoint run and shared read-only across workers. A head-seeded
+//! compilation ([`compile_rule_seeded`](crate::join::compile_rule_seeded))
+//! lowers the same way: its head slots are masked everywhere, so they end
+//! up in probe keys and never in a `load` list, which is what lets
+//! [`exec_plan_seeded`](crate::exec::exec_plan_seeded) pre-bind them.
 
 use crate::join::{BodyPat, CompiledRule, Pat};
 use alexander_ir::{Builtin, Polarity, Predicate};
@@ -72,19 +76,14 @@ pub struct RulePlan {
     pub nvars: usize,
 }
 
-/// Compiles the run's plan cache when the blocked executor is selected
-/// (`None` keeps the tuple-at-a-time oracle). Charges `plans_compiled` so
-/// the metrics expose how many plans the run cached.
+/// Compiles the run's plan cache, one plan per rule. Charges
+/// `plans_compiled` so the metrics expose how many plans the run cached.
 pub(crate) fn compile_plans(
     rules: &[CompiledRule],
-    exec: crate::exec::ExecMode,
     metrics: &mut crate::metrics::EvalMetrics,
-) -> Option<Vec<RulePlan>> {
-    if exec != crate::exec::ExecMode::Blocked {
-        return None;
-    }
+) -> Vec<RulePlan> {
     metrics.exec.plans_compiled += rules.len() as u64;
-    Some(rules.iter().map(compile_plan).collect())
+    rules.iter().map(compile_plan).collect()
 }
 
 /// Lowers one compiled rule into its operator pipeline.

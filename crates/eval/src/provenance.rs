@@ -14,12 +14,12 @@
 //! first-justification-wins yields well-founded trees.
 
 use crate::error::EvalError;
+use crate::exec::{exec_plan_bindings, ExecScratch};
 use crate::govern::Completion;
-use crate::join::{
-    compile_rule, ensure_rule_indexes, join_rule_bindings, CompiledRule, JoinInput, JoinScratch,
-};
+use crate::join::{compile_rule, ensure_rule_indexes, CompiledRule, JoinInput};
 use crate::metrics::EvalMetrics;
 use crate::naive::{seed_database, EvalResult};
+use crate::plan::{compile_plans, RulePlan};
 use alexander_ir::analysis::stratify;
 use alexander_ir::{Atom, FxHashMap, Polarity, Program, Rule};
 use alexander_storage::Database;
@@ -195,7 +195,7 @@ pub fn eval_with_provenance(
     let mut db = seed_database(program, edb);
     let mut metrics = EvalMetrics::default();
     let mut prov = Provenance::default();
-    let mut scratch = JoinScratch::new();
+    let mut scratch = ExecScratch::new();
 
     // Indexed rule list per stratum, keeping source indices for the
     // justification records.
@@ -209,41 +209,29 @@ pub fn eval_with_provenance(
         if rules.is_empty() {
             continue;
         }
-        let compiled: Vec<(usize, CompiledRule)> = rules
+        let compiled: Vec<CompiledRule> = rules
             .iter()
-            .map(|(i, r)| Ok((*i, compile_rule(r)?)))
+            .map(|(_, r)| compile_rule(r))
             .collect::<Result<_, crate::order::Unorderable>>()?;
+        let plans: Vec<RulePlan> = compile_plans(&compiled, &mut metrics);
 
         // Naive rounds within the stratum (provenance favours clarity over
         // delta bookkeeping; the recorded trees are identical).
         loop {
             metrics.iterations += 1;
-            for (_, r) in &compiled {
+            for r in &compiled {
                 ensure_rule_indexes(r, &mut db);
             }
             let mut fresh: Vec<(Atom, Justification)> = Vec::new();
-            for (ri, rule) in &compiled {
-                let input = JoinInput {
-                    total: &db,
-                    delta: None,
-                    sides: None,
-                    negatives: None,
-                    governor: None,
-                };
-                let _ = join_rule_bindings(
-                    rule,
-                    &input,
+            for ((&(ri, _), rule), plan) in rules.iter().zip(&compiled).zip(&plans) {
+                let _ = exec_plan_bindings(
+                    plan,
+                    &JoinInput::naive(&db),
                     &mut scratch,
                     &mut metrics,
-                    &mut |rule, bind, metrics| {
+                    &mut |row, metrics| {
                         metrics.firings += 1;
-                        let head = rule
-                            .head
-                            // invariant: rule safety is validated before
-                            // evaluation.
-                            .to_tuple(bind)
-                            .expect("safe heads ground")
-                            .to_atom(rule.head.pred.name);
+                        let head = rule.head.ground(row);
                         if db.contains_atom(&head) {
                             metrics.duplicate_facts += 1;
                             return ControlFlow::Continue(());
@@ -251,13 +239,7 @@ pub fn eval_with_provenance(
                         let mut premises = Vec::new();
                         let mut negatives = Vec::new();
                         for lit in &rule.body {
-                            let atom = lit
-                                .atom
-                                // invariant: EmitBindings fires after a full
-                                // body match, when every body variable is bound.
-                                .to_tuple(bind)
-                                .expect("ordered bodies ground at emit")
-                                .to_atom(lit.atom.pred.name);
+                            let atom = lit.atom.ground(row);
                             match lit.polarity {
                                 Polarity::Positive => premises.push(atom),
                                 Polarity::Negative => negatives.push(atom),
@@ -267,7 +249,7 @@ pub fn eval_with_provenance(
                         fresh.push((
                             head,
                             Justification {
-                                rule: *ri,
+                                rule: ri,
                                 premises,
                                 negatives,
                             },
@@ -375,6 +357,25 @@ mod tests {
             .collect();
         assert_eq!(negs, ["blocked(a)"]);
         assert!(proof.to_string().contains("!blocked(a)  [fails]"));
+    }
+
+    #[test]
+    fn justification_grounds_the_whole_body_instance() {
+        // Positive premises (builtins included) in body order, negative
+        // premises apart: the ground instance of the firing, as recorded.
+        let (program, edb) = setup(
+            "
+            e(a, b). e(b, b). e(c, d). blocked(c).
+            q(X) :- e(X, Y), neq(X, Y), !blocked(X).
+        ",
+        );
+        let (_, prov) = eval_with_provenance(&program, &edb).unwrap();
+        let j = prov.justification(&parse_atom("q(a)").unwrap()).unwrap();
+        let shown = |atoms: &[Atom]| atoms.iter().map(Atom::to_string).collect::<Vec<_>>();
+        assert_eq!(shown(&j.premises), ["e(a, b)", "neq(a, b)"]);
+        assert_eq!(shown(&j.negatives), ["blocked(a)"]);
+        // b fails the builtin, c the negation: neither fires.
+        assert_eq!(prov.len(), 1);
     }
 
     #[test]

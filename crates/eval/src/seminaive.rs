@@ -44,8 +44,7 @@ use crate::exec::{exec_plan, ExecScratch};
 use crate::fail_point;
 use crate::govern::Governor;
 use crate::join::{
-    compile_rule, ensure_rule_indexes, join_rule, CompiledRule, DeltaSource, Emitted, JoinInput,
-    JoinScratch,
+    compile_rule, ensure_rule_indexes, CompiledRule, DeltaSource, Emitted, JoinInput,
 };
 use crate::metrics::EvalMetrics;
 use crate::naive::{check_semipositive, seed_database, EvalOptions, EvalResult};
@@ -118,20 +117,17 @@ pub(crate) fn run_rules(
         ps
     };
 
-    // Rule plans for the blocked executor, compiled once and shared
-    // read-only by every round and worker (`None` selects the
-    // tuple-at-a-time oracle).
-    let plans: Option<Vec<RulePlan>> = compile_plans(&compiled, opts.exec, metrics);
-    let plan_of = |rule_index: usize| plans.as_ref().map(|ps| &ps[rule_index]);
+    // Rule plans, compiled once and shared read-only by every round and
+    // worker.
+    let plans: Vec<RulePlan> = compile_plans(&compiled, metrics);
 
     let governor = gov.filter(|g| g.active());
     let threads = opts.threads.max(1);
 
-    // One scratch of each kind for the whole fixpoint: round N+1 reuses
-    // round N's grown buffers, so the steady state allocates nothing. The
-    // parallel fan-out keeps per-worker scratches instead.
-    let mut scratch = JoinScratch::new();
-    let mut exec_scratch = ExecScratch::new();
+    // One scratch for the whole fixpoint: round N+1 reuses round N's grown
+    // buffers, so the steady state allocates nothing. The parallel fan-out
+    // keeps per-worker scratches instead.
+    let mut scratch = ExecScratch::new();
 
     // Round 0: full join over the seed database, one work item per rule.
     if governor.is_some_and(|g| g.note_round().is_break()) {
@@ -145,12 +141,10 @@ pub(crate) fn run_rules(
         }
     }
     let mut staged = Database::new();
-    let mut tasks: Vec<RoundTask<'_>> = compiled
+    let mut tasks: Vec<RoundTask<'_>> = plans
         .iter()
-        .enumerate()
-        .map(|(ri, rule)| RoundTask {
-            rule,
-            plan: plan_of(ri),
+        .map(|plan| RoundTask {
+            plan,
             delta_pos: None,
         })
         .collect();
@@ -164,7 +158,6 @@ pub(crate) fn run_rules(
         &mut staged,
         governor,
         &mut scratch,
-        &mut exec_scratch,
     )?;
     db.absorb_staged(&staged);
     let mut spans = DeltaSpans::after_merge(db, &staged);
@@ -194,15 +187,14 @@ pub(crate) fn run_rules(
         }
         staged.clear_retaining();
         tasks.clear();
-        for (ri, rule) in compiled.iter().enumerate() {
+        for (rule, plan) in compiled.iter().zip(&plans) {
             for (i, lit) in rule.body.iter().enumerate() {
                 if lit.polarity == Polarity::Positive
                     && derived.binary_search(&lit.atom.pred).is_ok()
                     && spans.len_of(lit.atom.pred) > 0
                 {
                     tasks.push(RoundTask {
-                        rule,
-                        plan: plan_of(ri),
+                        plan,
                         delta_pos: Some(i),
                     });
                 }
@@ -218,7 +210,6 @@ pub(crate) fn run_rules(
             &mut staged,
             governor,
             &mut scratch,
-            &mut exec_scratch,
         )?;
         db.absorb_staged(&staged);
         spans = DeltaSpans::after_merge(db, &staged);
@@ -229,12 +220,10 @@ pub(crate) fn run_rules(
     Ok(())
 }
 
-/// One unit of per-round work: a compiled rule, optionally specialised to a
-/// delta position (one delta-rewriting variant). Carries the rule's blocked
-/// plan when that executor is selected.
+/// One unit of per-round work: a rule's plan, optionally specialised to a
+/// delta position (one delta-rewriting variant).
 struct RoundTask<'a> {
-    rule: &'a CompiledRule,
-    plan: Option<&'a RulePlan>,
+    plan: &'a RulePlan,
     delta_pos: Option<usize>,
 }
 
@@ -270,8 +259,7 @@ fn run_round_tasks(
     metrics: &mut EvalMetrics,
     next: &mut Database,
     governor: Option<&Governor>,
-    scratch: &mut JoinScratch,
-    exec_scratch: &mut ExecScratch,
+    scratch: &mut ExecScratch,
 ) -> Result<(), EvalError> {
     let delta_of = |pos: Option<usize>| {
         // invariant: callers set `delta_pos` only on tasks they build for
@@ -287,7 +275,7 @@ fn run_round_tasks(
         let run = catch_unwind(AssertUnwindSafe(|| {
             for task in tasks {
                 fail_point("round-worker");
-                let head_pred = task.rule.head.pred;
+                let head_pred = task.plan.head_pred;
                 let input = JoinInput {
                     total: db,
                     delta: delta_of(task.delta_pos),
@@ -295,44 +283,31 @@ fn run_round_tasks(
                     negatives,
                     governor,
                 };
-                let flow = match task.plan {
-                    Some(plan) if governor.is_some() => {
-                        let gov = governor.expect("guarded by the match arm");
-                        exec_plan(plan, &input, exec_scratch, metrics, &mut |h, row| {
-                            if db.contains_row_hashed(head_pred, h, row)
-                                || next.contains_row_hashed(head_pred, h, row)
-                            {
-                                Emitted::Duplicate
-                            } else if gov.claim_fact().is_break() {
-                                Emitted::Refused
-                            } else {
-                                // Both contains checks above just proved the
-                                // row absent, so skip insert's dedup find.
-                                next.push_new_row_hashed(head_pred, h, row);
-                                Emitted::New
-                            }
-                        })
-                    }
+                let flow = match governor {
+                    Some(gov) => exec_plan(task.plan, &input, scratch, metrics, &mut |h, row| {
+                        if db.contains_row_hashed(head_pred, h, row)
+                            || next.contains_row_hashed(head_pred, h, row)
+                        {
+                            Emitted::Duplicate
+                        } else if gov.claim_fact().is_break() {
+                            Emitted::Refused
+                        } else {
+                            // Both contains checks above just proved the
+                            // row absent, so skip insert's dedup find.
+                            next.push_new_row_hashed(head_pred, h, row);
+                            Emitted::New
+                        }
+                    }),
                     // Ungoverned fast path: no claim can refuse, so newness
                     // comes straight off the staging insert — one staging
                     // lookup instead of a contains/insert pair.
-                    Some(plan) => exec_plan(plan, &input, exec_scratch, metrics, &mut |h, row| {
+                    None => exec_plan(task.plan, &input, scratch, metrics, &mut |h, row| {
                         if db.contains_row_hashed(head_pred, h, row) {
                             Emitted::Duplicate
                         } else if next.insert_row_hashed(head_pred, h, row) {
                             Emitted::New
                         } else {
                             Emitted::Duplicate
-                        }
-                    }),
-                    None => join_rule(task.rule, &input, scratch, metrics, &mut |row| {
-                        if db.contains_row(head_pred, row) || next.contains_row(head_pred, row) {
-                            Emitted::Duplicate
-                        } else if governor.is_some_and(|g| g.claim_fact().is_break()) {
-                            Emitted::Refused
-                        } else {
-                            next.insert_row(head_pred, row);
-                            Emitted::New
                         }
                     }),
                 };
@@ -362,11 +337,10 @@ fn run_round_tasks(
                         let mut local = EvalMetrics::default();
                         let mut staging = Database::new();
                         let mut log: Vec<(Predicate, u32)> = Vec::new();
-                        let mut scratch = JoinScratch::new();
-                        let mut exec_scratch = ExecScratch::new();
+                        let mut scratch = ExecScratch::new();
                         for task in chunk_tasks {
                             fail_point("round-worker");
-                            let head_pred = task.rule.head.pred;
+                            let head_pred = task.plan.head_pred;
                             let input = JoinInput {
                                 total: frozen.db(),
                                 delta: delta_of(task.delta_pos),
@@ -374,46 +348,43 @@ fn run_round_tasks(
                                 negatives,
                                 governor,
                             };
-                            let flow = match task.plan {
-                                Some(plan) if governor.is_some() => {
-                                    let gov = governor.expect("guarded by the match arm");
-                                    exec_plan(
-                                        plan,
-                                        &input,
-                                        &mut exec_scratch,
-                                        &mut local,
-                                        &mut |h, row| {
-                                            if frozen
-                                                .relation(head_pred)
-                                                .is_some_and(|r| r.contains_row_hashed(h, row))
-                                            {
-                                                return Emitted::Duplicate;
-                                            }
-                                            // Worker-local dedup via the staging
-                                            // relation; cross-worker collisions
-                                            // are reclassified at merge time.
-                                            if staging.contains_row_hashed(head_pred, h, row) {
-                                                return Emitted::Duplicate;
-                                            }
-                                            if gov.claim_fact().is_break() {
-                                                return Emitted::Refused;
-                                            }
-                                            // The staging contains check above
-                                            // proved the row absent.
-                                            staging.push_new_row_hashed(head_pred, h, row);
-                                            let id = staging.len_of(head_pred) as u32 - 1;
-                                            log.push((head_pred, id));
-                                            Emitted::New
-                                        },
-                                    )
-                                }
+                            let flow = match governor {
+                                Some(gov) => exec_plan(
+                                    task.plan,
+                                    &input,
+                                    &mut scratch,
+                                    &mut local,
+                                    &mut |h, row| {
+                                        if frozen
+                                            .relation(head_pred)
+                                            .is_some_and(|r| r.contains_row_hashed(h, row))
+                                        {
+                                            return Emitted::Duplicate;
+                                        }
+                                        // Worker-local dedup via the staging
+                                        // relation; cross-worker collisions
+                                        // are reclassified at merge time.
+                                        if staging.contains_row_hashed(head_pred, h, row) {
+                                            return Emitted::Duplicate;
+                                        }
+                                        if gov.claim_fact().is_break() {
+                                            return Emitted::Refused;
+                                        }
+                                        // The staging contains check above
+                                        // proved the row absent.
+                                        staging.push_new_row_hashed(head_pred, h, row);
+                                        let id = staging.len_of(head_pred) as u32 - 1;
+                                        log.push((head_pred, id));
+                                        Emitted::New
+                                    },
+                                ),
                                 // Ungoverned fast path, as in the sequential
                                 // branch: worker-local dedup straight off the
                                 // staging insert.
-                                Some(plan) => exec_plan(
-                                    plan,
+                                None => exec_plan(
+                                    task.plan,
                                     &input,
-                                    &mut exec_scratch,
+                                    &mut scratch,
                                     &mut local,
                                     &mut |h, row| {
                                         if frozen
@@ -429,33 +400,6 @@ fn run_round_tasks(
                                         } else {
                                             Emitted::Duplicate
                                         }
-                                    },
-                                ),
-                                None => join_rule(
-                                    task.rule,
-                                    &input,
-                                    &mut scratch,
-                                    &mut local,
-                                    &mut |row| {
-                                        if frozen
-                                            .relation(head_pred)
-                                            .is_some_and(|r| r.contains_row(row))
-                                        {
-                                            return Emitted::Duplicate;
-                                        }
-                                        // Worker-local dedup via the staging
-                                        // relation; cross-worker collisions
-                                        // are reclassified at merge time.
-                                        if staging.contains_row(head_pred, row) {
-                                            return Emitted::Duplicate;
-                                        }
-                                        if governor.is_some_and(|g| g.claim_fact().is_break()) {
-                                            return Emitted::Refused;
-                                        }
-                                        staging.insert_row(head_pred, row);
-                                        let id = staging.len_of(head_pred) as u32 - 1;
-                                        log.push((head_pred, id));
-                                        Emitted::New
                                     },
                                 ),
                             };

@@ -8,8 +8,8 @@
 //! database plus one when the fact is externally stored in the EDB.
 
 use alexander_eval::{
-    compile_rule, eval_seminaive_opts, join_rule_bindings, EvalMetrics, EvalOptions,
-    IncrementalEngine, JoinInput, JoinScratch, Maintenance,
+    compile_plan, compile_rule, eval_seminaive_opts, exec_plan_bindings, EvalMetrics, EvalOptions,
+    ExecScratch, IncrementalEngine, JoinInput, Maintenance,
 };
 use alexander_ir::{Atom, Predicate, Program};
 use alexander_parser::{parse, parse_atom};
@@ -82,30 +82,21 @@ fn check_supports(inc: &IncrementalEngine, program: &Program, oracle: &Database)
     // Distinct firings per counted head fact, recomputed by naive joins
     // over the oracle database.
     let mut firings: std::collections::HashMap<String, u32> = std::collections::HashMap::new();
-    let mut scratch = JoinScratch::new();
+    let mut scratch = ExecScratch::new();
     let mut metrics = EvalMetrics::default();
     for rule in &program.rules {
         let compiled = compile_rule(rule).unwrap();
         if !inc.is_counted(compiled.head.pred) {
             continue;
         }
-        let input = JoinInput {
-            total: oracle,
-            delta: None,
-            sides: None,
-            negatives: None,
-            governor: None,
-        };
-        let head = compiled.head.clone();
-        let _ = join_rule_bindings(
-            &compiled,
-            &input,
+        let head = &compiled.head;
+        let _ = exec_plan_bindings(
+            &compile_plan(&compiled),
+            &JoinInput::naive(oracle),
             &mut scratch,
             &mut metrics,
-            &mut |_, bind, _| {
-                let t = head.to_tuple(bind).unwrap();
-                let atom = t.to_atom(head.pred.name);
-                *firings.entry(atom.to_string()).or_insert(0) += 1;
+            &mut |row, _| {
+                *firings.entry(head.ground(row).to_string()).or_insert(0) += 1;
                 ControlFlow::Continue(())
             },
         );

@@ -5,7 +5,7 @@
 use alexander_bench::legacy::{eval_seminaive_legacy, LegacyDb};
 use alexander_eval::{
     eval_conditional, eval_naive, eval_naive_parallel_opts, eval_seminaive, eval_seminaive_opts,
-    eval_stratified, eval_stratified_opts, Budget, Completion, EvalOptions, ExecMode, Resource,
+    eval_stratified, eval_stratified_opts, Budget, Completion, EvalOptions, Resource,
 };
 use alexander_ir::analysis::{locally_stratified, loosely_stratified, stratify};
 use alexander_ir::{Atom, Literal, Polarity, Predicate, Program, Rule, Term};
@@ -283,8 +283,7 @@ proptest! {
     /// random definite programs the arena engine produces the same model,
     /// fact totals and inference counters as the pre-rewrite boxed-tuple
     /// engine, and stays bit-identical across rewriting strategies
-    /// (base/alexander/supmagic) × executors (blocked/tuple) × {1,4}
-    /// threads × budget/no-budget. The budget leg uses a non-binding
+    /// (base/alexander/supmagic) × {1,4} threads × budget/no-budget. The budget leg uses a non-binding
     /// budget — binding budgets legitimately truncate, and their soundness
     /// is covered by the budget properties below.
     #[test]
@@ -313,24 +312,22 @@ proptest! {
             prop_assert_eq!(&legacy.metrics, &seq.metrics,
                 "{}: inference counters differ", sname);
             let budgets = [None, Some(Budget::default().with_max_facts(u64::MAX))];
-            for exec in [ExecMode::Blocked, ExecMode::Tuple] {
-                for threads in [1usize, 4] {
-                    for budget in budgets {
-                        let mut o = EvalOptions::with_threads(threads).with_exec(exec);
-                        if let Some(b) = budget {
-                            o = o.with_budget(b);
-                        }
-                        let r = eval_seminaive_opts(prog, &edb, o).unwrap();
-                        prop_assert!(r.completion.is_complete(),
-                            "{}/{}/{} threads: non-binding budget cut the run",
-                            sname, exec, threads);
-                        prop_assert_eq!(&db_snapshot(&r.db), &want,
-                            "{}/{}/{} threads/budget {}: model differs",
-                            sname, exec, threads, budget.is_some());
-                        prop_assert_eq!(&r.metrics, &seq.metrics,
-                            "{}/{}/{} threads/budget {}: counters differ",
-                            sname, exec, threads, budget.is_some());
+            for threads in [1usize, 4] {
+                for budget in budgets {
+                    let mut o = EvalOptions::with_threads(threads);
+                    if let Some(b) = budget {
+                        o = o.with_budget(b);
                     }
+                    let r = eval_seminaive_opts(prog, &edb, o).unwrap();
+                    prop_assert!(r.completion.is_complete(),
+                        "{}/{} threads: non-binding budget cut the run",
+                        sname, threads);
+                    prop_assert_eq!(&db_snapshot(&r.db), &want,
+                        "{}/{} threads/budget {}: model differs",
+                        sname, threads, budget.is_some());
+                    prop_assert_eq!(&r.metrics, &seq.metrics,
+                        "{}/{} threads/budget {}: counters differ",
+                        sname, threads, budget.is_some());
                 }
             }
         }
