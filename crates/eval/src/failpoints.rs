@@ -8,11 +8,11 @@
 //! or allocation pressure (exercising large-round memory behaviour).
 //!
 //! Sites currently instrumented:
-//! - `"round-worker"` — entry of every round worker (parallel naive and
-//!   parallel semi-naive), and of the sequential round-task loop, so
-//!   injection also covers `threads = 1`.
-//! - `"round-start"` — top of every fixpoint round in the naive loop,
-//!   `run_rules`, and the parallel naive loop.
+//! - `"round-worker"` — before every task of the shared round executor
+//!   (`seminaive::run_chunk`), which is both the fan-out worker body and the
+//!   inline sequential round, so injection also covers `threads = 1`.
+//! - `"round-start"` — top of every round of the one fixpoint loop
+//!   (`seminaive::fixpoint`), naive and semi-naive alike.
 //!
 //! The registry also carries **IO-layer** actions ([`Action::ShortWrite`],
 //! [`Action::CrashAfterBytes`], [`Action::FsyncError`], [`Action::BitFlip`])

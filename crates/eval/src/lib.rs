@@ -11,7 +11,6 @@
 //!   locally stratified programs and reports a well-founded-style undefined
 //!   residue on cyclic negation. This is the evaluator that runs
 //!   magic-rewritten programs, whose stratification the rewriting destroys.
-//! * [`eval_naive_parallel`] — round-parallel naive evaluation (ablation).
 //!
 //! All evaluators return machine-independent [`EvalMetrics`] counters; the
 //! benchmark tables of the reproduction are built from these.
@@ -28,19 +27,22 @@
 //! shares neither storage nor join code and must agree on the model and on
 //! every [`EvalMetrics`] counter.
 //!
-//! The semi-naive engine (and everything layered on it) can parallelise each
-//! fixpoint round across worker threads via [`EvalOptions::threads`]; the
-//! resulting relations *and* metrics are identical to a sequential run at
-//! any thread count (see [`seminaive`] for the round protocol).
+//! There is likewise one fixpoint round. Naive and semi-naive evaluation
+//! (and everything layered on them) share the round executor and the staging
+//! sink in [`seminaive`]; they differ only in whether a round's tasks
+//! restrict a body literal to the previous round's delta. The executor can
+//! fan each round out across worker threads via [`EvalOptions::threads`];
+//! the resulting relations *and* metrics are identical to a sequential run
+//! at any thread count (see [`seminaive`] for the round protocol).
 //!
 //! Every evaluator is resource-governed: [`EvalOptions::budget`] bounds
 //! wall-clock time, derived facts, rounds, and rule firings, and
 //! [`EvalOptions::cancel`] installs a cooperative cancellation token. On
 //! exhaustion or cancellation the evaluators return a well-formed *partial*
 //! result tagged with a non-`Complete` [`Completion`] instead of an error
-//! (see [`govern`]). Parallel round workers are panic-isolated: a panicking
-//! worker surfaces as [`EvalError::WorkerPanicked`] after its siblings
-//! drain, never as a process abort.
+//! (see [`govern`]). Rounds are panic-isolated at every thread count: a
+//! panic inside a round surfaces as [`EvalError::WorkerPanicked`] after any
+//! sibling workers drain, never as an unwind or a process abort.
 //!
 //! ```
 //! use alexander_parser::parse;
@@ -73,7 +75,6 @@ pub mod join;
 pub mod metrics;
 pub mod naive;
 pub mod order;
-pub mod parallel;
 pub mod plan;
 pub mod provenance;
 pub mod seminaive;
@@ -104,7 +105,6 @@ pub use join::{
 pub use metrics::{EvalMetrics, ExecStats};
 pub use naive::{eval_naive, eval_naive_opts, EvalOptions, EvalResult};
 pub use order::{order_for_evaluation, Unorderable};
-pub use parallel::{eval_naive_parallel, eval_naive_parallel_opts};
 pub use plan::{compile_plan, PlanOp, RulePlan};
 pub use provenance::{eval_with_provenance, Justification, ProofTree, Provenance};
 pub use seminaive::{eval_seminaive, eval_seminaive_opts};

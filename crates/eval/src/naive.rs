@@ -1,13 +1,12 @@
 //! Naive bottom-up evaluation: apply every rule to the whole database until
-//! saturation. The baseline every other strategy is measured against.
+//! saturation. The baseline every other strategy is measured against. Each
+//! round is the shared executor's all-rules, no-delta round (see
+//! [`crate::seminaive`]); staged facts only become visible next round.
 
 use crate::error::EvalError;
-use crate::exec::{exec_plan, ExecScratch};
-use crate::fail_point;
 use crate::govern::{Budget, CancelHandle, Completion, Governor};
-use crate::join::{compile_rule, ensure_rule_indexes, CompiledRule, Emitted, JoinInput};
 use crate::metrics::EvalMetrics;
-use crate::plan::{compile_plans, RulePlan};
+use crate::seminaive::eval_semipositive;
 use alexander_ir::{Polarity, Program};
 use alexander_storage::Database;
 
@@ -17,10 +16,11 @@ pub struct EvalOptions {
     /// Build hash indexes for the masks rules probe. Turning this off forces
     /// every probe into a filtered scan (ablation E10).
     pub use_indexes: bool,
-    /// Worker threads for the per-round rule fan-out in semi-naive
-    /// evaluation (and everything layered on it: stratified strata,
-    /// conditional phase 0). `0` or `1` means sequential; metrics are exact
-    /// and identical to the sequential run at any thread count.
+    /// Worker threads for the per-round task fan-out of the shared round
+    /// executor: naive and semi-naive evaluation and everything layered on
+    /// them (stratified strata, conditional phase 0). `0` or `1` means
+    /// sequential; metrics are exact and identical to the sequential run at
+    /// any thread count.
     pub threads: usize,
     /// Resource limits for the run; unlimited by default. On exhaustion the
     /// evaluator stops cleanly and reports [`Completion::BudgetExhausted`]
@@ -96,10 +96,6 @@ pub(crate) fn check_semipositive(program: &Program) -> Result<(), EvalError> {
     Ok(())
 }
 
-pub(crate) fn compile_program(program: &Program) -> Result<Vec<CompiledRule>, EvalError> {
-    program.rules.iter().map(|r| Ok(compile_rule(r)?)).collect()
-}
-
 pub(crate) fn seed_database(program: &Program, edb: &Database) -> Database {
     let mut db = edb.clone();
     for f in &program.facts {
@@ -115,75 +111,15 @@ pub fn eval_naive(program: &Program, edb: &Database) -> Result<EvalResult, EvalE
     eval_naive_opts(program, edb, EvalOptions::default())
 }
 
-/// [`eval_naive`] with explicit options.
+/// [`eval_naive`] with explicit options. Runs on the shared round executor
+/// (see [`crate::seminaive`]), so `threads`, `use_indexes`, the budget and
+/// panic isolation behave exactly as they do for semi-naive evaluation.
 pub fn eval_naive_opts(
     program: &Program,
     edb: &Database,
     opts: EvalOptions,
 ) -> Result<EvalResult, EvalError> {
-    program.validate().map_err(EvalError::Invalid)?;
-    check_semipositive(program)?;
-    let rules = compile_program(program)?;
-    let mut db = seed_database(program, edb);
-    let mut metrics = EvalMetrics::default();
-    let plans: Vec<RulePlan> = compile_plans(&rules, &mut metrics);
-    let gov = opts.governor();
-    let gov_ref = gov.as_join_ref();
-    let mut scratch = ExecScratch::new();
-
-    loop {
-        if gov.note_round().is_break() {
-            break;
-        }
-        fail_point("round-start");
-        metrics.iterations += 1;
-        if opts.use_indexes {
-            for r in &rules {
-                ensure_rule_indexes(r, &mut db);
-            }
-        }
-        // Naive semantics: T is applied to the *current* instant; staged
-        // facts only become visible next round.
-        let mut staged = Database::new();
-        let mut interrupted = false;
-        for plan in &plans {
-            let head_pred = plan.head_pred;
-            let input = JoinInput {
-                total: &db,
-                delta: None,
-                sides: None,
-                negatives: None,
-                governor: gov_ref,
-            };
-            let flow = exec_plan(plan, &input, &mut scratch, &mut metrics, &mut |h, row| {
-                if db.contains_row_hashed(head_pred, h, row)
-                    || staged.contains_row_hashed(head_pred, h, row)
-                {
-                    Emitted::Duplicate
-                } else if gov.claim_fact().is_break() {
-                    Emitted::Refused
-                } else {
-                    staged.insert_row_hashed(head_pred, h, row);
-                    Emitted::New
-                }
-            });
-            if flow.is_break() {
-                interrupted = true;
-                break;
-            }
-        }
-        // Facts staged before an interruption are sound: keep them in the
-        // partial result.
-        let grew = db.absorb_staged(&staged) > 0;
-        if interrupted || !grew {
-            break;
-        }
-    }
-    Ok(EvalResult {
-        db,
-        metrics,
-        completion: gov.completion(),
-    })
+    eval_semipositive(program, edb, &opts, false)
 }
 
 #[cfg(test)]
@@ -288,6 +224,76 @@ mod tests {
         assert_eq!(with.db.len_of(tc), without.db.len_of(tc));
     }
 
+    /// Several rules per round, so a round genuinely splits across workers;
+    /// the two `same` rules derive identical head rows, so with two or more
+    /// workers they land in different chunks, both stage every `same` fact,
+    /// and the merge must demote one copy to a duplicate.
+    const VIEWS: &str = "
+        e(a, b). e(b, c). e(c, d). e(d, e5).
+        tc(X, Y) :- e(X, Y).
+        tc(X, Y) :- e(X, Z), tc(Z, Y).
+        inv(Y, X) :- e(X, Y).
+        two(X, Y) :- e(X, Z), e(Z, Y).
+        same(X, X) :- e(X, Y).
+        same(Y, Y) :- e(Y, Z).
+    ";
+
+    #[test]
+    fn thread_count_changes_neither_relations_nor_metrics() {
+        let parsed = parse(VIEWS).unwrap();
+        let edb = Database::new();
+        let run = |use_indexes, threads| {
+            let opts = EvalOptions {
+                use_indexes,
+                threads,
+                ..EvalOptions::default()
+            };
+            eval_naive_opts(&parsed.program, &edb, opts).unwrap()
+        };
+        for use_indexes in [true, false] {
+            let seq = run(use_indexes, 1);
+            assert_eq!(seq.db.len_of(alexander_ir::Predicate::new("same", 2)), 4);
+            assert!(seq.metrics.duplicate_facts >= 4, "{}", seq.metrics);
+            // 0 is clamped to sequential.
+            for threads in [0, 2, 4, 8] {
+                let par = run(use_indexes, threads);
+                let ctx = format!("indexes {use_indexes} @ {threads} threads");
+                assert_eq!(seq.metrics, par.metrics, "metrics, {ctx}");
+                assert_eq!(seq.db.predicates(), par.db.predicates(), "{ctx}");
+                for p in seq.db.predicates() {
+                    assert_eq!(seq.db.atoms_of(p), par.db.atoms_of(p), "{p}, {ctx}");
+                }
+                assert!(par.completion.is_complete(), "{ctx}");
+            }
+        }
+        // The fan-out honours `use_indexes`: unindexed probes scan.
+        assert!(
+            run(false, 4).metrics.tuples_considered > run(true, 4).metrics.tuples_considered,
+            "unindexed parallel rounds must consider more tuples"
+        );
+    }
+
+    #[test]
+    fn fact_budget_yields_sound_subset_at_every_thread_count() {
+        let parsed = parse(TC).unwrap();
+        let full = eval_naive(&parsed.program, &Database::new()).unwrap();
+        let tc = alexander_ir::Predicate::new("tc", 2);
+        for threads in [1, 2, 4, 8] {
+            let opts =
+                EvalOptions::with_threads(threads).with_budget(Budget::default().with_max_facts(3));
+            let r = eval_naive_opts(&parsed.program, &Database::new(), opts).unwrap();
+            assert!(
+                matches!(r.completion, Completion::BudgetExhausted { .. }),
+                "@ {threads} threads: {:?}",
+                r.completion
+            );
+            assert!(r.db.len_of(tc) <= 3, "@ {threads} threads");
+            for row in r.db.relation(tc).unwrap().iter() {
+                assert!(full.db.relation(tc).unwrap().contains_row(row));
+            }
+        }
+    }
+
     #[test]
     fn empty_program_terminates_immediately() {
         let r = run("");
@@ -358,21 +364,24 @@ mod tests {
     #[test]
     fn round_budget_stops_naive_loop() {
         let parsed = parse(TC).unwrap();
-        let r = eval_naive_opts(
-            &parsed.program,
-            &Database::new(),
-            EvalOptions::default().with_budget(Budget::default().with_max_rounds(1)),
-        )
-        .unwrap();
-        assert_eq!(
-            r.completion,
-            Completion::BudgetExhausted {
-                resource: Resource::Rounds
-            }
-        );
-        assert_eq!(r.metrics.iterations, 1);
-        // One naive round derives exactly the base tc facts.
-        assert_eq!(r.db.len_of(alexander_ir::Predicate::new("tc", 2)), 4);
+        for threads in [1, 2] {
+            let r = eval_naive_opts(
+                &parsed.program,
+                &Database::new(),
+                EvalOptions::with_threads(threads)
+                    .with_budget(Budget::default().with_max_rounds(1)),
+            )
+            .unwrap();
+            assert_eq!(
+                r.completion,
+                Completion::BudgetExhausted {
+                    resource: Resource::Rounds
+                }
+            );
+            assert_eq!(r.metrics.iterations, 1);
+            // One naive round derives exactly the base tc facts.
+            assert_eq!(r.db.len_of(alexander_ir::Predicate::new("tc", 2)), 4);
+        }
     }
 
     #[test]

@@ -1,6 +1,14 @@
-//! Semi-naive bottom-up evaluation: each round only joins rule bodies
-//! against the facts discovered in the previous round (the *delta*),
-//! eliminating the bulk of naive evaluation's re-derivations.
+//! The fixpoint round executor, and semi-naive evaluation on top of it.
+//!
+//! Every bottom-up fixpoint in this crate — naive, semi-naive, each stratum
+//! of the stratified evaluator, phase 0 of the conditional one — is the one
+//! loop in [`fixpoint`], and every round of it runs through one executor
+//! ([`run_round_tasks`] → [`run_chunk`]) into one sink ([`StagingSink`]).
+//! Naive and semi-naive differ only in which tasks a round holds: naive
+//! applies every rule to the whole database every round; semi-naive, after
+//! the first round, restricts one body literal per task to the facts the
+//! previous round discovered (the *delta*), eliminating the bulk of naive
+//! evaluation's re-derivations.
 //!
 //! ## Range deltas
 //!
@@ -11,24 +19,35 @@
 //! (id-sorted) posting list to the range with two binary searches, so no
 //! per-round delta relations or delta indexes are ever built.
 //!
-//! ## Parallel rounds
+//! ## One executor, one sink
 //!
-//! With `EvalOptions::threads > 1` each round fans its work items out over
-//! scoped worker threads. The round's total is frozen (see
-//! [`alexander_storage::Database::freeze`]) before the fan-out, so workers
-//! share plain `&Database` views with no interior mutation; all indexes are
-//! built up front by the single-threaded prelude. A work item is one
-//! delta-rewriting variant — a `(rule, delta position)` pair — so even a
-//! program with fewer rules than threads still splits across workers. Each
-//! worker deduplicates its derivations against the frozen total *and* a
-//! worker-local staging database (keeping an ordered derivation log), then a
-//! single-threaded merge builds the next delta in task order, reclassifying
-//! cross-worker duplicates so the metrics are bit-identical to a sequential
-//! run at any thread count.
+//! A round's total is read-only for the round's duration; all indexes are
+//! built up front by the single-threaded prelude. [`run_chunk`] runs a slice
+//! of the round's tasks through the blocked executor and hands every derived
+//! head row to [`StagingSink::emit`], the single place a row is classified:
+//! duplicate of the total, duplicate of the staging database, refused by the
+//! fact budget, or new (and staged). With one thread (or one task) the chunk
+//! is the whole round, run inline, staging straight into the round's output.
 //!
-//! Workers are panic-isolated: each round unit runs under `catch_unwind`,
-//! every sibling is joined, and a panic surfaces as
-//! [`EvalError::WorkerPanicked`] instead of aborting the process.
+//! With `EvalOptions::threads > 1` the tasks fan out over scoped workers
+//! sharing a frozen view of the total (see
+//! [`alexander_storage::Database::freeze`]). A task is one rule — or, in a
+//! delta round, one `(rule, delta position)` variant, so a program with
+//! fewer rules than threads still splits. Each worker runs the same
+//! `run_chunk` into a sink over a worker-local staging database that also
+//! keeps an ordered log of what it staged.
+//!
+//! What the merge guarantees: workers are joined, then a single thread
+//! replays their logs in task order into the round's output. A fact two
+//! workers both staged was counted new by each; the merge demotes the later
+//! copies to duplicates. So the output's insertion order, the relations and
+//! every [`EvalMetrics`] counter are bit-identical to the one-thread run at
+//! any thread count — `new_facts` counts the distinct facts absent from the
+//! total, a property of the round's input, not of task scheduling.
+//!
+//! A panic in any chunk — inline or on a worker, after every sibling is
+//! joined — surfaces as [`EvalError::WorkerPanicked`], never as an unwind
+//! through the caller or a process abort.
 //!
 //! ## Governance
 //!
@@ -49,7 +68,7 @@ use crate::join::{
 use crate::metrics::EvalMetrics;
 use crate::naive::{check_semipositive, seed_database, EvalOptions, EvalResult};
 use crate::plan::{compile_plans, RulePlan};
-use alexander_ir::{Polarity, Predicate, Program, Rule};
+use alexander_ir::{Const, Polarity, Predicate, Program, Rule};
 use alexander_storage::{Database, DeltaSpans};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -64,18 +83,30 @@ pub fn eval_seminaive_opts(
     edb: &Database,
     opts: EvalOptions,
 ) -> Result<EvalResult, EvalError> {
+    eval_semipositive(program, edb, &opts, true)
+}
+
+/// The fixpoint of a semipositive `program` over `edb`: semi-naive when
+/// `delta_rounds`, naive otherwise.
+pub(crate) fn eval_semipositive(
+    program: &Program,
+    edb: &Database,
+    opts: &EvalOptions,
+    delta_rounds: bool,
+) -> Result<EvalResult, EvalError> {
     program.validate().map_err(EvalError::Invalid)?;
     check_semipositive(program)?;
     let mut db = seed_database(program, edb);
     let mut metrics = EvalMetrics::default();
     let gov = opts.governor();
-    run_rules(
+    fixpoint(
         &program.rules,
         &mut db,
         &mut metrics,
-        &opts,
+        opts,
         None,
         Some(&gov),
+        delta_rounds,
     )?;
     Ok(EvalResult {
         db,
@@ -84,20 +115,9 @@ pub fn eval_seminaive_opts(
     })
 }
 
-/// The semi-naive engine over an explicit rule set, mutating `db` in place.
-///
-/// `negatives`: where negative literals are checked; `None` means the current
-/// total (correct when negated predicates are already complete in `db`, as in
-/// per-stratum evaluation). The delta tracks only the head predicates of
-/// `rules` — facts of other predicates are static during the run.
-///
-/// `gov`: the run's governor, shared across calls when one logical run spans
-/// several invocations (the stratified evaluator passes the same governor to
-/// every stratum so the budget is global). On a governance stop the function
-/// returns `Ok(())` with `db` holding the sound partial result; the caller
-/// reads the verdict off the governor.
-///
-/// This is also the engine the stratified evaluator calls once per stratum.
+/// The semi-naive engine over an explicit rule set, mutating `db` in place:
+/// [`fixpoint`] with delta rounds. The stratified evaluator calls this once
+/// per stratum, the conditional one for its definite core.
 pub(crate) fn run_rules(
     rules: &[Rule],
     db: &mut Database,
@@ -105,6 +125,35 @@ pub(crate) fn run_rules(
     opts: &EvalOptions,
     negatives: Option<&Database>,
     gov: Option<&Governor>,
+) -> Result<(), EvalError> {
+    fixpoint(rules, db, metrics, opts, negatives, gov, true)
+}
+
+/// The fixpoint loop over an explicit rule set, mutating `db` in place.
+///
+/// Every round runs through [`run_round_tasks`] and ends when a round adds
+/// nothing. With `delta_rounds` the rounds after the first are semi-naive —
+/// the delta tracks only the head predicates of `rules`; facts of other
+/// predicates are static during the run. Without it every round re-applies
+/// every rule to the whole database (naive evaluation).
+///
+/// `negatives`: where negative literals are checked; `None` means the current
+/// total (correct when negated predicates are already complete in `db`, as in
+/// per-stratum evaluation).
+///
+/// `gov`: the run's governor, shared across calls when one logical run spans
+/// several invocations (the stratified evaluator passes the same governor to
+/// every stratum so the budget is global). On a governance stop the function
+/// returns `Ok(())` with `db` holding the sound partial result; the caller
+/// reads the verdict off the governor.
+fn fixpoint(
+    rules: &[Rule],
+    db: &mut Database,
+    metrics: &mut EvalMetrics,
+    opts: &EvalOptions,
+    negatives: Option<&Database>,
+    gov: Option<&Governor>,
+    delta_rounds: bool,
 ) -> Result<(), EvalError> {
     let compiled: Vec<CompiledRule> = rules
         .iter()
@@ -124,57 +173,19 @@ pub(crate) fn run_rules(
     let governor = gov.filter(|g| g.active());
     let threads = opts.threads.max(1);
 
-    // One scratch for the whole fixpoint: round N+1 reuses round N's grown
-    // buffers, so the steady state allocates nothing. The parallel fan-out
-    // keeps per-worker scratches instead.
+    // One scratch, staging database and task list for the whole fixpoint:
+    // round N+1 reuses round N's grown buffers (rows cleared, allocations
+    // kept), so steady-state rounds stage and merge without touching the
+    // allocator. The parallel fan-out keeps per-worker scratches instead.
     let mut scratch = ExecScratch::new();
-
-    // Round 0: full join over the seed database, one work item per rule.
-    if governor.is_some_and(|g| g.note_round().is_break()) {
-        return Ok(());
-    }
-    fail_point("round-start");
-    metrics.iterations += 1;
-    if opts.use_indexes {
-        for r in &compiled {
-            ensure_rule_indexes(r, db);
-        }
-    }
     let mut staged = Database::new();
-    let mut tasks: Vec<RoundTask<'_>> = plans
-        .iter()
-        .map(|plan| RoundTask {
-            plan,
-            delta_pos: None,
-        })
-        .collect();
-    run_round_tasks(
-        &tasks,
-        db,
-        None,
-        negatives,
-        threads,
-        metrics,
-        &mut staged,
-        governor,
-        &mut scratch,
-    )?;
-    db.absorb_staged(&staged);
-    let mut spans = DeltaSpans::after_merge(db, &staged);
-    if governor.is_some_and(|g| g.should_stop()) {
-        return Ok(());
-    }
+    let mut tasks: Vec<RoundTask<'_>> = Vec::new();
 
-    // Delta rounds: every derived-predicate literal takes a turn as the
-    // delta position. Each (rule, position) pair is one work item — the
-    // delta-rewriting variants of a rule split across workers even when the
-    // program has fewer rules than threads. The delta itself is just the id
-    // ranges the previous merge appended; the round probes the total's
-    // indexes (kept fresh by `insert_row`) and never builds delta indexes.
-    // The staging database and task list are recycled round to round (rows
-    // cleared, allocations kept), so steady-state rounds stage and merge
-    // without touching the allocator.
-    while !spans.is_empty() {
+    // The previous round's delta: the id ranges its merge appended. `None`
+    // in the first round and in every naive round, which run one full-join
+    // task per rule.
+    let mut spans: Option<DeltaSpans> = None;
+    loop {
         if governor.is_some_and(|g| g.note_round().is_break()) {
             return Ok(());
         }
@@ -188,6 +199,17 @@ pub(crate) fn run_rules(
         staged.clear_retaining();
         tasks.clear();
         for (rule, plan) in compiled.iter().zip(&plans) {
+            let Some(spans) = &spans else {
+                tasks.push(RoundTask {
+                    plan,
+                    delta_pos: None,
+                });
+                continue;
+            };
+            // Every derived-predicate literal takes a turn as the delta
+            // position; each (rule, position) pair is one task. The round
+            // probes the total's indexes (kept fresh by `insert_row`) and
+            // never builds delta indexes.
             for (i, lit) in rule.body.iter().enumerate() {
                 if lit.polarity == Polarity::Positive
                     && derived.binary_search(&lit.atom.pred).is_ok()
@@ -200,24 +222,22 @@ pub(crate) fn run_rules(
                 }
             }
         }
-        run_round_tasks(
-            &tasks,
-            db,
-            Some(&spans),
-            negatives,
-            threads,
-            metrics,
-            &mut staged,
+        let mut sink = StagingSink {
+            total: db,
+            staged: &mut staged,
+            log: None,
             governor,
-            &mut scratch,
-        )?;
-        db.absorb_staged(&staged);
-        spans = DeltaSpans::after_merge(db, &staged);
-        if governor.is_some_and(|g| g.should_stop()) {
+        };
+        let round = (spans.as_ref(), negatives);
+        run_round_tasks(&tasks, round, threads, &mut sink, &mut scratch, metrics)?;
+        // Facts staged before a governance stop are sound: keep them.
+        if db.absorb_staged(&staged) == 0 || governor.is_some_and(|g| g.should_stop()) {
             return Ok(());
         }
+        if delta_rounds {
+            spans = Some(DeltaSpans::after_merge(db, &staged));
+        }
     }
-    Ok(())
 }
 
 /// One unit of per-round work: a rule's plan, optionally specialised to a
@@ -227,234 +247,172 @@ struct RoundTask<'a> {
     delta_pos: Option<usize>,
 }
 
-/// Renders a caught panic payload for [`EvalError::WorkerPanicked`].
-pub(crate) fn payload_string(payload: Box<dyn std::any::Any + Send>) -> String {
-    match payload.downcast::<String>() {
+/// What a round's tasks read besides the total: the delta spans (delta
+/// rounds only) and the negative-literal source.
+type RoundSources<'a> = (Option<&'a DeltaSpans>, Option<&'a Database>);
+
+/// Where every derived head row of a round lands — the single place a row
+/// is classified as duplicate, refused, or new.
+struct StagingSink<'a> {
+    /// The round's total, immutable while the round runs.
+    total: &'a Database,
+    /// Facts accepted so far this round; doubles as the dedup set.
+    staged: &'a mut Database,
+    /// Fan-out workers record each accepted row's `(predicate, staging id)`
+    /// in emission order, so the merge can replay them deterministically.
+    log: Option<Vec<(Predicate, u32)>>,
+    governor: Option<&'a Governor>,
+}
+
+impl StagingSink<'_> {
+    #[inline]
+    fn emit(&mut self, pred: Predicate, h: u64, row: &[Const]) -> Emitted {
+        if self.total.contains_row_hashed(pred, h, row) {
+            return Emitted::Duplicate;
+        }
+        match self.governor {
+            // Ungoverned: no claim can refuse, so newness comes straight off
+            // the staging insert — one staging lookup, not a contains/insert
+            // pair.
+            None => {
+                if !self.staged.insert_row_hashed(pred, h, row) {
+                    return Emitted::Duplicate;
+                }
+            }
+            Some(gov) => {
+                if self.staged.contains_row_hashed(pred, h, row) {
+                    return Emitted::Duplicate;
+                }
+                if gov.claim_fact().is_break() {
+                    return Emitted::Refused;
+                }
+                // Both contains checks just proved the row absent, so skip
+                // insert's dedup find.
+                self.staged.push_new_row_hashed(pred, h, row);
+            }
+        }
+        if let Some(log) = &mut self.log {
+            log.push((pred, self.staged.len_of(pred) as u32 - 1));
+        }
+        Emitted::New
+    }
+}
+
+/// Runs `tasks` in order through the blocked executor into `sink`, stopping
+/// at the first governance break. The whole round when sequential; one
+/// worker's share in the fan-out.
+fn run_chunk(
+    tasks: &[RoundTask<'_>],
+    (spans, negatives): RoundSources<'_>,
+    sink: &mut StagingSink<'_>,
+    scratch: &mut ExecScratch,
+    metrics: &mut EvalMetrics,
+) {
+    for task in tasks {
+        fail_point("round-worker");
+        let input = JoinInput {
+            total: sink.total,
+            // invariant: `fixpoint` sets `delta_pos` only on the tasks of
+            // delta rounds, which always pass the round's spans.
+            delta: task.delta_pos.map(|i| {
+                let spans = spans.expect("delta tasks only occur in delta rounds");
+                (i, DeltaSource::Spans(spans))
+            }),
+            sides: None,
+            negatives,
+            governor: sink.governor,
+        };
+        let head = task.plan.head_pred;
+        let mut emit = |h: u64, row: &[Const]| sink.emit(head, h, row);
+        if exec_plan(task.plan, &input, scratch, metrics, &mut emit).is_break() {
+            break;
+        }
+    }
+}
+
+/// Maps a caught panic payload to [`EvalError::WorkerPanicked`].
+fn worker_panicked(payload: Box<dyn std::any::Any + Send>) -> EvalError {
+    let payload = match payload.downcast::<String>() {
         Ok(s) => *s,
         Err(payload) => match payload.downcast::<&'static str>() {
             Ok(s) => (*s).to_string(),
             Err(_) => "non-string panic payload".to_string(),
         },
-    }
+    };
+    EvalError::WorkerPanicked { payload }
 }
 
-/// Executes one round's work items, inserting fresh derivations into `next`.
+/// Executes one round's tasks, staging fresh derivations through `sink`.
 ///
-/// `db` is not mutated for the duration: with more than one thread it is
-/// frozen and the items fan out over scoped workers; otherwise the items run
-/// in order on the calling thread. Either way the facts in `next` and every
-/// metrics counter come out identical — `new_facts` counts the distinct
-/// facts absent from `db`, which is a property of the round's input, not of
-/// task scheduling.
-///
-/// Every execution unit runs under `catch_unwind`; a panic anywhere joins
-/// all surviving workers and returns [`EvalError::WorkerPanicked`].
-#[allow(clippy::too_many_arguments)]
+/// With one thread (or one task) the tasks run in order on the calling
+/// thread straight into `sink`. Otherwise they fan out over scoped workers,
+/// each running the same [`run_chunk`] into a worker-local sink, and a
+/// single-threaded merge replays the workers' logs into `sink.staged`.
+/// Either way the staged facts and every metrics counter come out identical
+/// (see the module docs), and a panic in any chunk returns
+/// [`EvalError::WorkerPanicked`] once every worker is joined.
 fn run_round_tasks(
     tasks: &[RoundTask<'_>],
-    db: &Database,
-    spans: Option<&DeltaSpans>,
-    negatives: Option<&Database>,
+    round: RoundSources<'_>,
     threads: usize,
-    metrics: &mut EvalMetrics,
-    next: &mut Database,
-    governor: Option<&Governor>,
+    sink: &mut StagingSink<'_>,
     scratch: &mut ExecScratch,
+    metrics: &mut EvalMetrics,
 ) -> Result<(), EvalError> {
-    let delta_of = |pos: Option<usize>| {
-        // invariant: callers set `delta_pos` only on tasks they build for
-        // delta rounds, which always pass the round's spans.
-        pos.map(|i| {
-            (
-                i,
-                DeltaSource::Spans(spans.expect("delta tasks only occur in delta rounds")),
-            )
-        })
-    };
     if threads <= 1 || tasks.len() <= 1 {
-        let run = catch_unwind(AssertUnwindSafe(|| {
-            for task in tasks {
-                fail_point("round-worker");
-                let head_pred = task.plan.head_pred;
-                let input = JoinInput {
-                    total: db,
-                    delta: delta_of(task.delta_pos),
-                    sides: None,
-                    negatives,
-                    governor,
-                };
-                let flow = match governor {
-                    Some(gov) => exec_plan(task.plan, &input, scratch, metrics, &mut |h, row| {
-                        if db.contains_row_hashed(head_pred, h, row)
-                            || next.contains_row_hashed(head_pred, h, row)
-                        {
-                            Emitted::Duplicate
-                        } else if gov.claim_fact().is_break() {
-                            Emitted::Refused
-                        } else {
-                            // Both contains checks above just proved the
-                            // row absent, so skip insert's dedup find.
-                            next.push_new_row_hashed(head_pred, h, row);
-                            Emitted::New
-                        }
-                    }),
-                    // Ungoverned fast path: no claim can refuse, so newness
-                    // comes straight off the staging insert — one staging
-                    // lookup instead of a contains/insert pair.
-                    None => exec_plan(task.plan, &input, scratch, metrics, &mut |h, row| {
-                        if db.contains_row_hashed(head_pred, h, row) {
-                            Emitted::Duplicate
-                        } else if next.insert_row_hashed(head_pred, h, row) {
-                            Emitted::New
-                        } else {
-                            Emitted::Duplicate
-                        }
-                    }),
-                };
-                if flow.is_break() {
-                    break;
-                }
-            }
-        }));
-        return run.map_err(|p| EvalError::WorkerPanicked {
-            payload: payload_string(p),
-        });
+        return catch_unwind(AssertUnwindSafe(|| {
+            run_chunk(tasks, round, sink, scratch, metrics)
+        }))
+        .map_err(worker_panicked);
     }
 
-    let frozen = db.freeze();
-    let chunk = tasks.len().div_ceil(threads);
-    // A worker's output: its metrics, its staging database (which doubles as
-    // the worker-local dedup set — no boxed seen-set keys), and the ordered
-    // derivation log of (predicate, staging id) pairs that preserves
-    // insertion order for the deterministic merge.
+    let (total, governor) = (sink.total.freeze().db(), sink.governor);
     type WorkerOut = (EvalMetrics, Database, Vec<(Predicate, u32)>);
     let results: Vec<std::thread::Result<WorkerOut>> = std::thread::scope(|scope| {
         let handles: Vec<_> = tasks
-            .chunks(chunk)
-            .map(|chunk_tasks| {
+            .chunks(tasks.len().div_ceil(threads))
+            .map(|chunk| {
                 scope.spawn(move || {
-                    catch_unwind(AssertUnwindSafe(|| {
-                        let mut local = EvalMetrics::default();
-                        let mut staging = Database::new();
-                        let mut log: Vec<(Predicate, u32)> = Vec::new();
-                        let mut scratch = ExecScratch::new();
-                        for task in chunk_tasks {
-                            fail_point("round-worker");
-                            let head_pred = task.plan.head_pred;
-                            let input = JoinInput {
-                                total: frozen.db(),
-                                delta: delta_of(task.delta_pos),
-                                sides: None,
-                                negatives,
-                                governor,
-                            };
-                            let flow = match governor {
-                                Some(gov) => exec_plan(
-                                    task.plan,
-                                    &input,
-                                    &mut scratch,
-                                    &mut local,
-                                    &mut |h, row| {
-                                        if frozen
-                                            .relation(head_pred)
-                                            .is_some_and(|r| r.contains_row_hashed(h, row))
-                                        {
-                                            return Emitted::Duplicate;
-                                        }
-                                        // Worker-local dedup via the staging
-                                        // relation; cross-worker collisions
-                                        // are reclassified at merge time.
-                                        if staging.contains_row_hashed(head_pred, h, row) {
-                                            return Emitted::Duplicate;
-                                        }
-                                        if gov.claim_fact().is_break() {
-                                            return Emitted::Refused;
-                                        }
-                                        // The staging contains check above
-                                        // proved the row absent.
-                                        staging.push_new_row_hashed(head_pred, h, row);
-                                        let id = staging.len_of(head_pred) as u32 - 1;
-                                        log.push((head_pred, id));
-                                        Emitted::New
-                                    },
-                                ),
-                                // Ungoverned fast path, as in the sequential
-                                // branch: worker-local dedup straight off the
-                                // staging insert.
-                                None => exec_plan(
-                                    task.plan,
-                                    &input,
-                                    &mut scratch,
-                                    &mut local,
-                                    &mut |h, row| {
-                                        if frozen
-                                            .relation(head_pred)
-                                            .is_some_and(|r| r.contains_row_hashed(h, row))
-                                        {
-                                            return Emitted::Duplicate;
-                                        }
-                                        if staging.insert_row_hashed(head_pred, h, row) {
-                                            let id = staging.len_of(head_pred) as u32 - 1;
-                                            log.push((head_pred, id));
-                                            Emitted::New
-                                        } else {
-                                            Emitted::Duplicate
-                                        }
-                                    },
-                                ),
-                            };
-                            if flow.is_break() {
-                                break;
-                            }
-                        }
-                        (local, staging, log)
-                    }))
+                    let mut local = EvalMetrics::default();
+                    let mut staged = Database::new();
+                    let mut sink = StagingSink {
+                        total,
+                        staged: &mut staged,
+                        log: Some(Vec::new()),
+                        governor,
+                    };
+                    run_chunk(chunk, round, &mut sink, &mut ExecScratch::new(), &mut local);
+                    let log = sink.log.unwrap_or_default();
+                    (local, staged, log)
                 })
             })
             .collect();
-        handles
-            .into_iter()
-            // invariant: the worker catches its own panics via catch_unwind,
-            // so the thread itself never terminates by panic.
-            .map(|h| {
-                h.join()
-                    .expect("worker panics are caught inside the worker")
-            })
-            .collect()
+        // Joining every handle by hand hands a worker's panic back as its
+        // `Err` payload; the scope only re-raises panics nobody collected.
+        handles.into_iter().map(|h| h.join()).collect()
     });
-
     // All workers are drained at this point; surface the first panic as a
     // structured error instead of a process abort.
-    let mut panicked: Option<String> = None;
-    let mut survived: Vec<WorkerOut> = Vec::with_capacity(results.len());
-    for r in results {
-        match r {
-            Ok(out) => survived.push(out),
-            Err(p) => {
-                if panicked.is_none() {
-                    panicked = Some(payload_string(p));
-                }
-            }
-        }
-    }
-    if let Some(payload) = panicked {
-        return Err(EvalError::WorkerPanicked { payload });
-    }
+    let outs: Vec<WorkerOut> = results
+        .into_iter()
+        .collect::<Result<_, _>>()
+        .map_err(worker_panicked)?;
 
-    // Single-threaded merge, in task order so `next`'s insertion order (and
-    // hence all downstream iteration) matches the sequential run. A fact two
-    // workers both derived was provisionally counted new by each; demote the
-    // later copies so the totals equal the sequential classification.
-    for (local, staging, log) in survived {
+    // Single-threaded merge, in task order so the staging insertion order
+    // (and hence all downstream iteration) matches the sequential run. A
+    // fact two workers both derived was provisionally counted new by each;
+    // demote the later copies so the totals equal the sequential
+    // classification.
+    for (local, staged, log) in outs {
         *metrics += local;
         for (p, id) in log {
             // invariant: every log entry was appended right after its row
             // was inserted into the worker's staging database.
-            let rel = staging
+            let rel = staged
                 .relation(p)
                 .expect("logged predicate exists in staging");
             let (row, h) = (rel.row(id), rel.row_hashes()[id as usize]);
-            if !next.insert_row_hashed(p, h, row) {
+            if !sink.staged.insert_row_hashed(p, h, row) {
                 metrics.new_facts -= 1;
                 metrics.duplicate_facts += 1;
             }
@@ -600,6 +558,118 @@ mod tests {
                 assert_eq!(seq.db.atoms_of(p), par.db.atoms_of(p), "{p} @ {threads}");
             }
         }
+    }
+
+    /// Emits the unary row `pred(sym)` through `sink`, as the executor would.
+    fn emit(sink: &mut StagingSink<'_>, pred: Predicate, sym: &str) -> Emitted {
+        let row = [Const::sym(sym)];
+        sink.emit(pred, alexander_ir::hash_row(&row), &row)
+    }
+
+    #[test]
+    fn staging_sink_classifies_every_outcome() {
+        let (p, q) = (Predicate::new("p", 1), Predicate::new("q", 1));
+        let mut total = Database::new();
+        total.insert(p, tuple_of_syms(&["old"]));
+
+        // Ungoverned, then governed with budget to spare: one classification.
+        let roomy = Governor::new(Budget::default().with_max_facts(10), None);
+        for governor in [None, Some(&roomy)] {
+            let mut staged = Database::new();
+            let mut sink = StagingSink {
+                total: &total,
+                staged: &mut staged,
+                log: Some(Vec::new()),
+                governor,
+            };
+            assert_eq!(emit(&mut sink, p, "old"), Emitted::Duplicate, "vs total");
+            assert_eq!(emit(&mut sink, p, "a"), Emitted::New);
+            assert_eq!(emit(&mut sink, q, "a"), Emitted::New);
+            assert_eq!(emit(&mut sink, p, "a"), Emitted::Duplicate, "vs staged");
+            assert_eq!(emit(&mut sink, p, "b"), Emitted::New);
+            // The log holds each accepted row's staging id, in emission order.
+            assert_eq!(sink.log, Some(vec![(p, 0), (q, 0), (p, 1)]));
+            assert_eq!(staged.relation(p).unwrap().row(1), &[Const::sym("b")]);
+            assert_eq!(staged.total_tuples(), 3);
+        }
+        assert_eq!(roomy.consumption().facts, 3, "duplicates claim nothing");
+
+        // An exhausted fact budget refuses the next new row and stages
+        // nothing for it; duplicates still classify without a claim.
+        let spent = Governor::new(Budget::default().with_max_facts(1), None);
+        let mut staged = Database::new();
+        let mut sink = StagingSink {
+            total: &total,
+            staged: &mut staged,
+            log: None,
+            governor: Some(&spent),
+        };
+        assert_eq!(emit(&mut sink, p, "a"), Emitted::New);
+        assert_eq!(emit(&mut sink, p, "b"), Emitted::Refused);
+        assert_eq!(emit(&mut sink, p, "a"), Emitted::Duplicate);
+        assert_eq!(emit(&mut sink, p, "old"), Emitted::Duplicate);
+        assert_eq!(sink.log, None);
+        assert_eq!(staged.total_tuples(), 1, "the refused row was not staged");
+        assert_eq!(spent.consumption().facts, 1, "consumed == max");
+        assert_eq!(
+            spent.completion(),
+            Completion::BudgetExhausted {
+                resource: Resource::Facts
+            }
+        );
+    }
+
+    #[test]
+    fn two_thread_merge_matches_the_sequential_classification() {
+        // Both rules derive the same three head rows. Sequentially the second
+        // rule's derivations are duplicates of the staging database; with two
+        // workers each rule stages all three and the merge must demote one
+        // copy of each.
+        let parsed = parse("n(a). n(b). n(c). same(X, X) :- n(X). same(Y, Y) :- n(Y).").unwrap();
+        let mut total = seed_database(&parsed.program, &Database::new());
+        let compiled: Vec<CompiledRule> = parsed
+            .program
+            .rules
+            .iter()
+            .map(|r| compile_rule(r).unwrap())
+            .collect();
+        for r in &compiled {
+            ensure_rule_indexes(r, &mut total);
+        }
+        let plans: Vec<RulePlan> = compiled.iter().map(crate::plan::compile_plan).collect();
+        let tasks: Vec<RoundTask<'_>> = plans
+            .iter()
+            .map(|plan| RoundTask {
+                plan,
+                delta_pos: None,
+            })
+            .collect();
+        let round = |threads| {
+            let (mut staged, mut metrics) = (Database::new(), EvalMetrics::default());
+            let mut sink = StagingSink {
+                total: &total,
+                staged: &mut staged,
+                log: None,
+                governor: None,
+            };
+            let mut scratch = ExecScratch::new();
+            run_round_tasks(
+                &tasks,
+                (None, None),
+                threads,
+                &mut sink,
+                &mut scratch,
+                &mut metrics,
+            )
+            .unwrap();
+            (staged, metrics)
+        };
+        let (seq_staged, seq) = round(1);
+        let (par_staged, par) = round(2);
+        assert_eq!((seq.new_facts, seq.duplicate_facts), (3, 3));
+        assert_eq!(par, seq, "merged counters equal the sequential ones");
+        let same = Predicate::new("same", 2);
+        assert_eq!(par_staged.atoms_of(same), seq_staged.atoms_of(same));
     }
 
     #[test]

@@ -11,8 +11,7 @@ use std::time::{Duration, Instant};
 
 use alexander_eval::failpoints::{self, Action};
 use alexander_eval::{
-    eval_naive_parallel_opts, eval_seminaive_opts, Budget, Completion, EvalError, EvalOptions,
-    Resource,
+    eval_naive_opts, eval_seminaive_opts, Budget, Completion, EvalError, EvalOptions, Resource,
 };
 use alexander_parser::parse;
 use alexander_storage::Database;
@@ -51,11 +50,41 @@ fn injected_worker_panic_is_a_structured_error_at_every_thread_count() {
             eval_seminaive_opts(&parsed.program, &edb, opts.clone()),
             &format!("seminaive, {threads} threads"),
         );
+        // Naive rounds run on the same executor, inline at one thread.
         assert_worker_panicked(
-            eval_naive_parallel_opts(&parsed.program, &edb, &opts),
-            &format!("parallel naive, {threads} threads"),
+            eval_naive_opts(&parsed.program, &edb, opts),
+            &format!("naive, {threads} threads"),
         );
     }
+}
+
+#[test]
+fn naive_rounds_fan_out_across_the_requested_threads() {
+    // Four independent rules, each task entry delayed 60ms, two rounds: run
+    // in order that is at least 480ms of injected sleep, fanned out over
+    // four workers about 120ms. The sleeps are the work being parallelised,
+    // so the bound holds however slow the machine is at everything else.
+    let _guard = failpoints::scoped();
+    failpoints::configure("round-worker", Action::Sleep(Duration::from_millis(60)));
+    let parsed = parse(
+        "e(a, b).
+         v1(X) :- e(X, Y). v2(Y) :- e(X, Y). v3(X, X) :- e(X, Y). v4(Y, X) :- e(X, Y).",
+    )
+    .unwrap();
+    let timed = |threads| {
+        let started = Instant::now();
+        let r = eval_naive_opts(
+            &parsed.program,
+            &Database::new(),
+            EvalOptions::with_threads(threads),
+        )
+        .unwrap();
+        assert_eq!(r.metrics.iterations, 2);
+        started.elapsed()
+    };
+    let (seq, par) = (timed(1), timed(4));
+    assert!(seq >= Duration::from_millis(480), "sequential: {seq:?}");
+    assert!(par * 2 < seq, "4 threads {par:?} vs 1 thread {seq:?}");
 }
 
 #[test]

@@ -4,7 +4,7 @@
 
 use alexander_bench::legacy::{eval_seminaive_legacy, LegacyDb};
 use alexander_eval::{
-    eval_conditional, eval_naive, eval_naive_parallel_opts, eval_seminaive, eval_seminaive_opts,
+    eval_conditional, eval_naive, eval_naive_opts, eval_seminaive, eval_seminaive_opts,
     eval_stratified, eval_stratified_opts, Budget, Completion, EvalOptions, Resource,
 };
 use alexander_ir::analysis::{locally_stratified, loosely_stratified, stratify};
@@ -346,11 +346,7 @@ proptest! {
         prop_assume!(program.validate().is_ok());
         let full = db_snapshot(&eval_seminaive(&program, &edb).unwrap().db);
         let budget = Budget::default().with_max_facts(max_facts);
-        let mut results = vec![(
-            "naive",
-            alexander_eval::eval_naive_opts(
-                &program, &edb, EvalOptions::default().with_budget(budget)).unwrap(),
-        )];
+        let mut results = Vec::new();
         for threads in [1usize, 4] {
             results.push((
                 "seminaive",
@@ -359,10 +355,10 @@ proptest! {
                     EvalOptions::with_threads(threads).with_budget(budget)).unwrap(),
             ));
             results.push((
-                "parallel-naive",
-                eval_naive_parallel_opts(
+                "naive",
+                eval_naive_opts(
                     &program, &edb,
-                    &EvalOptions::with_threads(threads).with_budget(budget)).unwrap(),
+                    EvalOptions::with_threads(threads).with_budget(budget)).unwrap(),
             ));
         }
         for (name, r) in results {
