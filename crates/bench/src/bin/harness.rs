@@ -77,14 +77,17 @@ fn main() {
     }
 
     if list {
-        for id in experiments::IDS {
+        for id in experiments::ids() {
             println!("{id}");
         }
         return;
     }
 
     let tables = if ids.is_empty() {
-        eprintln!("running all {} experiments…", experiments::IDS.len());
+        eprintln!(
+            "running all {} experiments…",
+            experiments::EXPERIMENTS.len()
+        );
         experiments::all()
     } else {
         let mut out = Vec::new();

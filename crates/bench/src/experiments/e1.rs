@@ -13,7 +13,7 @@ pub fn run() -> Table {
     run_sized(CHAIN)
 }
 
-/// Parameterised variant (used by the criterion benches and tests).
+/// Parameterised variant (tests use a short chain).
 pub fn run_sized(n: usize) -> Table {
     let mut edb = workload::chain("par", n);
     // An irrelevant island the goal-directed strategies must not touch.

@@ -25,75 +25,61 @@ pub mod f4;
 pub mod f5;
 pub mod f6;
 pub mod f8;
-pub mod f9;
 
 use crate::table::{ms, timed, Table};
 use alexander_core::{Engine, Strategy};
 use alexander_ir::Atom;
 
-/// Every experiment, in report order.
+/// An experiment id and the function that regenerates its table.
+pub type Experiment = (&'static str, fn() -> Table);
+
+/// Every experiment, in report order: the one list [`all`], [`by_id`] and
+/// [`ids`] read.
+pub const EXPERIMENTS: [Experiment; 21] = [
+    ("e1", e1::run),
+    ("e2", e2::run),
+    ("e3", e3::run),
+    ("e4", e4::run),
+    ("e5", e5::run),
+    ("e6", e6::run),
+    ("e7", e7::run),
+    ("e8", e8::run),
+    ("e9", e9::run),
+    ("e10", e10::run),
+    ("e11", e11::run),
+    ("e12", e12::run),
+    ("e13", e13::run),
+    ("f1", f1::run),
+    ("f2", f2::run),
+    ("f3", f3::run),
+    ("f4", f4::run),
+    ("f5", f5::run),
+    ("f6", f6::run),
+    ("f8", f8::run),
+    ("f10", f10::run),
+];
+
+/// Runs every experiment, in report order.
 pub fn all() -> Vec<Table> {
-    vec![
-        e1::run(),
-        e2::run(),
-        e3::run(),
-        e4::run(),
-        e5::run(),
-        e6::run(),
-        e7::run(),
-        e8::run(),
-        e9::run(),
-        e10::run(),
-        e11::run(),
-        e12::run(),
-        e13::run(),
-        f1::run(),
-        f2::run(),
-        f3::run(),
-        f4::run(),
-        f5::run(),
-        f6::run(),
-        f8::run(),
-        f9::run(),
-        f10::run(),
-    ]
+    EXPERIMENTS.iter().map(|(_, run)| run()).collect()
 }
 
-/// Looks up one experiment by id (case-insensitive).
+/// Runs one experiment looked up by id (case-insensitive).
 pub fn by_id(id: &str) -> Option<Table> {
-    let run: fn() -> Table = match id.to_ascii_lowercase().as_str() {
-        "e1" => e1::run,
-        "e2" => e2::run,
-        "e3" => e3::run,
-        "e4" => e4::run,
-        "e5" => e5::run,
-        "e6" => e6::run,
-        "e7" => e7::run,
-        "e8" => e8::run,
-        "e9" => e9::run,
-        "e10" => e10::run,
-        "e11" => e11::run,
-        "e12" => e12::run,
-        "e13" => e13::run,
-        "f1" => f1::run,
-        "f2" => f2::run,
-        "f3" => f3::run,
-        "f4" => f4::run,
-        "f5" => f5::run,
-        "f6" => f6::run,
-        "f8" => f8::run,
-        "f9" => f9::run,
-        "f10" => f10::run,
-        _ => return None,
-    };
-    Some(run())
+    lookup(id).map(|run| run())
 }
 
 /// All experiment ids, in report order.
-pub const IDS: [&str; 22] = [
-    "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "f1", "f2",
-    "f3", "f4", "f5", "f6", "f8", "f9", "f10",
-];
+pub fn ids() -> impl Iterator<Item = &'static str> {
+    EXPERIMENTS.iter().map(|&(id, _)| id)
+}
+
+fn lookup(id: &str) -> Option<fn() -> Table> {
+    EXPERIMENTS
+        .iter()
+        .find(|(known, _)| known.eq_ignore_ascii_case(id))
+        .map(|&(_, run)| run)
+}
 
 /// The per-strategy row every comparison table shares: run the query, report
 /// answers / facts / calls / inference counters / time.
@@ -154,10 +140,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn by_id_finds_every_listed_experiment() {
-        // Only check resolution, not execution (the full suite runs in the
-        // harness integration test).
-        assert!(by_id("nope").is_none());
-        assert!(IDS.contains(&"e3"));
+    fn every_listed_id_resolves_without_running() {
+        let ids: Vec<&str> = ids().collect();
+        assert_eq!(ids.len(), 21);
+        for (i, id) in ids.iter().enumerate() {
+            assert!(!ids[..i].contains(id), "duplicate id {id}");
+            assert!(lookup(id).is_some(), "{id}");
+            assert!(lookup(&id.to_ascii_uppercase()).is_some(), "{id}");
+        }
+        assert!(lookup("nope").is_none());
+        assert!(lookup("f9").is_none(), "F9 is retired");
     }
 }

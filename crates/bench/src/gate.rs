@@ -30,10 +30,11 @@ const BAND: f64 = 0.8;
 
 /// Every CI perf gate. F6 asserts the arena and legacy engines agree
 /// counter for counter before timing, F8 that recovery reproduces the
-/// writer's fact count, F9 that every reply matched its epoch's oracle, F10
-/// that counting == DRed == recompute — so each gate is also a release-mode
-/// correctness check.
-pub const GATES: [Gate; 4] = [
+/// writer's fact count, F10 that counting == DRed == recompute — so each
+/// gate is also a release-mode correctness check. Serving throughput is not
+/// gated here: the `e2e` benchmark's `serve.*` workloads measure it over
+/// real TCP.
+pub const GATES: [Gate; 3] = [
     Gate {
         id: "F6",
         column: "arena_facts_per_sec",
@@ -47,13 +48,6 @@ pub const GATES: [Gate; 4] = [
         row: &[("workload", "edbload(200000)")],
         floor: None,
         must_be_yes: None,
-    },
-    Gate {
-        id: "F9",
-        column: "qps",
-        row: &[("workload", "clients(1)")],
-        floor: None,
-        must_be_yes: Some("consistent"),
     },
     Gate {
         id: "F10",

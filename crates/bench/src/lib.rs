@@ -10,8 +10,8 @@
 //! cargo run --release -p alexander-bench --bin harness -- --json # JSON
 //! ```
 //!
-//! Wall-clock *microbenchmarks* (Criterion) live in `benches/` and cover
-//! the figure sweeps; the tables report counters plus one-shot timings.
+//! The tables report counters plus one-shot timings; end-to-end serving is
+//! measured by the separate `e2e` benchmark package, not here.
 
 pub mod alloc;
 #[cfg(feature = "failpoints")]

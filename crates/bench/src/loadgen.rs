@@ -1,7 +1,7 @@
 //! Load-driver client for the serving layer: a minimal line-protocol TCP
-//! client, a single-threaded consistency oracle, and latency summarising
-//! helpers. The `loadgen` binary (CI's server soak) and experiment F9 both
-//! build on these.
+//! client that honours the shed contract, and a single-threaded consistency
+//! oracle. The chaos soak (`chaos.rs`, `--bin chaos`) drives the server
+//! through these.
 //!
 //! The workload is the append-only chain: the EDB starts as
 //! `par(n0,n1) … par(n{base-1},n{base})` and generation `g` appends the edge
@@ -246,34 +246,6 @@ impl Client {
             std::thread::sleep(Duration::from_millis(wait));
         }
     }
-
-    /// Issues `COMMIT`; returns the published generation.
-    pub fn commit(&mut self) -> io::Result<u64> {
-        let lines = self.request("COMMIT")?;
-        let terminal = lines.last().cloned().unwrap_or_default();
-        // "OK epoch <g> committed <n>"
-        terminal
-            .strip_prefix("OK epoch ")
-            .and_then(|r| r.split_whitespace().next())
-            .and_then(|g| g.parse().ok())
-            .ok_or_else(|| {
-                io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("malformed commit reply: {terminal}"),
-                )
-            })
-    }
-}
-
-/// The `p`-th percentile (0..=100) of an unsorted latency sample, in ms.
-/// Returns 0 for an empty sample.
-pub fn percentile_ms(latencies: &mut [Duration], p: f64) -> f64 {
-    if latencies.is_empty() {
-        return 0.0;
-    }
-    latencies.sort_unstable();
-    let rank = ((p / 100.0) * (latencies.len() - 1) as f64).round() as usize;
-    latencies[rank.min(latencies.len() - 1)].as_secs_f64() * 1e3
 }
 
 #[cfg(test)]
@@ -325,16 +297,5 @@ mod tests {
         let before = s;
         jitter(&mut s, 10);
         assert_ne!(s, before, "state must advance");
-    }
-
-    #[test]
-    fn percentiles_handle_edges() {
-        assert_eq!(percentile_ms(&mut [], 99.0), 0.0);
-        let mut one = [Duration::from_millis(5)];
-        assert_eq!(percentile_ms(&mut one, 50.0), 5.0);
-        let mut many: Vec<Duration> = (1..=100).map(Duration::from_millis).collect();
-        assert_eq!(percentile_ms(&mut many, 99.0), 99.0);
-        assert_eq!(percentile_ms(&mut many, 0.0), 1.0);
-        assert_eq!(percentile_ms(&mut many, 100.0), 100.0);
     }
 }

@@ -1,6 +1,7 @@
 //! End-to-end serving tests: the TCP listener and the durable writer, both
 //! driven exactly as a client would.
 
+use alexander_core::{Engine, Strategy};
 use alexander_parser::{parse, parse_atom};
 use alexander_server::{serve_tcp, serve_unix, QueryService, ServerConfig, SessionEnd};
 use alexander_storage::Database;
@@ -116,6 +117,61 @@ fn stats_over_tcp_reports_listener_and_service_counters() {
     assert_eq!(value("admission.shed"), 0);
     assert_eq!(value("health.degradations"), 0);
     assert_eq!(value("health.heals"), 0);
+    handle.shutdown();
+}
+
+#[test]
+fn a_saturated_server_sheds_over_tcp_and_the_retry_is_answered() {
+    let program = parse(&format!("{RULES} par(a, b). par(b, c)."))
+        .unwrap()
+        .program;
+    let config = ServerConfig {
+        max_concurrent: 1,
+        tenant_cap: 1,
+        max_queue: 0,
+        shed_retry_after_ms: 7,
+        ..ServerConfig::default()
+    };
+    let service =
+        Arc::new(QueryService::open(program.clone(), Database::new(), None, config).unwrap());
+    // Hold the only slot before any session starts, so the first query has
+    // nowhere to run and no queue to wait in.
+    let slot = service.admission().acquire("hog");
+    let handle = serve_tcp(service.clone(), "127.0.0.1:0").unwrap();
+    let mut conn = BufReader::new(TcpStream::connect(handle.tcp_addr().unwrap()).unwrap());
+
+    let shed = exchange(&mut conn, "QUERY anc(a, X)");
+    let [terminal] = &shed[..] else {
+        panic!("a shed query answers only its terminal: {shed:?}");
+    };
+    let hint: u64 = terminal
+        .strip_prefix("ERR BUSY retry-after-ms=")
+        .unwrap_or_else(|| panic!("{terminal}"))
+        .parse()
+        .unwrap();
+    assert!(hint >= 7, "{terminal}");
+
+    let stats = exchange(&mut conn, "STATS");
+    assert!(
+        stats.iter().any(|l| l == "STAT admission.shed 1"),
+        "{stats:?}"
+    );
+
+    // Once the slot frees, the same session's retry is answered in full.
+    drop(slot);
+    let q = parse_atom("anc(a, X)").unwrap();
+    let fresh = Engine::new(program, Database::new())
+        .unwrap()
+        .query(&q, Strategy::Alexander)
+        .unwrap();
+    assert_eq!(fresh.answers.len(), 2);
+    let mut expected: Vec<String> = fresh
+        .answers
+        .iter()
+        .map(|a| format!("ANSWER {a}"))
+        .collect();
+    expected.push(format!("OK {} epoch 0 complete", fresh.answers.len()));
+    assert_eq!(exchange(&mut conn, "QUERY anc(a, X)"), expected);
     handle.shutdown();
 }
 
