@@ -5,9 +5,11 @@ use alexander_eval::{
     eval_conditional_opts, eval_naive_opts, eval_seminaive_opts, eval_stratified_opts, Budget,
     CancelHandle, Completion, Consumption, EvalError, EvalOptions,
 };
-use alexander_ir::{match_atom, Atom, Polarity, Predicate, Program, Subst};
+use alexander_ir::{
+    match_atom, sort_atoms, sort_rows, Atom, Const, Polarity, Predicate, Program, Subst, Symbol,
+};
 use alexander_parser::{parse, ParseError};
-use alexander_storage::Database;
+use alexander_storage::{row_atom, Database};
 use alexander_topdown::{
     oldt_query_opts, qsqr_query_opts, OldtError, OldtMetrics, OldtOptions, QsqrError, QsqrOptions,
 };
@@ -188,7 +190,7 @@ impl Engine {
     pub fn query(&self, query: &Atom, strategy: Strategy) -> Result<QueryResult, EngineError> {
         // Extensional queries are lookups under every strategy.
         if !self.program.is_idb(query.predicate()) {
-            let answers = filter_matching(self.edb.atoms_of(query.predicate()), query);
+            let answers = answers(&self.edb, query, query.pred);
             return Ok(QueryResult {
                 answers,
                 strategy,
@@ -211,7 +213,7 @@ impl Engine {
             }
             Strategy::ConditionalFixpoint => {
                 let r = eval_conditional_opts(&self.program, &self.edb, self.opts.clone())?;
-                let undefined_matching: Vec<Atom> = filter_matching(r.undefined.clone(), query);
+                let undefined_matching = normalise(matching(&r.undefined, query));
                 if !undefined_matching.is_empty() {
                     return Err(EngineError::UndefinedAnswers(undefined_matching));
                 }
@@ -287,7 +289,7 @@ impl Engine {
         metrics: alexander_eval::EvalMetrics,
         completion: Completion,
     ) -> QueryResult {
-        let answers = filter_matching(db.atoms_of(query.predicate()), query);
+        let answers = answers(&db, query, query.pred);
         QueryResult {
             answers,
             strategy,
@@ -327,20 +329,12 @@ impl Engine {
             (r.db, r.metrics, r.undefined, r.completion)
         };
 
-        let raw = alexander_transform::query_answers(&db, &rw.query);
-        let undefined_matching = filter_matching_pattern(&undefined, &rw.query);
+        let undefined_matching = matching(&undefined, &rw.query);
         if !undefined_matching.is_empty() {
             return Err(EngineError::UndefinedAnswers(undefined_matching));
         }
         // Map back: same terms, original predicate name.
-        let answers = normalise(
-            raw.into_iter()
-                .map(|a| Atom {
-                    pred: query.pred,
-                    terms: a.terms,
-                })
-                .collect(),
-        );
+        let answers = answers(&db, &rw.query, query.pred);
         let calls = db.len_of(rw.call_pred) as u64;
         Ok(QueryResult {
             answers,
@@ -376,33 +370,29 @@ fn topdown_consumption(m: &OldtMetrics, restarts: u64) -> Consumption {
     }
 }
 
-fn filter_matching(atoms: Vec<Atom>, pattern: &Atom) -> Vec<Atom> {
-    normalise(
-        atoms
-            .into_iter()
-            .filter(|a| {
-                let mut s = Subst::new();
-                match_atom(pattern, a, &mut s)
-            })
-            .collect(),
-    )
+/// The instances of `pattern` stored in `db`, in `Atom` order, as atoms
+/// over `pred` (a rewritten answer predicate maps back to the query's).
+/// Only matching rows become atoms, and a relation holds no duplicates.
+fn answers(db: &Database, pattern: &Atom, pred: Symbol) -> Vec<Atom> {
+    let mut rows: Vec<&[Const]> = db.matching(pattern).collect();
+    sort_rows(&mut rows);
+    rows.into_iter().map(|row| row_atom(pred, row)).collect()
 }
 
-fn filter_matching_pattern(atoms: &[Atom], pattern: &Atom) -> Vec<Atom> {
+/// The atoms of a (short) undefined list that are instances of `pattern`.
+fn matching(atoms: &[Atom], pattern: &Atom) -> Vec<Atom> {
     atoms
         .iter()
         .filter(|a| {
-            a.predicate() == pattern.predicate() && {
-                let mut s = Subst::new();
-                match_atom(pattern, a, &mut s)
-            }
+            a.predicate() == pattern.predicate() && match_atom(pattern, a, &mut Subst::new())
         })
         .cloned()
         .collect()
 }
 
+/// Top-down answers arrive unordered and possibly repeated.
 fn normalise(mut atoms: Vec<Atom>) -> Vec<Atom> {
-    atoms.sort();
+    sort_atoms(&mut atoms);
     atoms.dedup();
     atoms
 }

@@ -34,6 +34,7 @@
 
 pub mod adornment;
 pub mod analysis;
+pub mod answer;
 pub mod atom;
 pub mod builtin;
 pub mod hash;
@@ -46,6 +47,7 @@ pub mod term;
 pub mod unify;
 
 pub use adornment::{AdornedPredicate, Adornment, Bf};
+pub use answer::{render_atoms, sort_atoms, sort_rows};
 pub use atom::{atom, Atom, Predicate};
 pub use builtin::Builtin;
 pub use hash::{hash_row, FxBuildHasher, FxHashMap, FxHashSet, FxHasher, RowHasher};

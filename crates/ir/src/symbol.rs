@@ -34,7 +34,8 @@ impl Ord for Symbol {
         if self.0 == other.0 {
             return std::cmp::Ordering::Equal;
         }
-        self.as_str().cmp(other.as_str())
+        let names = Names::lock();
+        names.get(*self).cmp(names.get(*other))
     }
 }
 
@@ -81,6 +82,22 @@ fn write_interner() -> std::sync::RwLockWriteGuard<'static, Interner> {
     interner().write().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// A read view of the interner: any number of symbols resolved under one
+/// read guard. Holding it blocks interning on every thread, so keep it
+/// short; and never intern or call [`Symbol::as_str`] on the thread that
+/// holds it — behind a queued writer, the second read would deadlock.
+pub(crate) struct Names(std::sync::RwLockReadGuard<'static, Interner>);
+
+impl Names {
+    pub(crate) fn lock() -> Names {
+        Names(read_interner())
+    }
+
+    pub(crate) fn get(&self, s: Symbol) -> &'static str {
+        self.0.names[s.0 as usize]
+    }
+}
+
 impl Symbol {
     /// Interns `s`, returning its symbol. Idempotent.
     pub fn intern(s: &str) -> Symbol {
@@ -93,7 +110,7 @@ impl Symbol {
 
     /// The interned string.
     pub fn as_str(self) -> &'static str {
-        read_interner().names[self.0 as usize]
+        Names::lock().get(self)
     }
 
     /// The raw id, useful as a dense array index in analyses.
@@ -166,6 +183,30 @@ mod tests {
     fn display_roundtrips() {
         let s = Symbol::intern("same_generation");
         assert_eq!(s.to_string(), "same_generation");
+    }
+
+    #[test]
+    fn order_is_lexical_whatever_the_interning_order() {
+        // Interned in reverse lexical order, so ids ascend as strings descend.
+        let names = [
+            "sym_order_c",
+            "sym_order_b10",
+            "sym_order_b9",
+            "sym_order_a",
+        ];
+        let mut syms: Vec<Symbol> = names.iter().map(|n| Symbol::intern(n)).collect();
+        assert!(syms.windows(2).all(|w| w[0].id() < w[1].id()));
+        syms.sort();
+        let got: Vec<&str> = syms.iter().map(|s| s.as_str()).collect();
+        assert_eq!(
+            got,
+            [
+                "sym_order_a",
+                "sym_order_b10",
+                "sym_order_b9",
+                "sym_order_c"
+            ]
+        );
     }
 
     #[test]

@@ -29,7 +29,7 @@ use crate::health::{Health, ServerState};
 use alexander_core::{Engine, Strategy};
 use alexander_durable::{DurableEngine, DurableError};
 use alexander_eval::{Budget, CancelHandle};
-use alexander_ir::{Atom, Program};
+use alexander_ir::{render_atoms, Atom, Program};
 use alexander_storage::Database;
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -318,7 +318,7 @@ impl QueryService {
         Ok(QueryResponse {
             generation: epoch.generation(),
             strategy,
-            answers: r.answers.iter().map(|a| a.to_string()).collect(),
+            answers: render_atoms(&r.answers),
             complete: r.report.completion.is_complete(),
             completion: r.report.completion.to_string(),
         })

@@ -83,6 +83,46 @@ fn tcp_sessions_speak_the_protocol_end_to_end() {
 }
 
 #[test]
+fn tcp_replies_are_the_engine_answers_rendered_by_display() {
+    let facts = "par(a, b). par(b, c). par(c, d). par(d, b). par(z, a).
+                 par(a, 10). par(a, 9). par(a, -1). par(a, z_1).";
+    let program = parse(&format!("{RULES} {facts}")).unwrap().program;
+    let fresh = Engine::new(program, Database::new()).unwrap();
+    let handle = serve_tcp(service(facts), "127.0.0.1:0").unwrap();
+    let mut conn = BufReader::new(TcpStream::connect(handle.tcp_addr().unwrap()).unwrap());
+    for q in ["anc(X, X)", "anc(a, d)", "anc(d, a)", "par(a, X)"] {
+        let answers = fresh
+            .query(&parse_atom(q).unwrap(), Strategy::Alexander)
+            .unwrap()
+            .answers;
+        let mut want: Vec<String> = answers.iter().map(|a| format!("ANSWER {a}")).collect();
+        want.push(format!("OK {} epoch 0 complete", answers.len()));
+        assert_eq!(exchange(&mut conn, &format!("QUERY {q}")), want, "{q}");
+    }
+    // Integers first, numerically; then symbols by string.
+    assert_eq!(
+        exchange(&mut conn, "QUERY par(a, X)")[..5],
+        [
+            "ANSWER par(a, -1)",
+            "ANSWER par(a, 9)",
+            "ANSWER par(a, 10)",
+            "ANSWER par(a, b)",
+            "ANSWER par(a, z_1)"
+        ]
+    );
+    assert_eq!(
+        exchange(&mut conn, "QUERY anc(X, X)"),
+        [
+            "ANSWER anc(b, b)",
+            "ANSWER anc(c, c)",
+            "ANSWER anc(d, d)",
+            "OK 3 epoch 0 complete"
+        ]
+    );
+    handle.shutdown();
+}
+
+#[test]
 fn stats_over_tcp_reports_listener_and_service_counters() {
     let handle = serve_tcp(service("par(adam, seth)."), "127.0.0.1:0").unwrap();
     let addr = handle.tcp_addr().unwrap();

@@ -159,6 +159,14 @@ impl Database {
             .unwrap_or_default()
     }
 
+    /// The stored rows of `pattern`'s predicate that are instances of it,
+    /// without building an atom (see [`Relation::matching`]).
+    pub fn matching<'a>(&'a self, pattern: &'a Atom) -> impl Iterator<Item = &'a [Const]> + 'a {
+        self.relation(pattern.predicate())
+            .into_iter()
+            .flat_map(|r| r.matching(&pattern.terms))
+    }
+
     /// Merges every tuple of `other` into `self`; returns the number of new
     /// tuples. Rows are appended to the target arenas in `other`'s
     /// insertion order, so after a semi-naive merge the round's new facts
@@ -207,10 +215,17 @@ impl Database {
         added
     }
 
-    /// Ensures an index on `pred` for `mask` (no-op if the relation is
-    /// absent; it will be created on first insert and indexed then via
-    /// `ensure_index` being called again by the planner).
+    /// Ensures an index on `pred` for `mask`. An absent relation is created
+    /// empty and indexed, so later inserts maintain the index. A relation
+    /// that already has it is left alone: a clone sharing its arena stays
+    /// shared instead of being copied for nothing.
     pub fn ensure_index(&mut self, pred: Predicate, mask: Mask) {
+        if self
+            .relation(pred)
+            .is_some_and(|r| mask.is_empty() || r.has_index(mask))
+        {
+            return;
+        }
         self.relation_mut(pred).ensure_index(mask);
     }
 
@@ -385,7 +400,7 @@ impl fmt::Debug for Database {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tuple::tuple_of_syms;
+    use crate::tuple::{row_atom, tuple_of_syms};
     use alexander_ir::{atom, Term};
 
     #[test]
@@ -537,6 +552,84 @@ mod tests {
         assert_eq!(epoch2.len_of(f), 1);
         assert_eq!(db.len_of(f), 0);
         assert!(!db.shares_relation(&epoch2, f));
+    }
+
+    #[test]
+    fn ensure_index_copies_a_shared_relation_only_to_add_an_index() {
+        let e = Predicate::new("e", 2);
+        let col0 = Mask::of_columns(&[0]);
+        let mut db = Database::new();
+        db.insert(e, tuple_of_syms(&["a", "b"]));
+        db.ensure_index(e, col0);
+
+        // The clone already carries the index: nothing to build, nothing copied.
+        let mut indexed = db.clone();
+        indexed.ensure_index(e, col0);
+        indexed.ensure_index(e, Mask(0));
+        assert!(indexed.shares_relation(&db, e));
+
+        // A missing index still copies, and the other clone keeps its view.
+        let col1 = Mask::of_columns(&[1]);
+        let mut extended = db.clone();
+        extended.ensure_index(e, col1);
+        assert!(!extended.shares_relation(&db, e));
+        assert!(extended.relation(e).unwrap().has_index(col1));
+        assert!(!db.relation(e).unwrap().has_index(col1));
+        assert_eq!(db.len_of(e), 1);
+
+        // An absent relation is created, indexed, and maintained on insert.
+        let ghost = Predicate::new("ghost", 1);
+        db.ensure_index(ghost, col0);
+        db.insert(ghost, tuple_of_syms(&["g"]));
+        assert_eq!(
+            db.relation(ghost)
+                .unwrap()
+                .select(col0, &[Const::sym("g")])
+                .len(),
+            1
+        );
+    }
+
+    #[test]
+    fn matching_filters_constants_and_repeated_variables() {
+        let p = Predicate::new("p", 3);
+        let mut db = Database::new();
+        for (a, b, c) in [
+            ("a", "a", "x"),
+            ("a", "b", "x"),
+            ("b", "b", "y"),
+            ("a", "a", "y"),
+        ] {
+            db.insert(p, tuple_of_syms(&[a, b, c]));
+        }
+        let rows = |db: &Database, q: &str| -> Vec<String> {
+            let terms: Vec<Term> = q
+                .split(',')
+                .map(|t| match t {
+                    "X" | "Y" => Term::var(t),
+                    _ => Term::sym(t),
+                })
+                .collect();
+            let pattern = atom("p", terms);
+            db.matching(&pattern)
+                .map(|r| row_atom(pattern.pred, r).to_string())
+                .collect()
+        };
+        assert_eq!(
+            rows(&db, "X,X,Y"),
+            ["p(a, a, x)", "p(b, b, y)", "p(a, a, y)"]
+        );
+        assert_eq!(
+            rows(&db, "a,X,Y"),
+            ["p(a, a, x)", "p(a, b, x)", "p(a, a, y)"]
+        );
+        assert_eq!(rows(&db, "X,X,y"), ["p(b, b, y)", "p(a, a, y)"]);
+        assert_eq!(rows(&db, "a,b,x"), ["p(a, b, x)"]);
+        assert!(rows(&db, "c,X,Y").is_empty());
+        // Absent predicates and wrong arities match nothing.
+        assert_eq!(db.matching(&atom("q", [Term::var("X")])).count(), 0);
+        let rel = db.relation(p).unwrap();
+        assert_eq!(rel.matching(&[Term::var("X")]).count(), 0);
     }
 
     #[test]

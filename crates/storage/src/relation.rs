@@ -33,7 +33,7 @@
 //!   never a from-scratch rebuild.
 
 use crate::tuple::Tuple;
-use alexander_ir::{hash_row, Const, FxHashMap, RowHasher};
+use alexander_ir::{hash_row, Const, FxHashMap, RowHasher, Term};
 use std::fmt;
 
 /// A binding pattern over argument positions, as a bitmask: bit `i` set means
@@ -770,6 +770,20 @@ impl Relation {
         )
     }
 
+    /// The rows that match `pattern`, a query atom's arguments: equal to
+    /// each constant, and equal across the columns of a repeated variable.
+    /// One scan in id order that allocates nothing; a pattern of the wrong
+    /// arity matches nothing.
+    pub fn matching<'a>(&'a self, pattern: &'a [Term]) -> impl Iterator<Item = &'a [Const]> + 'a {
+        let end = if pattern.len() == self.arity {
+            self.len
+        } else {
+            0
+        };
+        self.rows_in(0, end)
+            .filter(move |row| row_matches(pattern, row))
+    }
+
     /// All tuples matching `key` under `mask`, materialised (convenience for
     /// tests).
     pub fn select(&self, mask: Mask, key: &[Const]) -> Vec<Tuple> {
@@ -958,6 +972,19 @@ impl<'r> IndexProbe<'r> {
         let ids = self.index.probe(hash, |rid| self.rel.row(rid), key_eq);
         narrow(ids, range, self.rel.len)
     }
+}
+
+/// True iff `row` is an instance of `pattern` (see [`Relation::matching`]).
+#[inline]
+fn row_matches(pattern: &[Term], row: &[Const]) -> bool {
+    pattern.iter().enumerate().all(|(i, &t)| match t {
+        Term::Const(c) => row[i] == c,
+        // A repeated variable must take the value its first occurrence took.
+        Term::Var(_) => pattern[..i]
+            .iter()
+            .position(|&u| u == t)
+            .is_none_or(|j| row[j] == row[i]),
+    })
 }
 
 /// Restricts an ascending posting list to the id range `[lo, hi)`. Deltas

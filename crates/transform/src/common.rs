@@ -56,14 +56,11 @@ pub fn seed_atom(prefix: &str, query: &Atom, ap: &AdornedPredicate) -> Atom {
 /// returning the matching ground atoms. This is how answers are read off a
 /// saturated database: the answer relation holds answers to *every*
 /// subquery of the same adornment, and the pattern's constants select the
-/// original query's.
+/// original query's. Only matching rows become atoms; they come in the
+/// relation's id order.
 pub fn query_answers(db: &alexander_storage::Database, pattern: &Atom) -> Vec<Atom> {
-    db.atoms_of(pattern.predicate())
-        .into_iter()
-        .filter(|a| {
-            let mut s = alexander_ir::Subst::new();
-            alexander_ir::match_atom(pattern, a, &mut s)
-        })
+    db.matching(pattern)
+        .map(|row| alexander_storage::row_atom(pattern.pred, row))
         .collect()
 }
 
