@@ -1,5 +1,5 @@
 //! F8 (figure): durability costs — snapshot size and write/load time, and
-//! cold-start recovery (snapshot + WAL replay + re-materialisation) vs EDB
+//! cold-start recovery (snapshot + WAL replay, then materialisation) vs EDB
 //! size.
 //!
 //! Two kinds of rows:
@@ -7,9 +7,11 @@
 //! * `reach(nodes,edges)` — single-source reachability over a random graph.
 //!   The run commits the bulk of the edges up front, checkpoints, appends a
 //!   slice of the edges as committed WAL batches, then recovers from disk
-//!   and times the full cold start (read snapshot → re-materialise →
-//!   replay). Recovery re-derives the IDB from scratch, so `recover_ms`
-//!   bounds the restart latency a durable deployment would see.
+//!   and times the full cold start of a `DurableEngine` (read snapshot →
+//!   fold in the WAL batches → materialise). The store's recovery derives
+//!   nothing; the engine then re-derives the IDB from scratch, so
+//!   `recover_ms` bounds the restart latency of a deployment that serves a
+//!   materialised view.
 //! * `edbload(n)` — a facts-only database (no rules): isolates the snapshot
 //!   codec itself. Its `load_facts_per_sec` (best-of-reps decode throughput)
 //!   is the number the CI perf gate tracks against the committed
@@ -45,11 +47,11 @@ pub fn run_with(graphs: &[(usize, usize)], load_facts: usize, reps: usize) -> Ta
         "F8",
         "figure: snapshot + WAL durability — cold-start load and recovery time vs EDB size",
         "Reachability rows build a random-graph EDB, commit most edges before \
-         a checkpoint and the rest as WAL batches, then time a cold-start \
-         recovery: read + validate the checksummed snapshot, re-materialise \
-         the program over it, and replay the committed batches. Derived \
-         facts are never persisted — recovery recomputes them, so \
-         `recover_ms` includes re-derivation. The `edbload` row has no \
+         a checkpoint and the rest as WAL batches, then time a cold start: \
+         read + validate the checksummed snapshot and fold in the committed \
+         batches (recovery itself derives nothing), then materialise the \
+         program over the recovered EDB. Derived facts are never persisted, \
+         so `recover_ms` includes re-derivation. The `edbload` row has no \
          rules: its `load_facts_per_sec` is pure snapshot-decode throughput \
          (best-of-reps) and is the row the CI perf gate pins against the \
          committed BENCH_F8.json (20% band, best-of-2).",

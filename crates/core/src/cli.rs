@@ -418,7 +418,9 @@ pub fn run(source: &str, opts: &CliOptions) -> Result<String, String> {
             let contents = alexander_durable::read_wal(std::path::Path::new(wal_path))
                 .map_err(|e| e.to_string())?;
             let records: usize = contents.batches.iter().map(|b| b.records.len()).sum();
-            alexander_durable::apply_to_database(&contents.batches, &mut edb);
+            for batch in &contents.batches {
+                alexander_durable::apply_to_database(&batch.records, &mut edb);
+            }
             writeln!(
                 out,
                 "replayed {} committed batches ({records} records) from wal {wal_path}",

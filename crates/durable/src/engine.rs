@@ -1,17 +1,17 @@
-//! The durable engine: an [`IncrementalEngine`] whose EDB mutations survive
-//! crashes.
+//! The durable store — an extensional database whose mutations survive
+//! crashes — and the durable engine, which maintains the program's
+//! materialisation on top of one.
 //!
 //! ## Commit protocol (write-ahead)
 //!
-//! Mutations buffer in memory ([`DurableEngine::insert`] /
-//! [`DurableEngine::delete`]) and become visible only at
-//! [`DurableEngine::commit`]:
+//! Mutations buffer in memory ([`DurableStore::insert`] /
+//! [`DurableStore::delete`]) and become visible only at
+//! [`DurableStore::commit`]:
 //!
 //! 1. the batch is appended to the WAL as one checksummed, commit-marked
 //!    frame and **fsynced**;
-//! 2. only then is it applied to the in-memory engine — as **one** mixed
-//!    delta ([`IncrementalEngine::apply_batch`]): a single delete cascade
-//!    plus a single insertion fixpoint, not one fixpoint per record.
+//! 2. only then are its records applied, in order, to the in-memory EDB
+//!    ([`apply_to_database`]) — the same fold recovery replays.
 //!
 //! A crash before step 1 completes leaves a torn tail that recovery
 //! truncates — the batch never happened. A crash after step 1 leaves the
@@ -20,30 +20,41 @@
 //!
 //! ## Checkpoints
 //!
-//! [`DurableEngine::checkpoint`] writes the current EDB as a snapshot
+//! [`DurableStore::checkpoint`] writes the current EDB as a snapshot
 //! (atomically: temp file + rename) and then empties the WAL. If the
 //! snapshot write fails, nothing changed — the old snapshot and full WAL
 //! still recover. If the WAL truncation fails *after* the snapshot renamed,
 //! the pair on disk is still recoverable (replaying the old batches against
 //! the new snapshot converges: the log is a linear history and replay is
 //! idempotent), but appending new frames behind a stale log is not — so the
-//! engine poisons itself and every later mutation returns
+//! store poisons itself and every later mutation returns
 //! [`DurableError::Poisoned`]. Recover from disk to continue.
 //!
 //! ## Recovery
 //!
-//! [`DurableEngine::recover`] loads the snapshot, re-materialises the
-//! program over it, replays every committed WAL batch in sequence order
-//! (each batch as one mixed delta, mirroring the commit path), and
-//! truncates any torn tail. Derived (IDB) state is never persisted — it is
-//! recomputed, so a snapshot can never smuggle in facts the program does
-//! not justify.
+//! [`DurableStore::recover`] loads the snapshot, folds every committed WAL
+//! batch into it in sequence order (the same [`apply_to_database`] commit
+//! runs), and truncates any torn tail. Nothing is derived: the store holds
+//! the EDB of a committed prefix, and derived (IDB) state is a function of
+//! it — whoever evaluates the program over [`DurableStore::db`] recomputes
+//! it, so a snapshot can never smuggle in facts the program does not
+//! justify. The program is consulted only to keep intensional predicates
+//! out of the store.
+//!
+//! ## The durable engine
+//!
+//! [`DurableEngine`] is a store plus an [`IncrementalEngine`] over its EDB:
+//! each commit also applies the batch to the materialisation, and recovery
+//! materialises the recovered EDB once. The query server does not use it —
+//! its readers evaluate goal-directed over a store's EDB — so it is for
+//! callers that read the maintained view, such as the durability
+//! benchmarks.
 
 use crate::error::DurableError;
 use crate::snapshot::{read_snapshot, write_snapshot};
-use crate::wal::{read_wal, Op, Wal, WalRecord};
+use crate::wal::{apply_to_database, read_wal, Op, Wal, WalRecord};
 use alexander_eval::{EvalError, IncrementalEngine};
-use alexander_ir::{Atom, Program};
+use alexander_ir::{Atom, Predicate, Program};
 use alexander_storage::Database;
 use std::path::{Path, PathBuf};
 
@@ -60,32 +71,20 @@ pub struct RecoveryStats {
     pub torn_bytes_truncated: u64,
 }
 
-/// Net effect of one committed batch on the maintained database.
+/// One committed batch.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CommitStats {
     /// Sequence number the batch committed under (`None`: empty batch,
     /// nothing was written).
     pub seq: Option<u64>,
-    /// Facts added across the batch, derived facts included.
-    pub added: usize,
-    /// Net facts removed across the batch — base and derived, minus any
-    /// overdeletions the cascade rederived.
-    pub removed: usize,
+    /// Insert/delete records in the batch.
+    pub records: usize,
 }
 
-/// A WAL batch as the incremental engine's mixed-delta input
-/// (`true` = insert).
-fn batch_ops(records: &[WalRecord]) -> Vec<(bool, Atom)> {
-    records
-        .iter()
-        .map(|rec| (matches!(rec.op, Op::Insert), rec.atom()))
-        .collect()
-}
-
-/// A crash-safe incremental Datalog engine (see module docs for the
-/// protocol).
-pub struct DurableEngine {
-    engine: IncrementalEngine,
+/// A crash-safe extensional database (see module docs for the protocol).
+pub struct DurableStore {
+    program: Program,
+    edb: Database,
     wal: Wal,
     snapshot_path: PathBuf,
     pending: Vec<WalRecord>,
@@ -94,50 +93,88 @@ pub struct DurableEngine {
     poisoned: Option<&'static str>,
 }
 
-impl DurableEngine {
-    /// Starts a fresh durable store: writes `edb` as the initial snapshot,
-    /// creates an empty WAL, and materialises `program` over it. Existing
-    /// files at either path are replaced.
+/// Rejects a record for an intensional predicate: derived facts are never
+/// stored.
+fn extensional(program: &Program, pred: Predicate) -> Result<(), DurableError> {
+    if program.is_idb(pred) {
+        return Err(EvalError::IdbUpdate(pred).into());
+    }
+    Ok(())
+}
+
+/// `fact` as a record a store for `program` accepts: ground and
+/// extensional. Every mutation is checked here before it is buffered, so a
+/// commit can never log a record recovery would then reject — once a frame
+/// is fsynced it *will* be replayed.
+pub fn edb_record(program: &Program, op: Op, fact: &Atom) -> Result<WalRecord, DurableError> {
+    extensional(program, fact.predicate())?;
+    let values = fact.ground_args().ok_or_else(|| {
+        EvalError::Invalid(vec![alexander_ir::ProgramError::NonGroundFact {
+            fact: fact.to_string(),
+        }])
+    })?;
+    Ok(WalRecord {
+        op,
+        pred: fact.predicate(),
+        values,
+    })
+}
+
+impl DurableStore {
+    /// Starts a fresh durable store: writes `edb` as the initial snapshot
+    /// and creates an empty WAL. Existing files at either path are
+    /// replaced.
     pub fn create(
         program: Program,
         edb: Database,
         snapshot_path: &Path,
         wal_path: &Path,
-    ) -> Result<DurableEngine, DurableError> {
+    ) -> Result<DurableStore, DurableError> {
+        program.validate().map_err(EvalError::Invalid)?;
         write_snapshot(&edb, snapshot_path)?;
         let wal = Wal::create(wal_path)?;
-        let engine = IncrementalEngine::new(program, edb)?;
-        Ok(DurableEngine {
-            engine,
+        Ok(DurableStore::over(program, edb, wal, snapshot_path))
+    }
+
+    /// A usable handle: nothing pending, not poisoned.
+    fn over(program: Program, edb: Database, wal: Wal, snapshot_path: &Path) -> DurableStore {
+        DurableStore {
+            program,
+            edb,
             wal,
             snapshot_path: snapshot_path.to_path_buf(),
             pending: Vec::new(),
             poisoned: None,
-        })
+        }
     }
 
-    /// Rebuilds the engine from what is on disk: snapshot, then committed
-    /// WAL batches in order; any torn tail is truncated. The returned engine
-    /// is ready for new batches.
+    /// Rebuilds the EDB from what is on disk: snapshot, then committed WAL
+    /// batches in order; any torn tail is truncated. The returned store is
+    /// ready for new batches.
     ///
     /// This is also the escape hatch after a poisoned handle (see
-    /// [`DurableError::Poisoned`]): drop the poisoned engine and recover —
-    /// disk is authoritative, so the recovered engine reflects exactly the
+    /// [`DurableError::Poisoned`]): drop the poisoned store and recover —
+    /// disk is authoritative, so the recovered store reflects exactly the
     /// batches that committed before the failure.
     pub fn recover(
         program: Program,
         snapshot_path: &Path,
         wal_path: &Path,
-    ) -> Result<(DurableEngine, RecoveryStats), DurableError> {
-        let edb = read_snapshot(snapshot_path)?;
+    ) -> Result<(DurableStore, RecoveryStats), DurableError> {
+        program.validate().map_err(EvalError::Invalid)?;
+        let mut edb = read_snapshot(snapshot_path)?;
         let mut stats = RecoveryStats {
             snapshot_facts: edb.total_tuples(),
             ..RecoveryStats::default()
         };
-        let mut engine = IncrementalEngine::new(program, edb)?;
         let contents = read_wal(wal_path)?;
         for batch in &contents.batches {
-            engine.apply_batch(&batch_ops(&batch.records))?;
+            // A logged record can only name a derived predicate if the
+            // program changed underneath the log.
+            for rec in &batch.records {
+                extensional(&program, rec.pred)?;
+            }
+            apply_to_database(&batch.records, &mut edb);
             stats.records_replayed += batch.records.len();
             stats.batches_replayed += 1;
         }
@@ -148,30 +185,14 @@ impl DurableEngine {
             stats.torn_bytes_truncated = disk_len - contents.valid_len;
         }
         let wal = Wal::open_append(wal_path, &contents)?;
-        Ok((
-            DurableEngine {
-                engine,
-                wal,
-                snapshot_path: snapshot_path.to_path_buf(),
-                pending: Vec::new(),
-                poisoned: None,
-            },
-            stats,
-        ))
+        Ok((DurableStore::over(program, edb, wal, snapshot_path), stats))
     }
 
-    /// The maintained database (EDB + derived facts). Uncommitted buffered
-    /// mutations are *not* visible here — they apply at [`Self::commit`].
+    /// The committed EDB. Uncommitted buffered mutations are *not* visible
+    /// here — they apply at [`Self::commit`]. Cloning it is copy-on-write,
+    /// O(#relations): serving layers publish such clones as epochs.
     pub fn db(&self) -> &Database {
-        self.engine.db()
-    }
-
-    /// A copy of the extensional store only — what a snapshot would persist
-    /// (O(facts): rows are re-packed into a fresh database). Serving layers
-    /// call this once at open to seed their epoch chain, then mirror
-    /// committed mutations incrementally instead of re-extracting.
-    pub fn edb(&self) -> Database {
-        self.engine.edb()
+        &self.edb
     }
 
     /// Buffered (uncommitted) mutation count.
@@ -196,37 +217,25 @@ impl DurableEngine {
         Ok(())
     }
 
-    fn buffer(&mut self, rec: Option<WalRecord>, fact: &Atom) -> Result<(), DurableError> {
+    fn buffer(&mut self, op: Op, fact: &Atom) -> Result<(), DurableError> {
         self.check_usable()?;
-        let pred = fact.predicate();
-        if self.engine.program().is_idb(pred) {
-            return Err(EvalError::IdbUpdate(pred).into());
-        }
-        // Groundness is checked at buffer time so commit cannot log a record
-        // the engine would then reject: once a frame is fsynced it *will* be
-        // replayed.
-        let rec = rec.ok_or_else(|| {
-            EvalError::Invalid(vec![alexander_ir::ProgramError::NonGroundFact {
-                fact: fact.to_string(),
-            }])
-        })?;
-        self.pending.push(rec);
+        self.pending.push(edb_record(&self.program, op, fact)?);
         Ok(())
     }
 
     /// Buffers an EDB insertion for the next commit.
     pub fn insert(&mut self, fact: &Atom) -> Result<(), DurableError> {
-        self.buffer(WalRecord::insert(fact), fact)
+        self.buffer(Op::Insert, fact)
     }
 
     /// Buffers an EDB deletion for the next commit.
     pub fn delete(&mut self, fact: &Atom) -> Result<(), DurableError> {
-        self.buffer(WalRecord::delete(fact), fact)
+        self.buffer(Op::Delete, fact)
     }
 
     /// Commits the buffered batch: logs it durably, then applies it to the
-    /// engine. On any error the engine poisons itself (disk and memory can
-    /// no longer be proven to agree); the on-disk pair stays recoverable.
+    /// EDB. A failed append poisons the store (this handle cannot know how
+    /// much persisted); the on-disk pair stays recoverable.
     pub fn commit(&mut self) -> Result<CommitStats, DurableError> {
         self.check_usable()?;
         if self.pending.is_empty() {
@@ -242,20 +251,11 @@ impl DurableEngine {
                 return Err(e);
             }
         };
-        // invariant: records were validated at buffer time (ground,
-        // extensional), so the engine only fails here on internal errors —
-        // which still poison, keeping disk authoritative.
-        match self.engine.apply_batch(&batch_ops(&batch)) {
-            Ok(out) => Ok(CommitStats {
-                seq: Some(seq),
-                added: out.added,
-                removed: out.overdeleted - out.rederived,
-            }),
-            Err(e) => {
-                self.poisoned = Some("commit: engine apply");
-                Err(e.into())
-            }
-        }
+        apply_to_database(&batch, &mut self.edb);
+        Ok(CommitStats {
+            seq: Some(seq),
+            records: batch.len(),
+        })
     }
 
     /// Writes the current EDB as a fresh snapshot and empties the WAL.
@@ -275,7 +275,7 @@ impl DurableEngine {
         }
         // Atomic: on failure the old snapshot is intact and the WAL still
         // holds every batch, so nothing is poisoned.
-        write_snapshot(&self.engine.edb(), &self.snapshot_path)?;
+        write_snapshot(&self.edb, &self.snapshot_path)?;
         // The snapshot now covers everything in the log. If this truncation
         // fails the pair is STILL recoverable (replay converges), but new
         // appends behind a stale log would not be — poison.
@@ -284,6 +284,84 @@ impl DurableEngine {
             return Err(e);
         }
         Ok(())
+    }
+}
+
+/// A [`DurableStore`] with the program's materialisation maintained on top
+/// (see module docs). Definite programs only, as [`IncrementalEngine`].
+pub struct DurableEngine {
+    store: DurableStore,
+    view: IncrementalEngine,
+}
+
+impl DurableEngine {
+    /// Materialises `program` over `edb`, then starts a fresh durable store
+    /// from `edb` (see [`DurableStore::create`]).
+    pub fn create(
+        program: Program,
+        edb: Database,
+        snapshot_path: &Path,
+        wal_path: &Path,
+    ) -> Result<DurableEngine, DurableError> {
+        let view = IncrementalEngine::new(program.clone(), edb.clone())?;
+        let store = DurableStore::create(program, edb, snapshot_path, wal_path)?;
+        Ok(DurableEngine { store, view })
+    }
+
+    /// Recovers the store from disk (see [`DurableStore::recover`]), then
+    /// materialises the program over the recovered EDB.
+    pub fn recover(
+        program: Program,
+        snapshot_path: &Path,
+        wal_path: &Path,
+    ) -> Result<(DurableEngine, RecoveryStats), DurableError> {
+        let (store, stats) = DurableStore::recover(program.clone(), snapshot_path, wal_path)?;
+        let view = IncrementalEngine::new(program, store.db().clone())?;
+        Ok((DurableEngine { store, view }, stats))
+    }
+
+    /// The maintained database (EDB + derived facts), as of the last
+    /// commit.
+    pub fn db(&self) -> &Database {
+        self.view.db()
+    }
+
+    /// Bytes of committed WAL, header included.
+    pub fn wal_len(&self) -> u64 {
+        self.store.wal_len()
+    }
+
+    /// Buffers an EDB insertion for the next commit.
+    pub fn insert(&mut self, fact: &Atom) -> Result<(), DurableError> {
+        self.store.insert(fact)
+    }
+
+    /// Buffers an EDB deletion for the next commit.
+    pub fn delete(&mut self, fact: &Atom) -> Result<(), DurableError> {
+        self.store.delete(fact)
+    }
+
+    /// Commits the buffered batch to the store, then applies it to the
+    /// materialisation as one mixed delta.
+    pub fn commit(&mut self) -> Result<CommitStats, DurableError> {
+        let ops: Vec<(bool, Atom)> = self
+            .store
+            .pending
+            .iter()
+            .map(|r| (r.op == Op::Insert, r.atom()))
+            .collect();
+        let stats = self.store.commit()?;
+        // invariant: the store checked every record at buffer time (ground,
+        // extensional), which is all `apply_batch` rejects.
+        self.view
+            .apply_batch(&ops)
+            .expect("committed records are ground and extensional");
+        Ok(stats)
+    }
+
+    /// Checkpoints the store (see [`DurableStore::checkpoint`]).
+    pub fn checkpoint(&mut self) -> Result<(), DurableError> {
+        self.store.checkpoint()
     }
 }
 
@@ -330,18 +408,19 @@ mod tests {
     #[test]
     fn commit_then_recover_roundtrips() {
         let (sp, wp) = paths("rt");
-        let mut eng = DurableEngine::create(tc_program(), Database::new(), &sp, &wp).unwrap();
+        let mut eng = DurableStore::create(tc_program(), Database::new(), &sp, &wp).unwrap();
         eng.insert(&edge("a", "b")).unwrap();
         eng.insert(&edge("b", "c")).unwrap();
         let st = eng.commit().unwrap();
         assert_eq!(st.seq, Some(1));
-        assert!(st.added >= 2 + 3, "derived paths counted, got {}", st.added);
+        assert_eq!(st.records, 2);
         eng.delete(&edge("b", "c")).unwrap();
         eng.commit().unwrap();
         let want = snap(eng.db());
+        assert_eq!(want, ["edge(a, b)"], "the store holds the EDB only");
         drop(eng);
 
-        let (rec, stats) = DurableEngine::recover(tc_program(), &sp, &wp).unwrap();
+        let (rec, stats) = DurableStore::recover(tc_program(), &sp, &wp).unwrap();
         assert_eq!(snap(rec.db()), want);
         assert_eq!(stats.batches_replayed, 2);
         assert_eq!(stats.records_replayed, 3);
@@ -353,7 +432,7 @@ mod tests {
     #[test]
     fn checkpoint_empties_wal_and_still_recovers() {
         let (sp, wp) = paths("ckpt");
-        let mut eng = DurableEngine::create(tc_program(), Database::new(), &sp, &wp).unwrap();
+        let mut eng = DurableStore::create(tc_program(), Database::new(), &sp, &wp).unwrap();
         eng.insert(&edge("a", "b")).unwrap();
         eng.commit().unwrap();
         eng.checkpoint().unwrap();
@@ -363,7 +442,7 @@ mod tests {
         let want = snap(eng.db());
         drop(eng);
 
-        let (rec, stats) = DurableEngine::recover(tc_program(), &sp, &wp).unwrap();
+        let (rec, stats) = DurableStore::recover(tc_program(), &sp, &wp).unwrap();
         assert_eq!(snap(rec.db()), want);
         // Only the post-checkpoint batch is in the log.
         assert_eq!(stats.batches_replayed, 1);
@@ -375,7 +454,7 @@ mod tests {
     #[test]
     fn uncommitted_mutations_are_invisible_and_block_checkpoints() {
         let (sp, wp) = paths("pending");
-        let mut eng = DurableEngine::create(tc_program(), Database::new(), &sp, &wp).unwrap();
+        let mut eng = DurableStore::create(tc_program(), Database::new(), &sp, &wp).unwrap();
         eng.insert(&edge("a", "b")).unwrap();
         assert_eq!(eng.pending(), 1);
         assert_eq!(eng.db().total_tuples(), 0, "not visible before commit");
@@ -388,7 +467,7 @@ mod tests {
     #[test]
     fn idb_and_nonground_mutations_are_rejected_at_buffer_time() {
         let (sp, wp) = paths("reject");
-        let mut eng = DurableEngine::create(tc_program(), Database::new(), &sp, &wp).unwrap();
+        let mut eng = DurableStore::create(tc_program(), Database::new(), &sp, &wp).unwrap();
         let idb = row_atom(
             alexander_ir::Symbol::intern("path"),
             &[Const::sym("a"), Const::sym("b")],
@@ -408,14 +487,86 @@ mod tests {
     }
 
     #[test]
+    fn a_logged_predicate_that_became_intensional_is_refused_at_recovery() {
+        let (sp, wp) = paths("idbreplay");
+        let mut eng = DurableStore::create(tc_program(), Database::new(), &sp, &wp).unwrap();
+        eng.insert(&edge("a", "b")).unwrap();
+        eng.commit().unwrap();
+        drop(eng);
+        let changed = parse("edge(X, Y) :- link(X, Y).").unwrap().program;
+        assert!(matches!(
+            DurableStore::recover(changed, &sp, &wp),
+            Err(DurableError::Replay(EvalError::IdbUpdate(_)))
+        ));
+        std::fs::remove_file(&sp).ok();
+        std::fs::remove_file(&wp).ok();
+    }
+
+    #[test]
+    fn programs_with_negation_are_stored_like_any_other() {
+        let (sp, wp) = paths("neg");
+        let program = parse("win(X) :- move(X, Y), not win(Y).").unwrap().program;
+        let mv = |a: &str, b: &str| {
+            row_atom(
+                alexander_ir::Symbol::intern("move"),
+                &[Const::sym(a), Const::sym(b)],
+            )
+        };
+        let mut eng = DurableStore::create(program.clone(), Database::new(), &sp, &wp).unwrap();
+        eng.insert(&mv("a", "b")).unwrap();
+        eng.insert(&mv("b", "a")).unwrap();
+        eng.commit().unwrap();
+        eng.delete(&mv("b", "a")).unwrap();
+        eng.commit().unwrap();
+        drop(eng);
+        let (rec, _) = DurableStore::recover(program, &sp, &wp).unwrap();
+        assert_eq!(snap(rec.db()), ["move(a, b)"]);
+        std::fs::remove_file(&sp).ok();
+        std::fs::remove_file(&wp).ok();
+    }
+
+    #[test]
     fn empty_commit_writes_nothing() {
         let (sp, wp) = paths("nop");
-        let mut eng = DurableEngine::create(tc_program(), Database::new(), &sp, &wp).unwrap();
+        let mut eng = DurableStore::create(tc_program(), Database::new(), &sp, &wp).unwrap();
         let before = eng.wal_len();
         let st = eng.commit().unwrap();
         assert_eq!(st.seq, None);
         assert_eq!(eng.wal_len(), before);
         std::fs::remove_file(&sp).ok();
         std::fs::remove_file(&wp).ok();
+    }
+
+    #[test]
+    fn the_engine_maintains_and_recovers_the_materialisation() {
+        let (sp, wp) = paths("view");
+        let mut eng = DurableEngine::create(tc_program(), Database::new(), &sp, &wp).unwrap();
+        eng.insert(&edge("a", "b")).unwrap();
+        eng.insert(&edge("b", "c")).unwrap();
+        eng.commit().unwrap();
+        eng.delete(&edge("a", "b")).unwrap();
+        eng.insert(&edge("c", "d")).unwrap();
+        eng.commit().unwrap();
+        let want = snap(eng.db());
+        assert!(want.contains(&"path(b, d)".to_string()), "{want:?}");
+        assert!(!want.contains(&"path(a, c)".to_string()), "{want:?}");
+        drop(eng);
+
+        let (rec, stats) = DurableEngine::recover(tc_program(), &sp, &wp).unwrap();
+        assert_eq!(snap(rec.db()), want);
+        assert_eq!(stats.batches_replayed, 2);
+        std::fs::remove_file(&sp).ok();
+        std::fs::remove_file(&wp).ok();
+    }
+
+    #[test]
+    fn the_engine_refuses_programs_with_negation_before_touching_disk() {
+        let (sp, wp) = paths("engneg");
+        let program = parse("win(X) :- move(X, Y), not win(Y).").unwrap().program;
+        assert!(matches!(
+            DurableEngine::create(program, Database::new(), &sp, &wp),
+            Err(DurableError::Replay(EvalError::NegatedIdb(_)))
+        ));
+        assert!(!sp.exists() && !wp.exists());
     }
 }

@@ -44,20 +44,21 @@ pub enum DurableError {
         offset: u64,
         detail: String,
     },
-    /// WAL replay reached the in-memory engine and was rejected there
-    /// (e.g. a record targets an intensional predicate after the program
-    /// changed underneath the log).
+    /// A record was rejected against the program: at buffer time (a
+    /// non-ground fact, an intensional predicate, an invalid program) or at
+    /// recovery (a logged record names a predicate the program now derives,
+    /// because the program changed underneath the log).
     Replay(EvalError),
-    /// The engine refused to keep writing because an earlier commit or
+    /// The store refused to keep writing because an earlier commit or
     /// checkpoint failed half-way and disk and memory can no longer be
     /// proven to agree. `op` names the operation that tripped the poison
     /// (e.g. `"commit: wal append"`). The snapshot/WAL pair on disk is
-    /// still recoverable — [`DurableEngine::recover`] is the documented
+    /// still recoverable — [`DurableStore::recover`] is the documented
     /// escape hatch — but this handle will not append more batches.
     ///
-    /// [`DurableEngine::recover`]: crate::DurableEngine::recover
+    /// [`DurableStore::recover`]: crate::DurableStore::recover
     Poisoned {
-        /// The operation whose failure poisoned the engine.
+        /// The operation whose failure poisoned the store.
         op: &'static str,
     },
 }
@@ -89,11 +90,11 @@ impl fmt::Display for DurableError {
                 "{} is corrupt at byte {offset}: {detail}",
                 path.display()
             ),
-            DurableError::Replay(e) => write!(f, "wal replay rejected: {e}"),
+            DurableError::Replay(e) => write!(f, "record rejected: {e}"),
             DurableError::Poisoned { op } => write!(
                 f,
-                "durable engine poisoned by a failed {op}; \
-                 recover from disk (DurableEngine::recover) to continue"
+                "durable store poisoned by a failed {op}; \
+                 recover from disk (DurableStore::recover) to continue"
             ),
         }
     }

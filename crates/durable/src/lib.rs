@@ -1,5 +1,5 @@
 //! Durability: snapshots, write-ahead logging, and crash recovery for the
-//! incremental engine.
+//! extensional database.
 //!
 //! The persistent state is a *pair* of files:
 //!
@@ -8,14 +8,15 @@
 //! * a **WAL** ([`wal`]) — the EDB deltas committed since that checkpoint,
 //!   as append-only, individually checksummed, commit-marked frames.
 //!
-//! [`DurableEngine`] ties them to an
-//! [`IncrementalEngine`](alexander_eval::IncrementalEngine) with a
-//! write-ahead commit protocol; [`DurableEngine::recover`] rebuilds the
-//! exact pre-crash fixpoint from the pair, truncating any torn WAL tail a
-//! crash left behind. Derived facts are never persisted — recovery
-//! re-materialises the program, so disk corruption can at worst *lose*
-//! committed batches noisily (a structured [`DurableError`]), never smuggle
-//! in unjustified conclusions.
+//! [`DurableStore`] holds the committed EDB behind a write-ahead commit
+//! protocol; [`DurableStore::recover`] rebuilds the exact pre-crash EDB
+//! from the pair — snapshot, then every committed batch folded in through
+//! [`apply_to_database`] — truncating any torn WAL tail a crash left
+//! behind. Derived facts are never persisted: whoever evaluates the program
+//! over the recovered EDB derives them, so disk corruption can at worst
+//! *lose* committed batches noisily (a structured [`DurableError`]), never
+//! smuggle in unjustified conclusions. [`DurableEngine`] adds a maintained
+//! materialisation on top of a store, for callers that read one.
 //!
 //! Every byte written flows through [`io::FaultFile`], which under the
 //! test-only `failpoints` feature applies injected crash faults
@@ -32,7 +33,7 @@ pub mod snapshot;
 pub mod wal;
 
 pub use crc::crc32;
-pub use engine::{CommitStats, DurableEngine, RecoveryStats};
+pub use engine::{edb_record, CommitStats, DurableEngine, DurableStore, RecoveryStats};
 pub use error::DurableError;
 pub use snapshot::{decode_snapshot, encode_snapshot, read_snapshot, write_snapshot};
 pub use wal::{

@@ -44,7 +44,7 @@ use crate::crc::crc32;
 use crate::error::DurableError;
 use crate::io::{read_file, FaultFile};
 use alexander_ir::{Atom, Const, Predicate, Symbol};
-use alexander_storage::{row_atom, Database, Tuple};
+use alexander_storage::{row_atom, Database};
 use std::path::Path;
 
 const MAGIC: &[u8; 8] = b"ALEXWAL0";
@@ -73,23 +73,7 @@ pub enum Op {
 }
 
 impl WalRecord {
-    pub fn insert(atom: &Atom) -> Option<WalRecord> {
-        Some(WalRecord {
-            op: Op::Insert,
-            pred: atom.predicate(),
-            values: atom.ground_args()?,
-        })
-    }
-
-    pub fn delete(atom: &Atom) -> Option<WalRecord> {
-        Some(WalRecord {
-            op: Op::Delete,
-            pred: atom.predicate(),
-            values: atom.ground_args()?,
-        })
-    }
-
-    /// The record as a ground atom (for engine replay).
+    /// The record as a ground atom.
     pub fn atom(&self) -> Atom {
         row_atom(self.pred.name, &self.values)
     }
@@ -365,18 +349,18 @@ pub fn read_wal(path: &Path) -> Result<WalContents, DurableError> {
     decode_wal(&read_file(path)?, path)
 }
 
-/// Replays committed batches directly into an EDB [`Database`] — the
-/// program-free replay the CLI uses (no materialisation involved).
-pub fn apply_to_database(batches: &[WalBatch], db: &mut Database) {
-    for b in batches {
-        for r in &b.records {
-            match r.op {
-                Op::Insert => {
-                    db.insert(r.pred, Tuple::new(r.values.clone()));
-                }
-                Op::Delete => {
-                    db.remove_atom(&r.atom());
-                }
+/// Applies one batch's records, in order, to an EDB [`Database`]. This is
+/// the one fold from logged records to stored facts: commit, recovery, the
+/// CLI's `--recover` and the in-memory server all go through it, so a
+/// replayed batch lands exactly where its live commit did.
+pub fn apply_to_database(records: &[WalRecord], db: &mut Database) {
+    for r in records {
+        match r.op {
+            Op::Insert => {
+                db.insert_row(r.pred, &r.values);
+            }
+            Op::Delete => {
+                db.remove_atom(&r.atom());
             }
         }
     }
@@ -549,17 +533,8 @@ mod tests {
         let mut db = Database::new();
         let ab = sym2(Op::Insert, "edge", "a", "b");
         let bc = sym2(Op::Insert, "edge", "b", "c");
-        let batches = vec![
-            WalBatch {
-                seq: 1,
-                records: vec![ab.clone(), bc.clone()],
-            },
-            WalBatch {
-                seq: 2,
-                records: vec![sym2(Op::Delete, "edge", "a", "b")],
-            },
-        ];
-        apply_to_database(&batches, &mut db);
+        apply_to_database(&[ab.clone(), bc.clone()], &mut db);
+        apply_to_database(&[sym2(Op::Delete, "edge", "a", "b")], &mut db);
         assert!(!db.contains_atom(&ab.atom()));
         assert!(db.contains_atom(&bc.atom()));
         assert_eq!(db.total_tuples(), 1);

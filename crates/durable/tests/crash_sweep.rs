@@ -2,16 +2,17 @@
 //! reference run and prove recovery always lands on a batch boundary.
 //!
 //! The atomicity contract under test: after a crash anywhere, recovery
-//! yields exactly the fixpoint of some committed-batch prefix — the
-//! pre-batch state or the post-batch state, never anything in between, and
-//! never a panic. The sweep is exhaustive over crash offsets, so there is no
-//! "unlucky byte" left untested; each injected fault is interpreted
-//! byte-exactly by the writer wrapper (see `alexander_durable::io`).
+//! yields exactly the EDB of some committed-batch prefix; derived state is
+//! a function of it. That is the pre-batch state or the post-batch state,
+//! never anything in between, and never a panic. The sweep is exhaustive
+//! over crash offsets, so there is no "unlucky byte" left untested; each
+//! injected fault is interpreted byte-exactly by the writer wrapper (see
+//! `alexander_durable::io`).
 //!
 //! Requires `--features failpoints`.
 #![cfg(feature = "failpoints")]
 
-use alexander_durable::{DurableEngine, DurableError, WAL_HEADER};
+use alexander_durable::{DurableError, DurableStore, WAL_HEADER};
 use alexander_eval::failpoints::{self, Action};
 use alexander_ir::{Atom, Const, Program, Symbol};
 use alexander_storage::{row_atom, Database};
@@ -28,7 +29,7 @@ fn edge(a: &str, b: &str) -> Atom {
 }
 
 /// `(insert?, fact)` — the scripted mutations, grouped into batches. Mixes
-/// inserts and a delete so recovery exercises re-derivation both ways.
+/// inserts and a delete so replay exercises both record kinds.
 fn script() -> Vec<Vec<(bool, Atom)>> {
     vec![
         vec![(true, edge("a", "b")), (true, edge("b", "c"))],
@@ -37,7 +38,7 @@ fn script() -> Vec<Vec<(bool, Atom)>> {
     ]
 }
 
-fn apply_batch(eng: &mut DurableEngine, batch: &[(bool, Atom)]) -> Result<(), DurableError> {
+fn apply_batch(eng: &mut DurableStore, batch: &[(bool, Atom)]) -> Result<(), DurableError> {
     for (ins, fact) in batch {
         if *ins {
             eng.insert(fact)?;
@@ -76,8 +77,10 @@ fn cleanup(sp: &PathBuf, wp: &PathBuf) {
 /// Fault-free reference run: the oracle states after 0, 1, 2, 3 batches and
 /// the WAL length at each boundary.
 fn oracle(tag: &str) -> (Vec<Vec<String>>, Vec<u64>) {
+    // Held so that a fault another test armed cannot land in this run.
+    let _guard = failpoints::scoped();
     let (sp, wp) = paths(tag);
-    let mut eng = DurableEngine::create(tc_program(), Database::new(), &sp, &wp).unwrap();
+    let mut eng = DurableStore::create(tc_program(), Database::new(), &sp, &wp).unwrap();
     let mut states = vec![state(eng.db())];
     let mut boundaries = vec![eng.wal_len()];
     for batch in script() {
@@ -107,7 +110,7 @@ fn crash_at_every_wal_byte_recovers_a_batch_boundary() {
         let _guard = failpoints::scoped();
         // Arm the fault only after `create` so the initial header/snapshot
         // write is not the thing being killed (that case has its own test).
-        let mut eng = DurableEngine::create(tc_program(), Database::new(), &sp, &wp).unwrap();
+        let mut eng = DurableStore::create(tc_program(), Database::new(), &sp, &wp).unwrap();
         failpoints::configure("durable-wal-io", Action::CrashAfterBytes(n));
         let mut committed = 0usize;
         for batch in script() {
@@ -119,13 +122,13 @@ fn crash_at_every_wal_byte_recovers_a_batch_boundary() {
         drop(eng);
         failpoints::remove("durable-wal-io");
 
-        let (rec, stats) = DurableEngine::recover(tc_program(), &sp, &wp)
+        let (rec, stats) = DurableStore::recover(tc_program(), &sp, &wp)
             .unwrap_or_else(|e| panic!("crash at byte {n}: recovery failed: {e}"));
         let want = expected_after_crash(&boundaries, n);
         assert_eq!(
             state(rec.db()),
             states[want],
-            "crash at byte {n}: recovered state is not the {want}-batch fixpoint"
+            "crash at byte {n}: recovered state is not the {want}-batch EDB"
         );
         assert_eq!(
             stats.batches_replayed, want,
@@ -135,7 +138,7 @@ fn crash_at_every_wal_byte_recovers_a_batch_boundary() {
         // and at most one in-flight batch can be lost.
         assert!(committed <= want || committed == want + 1 && n >= boundaries[want]);
 
-        // The recovered engine must accept new work: recovery truncated the
+        // The recovered store must accept new work: recovery truncated the
         // torn tail, so appends land on a clean boundary.
         let mut rec = rec;
         rec.insert(&edge("z", "z")).unwrap();
@@ -151,14 +154,14 @@ fn short_write_of_every_length_loses_at_most_the_inflight_batch() {
     // Generous upper bound on the first frame's length.
     for k in 0..200usize {
         let _guard = failpoints::scoped();
-        let mut eng = DurableEngine::create(tc_program(), Database::new(), &sp, &wp).unwrap();
+        let mut eng = DurableStore::create(tc_program(), Database::new(), &sp, &wp).unwrap();
         failpoints::configure("durable-wal-io", Action::ShortWrite(k));
         let err = apply_batch(&mut eng, &script()[0]).unwrap_err();
         assert!(matches!(err, DurableError::Io { .. }), "{err}");
         drop(eng);
         failpoints::remove("durable-wal-io");
 
-        let (rec, _) = DurableEngine::recover(tc_program(), &sp, &wp)
+        let (rec, _) = DurableStore::recover(tc_program(), &sp, &wp)
             .unwrap_or_else(|e| panic!("short write of {k}: recovery failed: {e}"));
         let got = state(rec.db());
         // If the short write happened to cover the whole frame the batch IS
@@ -177,11 +180,11 @@ fn fsync_failure_poisons_but_disk_stays_recoverable() {
     let (states, _) = oracle("fsoracle");
     let (sp, wp) = paths("fsync");
     let _guard = failpoints::scoped();
-    let mut eng = DurableEngine::create(tc_program(), Database::new(), &sp, &wp).unwrap();
+    let mut eng = DurableStore::create(tc_program(), Database::new(), &sp, &wp).unwrap();
     failpoints::configure("durable-wal-io", Action::FsyncError);
     let err = apply_batch(&mut eng, &script()[0]).unwrap_err();
     assert!(matches!(err, DurableError::Io { .. }), "{err}");
-    // The engine no longer trusts its pairing with the disk, and the
+    // The store no longer trusts its pairing with the disk, and the
     // structured error names the operation that tripped the poison.
     assert_eq!(eng.poisoned_by(), Some("commit: wal append"));
     let poisoned = eng.insert(&edge("x", "y")).unwrap_err();
@@ -213,7 +216,7 @@ fn fsync_failure_poisons_but_disk_stays_recoverable() {
 
     // `recover` is the documented escape hatch: disk is authoritative, and
     // the recovered handle accepts new batches again.
-    let (mut rec, _) = DurableEngine::recover(tc_program(), &sp, &wp).unwrap();
+    let (mut rec, _) = DurableStore::recover(tc_program(), &sp, &wp).unwrap();
     assert_eq!(rec.poisoned_by(), None);
     let got = state(rec.db());
     assert!(got == states[0] || got == states[1], "{got:?}");
@@ -230,7 +233,7 @@ fn crash_at_every_snapshot_byte_leaves_the_old_checkpoint_intact() {
     let (sp, wp) = paths("snapcrash");
     let snap_len = {
         let _guard = failpoints::scoped();
-        let mut eng = DurableEngine::create(tc_program(), Database::new(), &sp, &wp).unwrap();
+        let mut eng = DurableStore::create(tc_program(), Database::new(), &sp, &wp).unwrap();
         for batch in script() {
             apply_batch(&mut eng, &batch).unwrap();
         }
@@ -242,7 +245,7 @@ fn crash_at_every_snapshot_byte_leaves_the_old_checkpoint_intact() {
 
     for n in 0..=snap_len {
         let _guard = failpoints::scoped();
-        let mut eng = DurableEngine::create(tc_program(), Database::new(), &sp, &wp).unwrap();
+        let mut eng = DurableStore::create(tc_program(), Database::new(), &sp, &wp).unwrap();
         for batch in script() {
             apply_batch(&mut eng, &batch).unwrap();
         }
@@ -260,12 +263,12 @@ fn crash_at_every_snapshot_byte_leaves_the_old_checkpoint_intact() {
         }
         drop(eng);
 
-        let (rec, _) = DurableEngine::recover(tc_program(), &sp, &wp)
+        let (rec, _) = DurableStore::recover(tc_program(), &sp, &wp)
             .unwrap_or_else(|e| panic!("snapshot crash at byte {n}: recovery failed: {e}"));
         let got = state(rec.db());
         if n < snap_len {
             let mut want = full.clone();
-            want.extend(["edge(q, r)".to_string(), "path(q, r)".to_string()]);
+            want.push("edge(q, r)".to_string());
             want.sort();
             assert_eq!(got, want, "snapshot crash at byte {n}");
         } else {
@@ -283,7 +286,7 @@ fn bit_flips_anywhere_never_panic_and_never_fabricate_state() {
     for at in 0..total {
         for bit in [0u8, 3, 7] {
             let _guard = failpoints::scoped();
-            let mut eng = DurableEngine::create(tc_program(), Database::new(), &sp, &wp).unwrap();
+            let mut eng = DurableStore::create(tc_program(), Database::new(), &sp, &wp).unwrap();
             failpoints::configure("durable-wal-io", Action::BitFlip { at, bit });
             for batch in script() {
                 // Bit flips are silent; all commits appear to succeed.
@@ -295,7 +298,7 @@ fn bit_flips_anywhere_never_panic_and_never_fabricate_state() {
             // Silent corruption must surface as a structured error, or — if
             // the flip forged a plausible torn tail — as some batch-boundary
             // prefix state. Never a panic, never an in-between state.
-            match DurableEngine::recover(tc_program(), &sp, &wp) {
+            match DurableStore::recover(tc_program(), &sp, &wp) {
                 Err(_) => {}
                 Ok((rec, _)) => {
                     let got = state(rec.db());

@@ -8,11 +8,12 @@
 //!   copy-on-write clone of the EDB. A query *pins* the epoch it started on
 //!   and evaluates against it for its whole lifetime, so reads never block
 //!   writes and a commit never invalidates a running query.
-//! * **Writer** ([`service`]): mutations funnel through one writer —
-//!   a [`DurableEngine`] (WAL append + fsync, then apply) when the server
-//!   was opened with a snapshot/WAL pair, or an in-memory shadow EDB
-//!   otherwise. `COMMIT` makes the batch durable, then publishes the next
-//!   epoch.
+//! * **Writer** ([`service`]): mutations funnel through one writer holding
+//!   one EDB — a [`DurableStore`]'s (WAL append + fsync, then apply) when
+//!   the server was opened with a snapshot/WAL pair, an in-memory
+//!   `Database` otherwise. `COMMIT` applies the batch, then publishes that
+//!   EDB as the next epoch. The writer derives nothing: queries evaluate
+//!   goal-directed over their pinned epoch.
 //! * **Admission** ([`admission`]): a global cap bounds concurrently
 //!   executing queries and a per-tenant cap keeps one tenant's recursive
 //!   query storm from starving the rest; a bounded wait queue sheds
@@ -30,7 +31,7 @@
 //!
 //! [`Engine`]: alexander_core::Engine
 //! [`Epoch`]: epoch::Epoch
-//! [`DurableEngine`]: alexander_durable::DurableEngine
+//! [`DurableStore`]: alexander_durable::DurableStore
 //! [`Budget`]: alexander_eval::Budget
 //! [`CancelHandle`]: alexander_eval::CancelHandle
 

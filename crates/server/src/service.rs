@@ -1,12 +1,13 @@
 //! The query service: one writer, many epoch-pinned readers, and a
 //! supervisor that heals the writer when disk fails.
 //!
-//! All mutations serialise through a single writer slot. `INSERT`/`DELETE`
-//! buffer; `COMMIT` makes the batch durable (WAL append + fsync, then apply
-//! — when the service was opened on a snapshot/WAL pair), mirrors it into
-//! the shadow EDB, and publishes the shadow as the next [`Epoch`]. The
-//! publish is a copy-on-write clone, O(#relations): the epoch freezes, and
-//! the writer's next mutation copies only the relations it touches.
+//! All mutations serialise through a single writer slot holding one EDB —
+//! the [`DurableStore`]'s when the service was opened on a snapshot/WAL
+//! pair, an in-memory [`Database`] otherwise — and nothing derived.
+//! `INSERT`/`DELETE` buffer; `COMMIT` applies the batch (durably: WAL
+//! append and fsync first) and publishes that EDB as the next [`Epoch`].
+//! The publish is a copy-on-write clone, O(#relations): the epoch freezes,
+//! and the writer's next mutation copies only the relations it touches.
 //!
 //! Queries admission-check, pin the current epoch, and evaluate against it
 //! with their session's budget. A query pinned at generation N returns
@@ -26,8 +27,8 @@
 use crate::admission::Admission;
 use crate::epoch::{Epoch, EpochStore};
 use crate::health::{Health, ServerState};
-use alexander_core::{Engine, Strategy};
-use alexander_durable::{DurableEngine, DurableError};
+use alexander_core::{Engine, EngineError, Strategy};
+use alexander_durable::{apply_to_database, edb_record, DurableError, DurableStore, Op, WalRecord};
 use alexander_eval::{Budget, CancelHandle};
 use alexander_ir::{render_atoms, Atom, Program};
 use alexander_storage::Database;
@@ -158,27 +159,77 @@ pub struct CommitInfo {
     pub committed: usize,
 }
 
-/// The writer half: an optional durable engine (disk truth) plus the shadow
-/// EDB the next epoch is published from.
-struct Writer {
-    durable: Option<DurableEngine>,
-    shadow: Database,
-    /// `(is_insert, fact)` mirror of the buffered batch, applied to the
-    /// shadow at commit. The durable engine keeps its own buffer; this one
-    /// exists so the shadow update never re-extracts the full EDB.
-    pending: Vec<(bool, Atom)>,
+/// The writer half: the committed EDB the next epoch is published from,
+/// and the batch buffered against it.
+enum Writer {
+    /// Disk truth: the durable store holds the EDB and the buffer.
+    Durable(DurableStore),
+    /// No store: the EDB and the buffer live here alone.
+    InMemory {
+        edb: Database,
+        pending: Vec<WalRecord>,
+    },
+}
+
+impl Writer {
+    fn edb(&self) -> &Database {
+        match self {
+            Writer::Durable(d) => d.db(),
+            Writer::InMemory { edb, .. } => edb,
+        }
+    }
+
+    fn pending(&self) -> usize {
+        match self {
+            Writer::Durable(d) => d.pending(),
+            Writer::InMemory { pending, .. } => pending.len(),
+        }
+    }
+
+    fn poisoned_by(&self) -> Option<&'static str> {
+        match self {
+            Writer::Durable(d) => d.poisoned_by(),
+            Writer::InMemory { .. } => None,
+        }
+    }
+
+    /// Buffers `fact` for the next commit, if a store for `program` can
+    /// hold it ([`edb_record`]; the durable store checks against its own
+    /// copy of the same program).
+    fn buffer(&mut self, program: &Program, op: Op, fact: &Atom) -> Result<(), DurableError> {
+        match self {
+            Writer::Durable(d) => match op {
+                Op::Insert => d.insert(fact),
+                Op::Delete => d.delete(fact),
+            },
+            Writer::InMemory { pending, .. } => {
+                pending.push(edb_record(program, op, fact)?);
+                Ok(())
+            }
+        }
+    }
+
+    /// Applies the buffered batch to the EDB — durably: WAL append and
+    /// fsync first — and returns its record count.
+    fn commit(&mut self) -> Result<usize, DurableError> {
+        match self {
+            Writer::Durable(d) => Ok(d.commit()?.records),
+            Writer::InMemory { edb, pending } => {
+                apply_to_database(pending, edb);
+                Ok(std::mem::take(pending).len())
+            }
+        }
+    }
 }
 
 /// Shared service state: what the public [`QueryService`] handle and the
 /// supervisor thread both hold.
 struct Core {
-    /// The normalised program (inline facts folded out) — what commits
-    /// stage new epochs from and what `is_idb` checks consult.
+    /// The validated program: its rules, plus those of its inline facts
+    /// that name intensional predicates (every epoch's `Engine::new` folds
+    /// them in). Its extensional inline facts seeded the writer's EDB at
+    /// open.
     program: Program,
-    /// The program as given at `open` — what `DurableEngine::recover`
-    /// expects, since the on-disk EDB never contains the folded inline
-    /// facts (they are re-folded by `Engine::new` on every open and heal).
-    source_program: Program,
     epochs: EpochStore,
     writer: Mutex<Writer>,
     admission: Admission,
@@ -199,55 +250,69 @@ pub struct QueryService {
 impl QueryService {
     /// Opens the service. With `store = Some((snapshot, wal))` the writer is
     /// durable: an existing pair is recovered (committed batches replayed,
-    /// torn tails truncated), a missing one is created from `edb`, and a
-    /// supervisor thread is started to heal the writer if it later poisons.
-    /// A half-present pair (exactly one of the two files) is an error —
-    /// creating over the survivor would silently wipe committed data. With
-    /// `None` the service is in-memory.
+    /// torn tails truncated; `edb` is not re-added), a missing one is
+    /// created from `edb`, and a supervisor thread is started to heal the
+    /// writer if it later poisons. A half-present pair (exactly one of the
+    /// two files) is an error — creating over the survivor would silently
+    /// wipe committed data. With `None` the service is in-memory, over
+    /// `edb`.
+    ///
+    /// Either way, the program's inline facts of extensional predicates
+    /// that the writer's EDB lacks are then committed as one batch, as a
+    /// client's would be: each open re-asserts what the program states,
+    /// including facts added to it after the store was created.
     pub fn open(
         program: Program,
         edb: Database,
         store: Option<(&Path, &Path)>,
         config: ServerConfig,
     ) -> Result<QueryService, ServerError> {
-        let source_program = program.clone();
-        let (durable, seed) = match store {
-            Some((snap, wal)) => {
-                let eng = match (snap.exists(), wal.exists()) {
-                    (true, true) => DurableEngine::recover(program.clone(), snap, wal)?.0,
-                    (false, false) => DurableEngine::create(program.clone(), edb, snap, wal)?,
-                    (snap_there, _) => {
-                        let (there, missing) = if snap_there { (snap, wal) } else { (wal, snap) };
-                        return Err(ServerError::Rejected(format!(
-                            "refusing to open a half-present durable store: {} exists but {} \
-                             is missing; restore the pair or remove both to start fresh",
-                            there.display(),
-                            missing.display()
-                        )));
-                    }
-                };
-                let seed = eng.edb();
-                (Some(eng), seed)
-            }
-            None => (None, edb),
+        program
+            .validate()
+            .map_err(|e| ServerError::Engine(EngineError::Invalid(e).to_string()))?;
+        // Inline facts of intensional predicates cannot be stored: they stay
+        // in the program, for every epoch to fold in.
+        let (seed, facts): (Vec<Atom>, Vec<Atom>) = program
+            .facts
+            .iter()
+            .cloned()
+            .partition(|f| !program.is_idb(f.predicate()));
+        let program = Program {
+            rules: program.rules,
+            facts,
         };
-        // Build generation 0 through `Engine::new`, which validates the
-        // program and folds inline facts into the EDB — the normalised
-        // program/shadow pair is what every later epoch derives from.
-        let engine0 = Engine::new(program, seed).map_err(|e| ServerError::Engine(e.to_string()))?;
-        let program = engine0.program().clone();
-        let shadow = engine0.edb().clone();
+        let mut writer = match store {
+            Some((snap, wal)) => Writer::Durable(match (snap.exists(), wal.exists()) {
+                (true, true) => DurableStore::recover(program.clone(), snap, wal)?.0,
+                (false, false) => DurableStore::create(program.clone(), edb, snap, wal)?,
+                (snap_there, _) => {
+                    let (there, missing) = if snap_there { (snap, wal) } else { (wal, snap) };
+                    return Err(ServerError::Rejected(format!(
+                        "refusing to open a half-present durable store: {} exists but {} \
+                         is missing; restore the pair or remove both to start fresh",
+                        there.display(),
+                        missing.display()
+                    )));
+                }
+            }),
+            None => Writer::InMemory {
+                edb,
+                pending: Vec::new(),
+            },
+        };
+        for fact in &seed {
+            if !writer.edb().contains_atom(fact) {
+                writer.buffer(&program, Op::Insert, fact)?;
+            }
+        }
+        writer.commit()?;
+        let engine0 = epoch_engine(&program, writer.edb());
         let admission = Admission::new(config.max_concurrent, config.tenant_cap, config.max_queue)
             .with_retry_after_ms(config.shed_retry_after_ms);
         let core = Arc::new(Core {
             program,
-            source_program,
             epochs: EpochStore::new(Epoch::new(0, engine0)),
-            writer: Mutex::new(Writer {
-                durable,
-                shadow,
-                pending: Vec::new(),
-            }),
+            writer: Mutex::new(writer),
             admission,
             config,
             health: Health::default(),
@@ -326,95 +391,58 @@ impl QueryService {
 
     /// Buffers an EDB insertion; returns the pending batch size.
     pub fn insert(&self, fact: &Atom) -> Result<usize, ServerError> {
-        self.buffer(true, fact)
+        self.buffer(Op::Insert, fact)
     }
 
     /// Buffers an EDB deletion; returns the pending batch size.
     pub fn delete(&self, fact: &Atom) -> Result<usize, ServerError> {
-        self.buffer(false, fact)
+        self.buffer(Op::Delete, fact)
     }
 
-    fn buffer(&self, insert: bool, fact: &Atom) -> Result<usize, ServerError> {
-        let pred = fact.predicate();
-        if self.core.program.is_idb(pred) {
-            return Err(ServerError::Rejected(format!(
-                "{pred} is intensional; derived facts cannot be stored"
-            )));
-        }
-        // Groundness probe on a scratch relation: rejected here so a commit
-        // can never log a record replay would refuse.
-        if Database::new().insert_atom(fact).is_err() {
-            return Err(ServerError::Rejected(format!(
-                "{fact} is not ground; only ground facts can be stored"
-            )));
-        }
+    fn buffer(&self, op: Op, fact: &Atom) -> Result<usize, ServerError> {
         let mut w = self.core.writer.lock().expect("writer lock");
         // Lock order: writer, then health — everywhere.
         if let ServerState::Degraded { reason } = self.core.health.state() {
             return Err(ServerError::Degraded(reason));
         }
-        if let Some(d) = w.durable.as_mut() {
-            let res = if insert {
-                d.insert(fact)
-            } else {
-                d.delete(fact)
-            };
-            if let Err(e) = res {
-                return Err(self.core.writer_failed(d, e));
-            }
+        match w.buffer(&self.core.program, op, fact) {
+            Ok(()) => Ok(w.pending()),
+            // Intensional or not ground: no store can hold it.
+            Err(DurableError::Replay(e)) => Err(ServerError::Rejected(e.to_string())),
+            Err(e) => Err(self.core.writer_failed(&w, e)),
         }
-        w.pending.push((insert, fact.clone()));
-        Ok(w.pending.len())
     }
 
-    /// Commits the buffered batch and publishes the next epoch. The epoch's
-    /// engine is staged *before* disk is touched, so a batch the engine
-    /// would reject fails cleanly (still pending, nothing written) and a
-    /// successful durable commit is always followed by a publish. Durable
-    /// mode: WAL append + fsync; a half-failed commit degrades the service
-    /// to read-only (the buffered batch's fate is decided by recovery —
-    /// disk is authoritative) and the supervisor heals it.
+    /// Commits the buffered batch and publishes the next epoch over the
+    /// writer's EDB. Durable mode: WAL append + fsync, then apply; a failed
+    /// commit degrades the service to read-only (the buffered batch's fate
+    /// is decided by recovery — disk is authoritative) and the supervisor
+    /// heals it.
     pub fn commit(&self) -> Result<CommitInfo, ServerError> {
         let mut w = self.core.writer.lock().expect("writer lock");
         if let ServerState::Degraded { reason } = self.core.health.state() {
             return Err(ServerError::Degraded(reason));
         }
-        if w.pending.is_empty() {
+        let committed = match w.commit() {
+            Ok(n) => n,
+            // The durable store already dropped the batch: its outcome is
+            // indeterminate (the frame may be fully on disk even though the
+            // commit call failed), so recovery decides.
+            Err(e) => return Err(self.core.writer_failed(&w, e)),
+        };
+        if committed == 0 {
             return Ok(CommitInfo {
                 generation: self.core.epochs.generation(),
                 committed: 0,
             });
         }
-        // Stage the next epoch on a copy of the shadow. If Engine::new
-        // rejects the result, the batch stays pending and disk is
-        // untouched — publish can no longer fail after the durable commit.
-        let mut staged = w.shadow.clone();
-        for (insert, fact) in &w.pending {
-            if *insert {
-                // invariant: groundness was checked at buffer time.
-                staged.insert_atom(fact).expect("ground fact");
-            } else {
-                staged.remove_atom(fact);
-            }
-        }
-        let engine = Engine::new(self.core.program.clone(), staged)
-            .map_err(|e| ServerError::Engine(e.to_string()))?;
-        if let Some(d) = w.durable.as_mut() {
-            if let Err(e) = d.commit() {
-                // The batch's outcome is indeterminate (the frame may be
-                // fully on disk even though the commit call failed); drop
-                // the in-memory mirror — recovery decides from disk.
-                let err = self.core.writer_failed(d, e);
-                w.pending.clear();
-                return Err(err);
-            }
-        }
-        let committed = std::mem::take(&mut w.pending).len();
-        w.shadow = engine.edb().clone();
         // Publish under the writer lock so generations are strictly ordered
-        // with commits. The engine froze the staged shadow: the epoch and
-        // the writer now share relations copy-on-write.
-        let generation = self.core.epochs.publish(engine);
+        // with commits. The epoch and the writer now share relations
+        // copy-on-write.
+        let generation = self
+            .core
+            .epochs
+            .publish(epoch_engine(&self.core.program, w.edb()));
         Ok(CommitInfo {
             generation,
             committed,
@@ -432,19 +460,18 @@ impl QueryService {
         if let ServerState::Degraded { reason } = self.core.health.state() {
             return Err(ServerError::Degraded(reason));
         }
-        if !w.pending.is_empty() {
+        if w.pending() > 0 {
             return Err(ServerError::Rejected(format!(
                 "{} mutations pending; commit before checkpointing",
-                w.pending.len()
+                w.pending()
             )));
         }
-        match w.durable.as_mut() {
-            None => Ok(false),
-            Some(d) => match d.checkpoint() {
-                Ok(()) => Ok(true),
-                Err(e) => Err(self.core.writer_failed(d, e)),
-            },
-        }
+        let res = match &mut *w {
+            Writer::InMemory { .. } => return Ok(false),
+            Writer::Durable(d) => d.checkpoint(),
+        };
+        res.map(|()| true)
+            .map_err(|e| self.core.writer_failed(&w, e))
     }
 
     /// The current (latest published) generation.
@@ -469,7 +496,7 @@ impl QueryService {
 
     /// Buffered (uncommitted) mutations.
     pub fn pending(&self) -> usize {
-        self.core.writer.lock().expect("writer lock").pending.len()
+        self.core.writer.lock().expect("writer lock").pending()
     }
 
     /// The current server state (healthy or degraded read-only).
@@ -495,8 +522,10 @@ impl QueryService {
     /// Current WAL length in bytes (`None` for an in-memory service). The
     /// chaos harness aims crash offsets relative to this.
     pub fn durable_wal_len(&self) -> Option<u64> {
-        let w = self.core.writer.lock().expect("writer lock");
-        w.durable.as_ref().map(|d| d.wal_len())
+        match &*self.core.writer.lock().expect("writer lock") {
+            Writer::Durable(d) => Some(d.wal_len()),
+            Writer::InMemory { .. } => None,
+        }
     }
 }
 
@@ -513,8 +542,8 @@ impl Core {
     /// Classifies a durable-layer failure under the writer lock: poisoning
     /// degrades the service (the supervisor takes over), anything else is
     /// reported as-is.
-    fn writer_failed(&self, d: &DurableEngine, e: DurableError) -> ServerError {
-        match d.poisoned_by() {
+    fn writer_failed(&self, w: &Writer, e: DurableError) -> ServerError {
+        match w.poisoned_by() {
             Some(op) => {
                 let reason = format!("writer poisoned by {op}");
                 self.health.degrade(&reason);
@@ -525,25 +554,29 @@ impl Core {
     }
 
     /// One recovery attempt: re-open the snapshot/WAL pair (disk is
-    /// authoritative), validate by building a fresh engine, then atomically
-    /// swap the writer and republish. Republishing is unconditional — the
-    /// failed commit's frame may have fully persisted, in which case disk
-    /// is *ahead* of the last published epoch and readers must see it.
+    /// authoritative), then atomically swap the writer and republish its
+    /// EDB. Republishing is unconditional — the failed commit's frame may
+    /// have fully persisted, in which case disk is *ahead* of the last
+    /// published epoch and readers must see it.
     fn heal(&self) -> Result<(), ServerError> {
         // invariant: the supervisor only runs for durable services.
         let (snap, wal) = self.store.as_ref().expect("durable store");
-        let (recovered, _stats) = DurableEngine::recover(self.source_program.clone(), snap, wal)?;
-        let seed = recovered.edb();
-        let engine = Engine::new(self.source_program.clone(), seed)
-            .map_err(|e| ServerError::Engine(e.to_string()))?;
+        let (recovered, _stats) = DurableStore::recover(self.program.clone(), snap, wal)?;
+        let engine = epoch_engine(&self.program, recovered.db());
         let mut w = self.writer.lock().expect("writer lock");
-        w.durable = Some(recovered);
-        w.shadow = engine.edb().clone();
-        w.pending.clear();
+        *w = Writer::Durable(recovered);
         self.epochs.publish(engine);
         self.health.heal();
         Ok(())
     }
+}
+
+/// The engine an epoch serves: `program` over a copy-on-write clone of
+/// `edb`, O(#relations).
+fn epoch_engine(program: &Program, edb: &Database) -> Engine {
+    // invariant: `program` was validated at open and is never changed, so
+    // construction cannot fail.
+    Engine::new(program.clone(), edb.clone()).expect("program validated at open")
 }
 
 /// The supervisor loop: sleep until degraded, then retry [`Core::heal`]

@@ -190,3 +190,75 @@ fn mutations_answer_err_degraded_while_poisoned_and_the_buffer_is_dropped() {
     std::fs::remove_file(&sp).ok();
     std::fs::remove_file(&wp).ok();
 }
+
+#[test]
+fn inline_facts_survive_poison_and_heal() {
+    use alexander_core::Strategy;
+    use alexander_parser::parse_atom;
+    let _fp = failpoints::scoped();
+    let (sp, wp) = store_paths("inline");
+    std::fs::remove_file(&sp).ok();
+    std::fs::remove_file(&wp).ok();
+    // Two inline EDB facts and one inline IDB fact.
+    let program = parse(&format!("{RULES} par(a, b). par(b, c). anc(z, z)."))
+        .unwrap()
+        .program;
+    let config = ServerConfig {
+        heal_backoff_ms: 5,
+        heal_backoff_max_ms: 50,
+        ..ServerConfig::default()
+    };
+    let durable =
+        QueryService::open(program.clone(), Database::new(), Some((&sp, &wp)), config).unwrap();
+    let memory =
+        QueryService::open(program, Database::new(), None, ServerConfig::default()).unwrap();
+    let same_answers = |step: &str| {
+        // No inline fact is deleted, so neither service may lose one. (Asked
+        // bottom-up: the goal-directed strategies do not read `anc(z, z)`.)
+        for fact in ["par(a, b)", "par(b, c)", "anc(z, z)"] {
+            let q = parse_atom(fact).unwrap();
+            for s in [&durable, &memory] {
+                let r = s.query("t", &q, Some(Strategy::SemiNaive)).unwrap();
+                assert_eq!(r.answers, [fact], "{step}");
+            }
+        }
+        for q in ["anc(a, X)", "anc(z, X)", "anc(X, Y)", "par(X, Y)"] {
+            let q = parse_atom(q).unwrap();
+            for strategy in [Strategy::Alexander, Strategy::SemiNaive] {
+                assert_eq!(
+                    durable.query("t", &q, Some(strategy)).unwrap().answers,
+                    memory.query("t", &q, Some(strategy)).unwrap().answers,
+                    "{step}: {q} under {strategy:?}"
+                );
+            }
+        }
+    };
+    let commit_on = |s: &QueryService, insert: &str, delete: Option<&str>| {
+        s.insert(&parse_atom(insert).unwrap()).unwrap();
+        if let Some(d) = delete {
+            s.delete(&parse_atom(d).unwrap()).unwrap();
+        }
+        s.commit()
+    };
+    for s in [&durable, &memory] {
+        commit_on(s, "par(c, d)", None).unwrap();
+    }
+    same_answers("commit");
+
+    // The fsync fails after the frame's bytes landed: the commit answers
+    // degraded, and the heal finds the batch on disk.
+    failpoints::configure(SITE_WAL, Action::FsyncError);
+    let err = commit_on(&durable, "par(d, e)", Some("par(c, d)")).unwrap_err();
+    assert!(matches!(err, ServerError::Degraded(_)), "{err}");
+    failpoints::remove(SITE_WAL);
+    assert!(durable.wait_for_healthy(Duration::from_secs(5)));
+    commit_on(&memory, "par(d, e)", Some("par(c, d)")).unwrap();
+    same_answers("heal");
+
+    for s in [&durable, &memory] {
+        commit_on(s, "par(e, f)", None).unwrap();
+    }
+    same_answers("commit after heal");
+    std::fs::remove_file(&sp).ok();
+    std::fs::remove_file(&wp).ok();
+}

@@ -2,9 +2,11 @@
 //! driven exactly as a client would.
 
 use alexander_core::{Engine, Strategy};
+use alexander_ir::Program;
 use alexander_parser::{parse, parse_atom};
 use alexander_server::{serve_tcp, serve_unix, QueryService, ServerConfig, SessionEnd};
 use alexander_storage::Database;
+use std::collections::BTreeSet;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
@@ -489,4 +491,246 @@ fn uncommitted_mutations_never_reach_any_epoch() {
     assert_eq!(r.answers, ["anc(a, b)"]);
     s.commit().unwrap();
     assert_eq!(s.query("t", &q, None).unwrap().answers.len(), 2);
+}
+
+fn edb_of(facts: &BTreeSet<String>) -> Database {
+    let mut edb = Database::new();
+    for f in facts {
+        edb.insert_atom(&parse_atom(f).unwrap()).unwrap();
+    }
+    edb
+}
+
+/// A program with negation, taken through the durable lifecycle.
+struct NegationCase {
+    rules: &'static str,
+    base: &'static [&'static str],
+    /// The mixed commit inserts `added` and deletes `removed`.
+    added: &'static str,
+    removed: &'static str,
+    queries: &'static [&'static str],
+    strategy: Strategy,
+}
+
+impl NegationCase {
+    /// Asserts every query answers on `s` exactly as a fresh in-memory
+    /// engine over `facts` does.
+    fn check(&self, s: &QueryService, facts: &BTreeSet<String>, step: &str) {
+        let program = parse(self.rules).unwrap().program;
+        let oracle = Engine::new(program, edb_of(facts)).unwrap();
+        for q in self.queries {
+            let q = parse_atom(q).unwrap();
+            let want: Vec<String> = oracle
+                .query(&q, self.strategy)
+                .unwrap()
+                .answers
+                .iter()
+                .map(|a| a.to_string())
+                .collect();
+            let got = s.query("t", &q, Some(self.strategy)).unwrap().answers;
+            assert_eq!(got, want, "{step}: {q} under {:?}", self.strategy);
+        }
+    }
+}
+
+#[test]
+fn durable_service_serves_programs_with_negation() {
+    let cases = [
+        NegationCase {
+            rules: "reach(X) :- source(X). reach(Y) :- reach(X), edge(X, Y). \
+                    unreach(X) :- node(X), not reach(X).",
+            base: &[
+                "source(a)",
+                "edge(a, b)",
+                "edge(b, c)",
+                "node(a)",
+                "node(b)",
+                "node(c)",
+                "node(d)",
+            ],
+            added: "edge(c, d)",
+            removed: "edge(a, b)",
+            queries: &["unreach(X)", "reach(X)", "reach(c)"],
+            strategy: Strategy::Stratified,
+        },
+        // Win–move is not stratifiable, so only the conditional fixpoint
+        // answers it; the move graph stays acyclic, so every `win` atom is
+        // decided.
+        NegationCase {
+            rules: "win(X) :- move(X, Y), not win(Y).",
+            base: &["move(a, b)", "move(b, c)", "move(c, d)"],
+            added: "move(d, e)",
+            removed: "move(a, b)",
+            queries: &["win(X)", "win(b)"],
+            strategy: Strategy::ConditionalFixpoint,
+        },
+    ];
+    for (i, case) in cases.iter().enumerate() {
+        let (sp, wp) = store_paths(&format!("negation{i}"));
+        std::fs::remove_file(&sp).ok();
+        std::fs::remove_file(&wp).ok();
+        let open = |edb| {
+            let program = parse(case.rules).unwrap().program;
+            QueryService::open(program, edb, Some((&sp, &wp)), ServerConfig::default()).unwrap()
+        };
+        let mut facts: BTreeSet<String> = case.base.iter().map(|f| f.to_string()).collect();
+
+        let s = open(edb_of(&facts));
+        case.check(&s, &facts, "open");
+        s.insert(&parse_atom(case.added).unwrap()).unwrap();
+        s.delete(&parse_atom(case.removed).unwrap()).unwrap();
+        s.commit().unwrap();
+        facts.insert(case.added.to_string());
+        facts.remove(case.removed);
+        case.check(&s, &facts, "mixed commit");
+        assert!(s.checkpoint().unwrap());
+        case.check(&s, &facts, "checkpoint");
+        drop(s);
+
+        let s = open(Database::new());
+        case.check(&s, &facts, "reopen");
+        // The log keeps working past the checkpoint, and replays on reopen.
+        s.insert(&parse_atom(case.removed).unwrap()).unwrap();
+        s.commit().unwrap();
+        facts.insert(case.removed.to_string());
+        case.check(&s, &facts, "commit after reopen");
+        drop(s);
+        case.check(&open(Database::new()), &facts, "second reopen");
+        std::fs::remove_file(&sp).ok();
+        std::fs::remove_file(&wp).ok();
+    }
+}
+
+/// The inline-fact program the lifecycle tests share: two inline EDB facts
+/// and one inline IDB fact.
+const INLINE: &str = "par(a, b). par(b, c). anc(z, z).";
+const INLINE_QUERIES: [&str; 4] = ["anc(a, X)", "anc(z, X)", "anc(X, Y)", "par(X, Y)"];
+
+fn assert_same_answers(durable: &QueryService, memory: &QueryService, step: &str) {
+    // No test deletes an inline fact, so neither service may lose one. (Asked
+    // bottom-up: the goal-directed strategies do not read `anc(z, z)`.)
+    for fact in ["par(a, b)", "par(b, c)", "anc(z, z)"] {
+        let q = parse_atom(fact).unwrap();
+        for s in [durable, memory] {
+            let r = s.query("t", &q, Some(Strategy::SemiNaive)).unwrap();
+            assert_eq!(r.answers, [fact], "{step}");
+        }
+    }
+    for q in INLINE_QUERIES {
+        let q = parse_atom(q).unwrap();
+        for strategy in [Strategy::Alexander, Strategy::SemiNaive] {
+            assert_eq!(
+                durable.query("t", &q, Some(strategy)).unwrap().answers,
+                memory.query("t", &q, Some(strategy)).unwrap().answers,
+                "{step}: {q} under {strategy:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn inline_facts_survive_the_durable_lifecycle() {
+    let (sp, wp) = store_paths("inline");
+    std::fs::remove_file(&sp).ok();
+    std::fs::remove_file(&wp).ok();
+    let program = parse(&format!("{RULES} {INLINE}")).unwrap().program;
+    let open = || {
+        QueryService::open(
+            program.clone(),
+            Database::new(),
+            Some((&sp, &wp)),
+            ServerConfig::default(),
+        )
+        .unwrap()
+    };
+    let memory = service(INLINE);
+    let durable = open();
+    assert_same_answers(&durable, &memory, "open");
+    for s in [&durable, &*memory] {
+        s.insert(&parse_atom("par(c, d)").unwrap()).unwrap();
+        s.insert(&parse_atom("par(x, y)").unwrap()).unwrap();
+        s.commit().unwrap();
+        s.delete(&parse_atom("par(x, y)").unwrap()).unwrap();
+        s.insert(&parse_atom("par(d, e)").unwrap()).unwrap();
+        s.commit().unwrap();
+    }
+    assert_same_answers(&durable, &memory, "commit");
+    assert!(durable.checkpoint().unwrap());
+    assert_same_answers(&durable, &memory, "checkpoint");
+    drop(durable);
+    assert_same_answers(&open(), &memory, "reopen");
+    std::fs::remove_file(&sp).ok();
+    std::fs::remove_file(&wp).ok();
+}
+
+#[test]
+fn a_store_that_lacks_the_inline_facts_gains_them_once_at_reopen() {
+    // A store holding none of the program's inline facts — one created for
+    // the rules alone, as if the facts were added to the program later.
+    let (sp, wp) = store_paths("inline_missing");
+    std::fs::remove_file(&sp).ok();
+    std::fs::remove_file(&wp).ok();
+    let open = |program: Program| {
+        QueryService::open(
+            program,
+            Database::new(),
+            Some((&sp, &wp)),
+            ServerConfig::default(),
+        )
+        .unwrap()
+    };
+    let s = open(parse(RULES).unwrap().program);
+    s.insert(&parse_atom("par(c, d)").unwrap()).unwrap();
+    s.commit().unwrap();
+    drop(s);
+
+    let program = parse(&format!("{RULES} {INLINE}")).unwrap().program;
+    let memory = service(INLINE);
+    memory.insert(&parse_atom("par(c, d)").unwrap()).unwrap();
+    memory.commit().unwrap();
+    let durable = open(program.clone());
+    assert_same_answers(&durable, &memory, "reopen with inline facts");
+    // They are in the store now: the next open has nothing to add.
+    let wal_len = durable.durable_wal_len();
+    drop(durable);
+    let durable = open(program);
+    assert_eq!(durable.durable_wal_len(), wal_len);
+    assert_same_answers(&durable, &memory, "second reopen");
+    std::fs::remove_file(&sp).ok();
+    std::fs::remove_file(&wp).ok();
+}
+
+#[test]
+fn a_checkpoint_stores_no_derived_facts() {
+    let (sp, wp) = store_paths("inline_idb");
+    std::fs::remove_file(&sp).ok();
+    std::fs::remove_file(&wp).ok();
+    let program = parse(&format!("{RULES} {INLINE}")).unwrap().program;
+    let open = || {
+        QueryService::open(
+            program.clone(),
+            Database::new(),
+            Some((&sp, &wp)),
+            ServerConfig::default(),
+        )
+        .unwrap()
+    };
+    let memory = service(INLINE);
+    let durable = open();
+    for s in [&durable, &*memory] {
+        s.insert(&parse_atom("par(c, d)").unwrap()).unwrap();
+        s.commit().unwrap();
+    }
+    assert!(durable.checkpoint().unwrap());
+    drop(durable);
+    // After a reopen, retracting a base fact must retract what it derived:
+    // a snapshot that had stored `anc(a, d)` would keep answering it.
+    let durable = open();
+    for s in [&durable, &*memory] {
+        s.delete(&parse_atom("par(c, d)").unwrap()).unwrap();
+        s.commit().unwrap();
+    }
+    assert_same_answers(&durable, &memory, "delete after reopen");
+    std::fs::remove_file(&sp).ok();
+    std::fs::remove_file(&wp).ok();
 }
