@@ -108,7 +108,7 @@ pub(crate) fn strategy_row(engine: &Engine, query: &Atom, strategy: Strategy) ->
         Err(e) => {
             let reason = match e {
                 alexander_core::EngineError::Eval(_) => "n/a (needs negation support)",
-                alexander_core::EngineError::Oldt(_) => "n/a (not stratified)",
+                alexander_core::EngineError::Topdown(_) => "n/a (not stratified)",
                 _ => "error",
             };
             vec![

@@ -399,43 +399,44 @@ pub fn run(source: &str, opts: &CliOptions) -> Result<String, String> {
     }
 
     // Durability flags (validated above: `--recover` always arrives with
-    // the full --snapshot/--wal pair).
-    if opts.recover {
-        let snap_path = opts
-            .snapshot
-            .as_deref()
-            .ok_or("--recover needs --snapshot FILE to read the EDB from")?;
-        let recovered = alexander_durable::read_snapshot(std::path::Path::new(snap_path))
-            .map_err(|e| e.to_string())?;
+    // the full --snapshot/--wal pair). The pair is read as the store's own
+    // recovery reads it, minus the torn-tail truncation: a query run writes
+    // nothing.
+    if let (true, Some(snap_path), Some(wal_path)) =
+        (opts.recover, opts.snapshot.as_deref(), opts.wal.as_deref())
+    {
+        let r = alexander_durable::replay(
+            &parsed.program,
+            std::path::Path::new(snap_path),
+            std::path::Path::new(wal_path),
+        )
+        .map_err(|e| e.to_string())?;
         writeln!(
             out,
             "recovered {} facts from snapshot {snap_path}",
-            recovered.total_tuples()
+            r.stats.snapshot_facts
         )
         .unwrap();
-        edb.merge(&recovered);
-        if let Some(wal_path) = opts.wal.as_deref() {
-            let contents = alexander_durable::read_wal(std::path::Path::new(wal_path))
-                .map_err(|e| e.to_string())?;
-            let records: usize = contents.batches.iter().map(|b| b.records.len()).sum();
-            for batch in &contents.batches {
-                alexander_durable::apply_to_database(&batch.records, &mut edb);
-            }
+        writeln!(
+            out,
+            "replayed {} committed batches ({} records) from wal {wal_path}",
+            r.stats.batches_replayed, r.stats.records_replayed
+        )
+        .unwrap();
+        if r.wal.torn {
             writeln!(
                 out,
-                "replayed {} committed batches ({records} records) from wal {wal_path}",
-                contents.batches.len()
+                "!! wal has a torn tail after byte {} (crash mid-append); ignored",
+                r.wal.valid_len
             )
             .unwrap();
-            if contents.torn {
-                // Read-only run: report the torn tail, leave the file alone.
-                writeln!(
-                    out,
-                    "!! wal has a torn tail after byte {} (crash mid-append); ignored",
-                    contents.valid_len
-                )
-                .unwrap();
-            }
+        }
+        // The log has the last word over `--load` rows too: a fact a record
+        // names ends where its last record leaves it, whatever the union
+        // held before.
+        edb.merge(&r.edb);
+        for batch in &r.wal.batches {
+            alexander_durable::apply_to_database(&batch.records, &mut edb);
         }
     }
 
@@ -851,6 +852,115 @@ seth,enos
             !out.contains("anc(adam"),
             "deleted base fact resurfaced: {out}"
         );
+    }
+
+    #[test]
+    fn a_logged_delete_also_removes_a_loaded_row() {
+        let dir = std::env::temp_dir();
+        let pid = std::process::id();
+        let snap = dir.join(format!("alexander_cli_loaddel_{pid}.snap"));
+        let wal = dir.join(format!("alexander_cli_loaddel_{pid}.wal"));
+        let csv = dir.join(format!("alexander_cli_loaddel_{pid}.csv"));
+        let par = alexander_ir::Predicate::new("par", 2);
+        alexander_durable::write_snapshot(&Database::new(), &snap).unwrap();
+        let mut w = alexander_durable::Wal::create(&wal).unwrap();
+        w.append_batch(&[alexander_durable::WalRecord {
+            op: alexander_durable::Op::Delete,
+            pred: par,
+            values: vec![
+                alexander_ir::Const::sym("adam"),
+                alexander_ir::Const::sym("seth"),
+            ],
+        }])
+        .unwrap();
+        drop(w);
+        std::fs::write(&csv, "adam,seth\nseth,enos\n").unwrap();
+        let opts = CliOptions {
+            queries: vec!["anc(X, Y)".into()],
+            loads: vec![format!("par/2={}", csv.display())],
+            snapshot: Some(snap.display().to_string()),
+            wal: Some(wal.display().to_string()),
+            recover: true,
+            ..CliOptions::default()
+        };
+        let out = run(
+            "anc(X, Y) :- par(X, Y). anc(X, Y) :- par(X, Z), anc(Z, Y).",
+            &opts,
+        );
+        for f in [&snap, &wal, &csv] {
+            std::fs::remove_file(f).ok();
+        }
+        let out = out.unwrap();
+        assert!(out.contains("anc(seth, enos)"), "{out}");
+        assert!(
+            !out.contains("anc(adam"),
+            "deleted loaded row resurfaced: {out}"
+        );
+    }
+
+    #[test]
+    fn loading_rows_of_an_intensional_predicate_is_refused() {
+        let path =
+            std::env::temp_dir().join(format!("alexander_cli_load_idb_{}.csv", std::process::id()));
+        std::fs::write(&path, "z,z\n").unwrap();
+        let opts = CliOptions {
+            queries: vec!["anc(z, X)".into()],
+            loads: vec![format!("anc/2={}", path.display())],
+            ..CliOptions::default()
+        };
+        let res = run(SRC, &opts);
+        std::fs::remove_file(&path).ok();
+        let err = res.unwrap_err();
+        assert!(err.contains("anc/2 is intensional"), "{err}");
+    }
+
+    #[test]
+    fn recover_refuses_a_wal_record_of_a_derived_predicate() {
+        // `anc` is intensional: a logged `anc(a, z)` can only mean the
+        // program changed underneath the log. Folding it into the EDB would
+        // store a derived fact, so recovery refuses, as the store's does.
+        let dir = std::env::temp_dir();
+        let pid = std::process::id();
+        let snap = dir.join(format!("alexander_cli_idb_{pid}.snap"));
+        let wal = dir.join(format!("alexander_cli_idb_{pid}.wal"));
+        alexander_durable::write_snapshot(&Database::new(), &snap).unwrap();
+        let mut w = alexander_durable::Wal::create(&wal).unwrap();
+        w.append_batch(&[alexander_durable::WalRecord {
+            op: alexander_durable::Op::Insert,
+            pred: alexander_ir::Predicate::new("anc", 2),
+            values: vec![alexander_ir::Const::sym("a"), alexander_ir::Const::sym("z")],
+        }])
+        .unwrap();
+        drop(w);
+        let opts = CliOptions {
+            queries: vec!["anc(a, X)".into()],
+            snapshot: Some(snap.display().to_string()),
+            wal: Some(wal.display().to_string()),
+            recover: true,
+            strategy: Some("seminaive".into()),
+            ..CliOptions::default()
+        };
+        let res = run(SRC, &opts);
+        std::fs::remove_file(&snap).ok();
+        std::fs::remove_file(&wal).ok();
+        let err = res.unwrap_err();
+        assert!(err.contains("anc/2"), "{err}");
+    }
+
+    #[test]
+    fn intensional_inline_facts_answer_under_every_strategy() {
+        let src = "e(a, b). e(b, c). anc(z, z).
+                   anc(X, Y) :- e(X, Y).
+                   anc(X, Y) :- e(X, Z), anc(Z, Y).";
+        for s in Strategy::ALL {
+            let opts = CliOptions {
+                queries: vec!["anc(z, X)".into()],
+                strategy: Some(s.name().into()),
+                ..CliOptions::default()
+            };
+            let out = run(src, &opts).unwrap();
+            assert!(out.contains("\n  anc(z, z)\n"), "{s}: {out}");
+        }
     }
 
     #[test]

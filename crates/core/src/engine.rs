@@ -10,9 +10,7 @@ use alexander_ir::{
 };
 use alexander_parser::{parse, ParseError};
 use alexander_storage::{row_atom, Database};
-use alexander_topdown::{
-    oldt_query_opts, qsqr_query_opts, OldtError, OldtMetrics, OldtOptions, QsqrError, QsqrOptions,
-};
+use alexander_topdown::{oldt_query_opts, qsqr_query_opts, OldtOptions, QsqrOptions, TopdownError};
 use alexander_transform::{alexander, magic_sets, sup_magic_sets, Rewritten, SipOptions};
 use std::fmt;
 
@@ -22,8 +20,7 @@ pub enum EngineError {
     Parse(ParseError),
     Invalid(Vec<alexander_ir::ProgramError>),
     Eval(EvalError),
-    Oldt(OldtError),
-    Qsqr(QsqrError),
+    Topdown(TopdownError),
     Adorn(alexander_transform::AdornError),
     /// The conditional fixpoint left atoms matching the query undefined; the
     /// answer set would be ill-defined.
@@ -42,8 +39,7 @@ impl fmt::Display for EngineError {
                 Ok(())
             }
             EngineError::Eval(e) => write!(f, "{e}"),
-            EngineError::Oldt(e) => write!(f, "{e}"),
-            EngineError::Qsqr(e) => write!(f, "{e}"),
+            EngineError::Topdown(e) => write!(f, "{e}"),
             EngineError::Adorn(e) => write!(f, "{e}"),
             EngineError::UndefinedAnswers(atoms) => {
                 write!(f, "query answers are undefined (cyclic negation) for:")?;
@@ -68,14 +64,9 @@ impl From<EvalError> for EngineError {
         EngineError::Eval(e)
     }
 }
-impl From<OldtError> for EngineError {
-    fn from(e: OldtError) -> Self {
-        EngineError::Oldt(e)
-    }
-}
-impl From<QsqrError> for EngineError {
-    fn from(e: QsqrError) -> Self {
-        EngineError::Qsqr(e)
+impl From<TopdownError> for EngineError {
+    fn from(e: TopdownError) -> Self {
+        EngineError::Topdown(e)
     }
 }
 impl From<alexander_transform::AdornError> for EngineError {
@@ -95,19 +86,28 @@ pub struct Engine {
 
 impl Engine {
     /// Builds an engine from a validated program and an extensional
-    /// database. Inline program facts are merged into the EDB.
-    pub fn new(program: Program, edb: Database) -> Result<Engine, EngineError> {
+    /// database. Inline facts are read once, here ([`Program::normalize`]):
+    /// those of extensional predicates are merged into the EDB, and those of
+    /// intensional predicates join the rules as body-less rules. An `edb`
+    /// holding rows of an intensional predicate is refused, as
+    /// [`Engine::insert_fact`] refuses one such fact: derived facts are
+    /// never stored.
+    pub fn new(mut program: Program, mut edb: Database) -> Result<Engine, EngineError> {
         program.validate().map_err(EngineError::Invalid)?;
-        let mut edb = edb;
-        for f in &program.facts {
+        program.normalize();
+        let idb = program.idb_predicates();
+        if let Some(pred) = edb
+            .predicates()
+            .into_iter()
+            .find(|&p| idb.contains(&p) && edb.len_of(p) > 0)
+        {
+            return Err(EvalError::IdbUpdate(pred).into());
+        }
+        for f in std::mem::take(&mut program.facts) {
             // invariant: `Program::validate` (just above) rejects non-ground
             // facts.
-            edb.insert_atom(f).expect("validated facts are ground");
+            edb.insert_atom(&f).expect("validated facts are ground");
         }
-        let program = Program {
-            rules: program.rules,
-            facts: Vec::new(),
-        };
         Ok(Engine {
             program,
             edb,
@@ -176,8 +176,12 @@ impl Engine {
         &self.edb
     }
 
-    /// Adds a fact to the EDB; returns whether it was new.
+    /// Adds a fact to the EDB; returns whether it was new. A fact of an
+    /// intensional predicate is refused: derived facts are never stored.
     pub fn insert_fact(&mut self, atom: &Atom) -> Result<bool, EngineError> {
+        if self.program.is_idb(atom.predicate()) {
+            return Err(EvalError::IdbUpdate(atom.predicate()).into());
+        }
         self.edb.insert_atom(atom).map_err(|e| {
             EngineError::Invalid(vec![alexander_ir::ProgramError::NonGroundFact {
                 fact: e.0,
@@ -233,46 +237,35 @@ impl Engine {
                 let rw = alexander(&self.program, query, self.sip)?;
                 self.rewritten_result(query, strategy, rw)
             }
-            Strategy::Oldt => {
-                let opts = OldtOptions::default().with_budget(self.opts.budget);
-                let opts = match &self.opts.cancel {
-                    Some(c) => opts.with_cancel(c.clone()),
-                    None => opts,
+            Strategy::Oldt | Strategy::Qsqr => {
+                let (budget, cancel) = (self.opts.budget, self.opts.cancel.clone());
+                let (answers, metrics, completion, restarts) = if strategy == Strategy::Oldt {
+                    let opts = OldtOptions {
+                        budget,
+                        cancel,
+                        ..OldtOptions::default()
+                    };
+                    let r = oldt_query_opts(&self.program, &self.edb, query, opts)?;
+                    (r.answers, r.metrics, r.completion, 0)
+                } else {
+                    let opts = QsqrOptions { budget, cancel };
+                    let r = qsqr_query_opts(&self.program, &self.edb, query, opts)?;
+                    (r.answers, r.metrics, r.completion, r.restarts)
                 };
-                let r = oldt_query_opts(&self.program, &self.edb, query, opts)?;
-                let answers = normalise(r.answers);
                 Ok(QueryResult {
-                    answers,
+                    answers: normalise(answers),
                     strategy,
                     report: Report {
-                        oldt: Some(r.metrics),
-                        calls: Some(r.metrics.calls),
-                        facts_materialised: r.metrics.answers,
+                        oldt: Some(metrics),
+                        calls: Some(metrics.calls),
+                        facts_materialised: metrics.answers,
                         rules_evaluated: self.program.rules.len(),
-                        completion: r.completion,
-                        consumed: topdown_consumption(&r.metrics, 0),
-                        ..Report::default()
-                    },
-                })
-            }
-            Strategy::Qsqr => {
-                let opts = QsqrOptions::default().with_budget(self.opts.budget);
-                let opts = match &self.opts.cancel {
-                    Some(c) => opts.with_cancel(c.clone()),
-                    None => opts,
-                };
-                let r = qsqr_query_opts(&self.program, &self.edb, query, opts)?;
-                let answers = normalise(r.answers);
-                Ok(QueryResult {
-                    answers,
-                    strategy,
-                    report: Report {
-                        oldt: Some(r.metrics),
-                        calls: Some(r.metrics.calls),
-                        facts_materialised: r.metrics.answers,
-                        rules_evaluated: self.program.rules.len(),
-                        completion: r.completion,
-                        consumed: topdown_consumption(&r.metrics, r.restarts),
+                        completion,
+                        consumed: Consumption {
+                            facts: metrics.answers,
+                            rounds: restarts,
+                            steps: metrics.resolution_steps,
+                        },
                         ..Report::default()
                     },
                 })
@@ -359,14 +352,6 @@ fn eval_consumption(m: &alexander_eval::EvalMetrics) -> Consumption {
         facts: m.new_facts,
         rounds: m.iterations,
         steps: m.firings,
-    }
-}
-
-fn topdown_consumption(m: &OldtMetrics, restarts: u64) -> Consumption {
-    Consumption {
-        facts: m.answers,
-        rounds: restarts,
-        steps: m.resolution_steps,
     }
 }
 
@@ -626,6 +611,38 @@ mod tests {
         assert_eq!(e.query(&q, Strategy::Alexander).unwrap().answers.len(), 3);
         e.insert_fact(&parse_atom("par(d, z)").unwrap()).unwrap();
         assert_eq!(e.query(&q, Strategy::Alexander).unwrap().answers.len(), 4);
+    }
+
+    #[test]
+    fn intensional_inline_facts_are_rules_not_rows() {
+        let mut e = Engine::from_source(
+            "e(a, b). e(b, c). anc(z, z).
+             anc(X, Y) :- e(X, Y).
+             anc(X, Y) :- e(X, Z), anc(Z, Y).",
+        )
+        .unwrap();
+        let anc = Predicate::new("anc", 2);
+        assert_eq!(e.edb().len_of(anc), 0, "no derived fact is stored");
+        assert_eq!(e.program().rules.len(), 3, "`anc(z, z)` is a rule");
+        assert!(e.program().facts.is_empty());
+        assert!(matches!(
+            e.insert_fact(&parse_atom("anc(a, z)").unwrap()),
+            Err(EngineError::Eval(EvalError::IdbUpdate(_)))
+        ));
+        assert_eq!(e.edb().len_of(anc), 0);
+    }
+
+    #[test]
+    fn an_edb_with_rows_of_an_intensional_predicate_is_refused() {
+        let program = parse("anc(X, Y) :- e(X, Y).").unwrap().program;
+        let mut edb = Database::new();
+        edb.insert_atom(&parse_atom("e(a, b)").unwrap()).unwrap();
+        assert!(Engine::new(program.clone(), edb.clone()).is_ok());
+        edb.insert_atom(&parse_atom("anc(z, z)").unwrap()).unwrap();
+        assert!(matches!(
+            Engine::new(program, edb),
+            Err(EngineError::Eval(EvalError::IdbUpdate(p))) if p == Predicate::new("anc", 2)
+        ));
     }
 
     #[test]

@@ -36,7 +36,7 @@ pub mod power;
 pub mod strategy;
 
 pub use engine::{answer_predicate, Engine, EngineError};
-pub use power::{check_power_correspondence, PowerCorrespondence, PowerError, PowerRow};
+pub use power::{check_power_correspondence, PowerCorrespondence, PowerRow};
 pub use strategy::{QueryResult, Report, Strategy};
 
 // Re-export the component crates so downstream users need one dependency.

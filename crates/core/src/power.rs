@@ -14,6 +14,7 @@
 //! by row; the integration tests and the harness assert exact equality on
 //! definite programs.
 
+use crate::engine::EngineError;
 use alexander_eval::eval_seminaive;
 use alexander_ir::{AdornedPredicate, Adornment, Atom, Bf, FxHashMap, Predicate, Program};
 use alexander_storage::Database;
@@ -91,26 +92,6 @@ impl fmt::Display for PowerCorrespondence {
     }
 }
 
-/// Errors: either side can fail (validation, stratification, …).
-#[derive(Debug)]
-pub enum PowerError {
-    Transform(alexander_transform::AdornError),
-    Eval(alexander_eval::EvalError),
-    Oldt(alexander_topdown::OldtError),
-}
-
-impl fmt::Display for PowerError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PowerError::Transform(e) => write!(f, "{e}"),
-            PowerError::Eval(e) => write!(f, "{e}"),
-            PowerError::Oldt(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl std::error::Error for PowerError {}
-
 /// The adornment shape of a canonical OLDT call: positions holding constants
 /// are bound.
 fn call_adornment(call: &Atom) -> Adornment {
@@ -124,12 +105,13 @@ fn call_adornment(call: &Atom) -> Adornment {
 
 /// Runs both sides and compares, for a **definite** program (the theorem as
 /// stated; negation needs the conditional fixpoint and a completion-aware
-/// OLDT, compared separately in E8).
+/// OLDT, compared separately in E8). Either side can fail (validation,
+/// stratification, …): the error is the engine's.
 pub fn check_power_correspondence(
     program: &Program,
     edb: &Database,
     query: &Atom,
-) -> Result<PowerCorrespondence, PowerError> {
+) -> Result<PowerCorrespondence, EngineError> {
     // Repeated variables inside an intensional subgoal make OLDT's
     // variant-based calls finer than the adornment abstraction the
     // rewritings use; normalise them away on *both* sides so the two
@@ -139,11 +121,11 @@ pub fn check_power_correspondence(
     let program = &program;
 
     // Bottom-up side: Alexander templates, semi-naive to saturation.
-    let rw = alexander(program, query, SipOptions::default()).map_err(PowerError::Transform)?;
-    let bu = eval_seminaive(&rw.program, edb).map_err(PowerError::Eval)?;
+    let rw = alexander(program, query, SipOptions::default())?;
+    let bu = eval_seminaive(&rw.program, edb)?;
 
     // Top-down side: instrumented OLDT.
-    let td = oldt_query(program, edb, query).map_err(PowerError::Oldt)?;
+    let td = oldt_query(program, edb, query)?;
 
     // Group the OLDT call/answer tables by (predicate, adornment).
     let mut oldt_calls: FxHashMap<(Predicate, String), u64> = FxHashMap::default();

@@ -52,7 +52,7 @@
 
 use crate::error::DurableError;
 use crate::snapshot::{read_snapshot, write_snapshot};
-use crate::wal::{apply_to_database, read_wal, Op, Wal, WalRecord};
+use crate::wal::{apply_to_database, read_wal, Op, Wal, WalContents, WalRecord};
 use alexander_eval::{EvalError, IncrementalEngine};
 use alexander_ir::{Atom, Predicate, Program};
 use alexander_storage::Database;
@@ -67,8 +67,56 @@ pub struct RecoveryStats {
     pub batches_replayed: usize,
     /// Individual insert/delete records replayed.
     pub records_replayed: usize,
-    /// Bytes of torn tail truncated from the WAL (0 for a clean shutdown).
-    pub torn_bytes_truncated: u64,
+    /// Bytes of torn tail after the WAL's committed prefix (0 for a clean
+    /// shutdown). [`DurableStore::recover`] truncates them; a read-only
+    /// [`replay`] leaves the file alone.
+    pub torn_bytes: u64,
+}
+
+/// A snapshot/WAL pair read back without changing either file.
+#[derive(Debug)]
+pub struct Replay {
+    /// The snapshot with every committed batch folded in, in order.
+    pub edb: Database,
+    pub stats: RecoveryStats,
+    /// The WAL as read: its batches and where its committed prefix ends.
+    pub wal: WalContents,
+}
+
+/// Folds a snapshot/WAL pair into the EDB it describes: the snapshot, then
+/// every committed batch in sequence order through [`apply_to_database`] —
+/// the fold commit runs. A logged record naming an intensional predicate of
+/// `program` is refused: it can only be there if the program changed
+/// underneath the log, and derived facts are never stored. Read-only: a
+/// torn tail is measured, not truncated. [`DurableStore::recover`] is this
+/// plus the truncation; read-only callers (the CLI's `--recover`) use it as
+/// is.
+pub fn replay(
+    program: &Program,
+    snapshot_path: &Path,
+    wal_path: &Path,
+) -> Result<Replay, DurableError> {
+    let mut edb = read_snapshot(snapshot_path)?;
+    let mut stats = RecoveryStats {
+        snapshot_facts: edb.total_tuples(),
+        ..RecoveryStats::default()
+    };
+    let wal = read_wal(wal_path)?;
+    for batch in &wal.batches {
+        for rec in &batch.records {
+            extensional(program, rec.pred)?;
+        }
+        apply_to_database(&batch.records, &mut edb);
+        stats.records_replayed += batch.records.len();
+        stats.batches_replayed += 1;
+    }
+    if wal.torn {
+        let disk_len = std::fs::metadata(wal_path)
+            .map_err(|e| DurableError::io("stat", wal_path, e))?
+            .len();
+        stats.torn_bytes = disk_len - wal.valid_len;
+    }
+    Ok(Replay { edb, stats, wal })
 }
 
 /// One committed batch.
@@ -148,9 +196,9 @@ impl DurableStore {
         }
     }
 
-    /// Rebuilds the EDB from what is on disk: snapshot, then committed WAL
-    /// batches in order; any torn tail is truncated. The returned store is
-    /// ready for new batches.
+    /// Rebuilds the EDB from what is on disk ([`replay`]: snapshot, then
+    /// committed WAL batches in order) and truncates any torn tail. The
+    /// returned store is ready for new batches.
     ///
     /// This is also the escape hatch after a poisoned handle (see
     /// [`DurableError::Poisoned`]): drop the poisoned store and recover —
@@ -162,29 +210,8 @@ impl DurableStore {
         wal_path: &Path,
     ) -> Result<(DurableStore, RecoveryStats), DurableError> {
         program.validate().map_err(EvalError::Invalid)?;
-        let mut edb = read_snapshot(snapshot_path)?;
-        let mut stats = RecoveryStats {
-            snapshot_facts: edb.total_tuples(),
-            ..RecoveryStats::default()
-        };
-        let contents = read_wal(wal_path)?;
-        for batch in &contents.batches {
-            // A logged record can only name a derived predicate if the
-            // program changed underneath the log.
-            for rec in &batch.records {
-                extensional(&program, rec.pred)?;
-            }
-            apply_to_database(&batch.records, &mut edb);
-            stats.records_replayed += batch.records.len();
-            stats.batches_replayed += 1;
-        }
-        if contents.torn {
-            let disk_len = std::fs::metadata(wal_path)
-                .map_err(|e| DurableError::io("stat", wal_path, e))?
-                .len();
-            stats.torn_bytes_truncated = disk_len - contents.valid_len;
-        }
-        let wal = Wal::open_append(wal_path, &contents)?;
+        let Replay { edb, stats, wal } = replay(&program, snapshot_path, wal_path)?;
+        let wal = Wal::open_append(wal_path, &wal)?;
         Ok((DurableStore::over(program, edb, wal, snapshot_path), stats))
     }
 
@@ -424,7 +451,7 @@ mod tests {
         assert_eq!(snap(rec.db()), want);
         assert_eq!(stats.batches_replayed, 2);
         assert_eq!(stats.records_replayed, 3);
-        assert_eq!(stats.torn_bytes_truncated, 0);
+        assert_eq!(stats.torn_bytes, 0);
         std::fs::remove_file(&sp).ok();
         std::fs::remove_file(&wp).ok();
     }

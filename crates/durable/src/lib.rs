@@ -12,10 +12,12 @@
 //! protocol; [`DurableStore::recover`] rebuilds the exact pre-crash EDB
 //! from the pair — snapshot, then every committed batch folded in through
 //! [`apply_to_database`] — truncating any torn WAL tail a crash left
-//! behind. Derived facts are never persisted: whoever evaluates the program
-//! over the recovered EDB derives them, so disk corruption can at worst
-//! *lose* committed batches noisily (a structured [`DurableError`]), never
-//! smuggle in unjustified conclusions. [`DurableEngine`] adds a maintained
+//! behind. [`replay`] is the same fold without the truncation, for
+//! read-only callers. Derived facts are never persisted: whoever evaluates
+//! the program over the recovered EDB derives them, so disk corruption can
+//! at worst *lose* committed batches noisily (a structured
+//! [`DurableError`]), never smuggle in unjustified conclusions.
+//! [`DurableEngine`] adds a maintained
 //! materialisation on top of a store, for callers that read one.
 //!
 //! Every byte written flows through [`io::FaultFile`], which under the
@@ -33,7 +35,9 @@ pub mod snapshot;
 pub mod wal;
 
 pub use crc::crc32;
-pub use engine::{edb_record, CommitStats, DurableEngine, DurableStore, RecoveryStats};
+pub use engine::{
+    edb_record, replay, CommitStats, DurableEngine, DurableStore, RecoveryStats, Replay,
+};
 pub use error::DurableError;
 pub use snapshot::{decode_snapshot, encode_snapshot, read_snapshot, write_snapshot};
 pub use wal::{

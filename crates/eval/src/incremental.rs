@@ -108,9 +108,6 @@ pub struct IncrementalEngine {
     total: Database,
     /// The extensional predicates (facts the user may insert/delete).
     edb_preds: FxHashSet<Predicate>,
-    /// Program-seeded IDB facts: externally asserted, never retractable by
-    /// the cascade.
-    protected: FxHashMap<Predicate, FxHashSet<Tuple>>,
     /// Head predicates maintained by exact firing counts.
     counted: FxHashSet<Predicate>,
     /// SCC groups of the rule set, dependencies first.
@@ -127,12 +124,16 @@ impl IncrementalEngine {
     }
 
     /// Materialises `program` over `edb` under an explicit maintenance mode.
+    /// An inline fact of an intensional predicate is a body-less rule
+    /// ([`Program::normalize`]): it fires once, so counting holds it at one
+    /// support, and DRed's head-seeded probe rederives it by itself.
     pub fn with_mode(
-        program: Program,
+        mut program: Program,
         edb: Database,
         mode: Maintenance,
     ) -> Result<IncrementalEngine, EvalError> {
         program.validate().map_err(EvalError::Invalid)?;
+        program.normalize();
         if !program.is_definite() {
             return Err(EvalError::NegatedIdb(
                 program
@@ -161,18 +162,9 @@ impl IncrementalEngine {
         let plans: Vec<RulePlan> = compile_plans(&compiled, &mut metrics);
         let seeded_plans: Vec<RulePlan> = compile_plans(&seeded, &mut metrics);
         let mut edb_preds: FxHashSet<Predicate> = edb.predicates().into_iter().collect();
-        let mut protected: FxHashMap<Predicate, FxHashSet<Tuple>> = FxHashMap::default();
-        for f in &program.facts {
-            edb_preds.insert(f.predicate());
-            if program.is_idb(f.predicate()) {
-                // invariant: `validate` rejects non-ground facts.
-                let t = Tuple::from_atom(f).expect("program facts are ground");
-                protected.entry(f.predicate()).or_default().insert(t);
-            }
-        }
+        edb_preds.extend(program.facts.iter().map(|f| f.predicate()));
         // Every seeded row is externally supported: base facts hold because
-        // they are stored, not because a rule fires. Rule firings add on
-        // top, so a protected fact's count can never reach zero.
+        // they are stored, not because a rule fires.
         for p in total.predicates() {
             let rel = total.relation_mut(p);
             for id in 0..rel.len() as u32 {
@@ -188,7 +180,6 @@ impl IncrementalEngine {
             seeded_plans,
             total,
             edb_preds,
-            protected,
             counted,
             groups,
             provenance: Provenance::default(),
@@ -630,16 +621,15 @@ impl IncrementalEngine {
                         governor: None,
                     };
                     let doomed_ref = &doomed;
-                    let protected_ref = &self.protected;
                     let _ = exec_plan(
                         &self.plans[ri],
                         &input,
                         scratch,
                         &mut self.metrics,
                         &mut |h, row| {
-                            let hit = |s: &FxHashSet<Tuple>| s.contains(&Tuple::new(row));
-                            if protected_ref.get(&head).is_some_and(hit)
-                                || doomed_ref.get(&head).is_some_and(hit)
+                            if doomed_ref
+                                .get(&head)
+                                .is_some_and(|s| s.contains(&Tuple::new(row)))
                             {
                                 Emitted::Duplicate
                             } else if next.insert_row_hashed(head, h, row) {
@@ -904,8 +894,7 @@ mod tests {
                 assert!(support > 0, "{p}: stored row with zero support");
                 if inc.is_counted(p) {
                     let t = Tuple::new(rel.row(id));
-                    let external =
-                        u32::from(!is_idb || inc.protected.get(&p).is_some_and(|s| s.contains(&t)));
+                    let external = u32::from(!is_idb);
                     let firings = expected.get(&(p, t)).copied().unwrap_or(0);
                     assert_eq!(
                         support,
@@ -1184,25 +1173,34 @@ mod tests {
     }
 
     #[test]
-    fn program_seeded_idb_facts_are_protected() {
-        // tc(n5, n6) is asserted by the program itself: deleting base edges
-        // must never retract it, in either mode.
+    fn intensional_inline_facts_survive_the_delete_cascade() {
+        // `tc(n5, n6)` and `hop(n5)` are body-less rules of the program, and
+        // the edges derive them too. Deleting those edges overdeletes
+        // `tc(n5, n6)` (DRed) and drops a support of `hop(n5)` (counting):
+        // both must stay, and neither is part of the EDB.
         let parsed = parse(
             "
-            tc(n5, n6).
+            tc(n5, n6). hop(n5).
             tc(X, Y) :- e(X, Y).
             tc(X, Y) :- e(X, Z), tc(Z, Y).
+            hop(X) :- e(X, Y).
         ",
         )
         .unwrap();
-        let mut edb = workload::chain("e", 4);
+        let edb = workload::chain("e", 8);
+        let cut = parse_atom("e(n5, n6)").unwrap();
+        let mut after = edb.clone();
+        after.remove_atom(&cut);
         for mode in [Maintenance::Counting, Maintenance::Dred] {
             let mut inc =
                 IncrementalEngine::with_mode(parsed.program.clone(), edb.clone(), mode).unwrap();
-            inc.delete(&parse_atom("e(n1, n2)").unwrap()).unwrap();
+            inc.delete(&cut).unwrap();
             assert!(inc.db().contains_atom(&parse_atom("tc(n5, n6)").unwrap()));
+            assert!(inc.db().contains_atom(&parse_atom("hop(n5)").unwrap()));
+            check_supports(&inc);
+            assert_eq!(inc.edb().predicates(), vec![Predicate::new("e", 2)]);
+            assert_eq!(snapshot(inc.db()), from_scratch(&parsed.program, &after));
         }
-        edb.remove_atom(&parse_atom("e(n1, n2)").unwrap());
     }
 
     #[test]

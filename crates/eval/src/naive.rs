@@ -96,6 +96,10 @@ pub(crate) fn check_semipositive(program: &Program) -> Result<(), EvalError> {
     Ok(())
 }
 
+/// The evaluation's starting database: `edb` plus every inline fact of
+/// `program`. An inline fact of an intensional predicate is a body-less rule
+/// ([`Program::normalize`]), and seeding its head is exactly what firing
+/// that rule does, so a bottom-up evaluator needs no normalised program.
 pub(crate) fn seed_database(program: &Program, edb: &Database) -> Database {
     let mut db = edb.clone();
     for f in &program.facts {

@@ -4,11 +4,13 @@ use crate::atom::{Atom, Predicate};
 use crate::hash::FxHashSet;
 use crate::rule::Rule;
 use crate::term::Var;
+use std::borrow::Cow;
 use std::fmt;
 
 /// A Datalog program: a set of rules plus ground facts that were written in
 /// the program text (facts are normally loaded into the database instead, but
-/// the parser accepts inline facts for convenience).
+/// the parser accepts inline facts for convenience). How every strategy reads
+/// an inline fact is decided once, by [`Program::normalize`].
 #[derive(Clone, Default, PartialEq)]
 pub struct Program {
     pub rules: Vec<Rule>,
@@ -136,6 +138,39 @@ impl Program {
             .filter(move |r| r.head.predicate() == pred)
     }
 
+    /// Applies the one reading of inline facts that every strategy shares:
+    /// a fact of an extensional predicate is an EDB row, and a fact of an
+    /// intensional predicate is a body-less rule. The latter move to the end
+    /// of `rules`, so `facts` keeps only EDB rows. Idempotent, and the
+    /// intensional predicates do not change.
+    pub fn normalize(&mut self) {
+        let idb = self.idb_predicates();
+        let (heads, rows): (Vec<Atom>, Vec<Atom>) = std::mem::take(&mut self.facts)
+            .into_iter()
+            .partition(|f| idb.contains(&f.predicate()));
+        self.facts = rows;
+        self.rules
+            .extend(heads.into_iter().map(|head| Rule::new(head, Vec::new())));
+    }
+
+    /// [`Program::normalize`] for a borrowed program: borrows it back when
+    /// no inline fact names an intensional predicate (an already-normalised
+    /// program costs one pass over its rules and one over its inline facts,
+    /// and nothing when it has no inline facts).
+    pub fn normalized(&self) -> Cow<'_, Program> {
+        if self.facts.is_empty() {
+            return Cow::Borrowed(self);
+        }
+        let idb = self.idb_predicates();
+        if self.facts.iter().any(|f| idb.contains(&f.predicate())) {
+            let mut program = self.clone();
+            program.normalize();
+            Cow::Owned(program)
+        } else {
+            Cow::Borrowed(self)
+        }
+    }
+
     /// Validates safety, groundness of inline facts, arity consistency, and
     /// that no rule redefines an inline-fact (EDB) predicate. Returns every
     /// violation rather than the first.
@@ -191,9 +226,9 @@ impl Program {
             }
         }
 
-        // Inline facts for IDB predicates are legal Datalog (they are just
-        // body-less rules). Rule heads over a caller-declared extensional set
-        // are checked by `validate_with_edb`.
+        // Inline facts for IDB predicates are legal Datalog: they are
+        // body-less rules (`normalize`). Rule heads over a caller-declared
+        // extensional set are checked by `validate_with_edb`.
         if errors.is_empty() {
             Ok(())
         } else {
@@ -333,6 +368,24 @@ mod tests {
         assert!(errs
             .iter()
             .any(|e| matches!(e, ProgramError::EdbHead { .. })));
+    }
+
+    #[test]
+    fn intensional_facts_normalize_to_body_less_rules() {
+        let mut p = ancestor_program();
+        let loop_fact = atom("anc", [Term::sym("z"), Term::sym("z")]);
+        p.facts.push(loop_fact.clone());
+        let normalized = p.normalized().into_owned();
+        assert_eq!(normalized.facts, ancestor_program().facts, "EDB rows stay");
+        assert_eq!(normalized.rules.len(), 3);
+        assert_eq!(normalized.rules[2], Rule::new(loop_fact, Vec::new()));
+        assert_eq!(normalized.idb_predicates(), p.idb_predicates());
+        assert!(normalized.validate().is_ok());
+        // Nothing left to move: borrowed back, and `normalize` is a no-op.
+        assert!(matches!(normalized.normalized(), Cow::Borrowed(_)));
+        let mut again = normalized.clone();
+        again.normalize();
+        assert_eq!(again, normalized);
     }
 
     #[test]

@@ -225,10 +225,9 @@ impl Writer {
 /// Shared service state: what the public [`QueryService`] handle and the
 /// supervisor thread both hold.
 struct Core {
-    /// The validated program: its rules, plus those of its inline facts
-    /// that name intensional predicates (every epoch's `Engine::new` folds
-    /// them in). Its extensional inline facts seeded the writer's EDB at
-    /// open.
+    /// The validated, normalised program: its rules, including its inline
+    /// facts of intensional predicates as body-less rules. Its extensional
+    /// inline facts seeded the writer's EDB at open.
     program: Program,
     epochs: EpochStore,
     writer: Mutex<Writer>,
@@ -262,7 +261,7 @@ impl QueryService {
     /// client's would be: each open re-asserts what the program states,
     /// including facts added to it after the store was created.
     pub fn open(
-        program: Program,
+        mut program: Program,
         edb: Database,
         store: Option<(&Path, &Path)>,
         config: ServerConfig,
@@ -270,17 +269,8 @@ impl QueryService {
         program
             .validate()
             .map_err(|e| ServerError::Engine(EngineError::Invalid(e).to_string()))?;
-        // Inline facts of intensional predicates cannot be stored: they stay
-        // in the program, for every epoch to fold in.
-        let (seed, facts): (Vec<Atom>, Vec<Atom>) = program
-            .facts
-            .iter()
-            .cloned()
-            .partition(|f| !program.is_idb(f.predicate()));
-        let program = Program {
-            rules: program.rules,
-            facts,
-        };
+        program.normalize();
+        let seed = std::mem::take(&mut program.facts);
         let mut writer = match store {
             Some((snap, wal)) => Writer::Durable(match (snap.exists(), wal.exists()) {
                 (true, true) => DurableStore::recover(program.clone(), snap, wal)?.0,

@@ -607,18 +607,20 @@ const INLINE: &str = "par(a, b). par(b, c). anc(z, z).";
 const INLINE_QUERIES: [&str; 4] = ["anc(a, X)", "anc(z, X)", "anc(X, Y)", "par(X, Y)"];
 
 fn assert_same_answers(durable: &QueryService, memory: &QueryService, step: &str) {
-    // No test deletes an inline fact, so neither service may lose one. (Asked
-    // bottom-up: the goal-directed strategies do not read `anc(z, z)`.)
+    // No test deletes an inline fact, so neither service may lose one, under
+    // any strategy.
     for fact in ["par(a, b)", "par(b, c)", "anc(z, z)"] {
         let q = parse_atom(fact).unwrap();
         for s in [durable, memory] {
-            let r = s.query("t", &q, Some(Strategy::SemiNaive)).unwrap();
-            assert_eq!(r.answers, [fact], "{step}");
+            for strategy in Strategy::ALL {
+                let r = s.query("t", &q, Some(strategy)).unwrap();
+                assert_eq!(r.answers, [fact], "{step}: {strategy}");
+            }
         }
     }
     for q in INLINE_QUERIES {
         let q = parse_atom(q).unwrap();
-        for strategy in [Strategy::Alexander, Strategy::SemiNaive] {
+        for strategy in Strategy::ALL {
             assert_eq!(
                 durable.query("t", &q, Some(strategy)).unwrap().answers,
                 memory.query("t", &q, Some(strategy)).unwrap().answers,
@@ -722,6 +724,19 @@ fn a_checkpoint_stores_no_derived_facts() {
         s.commit().unwrap();
     }
     assert!(durable.checkpoint().unwrap());
+    // Neither the writer's EDB (which every epoch publishes) nor the
+    // snapshot holds a fact of `anc`, the inline `anc(z, z)` included.
+    let anc = alexander_ir::Predicate::new("anc", 2);
+    for s in [&durable, &*memory] {
+        assert_eq!(s.pin().engine().edb().len_of(anc), 0);
+    }
+    let snapshot = alexander_durable::read_snapshot(&sp).unwrap();
+    assert_eq!(snapshot.len_of(anc), 0);
+    assert_eq!(
+        snapshot.total_tuples(),
+        3,
+        "par(a, b), par(b, c), par(c, d)"
+    );
     drop(durable);
     // After a reopen, retracting a base fact must retract what it derived:
     // a snapshot that had stored `anc(a, d)` would keep answering it.

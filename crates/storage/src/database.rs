@@ -27,10 +27,12 @@ impl Database {
         Database::default()
     }
 
-    /// Loads the inline facts of `program` into a fresh database.
+    /// Loads the EDB rows among the inline facts of `program` into a fresh
+    /// database. A fact of an intensional predicate is a body-less rule
+    /// ([`Program::normalize`]), not a row, so it is left out.
     pub fn from_program(program: &Program) -> Database {
         let mut db = Database::new();
-        for f in &program.facts {
+        for f in &program.normalized().facts {
             // invariant: `Program::validate` rejects non-ground facts, and
             // every caller validates before loading.
             db.insert_atom(f).expect("inline facts are ground");
@@ -474,6 +476,17 @@ mod tests {
         p.facts.push(atom("n", [Term::sym("a")]));
         let db = Database::from_program(&p);
         assert_eq!(db.total_tuples(), 2);
+        // `n` defined by a rule: its inline fact is a body-less rule.
+        p.rules.push(alexander_ir::Rule::new(
+            atom("n", [Term::var("X")]),
+            vec![alexander_ir::Literal::pos(atom(
+                "e",
+                [Term::var("X"), Term::var("Y")],
+            ))],
+        ));
+        let db = Database::from_program(&p);
+        assert_eq!(db.total_tuples(), 1);
+        assert_eq!(db.len_of(Predicate::new("n", 1)), 0);
     }
 
     #[test]

@@ -669,12 +669,6 @@ impl Relation {
         }
     }
 
-    /// The rows inserted at or after position `from`.
-    pub fn since(&self, from: usize) -> Rows<'_> {
-        let lo = u32::try_from(from.min(self.len as usize)).expect("relation overflow");
-        self.rows_in(lo, self.len)
-    }
-
     /// Ensures a hash index for `mask` exists (no-op for the empty mask).
     pub fn ensure_index(&mut self, mask: Mask) {
         if mask.is_empty() || self.indexes.contains_key(&mask) {
@@ -714,22 +708,6 @@ impl Relation {
     ) -> Option<&[u32]> {
         let index = self.indexes.get(&mask)?;
         Some(index.probe(hash, |rid| self.row(rid), key_eq))
-    }
-
-    /// [`Relation::probe_ids`] restricted to the id range `[lo, hi)` — the
-    /// semi-naive delta restriction as a single entry point. Posting lists
-    /// are ascending, so the restriction is at most two binary searches;
-    /// `None` still means "no index for this mask, fall back to a scan".
-    #[inline]
-    pub fn probe_ids_in(
-        &self,
-        mask: Mask,
-        hash: u64,
-        range: Option<(u32, u32)>,
-        key_eq: impl FnMut(&[Const]) -> bool,
-    ) -> Option<&[u32]> {
-        let ids = self.probe_ids(mask, hash, key_eq)?;
-        Some(narrow(ids, range, self.len))
     }
 
     /// Resolves the index for `mask` once — `None` when no index exists
@@ -960,8 +938,10 @@ pub struct IndexProbe<'r> {
 }
 
 impl<'r> IndexProbe<'r> {
-    /// As [`Relation::probe_ids_in`], minus the per-call index resolution
-    /// (and never `None` — holding the handle proves the index exists).
+    /// [`Relation::probe_ids`] restricted to the id range `[lo, hi)` — the
+    /// semi-naive delta restriction, at most two binary searches on the
+    /// ascending posting list. Never `None`: holding the handle proves the
+    /// index exists.
     #[inline]
     pub fn probe_in(
         &self,
@@ -1127,13 +1107,13 @@ mod tests {
     }
 
     #[test]
-    fn since_slices_new_tuples() {
+    fn rows_in_slices_new_tuples() {
         let mut r = edges();
-        let watermark = r.len();
+        let watermark = r.len() as u32;
         r.insert(tuple_of_syms(&["x", "y"]));
-        assert_eq!(r.since(watermark).len(), 1);
-        assert_eq!(r.since(0).len(), 4);
-        assert_eq!(r.since(999).len(), 0);
+        assert_eq!(r.rows_in(watermark, u32::MAX).len(), 1);
+        assert_eq!(r.rows_in(0, u32::MAX).len(), 4);
+        assert_eq!(r.rows_in(999, u32::MAX).len(), 0);
     }
 
     #[test]

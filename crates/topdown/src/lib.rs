@@ -5,7 +5,9 @@
 //! simulate bottom-up; the engine is instrumented so the call and answer
 //! tables can be compared fact-for-fact with the `call_…` / `ans_…`
 //! relations of the transformed program (the reproduced paper's power
-//! theorem, experiment E3).
+//! theorem, experiment E3). QSQR and plain SLD share its front end: one
+//! clause table (rules plus intensional inline facts as body-less rules),
+//! one extensional store and one [`TopdownError`].
 //!
 //! ```
 //! use alexander_parser::{parse, parse_atom};
@@ -23,12 +25,14 @@
 //! assert_eq!(r.metrics.calls, 3); // anc(a,_), anc(b,_), anc(c,_)
 //! ```
 
+mod front;
 pub mod metrics;
 pub mod oldt;
 pub mod qsqr;
 pub mod sld;
 
+pub use front::TopdownError;
 pub use metrics::OldtMetrics;
-pub use oldt::{oldt_query, oldt_query_opts, OldtError, OldtOptions, OldtResult};
-pub use qsqr::{qsqr_query, qsqr_query_opts, QsqrError, QsqrOptions, QsqrResult};
-pub use sld::{sld_query, SldError, SldOptions, SldResult};
+pub use oldt::{oldt_query, oldt_query_opts, OldtOptions, OldtResult};
+pub use qsqr::{qsqr_query, qsqr_query_opts, QsqrOptions, QsqrResult};
+pub use sld::{sld_query, SldOptions, SldResult};

@@ -20,16 +20,15 @@
 //! the completion of their subquery's table first (admissible because the
 //! program must be stratified — checked up front).
 
+use crate::front::{Clauses, TopdownError};
 use crate::metrics::OldtMetrics;
 use alexander_eval::{Budget, CancelHandle, Completion, Governor};
 use alexander_ir::analysis::stratify;
 use alexander_ir::{
-    match_atom, Atom, FxHashMap, FxHashSet, Literal, Polarity, Predicate, Program, Rule, Subst,
-    Term, Var,
+    match_atom, Atom, FxHashMap, FxHashSet, Literal, Polarity, Predicate, Program, Subst, Term, Var,
 };
 use alexander_storage::Database;
 use alexander_transform::sip_order;
-use std::fmt;
 
 /// Options for the OLDT engine.
 #[derive(Clone, Debug)]
@@ -68,35 +67,6 @@ impl OldtOptions {
         self
     }
 }
-
-/// Errors from the OLDT engine.
-#[derive(Clone, Debug)]
-pub enum OldtError {
-    Invalid(Vec<alexander_ir::ProgramError>),
-    NotStratified(alexander_ir::analysis::NotStratified),
-    /// A negative literal was selected non-ground (unsafe rule).
-    NonGroundNegation(String),
-}
-
-impl fmt::Display for OldtError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            OldtError::Invalid(errs) => {
-                write!(f, "invalid program:")?;
-                for e in errs {
-                    write!(f, "\n  {e}")?;
-                }
-                Ok(())
-            }
-            OldtError::NotStratified(e) => write!(f, "{e}"),
-            OldtError::NonGroundNegation(l) => {
-                write!(f, "negative literal `{l}` selected while non-ground")
-            }
-        }
-    }
-}
-
-impl std::error::Error for OldtError {}
 
 /// The result of an OLDT query.
 #[derive(Clone, Debug)]
@@ -153,9 +123,7 @@ struct Node {
 }
 
 struct Engine<'a> {
-    rules_by_pred: FxHashMap<Predicate, Vec<Rule>>,
-    edb: &'a Database,
-    idb: FxHashSet<Predicate>,
+    clauses: &'a Clauses,
     tables: Vec<Table>,
     table_of: FxHashMap<Atom, usize>,
     work: Vec<Node>,
@@ -202,13 +170,14 @@ impl<'a> Engine<'a> {
         self.table_of.insert(canon.clone(), t);
         self.metrics.calls += 1;
 
-        // Seed generators: resolve the canonical call against every rule.
-        let rules = self
-            .rules_by_pred
+        // Seed generators: resolve the canonical call against every clause.
+        let clauses = self.clauses;
+        for rule in clauses
+            .by_pred
             .get(&canon.predicate())
-            .cloned()
-            .unwrap_or_default();
-        for rule in rules {
+            .into_iter()
+            .flatten()
+        {
             let fresh = rule.rectified();
             let mut s = Subst::new();
             if alexander_ir::unify_atoms(&canon, &fresh.head, &mut s) {
@@ -287,7 +256,7 @@ impl<'a> Engine<'a> {
     /// Drives the worklist to exhaustion — or to the budget. On a stop the
     /// remaining work is abandoned; answers recorded so far all have
     /// complete derivations, so the partial result is sound.
-    fn drain(&mut self) -> Result<(), OldtError> {
+    fn drain(&mut self) -> Result<(), TopdownError> {
         while let Some(node) = self.work.pop() {
             if self.gov.check_interrupt().is_break()
                 || self
@@ -302,7 +271,7 @@ impl<'a> Engine<'a> {
         Ok(())
     }
 
-    fn step(&mut self, mut node: Node) -> Result<(), OldtError> {
+    fn step(&mut self, mut node: Node) -> Result<(), TopdownError> {
         if node.goals.is_empty() {
             let answer = node.subst.apply_atom(&node.head);
             self.add_answer(node.table, answer);
@@ -315,7 +284,7 @@ impl<'a> Engine<'a> {
         // the ordering guarantees of safe rules plus the SIP).
         if let Some(b) = alexander_ir::Builtin::of(goal.predicate()) {
             let Some(args) = goal.ground_args() else {
-                return Err(OldtError::NonGroundNegation(goal.to_string()));
+                return Err(TopdownError::NonGroundNegation(goal.to_string()));
             };
             self.metrics.resolution_steps += 1;
             let holds = b.eval(args[0], args[1]);
@@ -326,41 +295,19 @@ impl<'a> Engine<'a> {
             return Ok(());
         }
 
-        match (lit.polarity, self.idb.contains(&goal.predicate())) {
+        match (lit.polarity, self.clauses.idb.contains(&goal.predicate())) {
             (Polarity::Positive, false) => {
-                // Extensional: scan/probe the database.
-                if let Some(rel) = self.edb.relation(goal.predicate()) {
-                    // Probe on the ground columns.
-                    let cols: Vec<usize> = goal
-                        .terms
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, t)| t.is_ground())
-                        .map(|(i, _)| i)
-                        .collect();
-                    let mask = alexander_storage::Mask::of_columns(&cols);
-                    let key: Vec<alexander_ir::Const> = cols
-                        .iter()
-                        // invariant: `cols` was filtered to the positions
-                        // where `goal.terms[c]` is a constant.
-                        .map(|&c| goal.terms[c].as_const().unwrap())
-                        .collect();
-                    let matches: Vec<Atom> = rel
-                        .probe(mask, &key)
-                        .0
-                        .map(|row| alexander_storage::row_atom(goal.pred, row))
-                        .collect();
-                    for fact in matches {
-                        self.metrics.resolution_steps += 1;
-                        let mut s = node.subst.clone();
-                        if match_atom(&goal, &fact, &mut s) {
-                            self.work.push(Node {
-                                table: node.table,
-                                head: node.head.clone(),
-                                goals: node.goals.clone(),
-                                subst: s,
-                            });
-                        }
+                // Extensional: probe the database.
+                for fact in self.clauses.probe(&goal) {
+                    self.metrics.resolution_steps += 1;
+                    let mut s = node.subst.clone();
+                    if match_atom(&goal, &fact, &mut s) {
+                        self.work.push(Node {
+                            table: node.table,
+                            head: node.head.clone(),
+                            goals: node.goals.clone(),
+                            subst: s,
+                        });
                     }
                 }
             }
@@ -389,16 +336,16 @@ impl<'a> Engine<'a> {
             }
             (Polarity::Negative, false) => {
                 if !goal.is_ground() {
-                    return Err(OldtError::NonGroundNegation(goal.to_string()));
+                    return Err(TopdownError::NonGroundNegation(goal.to_string()));
                 }
                 self.metrics.resolution_steps += 1;
-                if !self.edb.contains_atom(&goal) {
+                if !self.clauses.edb.contains_atom(&goal) {
                     self.work.push(node);
                 }
             }
             (Polarity::Negative, true) => {
                 if !goal.is_ground() {
-                    return Err(OldtError::NonGroundNegation(goal.to_string()));
+                    return Err(TopdownError::NonGroundNegation(goal.to_string()));
                 }
                 // Complete the subquery's table (terminates: the program is
                 // stratified, so the negated predicate's evaluation never
@@ -426,7 +373,7 @@ pub fn oldt_query(
     program: &Program,
     edb: &Database,
     query: &Atom,
-) -> Result<OldtResult, OldtError> {
+) -> Result<OldtResult, TopdownError> {
     oldt_query_opts(program, edb, query, OldtOptions::default())
 }
 
@@ -436,37 +383,14 @@ pub fn oldt_query_opts(
     edb: &Database,
     query: &Atom,
     opts: OldtOptions,
-) -> Result<OldtResult, OldtError> {
-    program.validate().map_err(OldtError::Invalid)?;
-    let idb = program.idb_predicates();
-    let has_idb_negation = program.rules.iter().any(|r| {
-        r.body
-            .iter()
-            .any(|l| l.is_negative() && idb.contains(&l.atom.predicate()))
-    });
-    if has_idb_negation {
-        stratify(program).map_err(OldtError::NotStratified)?;
-    }
-
-    // Inline facts become part of the database for resolution.
-    let mut full_edb = edb.clone();
-    for f in &program.facts {
-        // invariant: `program.validate()` above rejects non-ground facts.
-        full_edb.insert_atom(f).expect("validated facts are ground");
-    }
-
-    let mut rules_by_pred: FxHashMap<Predicate, Vec<Rule>> = FxHashMap::default();
-    for r in &program.rules {
-        rules_by_pred
-            .entry(r.head.predicate())
-            .or_default()
-            .push(r.clone());
+) -> Result<OldtResult, TopdownError> {
+    let clauses = Clauses::new(program, edb)?;
+    if clauses.negated_idb.is_some() {
+        stratify(program).map_err(TopdownError::NotStratified)?;
     }
 
     let mut engine = Engine {
-        rules_by_pred,
-        edb: &full_edb,
-        idb,
+        clauses: &clauses,
         tables: Vec::new(),
         table_of: FxHashMap::default(),
         work: Vec::new(),
@@ -475,7 +399,7 @@ pub fn oldt_query_opts(
         gov: Governor::new(opts.budget, opts.cancel.clone()),
     };
 
-    let answers = if engine.idb.contains(&query.predicate()) {
+    let answers = if clauses.idb.contains(&query.predicate()) {
         let t = engine.ensure_table(query);
         engine.drain()?;
         // The table answers are instances of the canonical call; filter
@@ -490,15 +414,7 @@ pub fn oldt_query_opts(
             .cloned()
             .collect()
     } else {
-        // Extensional query: direct lookup.
-        full_edb
-            .atoms_of(query.predicate())
-            .into_iter()
-            .filter(|a| {
-                let mut s = Subst::new();
-                match_atom(query, a, &mut s)
-            })
-            .collect()
+        clauses.lookup(query)
     };
 
     let mut calls_by_pred: FxHashMap<Predicate, u64> = FxHashMap::default();
@@ -655,7 +571,7 @@ mod tests {
         .unwrap();
         let edb = Database::from_program(&parsed.program);
         let err = oldt_query(&parsed.program, &edb, &parse_atom("win(a)").unwrap());
-        assert!(matches!(err, Err(OldtError::NotStratified(_))));
+        assert!(matches!(err, Err(TopdownError::NotStratified(_))));
     }
 
     #[test]

@@ -33,45 +33,15 @@
 //! with OLDT's call tables on the same SIP — asserted by the test suite and
 //! experiment E13, the four-way power comparison.
 
+use crate::front::{Clauses, TopdownError};
 use crate::metrics::OldtMetrics;
 use alexander_eval::{Budget, CancelHandle, Completion, Governor};
 use alexander_ir::{
-    Adornment, Atom, Bf, Builtin, Const, FxHashMap, FxHashSet, Polarity, Predicate, Program, Rule,
-    Subst, Term,
+    Adornment, Atom, Bf, Builtin, Const, FxHashMap, FxHashSet, Polarity, Predicate, Program, Subst,
+    Term,
 };
 use alexander_storage::{Database, Tuple};
 use alexander_transform::sip_order;
-use std::fmt;
-
-/// Errors from the QSQR engine.
-#[derive(Clone, Debug)]
-pub enum QsqrError {
-    Invalid(Vec<alexander_ir::ProgramError>),
-    /// Negation requires completed subquery tables; QSQR here supports the
-    /// same fragment as OLDT (stratified programs).
-    NotStratified(alexander_ir::analysis::NotStratified),
-    NonGroundNegation(String),
-}
-
-impl fmt::Display for QsqrError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            QsqrError::Invalid(errs) => {
-                write!(f, "invalid program:")?;
-                for e in errs {
-                    write!(f, "\n  {e}")?;
-                }
-                Ok(())
-            }
-            QsqrError::NotStratified(e) => write!(f, "{e}"),
-            QsqrError::NonGroundNegation(l) => {
-                write!(f, "negative literal `{l}` selected while non-ground")
-            }
-        }
-    }
-}
-
-impl std::error::Error for QsqrError {}
 
 /// Options for the QSQR engine.
 #[derive(Clone, Debug, Default)]
@@ -139,9 +109,7 @@ enum Mode {
 }
 
 struct Engine<'a> {
-    rules_by_pred: FxHashMap<Predicate, Vec<Rule>>,
-    edb: &'a Database,
-    idb: FxHashSet<Predicate>,
+    clauses: &'a Clauses,
     inputs: FxHashMap<Key, FxHashSet<Tuple>>,
     answers: FxHashMap<Key, AnswerTable>,
     /// Per processed `(key, input)`: the length of every answer table at
@@ -257,7 +225,8 @@ impl<'a> Engine<'a> {
             .get(key)
             .map(|s| s.iter().cloned().collect())
             .unwrap_or_default();
-        let rules = self.rules_by_pred.get(&key.0).cloned().unwrap_or_default();
+        let clauses = self.clauses;
+        let rules = clauses.by_pred.get(&key.0).map_or(&[][..], Vec::as_slice);
         for input in inputs {
             if self.tripped() {
                 break;
@@ -271,9 +240,10 @@ impl<'a> Engine<'a> {
             let prev = self.cursors.get(&meta).cloned();
             let first_pass = prev.is_none();
             let thresholds = prev.unwrap_or_default();
-            for rule in &rules {
+            for rule in rules {
                 let has_pos_idb = rule.body.iter().any(|l| {
-                    l.polarity == Polarity::Positive && self.idb.contains(&l.atom.predicate())
+                    l.polarity == Polarity::Positive
+                        && self.clauses.idb.contains(&l.atom.predicate())
                 });
                 if !first_pass && !has_pos_idb {
                     // The body reads only static tables: the first pass
@@ -308,7 +278,8 @@ impl<'a> Engine<'a> {
                     .iter()
                     .enumerate()
                     .filter(|(_, l)| {
-                        l.polarity == Polarity::Positive && self.idb.contains(&l.atom.predicate())
+                        l.polarity == Polarity::Positive
+                            && self.clauses.idb.contains(&l.atom.predicate())
                     })
                     .map(|(p, _)| p)
                     .collect();
@@ -401,36 +372,14 @@ impl<'a> Engine<'a> {
             return;
         }
 
-        match (lit.polarity, self.idb.contains(&goal.predicate())) {
+        match (lit.polarity, self.clauses.idb.contains(&goal.predicate())) {
             (Polarity::Positive, false) => {
-                // Extensional: probe on the ground columns, as OLDT does,
-                // so the step count reflects matches rather than table size.
-                if let Some(rel) = self.edb.relation(goal.predicate()) {
-                    let cols: Vec<usize> = goal
-                        .terms
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, t)| t.is_ground())
-                        .map(|(c, _)| c)
-                        .collect();
-                    let mask = alexander_storage::Mask::of_columns(&cols);
-                    let probe_key: Vec<Const> = cols
-                        .iter()
-                        // invariant: `cols` holds the positions where
-                        // `goal.terms[c]` is a constant.
-                        .map(|&c| goal.terms[c].as_const().unwrap())
-                        .collect();
-                    let matches: Vec<Atom> = rel
-                        .probe(mask, &probe_key)
-                        .0
-                        .map(|row| alexander_storage::row_atom(goal.pred, row))
-                        .collect();
-                    for fact in matches {
-                        self.metrics.resolution_steps += 1;
-                        let mut s2 = s.clone();
-                        if alexander_ir::match_atom(&goal, &fact, &mut s2) {
-                            self.body(head, goals, i + 1, s2, key, modes, thresholds);
-                        }
+                // Extensional: probe on the ground columns, as OLDT does.
+                for fact in self.clauses.probe(&goal) {
+                    self.metrics.resolution_steps += 1;
+                    let mut s2 = s.clone();
+                    if alexander_ir::match_atom(&goal, &fact, &mut s2) {
+                        self.body(head, goals, i + 1, s2, key, modes, thresholds);
                     }
                 }
             }
@@ -469,7 +418,7 @@ impl<'a> Engine<'a> {
             (Polarity::Negative, false) => {
                 debug_assert!(goal.is_ground());
                 self.metrics.resolution_steps += 1;
-                if !self.edb.contains_atom(&goal) {
+                if !self.clauses.edb.contains_atom(&goal) {
                     self.body(head, goals, i + 1, s, key, modes, thresholds);
                 }
             }
@@ -503,7 +452,7 @@ pub fn qsqr_query(
     program: &Program,
     edb: &Database,
     query: &Atom,
-) -> Result<QsqrResult, QsqrError> {
+) -> Result<QsqrResult, TopdownError> {
     qsqr_query_opts(program, edb, query, QsqrOptions::default())
 }
 
@@ -513,35 +462,14 @@ pub fn qsqr_query_opts(
     edb: &Database,
     query: &Atom,
     opts: QsqrOptions,
-) -> Result<QsqrResult, QsqrError> {
-    program.validate().map_err(QsqrError::Invalid)?;
-    let idb = program.idb_predicates();
-    let has_idb_negation = program.rules.iter().any(|r| {
-        r.body
-            .iter()
-            .any(|l| l.is_negative() && idb.contains(&l.atom.predicate()))
-    });
-    if has_idb_negation {
-        alexander_ir::analysis::stratify(program).map_err(QsqrError::NotStratified)?;
-    }
-
-    let mut full_edb = edb.clone();
-    for f in &program.facts {
-        // invariant: `program.validate()` above rejects non-ground facts.
-        full_edb.insert_atom(f).expect("validated facts are ground");
-    }
-    let mut rules_by_pred: FxHashMap<Predicate, Vec<Rule>> = FxHashMap::default();
-    for r in &program.rules {
-        rules_by_pred
-            .entry(r.head.predicate())
-            .or_default()
-            .push(r.clone());
+) -> Result<QsqrResult, TopdownError> {
+    let clauses = Clauses::new(program, edb)?;
+    if clauses.negated_idb.is_some() {
+        alexander_ir::analysis::stratify(program).map_err(TopdownError::NotStratified)?;
     }
 
     let mut engine = Engine {
-        rules_by_pred,
-        edb: &full_edb,
-        idb: idb.clone(),
+        clauses: &clauses,
         inputs: FxHashMap::default(),
         answers: FxHashMap::default(),
         cursors: FxHashMap::default(),
@@ -553,7 +481,7 @@ pub fn qsqr_query_opts(
     };
 
     let mut restarts = 0u64;
-    let answers: Vec<Atom> = if idb.contains(&query.predicate()) {
+    let answers: Vec<Atom> = if clauses.idb.contains(&query.predicate()) {
         let s = Subst::new();
         let (seed, _) = engine.register(query, &s);
         // Restart until neither inputs nor answers grow. A restart counts
@@ -588,14 +516,7 @@ pub fn qsqr_query_opts(
             })
             .unwrap_or_default()
     } else {
-        full_edb
-            .atoms_of(query.predicate())
-            .into_iter()
-            .filter(|a| {
-                let mut s = Subst::new();
-                alexander_ir::match_atom(query, a, &mut s)
-            })
-            .collect()
+        clauses.lookup(query)
     };
 
     let mut answers = answers;
@@ -718,7 +639,7 @@ mod tests {
         let edb = Database::from_program(&parsed.program);
         assert!(matches!(
             qsqr_query(&parsed.program, &edb, &parse_atom("win(a)").unwrap()),
-            Err(QsqrError::NotStratified(_))
+            Err(TopdownError::NotStratified(_))
         ));
     }
 

@@ -10,13 +10,13 @@
 //! Supports definite programs plus ground negation over extensional
 //! predicates and built-ins (the same fragment as the naive evaluator).
 
+use crate::front::{Clauses, TopdownError};
 use crate::metrics::OldtMetrics;
 use alexander_ir::{
-    match_atom, Atom, Builtin, FxHashMap, FxHashSet, Literal, Polarity, Predicate, Program, Rule,
-    Subst, Term, Var,
+    match_atom, Atom, Builtin, FxHashMap, FxHashSet, Literal, Polarity, Program, Rule, Subst, Term,
+    Var,
 };
 use alexander_storage::Database;
-use std::fmt;
 
 /// Options for the SLD engine.
 #[derive(Clone, Copy, Debug)]
@@ -47,38 +47,6 @@ pub struct SldResult {
     pub complete: bool,
     pub metrics: OldtMetrics,
 }
-
-/// Errors from the SLD engine.
-#[derive(Clone, Debug)]
-pub enum SldError {
-    Invalid(Vec<alexander_ir::ProgramError>),
-    /// The program negates an intensional predicate (needs tabling +
-    /// stratification: use OLDT).
-    NegatedIdb(Predicate),
-    NonGroundNegation(String),
-}
-
-impl fmt::Display for SldError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SldError::Invalid(errs) => {
-                write!(f, "invalid program:")?;
-                for e in errs {
-                    write!(f, "\n  {e}")?;
-                }
-                Ok(())
-            }
-            SldError::NegatedIdb(p) => {
-                write!(f, "SLD cannot negate intensional predicate {p}; use OLDT")
-            }
-            SldError::NonGroundNegation(l) => {
-                write!(f, "negative literal `{l}` selected while non-ground")
-            }
-        }
-    }
-}
-
-impl std::error::Error for SldError {}
 
 /// One DFS node: remaining goals (with the depth that introduced each, for
 /// depth accounting) and the environment.
@@ -125,28 +93,10 @@ pub fn sld_query(
     edb: &Database,
     query: &Atom,
     opts: SldOptions,
-) -> Result<SldResult, SldError> {
-    program.validate().map_err(SldError::Invalid)?;
-    let idb = program.idb_predicates();
-    for r in &program.rules {
-        for l in &r.body {
-            if l.is_negative() && idb.contains(&l.atom.predicate()) {
-                return Err(SldError::NegatedIdb(l.atom.predicate()));
-            }
-        }
-    }
-
-    let mut full_edb = edb.clone();
-    for f in &program.facts {
-        // invariant: `program.validate()` above rejects non-ground facts.
-        full_edb.insert_atom(f).expect("validated facts are ground");
-    }
-    let mut rules_by_pred: FxHashMap<Predicate, Vec<Rule>> = FxHashMap::default();
-    for r in &program.rules {
-        rules_by_pred
-            .entry(r.head.predicate())
-            .or_default()
-            .push(r.clone());
+) -> Result<SldResult, TopdownError> {
+    let clauses = Clauses::new(program, edb)?;
+    if let Some(p) = clauses.negated_idb {
+        return Err(TopdownError::NegatedIdb(p));
     }
 
     let mut metrics = OldtMetrics::default();
@@ -181,7 +131,7 @@ pub fn sld_query(
         // Built-ins.
         if let Some(b) = Builtin::of(goal.predicate()) {
             let Some(args) = goal.ground_args() else {
-                return Err(SldError::NonGroundNegation(goal.to_string()));
+                return Err(TopdownError::NonGroundNegation(goal.to_string()));
             };
             metrics.resolution_steps += 1;
             if b.eval(args[0], args[1]) == (lit.polarity == Polarity::Positive) {
@@ -190,18 +140,18 @@ pub fn sld_query(
             continue;
         }
 
-        match (lit.polarity, idb.contains(&goal.predicate())) {
+        match (lit.polarity, clauses.idb.contains(&goal.predicate())) {
             (Polarity::Negative, _) => {
                 if !goal.is_ground() {
-                    return Err(SldError::NonGroundNegation(goal.to_string()));
+                    return Err(TopdownError::NonGroundNegation(goal.to_string()));
                 }
                 metrics.resolution_steps += 1;
-                if !full_edb.contains_atom(&goal) {
+                if !clauses.edb.contains_atom(&goal) {
                     stack.push(node);
                 }
             }
             (Polarity::Positive, false) => {
-                if let Some(rel) = full_edb.relation(goal.predicate()) {
+                if let Some(rel) = clauses.edb.relation(goal.predicate()) {
                     let facts: Vec<Atom> = rel
                         .iter()
                         .map(|row| alexander_storage::row_atom(goal.pred, row))
@@ -222,7 +172,8 @@ pub fn sld_query(
                 // No tabling: every occurrence re-resolves against the rules.
                 // Push alternatives in reverse so the stack pops the FIRST
                 // clause first (Prolog's clause order).
-                for rule in rules_by_pred
+                for rule in clauses
+                    .by_pred
                     .get(&goal.predicate())
                     .into_iter()
                     .flatten()
@@ -372,6 +323,6 @@ mod tests {
             &parse_atom("r(X)").unwrap(),
             SldOptions::default(),
         );
-        assert!(matches!(err, Err(SldError::NegatedIdb(_))));
+        assert!(matches!(err, Err(TopdownError::NegatedIdb(_))));
     }
 }

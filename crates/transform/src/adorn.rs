@@ -67,8 +67,11 @@ impl fmt::Display for AdornError {
 impl std::error::Error for AdornError {}
 
 /// Adorns `program` for `query` (constants in the query are the bound
-/// positions).
+/// positions). An inline fact of an intensional predicate is adorned as the
+/// body-less rule it is ([`Program::normalize`]); the other inline facts are
+/// EDB rows, which the caller's database holds.
 pub fn adorn(program: &Program, query: &Atom, opts: SipOptions) -> Result<Adorned, AdornError> {
+    let program = program.normalized();
     let idb = program.idb_predicates();
     let qpred = query.predicate();
     if !idb.contains(&qpred) {
@@ -372,6 +375,19 @@ mod tests {
         let a = adorn(&p, &q, SipOptions::default()).unwrap();
         // q is called with its first argument a constant: adornment bf.
         assert!(a.map.keys().any(|s| s.as_str() == "q_bf"));
+    }
+
+    #[test]
+    fn intensional_inline_facts_are_adorned_as_body_less_rules() {
+        let mut p = ancestor();
+        p.facts = parse("par(a, b). anc(z, z).").unwrap().program.facts;
+        let q = parse_atom("anc(z, X)").unwrap();
+        let a = adorn(&p, &q, SipOptions::default()).unwrap();
+        assert_eq!(a.program.rules.len(), 3);
+        assert!(a.program.facts.is_empty());
+        let printed = a.program.to_string();
+        assert!(printed.contains("anc_bf(z, z)."), "{printed}");
+        assert!(!printed.contains("par(a, b)"), "{printed}");
     }
 
     #[test]

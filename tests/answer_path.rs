@@ -5,14 +5,15 @@
 //! Over random definite programs and EDBs mixing integers (negative, of
 //! different widths) with symbols interned out of lexical order, every
 //! strategy must return exactly the reference list, in order, and render
-//! it byte for byte as `Display` does.
+//! it byte for byte as `Display` does. The programs carry inline facts of
+//! intensional predicates, which every strategy reads as body-less rules.
 
 use alexander_core::{Engine, Strategy};
 use alexander_eval::eval_seminaive;
 use alexander_ir::{
     match_atom, render_atoms, Atom, Const, Literal, Predicate, Program, Rule, Subst, Term,
 };
-use alexander_storage::Database;
+use alexander_storage::{row_atom, Database};
 use alexander_transform::{alexander, magic_sets, query_answers, sup_magic_sets, SipOptions};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -76,10 +77,12 @@ fn random_rule(rng: &mut StdRng, consts: &[Const]) -> Rule {
     Rule::new(Atom::new(name, head), body)
 }
 
-fn random_engine(seed: u64) -> Engine {
+/// A random definite program and EDB. The program's inline facts name
+/// predicates its rules define, with constants in the head.
+fn random_program(seed: u64) -> (Program, Database) {
     let consts = universe();
     let mut rng = StdRng::seed_from_u64(seed);
-    let rules = (0..rng.random_range(2..6))
+    let rules: Vec<Rule> = (0..rng.random_range(2..6))
         .map(|_| random_rule(&mut rng, &consts))
         .collect();
     let mut edb = Database::new();
@@ -89,7 +92,15 @@ fn random_engine(seed: u64) -> Engine {
             edb.insert_row(Predicate::new(name, arity), &row);
         }
     }
-    Engine::new(Program::from_rules(rules), edb).expect("generated rules are safe")
+    let heads: Vec<Predicate> = rules.iter().map(|r| r.head.predicate()).collect();
+    let facts = (0..rng.random_range(0..4))
+        .map(|_| {
+            let p = pick(&mut rng, &heads);
+            let row: Vec<Const> = (0..p.arity).map(|_| pick(&mut rng, &consts)).collect();
+            row_atom(p.name, &row)
+        })
+        .collect();
+    (Program { rules, facts }, edb)
 }
 
 /// Every binding pattern of every predicate: free, each column bound, all
@@ -135,10 +146,14 @@ fn every_strategy_answers_exactly_the_reference_in_order() {
     let consts = universe();
     let mut checked = 0;
     for seed in 0..60 {
-        let engine = random_engine(seed);
-        let model = eval_seminaive(engine.program(), engine.edb())
+        let (program, edb) = random_program(seed);
+        let model = eval_seminaive(&program, &edb)
             .expect("definite programs evaluate")
             .db;
+        let engine = Engine::new(program, edb).expect("generated rules are safe");
+        for p in engine.program().idb_predicates() {
+            assert_eq!(engine.edb().len_of(p), 0, "seed {seed}: {p} stored");
+        }
         let mut rng = StdRng::seed_from_u64(seed ^ 0xA5);
         for query in queries(&consts, &mut rng) {
             let want = old_answers(&model, &query);
@@ -165,20 +180,20 @@ fn every_strategy_answers_exactly_the_reference_in_order() {
 fn query_answers_equals_the_old_matcher_as_a_set() {
     let consts = universe();
     for seed in 0..60 {
-        let engine = random_engine(seed);
+        let (program, edb) = random_program(seed);
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5A);
         for query in queries(&consts, &mut rng) {
-            if !engine.program().is_idb(query.predicate()) {
+            if !program.is_idb(query.predicate()) {
                 continue;
             }
             let sip = SipOptions::default();
             for rw in [
-                magic_sets(engine.program(), &query, sip),
-                sup_magic_sets(engine.program(), &query, sip),
-                alexander(engine.program(), &query, sip),
+                magic_sets(&program, &query, sip),
+                sup_magic_sets(&program, &query, sip),
+                alexander(&program, &query, sip),
             ] {
                 let rw = rw.expect("definite programs rewrite");
-                let db = eval_seminaive(&rw.program, engine.edb()).unwrap().db;
+                let db = eval_seminaive(&rw.program, &edb).unwrap().db;
                 let new = query_answers(&db, &rw.query);
                 let old = old_matching(&db, &rw.query);
                 assert_eq!(new.len(), old.len(), "seed {seed}: {query}");

@@ -112,10 +112,14 @@ fn holds_on_empty_answer_queries() {
 
 mod random_program_correspondence {
     //! The theorem on random *programs*: safe definite rules generated from
-    //! a small vocabulary, queried bound-free. The strongest form of E3.
+    //! a small vocabulary, plus inline facts of the intensional predicates
+    //! (body-less rules on both sides), queried bound-free. The strongest
+    //! form of E3.
 
     use super::*;
+    use alexander_core::Engine;
     use alexander_ir::{Literal, Program, Rule, Term};
+    use alexander_storage::row_atom;
     use proptest::prelude::*;
 
     const VARS: [&str; 3] = ["X", "Y", "Z"];
@@ -155,11 +159,19 @@ mod random_program_correspondence {
         #[test]
         fn holds_on_random_programs(
             rules in proptest::collection::vec(rule(), 1..5),
+            facts in proptest::collection::vec((0u8..2, 0usize..12, 0usize..12), 0..4),
             nodes in 2usize..10,
             extra in 0usize..15,
             seed in 0u64..200,
         ) {
-            let program = Program::from_rules(rules);
+            let mut program = Program::from_rules(rules);
+            for (p, a, b) in facts {
+                let pred = Symbol::intern(["p", "q"][p as usize]);
+                let fact = row_atom(pred, &[workload::node(a), workload::node(b)]);
+                if program.is_idb(fact.predicate()) {
+                    program.facts.push(fact);
+                }
+            }
             prop_assume!(program.validate().is_ok());
             prop_assume!(program.is_idb(alexander_ir::Predicate::new("p", 2)));
             let edb = workload::random_graph("e", nodes, nodes + extra, seed);
@@ -168,6 +180,13 @@ mod random_program_correspondence {
             let c = check_power_correspondence(&program, &edb, &q)
                 .expect("both sides run");
             prop_assert!(c.holds(), "{c}\nprogram:\n{program}");
+            // Both sides also answer what the full fixpoint does.
+            let engine = Engine::new(program.clone(), edb).expect("valid program");
+            let want = engine.query(&q, alexander_core::Strategy::SemiNaive).unwrap().answers;
+            for s in [alexander_core::Strategy::Alexander, alexander_core::Strategy::Oldt] {
+                let got = engine.query(&q, s).unwrap().answers;
+                prop_assert_eq!(got, want.clone(), "{}\nprogram:\n{}", s, program);
+            }
         }
     }
 }

@@ -1,11 +1,35 @@
 //! Cross-crate invariant: every strategy returns the same answer set on the
-//! same query, across graph shapes, query bindings and seeds.
+//! same query, across graph shapes, query bindings and seeds — including
+//! programs with inline facts of intensional predicates, which every
+//! strategy reads as body-less rules.
 
 use alexander_core::{Engine, Strategy};
-use alexander_ir::{Atom, Symbol, Term};
+use alexander_ir::{Atom, Program, Symbol, Term};
 use alexander_parser::parse_atom;
-use alexander_storage::Database;
+use alexander_storage::{row_atom, Database};
 use alexander_workload as workload;
+use rand::rngs::StdRng;
+use rand::{RngExt, SeedableRng};
+
+/// `program` plus random inline facts of its intensional `tc`, with
+/// constants in the head: three between nodes `n0..n{nodes}`, one leading
+/// out of the graph.
+fn with_tc_facts(mut program: Program, nodes: usize, seed: u64) -> Program {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let tc = Symbol::intern("tc");
+    for _ in 0..3 {
+        let (a, b) = (rng.random_range(0..nodes), rng.random_range(0..nodes));
+        program
+            .facts
+            .push(row_atom(tc, &[workload::node(a), workload::node(b)]));
+    }
+    let a = rng.random_range(0..nodes);
+    program.facts.push(row_atom(
+        tc,
+        &[workload::node(a), workload::node(nodes + 50)],
+    ));
+    program
+}
 
 fn assert_all_agree(engine: &Engine, query: &Atom, label: &str) {
     let baseline = engine
@@ -32,18 +56,45 @@ fn transitive_closure_on_shapes() {
         ("random-dense", workload::random_graph("e", 15, 120, 2)),
         ("dag", workload::random_dag("e", 25, 60, 3)),
     ];
-    for (name, edb) in cases {
-        let engine = Engine::new(workload::transitive_closure(), edb).unwrap();
-        for q in [
-            "tc(n0, X)",
-            "tc(X, n3)",
-            "tc(n1, n4)",
-            "tc(X, Y)",
-            "tc(X, X)",
+    for (seed, (name, edb)) in cases.into_iter().enumerate() {
+        let facts = with_tc_facts(workload::transitive_closure(), 12, seed as u64);
+        for (program, name) in [
+            (workload::transitive_closure(), name.to_string()),
+            (facts, format!("{name}+facts")),
         ] {
-            let query = parse_atom(q).unwrap();
-            assert_all_agree(&engine, &query, &format!("{name}/{q}"));
+            let engine = Engine::new(program, edb.clone()).unwrap();
+            for q in [
+                "tc(n0, X)",
+                "tc(X, n3)",
+                "tc(n1, n4)",
+                "tc(X, Y)",
+                "tc(X, X)",
+            ] {
+                let query = parse_atom(q).unwrap();
+                assert_all_agree(&engine, &query, &format!("{name}/{q}"));
+            }
         }
+    }
+}
+
+#[test]
+fn intensional_inline_facts_answer_under_every_strategy() {
+    let engine = Engine::from_source(
+        "e(a, b). e(b, c). anc(z, z).
+         anc(X, Y) :- e(X, Y).
+         anc(X, Y) :- e(X, Z), anc(Z, Y).",
+    )
+    .unwrap();
+    let query = parse_atom("anc(z, X)").unwrap();
+    for s in Strategy::ALL {
+        let got: Vec<String> = engine
+            .query(&query, s)
+            .unwrap()
+            .answers
+            .iter()
+            .map(|a| a.to_string())
+            .collect();
+        assert_eq!(got, ["anc(z, z)"], "strategy {s}");
     }
 }
 
@@ -51,9 +102,18 @@ fn transitive_closure_on_shapes() {
 fn nonlinear_rules_agree_too() {
     for seed in [7u64, 8, 9] {
         let edb = workload::random_graph("e", 18, 45, seed);
-        let engine = Engine::new(workload::transitive_closure_nonlinear(), edb).unwrap();
-        for q in ["tc(n0, X)", "tc(X, Y)"] {
-            assert_all_agree(&engine, &parse_atom(q).unwrap(), &format!("seed{seed}/{q}"));
+        let facts = with_tc_facts(workload::transitive_closure_nonlinear(), 18, seed);
+        for (program, name) in [
+            (
+                workload::transitive_closure_nonlinear(),
+                format!("seed{seed}"),
+            ),
+            (facts, format!("seed{seed}+facts")),
+        ] {
+            let engine = Engine::new(program, edb.clone()).unwrap();
+            for q in ["tc(n0, X)", "tc(X, Y)"] {
+                assert_all_agree(&engine, &parse_atom(q).unwrap(), &format!("{name}/{q}"));
+            }
         }
     }
 }
