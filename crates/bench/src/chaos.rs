@@ -14,8 +14,8 @@
 //!   INSERT next` — a genuine deletion of pre-existing state rides each WAL
 //!   frame while the net effect stays +1 edge, so the readers' monotone
 //!   chain invariant still pins the outcome. Recovery replays the mixed
-//!   frame through the engine's `delete_batch` path; a replay that drops
-//!   the delete record or applies a torn prefix lands off the
+//!   frame through the store's record fold (`apply_to_database`); a replay
+//!   that drops the delete record or applies a torn prefix lands off the
 //!   committed-batch boundary and is caught at resync.
 //! * **WAL fsync-error** (every 5th cycle, offset 2): arm `FsyncError`; the
 //!   next commit's append persists its bytes but cannot prove it, so the

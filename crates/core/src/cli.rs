@@ -75,8 +75,8 @@ pub const USAGE: &str = "\
 usage: alexander <file.dl | -> [options]
        alexander serve <file.dl> (--listen HOST:PORT | --unix PATH) [options]
   -q, --query ATOM    ad-hoc query (repeatable; overrides ?- queries in the file)
-  -s, --strategy S    naive | seminaive | stratified | conditional |
-                      magic | supmagic | alexander | oldt   (default: alexander)
+  -s, --strategy S    naive | seminaive | stratified | conditional | magic |
+                      supmagic | alexander | oldt | qsqr  (default: alexander)
       --load P/N=FILE bulk-load relation P (arity N) from a CSV/TSV file
       --threads N     worker threads per bottom-up fixpoint round (default 1);
                       answers and counters are identical at any thread count
@@ -349,16 +349,6 @@ pub fn validate(opts: &CliOptions) -> Result<(), String> {
     Ok(())
 }
 
-fn strategy_by_name(name: &str) -> Result<Strategy, String> {
-    Strategy::ALL
-        .into_iter()
-        .find(|s| s.name() == name)
-        .ok_or_else(|| {
-            let names: Vec<&str> = Strategy::ALL.iter().map(|s| s.name()).collect();
-            format!("unknown strategy `{name}`; one of: {}", names.join(", "))
-        })
-}
-
 /// Runs the CLI on already-loaded source text; returns the printable output.
 pub fn run(source: &str, opts: &CliOptions) -> Result<String, String> {
     validate(opts)?;
@@ -377,7 +367,7 @@ pub fn run(source: &str, opts: &CliOptions) -> Result<String, String> {
         return Ok(out);
     }
 
-    let strategy = strategy_by_name(opts.strategy.as_deref().unwrap_or("alexander"))?;
+    let strategy = Strategy::from_name(opts.strategy.as_deref().unwrap_or("alexander"))?;
     let file_queries = parsed.queries.clone();
 
     // Bulk-load external relations before building the engine.
@@ -622,6 +612,14 @@ mod tests {
         };
         let err = run(SRC, &opts).unwrap_err();
         assert!(err.contains("unknown strategy"), "{err}");
+    }
+
+    #[test]
+    fn usage_names_every_strategy() {
+        let words: Vec<&str> = USAGE.split(|c: char| !c.is_alphanumeric()).collect();
+        for s in Strategy::ALL {
+            assert!(words.contains(&s.name()), "USAGE omits `{s}`");
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@ use alexander_eval::{
     CancelHandle, Completion, Consumption, EvalError, EvalOptions,
 };
 use alexander_ir::{
-    match_atom, sort_atoms, sort_rows, Atom, Const, Polarity, Predicate, Program, Subst, Symbol,
+    match_atom, sort_atoms, sort_rows, Atom, Const, Polarity, Program, Subst, Symbol,
 };
 use alexander_parser::{parse, ParseError};
 use alexander_storage::{row_atom, Database};
@@ -95,12 +95,7 @@ impl Engine {
     pub fn new(mut program: Program, mut edb: Database) -> Result<Engine, EngineError> {
         program.validate().map_err(EngineError::Invalid)?;
         program.normalize();
-        let idb = program.idb_predicates();
-        if let Some(pred) = edb
-            .predicates()
-            .into_iter()
-            .find(|&p| idb.contains(&p) && edb.len_of(p) > 0)
-        {
+        if let Some(pred) = edb.intensional_rows(&program) {
             return Err(EvalError::IdbUpdate(pred).into());
         }
         for f in std::mem::take(&mut program.facts) {
@@ -382,15 +377,10 @@ fn normalise(mut atoms: Vec<Atom>) -> Vec<Atom> {
     atoms
 }
 
-/// Convenience: the predicates a query result's answers range over (mostly
-/// for examples).
-pub fn answer_predicate(result: &QueryResult) -> Option<Predicate> {
-    result.answers.first().map(|a| a.predicate())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use alexander_ir::Predicate;
     use alexander_parser::parse_atom;
 
     const ANCESTOR: &str = "

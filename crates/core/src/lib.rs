@@ -35,7 +35,7 @@ pub mod engine;
 pub mod power;
 pub mod strategy;
 
-pub use engine::{answer_predicate, Engine, EngineError};
+pub use engine::{Engine, EngineError};
 pub use power::{check_power_correspondence, PowerCorrespondence, PowerRow};
 pub use strategy::{QueryResult, Report, Strategy};
 

@@ -57,6 +57,18 @@ impl Strategy {
             Strategy::Qsqr => "qsqr",
         }
     }
+
+    /// The strategy whose [`Strategy::name`] is `name`; the error lists
+    /// every valid name.
+    pub fn from_name(name: &str) -> Result<Strategy, String> {
+        Strategy::ALL
+            .into_iter()
+            .find(|s| s.name() == name)
+            .ok_or_else(|| {
+                let names: Vec<&str> = Strategy::ALL.iter().map(|s| s.name()).collect();
+                format!("unknown strategy `{name}`; one of: {}", names.join(", "))
+            })
+    }
 }
 
 impl fmt::Display for Strategy {

@@ -85,9 +85,10 @@ pub struct Replay {
 
 /// Folds a snapshot/WAL pair into the EDB it describes: the snapshot, then
 /// every committed batch in sequence order through [`apply_to_database`] —
-/// the fold commit runs. A logged record naming an intensional predicate of
-/// `program` is refused: it can only be there if the program changed
-/// underneath the log, and derived facts are never stored. Read-only: a
+/// the fold commit runs. A snapshot row or logged record naming an
+/// intensional predicate of `program` is refused: it can only be there if
+/// the program changed underneath the files (or the files are not this
+/// store's), and derived facts are never stored. Read-only: a
 /// torn tail is measured, not truncated. [`DurableStore::recover`] is this
 /// plus the truncation; read-only callers (the CLI's `--recover`) use it as
 /// is.
@@ -97,6 +98,9 @@ pub fn replay(
     wal_path: &Path,
 ) -> Result<Replay, DurableError> {
     let mut edb = read_snapshot(snapshot_path)?;
+    if let Some(pred) = edb.intensional_rows(program) {
+        return Err(EvalError::IdbUpdate(pred).into());
+    }
     let mut stats = RecoveryStats {
         snapshot_facts: edb.total_tuples(),
         ..RecoveryStats::default()
@@ -171,7 +175,8 @@ pub fn edb_record(program: &Program, op: Op, fact: &Atom) -> Result<WalRecord, D
 impl DurableStore {
     /// Starts a fresh durable store: writes `edb` as the initial snapshot
     /// and creates an empty WAL. Existing files at either path are
-    /// replaced.
+    /// replaced. An `edb` holding rows of an intensional predicate is
+    /// refused before anything is written.
     pub fn create(
         program: Program,
         edb: Database,
@@ -179,6 +184,9 @@ impl DurableStore {
         wal_path: &Path,
     ) -> Result<DurableStore, DurableError> {
         program.validate().map_err(EvalError::Invalid)?;
+        if let Some(pred) = edb.intensional_rows(&program) {
+            return Err(EvalError::IdbUpdate(pred).into());
+        }
         write_snapshot(&edb, snapshot_path)?;
         let wal = Wal::create(wal_path)?;
         Ok(DurableStore::over(program, edb, wal, snapshot_path))
@@ -396,7 +404,7 @@ impl DurableEngine {
 mod tests {
     use super::*;
     use alexander_ir::Const;
-    use alexander_parser::parse;
+    use alexander_parser::{parse, parse_atom};
     use alexander_storage::row_atom;
 
     fn tc_program() -> Program {
@@ -524,6 +532,37 @@ mod tests {
         assert!(matches!(
             DurableStore::recover(changed, &sp, &wp),
             Err(DurableError::Replay(EvalError::IdbUpdate(_)))
+        ));
+        std::fs::remove_file(&sp).ok();
+        std::fs::remove_file(&wp).ok();
+    }
+
+    #[test]
+    fn create_refuses_an_edb_with_rows_of_an_intensional_predicate() {
+        let (sp, wp) = paths("idbcreate");
+        let mut edb = Database::new();
+        edb.insert_atom(&edge("a", "b")).unwrap();
+        edb.insert_atom(&parse_atom("path(z, q)").unwrap()).unwrap();
+        assert!(matches!(
+            DurableStore::create(tc_program(), edb, &sp, &wp),
+            Err(DurableError::Replay(EvalError::IdbUpdate(p))) if p == Predicate::new("path", 2)
+        ));
+        assert!(!sp.exists() && !wp.exists(), "nothing is written");
+    }
+
+    #[test]
+    fn a_snapshot_row_of_an_intensional_predicate_is_refused_at_replay() {
+        let (sp, wp) = paths("idbsnap");
+        let mut eng = DurableStore::create(tc_program(), Database::new(), &sp, &wp).unwrap();
+        eng.insert(&edge("a", "b")).unwrap();
+        eng.commit().unwrap();
+        eng.checkpoint().unwrap();
+        drop(eng);
+        // The log is empty: only the snapshot names `edge`.
+        let changed = parse("edge(X, Y) :- link(X, Y).").unwrap().program;
+        assert!(matches!(
+            replay(&changed, &sp, &wp),
+            Err(DurableError::Replay(EvalError::IdbUpdate(p))) if p == Predicate::new("edge", 2)
         ));
         std::fs::remove_file(&sp).ok();
         std::fs::remove_file(&wp).ok();

@@ -1,18 +1,21 @@
 //! Incremental view maintenance: keep a materialised IDB up to date under
 //! EDB insertions and deletions without recomputing from scratch.
 //!
-//! ## Counting (the default)
+//! ## Counting where sound, DRed where not
 //!
-//! Every derived fact carries a **support count** — the number of distinct
-//! rule firings currently deriving it — stored as a parallel `u32` column in
-//! the tuple arena ([`alexander_storage::Relation::supports`]). The counts
-//! are maintained by the blocked executor's emit path:
+//! The engine classifies head predicates by the SCC decomposition of the
+//! dependency graph. A head in a singleton component with no self-loop is
+//! **counted**: a fact of it cannot (transitively) support itself, so the
+//! engine keeps its exact **firing count** — the number of distinct rule
+//! firings currently deriving it — in a map of its own, keyed by row
+//! content (content keys survive the id moves that storage removals make).
+//! The counts ride the blocked executor's emit path:
 //!
 //! * **Insertion** runs semi-naive continuation rounds. The delta-position
 //!   triangle ([`SideSources::InsertTriangle`]) enumerates each *new* firing
-//!   exactly once, so a duplicate emission against the total is precisely
-//!   "one more derivation of an existing fact": its count is incremented
-//!   instead of re-deriving anything.
+//!   exactly once, so a duplicate emission of a counted head is precisely
+//!   "one more derivation of an existing fact": its count goes up instead of
+//!   anything being re-derived.
 //! * **Deletion** runs the mirrored triangle
 //!   ([`SideSources::DeleteTriangle`]): with the victims physically removed
 //!   first, each *lost* firing is enumerated exactly once and decrements its
@@ -20,25 +23,21 @@
 //!   cascade further — facts with surviving support are never overdeleted,
 //!   never rederived, and never touch the join kernel again.
 //!
-//! Pure counting is sound only where a fact cannot (transitively) support
-//! itself, i.e. for predicates whose rules draw on strictly lower strata.
-//! The engine classifies predicates by the SCC decomposition of the
-//! dependency graph: a head predicate in a singleton component with no
-//! self-loop is **counted**; everything else (direct or mutual recursion)
-//! falls back per-SCC to **DRed** (delete-and-rederive,
-//! Gupta–Mumick–Subrahmanian). The DRed fallback itself is accelerated two
-//! ways: rederivation is asked per doomed fact as a *head-seeded* indexed
-//! probe ([`crate::exec::exec_plan_seeded`]) instead of a stratum re-join,
-//! and witnesses found that way are memoised as [`Justification`]s
-//! (see [`crate::provenance`]) so the next deletion touching the same fact
-//! re-checks the stored premises before joining at all.
+//! Every other head (direct or mutual recursion) is maintained per SCC by
+//! **DRed** (delete-and-rederive, Gupta–Mumick–Subrahmanian): its facts are
+//! simply present or absent. Rederivation is asked per doomed fact as a
+//! *head-seeded* indexed probe ([`crate::exec::exec_plan_seeded`]) instead
+//! of a stratum re-join, and witnesses found that way are memoised as
+//! [`Justification`]s (see [`crate::provenance`]) so the next deletion
+//! touching the same fact re-checks the stored premises before joining at
+//! all. The choice is made from the SCCs alone; there is no mode to select.
 //!
 //! ## Batches
 //!
-//! [`IncrementalEngine::apply_batch`] applies one *mixed* batch of inserts
-//! and deletes as a single delete cascade plus a single insertion fixpoint —
-//! not N sequential per-fact fixpoints. The WAL replay path and the server
-//! commit path feed whole batches through it.
+//! [`IncrementalEngine::apply_batch`] is the one update entry point: it
+//! applies a *mixed* batch of inserts and deletes as a single delete
+//! cascade plus a single insertion fixpoint — not N sequential per-fact
+//! fixpoints.
 //!
 //! Restricted to definite programs: deletions under negation flip truth in
 //! both directions and need stratified counting, out of scope here.
@@ -54,21 +53,9 @@ use crate::naive::seed_database;
 use crate::plan::{compile_plans, RulePlan};
 use crate::provenance::{Justification, Provenance};
 use alexander_ir::analysis::{tarjan, DepGraph};
-use alexander_ir::{Atom, FxHashMap, FxHashSet, Predicate, Program};
+use alexander_ir::{Atom, Const, FxHashMap, FxHashSet, Predicate, Program};
 use alexander_storage::{Database, DeltaSpans, Tuple};
 use std::ops::ControlFlow;
-
-/// How deletions are maintained.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum Maintenance {
-    /// Support counting where sound, per-SCC DRed where recursion makes
-    /// counting unsound. The default.
-    #[default]
-    Counting,
-    /// Classic DRed for every predicate (counting disabled). Kept as the
-    /// differential oracle: both modes must produce identical databases.
-    Dred,
-}
 
 /// What one mixed update batch did to the database.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -93,6 +80,10 @@ struct SccGroup {
     recursive: bool,
 }
 
+/// Exact firing counts of one counted head predicate's facts, keyed by row
+/// content. Its keys are exactly the predicate's stored rows.
+type Counts = FxHashMap<Box<[Const]>, u64>;
+
 /// A materialised deductive database that stays consistent under updates.
 pub struct IncrementalEngine {
     program: Program,
@@ -104,12 +95,12 @@ pub struct IncrementalEngine {
     seeded: Vec<CompiledRule>,
     /// One executor plan per seeded compilation.
     seeded_plans: Vec<RulePlan>,
-    /// EDB + all derived facts, with the support-count column live.
+    /// EDB + all derived facts.
     total: Database,
     /// The extensional predicates (facts the user may insert/delete).
     edb_preds: FxHashSet<Predicate>,
-    /// Head predicates maintained by exact firing counts.
-    counted: FxHashSet<Predicate>,
+    /// Firing counts of every counted head predicate (and only those).
+    counts: FxHashMap<Predicate, Counts>,
     /// SCC groups of the rule set, dependencies first.
     groups: Vec<SccGroup>,
     /// Memoised rederivation witnesses (populated lazily by deletions).
@@ -118,22 +109,17 @@ pub struct IncrementalEngine {
 }
 
 impl IncrementalEngine {
-    /// Materialises `program` over `edb` with [`Maintenance::Counting`].
-    pub fn new(program: Program, edb: Database) -> Result<IncrementalEngine, EvalError> {
-        IncrementalEngine::with_mode(program, edb, Maintenance::Counting)
-    }
-
-    /// Materialises `program` over `edb` under an explicit maintenance mode.
-    /// An inline fact of an intensional predicate is a body-less rule
-    /// ([`Program::normalize`]): it fires once, so counting holds it at one
-    /// support, and DRed's head-seeded probe rederives it by itself.
-    pub fn with_mode(
-        mut program: Program,
-        edb: Database,
-        mode: Maintenance,
-    ) -> Result<IncrementalEngine, EvalError> {
+    /// Materialises `program` over `edb`. An inline fact of an intensional
+    /// predicate is a body-less rule ([`Program::normalize`]): it fires
+    /// once, so counting holds it at one firing, and DRed's head-seeded
+    /// probe rederives it by itself. An `edb` holding rows of an
+    /// intensional predicate is refused: derived facts are never stored.
+    pub fn new(mut program: Program, edb: Database) -> Result<IncrementalEngine, EvalError> {
         program.validate().map_err(EvalError::Invalid)?;
         program.normalize();
+        if let Some(pred) = edb.intensional_rows(&program) {
+            return Err(EvalError::IdbUpdate(pred));
+        }
         if !program.is_definite() {
             return Err(EvalError::NegatedIdb(
                 program
@@ -157,21 +143,13 @@ impl IncrementalEngine {
             .iter()
             .map(|r| compile_rule_seeded(r).map_err(EvalError::from))
             .collect::<Result<_, _>>()?;
-        let mut total = seed_database(&program, &edb);
+        let total = seed_database(&program, &edb);
         let mut metrics = EvalMetrics::default();
         let plans: Vec<RulePlan> = compile_plans(&compiled, &mut metrics);
         let seeded_plans: Vec<RulePlan> = compile_plans(&seeded, &mut metrics);
         let mut edb_preds: FxHashSet<Predicate> = edb.predicates().into_iter().collect();
         edb_preds.extend(program.facts.iter().map(|f| f.predicate()));
-        // Every seeded row is externally supported: base facts hold because
-        // they are stored, not because a rule fires.
-        for p in total.predicates() {
-            let rel = total.relation_mut(p);
-            for id in 0..rel.len() as u32 {
-                rel.set_support(id, 1);
-            }
-        }
-        let (groups, counted) = classify(&program, mode);
+        let (groups, counts) = classify(&program);
         let mut engine = IncrementalEngine {
             program,
             compiled,
@@ -180,7 +158,7 @@ impl IncrementalEngine {
             seeded_plans,
             total,
             edb_preds,
-            counted,
+            counts,
             groups,
             provenance: Provenance::default(),
             metrics,
@@ -206,37 +184,28 @@ impl IncrementalEngine {
         &self.total
     }
 
-    /// The support count of a fact: how many distinct rule firings (plus
-    /// one for externally stored facts) currently derive it. Zero iff the
-    /// fact is absent. Exact for counted predicates; recursive predicates
-    /// report a presence marker maintained by the DRed fallback.
-    pub fn support_of(&self, fact: &Atom) -> u32 {
+    /// The support of a fact: for a counted predicate, the exact number of
+    /// distinct rule firings currently deriving it; for any other stored
+    /// fact, 1. Zero iff the fact is absent.
+    pub fn support_of(&self, fact: &Atom) -> u64 {
         let Some(t) = Tuple::from_atom(fact) else {
             return 0;
         };
-        self.total
-            .relation(fact.predicate())
-            .and_then(|r| r.id_of(t.values()))
-            .map_or(0, |id| {
-                // invariant: id came from this relation's dedup table.
-                self.total
-                    .relation(fact.predicate())
-                    .expect("relation just resolved")
-                    .support(id)
-            })
+        match self.counts.get(&fact.predicate()) {
+            Some(counts) => counts.get(t.values()).copied().unwrap_or(0),
+            None => u64::from(self.total.contains_row(fact.predicate(), t.values())),
+        }
     }
 
-    /// True iff deletions on `pred` are maintained by exact support counts
+    /// True iff deletions on `pred` are maintained by exact firing counts
     /// (false means the per-SCC DRed fallback owns it).
     pub fn is_counted(&self, pred: Predicate) -> bool {
-        self.counted.contains(&pred)
+        self.counts.contains_key(&pred)
     }
 
     /// A copy of just the extensional store — the base facts from which the
-    /// maintained database is derivable. This is what durability snapshots
-    /// persist: recovery reloads it and re-materialises, instead of trusting
-    /// serialized derived state. Row hashes are reused from the maintained
-    /// arenas rather than recomputed.
+    /// maintained database is derivable. Row hashes are reused from the
+    /// maintained arenas rather than recomputed.
     pub fn edb(&self) -> Database {
         let mut out = Database::new();
         for &p in &self.edb_preds {
@@ -260,128 +229,62 @@ impl IncrementalEngine {
         &self.program
     }
 
-    /// Inserts an EDB fact; returns the number of facts (including derived
-    /// ones) added to the database.
-    pub fn insert(&mut self, fact: &Atom) -> Result<usize, EvalError> {
-        self.insert_batch(std::slice::from_ref(fact))
-    }
-
-    /// Deletes an EDB fact; returns `(overdeleted, rederived)`.
-    /// `overdeleted` is the true count of facts physically removed during
-    /// the cascade — including the base fact itself and any facts later
-    /// rederived; `rederived` of those were restored.
-    pub fn delete(&mut self, fact: &Atom) -> Result<(usize, usize), EvalError> {
-        self.delete_batch(std::slice::from_ref(fact))
-    }
-
-    /// Inserts a batch of EDB facts and propagates them in **one** shared
-    /// fixpoint (not per-fact fixpoints); returns facts added, including
-    /// derived ones. Facts already present are no-ops.
-    pub fn insert_batch(&mut self, facts: &[Atom]) -> Result<usize, EvalError> {
-        // Validate the whole batch before touching any state.
-        let tuples: Vec<Tuple> = facts
-            .iter()
-            .map(|fact| {
-                if self.program.is_idb(fact.predicate()) {
-                    return Err(EvalError::IdbUpdate(fact.predicate()));
-                }
-                Tuple::from_atom(fact).ok_or_else(|| {
-                    EvalError::Invalid(vec![alexander_ir::ProgramError::NonGroundFact {
-                        fact: fact.to_string(),
-                    }])
-                })
-            })
-            .collect::<Result<_, _>>()?;
-        let mut delta = Database::new();
-        for (fact, t) in facts.iter().zip(tuples) {
-            let pred = fact.predicate();
-            if self.total.contains_atom(fact) {
-                continue;
-            }
-            self.edb_preds.insert(pred);
-            if delta.insert(pred, t) {
-                let rel = delta.relation_mut(pred);
-                let id = rel.len() as u32 - 1;
-                rel.set_support(id, 1);
-            }
-        }
-        if delta.total_tuples() == 0 {
-            return Ok(0);
-        }
-        let base = self.total.merge(&delta);
-        let spans = DeltaSpans::after_merge(&self.total, &delta);
-        Ok(base + self.counting_rounds(spans))
-    }
-
-    /// Deletes a batch of EDB facts and retracts their consequences in
-    /// **one** shared cascade; returns `(overdeleted, rederived)` as for
-    /// [`IncrementalEngine::delete`]. Absent facts are no-ops.
-    pub fn delete_batch(&mut self, facts: &[Atom]) -> Result<(usize, usize), EvalError> {
-        let mut victims: FxHashMap<Predicate, FxHashSet<Tuple>> = FxHashMap::default();
-        let mut removed = Database::new();
-        for fact in facts {
+    /// Applies one mixed batch of updates (`true` = insert, `false` =
+    /// delete) to the EDB as a single delete cascade followed by a single
+    /// insertion fixpoint. Later operations on the same fact win; the net
+    /// effect against the current database decides what actually runs, so
+    /// inserting a present fact or deleting an absent one is a no-op. The
+    /// batch is validated before anything changes: an intensional or
+    /// non-ground fact refuses the whole batch.
+    pub fn apply_batch(&mut self, ops: &[(bool, Atom)]) -> Result<BatchOutcome, EvalError> {
+        let mut net: FxHashMap<(Predicate, Tuple), bool> = FxHashMap::default();
+        let mut order: Vec<(Predicate, Tuple)> = Vec::new();
+        for (insert, fact) in ops {
             let pred = fact.predicate();
             if self.program.is_idb(pred) {
                 return Err(EvalError::IdbUpdate(pred));
             }
-            // invariant: a non-ground atom is never `contains_atom`, so
-            // ungrounded deletes fall through as no-ops, like misses.
-            if !self.total.contains_atom(fact) {
-                continue;
+            let t = Tuple::from_atom(fact).ok_or_else(|| {
+                EvalError::Invalid(vec![alexander_ir::ProgramError::NonGroundFact {
+                    fact: fact.to_string(),
+                }])
+            })?;
+            if net.insert((pred, t.clone()), *insert).is_none() {
+                order.push((pred, t));
             }
-            let t = Tuple::from_atom(fact).expect("checked ground");
-            if victims.entry(pred).or_default().insert(t.clone()) {
+        }
+        let mut victims: FxHashMap<Predicate, FxHashSet<Tuple>> = FxHashMap::default();
+        let mut removed = Database::new();
+        let mut delta = Database::new();
+        for key in order {
+            let insert = net[&key];
+            let (pred, t) = key;
+            let present = self.total.contains_row(pred, t.values());
+            if insert {
+                if !present {
+                    self.edb_preds.insert(pred);
+                    delta.insert(pred, t);
+                }
+            } else if present {
+                victims.entry(pred).or_default().insert(t.clone());
                 removed.insert(pred, t);
             }
         }
-        if removed.total_tuples() == 0 {
-            return Ok((0, 0));
-        }
-        let mut overdeleted = 0usize;
-        for (p, set) in &victims {
-            overdeleted += self.total.remove_tuples(*p, set);
-        }
-        let (cascaded, rederived) = self.cascade_deletions(removed);
-        Ok((overdeleted + cascaded, rederived))
-    }
-
-    /// Applies one mixed batch of updates (`true` = insert, `false` =
-    /// delete) as a single delete cascade followed by a single insertion
-    /// fixpoint. Later operations on the same fact win; the net effect
-    /// against the current database decides what actually runs.
-    pub fn apply_batch(&mut self, ops: &[(bool, Atom)]) -> Result<BatchOutcome, EvalError> {
-        // Validate everything up front: a batch either applies or leaves
-        // the database untouched.
-        for (_, atom) in ops {
-            let pred = atom.predicate();
-            if self.program.is_idb(pred) {
-                return Err(EvalError::IdbUpdate(pred));
+        let mut out = BatchOutcome::default();
+        if removed.total_tuples() > 0 {
+            for (p, set) in &victims {
+                out.overdeleted += self.total.remove_tuples(*p, set);
             }
+            let (cascaded, rederived) = self.cascade_deletions(removed);
+            out.overdeleted += cascaded;
+            out.rederived = rederived;
         }
-        // Net effect per fact: the last operation wins.
-        let mut order: Vec<&Atom> = Vec::new();
-        let mut net: FxHashMap<&Atom, bool> = FxHashMap::default();
-        for (insert, atom) in ops {
-            if net.insert(atom, *insert).is_none() {
-                order.push(atom);
-            }
+        if delta.total_tuples() > 0 {
+            out.added = self.total.merge(&delta);
+            let spans = DeltaSpans::after_merge(&self.total, &delta);
+            out.added += self.counting_rounds(spans);
         }
-        let mut deletes: Vec<Atom> = Vec::new();
-        let mut inserts: Vec<Atom> = Vec::new();
-        for atom in order {
-            if net[atom] {
-                inserts.push(atom.clone());
-            } else {
-                deletes.push(atom.clone());
-            }
-        }
-        let (overdeleted, rederived) = self.delete_batch(&deletes)?;
-        let added = self.insert_batch(&inserts)?;
-        Ok(BatchOutcome {
-            added,
-            overdeleted,
-            rederived,
-        })
+        Ok(out)
     }
 
     /// Initial materialisation: one naive round over the seed database,
@@ -393,43 +296,31 @@ impl IncrementalEngine {
         }
         let mut scratch = ExecScratch::new();
         let mut staged = Database::new();
-        let mut inc: Vec<(Predicate, u32)> = Vec::new();
         for (ri, rule) in self.compiled.iter().enumerate() {
-            let input = JoinInput {
-                total: &self.total,
-                delta: None,
-                sides: None,
-                negatives: None,
-                governor: None,
-            };
             counting_emit_pass(
                 &self.plans[ri],
                 rule.head.pred,
-                self.counted.contains(&rule.head.pred),
-                &input,
-                &self.total,
+                self.counts.get_mut(&rule.head.pred),
+                &JoinInput::naive(&self.total),
                 &mut staged,
-                &mut inc,
                 &mut scratch,
                 &mut self.metrics,
             );
         }
-        self.apply_increments(&mut inc);
         self.total.absorb_staged(&staged);
         let spans = DeltaSpans::after_merge(&self.total, &staged);
         self.counting_rounds(spans);
     }
 
-    /// Semi-naive delta rounds over contiguous id spans, with support
-    /// counting riding the emit path. [`SideSources::InsertTriangle`]
-    /// guarantees each new firing is enumerated exactly once, so duplicate
-    /// emissions against the total are exactly the support increments.
-    /// Returns the number of facts added.
+    /// Semi-naive delta rounds over contiguous id spans, with firing counts
+    /// riding the emit path. [`SideSources::InsertTriangle`] guarantees each
+    /// new firing is enumerated exactly once, so duplicate emissions of a
+    /// counted head are exactly its count increments. Returns the number of
+    /// facts added.
     fn counting_rounds(&mut self, mut spans: DeltaSpans) -> usize {
         let mut added = 0usize;
         let mut scratch = ExecScratch::new();
         let mut staged = Database::new();
-        let mut inc: Vec<(Predicate, u32)> = Vec::new();
         while !spans.is_empty() {
             self.metrics.iterations += 1;
             for r in &self.compiled {
@@ -451,29 +342,18 @@ impl IncrementalEngine {
                     counting_emit_pass(
                         &self.plans[ri],
                         rule.head.pred,
-                        self.counted.contains(&rule.head.pred),
+                        self.counts.get_mut(&rule.head.pred),
                         &input,
-                        &self.total,
                         &mut staged,
-                        &mut inc,
                         &mut scratch,
                         &mut self.metrics,
                     );
                 }
             }
-            self.apply_increments(&mut inc);
             added += self.total.absorb_staged(&staged);
             spans = DeltaSpans::after_merge(&self.total, &staged);
         }
         added
-    }
-
-    /// Applies deferred support increments (collected while the total was
-    /// immutably borrowed by a join pass).
-    fn apply_increments(&mut self, inc: &mut Vec<(Predicate, u32)>) {
-        for (p, id) in inc.drain(..) {
-            self.total.relation_mut(p).add_support(id, 1);
-        }
     }
 
     /// Retraction cascade over the SCC groups in dependencies-first order.
@@ -508,7 +388,7 @@ impl IncrementalEngine {
 
     /// Counted component: one [`SideSources::DeleteTriangle`] pass per
     /// (rule, body position) enumerates every lost firing exactly once and
-    /// decrements its head's support; rows whose count reaches zero are
+    /// decrements its head's count; rows whose count reaches zero are
     /// retracted and join the removed set. Facts with surviving support
     /// never touch the join kernel again. Returns facts removed.
     fn counted_group(
@@ -518,12 +398,16 @@ impl IncrementalEngine {
         scratch: &mut ExecScratch,
     ) -> usize {
         self.metrics.iterations += 1;
-        let mut dec: Vec<(Predicate, u32)> = Vec::new();
+        // Only decremented rows can newly hit zero, so collecting them as
+        // they do keeps the sweep O(lost firings), not O(|relation|).
+        let mut zero: FxHashMap<Predicate, FxHashSet<Tuple>> = FxHashMap::default();
         for &ri in &group.rules {
             let rule = &self.compiled[ri];
             ensure_rule_indexes(rule, &mut self.total);
             ensure_rule_indexes(rule, removed);
             let head = rule.head.pred;
+            // invariant: a counted group's heads are counted predicates.
+            let counts = self.counts.get_mut(&head).expect("counted head");
             for (i, lit) in rule.body.iter().enumerate() {
                 if removed.len_of(lit.atom.pred) == 0 {
                     continue;
@@ -535,47 +419,31 @@ impl IncrementalEngine {
                     negatives: None,
                     governor: None,
                 };
-                let total_ref = &self.total;
                 let _ = exec_plan(
                     &self.plans[ri],
                     &input,
                     scratch,
                     &mut self.metrics,
-                    &mut |h, row| {
-                        // invariant: a lost firing's head was derivable over
-                        // the old state, and this component's rows are only
-                        // removed below, after the passes.
-                        let id = total_ref
-                            .relation(head)
-                            .and_then(|r| r.id_of_hashed(h, row))
-                            .expect("lost firing's head is still stored");
-                        dec.push((head, id));
+                    &mut |_, row| {
+                        // invariant: a lost firing's head was derived over
+                        // the old state, so it holds a count of at least
+                        // one per lost firing.
+                        let n = counts.get_mut(row).expect("lost firing's head is counted");
+                        *n -= 1;
+                        if *n == 0 {
+                            counts.remove(row);
+                            zero.entry(head).or_default().insert(Tuple::new(row));
+                        }
                         Emitted::Duplicate
                     },
                 );
             }
         }
-        // Apply the decrements, then retract exactly the rows that lost
-        // their last support. Only decremented ids can newly hit zero, so
-        // the sweep is O(lost firings), not O(|relation|).
-        let mut zero: FxHashMap<Predicate, FxHashSet<Tuple>> = FxHashMap::default();
-        for &(p, id) in &dec {
-            self.total.relation_mut(p).sub_support(id, 1);
-        }
-        for &(p, id) in &dec {
-            // invariant: ids stay valid until `remove_tuples` below — the
-            // decrement loop only touches the support column.
-            let rel = self.total.relation(p).expect("decremented relation exists");
-            if rel.support(id) == 0 {
-                zero.entry(p).or_default().insert(Tuple::new(rel.row(id)));
-            }
-        }
         let mut dropped = 0usize;
-        for (p, set) in &zero {
-            dropped += self.total.remove_tuples(*p, set);
+        for (p, set) in zero {
+            dropped += self.total.remove_tuples(p, &set);
             for t in set {
-                self.provenance.forget(&t.to_atom(p.name));
-                removed.insert(*p, t.clone());
+                removed.insert(p, t);
             }
         }
         dropped
@@ -722,9 +590,6 @@ impl IncrementalEngine {
                 }
                 if let Some(j) = witness {
                     self.total.insert(*p, t.clone());
-                    let rel = self.total.relation_mut(*p);
-                    let id = rel.len() as u32 - 1;
-                    rel.set_support(id, 1);
                     self.provenance.record(fact, j);
                     alive[idx] = true;
                     progress = true;
@@ -754,59 +619,48 @@ fn body_misses_removed(rule: &CompiledRule, removed: &Database) -> bool {
         .all(|lit| removed.len_of(lit.atom.pred) == 0)
 }
 
-/// One blocked-executor pass with the counting emit discipline:
-///
-/// * head absent everywhere → staged with support 1 (its first firing);
-/// * head already staged → counted heads bump the staged support;
-/// * head in the total → counted heads defer an increment (ids are taken
-///   while the total is immutably borrowed, applied after the pass).
-///
-/// Recursive heads keep support 1 while present — a presence marker; their
-/// retraction is decided by DRed, not by the counter.
-#[allow(clippy::too_many_arguments)]
+/// One blocked-executor pass with the counting emit discipline. A counted
+/// head (`counts` is its count map, whose keys are its stored and staged
+/// rows) gains one firing, and is staged on its first; any other head is
+/// staged unless the total or the stage already holds it.
 fn counting_emit_pass(
     plan: &RulePlan,
     head: Predicate,
-    head_counted: bool,
+    counts: Option<&mut Counts>,
     input: &JoinInput<'_>,
-    total: &Database,
     staged: &mut Database,
-    inc: &mut Vec<(Predicate, u32)>,
     scratch: &mut ExecScratch,
     metrics: &mut EvalMetrics,
 ) {
-    let _ = exec_plan(plan, input, scratch, metrics, &mut |h, row| {
-        if let Some(id) = total.relation(head).and_then(|r| r.id_of_hashed(h, row)) {
-            if head_counted {
-                inc.push((head, id));
+    let total = input.total;
+    let _ = match counts {
+        Some(counts) => exec_plan(plan, input, scratch, metrics, &mut |h, row| {
+            if let Some(n) = counts.get_mut(row) {
+                *n += 1;
+                return Emitted::Duplicate;
             }
-            Emitted::Duplicate
-        } else if staged.insert_row_hashed(head, h, row) {
-            let rel = staged.relation_mut(head);
-            let id = rel.len() as u32 - 1;
-            rel.set_support(id, 1);
+            counts.insert(row.into(), 1);
+            staged.push_new_row_hashed(head, h, row);
             Emitted::New
-        } else {
-            if head_counted {
-                let rel = staged.relation_mut(head);
-                // invariant: the insert above found the row already staged.
-                let id = rel.id_of_hashed(h, row).expect("duplicate row is staged");
-                rel.add_support(id, 1);
+        }),
+        None => exec_plan(plan, input, scratch, metrics, &mut |h, row| {
+            if !total.contains_row_hashed(head, h, row) && staged.insert_row_hashed(head, h, row) {
+                Emitted::New
+            } else {
+                Emitted::Duplicate
             }
-            Emitted::Duplicate
-        }
-    });
+        }),
+    };
 }
 
 /// SCC decomposition of the head predicates: groups in dependencies-first
-/// order, plus the set of counted predicates (empty under
-/// [`Maintenance::Dred`]).
-fn classify(program: &Program, mode: Maintenance) -> (Vec<SccGroup>, FxHashSet<Predicate>) {
+/// order, plus an empty count map per counted (non-recursive) predicate.
+fn classify(program: &Program) -> (Vec<SccGroup>, FxHashMap<Predicate, Counts>) {
     let graph = DepGraph::build(program);
     let scc = tarjan(graph.len(), &|v| {
         graph.succs[v].iter().map(|&(w, _)| w).collect()
     });
-    let mut counted = FxHashSet::default();
+    let mut counts = FxHashMap::default();
     let mut groups = Vec::new();
     // `components` is already reverse topological — dependencies first.
     for comp in &scc.components {
@@ -821,20 +675,16 @@ fn classify(program: &Program, mode: Maintenance) -> (Vec<SccGroup>, FxHashSet<P
         if rules.is_empty() {
             continue; // purely extensional vertex
         }
-        let self_dependent = comp.len() > 1
+        let recursive = comp.len() > 1
             || comp
                 .iter()
                 .any(|&v| graph.succs[v].iter().any(|&(w, _)| w == v));
-        let recursive = match mode {
-            Maintenance::Counting => self_dependent,
-            Maintenance::Dred => true,
-        };
         if !recursive {
-            counted.extend(preds.iter().copied());
+            counts.extend(preds.iter().map(|&p| (p, Counts::default())));
         }
         groups.push(SccGroup { rules, recursive });
     }
-    (groups, counted)
+    (groups, counts)
 }
 
 #[cfg(test)]
@@ -859,13 +709,22 @@ mod tests {
         snapshot(&eval_seminaive(program, edb).unwrap().db)
     }
 
-    /// Asserts the support invariant: count > 0 iff the fact is stored, and
-    /// for counted predicates the count equals the distinct rule firings
-    /// over the final database (plus 1 when externally stored).
+    fn insert(inc: &mut IncrementalEngine, fact: &Atom) -> usize {
+        inc.apply_batch(&[(true, fact.clone())]).unwrap().added
+    }
+
+    fn delete(inc: &mut IncrementalEngine, fact: &Atom) -> (usize, usize) {
+        let out = inc.apply_batch(&[(false, fact.clone())]).unwrap();
+        (out.overdeleted, out.rederived)
+    }
+
+    /// Asserts the support invariant: support > 0 iff the fact is stored,
+    /// and for counted predicates the support equals the distinct rule
+    /// firings over the final database.
     fn check_supports(inc: &IncrementalEngine) {
         let db = inc.db();
         // Expected firing counts per counted head fact, recomputed naively.
-        let mut expected: FxHashMap<(Predicate, Tuple), u32> = FxHashMap::default();
+        let mut expected: FxHashMap<Atom, u64> = FxHashMap::default();
         let mut scratch = ExecScratch::new();
         let mut metrics = EvalMetrics::default();
         for rule in &inc.program().rules {
@@ -880,29 +739,23 @@ mod tests {
                 &mut scratch,
                 &mut metrics,
                 &mut |row, _| {
-                    let t = Tuple::from_atom(&head.ground(row)).expect("ground");
-                    *expected.entry((head.pred, t)).or_insert(0) += 1;
+                    *expected.entry(head.ground(row)).or_insert(0) += 1;
                     ControlFlow::Continue(())
                 },
             );
         }
         for p in db.predicates() {
-            let rel = db.relation(p).unwrap();
-            let is_idb = inc.program().is_idb(p);
-            for id in 0..rel.len() as u32 {
-                let support = rel.support(id);
-                assert!(support > 0, "{p}: stored row with zero support");
+            for fact in db.atoms_of(p) {
+                let support = inc.support_of(&fact);
                 if inc.is_counted(p) {
-                    let t = Tuple::new(rel.row(id));
-                    let external = u32::from(!is_idb);
-                    let firings = expected.get(&(p, t)).copied().unwrap_or(0);
-                    assert_eq!(
-                        support,
-                        firings + external,
-                        "{p}: support drifted from firing count"
-                    );
+                    assert_eq!(support, expected[&fact], "{fact}: count drifted");
+                } else {
+                    assert_eq!(support, 1, "{fact}: a stored fact has support 1");
                 }
             }
+        }
+        for fact in expected.keys() {
+            assert!(db.contains_atom(fact), "{fact}: fired but not stored");
         }
     }
 
@@ -912,7 +765,7 @@ mod tests {
         let mut edb = workload::chain("e", 5);
         let mut inc = IncrementalEngine::new(program.clone(), edb.clone()).unwrap();
         let new_edge = parse_atom("e(n5, n6)").unwrap();
-        let added = inc.insert(&new_edge).unwrap();
+        let added = insert(&mut inc, &new_edge);
         assert!(added > 1, "the new edge extends the closure");
         edb.insert_atom(&new_edge).unwrap();
         assert_eq!(snapshot(inc.db()), from_scratch(&program, &edb));
@@ -925,7 +778,7 @@ mod tests {
         let edb = workload::chain("e", 6);
         let mut inc = IncrementalEngine::new(program.clone(), edb.clone()).unwrap();
         let victim = parse_atom("e(n2, n3)").unwrap();
-        let (over, re) = inc.delete(&victim).unwrap();
+        let (over, re) = delete(&mut inc, &victim);
         assert!(over > 0);
         assert_eq!(re, 0, "a chain has no alternative derivations");
 
@@ -954,7 +807,7 @@ mod tests {
         };
         let mut inc = IncrementalEngine::new(program.clone(), edb.clone()).unwrap();
         let victim = parse_atom("e(n1, n3)").unwrap();
-        let (over, re) = inc.delete(&victim).unwrap();
+        let (over, re) = delete(&mut inc, &victim);
         assert!(over > 0);
         assert!(re > 0, "tc(n0, n3) must be rederived via n2");
         assert!(inc.db().contains_atom(&parse_atom("tc(n0, n3)").unwrap()));
@@ -973,7 +826,7 @@ mod tests {
         let program = workload::transitive_closure();
         let edb = workload::chain("e", 2);
         let mut inc = IncrementalEngine::new(program, edb).unwrap();
-        let (over, re) = inc.delete(&parse_atom("e(n1, n2)").unwrap()).unwrap();
+        let (over, re) = delete(&mut inc, &parse_atom("e(n1, n2)").unwrap());
         assert_eq!((over, re), (3, 0));
     }
 
@@ -1001,13 +854,13 @@ mod tests {
 
         // Drop one branch: the fact survives on the other derivation, and
         // the cascade never overdeletes or rederives it.
-        let (over, re) = inc.delete(&parse_atom("e(a, b1)").unwrap()).unwrap();
+        let (over, re) = delete(&mut inc, &parse_atom("e(a, b1)").unwrap());
         assert_eq!((over, re), (1, 0), "only the base fact goes");
         assert_eq!(inc.support_of(&fact), 1);
         assert!(inc.db().contains_atom(&fact));
 
         // Drop the last branch: now the count hits zero and it retracts.
-        let (over, re) = inc.delete(&parse_atom("f(b2, c)").unwrap()).unwrap();
+        let (over, re) = delete(&mut inc, &parse_atom("f(b2, c)").unwrap());
         assert_eq!((over, re), (2, 0));
         assert!(!inc.db().contains_atom(&fact));
 
@@ -1016,33 +869,6 @@ mod tests {
         edb2.remove_atom(&parse_atom("f(b2, c)").unwrap());
         assert_eq!(snapshot(inc.db()), from_scratch(&program, &edb2));
         check_supports(&inc);
-    }
-
-    #[test]
-    fn counting_and_dred_modes_agree() {
-        use rand::rngs::StdRng;
-        use rand::{RngExt, SeedableRng};
-        let program = workload::transitive_closure();
-        for seed in [7u64, 8] {
-            let edb = workload::random_graph("e", 8, 18, seed);
-            let mut counting = IncrementalEngine::new(program.clone(), edb.clone()).unwrap();
-            let mut dred =
-                IncrementalEngine::with_mode(program.clone(), edb, Maintenance::Dred).unwrap();
-            let mut rng = StdRng::seed_from_u64(seed);
-            for _ in 0..10 {
-                let a = rng.random_range(0..8);
-                let b = rng.random_range(0..8);
-                let atom = parse_atom(&format!("e(n{a}, n{b})")).unwrap();
-                if rng.random_range(0..2) == 0 {
-                    counting.insert(&atom).unwrap();
-                    dred.insert(&atom).unwrap();
-                } else {
-                    counting.delete(&atom).unwrap();
-                    dred.delete(&atom).unwrap();
-                }
-                assert_eq!(snapshot(counting.db()), snapshot(dred.db()));
-            }
-        }
     }
 
     #[test]
@@ -1105,10 +931,10 @@ mod tests {
                 }
                 let atom = parse_atom(&format!("e(n{a}, n{b})")).unwrap();
                 if step % 2 == 0 {
-                    inc.insert(&atom).unwrap();
+                    insert(&mut inc, &atom);
                     edb.insert_atom(&atom).unwrap();
                 } else {
-                    inc.delete(&atom).unwrap();
+                    delete(&mut inc, &atom);
                     edb.remove_atom(&atom);
                 }
                 assert_eq!(
@@ -1128,7 +954,7 @@ mod tests {
         let edb = workload::cycle("e", 5);
         let mut inc = IncrementalEngine::new(program.clone(), edb.clone()).unwrap();
         let victim = parse_atom("e(n2, n3)").unwrap();
-        inc.delete(&victim).unwrap();
+        delete(&mut inc, &victim);
         let mut edb2 = edb;
         edb2.remove_atom(&victim);
         assert_eq!(snapshot(inc.db()), from_scratch(&program, &edb2));
@@ -1158,7 +984,7 @@ mod tests {
         let mut edb2 = edb;
         for gone in ["e(n1, n3)", "e(n2, n3)"] {
             let victim = parse_atom(gone).unwrap();
-            let (_, re) = inc.delete(&victim).unwrap();
+            let (_, re) = delete(&mut inc, &victim);
             assert!(re > 0, "{gone}: tc(n0, n3) survives on another branch");
             assert!(inc.db().contains_atom(&goal));
             edb2.remove_atom(&victim);
@@ -1166,7 +992,7 @@ mod tests {
         }
         // Removing the last branch retracts it for good.
         let victim = parse_atom("e(n4, n3)").unwrap();
-        inc.delete(&victim).unwrap();
+        delete(&mut inc, &victim);
         assert!(!inc.db().contains_atom(&goal));
         edb2.remove_atom(&victim);
         assert_eq!(snapshot(inc.db()), from_scratch(&program, &edb2));
@@ -1191,16 +1017,15 @@ mod tests {
         let cut = parse_atom("e(n5, n6)").unwrap();
         let mut after = edb.clone();
         after.remove_atom(&cut);
-        for mode in [Maintenance::Counting, Maintenance::Dred] {
-            let mut inc =
-                IncrementalEngine::with_mode(parsed.program.clone(), edb.clone(), mode).unwrap();
-            inc.delete(&cut).unwrap();
-            assert!(inc.db().contains_atom(&parse_atom("tc(n5, n6)").unwrap()));
-            assert!(inc.db().contains_atom(&parse_atom("hop(n5)").unwrap()));
-            check_supports(&inc);
-            assert_eq!(inc.edb().predicates(), vec![Predicate::new("e", 2)]);
-            assert_eq!(snapshot(inc.db()), from_scratch(&parsed.program, &after));
-        }
+        let mut inc = IncrementalEngine::new(parsed.program.clone(), edb).unwrap();
+        let hop = parse_atom("hop(n5)").unwrap();
+        assert_eq!(inc.support_of(&hop), 2, "the inline fact and e(n5, n6)");
+        delete(&mut inc, &cut);
+        assert!(inc.db().contains_atom(&parse_atom("tc(n5, n6)").unwrap()));
+        assert_eq!(inc.support_of(&hop), 1, "the inline fact's own firing");
+        check_supports(&inc);
+        assert_eq!(inc.edb().predicates(), vec![Predicate::new("e", 2)]);
+        assert_eq!(snapshot(inc.db()), from_scratch(&parsed.program, &after));
     }
 
     #[test]
@@ -1208,11 +1033,29 @@ mod tests {
         let program = workload::transitive_closure();
         let edb = workload::chain("e", 3);
         let mut inc = IncrementalEngine::new(program, edb).unwrap();
-        assert!(inc.insert(&parse_atom("tc(n0, n9)").unwrap()).is_err());
-        assert!(inc.delete(&parse_atom("tc(n0, n1)").unwrap()).is_err());
-        assert!(inc
-            .apply_batch(&[(true, parse_atom("tc(n0, n9)").unwrap())])
-            .is_err());
+        let before = snapshot(inc.db());
+        for op in [
+            (true, parse_atom("tc(n0, n9)").unwrap()),
+            (false, parse_atom("tc(n0, n1)").unwrap()),
+        ] {
+            // The valid edge insert ahead of the refused op never applies.
+            let batch = [(true, parse_atom("e(n7, n8)").unwrap()), op];
+            assert!(matches!(
+                inc.apply_batch(&batch),
+                Err(EvalError::IdbUpdate(p)) if p == Predicate::new("tc", 2)
+            ));
+            assert_eq!(snapshot(inc.db()), before);
+        }
+    }
+
+    #[test]
+    fn an_edb_with_rows_of_an_intensional_predicate_is_refused() {
+        let mut edb = workload::chain("e", 3);
+        edb.insert_atom(&parse_atom("tc(z, q)").unwrap()).unwrap();
+        assert!(matches!(
+            IncrementalEngine::new(workload::transitive_closure(), edb),
+            Err(EvalError::IdbUpdate(p)) if p == Predicate::new("tc", 2)
+        ));
     }
 
     #[test]
@@ -1231,10 +1074,7 @@ mod tests {
         let program = workload::transitive_closure();
         let edb = workload::chain("e", 3);
         let mut inc = IncrementalEngine::new(program, edb).unwrap();
-        assert_eq!(inc.insert(&parse_atom("e(n0, n1)").unwrap()).unwrap(), 0);
-        assert_eq!(
-            inc.delete(&parse_atom("e(n8, n9)").unwrap()).unwrap(),
-            (0, 0)
-        );
+        assert_eq!(insert(&mut inc, &parse_atom("e(n0, n1)").unwrap()), 0);
+        assert_eq!(delete(&mut inc, &parse_atom("e(n8, n9)").unwrap()), (0, 0));
     }
 }

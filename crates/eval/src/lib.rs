@@ -97,7 +97,7 @@ pub use exec::{
     exec_plan, exec_plan_bindings, exec_plan_seeded, EmitBindings, ExecScratch, BLOCK_ROWS,
 };
 pub use govern::{Budget, CancelHandle, Completion, Consumption, Governor, Resource};
-pub use incremental::{BatchOutcome, IncrementalEngine, Maintenance};
+pub use incremental::{BatchOutcome, IncrementalEngine};
 pub use join::{
     compile_rule, compile_rule_seeded, ensure_rule_indexes, CompiledRule, DeltaSource, Emitted,
     JoinInput, SideSources,

@@ -1,15 +1,14 @@
 //! Differential property tests for incremental maintenance: random
-//! insert/delete sequences applied in mixed batches must leave the counting
-//! engine, the DRed-forced engine, and a from-scratch recompute (at one and
-//! four evaluation threads) with bit-identical databases — and the counting
-//! engine's support column must satisfy its invariant at every step:
-//! support > 0 iff the fact is derivable, and for counted (non-recursive)
-//! predicates the count equals the distinct rule firings over the final
-//! database plus one when the fact is externally stored in the EDB.
+//! insert/delete sequences applied in mixed batches must leave the engine
+//! and a from-scratch recompute (at one and four evaluation threads) with
+//! bit-identical databases — and the engine's supports must satisfy their
+//! invariant at every step: support > 0 iff the fact is derivable, and for
+//! counted (non-recursive) predicates the support equals the distinct rule
+//! firings over the final database.
 
 use alexander_eval::{
     compile_plan, compile_rule, eval_seminaive_opts, exec_plan_bindings, EvalMetrics, EvalOptions,
-    ExecScratch, IncrementalEngine, JoinInput, Maintenance,
+    ExecScratch, IncrementalEngine, JoinInput,
 };
 use alexander_ir::{Atom, Predicate, Program};
 use alexander_parser::{parse, parse_atom};
@@ -19,7 +18,7 @@ use std::collections::BTreeSet;
 use std::ops::ControlFlow;
 
 /// Program templates spanning the maintenance regimes: purely counted
-/// strata, a recursive SCC (DRed fallback inside the counting engine), and
+/// strata, a recursive SCC (the engine's DRed fallback), and
 /// a counted stratum layered over a recursive one.
 const TEMPLATES: [(&str, &[&str]); 3] = [
     (
@@ -76,12 +75,12 @@ fn model_db(model: &BTreeSet<String>) -> Database {
 
 /// The support invariant, checked through the public API only: every atom
 /// over the universe has support > 0 exactly when it is in `oracle`, and
-/// counted predicates carry the exact firing count (plus external storage).
+/// counted predicates carry the exact firing count.
 fn check_supports(inc: &IncrementalEngine, program: &Program, oracle: &Database) {
     let db = inc.db();
     // Distinct firings per counted head fact, recomputed by naive joins
     // over the oracle database.
-    let mut firings: std::collections::HashMap<String, u32> = std::collections::HashMap::new();
+    let mut firings: std::collections::HashMap<String, u64> = std::collections::HashMap::new();
     let mut scratch = ExecScratch::new();
     let mut metrics = EvalMetrics::default();
     for rule in &program.rules {
@@ -101,7 +100,6 @@ fn check_supports(inc: &IncrementalEngine, program: &Program, oracle: &Database)
             },
         );
     }
-    let edb = inc.edb();
     let mut preds: Vec<Predicate> = oracle.predicates();
     preds.extend(db.predicates());
     preds.sort();
@@ -116,9 +114,8 @@ fn check_supports(inc: &IncrementalEngine, program: &Program, oracle: &Database)
                     oracle.contains_atom(&atom),
                     "{atom}: support {support} disagrees with derivability"
                 );
-                if inc.is_counted(p) && support > 0 {
-                    let external = u32::from(edb.contains_atom(&atom));
-                    let expected = firings.get(&atom.to_string()).copied().unwrap_or(0) + external;
+                if inc.is_counted(p) {
+                    let expected = firings.get(&atom.to_string()).copied().unwrap_or(0);
                     assert_eq!(support, expected, "{atom}: support drifted");
                 }
             }
@@ -130,7 +127,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn random_update_batches_keep_all_engines_identical(
+    fn random_update_batches_match_recompute(
         template in 0usize..TEMPLATES.len(),
         ops in proptest::collection::vec(
             (proptest::bool::ANY, 0usize..8, 0usize..UNIVERSE, 0usize..UNIVERSE),
@@ -141,12 +138,7 @@ proptest! {
         let (rules, edb_preds) = TEMPLATES[template];
         let program = parse(rules).unwrap().program;
         let mut model: BTreeSet<String> = BTreeSet::new();
-        let mut counting =
-            IncrementalEngine::with_mode(program.clone(), Database::new(), Maintenance::Counting)
-                .unwrap();
-        let mut dred =
-            IncrementalEngine::with_mode(program.clone(), Database::new(), Maintenance::Dred)
-                .unwrap();
+        let mut inc = IncrementalEngine::new(program.clone(), Database::new()).unwrap();
         for chunk in ops.chunks(batch) {
             let batch_ops: Vec<(bool, Atom)> = chunk
                 .iter()
@@ -159,8 +151,7 @@ proptest! {
                     model.remove(&atom.to_string());
                 }
             }
-            counting.apply_batch(&batch_ops).unwrap();
-            dred.apply_batch(&batch_ops).unwrap();
+            inc.apply_batch(&batch_ops).unwrap();
 
             let edb = model_db(&model);
             let seq = eval_seminaive_opts(&program, &edb, EvalOptions::with_threads(1))
@@ -171,9 +162,8 @@ proptest! {
                 .db;
             let expected = snapshot(&seq);
             prop_assert_eq!(&snapshot(&par), &expected, "parallel recompute diverged");
-            prop_assert_eq!(&snapshot(counting.db()), &expected, "counting diverged");
-            prop_assert_eq!(&snapshot(dred.db()), &expected, "dred diverged");
-            check_supports(&counting, &program, &seq);
+            prop_assert_eq!(&snapshot(inc.db()), &expected, "incremental diverged");
+            check_supports(&inc, &program, &seq);
         }
     }
 }

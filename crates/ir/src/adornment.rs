@@ -32,16 +32,6 @@ impl Bf {
 pub struct Adornment(pub Vec<Bf>);
 
 impl Adornment {
-    /// The all-free adornment of the given arity.
-    pub fn all_free(arity: usize) -> Adornment {
-        Adornment(vec![Bf::Free; arity])
-    }
-
-    /// The all-bound adornment of the given arity.
-    pub fn all_bound(arity: usize) -> Adornment {
-        Adornment(vec![Bf::Bound; arity])
-    }
-
     /// Parses `"bf"`-style strings. Panics on characters other than `b`/`f`
     /// (programmer error in tests/benches).
     #[allow(clippy::should_implement_trait)]
@@ -91,26 +81,6 @@ impl Adornment {
             .filter(|(_, bf)| **bf == Bf::Bound)
             .map(|(i, _)| i)
             .collect()
-    }
-
-    /// Indices of the free positions, ascending.
-    pub fn free_positions(&self) -> Vec<usize> {
-        self.0
-            .iter()
-            .enumerate()
-            .filter(|(_, bf)| **bf == Bf::Free)
-            .map(|(i, _)| i)
-            .collect()
-    }
-
-    /// True iff every position is bound.
-    pub fn is_all_bound(&self) -> bool {
-        self.0.iter().all(|bf| *bf == Bf::Bound)
-    }
-
-    /// True iff every position is free.
-    pub fn is_all_free(&self) -> bool {
-        self.0.iter().all(|bf| *bf == Bf::Free)
     }
 
     /// The `"bf"` string form used in generated predicate names.
@@ -174,7 +144,6 @@ mod tests {
         let ad = Adornment::of_atom(&q, &[]);
         assert_eq!(ad.suffix(), "bf");
         assert_eq!(ad.bound_positions(), vec![0]);
-        assert_eq!(ad.free_positions(), vec![1]);
     }
 
     #[test]
@@ -189,9 +158,6 @@ mod tests {
         let ad = Adornment::from_str("bfb");
         assert_eq!(ad.to_string(), "bfb");
         assert_eq!(ad.arity(), 3);
-        assert!(!ad.is_all_bound());
-        assert!(Adornment::all_bound(2).is_all_bound());
-        assert!(Adornment::all_free(2).is_all_free());
     }
 
     #[test]

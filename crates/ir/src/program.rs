@@ -119,13 +119,6 @@ impl Program {
         edb
     }
 
-    /// Every predicate mentioned anywhere in the program.
-    pub fn all_predicates(&self) -> FxHashSet<Predicate> {
-        let mut all = self.idb_predicates();
-        all.extend(self.edb_predicates());
-        all
-    }
-
     /// True iff `pred` is intensional in this program.
     pub fn is_idb(&self, pred: Predicate) -> bool {
         self.rules.iter().any(|r| r.head.predicate() == pred)

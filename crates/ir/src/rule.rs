@@ -1,6 +1,6 @@
 //! Rules (Horn clauses with negation-as-failure bodies).
 
-use crate::atom::{Atom, Predicate};
+use crate::atom::Atom;
 use crate::hash::FxHashMap;
 use crate::literal::Literal;
 use crate::term::{Term, Var};
@@ -38,14 +38,6 @@ impl Rule {
             }
         }
         seen
-    }
-
-    /// Predicates of the positive body literals.
-    pub fn positive_body_preds(&self) -> impl Iterator<Item = Predicate> + '_ {
-        self.body
-            .iter()
-            .filter(|l| l.is_positive())
-            .map(|l| l.atom.predicate())
     }
 
     /// True iff the rule is *safe* (range-restricted): every head variable,
@@ -115,11 +107,6 @@ impl Rule {
             })
             .collect();
         Rule { head, body }
-    }
-
-    /// True iff the rule body mentions `pred` (any polarity).
-    pub fn body_mentions(&self, pred: Predicate) -> bool {
-        self.body.iter().any(|l| l.atom.predicate() == pred)
     }
 }
 

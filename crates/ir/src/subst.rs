@@ -49,12 +49,6 @@ impl Subst {
         self.map.insert(v, t);
     }
 
-    /// Removes the binding for `v` (used for backtracking in the top-down
-    /// engine).
-    pub fn unbind(&mut self, v: Var) {
-        self.map.remove(&v);
-    }
-
     /// Follows variable chains starting from `t` until a constant or an
     /// unbound variable is reached.
     pub fn walk(&self, t: Term) -> Term {
@@ -155,16 +149,6 @@ mod tests {
         s.bind(Var::new("X"), Term::sym("a"));
         let a = atom("p", [Term::var("X"), Term::var("Y"), Term::sym("c")]);
         assert_eq!(s.apply_atom(&a).to_string(), "p(a, Y, c)");
-    }
-
-    #[test]
-    fn unbind_backtracks() {
-        let mut s = Subst::new();
-        s.bind(Var::new("X"), Term::sym("a"));
-        assert_eq!(s.len(), 1);
-        s.unbind(Var::new("X"));
-        assert!(s.is_empty());
-        assert_eq!(s.walk(Term::var("X")), Term::var("X"));
     }
 
     #[test]

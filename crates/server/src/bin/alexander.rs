@@ -116,13 +116,10 @@ fn serve(source: &str, opts: &cli::CliOptions) {
     }
     config.budget = budget;
     if let Some(name) = opts.strategy.as_deref() {
-        match alexander_core::Strategy::ALL
-            .into_iter()
-            .find(|s| s.name() == name)
-        {
-            Some(s) => config.default_strategy = s,
-            None => {
-                eprintln!("unknown strategy `{name}`");
+        match alexander_core::Strategy::from_name(name) {
+            Ok(s) => config.default_strategy = s,
+            Err(e) => {
+                eprintln!("{e}");
                 std::process::exit(2);
             }
         }

@@ -602,15 +602,10 @@ fn run_query(
     strategy: Option<String>,
 ) -> Result<crate::service::QueryResponse, ServerError> {
     let query = parse_atom(atom).map_err(|e| ServerError::Parse(e.to_string()))?;
-    let strategy = match strategy {
-        None => None,
-        Some(name) => Some(
-            Strategy::ALL
-                .into_iter()
-                .find(|s| s.name() == name)
-                .ok_or_else(|| ServerError::Parse(format!("unknown strategy `{name}`")))?,
-        ),
-    };
+    let strategy = strategy
+        .map(|name| Strategy::from_name(&name))
+        .transpose()
+        .map_err(ServerError::Parse)?;
     service.query(tenant, &query, strategy)
 }
 

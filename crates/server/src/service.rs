@@ -29,7 +29,7 @@ use crate::epoch::{Epoch, EpochStore};
 use crate::health::{Health, ServerState};
 use alexander_core::{Engine, EngineError, Strategy};
 use alexander_durable::{apply_to_database, edb_record, DurableError, DurableStore, Op, WalRecord};
-use alexander_eval::{Budget, CancelHandle};
+use alexander_eval::{Budget, CancelHandle, EvalError};
 use alexander_ir::{render_atoms, Atom, Program};
 use alexander_storage::Database;
 use std::fmt;
@@ -254,7 +254,8 @@ impl QueryService {
     /// writer if it later poisons. A half-present pair (exactly one of the
     /// two files) is an error — creating over the survivor would silently
     /// wipe committed data. With `None` the service is in-memory, over
-    /// `edb`.
+    /// `edb`. An `edb` (or a recovered store) holding rows of an
+    /// intensional predicate is refused: derived facts are never stored.
     ///
     /// Either way, the program's inline facts of extensional predicates
     /// that the writer's EDB lacks are then committed as one batch, as a
@@ -285,10 +286,17 @@ impl QueryService {
                     )));
                 }
             }),
-            None => Writer::InMemory {
-                edb,
-                pending: Vec::new(),
-            },
+            None => {
+                if let Some(pred) = edb.intensional_rows(&program) {
+                    return Err(ServerError::Rejected(
+                        EvalError::IdbUpdate(pred).to_string(),
+                    ));
+                }
+                Writer::InMemory {
+                    edb,
+                    pending: Vec::new(),
+                }
+            }
         };
         for fact in &seed {
             if !writer.edb().contains_atom(fact) {
@@ -504,11 +512,6 @@ impl QueryService {
         self.core.health.wait_for(timeout, |s| !s.is_degraded())
     }
 
-    /// Blocks until the service is degraded or `timeout` elapses.
-    pub fn wait_for_degraded(&self, timeout: Duration) -> bool {
-        self.core.health.wait_for(timeout, ServerState::is_degraded)
-    }
-
     /// Current WAL length in bytes (`None` for an in-memory service). The
     /// chaos harness aims crash offsets relative to this.
     pub fn durable_wal_len(&self) -> Option<u64> {
@@ -564,7 +567,8 @@ impl Core {
 /// The engine an epoch serves: `program` over a copy-on-write clone of
 /// `edb`, O(#relations).
 fn epoch_engine(program: &Program, edb: &Database) -> Engine {
-    // invariant: `program` was validated at open and is never changed, so
+    // invariant: `program` was validated at open and is never changed, and
+    // `open` refuses an EDB with rows of an intensional predicate, so
     // construction cannot fail.
     Engine::new(program.clone(), edb.clone()).expect("program validated at open")
 }
@@ -720,6 +724,47 @@ mod tests {
             .query("t", &parse_atom("par(a, X)").unwrap(), None)
             .unwrap();
         assert_eq!(r.answers, ["par(a, b)"]);
+    }
+
+    #[test]
+    fn an_edb_with_rows_of_an_intensional_predicate_is_refused_at_open() {
+        let program = parse(RULES).unwrap().program;
+        let mut edb = Database::new();
+        edb.insert_atom(&parse_atom("anc(z, q)").unwrap()).unwrap();
+        let err = QueryService::open(program, edb, None, ServerConfig::default())
+            .err()
+            .expect("refused");
+        assert!(matches!(err, ServerError::Rejected(_)), "{err}");
+    }
+
+    #[test]
+    fn a_snapshot_with_rows_of_an_intensional_predicate_is_refused_at_open() {
+        let dir = std::env::temp_dir();
+        let pid = std::process::id();
+        let snap = dir.join(format!("alexander_svc_idbsnap_{pid}.snap"));
+        let wal = dir.join(format!("alexander_svc_idbsnap_{pid}.wal"));
+        // A store written under a program where `anc` is extensional.
+        let mut edb = Database::new();
+        edb.insert_atom(&parse_atom("anc(z, q)").unwrap()).unwrap();
+        DurableStore::create(Program::new(), edb, &snap, &wal).unwrap();
+        let program = parse(RULES).unwrap().program;
+        let err = QueryService::open(
+            program,
+            Database::new(),
+            Some((&snap, &wal)),
+            ServerConfig::default(),
+        )
+        .err()
+        .expect("refused");
+        assert!(
+            matches!(
+                err,
+                ServerError::Durable(DurableError::Replay(EvalError::IdbUpdate(_)))
+            ),
+            "{err}"
+        );
+        std::fs::remove_file(&snap).ok();
+        std::fs::remove_file(&wal).ok();
     }
 
     #[test]

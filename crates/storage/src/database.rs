@@ -40,6 +40,16 @@ impl Database {
         db
     }
 
+    /// The first intensional predicate of `program` (in predicate order)
+    /// with rows stored here, if any. Derived facts are never stored: every
+    /// door that takes a database for a program refuses one that names such
+    /// a predicate.
+    pub fn intensional_rows(&self, program: &Program) -> Option<Predicate> {
+        self.predicates()
+            .into_iter()
+            .find(|&p| self.len_of(p) > 0 && program.is_idb(p))
+    }
+
     /// The relation for `pred`, if it exists.
     pub fn relation(&self, pred: Predicate) -> Option<&Relation> {
         self.relations.get(&pred).map(Arc::as_ref)
@@ -178,16 +188,10 @@ impl Database {
         for (p, r) in other.iter() {
             let target = self.relation_mut(p);
             // Reuse the source relation's stored digests: a merge never
-            // re-hashes what insertion already hashed. Appended rows carry
-            // their source support count (duplicates keep the target's —
-            // the counting engine reconciles those separately).
-            for ((row, &h), &s) in r.iter().zip(r.row_hashes()).zip(r.supports()) {
+            // re-hashes what insertion already hashed.
+            for (row, &h) in r.iter().zip(r.row_hashes()) {
                 if target.insert_row_hashed(h, row) {
                     added += 1;
-                    if s != 0 {
-                        let id = u32::try_from(target.len() - 1).expect("relation overflow");
-                        target.set_support(id, s);
-                    }
                 }
             }
         }
@@ -205,12 +209,8 @@ impl Database {
         let mut added = 0;
         for (p, r) in staged.iter() {
             let target = self.relation_mut(p);
-            for ((row, &h), &s) in r.iter().zip(r.row_hashes()).zip(r.supports()) {
+            for (row, &h) in r.iter().zip(r.row_hashes()) {
                 target.push_new_row_hashed(h, row);
-                if s != 0 {
-                    let id = u32::try_from(target.len() - 1).expect("relation overflow");
-                    target.set_support(id, s);
-                }
                 added += 1;
             }
         }
@@ -268,25 +268,6 @@ impl Database {
     /// mutation happens while workers are joining against it.
     pub fn freeze(&self) -> Frozen<'_> {
         Frozen { db: self }
-    }
-
-    /// Every constant appearing in any stored tuple, deduplicated, in first-
-    /// seen order (the database's active domain).
-    pub fn active_domain(&self) -> Vec<Const> {
-        let mut seen = alexander_ir::FxHashSet::default();
-        let mut out = Vec::new();
-        for p in self.predicates() {
-            if let Some(r) = self.relations.get(&p) {
-                for row in r.iter() {
-                    for &c in row {
-                        if seen.insert(c) {
-                            out.push(c);
-                        }
-                    }
-                }
-            }
-        }
-        out
     }
 }
 
@@ -446,30 +427,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_and_absorb_carry_support_counts() {
-        let e = Predicate::new("e", 1);
-        let mut a = Database::new();
-        a.insert(e, tuple_of_syms(&["x"]));
-        a.relation_mut(e).set_support(0, 5);
-        let mut b = Database::new();
-        b.insert(e, tuple_of_syms(&["x"]));
-        b.insert(e, tuple_of_syms(&["y"]));
-        let rb = b.relation_mut(e);
-        rb.set_support(0, 9);
-        rb.set_support(1, 2);
-        assert_eq!(a.merge(&b), 1);
-        let ra = a.relation(e).unwrap();
-        assert_eq!(ra.support(0), 5, "duplicate keeps the target's count");
-        assert_eq!(ra.support(1), 2, "appended row carries its source count");
-
-        let mut staged = Database::new();
-        staged.insert(e, tuple_of_syms(&["z"]));
-        staged.relation_mut(e).set_support(0, 3);
-        assert_eq!(a.absorb_staged(&staged), 1);
-        assert_eq!(a.relation(e).unwrap().support(2), 3);
-    }
-
-    #[test]
     fn from_program_loads_inline_facts() {
         let mut p = Program::new();
         p.facts.push(atom("e", [Term::sym("a"), Term::sym("b")]));
@@ -487,15 +444,6 @@ mod tests {
         let db = Database::from_program(&p);
         assert_eq!(db.total_tuples(), 1);
         assert_eq!(db.len_of(Predicate::new("n", 1)), 0);
-    }
-
-    #[test]
-    fn active_domain_dedups() {
-        let mut db = Database::new();
-        db.insert(Predicate::new("e", 2), tuple_of_syms(&["a", "b"]));
-        db.insert(Predicate::new("e", 2), tuple_of_syms(&["b", "c"]));
-        let d = db.active_domain();
-        assert_eq!(d.len(), 3);
     }
 
     #[test]

@@ -423,12 +423,6 @@ pub struct Relation {
     len: u32,
     pool: Vec<Const>,
     hashes: Vec<u64>,
-    /// Per-row support count, parallel to `hashes`: the number of distinct
-    /// rule firings currently deriving row `id`. Plain evaluators leave it
-    /// at 0 (they never read it); the counting incremental engine maintains
-    /// it and retracts a row only when its count reaches zero. The column
-    /// rides the arena layout — deletion rebuilds carry it, merges copy it.
-    supports: Vec<u32>,
     dedup: RawTable,
     indexes: FxHashMap<Mask, Index>,
 }
@@ -540,7 +534,6 @@ impl Relation {
         self.dedup.insert_no_grow(h, id);
         self.pool.extend_from_slice(row);
         self.hashes.push(h);
-        self.supports.push(0);
         self.len = id + 1;
     }
 
@@ -574,42 +567,6 @@ impl Relation {
             return None;
         }
         self.find_id(h, row)
-    }
-
-    /// The support count of row `id`.
-    #[inline]
-    pub fn support(&self, id: u32) -> u32 {
-        self.supports[id as usize]
-    }
-
-    /// The whole support column, indexed by id (parallel to
-    /// [`Relation::row_hashes`]).
-    #[inline]
-    pub fn supports(&self) -> &[u32] {
-        &self.supports
-    }
-
-    /// Overwrites row `id`'s support count.
-    #[inline]
-    pub fn set_support(&mut self, id: u32, count: u32) {
-        self.supports[id as usize] = count;
-    }
-
-    /// Adds `by` firings to row `id`'s support; returns the new count.
-    #[inline]
-    pub fn add_support(&mut self, id: u32, by: u32) -> u32 {
-        let s = &mut self.supports[id as usize];
-        *s = s.checked_add(by).expect("support overflow");
-        *s
-    }
-
-    /// Removes `by` firings from row `id`'s support (saturating at zero);
-    /// returns the new count.
-    #[inline]
-    pub fn sub_support(&mut self, id: u32, by: u32) -> u32 {
-        let s = &mut self.supports[id as usize];
-        *s = s.saturating_sub(by);
-        *s
     }
 
     /// Membership test for a row slice.
@@ -841,11 +798,9 @@ impl Relation {
                 id as usize * arity,
             );
             self.hashes[id as usize] = lh;
-            self.supports[id as usize] = self.supports[last as usize];
         }
         self.pool.truncate(last as usize * arity);
         self.hashes.truncate(last as usize);
-        self.supports.truncate(last as usize);
         self.len = last;
     }
 
@@ -889,11 +844,9 @@ impl Relation {
             self.pool
                 .copy_within(old * arity..old * arity + arity, nid * arity);
             self.hashes[nid] = self.hashes[old];
-            self.supports[nid] = self.supports[old];
         }
         self.pool.truncate(new_len as usize * arity);
         self.hashes.truncate(new_len as usize);
-        self.supports.truncate(new_len as usize);
         self.len = new_len;
         // Open addressing cannot delete in place; re-slot the surviving
         // hashes instead. No row is rehashed or compared — survivors are
@@ -922,7 +875,6 @@ impl Relation {
     pub fn clear_rows(&mut self) {
         self.pool.clear();
         self.hashes.clear();
-        self.supports.clear();
         self.dedup.clear_retaining();
         self.indexes.clear();
         self.len = 0;
@@ -1215,7 +1167,7 @@ mod tests {
     fn both_removal_paths_agree_with_a_model() {
         // Drive the swap path and the compaction path over the same
         // victim sets and check every observable against a model: length,
-        // membership, dedup (re-insertion), index probes, supports.
+        // membership, dedup (re-insertion), index probes.
         for compact in [false, true] {
             let mut r = Relation::new(2);
             let m0 = Mask::of_columns(&[0]);
@@ -1226,8 +1178,6 @@ mod tests {
             for i in 0..60 {
                 r.insert(Tuple::new(vec![Const::int(i % 5), Const::int(i)]));
                 model.push((i % 5, i));
-                let id = r.len() as u32 - 1;
-                r.set_support(id, i as u32 + 1);
             }
             let mut victims = alexander_ir::FxHashSet::default();
             for i in (0..60).step_by(3) {
@@ -1246,7 +1196,7 @@ mod tests {
             for &(k, i) in &model {
                 let row = [Const::int(k), Const::int(i)];
                 let id = r.id_of(&row).expect("survivor present");
-                assert_eq!(r.support(id), i as u32 + 1, "support followed the row");
+                assert_eq!(r.row(id), row, "the id names its own row");
             }
             for k in 0..5i64 {
                 let want = model.iter().filter(|&&(a, _)| a == k).count();
@@ -1338,48 +1288,13 @@ mod tests {
     }
 
     #[test]
-    fn support_counts_ride_insert_and_removal() {
-        let mut r = Relation::new(2);
-        for i in 0..6 {
-            r.insert(Tuple::new(vec![Const::int(i % 2), Const::int(i)]));
-        }
-        // Fresh rows start unsupported; counts are settable and saturate.
-        assert!(r.supports().iter().all(|&s| s == 0));
-        let id = r.id_of(&[Const::int(1), Const::int(3)]).unwrap();
-        assert_eq!(r.add_support(id, 2), 2);
-        assert_eq!(r.sub_support(id, 1), 1);
-        assert_eq!(r.sub_support(id, 5), 0, "saturates at zero");
-        r.set_support(id, 7);
-        for i in 0..6u32 {
-            let rid = r.id_of(&[Const::int(i64::from(i % 2)), Const::int(i64::from(i))]);
-            r.set_support(rid.unwrap(), i + 1);
-        }
-        // Deletion re-densifies ids but survivors keep their counts.
-        let mut victims = alexander_ir::FxHashSet::default();
-        victims.insert(Tuple::new(vec![Const::int(0), Const::int(2)]));
-        victims.insert(Tuple::new(vec![Const::int(1), Const::int(5)]));
-        assert_eq!(r.remove_all(&victims), 2);
-        for i in [0u32, 1, 3, 4] {
-            let rid = r
-                .id_of(&[Const::int(i64::from(i % 2)), Const::int(i64::from(i))])
-                .unwrap();
-            assert_eq!(r.support(rid), i + 1, "row {i} kept its count");
-        }
-        // clear_rows drops the column with the rest of the arena.
-        r.clear_rows();
-        assert!(r.supports().is_empty());
-    }
-
-    #[test]
-    fn support_survives_arity_zero_removal() {
+    fn arity_zero_removal_that_misses_keeps_the_row() {
         let mut r = Relation::new(0);
         r.insert_row(&[]);
-        r.set_support(0, 3);
-        // A removal that misses keeps the row and its count.
         let mut victims = alexander_ir::FxHashSet::default();
         victims.insert(Tuple::new(vec![Const::int(9)]));
         assert_eq!(r.remove_all(&victims), 0);
-        assert_eq!(r.support(0), 3);
+        assert_eq!(r.len(), 1);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Incremental view maintenance: a dependency graph whose transitive
-//! closure stays materialised while edges come and go (DRed deletion,
-//! semi-naive insertion).
+//! closure stays materialised while edges come and go (DRed deletion for
+//! the recursive closure, semi-naive insertion), one update batch at a time.
 //!
 //! ```text
 //! cargo run --example incremental
@@ -35,18 +35,20 @@ fn main() {
 
     // A new shortcut dependency appears: n0 -> n4.
     let added = engine
-        .insert(&parse_atom("dep(n0, n4)").unwrap())
-        .expect("edb insert");
+        .apply_batch(&[(true, parse_atom("dep(n0, n4)").unwrap())])
+        .expect("edb insert")
+        .added;
     println!("insert dep(n0, n4): {added} facts added (mostly none — the closure already knew)");
 
     // The n2 -> n3 edge is removed (a package drops a dependency). All
     // `needs` pairs that only went through it must disappear; anything with
     // an alternative route (via the new shortcut) must survive.
-    let (overdeleted, rederived) = engine
-        .delete(&parse_atom("dep(n2, n3)").unwrap())
+    let out = engine
+        .apply_batch(&[(false, parse_atom("dep(n2, n3)").unwrap())])
         .expect("edb delete");
     println!(
-        "delete dep(n2, n3): {overdeleted} facts overdeleted, {rederived} rederived via other paths"
+        "delete dep(n2, n3): {} facts overdeleted, {} rederived via other paths",
+        out.overdeleted, out.rederived
     );
 
     // n0 still needs n5: the shortcut n0 -> n4 -> n5 survives the cut.
