@@ -166,7 +166,9 @@ fn edb_after(shape: &Shape, ops: &[(bool, Atom)]) -> Database {
             db.insert_atom(atom).expect("ground");
         }
     }
-    // Database has no removal API by design; rebuild without the victims.
+    // Rebuild without the victims rather than call `Database::remove_rows`
+    // or `remove_atom`: the oracle stays independent of the removal path
+    // the engines under test run on.
     let deleted: std::collections::HashSet<&Atom> = ops
         .iter()
         .filter(|(insert, _)| !insert)

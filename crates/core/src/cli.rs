@@ -70,6 +70,30 @@ pub struct CliOptions {
     pub write_timeout_ms: Option<u64>,
 }
 
+impl CliOptions {
+    /// The per-query budget `--timeout-ms`, `--max-facts` and
+    /// `--max-rounds` set; unlimited when none is given.
+    pub fn budget(&self) -> Budget {
+        let mut budget = Budget::default();
+        if let Some(ms) = self.timeout_ms {
+            budget = budget.with_timeout_ms(ms);
+        }
+        if let Some(n) = self.max_facts {
+            budget = budget.with_max_facts(n);
+        }
+        if let Some(n) = self.max_rounds {
+            budget = budget.with_max_rounds(n);
+        }
+        budget
+    }
+
+    /// The strategy `--strategy` names (`alexander` when none is given),
+    /// or the error listing the known names.
+    pub fn chosen_strategy(&self) -> Result<Strategy, String> {
+        Strategy::from_name(self.strategy.as_deref().unwrap_or("alexander"))
+    }
+}
+
 /// Usage text.
 pub const USAGE: &str = "\
 usage: alexander <file.dl | -> [options]
@@ -78,6 +102,7 @@ usage: alexander <file.dl | -> [options]
   -s, --strategy S    naive | seminaive | stratified | conditional | magic |
                       supmagic | alexander | oldt | qsqr  (default: alexander)
       --load P/N=FILE bulk-load relation P (arity N) from a CSV/TSV file
+                      (query mode only)
       --threads N     worker threads per bottom-up fixpoint round (default 1);
                       answers and counters are identical at any thread count
       --timeout-ms N  wall-clock budget per query; on expiry the partial
@@ -92,7 +117,8 @@ usage: alexander <file.dl | -> [options]
       --recover       rebuild the EDB from the --snapshot/--wal pair instead
                       of starting empty; torn WAL tails are reported and
                       skipped (query mode only — serve recovers by itself)
-      --stats         print instrumentation counters per query
+      --stats         print instrumentation counters per query (not under
+                      serve: ask the STATS verb)
       --proof         print a constructive proof tree per answer
       --analyze       print stratification analysis and exit
   -h, --help          this text
@@ -288,6 +314,21 @@ pub fn validate(opts: &CliOptions) -> Result<(), String> {
                     .into(),
             );
         }
+        if !opts.loads.is_empty() {
+            return Err(
+                "--load is silently ignored by `serve` (its EDB is the program's facts \
+                 and the --snapshot/--wal pair); drop it and INSERT the rows over the \
+                 wire, or run without the serve subcommand"
+                    .into(),
+            );
+        }
+        if opts.stats {
+            return Err(
+                "--stats prints one-shot query counters and does nothing under `serve`; \
+                 drop it and ask the STATS verb over the wire"
+                    .into(),
+            );
+        }
         if opts.snapshot.is_some() != opts.wal.is_some() {
             return Err("`serve` persists through a snapshot + WAL pair; pass both \
                  --snapshot FILE and --wal FILE (or neither for an in-memory \
@@ -367,7 +408,7 @@ pub fn run(source: &str, opts: &CliOptions) -> Result<String, String> {
         return Ok(out);
     }
 
-    let strategy = Strategy::from_name(opts.strategy.as_deref().unwrap_or("alexander"))?;
+    let strategy = opts.chosen_strategy()?;
     let file_queries = parsed.queries.clone();
 
     // Bulk-load external relations before building the engine.
@@ -430,24 +471,10 @@ pub fn run(source: &str, opts: &CliOptions) -> Result<String, String> {
         }
     }
 
-    let mut engine = Engine::new(parsed.program, edb).map_err(|e| e.to_string())?;
-
-    if let Some(threads) = opts.threads {
-        engine = engine.with_threads(threads);
-    }
-    let mut budget = Budget::default();
-    if let Some(ms) = opts.timeout_ms {
-        budget = budget.with_timeout_ms(ms);
-    }
-    if let Some(n) = opts.max_facts {
-        budget = budget.with_max_facts(n);
-    }
-    if let Some(n) = opts.max_rounds {
-        budget = budget.with_max_rounds(n);
-    }
-    if !budget.is_unlimited() {
-        engine = engine.with_budget(budget);
-    }
+    let engine = Engine::new(parsed.program, edb)
+        .map_err(|e| e.to_string())?
+        .with_threads(opts.threads.unwrap_or(1))
+        .with_budget(opts.budget());
 
     let queries: Vec<Atom> = if opts.queries.is_empty() {
         file_queries
@@ -1206,6 +1233,28 @@ seth,enos
         )
         .unwrap_err();
         assert!(err.contains("serve mode"), "{err}");
+    }
+
+    /// The error `parse_args` gives for `serve` plus `extra` flags.
+    fn serve_error(extra: &[&str]) -> String {
+        let args: Vec<String> = ["serve", "tc.dl", "--listen", "127.0.0.1:0"]
+            .iter()
+            .chain(extra)
+            .map(|s| s.to_string())
+            .collect();
+        parse_args(&args).unwrap_err()
+    }
+
+    #[test]
+    fn serve_rejects_load_instead_of_ignoring_it() {
+        let err = serve_error(&["--load", "e/2=edges.csv"]);
+        assert!(err.starts_with("--load is silently ignored"), "{err}");
+    }
+
+    #[test]
+    fn serve_rejects_stats_instead_of_ignoring_it() {
+        let err = serve_error(&["--stats"]);
+        assert!(err.starts_with("--stats prints one-shot"), "{err}");
     }
 
     #[test]

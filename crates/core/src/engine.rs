@@ -123,12 +123,6 @@ impl Engine {
         self
     }
 
-    /// Overrides the evaluator options used by the bottom-up strategies.
-    pub fn with_eval_options(mut self, opts: EvalOptions) -> Engine {
-        self.opts = opts;
-        self
-    }
-
     /// Sets the worker-thread count for the bottom-up fixpoint rounds
     /// (1 = sequential; answers and metrics are identical either way).
     pub fn with_threads(mut self, threads: usize) -> Engine {

@@ -356,13 +356,9 @@ pub fn read_wal(path: &Path) -> Result<WalContents, DurableError> {
 pub fn apply_to_database(records: &[WalRecord], db: &mut Database) {
     for r in records {
         match r.op {
-            Op::Insert => {
-                db.insert_row(r.pred, &r.values);
-            }
-            Op::Delete => {
-                db.remove_atom(&r.atom());
-            }
-        }
+            Op::Insert => db.insert_row(r.pred, &r.values),
+            Op::Delete => db.remove_row(r.pred, &r.values),
+        };
     }
 }
 

@@ -27,10 +27,13 @@
 //! **DRed** (delete-and-rederive, Gupta–Mumick–Subrahmanian): its facts are
 //! simply present or absent. Rederivation is asked per doomed fact as a
 //! *head-seeded* indexed probe ([`crate::exec::exec_plan_seeded`]) instead
-//! of a stratum re-join, and witnesses found that way are memoised as
-//! [`Justification`]s (see [`crate::provenance`]) so the next deletion
-//! touching the same fact re-checks the stored premises before joining at
-//! all. The choice is made from the SCCs alone; there is no mode to select.
+//! of a stratum re-join; nothing is remembered between cascades. The
+//! choice is made from the SCCs alone; there is no mode to select.
+//!
+//! Every fact set on the update path — a batch's net inserts and its
+//! victims, a counted component's zero-count rows, DRed's doomed set — is a
+//! storage [`Database`]: membership tests and removals reuse the row
+//! digests the executor already computed, and no fact is re-encoded.
 //!
 //! ## Batches
 //!
@@ -51,10 +54,9 @@ use crate::join::{
 use crate::metrics::EvalMetrics;
 use crate::naive::seed_database;
 use crate::plan::{compile_plans, RulePlan};
-use crate::provenance::{Justification, Provenance};
 use alexander_ir::analysis::{tarjan, DepGraph};
 use alexander_ir::{Atom, Const, FxHashMap, FxHashSet, Predicate, Program};
-use alexander_storage::{Database, DeltaSpans, Tuple};
+use alexander_storage::{Database, DeltaSpans};
 use std::ops::ControlFlow;
 
 /// What one mixed update batch did to the database.
@@ -90,8 +92,8 @@ pub struct IncrementalEngine {
     compiled: Vec<CompiledRule>,
     /// One executor plan per compiled rule.
     plans: Vec<RulePlan>,
-    /// Head-seeded compilations of the same rules, for per-fact
-    /// rederivation probes during the DRed fallback.
+    /// Head-seeded compilations of the same rules, for DRed's per-fact
+    /// rederivation probes.
     seeded: Vec<CompiledRule>,
     /// One executor plan per seeded compilation.
     seeded_plans: Vec<RulePlan>,
@@ -103,8 +105,6 @@ pub struct IncrementalEngine {
     counts: FxHashMap<Predicate, Counts>,
     /// SCC groups of the rule set, dependencies first.
     groups: Vec<SccGroup>,
-    /// Memoised rederivation witnesses (populated lazily by deletions).
-    provenance: Provenance,
     metrics: EvalMetrics,
 }
 
@@ -160,7 +160,6 @@ impl IncrementalEngine {
             edb_preds,
             counts,
             groups,
-            provenance: Provenance::default(),
             metrics,
         };
         // Initial materialisation: the same counting fixpoint the insertion
@@ -188,12 +187,12 @@ impl IncrementalEngine {
     /// distinct rule firings currently deriving it; for any other stored
     /// fact, 1. Zero iff the fact is absent.
     pub fn support_of(&self, fact: &Atom) -> u64 {
-        let Some(t) = Tuple::from_atom(fact) else {
+        let Some(row) = ground_row(fact) else {
             return 0;
         };
         match self.counts.get(&fact.predicate()) {
-            Some(counts) => counts.get(t.values()).copied().unwrap_or(0),
-            None => u64::from(self.total.contains_row(fact.predicate(), t.values())),
+            Some(counts) => counts.get(row.as_slice()).copied().unwrap_or(0),
+            None => u64::from(self.total.contains_row(fact.predicate(), &row)),
         }
     }
 
@@ -237,49 +236,42 @@ impl IncrementalEngine {
     /// batch is validated before anything changes: an intensional or
     /// non-ground fact refuses the whole batch.
     pub fn apply_batch(&mut self, ops: &[(bool, Atom)]) -> Result<BatchOutcome, EvalError> {
-        let mut net: FxHashMap<(Predicate, Tuple), bool> = FxHashMap::default();
-        let mut order: Vec<(Predicate, Tuple)> = Vec::new();
+        // Netting happens in the two sets the batch runs on: an op on a
+        // fact withdraws any earlier op on it from the other set, and lands
+        // in its own only if it changes the database.
+        let mut removed = Database::new();
+        let mut delta = Database::new();
         for (insert, fact) in ops {
             let pred = fact.predicate();
             if self.program.is_idb(pred) {
                 return Err(EvalError::IdbUpdate(pred));
             }
-            let t = Tuple::from_atom(fact).ok_or_else(|| {
+            let row = ground_row(fact).ok_or_else(|| {
                 EvalError::Invalid(vec![alexander_ir::ProgramError::NonGroundFact {
                     fact: fact.to_string(),
                 }])
             })?;
-            if net.insert((pred, t.clone()), *insert).is_none() {
-                order.push((pred, t));
-            }
-        }
-        let mut victims: FxHashMap<Predicate, FxHashSet<Tuple>> = FxHashMap::default();
-        let mut removed = Database::new();
-        let mut delta = Database::new();
-        for key in order {
-            let insert = net[&key];
-            let (pred, t) = key;
-            let present = self.total.contains_row(pred, t.values());
-            if insert {
-                if !present {
-                    self.edb_preds.insert(pred);
-                    delta.insert(pred, t);
-                }
-            } else if present {
-                victims.entry(pred).or_default().insert(t.clone());
-                removed.insert(pred, t);
+            let present = self.total.contains_row(pred, &row);
+            let (set, other) = if *insert {
+                (&mut delta, &mut removed)
+            } else {
+                (&mut removed, &mut delta)
+            };
+            other.remove_row(pred, &row);
+            if present != *insert {
+                set.insert_row(pred, &row);
             }
         }
         let mut out = BatchOutcome::default();
         if removed.total_tuples() > 0 {
-            for (p, set) in &victims {
-                out.overdeleted += self.total.remove_tuples(*p, set);
-            }
+            out.overdeleted += self.total.remove_rows(&removed);
             let (cascaded, rederived) = self.cascade_deletions(removed);
             out.overdeleted += cascaded;
             out.rederived = rederived;
         }
         if delta.total_tuples() > 0 {
+            self.edb_preds
+                .extend(delta.iter().filter(|(_, r)| !r.is_empty()).map(|(p, _)| p));
             out.added = self.total.merge(&delta);
             let spans = DeltaSpans::after_merge(&self.total, &delta);
             out.added += self.counting_rounds(spans);
@@ -400,7 +392,7 @@ impl IncrementalEngine {
         self.metrics.iterations += 1;
         // Only decremented rows can newly hit zero, so collecting them as
         // they do keeps the sweep O(lost firings), not O(|relation|).
-        let mut zero: FxHashMap<Predicate, FxHashSet<Tuple>> = FxHashMap::default();
+        let mut zero = Database::new();
         for &ri in &group.rules {
             let rule = &self.compiled[ri];
             ensure_rule_indexes(rule, &mut self.total);
@@ -424,38 +416,33 @@ impl IncrementalEngine {
                     &input,
                     scratch,
                     &mut self.metrics,
-                    &mut |_, row| {
+                    &mut |h, row| {
                         // invariant: a lost firing's head was derived over
                         // the old state, so it holds a count of at least
                         // one per lost firing.
                         let n = counts.get_mut(row).expect("lost firing's head is counted");
                         *n -= 1;
                         if *n == 0 {
+                            // Its count is gone with it: a row hits zero once.
                             counts.remove(row);
-                            zero.entry(head).or_default().insert(Tuple::new(row));
+                            zero.push_new_row_hashed(head, h, row);
                         }
                         Emitted::Duplicate
                     },
                 );
             }
         }
-        let mut dropped = 0usize;
-        for (p, set) in zero {
-            dropped += self.total.remove_tuples(p, &set);
-            for t in set {
-                removed.insert(p, t);
-            }
-        }
+        let dropped = self.total.remove_rows(&zero);
+        removed.merge(&zero);
         dropped
     }
 
     /// Recursive component: DRed. Phase 1 overdeletes every fact with a
     /// derivation through the removed set, joining non-delta positions
     /// against the *old* total ([`SideSources::OldTotal`]). Phase 2 asks
-    /// each doomed fact, individually, whether it still has a derivation:
-    /// first by re-checking its memoised witness from a previous cascade,
-    /// then with a head-seeded indexed probe; fresh witnesses are memoised.
-    /// Returns `(facts removed, facts rederived)`.
+    /// each doomed fact, individually, whether it still has a derivation,
+    /// with a head-seeded indexed probe. Returns `(facts removed, facts
+    /// rederived)`.
     fn dred_group(
         &mut self,
         group: &SccGroup,
@@ -463,8 +450,7 @@ impl IncrementalEngine {
         scratch: &mut ExecScratch,
     ) -> (usize, usize) {
         // ---- Phase 1: overdelete. ----
-        let mut doomed: FxHashMap<Predicate, FxHashSet<Tuple>> = FxHashMap::default();
-        let mut doomed_list: Vec<(Predicate, Tuple)> = Vec::new();
+        let mut doomed = Database::new();
         let mut delta = Database::new();
         let mut first_round = true;
         loop {
@@ -488,19 +474,16 @@ impl IncrementalEngine {
                         negatives: None,
                         governor: None,
                     };
-                    let doomed_ref = &doomed;
+                    let doomed = &doomed;
                     let _ = exec_plan(
                         &self.plans[ri],
                         &input,
                         scratch,
                         &mut self.metrics,
                         &mut |h, row| {
-                            if doomed_ref
-                                .get(&head)
-                                .is_some_and(|s| s.contains(&Tuple::new(row)))
+                            if !doomed.contains_row_hashed(head, h, row)
+                                && next.insert_row_hashed(head, h, row)
                             {
-                                Emitted::Duplicate
-                            } else if next.insert_row_hashed(head, h, row) {
                                 Emitted::New
                             } else {
                                 Emitted::Duplicate
@@ -513,102 +496,84 @@ impl IncrementalEngine {
             if next.total_tuples() == 0 {
                 break;
             }
-            for p in next.predicates() {
-                let set = doomed.entry(p).or_default();
-                if let Some(rel) = next.relation(p) {
-                    for row in rel.iter() {
-                        let t = Tuple::new(row);
-                        if set.insert(t.clone()) {
-                            doomed_list.push((p, t));
-                        }
-                    }
-                }
-            }
+            // Every row of `next` missed `doomed`, which the round left as
+            // it was.
+            doomed.absorb_staged(&next);
             delta = next;
         }
-        let mut overdeleted = 0usize;
-        for (p, set) in &doomed {
-            overdeleted += self.total.remove_tuples(*p, set);
-        }
-        if doomed_list.is_empty() {
+        if doomed.total_tuples() == 0 {
             return (0, 0);
         }
+        let overdeleted = self.total.remove_rows(&doomed);
 
         // ---- Phase 2: rederive. ----
         // Passes over the still-doomed facts until a full pass rederives
         // nothing: a fact may only become rederivable after a premise of
         // its alternative derivation came back, so this converges to
-        // exactly the facts with support in the new state.
-        let mut alive = vec![false; doomed_list.len()];
+        // exactly the facts with support in the new state. A doomed fact
+        // is back once the total holds it again.
         let mut rederived = 0usize;
         loop {
             self.metrics.iterations += 1;
             for &ri in &group.rules {
                 ensure_rule_indexes(&self.seeded[ri], &mut self.total);
             }
-            let mut progress = false;
-            for (idx, (p, t)) in doomed_list.iter().enumerate() {
-                if alive[idx] {
-                    continue;
-                }
-                let fact = t.to_atom(p.name);
-                let mut witness = self
-                    .provenance
-                    .justification(&fact)
-                    .filter(|j| j.premises.iter().all(|pr| self.total.contains_atom(pr)))
-                    .cloned();
-                if witness.is_none() {
-                    for &ri in &group.rules {
-                        let rule = &self.seeded[ri];
-                        if rule.head.pred != *p {
-                            continue;
-                        }
-                        let mut found: Option<Justification> = None;
-                        exec_plan_seeded(
-                            &self.seeded_plans[ri],
-                            t.values(),
-                            &JoinInput::naive(&self.total),
-                            scratch,
-                            &mut self.metrics,
-                            &mut |row, metrics| {
-                                metrics.firings += 1;
-                                let premises =
-                                    rule.body.iter().map(|lit| lit.atom.ground(row)).collect();
-                                found = Some(Justification {
-                                    rule: ri,
-                                    premises,
-                                    negatives: Vec::new(),
-                                });
-                                ControlFlow::Break(())
-                            },
-                        );
-                        if found.is_some() {
-                            witness = found;
-                            break;
-                        }
+            let before = rederived;
+            for (p, rel) in doomed.iter() {
+                for (row, &h) in rel.iter().zip(rel.row_hashes()) {
+                    if !self.total.contains_row_hashed(p, h, row)
+                        && self.has_derivation(group, p, row, scratch)
+                    {
+                        self.total.push_new_row_hashed(p, h, row);
+                        rederived += 1;
+                        self.metrics.new_facts += 1;
                     }
                 }
-                if let Some(j) = witness {
-                    self.total.insert(*p, t.clone());
-                    self.provenance.record(fact, j);
-                    alive[idx] = true;
-                    progress = true;
-                    rederived += 1;
-                    self.metrics.new_facts += 1;
-                }
             }
-            if !progress {
+            if rederived == before {
                 break;
             }
         }
-        for (idx, (p, t)) in doomed_list.iter().enumerate() {
-            if !alive[idx] {
-                self.provenance.forget(&t.to_atom(p.name));
-                removed.insert(*p, t.clone());
+        for (p, rel) in doomed.iter() {
+            for (row, &h) in rel.iter().zip(rel.row_hashes()) {
+                if !self.total.contains_row_hashed(p, h, row) {
+                    removed.push_new_row_hashed(p, h, row);
+                }
             }
         }
         (overdeleted, rederived)
     }
+
+    /// True iff some rule of `group` with head `pred` fires for `row` over
+    /// the current total: one head-seeded probe per rule, stopping at the
+    /// first firing.
+    fn has_derivation(
+        &mut self,
+        group: &SccGroup,
+        pred: Predicate,
+        row: &[Const],
+        scratch: &mut ExecScratch,
+    ) -> bool {
+        group.rules.iter().any(|&ri| {
+            self.seeded[ri].head.pred == pred
+                && exec_plan_seeded(
+                    &self.seeded_plans[ri],
+                    row,
+                    &JoinInput::naive(&self.total),
+                    scratch,
+                    &mut self.metrics,
+                    &mut |_, metrics| {
+                        metrics.firings += 1;
+                        ControlFlow::Break(())
+                    },
+                ) == Some(ControlFlow::Break(()))
+        })
+    }
+}
+
+/// The row of a ground atom; `None` if it has variables.
+fn ground_row(atom: &Atom) -> Option<Vec<Const>> {
+    atom.terms.iter().map(|t| t.as_const()).collect()
 }
 
 /// True iff none of `rule`'s body predicates has rows in `removed` — the
@@ -962,10 +927,10 @@ mod tests {
     }
 
     #[test]
-    fn memoised_witnesses_survive_repeated_deletions() {
+    fn rederivation_holds_across_repeated_deletions() {
         // Two parallel paths n0->n1->n3, n0->n2->n3 plus a third n0->n4->n3.
         // Delete branches one at a time: each cascade rederives tc(n0, n3)
-        // and the second deletion can reuse (or replace) the stored witness.
+        // from a branch the previous cascade did not use.
         let parsed = parse(
             "
             e(n0, n1). e(n1, n3). e(n0, n2). e(n2, n3). e(n0, n4). e(n4, n3).

@@ -12,6 +12,9 @@
 //! The recorded justification graph is acyclic by construction: premises of
 //! a fact derived in round *k* were stored in rounds `< k`, so
 //! first-justification-wins yields well-founded trees.
+//!
+//! The one consumer is the CLI's `--proof`: a [`Provenance`] is built once
+//! by [`eval_with_provenance`] and only read afterwards.
 
 use crate::error::EvalError;
 use crate::exec::{exec_plan_bindings, ExecScratch};
@@ -48,20 +51,6 @@ impl Provenance {
     /// (EDB facts have none).
     pub fn justification(&self, fact: &Atom) -> Option<&Justification> {
         self.justifications.get(fact)
-    }
-
-    /// Records (or replaces) the justification for `fact`. The incremental
-    /// engine uses this to memoise rederivation witnesses: the next deletion
-    /// touching `fact` re-checks the stored premises before falling back to
-    /// a head-seeded join.
-    pub fn record(&mut self, fact: Atom, justification: Justification) {
-        self.justifications.insert(fact, justification);
-    }
-
-    /// Drops the justification for `fact` (when the fact is retracted for
-    /// good, its witness must not outlive it).
-    pub fn forget(&mut self, fact: &Atom) {
-        self.justifications.remove(fact);
     }
 
     /// Number of justified facts.

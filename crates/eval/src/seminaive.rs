@@ -30,8 +30,8 @@
 //! is the whole round, run inline, staging straight into the round's output.
 //!
 //! With `EvalOptions::threads > 1` the tasks fan out over scoped workers
-//! sharing a frozen view of the total (see
-//! [`alexander_storage::Database::freeze`]). A task is one rule — or, in a
+//! sharing one `&Database` of the total, which no one can write while they
+//! hold it. A task is one rule — or, in a
 //! delta round, one `(rule, delta position)` variant, so a program with
 //! fewer rules than threads still splits. Each worker runs the same
 //! `run_chunk` into a sink over a worker-local staging database that also
@@ -366,7 +366,7 @@ fn run_round_tasks(
         .map_err(worker_panicked);
     }
 
-    let (total, governor) = (sink.total.freeze().db(), sink.governor);
+    let (total, governor) = (sink.total, sink.governor);
     type WorkerOut = (EvalMetrics, Database, Vec<(Predicate, u32)>);
     let results: Vec<std::thread::Result<WorkerOut>> = std::thread::scope(|scope| {
         let handles: Vec<_> = tasks

@@ -76,23 +76,8 @@ impl Admission {
     /// if the server is saturated it waits on the bounded queue; if the
     /// queue is full too, it returns [`Busy`] with a retry-after hint
     /// instead of queueing unbounded latency.
+    /// Dropping the guard frees the slot and wakes waiters.
     pub fn admit(&self, tenant: &str) -> Result<AdmissionGuard<'_>, Busy> {
-        self.admit_bounded(tenant, Some(self.max_queue))
-    }
-
-    /// Blocks until `tenant` may run another query, then reserves a slot —
-    /// the unbounded variant (never sheds). Dropping the guard frees the
-    /// slot and wakes waiters.
-    pub fn acquire(&self, tenant: &str) -> AdmissionGuard<'_> {
-        // invariant: an unbounded queue never sheds.
-        self.admit_bounded(tenant, None).expect("unbounded admit")
-    }
-
-    fn admit_bounded(
-        &self,
-        tenant: &str,
-        bound: Option<usize>,
-    ) -> Result<AdmissionGuard<'_>, Busy> {
         let mut c = self.counts.lock().expect("admission lock");
         let mut queued = false;
         loop {
@@ -101,15 +86,13 @@ impl Admission {
                 break;
             }
             if !queued {
-                if let Some(max) = bound {
-                    if c.waiting >= max {
-                        let hint = self.retry_hint(c.waiting);
-                        drop(c);
-                        self.shed.fetch_add(1, Ordering::Relaxed);
-                        return Err(Busy {
-                            retry_after_ms: hint,
-                        });
-                    }
+                if c.waiting >= self.max_queue {
+                    let hint = self.retry_hint(c.waiting);
+                    drop(c);
+                    self.shed.fetch_add(1, Ordering::Relaxed);
+                    return Err(Busy {
+                        retry_after_ms: hint,
+                    });
                 }
                 c.waiting += 1;
                 queued = true;
@@ -132,22 +115,6 @@ impl Admission {
     fn retry_hint(&self, waiting: usize) -> u64 {
         let rounds = 1 + (waiting / self.global_cap) as u64;
         (self.retry_after_ms * rounds).min(10_000)
-    }
-
-    /// Non-blocking variant: `None` when the tenant or the server is at
-    /// capacity right now.
-    pub fn try_acquire(&self, tenant: &str) -> Option<AdmissionGuard<'_>> {
-        let mut c = self.counts.lock().expect("admission lock");
-        let tenant_active = c.per_tenant.get(tenant).copied().unwrap_or(0);
-        if c.active >= self.global_cap || tenant_active >= self.tenant_cap {
-            return None;
-        }
-        c.active += 1;
-        *c.per_tenant.entry(tenant.to_string()).or_insert(0) += 1;
-        Some(AdmissionGuard {
-            admission: self,
-            tenant: tenant.to_string(),
-        })
     }
 
     /// Currently executing queries (all tenants).
@@ -230,29 +197,32 @@ mod tests {
         assert_eq!(a.max_queue(), 8);
     }
 
+    // With no wait queue (`max_queue` 0) a refused admit sheds at once,
+    // so these tests observe the caps without blocking.
+
     #[test]
     fn tenant_cap_limits_one_tenant_without_blocking_others() {
-        let a = Admission::new(4, 2, 8);
-        let _g1 = a.acquire("loud");
-        let _g2 = a.acquire("loud");
+        let a = Admission::new(4, 2, 0);
+        let _g1 = a.admit("loud").expect("under the cap");
+        let _g2 = a.admit("loud").expect("under the cap");
         // "loud" is at its cap; "quiet" still gets in immediately.
-        assert!(a.try_acquire("loud").is_none());
-        let _g3 = a.try_acquire("quiet").expect("quiet tenant admitted");
+        assert!(a.admit("loud").is_err());
+        let _g3 = a.admit("quiet").expect("quiet tenant admitted");
         assert_eq!(a.active(), 3);
     }
 
     #[test]
     fn global_cap_bounds_everyone() {
-        let a = Admission::new(2, 2, 8);
-        let _g1 = a.acquire("t1");
-        let _g2 = a.acquire("t2");
-        assert!(a.try_acquire("t3").is_none(), "global cap reached");
+        let a = Admission::new(2, 2, 0);
+        let _g1 = a.admit("t1").expect("under the cap");
+        let _g2 = a.admit("t2").expect("under the cap");
+        assert!(a.admit("t3").is_err(), "global cap reached");
         drop(_g1);
-        assert!(a.try_acquire("t3").is_some());
+        assert!(a.admit("t3").is_ok());
     }
 
     #[test]
-    fn blocked_acquires_wake_on_release() {
+    fn blocked_admits_wake_on_release() {
         let a = Arc::new(Admission::new(1, 1, 64));
         let peak = Arc::new(AtomicUsize::new(0));
         let mut handles = Vec::new();
@@ -260,7 +230,8 @@ mod tests {
             let a = a.clone();
             let peak = peak.clone();
             handles.push(std::thread::spawn(move || {
-                let _g = a.acquire("t");
+                // Seven waiters at most: the queue of 64 never sheds.
+                let _g = a.admit("t").expect("queued, not shed");
                 let now = a.active();
                 peak.fetch_max(now, Ordering::SeqCst);
                 std::thread::sleep(std::time::Duration::from_millis(1));
@@ -277,7 +248,7 @@ mod tests {
     #[test]
     fn a_full_queue_sheds_with_a_retry_hint() {
         let a = Admission::new(1, 1, 0);
-        let _g = a.acquire("t");
+        let _g = a.admit("t").expect("a free slot admits");
         // Queue bound 0: the saturated controller sheds instantly.
         let busy = a.admit("t").unwrap_err();
         assert!(busy.retry_after_ms >= 1, "{busy:?}");
@@ -290,7 +261,7 @@ mod tests {
     #[test]
     fn queued_admits_wait_instead_of_shedding_until_the_bound() {
         let a = Arc::new(Admission::new(1, 1, 1));
-        let g = a.acquire("t");
+        let g = a.admit("t").expect("a free slot admits");
         // One waiter fits in the queue…
         let waiter = {
             let a = a.clone();

@@ -104,26 +104,14 @@ fn serve(source: &str, opts: &cli::CliOptions) {
     if let Some(ms) = opts.write_timeout_ms {
         config.write_timeout = Some(Duration::from_millis(ms));
     }
-    let mut budget = alexander_eval::Budget::default();
-    if let Some(ms) = opts.timeout_ms {
-        budget = budget.with_timeout_ms(ms);
-    }
-    if let Some(n) = opts.max_facts {
-        budget = budget.with_max_facts(n);
-    }
-    if let Some(n) = opts.max_rounds {
-        budget = budget.with_max_rounds(n);
-    }
-    config.budget = budget;
-    if let Some(name) = opts.strategy.as_deref() {
-        match alexander_core::Strategy::from_name(name) {
-            Ok(s) => config.default_strategy = s,
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(2);
-            }
+    config.budget = opts.budget();
+    config.default_strategy = match opts.chosen_strategy() {
+        Ok(s) => s,
+        Err(e) => {
+            eprintln!("{e}");
+            std::process::exit(2);
         }
-    }
+    };
 
     let store = opts
         .snapshot

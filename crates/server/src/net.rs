@@ -358,11 +358,7 @@ impl CappedBuf {
         if self.overflowed {
             self.buf.clear();
             self.buf.extend_from_slice(
-                format!(
-                    "ERR reply exceeds {} bytes; narrow the query or raise --max-reply-bytes\n",
-                    self.cap
-                )
-                .as_bytes(),
+                format!("ERR reply exceeds {} bytes; narrow the query\n", self.cap).as_bytes(),
             );
             self.overflowed = false;
         }
@@ -718,7 +714,7 @@ mod tests {
             shed_retry_after_ms: 9,
             ..ServerConfig::default()
         });
-        let _hog = s.admission().acquire("hog");
+        let _hog = s.admission().admit("hog").expect("a free slot admits");
         let mut tenant = String::from("anon");
         let out = roundtrip(&s, &mut tenant, "QUERY anc(adam, X)");
         assert_eq!(out, "ERR BUSY retry-after-ms=9\n");
@@ -865,6 +861,7 @@ mod tests {
         let wire = capped.wire();
         let text = String::from_utf8(wire.to_vec()).unwrap();
         assert!(text.starts_with("ERR reply exceeds 300 bytes"), "{text}");
+        assert!(!text.contains("--"), "no flag sets the cap: {text}");
         assert_eq!(text.lines().count(), 1);
         // The buffer is reusable and small replies pass through untouched.
         capped.clear();

@@ -9,8 +9,9 @@
 //! The publish is a copy-on-write clone, O(#relations): the epoch freezes,
 //! and the writer's next mutation copies only the relations it touches.
 //!
-//! Queries admission-check, pin the current epoch, and evaluate against it
-//! with their session's budget. A query pinned at generation N returns
+//! Queries admission-check, pin the current epoch, and evaluate against its
+//! engine, built once per epoch with the service's threads and budget. A
+//! query pinned at generation N returns
 //! bit-identical answers whether or not generations N+1.. commit mid-query.
 //!
 //! When a durable commit half-fails (the writer poisons because disk and
@@ -29,7 +30,7 @@ use crate::epoch::{Epoch, EpochStore};
 use crate::health::{Health, ServerState};
 use alexander_core::{Engine, EngineError, Strategy};
 use alexander_durable::{apply_to_database, edb_record, DurableError, DurableStore, Op, WalRecord};
-use alexander_eval::{Budget, CancelHandle, EvalError};
+use alexander_eval::{Budget, EvalError};
 use alexander_ir::{render_atoms, Atom, Program};
 use alexander_storage::Database;
 use std::fmt;
@@ -52,7 +53,7 @@ pub struct ServerConfig {
     pub shed_retry_after_ms: u64,
     /// Worker threads per bottom-up fixpoint round, per query.
     pub threads: usize,
-    /// Default per-query budget for sessions that don't bring their own.
+    /// The budget every query runs under.
     pub budget: Budget,
     /// Strategy used when a request names none.
     pub default_strategy: Strategy,
@@ -304,7 +305,7 @@ impl QueryService {
             }
         }
         writer.commit()?;
-        let engine0 = epoch_engine(&program, writer.edb());
+        let engine0 = epoch_engine(&program, writer.edb(), &config);
         let admission = Admission::new(config.max_concurrent, config.tenant_cap, config.max_queue)
             .with_retry_after_ms(config.shed_retry_after_ms);
         let core = Arc::new(Core {
@@ -331,28 +332,16 @@ impl QueryService {
         })
     }
 
-    /// Answers `query` for `tenant` under the config's default budget.
+    /// Answers `query` for `tenant` under the config's budget. Waits in the
+    /// bounded admission queue for a slot; sheds with [`ServerError::Busy`]
+    /// when the queue is full; then pins the current epoch and evaluates
+    /// wholly against it. Degraded mode does not affect this path — reads
+    /// serve in every state.
     pub fn query(
         &self,
         tenant: &str,
         query: &Atom,
         strategy: Option<Strategy>,
-    ) -> Result<QueryResponse, ServerError> {
-        self.query_with(tenant, query, strategy, None, None)
-    }
-
-    /// Full-control variant: a session brings its own [`Budget`] and/or
-    /// [`CancelHandle`]. Waits in the bounded admission queue for a slot;
-    /// sheds with [`ServerError::Busy`] when the queue is full; then pins
-    /// the current epoch and evaluates wholly against it. Degraded mode
-    /// does not affect this path — reads serve in every state.
-    pub fn query_with(
-        &self,
-        tenant: &str,
-        query: &Atom,
-        strategy: Option<Strategy>,
-        budget: Option<Budget>,
-        cancel: Option<&CancelHandle>,
     ) -> Result<QueryResponse, ServerError> {
         let _slot = self
             .core
@@ -363,19 +352,8 @@ impl QueryService {
             })?;
         let epoch = self.core.epochs.pin();
         let strategy = strategy.unwrap_or(self.core.config.default_strategy);
-        // The clone is cheap (copy-on-write EDB); it exists so each request
-        // can carry its own governance without touching the shared epoch.
-        let mut engine = epoch
+        let r = epoch
             .engine()
-            .clone()
-            .with_threads(self.core.config.threads)
-            .with_budget(budget.unwrap_or(self.core.config.budget));
-        if let Some(c) = cancel {
-            let mut opts = engine.eval_options();
-            opts.cancel = Some(c.clone());
-            engine = engine.with_eval_options(opts);
-        }
-        let r = engine
             .query(query, strategy)
             .map_err(|e| ServerError::Engine(e.to_string()))?;
         Ok(QueryResponse {
@@ -437,10 +415,10 @@ impl QueryService {
         // Publish under the writer lock so generations are strictly ordered
         // with commits. The epoch and the writer now share relations
         // copy-on-write.
-        let generation = self
-            .core
-            .epochs
-            .publish(epoch_engine(&self.core.program, w.edb()));
+        let generation =
+            self.core
+                .epochs
+                .publish(epoch_engine(&self.core.program, w.edb(), &self.core.config));
         Ok(CommitInfo {
             generation,
             committed,
@@ -555,7 +533,7 @@ impl Core {
         // invariant: the supervisor only runs for durable services.
         let (snap, wal) = self.store.as_ref().expect("durable store");
         let (recovered, _stats) = DurableStore::recover(self.program.clone(), snap, wal)?;
-        let engine = epoch_engine(&self.program, recovered.db());
+        let engine = epoch_engine(&self.program, recovered.db(), &self.config);
         let mut w = self.writer.lock().expect("writer lock");
         *w = Writer::Durable(recovered);
         self.epochs.publish(engine);
@@ -565,12 +543,16 @@ impl Core {
 }
 
 /// The engine an epoch serves: `program` over a copy-on-write clone of
-/// `edb`, O(#relations).
-fn epoch_engine(program: &Program, edb: &Database) -> Engine {
+/// `edb`, O(#relations), configured once with `config`'s threads and
+/// budget, so a read runs it as it is.
+fn epoch_engine(program: &Program, edb: &Database, config: &ServerConfig) -> Engine {
     // invariant: `program` was validated at open and is never changed, and
     // `open` refuses an EDB with rows of an intensional predicate, so
     // construction cannot fail.
-    Engine::new(program.clone(), edb.clone()).expect("program validated at open")
+    Engine::new(program.clone(), edb.clone())
+        .expect("program validated at open")
+        .with_threads(config.threads)
+        .with_budget(config.budget)
 }
 
 /// The supervisor loop: sleep until degraded, then retry [`Core::heal`]
@@ -690,31 +672,18 @@ mod tests {
 
     #[test]
     fn session_budget_flags_partial_results() {
-        let s = service("par(a, b). par(b, c). par(c, d).");
+        let program = parse(&format!("{RULES} par(a, b). par(b, c). par(c, d)."))
+            .unwrap()
+            .program;
+        let config = ServerConfig {
+            budget: Budget::default().with_max_facts(1),
+            ..ServerConfig::default()
+        };
+        let s = QueryService::open(program, Database::new(), None, config).unwrap();
         let q = parse_atom("anc(X, Y)").unwrap();
-        let r = s
-            .query_with(
-                "t",
-                &q,
-                Some(Strategy::SemiNaive),
-                Some(Budget::default().with_max_facts(1)),
-                None,
-            )
-            .unwrap();
+        let r = s.query("t", &q, Some(Strategy::SemiNaive)).unwrap();
         assert!(!r.complete, "{r:?}");
         assert!(r.completion.contains("budget"), "{}", r.completion);
-    }
-
-    #[test]
-    fn session_cancel_handle_stops_queries() {
-        let s = service("par(a, b).");
-        let q = parse_atom("anc(a, X)").unwrap();
-        let cancel = CancelHandle::default();
-        cancel.cancel();
-        let r = s
-            .query_with("t", &q, Some(Strategy::SemiNaive), None, Some(&cancel))
-            .unwrap();
-        assert_eq!(r.completion, "cancelled");
     }
 
     #[test]
@@ -798,7 +767,7 @@ mod tests {
         let s = QueryService::open(program, Database::new(), None, config).unwrap();
         // Hold the only slot directly via the admission controller, then
         // observe the query path shed.
-        let slot = s.admission().acquire("hog");
+        let slot = s.admission().admit("hog").expect("a free slot admits");
         let err = s
             .query("t", &parse_atom("anc(a, X)").unwrap(), None)
             .unwrap_err();

@@ -54,15 +54,18 @@ fn churn(threads: usize, global_cap: usize, tenant_cap: usize, max_queue: usize,
                                 }
                             }
                         }
-                        // Unbounded blocking acquire.
-                        1 => {
-                            let _g = adm.acquire(tenant);
-                            std::thread::yield_now();
-                            admitted += 1;
-                        }
-                        // Opportunistic: give up instantly when full.
+                        // Hold the slot across a yield, giving up at the
+                        // first shed.
+                        1 => match adm.admit(tenant) {
+                            Ok(_g) => {
+                                std::thread::yield_now();
+                                admitted += 1;
+                            }
+                            Err(_) => shed += 1,
+                        },
+                        // Opportunistic: release at once, give up when shed.
                         _ => {
-                            if let Some(_g) = adm.try_acquire(tenant) {
+                            if adm.admit(tenant).is_ok() {
                                 admitted += 1;
                             }
                         }

@@ -178,7 +178,10 @@ fn a_saturated_server_sheds_over_tcp_and_the_retry_is_answered() {
         Arc::new(QueryService::open(program.clone(), Database::new(), None, config).unwrap());
     // Hold the only slot before any session starts, so the first query has
     // nowhere to run and no queue to wait in.
-    let slot = service.admission().acquire("hog");
+    let slot = service
+        .admission()
+        .admit("hog")
+        .expect("a free slot admits");
     let handle = serve_tcp(service.clone(), "127.0.0.1:0").unwrap();
     let mut conn = BufReader::new(TcpStream::connect(handle.tcp_addr().unwrap()).unwrap());
 

@@ -7,7 +7,9 @@ use std::fmt;
 use std::sync::Arc;
 
 /// A set of named relations. Used for the EDB, for materialised IDB results,
-/// and for the delta stores of semi-naive evaluation.
+/// for the delta stores of semi-naive evaluation, and for every fact set of
+/// the incremental update path (a batch's victims, DRed's doomed set), which
+/// removes from its total with [`Database::remove_rows`].
 ///
 /// Relations are held behind `Arc` with copy-on-write semantics: cloning a
 /// database is O(#relations) refcount bumps, and a later mutation copies
@@ -231,26 +233,34 @@ impl Database {
         self.relation_mut(pred).ensure_index(mask);
     }
 
-    /// Removes a ground atom; returns whether it was present.
+    /// Removes a ground atom; returns whether it was present. Non-ground
+    /// atoms are never present.
     pub fn remove_atom(&mut self, atom: &Atom) -> bool {
-        let Some(t) = Tuple::from_atom(atom) else {
-            return false;
-        };
-        self.relations
-            .get_mut(&atom.predicate())
-            .is_some_and(|r| Arc::make_mut(r).remove(&t))
+        let row: Option<Vec<Const>> = atom.terms.iter().map(|t| t.as_const()).collect();
+        row.is_some_and(|row| self.remove_row(atom.predicate(), &row))
     }
 
-    /// Removes a set of tuples from `pred`'s relation; returns how many were
+    /// Removes one row of `pred`; returns whether it was present. The row
+    /// is looked up first, so removing an absent row never copies a
+    /// relation shared with an epoch clone.
+    pub fn remove_row(&mut self, pred: Predicate, row: &[Const]) -> bool {
+        match self.relations.get_mut(&pred) {
+            Some(r) if r.contains_row(row) => Arc::make_mut(r).remove_row(row),
+            _ => false,
+        }
+    }
+
+    /// Removes every row of `victims` from the relation of the same
+    /// predicate (see [`Relation::remove_rows`]); returns how many were
     /// present.
-    pub fn remove_tuples(
-        &mut self,
-        pred: Predicate,
-        victims: &alexander_ir::FxHashSet<Tuple>,
-    ) -> usize {
-        self.relations
-            .get_mut(&pred)
-            .map_or(0, |r| Arc::make_mut(r).remove_all(victims))
+    pub fn remove_rows(&mut self, victims: &Database) -> usize {
+        let mut dropped = 0;
+        for (p, v) in victims.iter() {
+            if let Some(r) = self.relations.get_mut(&p).filter(|_| !v.is_empty()) {
+                dropped += Arc::make_mut(r).remove_rows(v);
+            }
+        }
+        dropped
     }
 
     /// Empties every relation while keeping their allocations (their
@@ -260,14 +270,6 @@ impl Database {
         for r in self.relations.values_mut() {
             Arc::make_mut(r).clear_rows();
         }
-    }
-
-    /// An explicitly read-only view of this database for the duration of a
-    /// parallel round. The view is `Copy` and hands out only `&`-access, so
-    /// worker threads can share it freely; the type guarantees no interior
-    /// mutation happens while workers are joining against it.
-    pub fn freeze(&self) -> Frozen<'_> {
-        Frozen { db: self }
     }
 }
 
@@ -329,30 +331,6 @@ impl DeltaSpans {
     /// True iff the delta is empty (the fixpoint is reached).
     pub fn is_empty(&self) -> bool {
         self.total == 0
-    }
-}
-
-/// A frozen, shareable snapshot of a [`Database`] taken for one evaluation
-/// round. All reads go through `Deref<Target = Database>`; there is no path
-/// to a `&mut Database`, which makes "workers only read the round's total"
-/// a compile-time property rather than a convention.
-#[derive(Clone, Copy)]
-pub struct Frozen<'a> {
-    db: &'a Database,
-}
-
-impl<'a> Frozen<'a> {
-    /// The underlying shared reference (for APIs that take `&Database`).
-    pub fn db(self) -> &'a Database {
-        self.db
-    }
-}
-
-impl std::ops::Deref for Frozen<'_> {
-    type Target = Database;
-
-    fn deref(&self) -> &Database {
-        self.db
     }
 }
 
@@ -447,17 +425,6 @@ mod tests {
     }
 
     #[test]
-    fn frozen_view_reads_like_the_database() {
-        let mut db = Database::new();
-        db.insert(Predicate::new("e", 2), tuple_of_syms(&["a", "b"]));
-        let frozen = db.freeze();
-        let again = frozen; // Copy: multiple workers can hold it.
-        assert_eq!(frozen.total_tuples(), 1);
-        assert_eq!(again.len_of(Predicate::new("e", 2)), 1);
-        assert!(frozen.db().relation(Predicate::new("e", 2)).is_some());
-    }
-
-    #[test]
     fn delta_spans_track_merge_suffixes() {
         let e = Predicate::new("e", 1);
         let f = Predicate::new("f", 1);
@@ -513,6 +480,44 @@ mod tests {
         assert_eq!(epoch2.len_of(f), 1);
         assert_eq!(db.len_of(f), 0);
         assert!(!db.shares_relation(&epoch2, f));
+    }
+
+    #[test]
+    fn removing_an_absent_row_leaves_a_shared_relation_shared() {
+        let e = Predicate::new("e", 2);
+        let mut db = Database::new();
+        db.insert(e, tuple_of_syms(&["a", "b"]));
+        let epoch = db.clone();
+        assert!(!db.remove_atom(&atom("e", [Term::sym("b"), Term::sym("a")])));
+        assert!(!db.remove_row(e, tuple_of_syms(&["z", "z"]).values()));
+        assert!(
+            !db.remove_row(e, tuple_of_syms(&["a"]).values()),
+            "wrong arity"
+        );
+        assert!(db.shares_relation(&epoch, e), "a miss copies nothing");
+        // Removing a stored row copies the relation, as any write does.
+        assert!(db.remove_row(e, tuple_of_syms(&["a", "b"]).values()));
+        assert!(!db.shares_relation(&epoch, e));
+        assert_eq!((db.len_of(e), epoch.len_of(e)), (0, 1));
+    }
+
+    #[test]
+    fn remove_rows_removes_per_predicate_and_counts_hits() {
+        let (e, f) = (Predicate::new("e", 1), Predicate::new("f", 1));
+        let mut db = Database::new();
+        for x in ["a", "b", "c"] {
+            db.insert(e, tuple_of_syms(&[x]));
+            db.insert(f, tuple_of_syms(&[x]));
+        }
+        let mut victims = Database::new();
+        victims.insert(e, tuple_of_syms(&["a"]));
+        victims.insert(e, tuple_of_syms(&["z"])); // absent
+        victims.insert(f, tuple_of_syms(&["b"]));
+        victims.insert(Predicate::new("ghost", 1), tuple_of_syms(&["a"]));
+        assert_eq!(db.remove_rows(&victims), 2);
+        assert_eq!((db.len_of(e), db.len_of(f)), (2, 2));
+        assert!(!db.contains_row(e, tuple_of_syms(&["a"]).values()));
+        assert!(!db.contains_row(f, tuple_of_syms(&["b"]).values()));
     }
 
     #[test]

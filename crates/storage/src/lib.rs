@@ -5,8 +5,10 @@
 //! relation, tuples addressed by dense `u32` ids), with lazily built
 //! hash-of-projection indexes keyed by binding pattern ([`Mask`]). The
 //! evaluators' join loops probe these indexes without materialising keys;
-//! the EDB, the materialised IDB, and the semi-naive deltas (id ranges, see
-//! [`DeltaSpans`]) all live in [`Database`]s.
+//! the EDB, the materialised IDB, the semi-naive deltas (id ranges, see
+//! [`DeltaSpans`]) and the incremental engine's fact sets all live in
+//! [`Database`]s. Removal takes rows too: [`Relation::remove_rows`] drops
+//! another relation's rows, reusing their stored digests.
 //!
 //! ```
 //! use alexander_ir::Predicate;
@@ -35,7 +37,7 @@ pub mod load;
 pub mod relation;
 pub mod tuple;
 
-pub use database::{Database, DeltaSpans, Frozen, NonGround};
+pub use database::{Database, DeltaSpans, NonGround};
 pub use load::{load_delimited, load_file, LoadError};
 pub use relation::{IndexProbe, Mask, MaskColumns, Relation, Rows};
 pub use tuple::{row_atom, tuple_of_syms, Tuple};

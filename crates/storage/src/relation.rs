@@ -26,7 +26,7 @@
 //!   delta — an id range `[lo, hi)` — restricts a posting list with two
 //!   binary searches instead of probing a separate delta database.
 //!   Appends keep lists sorted for free; deletions re-sort the two
-//!   patched lists ([`Relation::remove_all`]).
+//!   patched lists ([`Relation::remove_rows`]).
 //! - Once an index exists, every insert *and every delete* maintains it in
 //!   place: O(1) per (tuple, index) on insert, O(|group|) per victim on
 //!   small deletes, one order-preserving remap pass on mass deletes —
@@ -725,7 +725,9 @@ impl Relation {
         self.probe(mask, key).0.map(Tuple::new).collect()
     }
 
-    /// Removes every tuple in `victims`; returns how many were present.
+    /// Removes every row of `victims` (a relation of the same arity; any
+    /// other arity removes nothing); returns how many were present. The
+    /// victims' stored digests are reused, so no victim is rehashed.
     ///
     /// Two strategies, picked by how much of the relation dies. A small
     /// victim set takes the O(|victims|) path: each victim is resolved
@@ -741,33 +743,41 @@ impl Relation {
     /// their order, the dedup table re-slots the surviving precomputed
     /// hashes, and posting lists substitute remapped ids. O(|relation|),
     /// but in cheap moves — no hash is recomputed and no row compared.
-    pub fn remove_all(&mut self, victims: &alexander_ir::FxHashSet<Tuple>) -> usize {
-        if victims.is_empty() || self.len == 0 {
+    pub fn remove_rows(&mut self, victims: &Relation) -> usize {
+        if victims.arity != self.arity {
             return 0;
         }
-        if victims.len().saturating_mul(8) < self.len() {
-            self.remove_swap(victims)
-        } else {
-            self.remove_compact(victims)
-        }
+        self.remove_hashed(victims.iter().zip(victims.row_hashes().iter().copied()))
     }
 
-    /// The small-delete path: per-victim tail swaps, O(|victims|) overall.
-    /// See [`Relation::remove_all`].
-    fn remove_swap(&mut self, victims: &alexander_ir::FxHashSet<Tuple>) -> usize {
-        let mut dropped = 0;
-        for t in victims {
-            if t.arity() != self.arity {
-                continue;
+    /// Removes one row; returns whether it was present. The row takes the
+    /// path [`Relation::remove_rows`] takes for a one-row victim set.
+    pub fn remove_row(&mut self, row: &[Const]) -> bool {
+        row.len() == self.arity && self.remove_hashed(std::iter::once((row, hash_row(row)))) == 1
+    }
+
+    /// [`Relation::remove_rows`] over distinct `(row, digest)` victims.
+    fn remove_hashed<'v>(
+        &mut self,
+        victims: impl ExactSizeIterator<Item = (&'v [Const], u64)>,
+    ) -> usize {
+        if victims.len().saturating_mul(8) < self.len() {
+            // Each swap renames the tail row, so a victim's id is resolved
+            // only when its turn comes.
+            let mut dropped = 0;
+            for (row, h) in victims {
+                if let Some(id) = self.find_id(h, row) {
+                    self.swap_remove_id(h, id);
+                    dropped += 1;
+                }
             }
-            let h = hash_row(t.values());
-            let Some(id) = self.find_id(h, t.values()) else {
-                continue;
-            };
-            self.swap_remove_id(h, id);
-            dropped += 1;
+            dropped
+        } else {
+            let ids = victims
+                .filter_map(|(row, h)| self.find_id(h, row))
+                .collect();
+            self.compact_without(ids)
         }
-        dropped
     }
 
     /// Removes row `id` (whose hash is `h`) by swapping the tail row into
@@ -804,15 +814,11 @@ impl Relation {
         self.len = last;
     }
 
-    /// The mass-delete path: one order-preserving compaction pass,
-    /// O(|relation|) in moves. See [`Relation::remove_all`].
-    fn remove_compact(&mut self, victims: &alexander_ir::FxHashSet<Tuple>) -> usize {
-        // Resolve victims to ids; absent (or wrong-arity) victims fall out.
-        let mut victim_ids: Vec<u32> = victims
-            .iter()
-            .filter(|t| t.arity() == self.arity)
-            .filter_map(|t| self.find_id(hash_row(t.values()), t.values()))
-            .collect();
+    /// The mass-delete path: drops the rows with ids `victim_ids` (each
+    /// stored, none repeated) in one order-preserving compaction pass,
+    /// O(|relation|) in moves; returns how many went. See
+    /// [`Relation::remove_rows`].
+    fn compact_without(&mut self, mut victim_ids: Vec<u32>) -> usize {
         if victim_ids.is_empty() {
             return 0;
         }
@@ -859,13 +865,6 @@ impl Relation {
             index.remove_remap(&remap);
         }
         victim_ids.len()
-    }
-
-    /// Removes a single tuple; returns whether it was present.
-    pub fn remove(&mut self, t: &Tuple) -> bool {
-        let mut set = alexander_ir::FxHashSet::default();
-        set.insert(t.clone());
-        self.remove_all(&set) == 1
     }
 
     /// Removes every row while retaining the arena's and dedup table's
@@ -1110,7 +1109,7 @@ mod tests {
         assert!(r.contains_row(&[]));
         assert_eq!(r.iter().count(), 1);
         assert_eq!(r.iter().next().unwrap(), &[] as &[Const]);
-        assert!(r.remove(&Tuple::new(Vec::new())));
+        assert!(r.remove_row(&[]));
         assert!(r.is_empty());
         assert!(!r.contains_row(&[]));
     }
@@ -1140,19 +1139,25 @@ mod tests {
         Mask::of_columns(&[64]);
     }
 
+    /// A relation of `arity` holding `rows` (integer cells).
+    fn ints(arity: usize, rows: impl IntoIterator<Item = Vec<i64>>) -> Relation {
+        let mut r = Relation::new(arity);
+        for row in rows {
+            r.insert_row(&row.into_iter().map(Const::int).collect::<Vec<_>>());
+        }
+        r
+    }
+
     #[test]
-    fn remove_all_rebuilds_ids_indexes_and_dedup() {
+    fn remove_rows_rebuilds_ids_indexes_and_dedup() {
         let mut r = Relation::new(2);
         let mask = Mask::of_columns(&[0]);
         r.ensure_index(mask);
         for i in 0..10 {
             r.insert(Tuple::new(vec![Const::int(i % 2), Const::int(i)]));
         }
-        let mut victims = alexander_ir::FxHashSet::default();
-        for i in 0..5 {
-            victims.insert(Tuple::new(vec![Const::int(i % 2), Const::int(i)]));
-        }
-        assert_eq!(r.remove_all(&victims), 5);
+        let victims = ints(2, (0..5).map(|i| vec![i % 2, i]));
+        assert_eq!(r.remove_rows(&victims), 5);
         assert_eq!(r.len(), 5);
         // Ids are re-densified: the survivors are rows 0..5 in their old
         // relative order, the index reflects exactly them, and re-inserting
@@ -1165,9 +1170,9 @@ mod tests {
 
     #[test]
     fn both_removal_paths_agree_with_a_model() {
-        // Drive the swap path and the compaction path over the same
-        // victim sets and check every observable against a model: length,
-        // membership, dedup (re-insertion), index probes.
+        // Remove the same victims as one batch (the compaction) and one row
+        // at a time (tail swaps), and check every observable against a
+        // model: length, membership, dedup (re-insertion), index probes.
         for compact in [false, true] {
             let mut r = Relation::new(2);
             let m0 = Mask::of_columns(&[0]);
@@ -1179,18 +1184,26 @@ mod tests {
                 r.insert(Tuple::new(vec![Const::int(i % 5), Const::int(i)]));
                 model.push((i % 5, i));
             }
-            let mut victims = alexander_ir::FxHashSet::default();
-            for i in (0..60).step_by(3) {
-                victims.insert(Tuple::new(vec![Const::int(i % 5), Const::int(i)]));
-            }
-            victims.insert(Tuple::new(vec![Const::int(99), Const::int(99)])); // absent
-            victims.insert(Tuple::new(vec![Const::int(1)])); // wrong arity
+            // Every third row, plus one absent row.
+            let victims: Vec<Vec<i64>> = (0..60)
+                .step_by(3)
+                .map(|i| vec![i % 5, i])
+                .chain([vec![99, 99]])
+                .collect();
             let dropped = if compact {
-                r.remove_compact(&victims)
+                assert!(victims.len() * 8 >= r.len(), "one compaction");
+                r.remove_rows(&ints(2, victims))
             } else {
-                r.remove_swap(&victims)
+                victims
+                    .into_iter()
+                    .map(|v| {
+                        assert!(8 < r.len(), "one tail swap");
+                        r.remove_rows(&ints(2, [v]))
+                    })
+                    .sum()
             };
             assert_eq!(dropped, 20, "compact={compact}");
+            assert_eq!(r.remove_rows(&ints(1, [vec![1]])), 0, "wrong arity");
             model.retain(|&(_, i)| i % 3 != 0);
             assert_eq!(r.len(), model.len());
             for &(k, i) in &model {
@@ -1225,9 +1238,8 @@ mod tests {
             r.insert(Tuple::new(vec![Const::int(i), Const::int(-i)]));
         }
         for i in (0..20i64).rev().map(|k| 2 * k) {
-            let mut v = alexander_ir::FxHashSet::default();
-            v.insert(Tuple::new(vec![Const::int(i), Const::int(-i)]));
-            assert_eq!(r.remove_swap(&v), 1);
+            assert!(8 < r.len(), "one tail swap");
+            assert!(r.remove_row(&[Const::int(i), Const::int(-i)]));
         }
         assert_eq!(r.len(), 20);
         for i in 0..40i64 {
@@ -1242,26 +1254,17 @@ mod tests {
         // Small victim sets take the swap path, large ones the compaction;
         // either way the observable result is the same set difference.
         let build = || {
-            let mut r = Relation::new(1);
+            let mut r = ints(1, (0..100).map(|i| vec![i]));
             r.ensure_index(Mask::of_columns(&[0]));
-            for i in 0..100i64 {
-                r.insert(Tuple::new(vec![Const::int(i)]));
-            }
             r
         };
         let mut small = build();
-        let mut v = alexander_ir::FxHashSet::default();
-        v.insert(Tuple::new(vec![Const::int(7)]));
-        assert_eq!(small.remove_all(&v), 1);
+        assert_eq!(small.remove_rows(&ints(1, [vec![7]])), 1);
         assert_eq!(small.len(), 99);
         assert!(!small.contains_row(&[Const::int(7)]));
 
         let mut big = build();
-        let mut v = alexander_ir::FxHashSet::default();
-        for i in 0..50i64 {
-            v.insert(Tuple::new(vec![Const::int(i)]));
-        }
-        assert_eq!(big.remove_all(&v), 50);
+        assert_eq!(big.remove_rows(&ints(1, (0..50).map(|i| vec![i]))), 50);
         assert_eq!(big.len(), 50);
         for i in 0..100i64 {
             assert_eq!(big.contains_row(&[Const::int(i)]), i >= 50);
@@ -1291,9 +1294,8 @@ mod tests {
     fn arity_zero_removal_that_misses_keeps_the_row() {
         let mut r = Relation::new(0);
         r.insert_row(&[]);
-        let mut victims = alexander_ir::FxHashSet::default();
-        victims.insert(Tuple::new(vec![Const::int(9)]));
-        assert_eq!(r.remove_all(&victims), 0);
+        assert_eq!(r.remove_rows(&ints(1, [vec![9]])), 0);
+        assert!(!r.remove_row(&[Const::int(9)]));
         assert_eq!(r.len(), 1);
     }
 

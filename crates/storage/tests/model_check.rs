@@ -1,15 +1,16 @@
 //! Model-checking the relation store: random operation sequences must agree
-//! with a trivial reference implementation (a `HashSet` of rows).
+//! with a trivial reference implementation (a `BTreeSet` of rows).
 
-use alexander_ir::{Const, FxHashSet};
+use alexander_ir::Const;
 use alexander_storage::{Mask, Relation, Tuple};
 use proptest::prelude::*;
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 #[derive(Clone, Debug)]
 enum Op {
     Insert([u8; 2]),
     Remove([u8; 2]),
+    RemoveRows(Vec<[u8; 2]>),
     EnsureIndex(u8),
     Probe(u8, [u8; 2]),
 }
@@ -18,6 +19,10 @@ fn op() -> impl Strategy<Value = Op> {
     prop_oneof![
         proptest::array::uniform2(0u8..6).prop_map(Op::Insert),
         proptest::array::uniform2(0u8..6).prop_map(Op::Remove),
+        // Up to 12 victims against at most 36 rows: batches land on both
+        // sides of the one-eighth swap/compact switch.
+        proptest::collection::vec(proptest::array::uniform2(0u8..6), 0..12)
+            .prop_map(Op::RemoveRows),
         (0u8..4).prop_map(Op::EnsureIndex),
         ((0u8..4), proptest::array::uniform2(0u8..6)).prop_map(|(m, k)| Op::Probe(m, k)),
     ]
@@ -41,7 +46,7 @@ proptest! {
     #[test]
     fn relation_agrees_with_reference_model(ops in proptest::collection::vec(op(), 0..60)) {
         let mut rel = Relation::new(2);
-        let mut model: HashSet<Tuple> = HashSet::new();
+        let mut model: BTreeSet<Tuple> = BTreeSet::new();
 
         for op in ops {
             match op {
@@ -52,8 +57,20 @@ proptest! {
                 }
                 Op::Remove(cells) => {
                     let t = tup(cells);
-                    let was = rel.remove(&t);
+                    let was = rel.remove_row(t.values());
                     prop_assert_eq!(was, model.remove(&t));
+                }
+                Op::RemoveRows(victims) => {
+                    let mut batch = Relation::new(2);
+                    for v in &victims {
+                        batch.insert(tup(*v));
+                    }
+                    let removed = rel.remove_rows(&batch);
+                    let want = batch
+                        .iter()
+                        .filter(|row| model.remove(&Tuple::new(*row)))
+                        .count();
+                    prop_assert_eq!(removed, want);
                 }
                 Op::EnsureIndex(m) => {
                     rel.ensure_index(mask_of(m));
@@ -67,12 +84,11 @@ proptest! {
                         .collect();
                     let mut got: Vec<Tuple> = rel.select(mask, &key);
                     got.sort();
-                    let mut want: Vec<Tuple> = model
+                    let want: Vec<Tuple> = model
                         .iter()
                         .filter(|t| t.project(&cols) == key)
                         .cloned()
                         .collect();
-                    want.sort();
                     prop_assert_eq!(got, want, "mask {:?}", mask);
                 }
             }
@@ -82,13 +98,12 @@ proptest! {
         // Final full-content check.
         let mut got: Vec<Tuple> = rel.iter().map(Tuple::new).collect();
         got.sort();
-        let mut want: Vec<Tuple> = model.into_iter().collect();
-        want.sort();
+        let want: Vec<Tuple> = model.into_iter().collect();
         prop_assert_eq!(got, want);
     }
 
     #[test]
-    fn remove_all_matches_batch_of_removes(
+    fn remove_rows_matches_one_remove_row_per_victim(
         rows in proptest::collection::vec(proptest::array::uniform2(0u8..6), 0..30),
         victims in proptest::collection::vec(proptest::array::uniform2(0u8..6), 0..10),
     ) {
@@ -100,11 +115,14 @@ proptest! {
         }
         a.ensure_index(Mask::of_columns(&[0]));
 
-        let set: FxHashSet<Tuple> = victims.iter().map(|v| tup(*v)).collect();
-        let removed = a.remove_all(&set);
+        let mut batch = Relation::new(2);
+        for v in &victims {
+            batch.insert(tup(*v));
+        }
+        let removed = a.remove_rows(&batch);
         let mut removed_one_by_one = 0;
-        for v in &set {
-            removed_one_by_one += usize::from(b.remove(v));
+        for v in batch.iter() {
+            removed_one_by_one += usize::from(b.remove_row(v));
         }
         prop_assert_eq!(removed, removed_one_by_one);
         prop_assert_eq!(a.len(), b.len());
