@@ -2,12 +2,11 @@
 //! the ungoverned baseline.
 //!
 //! The resource governor sits on the hottest path in the system (the
-//! blocked executor's sink in `exec_plan`: one interrupt look per block, a
-//! claim before every new fact, and a claim per firing under a step
-//! budget), so its cost when budgets are generous must be negligible: the `active: bool`
-//! fast path reduces an absent budget to one branch, and a present-but-
-//! roomy budget to a couple of relaxed atomic updates amortised over the
-//! deadline stride. This experiment pins that claim with numbers: each
+//! blocked executor's sink in `exec_plan`: one deadline look per block and
+//! a claim before every new fact), so its cost when budgets are generous
+//! must be negligible: the `active: bool` fast path reduces an absent
+//! budget to one branch, and a present-but-roomy budget to one relaxed
+//! atomic claim per new fact plus a clock read per block. This experiment pins that claim with numbers: each
 //! workload/strategy pair runs ungoverned and then under a budget orders of
 //! magnitude larger than what the run consumes, best-of-N each, and the
 //! table reports the relative overhead. The committed `BENCH_F5.json`
@@ -42,12 +41,11 @@ pub fn run_with(chain_n: usize, crossover_n: usize, reps: usize) -> Table {
          times the two back-to-back in alternating order and records their \
          ratio; the reported overhead is the median ratio (adjacent pairing \
          plus the median cancels machine drift and turbo effects; small \
-         negative values are noise). The per-firing governor check is one \
-         status load plus one relaxed counter bump, with cancellation and \
-         the deadline amortised over a 1024-firing stride, so overhead must \
-         stay within a few percent (< 5% since the blocked executor \
-         shortened the per-fact baseline) — this table is the regression \
-         tripwire for that bound.",
+         negative values are noise). The governor costs one relaxed claim \
+         per new fact plus one status load and clock read per block of up \
+         to 1024 firings, so overhead must stay within a few percent (< 5% \
+         since the blocked executor shortened the per-fact baseline) — \
+         this table is the regression tripwire for that bound.",
         &[
             "workload",
             "strategy",

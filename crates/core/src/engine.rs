@@ -3,14 +3,14 @@
 use crate::strategy::{QueryResult, Report, Strategy};
 use alexander_eval::{
     eval_conditional_opts, eval_naive_opts, eval_seminaive_opts, eval_stratified_opts, Budget,
-    CancelHandle, Completion, Consumption, EvalError, EvalOptions,
+    Completion, EvalError, EvalOptions,
 };
 use alexander_ir::{
     match_atom, sort_atoms, sort_rows, Atom, Const, Polarity, Program, Subst, Symbol,
 };
 use alexander_parser::{parse, ParseError};
 use alexander_storage::{row_atom, Database};
-use alexander_topdown::{oldt_query_opts, qsqr_query_opts, OldtOptions, QsqrOptions, TopdownError};
+use alexander_topdown::{oldt_query_opts, qsqr_query_opts, OldtOptions, TopdownError};
 use alexander_transform::{alexander, magic_sets, sup_magic_sets, Rewritten, SipOptions};
 use std::fmt;
 
@@ -131,23 +131,12 @@ impl Engine {
     }
 
     /// Sets the resource budget every query runs under (wall-clock
-    /// deadline, derived-fact cap, round cap, firing/step cap). On
-    /// exhaustion queries return *partial* answers flagged in
-    /// [`Report::completion`] rather than an error.
+    /// deadline, derived-fact cap, round cap). On exhaustion queries return
+    /// *partial* answers flagged in [`Report::completion`] rather than an
+    /// error.
     pub fn with_budget(mut self, budget: Budget) -> Engine {
         self.opts.budget = budget;
         self
-    }
-
-    /// A cancellation handle for this engine's queries. Cancelling it from
-    /// any thread makes in-flight (and future) queries stop cooperatively
-    /// and return partial results tagged `Cancelled`; call
-    /// [`CancelHandle::reset`] to reuse the engine afterwards.
-    pub fn cancel_handle(&mut self) -> CancelHandle {
-        self.opts
-            .cancel
-            .get_or_insert_with(CancelHandle::default)
-            .clone()
     }
 
     /// The evaluator options bottom-up strategies run with.
@@ -227,19 +216,17 @@ impl Engine {
                 self.rewritten_result(query, strategy, rw)
             }
             Strategy::Oldt | Strategy::Qsqr => {
-                let (budget, cancel) = (self.opts.budget, self.opts.cancel.clone());
-                let (answers, metrics, completion, restarts) = if strategy == Strategy::Oldt {
+                let budget = self.opts.budget;
+                let (answers, metrics, completion) = if strategy == Strategy::Oldt {
                     let opts = OldtOptions {
                         budget,
-                        cancel,
                         ..OldtOptions::default()
                     };
                     let r = oldt_query_opts(&self.program, &self.edb, query, opts)?;
-                    (r.answers, r.metrics, r.completion, 0)
+                    (r.answers, r.metrics, r.completion)
                 } else {
-                    let opts = QsqrOptions { budget, cancel };
-                    let r = qsqr_query_opts(&self.program, &self.edb, query, opts)?;
-                    (r.answers, r.metrics, r.completion, r.restarts)
+                    let r = qsqr_query_opts(&self.program, &self.edb, query, budget)?;
+                    (r.answers, r.metrics, r.completion)
                 };
                 Ok(QueryResult {
                     answers: normalise(answers),
@@ -250,11 +237,6 @@ impl Engine {
                         facts_materialised: metrics.answers,
                         rules_evaluated: self.program.rules.len(),
                         completion,
-                        consumed: Consumption {
-                            facts: metrics.answers,
-                            rounds: restarts,
-                            steps: metrics.resolution_steps,
-                        },
                         ..Report::default()
                     },
                 })
@@ -281,7 +263,6 @@ impl Engine {
                 rules_evaluated: self.program.rules.len(),
                 threads: self.opts.threads.max(1),
                 completion,
-                consumed: eval_consumption(&metrics),
                 ..Report::default()
             },
         }
@@ -329,18 +310,9 @@ impl Engine {
                 rules_evaluated: rw.program.rules.len(),
                 threads: self.opts.threads.max(1),
                 completion,
-                consumed: eval_consumption(&metrics),
                 ..Report::default()
             },
         })
-    }
-}
-
-fn eval_consumption(m: &alexander_eval::EvalMetrics) -> Consumption {
-    Consumption {
-        facts: m.new_facts,
-        rounds: m.iterations,
-        steps: m.firings,
     }
 }
 
@@ -563,29 +535,17 @@ mod tests {
     }
 
     #[test]
-    fn cancel_handle_stops_queries_until_reset() {
-        let mut e = engine();
-        let handle = e.cancel_handle();
-        let q = parse_atom("anc(a, X)").unwrap();
-        handle.cancel();
-        let r = e.query(&q, Strategy::SemiNaive).unwrap();
-        assert_eq!(r.report.completion, alexander_eval::Completion::Cancelled);
-        handle.reset();
-        let r = e.query(&q, Strategy::SemiNaive).unwrap();
-        assert!(r.report.completion.is_complete());
-        assert_eq!(r.answers.len(), 3);
-    }
-
-    #[test]
     fn report_carries_consumption_counters() {
         let e = engine();
         let q = parse_atom("anc(a, X)").unwrap();
         let r = e.query(&q, Strategy::SemiNaive).unwrap();
-        assert!(r.report.consumed.facts > 0);
-        assert!(r.report.consumed.rounds > 0);
-        assert!(r.report.consumed.steps > 0);
+        let m = r.report.eval.expect("bottom-up run reports metrics");
+        assert!(m.new_facts > 0);
+        assert!(m.iterations > 0);
+        assert!(m.firings > 0);
         let o = e.query(&q, Strategy::Oldt).unwrap();
-        assert!(o.report.consumed.steps > 0);
+        let om = o.report.oldt.expect("OLDT reports metrics");
+        assert!(om.resolution_steps > 0);
     }
 
     #[test]

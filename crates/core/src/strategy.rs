@@ -1,6 +1,6 @@
 //! Evaluation strategies and their instrumentation reports.
 
-use alexander_eval::{Completion, Consumption, EvalMetrics};
+use alexander_eval::{Completion, EvalMetrics};
 use alexander_ir::Atom;
 use alexander_topdown::OldtMetrics;
 use std::fmt;
@@ -101,9 +101,6 @@ pub struct Report {
     /// non-`Complete` value means the answers are a sound *partial* result:
     /// everything reported holds, but more may be derivable.
     pub completion: Completion,
-    /// What the run consumed against the governed resources (facts derived,
-    /// rounds entered, firings / resolution steps charged).
-    pub consumed: Consumption,
 }
 
 impl fmt::Display for Report {
@@ -125,7 +122,7 @@ impl fmt::Display for Report {
             write!(f, " threads={}", self.threads)?;
         }
         if !self.completion.is_complete() {
-            write!(f, " PARTIAL: {} ({})", self.completion, self.consumed)?;
+            write!(f, " PARTIAL: {}", self.completion)?;
         }
         Ok(())
     }
@@ -168,11 +165,6 @@ mod tests {
         let partial = Report {
             completion: Completion::BudgetExhausted {
                 resource: alexander_eval::Resource::Facts,
-            },
-            consumed: Consumption {
-                facts: 10,
-                rounds: 2,
-                steps: 40,
             },
             ..Report::default()
         };

@@ -30,11 +30,11 @@
 //!
 //! ## Governance and partial results
 //!
-//! A budget or cancellation can stop any phase. The degrade rule is strict
-//! about negation: if the monotone statement fixpoint (phase 1) did not
-//! finish, the Davis–Putnam reduction is **not** run — reducing a partial
-//! statement store could declare `¬A` true merely because `A`'s statement
-//! had not been derived yet. Instead the result falls back to the definite
+//! A budget can stop any phase. The degrade rule is strict about negation:
+//! if the monotone statement fixpoint (phase 1) did not finish, the
+//! Davis–Putnam reduction is **not** run — reducing a partial statement
+//! store could declare `¬A` true merely because `A`'s statement had not
+//! been derived yet. Instead the result falls back to the definite
 //! core computed so far (always a sound subset of the perfect/well-founded
 //! facts), with `completion` reporting the trip and `undefined` left empty.
 
@@ -323,11 +323,16 @@ pub fn eval_conditional_opts(
     }
 
     // ---- Phase 2: reduction (Davis–Putnam style). ----
+    // Only tainted predicates supply conditions and statement heads, so the
+    // decided facts start from the static rows of tainted predicates (inline
+    // facts of an un-normalised program) and grow by promoted heads.
     let mut facts: FxHashSet<Atom> = static_db
         .predicates()
         .into_iter()
+        .filter(|p| tainted.contains(p))
         .flat_map(|p| static_db.atoms_of(p))
         .collect();
+    let mut promoted: Vec<Atom> = Vec::new();
     let mut sets = stmts.by_head;
     let mut reduction_complete = true;
     loop {
@@ -358,8 +363,8 @@ pub fn eval_conditional_opts(
                 set.retain(|c| provable.contains(c));
                 changed |= set.len() != before_len;
             }
-            if condsets.iter().any(|s| s.is_empty()) && !facts.contains(head) {
-                facts.insert(head.clone());
+            if condsets.iter().any(|s| s.is_empty()) && facts.insert(head.clone()) {
+                promoted.push(head.clone());
                 changed = true;
             }
         }
@@ -368,11 +373,11 @@ pub fn eval_conditional_opts(
         }
     }
 
-    let mut db = static_db.clone();
-    for f in &facts {
-        // invariant: `facts` only holds statement heads and static atoms,
-        // both ground by construction.
-        db.insert_atom(f).expect("facts are ground");
+    let mut db = static_db;
+    for h in &promoted {
+        // invariant: statement heads are grounded against a full body
+        // match, which only produces ground atoms.
+        db.insert_atom(h).expect("statement heads are ground");
     }
     let mut undefined: Vec<Atom> = if reduction_complete {
         sets.into_iter()
@@ -503,6 +508,23 @@ mod tests {
                 .map(|a| a.to_string())
                 .collect();
         assert_eq!(names, vec!["s(b)".to_string()]);
+    }
+
+    #[test]
+    fn an_inline_fact_of_a_tainted_predicate_is_decided_true() {
+        // `win(z).` beside the `win` rule: ¬win(z) stays false, so a's
+        // only move loses, and the fact is never reported undefined even
+        // though its statement hangs off the c <-> d draw.
+        let r = run("
+            move(a, z). move(z, c). move(c, d). move(d, c).
+            win(z).
+            win(X) :- move(X, Y), !win(Y).
+        ");
+        let win = Predicate::new("win", 1);
+        let names: Vec<String> = r.db.atoms_of(win).iter().map(|a| a.to_string()).collect();
+        assert_eq!(names, vec!["win(z)".to_string()]);
+        let undefined: Vec<String> = r.undefined.iter().map(|a| a.to_string()).collect();
+        assert_eq!(undefined, vec!["win(c)".to_string(), "win(d)".to_string()]);
     }
 
     #[test]

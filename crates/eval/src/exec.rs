@@ -29,11 +29,11 @@
 //! * [`exec_plan`] — the fixpoint sink: projects each bound row onto the
 //!   head, hashes it **once** (the digest is reused for the duplicate check
 //!   and the insert via the storage layer's `_hashed` entry points), counts
-//!   the firing, and charges the governor.
+//!   the firing, and checks the governor's deadline once per block.
 //! * [`exec_plan_bindings`] — the bindings sink: hands the caller the bound
 //!   row itself, for evaluators that need the ground body instance and not
 //!   just the head (conditional statements, provenance). The caller counts
-//!   firings and charges the governor, and may `Break` at any row.
+//!   firings and consults the governor, and may `Break` at any row.
 //! * [`exec_plan_seeded`] — the bindings sink started from a *pre-bound*
 //!   seed row: the head slots are filled from a fact, so a plan lowered from
 //!   [`compile_rule_seeded`](crate::join::compile_rule_seeded) answers "does
@@ -41,11 +41,10 @@
 //!
 //! ## Governance
 //!
-//! Budget checks are amortised per block, not per tuple: with no step
-//! budget, the governor's cancellation/deadline look happens once per block
-//! reaching [`exec_plan`]'s sink. A step budget still claims per firing
-//! (claim-before-work exactness demands it), and fact claims stay in the
-//! caller's emit closure, so `consumed.facts == max` holds exactly.
+//! Budget checks are amortised per block, not per tuple: the governor's
+//! deadline look happens once per block reaching [`exec_plan`]'s sink. Fact
+//! claims stay in the caller's emit closure, so a tripped fact budget
+//! admits exactly `max` new facts.
 //!
 //! All buffers live in an [`ExecScratch`] the caller keeps per worker; the
 //! steady state allocates nothing.
@@ -178,8 +177,8 @@ pub type EmitBindings<'a> = dyn FnMut(&[Const], &mut EvalMetrics) -> ControlFlow
 ///
 /// `emit` reports whether the row was new, a duplicate, or refused by the
 /// fact budget; firings and fact counters are charged here. Returns
-/// [`ControlFlow::Break`] when the run stopped early (budget refusal,
-/// cancellation, deadline).
+/// [`ControlFlow::Break`] when the run stopped early (fact refusal or
+/// deadline).
 pub fn exec_plan(
     plan: &RulePlan,
     input: &JoinInput<'_>,
@@ -187,30 +186,18 @@ pub fn exec_plan(
     metrics: &mut EvalMetrics,
     emit: &mut dyn FnMut(u64, &[Const]) -> Emitted,
 ) -> ControlFlow<()> {
-    let exact_steps = input.governor.is_some_and(|g| g.counts_steps());
     let ExecScratch { seed, bufs, head } = scratch;
     seed.reset(plan.nvars);
     seed.push_seed_row();
     run(plan, input, seed, bufs, metrics, &mut |block, metrics| {
-        if !exact_steps {
-            // The per-block (amortised) governance look: with no step
-            // budget there is nothing to claim per firing, so a
-            // governed-but-unhit run costs the same as an ungoverned one
-            // (experiment F5).
-            if let Some(g) = input.governor {
-                g.check_interrupt()?;
-            }
+        // The per-block (amortised) deadline look: nothing is claimed per
+        // firing, so a governed-but-unhit run costs the same as an
+        // ungoverned one (experiment F5).
+        if let Some(g) = input.governor {
+            g.check_interrupt()?;
         }
         for i in 0..block.len {
             let row = block.row(i);
-            // The step claim comes before the emission: a refused firing
-            // does no work and touches no counters, so an ungoverned run
-            // and a run whose budget is never hit report identical metrics.
-            if exact_steps {
-                if let Some(g) = input.governor {
-                    g.note_firing()?;
-                }
-            }
             head.clear();
             for &p in &plan.head {
                 head.push(resolve(p, row));
@@ -235,8 +222,8 @@ pub fn exec_plan(
 /// Like [`exec_plan`], but hands the bound row itself to `emit` on every
 /// satisfying assignment, so callers can reconstruct body instances (the
 /// conditional fixpoint needs the ground premises, not just the head).
-/// `emit` is responsible for the firing/fact counters and for charging the
-/// governor. Returns [`ControlFlow::Break`] iff `emit` did.
+/// `emit` is responsible for the firing/fact counters and for consulting
+/// the governor. Returns [`ControlFlow::Break`] iff `emit` did.
 pub fn exec_plan_bindings(
     plan: &RulePlan,
     input: &JoinInput<'_>,
@@ -488,7 +475,6 @@ fn run_ops(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::govern::{Budget, Completion, Governor, Resource};
     use crate::join::{compile_rule, compile_rule_seeded, CompiledRule, DeltaSource};
     use crate::plan::compile_plan;
     use alexander_ir::{atom, match_atom, Atom, Builtin, Literal, Predicate, Rule, Subst, Term};
@@ -732,33 +718,6 @@ mod tests {
         );
         let out = assert_matches_reference(&r, &JoinInput::naive(&db), (71, 4970, 4900));
         assert_eq!(out.len(), 4900);
-    }
-
-    #[test]
-    fn step_budget_breaks_with_exact_claims() {
-        let plan = compile_plan(&composition_rule());
-        let db = edb();
-        let gov = Governor::new(Budget::default().with_max_steps(1), None);
-        let input = JoinInput {
-            governor: Some(&gov),
-            ..JoinInput::naive(&db)
-        };
-        let mut m = EvalMetrics::default();
-        let mut s = ExecScratch::new();
-        let mut out = 0;
-        let flow = exec_plan(&plan, &input, &mut s, &mut m, &mut |_, _| {
-            out += 1;
-            Emitted::New
-        });
-        assert!(flow.is_break());
-        assert_eq!(out, 1, "exactly one firing fits a 1-step budget");
-        assert_eq!((m.probes, m.tuples_considered, m.firings), (5, 20, 1));
-        assert_eq!(
-            gov.completion(),
-            Completion::BudgetExhausted {
-                resource: Resource::Steps
-            }
-        );
     }
 
     #[test]

@@ -15,9 +15,9 @@
 //! [`DeltaSource::Db`].
 //!
 //! Mid-round governance rides along in the [`JoinInput`]: when it carries a
-//! [`Governor`](crate::govern::Governor), the executor's sink charges it and
-//! unwinds the moment a budget trips or cancellation is requested — so even
-//! a single enormous round is interruptible.
+//! [`Governor`], the executor's sink checks it once per block and unwinds
+//! the moment a budget trips — so even a single enormous round is
+//! interruptible.
 
 use crate::govern::Governor;
 use crate::order::{order_for_evaluation, Unorderable};

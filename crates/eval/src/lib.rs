@@ -20,9 +20,9 @@
 //! ([`exec`]), which moves fixed-size blocks of binding rows through the
 //! operator pipeline. Its sink either projects and hashes each derived head
 //! row exactly once (the fixpoint evaluators — this is also where the
-//! governor's per-firing and per-fact claims happen), or hands the caller
-//! the bound row itself (conditional statements, provenance, and the
-//! incremental engine's head-seeded rederivation probes). The independent
+//! governor's per-block deadline look and per-fact claims happen), or hands
+//! the caller the bound row itself (conditional statements, provenance, and
+//! the incremental engine's head-seeded rederivation probes). The independent
 //! oracle is the boxed-tuple reference engine in `alexander-bench`, which
 //! shares neither storage nor join code and must agree on the model and on
 //! every [`EvalMetrics`] counter.
@@ -36,11 +36,10 @@
 //! at any thread count (see [`seminaive`] for the round protocol).
 //!
 //! Every evaluator is resource-governed: [`EvalOptions::budget`] bounds
-//! wall-clock time, derived facts, rounds, and rule firings, and
-//! [`EvalOptions::cancel`] installs a cooperative cancellation token. On
-//! exhaustion or cancellation the evaluators return a well-formed *partial*
-//! result tagged with a non-`Complete` [`Completion`] instead of an error
-//! (see [`govern`]). Rounds are panic-isolated at every thread count: a
+//! wall-clock time, derived facts and rounds. On exhaustion the evaluators
+//! return a well-formed *partial* result tagged with a non-`Complete`
+//! [`Completion`] instead of an error (see [`govern`]); the metrics say
+//! what the run spent. Rounds are panic-isolated at every thread count: a
 //! panic inside a round surfaces as [`EvalError::WorkerPanicked`] after any
 //! sibling workers drain, never as an unwind or a process abort.
 //!
@@ -96,7 +95,7 @@ pub use error::EvalError;
 pub use exec::{
     exec_plan, exec_plan_bindings, exec_plan_seeded, EmitBindings, ExecScratch, BLOCK_ROWS,
 };
-pub use govern::{Budget, CancelHandle, Completion, Consumption, Governor, Resource};
+pub use govern::{Budget, Completion, Governor, Resource};
 pub use incremental::{BatchOutcome, IncrementalEngine};
 pub use join::{
     compile_rule, compile_rule_seeded, ensure_rule_indexes, CompiledRule, DeltaSource, Emitted,

@@ -4,7 +4,7 @@
 //! [`crate::seminaive`]); staged facts only become visible next round.
 
 use crate::error::EvalError;
-use crate::govern::{Budget, CancelHandle, Completion, Governor};
+use crate::govern::{Budget, Completion, Governor};
 use crate::metrics::EvalMetrics;
 use crate::seminaive::eval_semipositive;
 use alexander_ir::{Polarity, Program};
@@ -26,10 +26,6 @@ pub struct EvalOptions {
     /// evaluator stops cleanly and reports [`Completion::BudgetExhausted`]
     /// on its (partial but well-formed) result.
     pub budget: Budget,
-    /// Cooperative cancellation token: another thread calls
-    /// [`CancelHandle::cancel`] and the run stops at its next governance
-    /// check, reporting [`Completion::Cancelled`].
-    pub cancel: Option<CancelHandle>,
 }
 
 impl Default for EvalOptions {
@@ -38,7 +34,6 @@ impl Default for EvalOptions {
             use_indexes: true,
             threads: 1,
             budget: Budget::UNLIMITED,
-            cancel: None,
         }
     }
 }
@@ -58,22 +53,16 @@ impl EvalOptions {
         self
     }
 
-    /// Builder: attach a cancellation token.
-    pub fn with_cancel(mut self, cancel: CancelHandle) -> EvalOptions {
-        self.cancel = Some(cancel);
-        self
-    }
-
     /// Builds the run-time governor for one evaluation under these options.
     pub(crate) fn governor(&self) -> Governor {
-        Governor::new(self.budget, self.cancel.clone())
+        Governor::new(self.budget)
     }
 }
 
 /// The outcome of a bottom-up run: the database (EDB + IDB) and the
 /// counters. `completion` says whether `db` is the full fixpoint
 /// ([`Completion::Complete`]) or a sound partial result cut short by a
-/// budget or cancellation.
+/// budget.
 #[derive(Clone, Debug)]
 pub struct EvalResult {
     pub db: Database,
@@ -389,17 +378,20 @@ mod tests {
     }
 
     #[test]
-    fn cancelled_before_start_yields_seed_only() {
+    fn expired_deadline_before_start_yields_seed_only() {
         let parsed = parse(TC).unwrap();
-        let cancel = CancelHandle::new();
-        cancel.cancel();
         let r = eval_naive_opts(
             &parsed.program,
             &Database::new(),
-            EvalOptions::default().with_cancel(cancel),
+            EvalOptions::default().with_budget(Budget::default().with_timeout_ms(0)),
         )
         .unwrap();
-        assert_eq!(r.completion, Completion::Cancelled);
+        assert_eq!(
+            r.completion,
+            Completion::BudgetExhausted {
+                resource: Resource::WallClock
+            }
+        );
         assert_eq!(r.db.len_of(alexander_ir::Predicate::new("tc", 2)), 0);
         assert_eq!(r.db.len_of(alexander_ir::Predicate::new("e", 2)), 4);
     }

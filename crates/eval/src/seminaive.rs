@@ -2,9 +2,9 @@
 //!
 //! Every bottom-up fixpoint in this crate — naive, semi-naive, each stratum
 //! of the stratified evaluator, phase 0 of the conditional one — is the one
-//! loop in [`fixpoint`], and every round of it runs through one executor
-//! ([`run_round_tasks`] → [`run_chunk`]) into one sink ([`StagingSink`]).
-//! Naive and semi-naive differ only in which tasks a round holds: naive
+//! loop in `fixpoint`, and every round of it runs through one executor
+//! (`run_round_tasks` → `run_chunk`) into one sink (`StagingSink`). Naive
+//! and semi-naive differ only in which tasks a round holds: naive
 //! applies every rule to the whole database every round; semi-naive, after
 //! the first round, restricts one body literal per task to the facts the
 //! previous round discovered (the *delta*), eliminating the bulk of naive
@@ -22,9 +22,9 @@
 //! ## One executor, one sink
 //!
 //! A round's total is read-only for the round's duration; all indexes are
-//! built up front by the single-threaded prelude. [`run_chunk`] runs a slice
+//! built up front by the single-threaded prelude. `run_chunk` runs a slice
 //! of the round's tasks through the blocked executor and hands every derived
-//! head row to [`StagingSink::emit`], the single place a row is classified:
+//! head row to `StagingSink::emit`, the single place a row is classified:
 //! duplicate of the total, duplicate of the staging database, refused by the
 //! fact budget, or new (and staged). With one thread (or one task) the chunk
 //! is the whole round, run inline, staging straight into the round's output.
@@ -52,11 +52,11 @@
 //! ## Governance
 //!
 //! A [`Governor`] (from [`crate::govern`]) rides along when the options
-//! carry a budget or cancel token: rounds check it at their boundary, the
-//! join charges it per emission, and new facts are claimed against the fact
-//! budget *before* insertion. On a trip the current round's accepted facts
-//! are still merged (they are sound) and the run reports a non-`Complete`
-//! [`crate::Completion`].
+//! carry a budget: rounds check it at their boundary, the executor's sink
+//! checks the deadline once per block, and new facts are claimed against
+//! the fact budget *before* insertion. On a trip the current round's
+//! accepted facts are still merged (they are sound) and the run reports a
+//! non-`Complete` [`crate::Completion`].
 
 use crate::error::EvalError;
 use crate::exec::{exec_plan, ExecScratch};
@@ -424,7 +424,7 @@ fn run_round_tasks(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::govern::{Budget, CancelHandle, Completion, Resource};
+    use crate::govern::{Budget, Completion, Resource};
     use crate::naive::eval_naive;
     use alexander_parser::parse;
     use alexander_storage::tuple_of_syms;
@@ -572,9 +572,10 @@ mod tests {
         let mut total = Database::new();
         total.insert(p, tuple_of_syms(&["old"]));
 
-        // Ungoverned, then governed with budget to spare: one classification.
-        let roomy = Governor::new(Budget::default().with_max_facts(10), None);
-        for governor in [None, Some(&roomy)] {
+        // Ungoverned, then governed with exactly the three new rows' worth
+        // of budget: one classification.
+        let exact = Governor::new(Budget::default().with_max_facts(3));
+        for governor in [None, Some(&exact)] {
             let mut staged = Database::new();
             let mut sink = StagingSink {
                 total: &total,
@@ -592,11 +593,13 @@ mod tests {
             assert_eq!(staged.relation(p).unwrap().row(1), &[Const::sym("b")]);
             assert_eq!(staged.total_tuples(), 3);
         }
-        assert_eq!(roomy.consumption().facts, 3, "duplicates claim nothing");
+        // The three new rows took the whole budget; duplicates claimed nothing.
+        assert!(exact.completion().is_complete());
+        assert!(exact.claim_fact().is_break(), "duplicates claim nothing");
 
         // An exhausted fact budget refuses the next new row and stages
         // nothing for it; duplicates still classify without a claim.
-        let spent = Governor::new(Budget::default().with_max_facts(1), None);
+        let spent = Governor::new(Budget::default().with_max_facts(1));
         let mut staged = Database::new();
         let mut sink = StagingSink {
             total: &total,
@@ -610,7 +613,6 @@ mod tests {
         assert_eq!(emit(&mut sink, p, "old"), Emitted::Duplicate);
         assert_eq!(sink.log, None);
         assert_eq!(staged.total_tuples(), 1, "the refused row was not staged");
-        assert_eq!(spent.consumption().facts, 1, "consumed == max");
         assert_eq!(
             spent.completion(),
             Completion::BudgetExhausted {
@@ -766,20 +768,5 @@ mod tests {
             }
         );
         assert_eq!(r.metrics.iterations, 2);
-    }
-
-    #[test]
-    fn cancellation_mid_run_returns_partial() {
-        let parsed = parse(TC).unwrap();
-        let cancel = CancelHandle::new();
-        cancel.cancel();
-        let r = eval_seminaive_opts(
-            &parsed.program,
-            &Database::new(),
-            EvalOptions::default().with_cancel(cancel),
-        )
-        .unwrap();
-        assert_eq!(r.completion, Completion::Cancelled);
-        assert_eq!(r.db.len_of(Predicate::new("tc", 2)), 0);
     }
 }

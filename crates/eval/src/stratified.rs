@@ -3,14 +3,13 @@
 //! strata, whose predicates are complete when the stratum runs — this
 //! computes the perfect model of a stratified program.
 //!
-//! Under a budget or cancellation the run may stop between (or inside)
-//! strata. `strata_completed` records how many strata finished: facts of
-//! completed strata are exactly the perfect model restricted to those
-//! strata, facts of the stratum that was cut short are a sound subset
-//! (its negative premises only read completed lower strata), and higher
-//! strata contribute nothing — a partial stratified result is never
-//! silently presented as the full perfect model because `completion`
-//! reports the trip.
+//! Under a budget the run may stop between (or inside) strata.
+//! `strata_completed` records how many strata finished: facts of completed
+//! strata are exactly the perfect model restricted to those strata, facts
+//! of the stratum that was cut short are a sound subset (its negative
+//! premises only read completed lower strata), and higher strata contribute
+//! nothing — a partial stratified result is never silently presented as the
+//! full perfect model because `completion` reports the trip.
 
 use crate::error::EvalError;
 use crate::govern::Completion;
@@ -29,7 +28,7 @@ pub struct StratifiedResult {
     /// Number of strata in the program.
     pub strata: usize,
     /// Number of strata that ran to their full per-stratum fixpoint. Equals
-    /// `strata` when `completion` is `Complete`; on a budget/cancel stop it
+    /// `strata` when `completion` is `Complete`; on a budget stop it
     /// is a (conservative) count of the strata whose facts are final.
     pub strata_completed: usize,
     /// Whether the perfect model was fully computed.

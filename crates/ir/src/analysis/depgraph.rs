@@ -85,31 +85,6 @@ impl DepGraph {
             })
         })
     }
-
-    /// The set of predicates from which `start` is reachable — i.e. every
-    /// predicate the evaluation of `start` may depend on (including itself).
-    pub fn reachable_from(&self, start: Predicate) -> Vec<Predicate> {
-        let Some(s) = self.vertex(start) else {
-            return vec![start];
-        };
-        let mut seen = vec![false; self.len()];
-        let mut stack = vec![s];
-        seen[s] = true;
-        while let Some(v) = stack.pop() {
-            for &(w, _) in &self.succs[v] {
-                if !seen[w] {
-                    seen[w] = true;
-                    stack.push(w);
-                }
-            }
-        }
-        self.vertices
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| seen[*i])
-            .map(|(_, p)| *p)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -159,17 +134,6 @@ mod tests {
         let pols: Vec<_> = g.edges().map(|e| e.polarity).collect();
         assert!(pols.contains(&Polarity::Positive));
         assert!(pols.contains(&Polarity::Negative));
-    }
-
-    #[test]
-    fn reachability_includes_self_and_dependencies() {
-        let g = DepGraph::build(&win_move());
-        let mut r = g.reachable_from(Predicate::new("win", 1));
-        r.sort();
-        assert_eq!(r.len(), 2);
-        // Unknown predicates reach only themselves.
-        let lone = g.reachable_from(Predicate::new("nowhere", 1));
-        assert_eq!(lone, vec![Predicate::new("nowhere", 1)]);
     }
 
     #[test]

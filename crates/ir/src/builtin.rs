@@ -12,7 +12,6 @@
 //! built-ins run once their arguments are ground.
 
 use crate::atom::Predicate;
-use crate::symbol::Symbol;
 use crate::term::Const;
 use std::cmp::Ordering;
 
@@ -42,11 +41,6 @@ impl Builtin {
             "geq" => Builtin::Geq,
             _ => return None,
         })
-    }
-
-    /// True iff `name/2` would be a built-in.
-    pub fn is_builtin_name(name: Symbol) -> bool {
-        Builtin::of(Predicate { name, arity: 2 }).is_some()
     }
 
     /// Evaluates the comparison on ground arguments.
@@ -92,8 +86,6 @@ mod tests {
         assert_eq!(Builtin::of(Predicate::new("lt", 1)), None);
         assert_eq!(Builtin::of(Predicate::new("lt", 3)), None);
         assert_eq!(Builtin::of(Predicate::new("edge", 2)), None);
-        assert!(Builtin::is_builtin_name(Symbol::intern("neq")));
-        assert!(!Builtin::is_builtin_name(Symbol::intern("par")));
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //!   executing queries and a per-tenant cap keeps one tenant's recursive
 //!   query storm from starving the rest; a bounded wait queue sheds
 //!   overload with `ERR BUSY retry-after-ms=<hint>`; each admitted query
-//!   runs under its session's [`Budget`]/[`CancelHandle`].
+//!   runs under the service's [`Budget`].
 //! * **Health** ([`health`]): when the durable writer poisons, the service
 //!   degrades to read-only (`ERR DEGRADED <reason>` on mutations, reads
 //!   keep serving the last published epoch) and a supervisor thread heals
@@ -33,7 +33,6 @@
 //! [`Epoch`]: epoch::Epoch
 //! [`DurableStore`]: alexander_durable::DurableStore
 //! [`Budget`]: alexander_eval::Budget
-//! [`CancelHandle`]: alexander_eval::CancelHandle
 
 pub mod admission;
 pub mod epoch;

@@ -143,7 +143,7 @@ pub struct QueryResponse {
     pub strategy: Strategy,
     /// Sorted, deduplicated ground answers, rendered as atom text.
     pub answers: Vec<String>,
-    /// False when a budget/cancellation stopped evaluation early; the
+    /// False when the service's budget stopped evaluation early; the
     /// answers are then a sound subset.
     pub complete: bool,
     /// Human-readable completion state (`"complete"`, `"budget exhausted

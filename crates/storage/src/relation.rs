@@ -559,16 +559,6 @@ impl Relation {
         self.find_id(hash_row(row), row)
     }
 
-    /// As [`Relation::id_of`], with the row's [`hash_row`] digest already
-    /// computed by the caller.
-    #[inline]
-    pub fn id_of_hashed(&self, h: u64, row: &[Const]) -> Option<u32> {
-        if row.len() != self.arity {
-            return None;
-        }
-        self.find_id(h, row)
-    }
-
     /// Membership test for a row slice.
     #[inline]
     pub fn contains_row(&self, row: &[Const]) -> bool {

@@ -34,5 +34,5 @@ pub mod sld;
 pub use front::TopdownError;
 pub use metrics::OldtMetrics;
 pub use oldt::{oldt_query, oldt_query_opts, OldtOptions, OldtResult};
-pub use qsqr::{qsqr_query, qsqr_query_opts, QsqrOptions, QsqrResult};
+pub use qsqr::{qsqr_query, qsqr_query_opts, QsqrResult};
 pub use sld::{sld_query, SldOptions, SldResult};

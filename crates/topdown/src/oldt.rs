@@ -22,7 +22,7 @@
 
 use crate::front::{Clauses, TopdownError};
 use crate::metrics::OldtMetrics;
-use alexander_eval::{Budget, CancelHandle, Completion, Governor};
+use alexander_eval::{Budget, Completion, Governor};
 use alexander_ir::analysis::stratify;
 use alexander_ir::{
     match_atom, Atom, FxHashMap, FxHashSet, Literal, Polarity, Predicate, Program, Subst, Term, Var,
@@ -37,11 +37,10 @@ pub struct OldtOptions {
     /// When off, bodies are only reordered as far as negation groundness
     /// requires (ablation E9).
     pub reorder: bool,
-    /// Resource limits. `max_facts` bounds tabled answers, `max_steps`
-    /// bounds resolution steps; rounds do not apply to OLDT.
+    /// Resource limits. `max_facts` bounds tabled answers and the
+    /// deadline is checked between resolution steps; rounds do not apply
+    /// to OLDT.
     pub budget: Budget,
-    /// Cooperative cancellation token, checked between resolution steps.
-    pub cancel: Option<CancelHandle>,
 }
 
 impl Default for OldtOptions {
@@ -49,7 +48,6 @@ impl Default for OldtOptions {
         OldtOptions {
             reorder: true,
             budget: Budget::UNLIMITED,
-            cancel: None,
         }
     }
 }
@@ -58,12 +56,6 @@ impl OldtOptions {
     /// Builder: attach a resource budget.
     pub fn with_budget(mut self, budget: Budget) -> OldtOptions {
         self.budget = budget;
-        self
-    }
-
-    /// Builder: attach a cancellation token.
-    pub fn with_cancel(mut self, cancel: CancelHandle) -> OldtOptions {
-        self.cancel = Some(cancel);
         self
     }
 }
@@ -80,7 +72,7 @@ pub struct OldtResult {
     pub answers_by_pred: FxHashMap<Predicate, u64>,
     /// Every table: its canonical call atom and its answer count.
     pub call_tables: Vec<(Atom, u64)>,
-    /// Whether resolution ran to exhaustion. On a budget/cancel stop the
+    /// Whether resolution ran to exhaustion. On a budget stop the
     /// `answers` are a sound subset of the complete answer set (every
     /// reported answer has a full derivation; negative conclusions are
     /// never drawn from tables the stop left incomplete).
@@ -258,12 +250,7 @@ impl<'a> Engine<'a> {
     /// complete derivations, so the partial result is sound.
     fn drain(&mut self) -> Result<(), TopdownError> {
         while let Some(node) = self.work.pop() {
-            if self.gov.check_interrupt().is_break()
-                || self
-                    .gov
-                    .check_steps(self.metrics.resolution_steps)
-                    .is_break()
-            {
+            if self.gov.check_interrupt().is_break() {
                 return Ok(());
             }
             self.step(node)?;
@@ -396,7 +383,7 @@ pub fn oldt_query_opts(
         work: Vec::new(),
         metrics: OldtMetrics::default(),
         reorder: opts.reorder,
-        gov: Governor::new(opts.budget, opts.cancel.clone()),
+        gov: Governor::new(opts.budget),
     };
 
     let answers = if clauses.idb.contains(&query.predicate()) {
@@ -595,21 +582,21 @@ mod tests {
     }
 
     #[test]
-    fn step_budget_yields_sound_answer_subset() {
+    fn fact_budget_yields_sound_answer_subset() {
         let parsed = parse(ANCESTOR).unwrap();
         let edb = Database::from_program(&parsed.program);
         let q = parse_atom("anc(X, Y)").unwrap();
         let full = oldt_query(&parsed.program, &edb, &q).unwrap();
         assert!(full.completion.is_complete());
-        for max in [1u64, 3, 8] {
+        for max in [0u64, 1, 3, 5] {
             let r = oldt_query_opts(
                 &parsed.program,
                 &edb,
                 &q,
-                OldtOptions::default().with_budget(Budget::default().with_max_steps(max)),
+                OldtOptions::default().with_budget(Budget::default().with_max_facts(max)),
             )
             .unwrap();
-            assert!(!r.completion.is_complete(), "max_steps {max}");
+            assert!(!r.completion.is_complete(), "max_facts {max}");
             for a in &r.answers {
                 assert!(full.answers.contains(a), "spurious answer {a}");
             }
@@ -636,26 +623,9 @@ mod tests {
     }
 
     #[test]
-    fn cancelled_query_reports_cancelled() {
-        let parsed = parse(ANCESTOR).unwrap();
-        let edb = Database::from_program(&parsed.program);
-        let handle = CancelHandle::default();
-        handle.cancel();
-        let r = oldt_query_opts(
-            &parsed.program,
-            &edb,
-            &parse_atom("anc(a, X)").unwrap(),
-            OldtOptions::default().with_cancel(handle),
-        )
-        .unwrap();
-        assert_eq!(r.completion, Completion::Cancelled);
-        assert!(r.answers.is_empty());
-    }
-
-    #[test]
     fn incomplete_negation_tables_draw_no_negative_conclusions() {
-        // A tight budget stops while `reach`'s table is still incomplete;
-        // no `unreach` answer may be emitted from the partial table.
+        // Every budget short of the full tables stops while some table is
+        // still incomplete; no `unreach` answer may be emitted from the partial table.
         let src = "
             edge(s, a). edge(a, b). node(s). node(a). node(b). node(z).
             reach(X) :- edge(s, X).
@@ -665,16 +635,18 @@ mod tests {
         let parsed = parse(src).unwrap();
         let edb = Database::from_program(&parsed.program);
         let full = oldt_query(&parsed.program, &edb, &parse_atom("unreach(X)").unwrap()).unwrap();
-        for max in 1..20u64 {
+        let tabled: u64 = full.tables().map(|(_, n)| n).sum();
+        for max in 0..tabled {
             let r = oldt_query_opts(
                 &parsed.program,
                 &edb,
                 &parse_atom("unreach(X)").unwrap(),
-                OldtOptions::default().with_budget(Budget::default().with_max_steps(max)),
+                OldtOptions::default().with_budget(Budget::default().with_max_facts(max)),
             )
             .unwrap();
+            assert!(!r.completion.is_complete(), "max_facts {max}");
             for a in &r.answers {
-                assert!(full.answers.contains(a), "unsound {a} at max_steps {max}");
+                assert!(full.answers.contains(a), "unsound {a} at max_facts {max}");
             }
         }
     }

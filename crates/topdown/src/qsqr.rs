@@ -35,37 +35,13 @@
 
 use crate::front::{Clauses, TopdownError};
 use crate::metrics::OldtMetrics;
-use alexander_eval::{Budget, CancelHandle, Completion, Governor};
+use alexander_eval::{Budget, Completion, Governor};
 use alexander_ir::{
     Adornment, Atom, Bf, Builtin, Const, FxHashMap, FxHashSet, Polarity, Predicate, Program, Subst,
     Term,
 };
 use alexander_storage::{Database, Tuple};
 use alexander_transform::sip_order;
-
-/// Options for the QSQR engine.
-#[derive(Clone, Debug, Default)]
-pub struct QsqrOptions {
-    /// Resource limits. `max_facts` bounds tabled answers, `max_steps`
-    /// bounds resolution steps, `max_rounds` bounds global restarts.
-    pub budget: Budget,
-    /// Cooperative cancellation token, checked between resolution steps.
-    pub cancel: Option<CancelHandle>,
-}
-
-impl QsqrOptions {
-    /// Builder: attach a resource budget.
-    pub fn with_budget(mut self, budget: Budget) -> QsqrOptions {
-        self.budget = budget;
-        self
-    }
-
-    /// Builder: attach a cancellation token.
-    pub fn with_cancel(mut self, cancel: CancelHandle) -> QsqrOptions {
-        self.cancel = Some(cancel);
-        self
-    }
-}
 
 /// The result of a QSQR run.
 #[derive(Clone, Debug)]
@@ -79,7 +55,7 @@ pub struct QsqrResult {
     pub answers_by_pred: FxHashMap<(Predicate, String), u64>,
     /// Number of global restarts until the tables stabilised.
     pub restarts: u64,
-    /// Whether the tables stabilised. On a budget/cancel stop the answers
+    /// Whether the tables stabilised. On a budget stop the answers
     /// are a subset of the complete run's answers (the engine derives
     /// answers in the same deterministic order and only adds, never
     /// retracts, so an early stop is a prefix of the full derivation).
@@ -173,12 +149,7 @@ impl<'a> Engine<'a> {
         if self.stopped {
             return true;
         }
-        if self.gov.check_interrupt().is_break()
-            || self
-                .gov
-                .check_steps(self.metrics.resolution_steps)
-                .is_break()
-        {
+        if self.gov.check_interrupt().is_break() {
             self.stopped = true;
         }
         self.stopped
@@ -453,15 +424,17 @@ pub fn qsqr_query(
     edb: &Database,
     query: &Atom,
 ) -> Result<QsqrResult, TopdownError> {
-    qsqr_query_opts(program, edb, query, QsqrOptions::default())
+    qsqr_query_opts(program, edb, query, Budget::UNLIMITED)
 }
 
-/// [`qsqr_query`] with explicit options.
+/// [`qsqr_query`] under a resource budget: `max_facts` bounds tabled
+/// answers, `max_rounds` bounds global restarts, and the deadline is
+/// checked between resolution steps.
 pub fn qsqr_query_opts(
     program: &Program,
     edb: &Database,
     query: &Atom,
-    opts: QsqrOptions,
+    budget: Budget,
 ) -> Result<QsqrResult, TopdownError> {
     let clauses = Clauses::new(program, edb)?;
     if clauses.negated_idb.is_some() {
@@ -476,7 +449,7 @@ pub fn qsqr_query_opts(
         in_progress: FxHashSet::default(),
         metrics: OldtMetrics::default(),
         changed: false,
-        gov: Governor::new(opts.budget, opts.cancel.clone()),
+        gov: Governor::new(budget),
         stopped: false,
     };
 
@@ -644,21 +617,21 @@ mod tests {
     }
 
     #[test]
-    fn step_budget_yields_sound_answer_subset() {
+    fn fact_budget_yields_sound_answer_subset() {
         let parsed = parse(ANCESTOR).unwrap();
         let edb = Database::from_program(&parsed.program);
         let q = parse_atom("anc(X, Y)").unwrap();
         let full = qsqr_query(&parsed.program, &edb, &q).unwrap();
         assert!(full.completion.is_complete());
-        for max in [1u64, 3, 8] {
+        for max in [0u64, 1, 3, 5] {
             let r = qsqr_query_opts(
                 &parsed.program,
                 &edb,
                 &q,
-                QsqrOptions::default().with_budget(Budget::default().with_max_steps(max)),
+                Budget::default().with_max_facts(max),
             )
             .unwrap();
-            assert!(!r.completion.is_complete(), "max_steps {max}");
+            assert!(!r.completion.is_complete(), "max_facts {max}");
             for a in &r.answers {
                 assert!(full.answers.contains(a), "spurious answer {a}");
             }
@@ -681,28 +654,11 @@ mod tests {
             &parsed.program,
             &edb,
             &parse_atom("tc(a, X)").unwrap(),
-            QsqrOptions::default().with_budget(Budget::default().with_max_rounds(1)),
+            Budget::default().with_max_rounds(1),
         )
         .unwrap();
         assert_eq!(r.restarts, 1);
         assert!(!r.completion.is_complete());
-    }
-
-    #[test]
-    fn cancelled_query_reports_cancelled() {
-        let parsed = parse(ANCESTOR).unwrap();
-        let edb = Database::from_program(&parsed.program);
-        let handle = CancelHandle::default();
-        handle.cancel();
-        let r = qsqr_query_opts(
-            &parsed.program,
-            &edb,
-            &parse_atom("anc(a, X)").unwrap(),
-            QsqrOptions::default().with_cancel(handle),
-        )
-        .unwrap();
-        assert_eq!(r.completion, Completion::Cancelled);
-        assert!(r.answers.is_empty());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! every strategy, at 1 and 4 threads, in time proportional to the budget —
 //! never the (much larger) time of the full fixpoint.
 
-use alexander_core::eval::{Budget, Completion};
+use alexander_core::eval::Budget;
 use alexander_core::{Engine, Strategy};
 use alexander_parser::parse_atom;
 use std::fmt::Write as _;
@@ -108,27 +108,6 @@ fn wall_clock_deadline_cuts_a_deep_fixpoint_short() {
 }
 
 #[test]
-fn cancellation_from_another_thread_stops_a_running_query() {
-    let src = big_cycle_source(900);
-    let query = parse_atom("tc(n0, Y)").unwrap();
-    let mut engine = Engine::from_source(&src).unwrap();
-    let handle = engine.cancel_handle();
-    let canceller = std::thread::spawn(move || {
-        std::thread::sleep(Duration::from_millis(40));
-        handle.cancel();
-    });
-    let started = Instant::now();
-    let result = engine.query(&query, Strategy::SemiNaive).unwrap();
-    let elapsed = started.elapsed();
-    canceller.join().unwrap();
-    assert_eq!(result.report.completion, Completion::Cancelled);
-    assert!(
-        elapsed < Duration::from_millis(500),
-        "cancelled query still ran for {elapsed:?}"
-    );
-}
-
-#[test]
 fn budget_consumption_is_reported() {
     let src = cross_product_source(8);
     let query = parse_atom("p(X, Y, Z, W)").unwrap();
@@ -137,18 +116,15 @@ fn budget_consumption_is_reported() {
         .with_budget(Budget::default().with_max_facts(100));
     let result = engine.query(&query, Strategy::SemiNaive).unwrap();
     assert!(!result.report.completion.is_complete());
-    assert_eq!(result.report.consumed.facts, 100, "claims are exact");
-    assert!(result.report.consumed.steps >= result.report.consumed.facts);
+    let metrics = result.report.eval.expect("bottom-up run reports metrics");
+    assert_eq!(metrics.new_facts, 100, "claims are exact");
+    assert!(metrics.firings >= metrics.new_facts);
     let shown = result.report.to_string();
     assert!(shown.contains("PARTIAL"), "{shown}");
 
     // The report carries the plan-compilation statistics to prove the run
     // went through compiled plans.
-    let stats = result
-        .report
-        .eval
-        .expect("bottom-up run reports metrics")
-        .exec;
+    let stats = metrics.exec;
     assert!(stats.plans_compiled > 0, "no plans cached: {stats:?}");
     assert!(stats.blocks_executed > 0, "no blocks executed: {stats:?}");
     assert!(stats.rows_per_block() > 0.0, "{stats:?}");
@@ -192,7 +168,12 @@ fn blocked_budget_trip_is_exact_and_identical_across_thread_counts() {
             "@ {threads} threads"
         );
         assert_eq!(
-            result.report.consumed.facts, 100,
+            result
+                .report
+                .eval
+                .expect("bottom-up run reports metrics")
+                .new_facts,
+            100,
             "@ {threads} threads: claims are exact"
         );
         assert_eq!(
