@@ -20,12 +20,12 @@ pub fn run_sized(n: usize) -> Table {
     edb.merge(&{
         let mut d = alexander_storage::Database::new();
         for i in 0..n / 2 {
-            d.insert(
+            d.insert_row(
                 alexander_ir::Predicate::new("par", 2),
-                alexander_storage::Tuple::new(vec![
+                &[
                     alexander_ir::Const::sym(&format!("m{i}")),
                     alexander_ir::Const::sym(&format!("m{}", i + 1)),
-                ]),
+                ],
             );
         }
         d

@@ -26,7 +26,7 @@ use alexander_eval::{eval_conditional, eval_stratified};
 use alexander_ir::analysis::stratify;
 use alexander_ir::{Predicate, Program};
 use alexander_parser::{parse, parse_atom};
-use alexander_storage::{Database, Tuple};
+use alexander_storage::Database;
 use alexander_transform::{magic_sets, query_answers, SipOptions};
 use alexander_workload::node;
 
@@ -47,14 +47,14 @@ fn source_program() -> Program {
 /// `block_every` in `t` (via b2, extended along a short f-chain).
 fn edb(n: usize, block_every: usize) -> Database {
     let mut db = alexander_workload::chain("e", n);
-    db.insert(Predicate::new("b1", 1), Tuple::new(vec![node(0)]));
+    db.insert_row(Predicate::new("b1", 1), &[node(0)]);
     for i in (block_every..=n).step_by(block_every) {
-        db.insert(Predicate::new("b2", 1), Tuple::new(vec![node(i)]));
+        db.insert_row(Predicate::new("b2", 1), &[node(i)]);
     }
     // A few f edges so t's recursion is exercised too.
-    db.insert(
+    db.insert_row(
         Predicate::new("f", 2),
-        Tuple::new(vec![node(block_every), node(block_every + 1)]),
+        &[node(block_every), node(block_every + 1)],
     );
     db
 }

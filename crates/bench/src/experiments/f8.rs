@@ -25,7 +25,7 @@ use crate::table::{ms, timed, Table};
 use alexander_durable::{read_snapshot, write_snapshot, DurableEngine};
 use alexander_ir::{Const, Predicate, Program, Symbol};
 use alexander_parser::parse;
-use alexander_storage::{row_atom, Database, Tuple};
+use alexander_storage::{row_atom, Database};
 use alexander_workload as workload;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -104,12 +104,9 @@ fn reach_row(nodes: usize, edges: usize, reps: usize) -> Vec<String> {
 
     let mut base = Database::new();
     for row in &all_rows[..split] {
-        base.insert(edge_pred, Tuple::new(row.clone()));
+        base.insert_row(edge_pred, row);
     }
-    base.insert(
-        Predicate::new("src", 1),
-        Tuple::new(vec![workload::node(0)]),
-    );
+    base.insert_row(Predicate::new("src", 1), &[workload::node(0)]);
     let edb_facts = base.total_tuples() + tail;
 
     // Build the on-disk pair: create (initial snapshot), then the tail as
@@ -135,12 +132,9 @@ fn reach_row(nodes: usize, edges: usize, reps: usize) -> Vec<String> {
     let full_edb = {
         let mut db = Database::new();
         for row in &all_rows {
-            db.insert(edge_pred, Tuple::new(row.clone()));
+            db.insert_row(edge_pred, row);
         }
-        db.insert(
-            Predicate::new("src", 1),
-            Tuple::new(vec![workload::node(0)]),
-        );
+        db.insert_row(Predicate::new("src", 1), &[workload::node(0)]);
         db
     };
     drop(rec0);

@@ -22,10 +22,31 @@
 //!
 //! Nothing outside F6 and that differential test should use this module.
 
-use alexander_eval::join::{CompiledRule, Pat};
+use alexander_eval::join::{AtomPat, CompiledRule, Pat};
 use alexander_eval::{compile_rule, EvalMetrics};
 use alexander_ir::{Const, FxHashMap, Polarity, Predicate, Program};
-use alexander_storage::{Database, Mask, Tuple};
+use alexander_storage::{Database, Mask};
+
+/// A stored row in the legacy layout: boxed on its own, hashed and compared
+/// as a slice.
+type BoxedRow = Box<[Const]>;
+
+/// The constants of `row` at `columns` (an index key, materialised).
+fn project(row: &[Const], columns: &[usize]) -> Vec<Const> {
+    columns.iter().map(|&c| row[c]).collect()
+}
+
+/// `pat` instantiated under a partial binding array; `None` if any slot is
+/// unbound.
+fn instantiate(pat: &AtomPat, bind: &[Option<Const>]) -> Option<BoxedRow> {
+    pat.args
+        .iter()
+        .map(|p| match p {
+            Pat::Const(c) => Some(*c),
+            Pat::Var(v) => bind[*v as usize],
+        })
+        .collect()
+}
 
 /// One secondary index: key = constants at the mask's columns, value = ids
 /// of matching tuples (the boxed-key scheme the arena rewrite replaced).
@@ -40,8 +61,8 @@ struct Index {
 /// boxed-key indexes maintained incrementally on insert.
 #[derive(Clone, Default)]
 pub struct LegacyRelation {
-    by_id: Vec<Tuple>,
-    ids: FxHashMap<Tuple, u32>,
+    by_id: Vec<BoxedRow>,
+    ids: FxHashMap<BoxedRow, u32>,
     indexes: FxHashMap<Mask, Index>,
 }
 
@@ -50,13 +71,13 @@ impl LegacyRelation {
         self.by_id.len()
     }
 
-    fn insert(&mut self, t: Tuple) -> bool {
+    fn insert(&mut self, t: BoxedRow) -> bool {
         if self.ids.contains_key(&t) {
             return false;
         }
         let id = u32::try_from(self.by_id.len()).expect("relation overflow");
         for index in self.indexes.values_mut() {
-            let key = t.project(&index.columns);
+            let key = project(&t, &index.columns);
             index.map.entry(key).or_default().push(id);
         }
         self.ids.insert(t.clone(), id);
@@ -64,7 +85,7 @@ impl LegacyRelation {
         true
     }
 
-    fn contains(&self, t: &Tuple) -> bool {
+    fn contains(&self, t: &[Const]) -> bool {
         self.ids.contains_key(t)
     }
 
@@ -75,7 +96,7 @@ impl LegacyRelation {
         let columns: Vec<usize> = mask.columns().collect();
         let mut map: FxHashMap<Vec<Const>, Vec<u32>> = FxHashMap::default();
         for (id, t) in self.by_id.iter().enumerate() {
-            map.entry(t.project(&columns)).or_default().push(id as u32);
+            map.entry(project(t, &columns)).or_default().push(id as u32);
         }
         self.indexes.insert(mask, Index { columns, map });
     }
@@ -106,13 +127,13 @@ impl LegacyDb {
         let mut out = LegacyDb::default();
         for (pred, rel) in db.iter() {
             for row in rel.iter() {
-                out.insert(pred, Tuple::new(row));
+                out.insert(pred, row.into());
             }
         }
         out
     }
 
-    fn insert(&mut self, pred: Predicate, t: Tuple) -> bool {
+    fn insert(&mut self, pred: Predicate, t: BoxedRow) -> bool {
         self.relations.entry(pred).or_default().insert(t)
     }
 
@@ -120,7 +141,7 @@ impl LegacyDb {
         self.relations.get(&pred)
     }
 
-    fn contains(&self, pred: Predicate, t: &Tuple) -> bool {
+    fn contains(&self, pred: Predicate, t: &[Const]) -> bool {
         self.relation(pred).is_some_and(|r| r.contains(t))
     }
 
@@ -133,12 +154,12 @@ impl LegacyDb {
         self.relations.values().map(|r| r.len() as u64).sum()
     }
 
-    /// Every stored `(predicate, tuple)` pair, for differential tests that
+    /// Every stored `(predicate, row)` pair, for differential tests that
     /// compare this engine's model against the arena engine's.
-    pub fn iter(&self) -> impl Iterator<Item = (Predicate, &Tuple)> {
+    pub fn iter(&self) -> impl Iterator<Item = (Predicate, &[Const])> {
         self.relations
             .iter()
-            .flat_map(|(&p, r)| r.by_id.iter().map(move |t| (p, t)))
+            .flat_map(|(&p, r)| r.by_id.iter().map(move |t| (p, &t[..])))
     }
 
     fn ensure_index(&mut self, pred: Predicate, mask: Mask) {
@@ -172,12 +193,10 @@ fn descend(
     depth: usize,
     bind: &mut Vec<Option<Const>>,
     metrics: &mut EvalMetrics,
-    emit: &mut dyn FnMut(Tuple, &mut EvalMetrics),
+    emit: &mut dyn FnMut(BoxedRow, &mut EvalMetrics),
 ) {
     if depth == rule.body.len() {
-        let head = rule
-            .head
-            .to_tuple(bind)
+        let head = instantiate(&rule.head, bind)
             .expect("safety guarantees a ground head after a full body match");
         emit(head, metrics);
         return;
@@ -186,12 +205,9 @@ fn descend(
     let lit = &rule.body[depth];
 
     if let Some(b) = alexander_ir::Builtin::of(lit.atom.pred) {
-        let t = lit
-            .atom
-            .to_tuple(bind)
-            .expect("ordering guarantees ground built-ins");
+        let t = instantiate(&lit.atom, bind).expect("ordering guarantees ground built-ins");
         metrics.probes += 1;
-        let holds = b.eval(t.get(0), t.get(1));
+        let holds = b.eval(t[0], t[1]);
         if holds == (lit.polarity == Polarity::Positive) {
             descend(rule, total, delta, depth + 1, bind, metrics, emit);
         }
@@ -200,10 +216,8 @@ fn descend(
 
     match lit.polarity {
         Polarity::Negative => {
-            let t = lit
-                .atom
-                .to_tuple(bind)
-                .expect("ordering guarantees ground negative literals");
+            let t =
+                instantiate(&lit.atom, bind).expect("ordering guarantees ground negative literals");
             metrics.probes += 1;
             if !total.contains(lit.atom.pred, &t) {
                 descend(rule, total, delta, depth + 1, bind, metrics, emit);
@@ -219,16 +233,16 @@ fn descend(
             };
             metrics.probes += 1;
             let match_candidate =
-                |t: &Tuple,
+                |t: &[Const],
                  bind: &mut Vec<Option<Const>>,
                  metrics: &mut EvalMetrics,
-                 emit: &mut dyn FnMut(Tuple, &mut EvalMetrics)| {
+                 emit: &mut dyn FnMut(BoxedRow, &mut EvalMetrics)| {
                     let mut trail: Vec<u32> = Vec::new();
                     let mut ok = true;
                     for (i, p) in lit.atom.args.iter().enumerate() {
                         match p {
                             Pat::Const(c) => {
-                                if t.get(i) != *c {
+                                if t[i] != *c {
                                     ok = false;
                                     break;
                                 }
@@ -237,13 +251,13 @@ fn descend(
                                 let v = *v as usize;
                                 match bind[v] {
                                     Some(c) => {
-                                        if t.get(i) != c {
+                                        if t[i] != c {
                                             ok = false;
                                             break;
                                         }
                                     }
                                     None => {
-                                        bind[v] = Some(t.get(i));
+                                        bind[v] = Some(t[i]);
                                         trail.push(v as u32);
                                     }
                                 }
@@ -308,8 +322,8 @@ pub fn eval_seminaive_legacy(program: &Program, edb: &Database) -> LegacyResult 
 
     let mut db = LegacyDb::from_database(edb);
     for f in &program.facts {
-        let t = Tuple::from_atom(f).expect("validated facts are ground");
-        db.insert(f.predicate(), t);
+        let t = f.ground_args().expect("validated facts are ground");
+        db.insert(f.predicate(), t.into());
     }
 
     let mut metrics = EvalMetrics::default();

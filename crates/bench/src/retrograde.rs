@@ -83,12 +83,11 @@ pub fn solve(db: &Database, move_pred: Predicate) -> GameLabels {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use alexander_storage::tuple_of_syms;
 
     fn db_of(edges: &[(&str, &str)]) -> Database {
         let mut db = Database::new();
         for (a, b) in edges {
-            db.insert(Predicate::new("move", 2), tuple_of_syms(&[a, b]));
+            db.insert_row(Predicate::new("move", 2), &[Const::sym(a), Const::sym(b)]);
         }
         db
     }

@@ -795,12 +795,9 @@ seth,enos
         let mut db = Database::new();
         let par = alexander_ir::Predicate::new("par", 2);
         for (a, b) in [("adam", "seth"), ("seth", "enos")] {
-            db.insert(
+            db.insert_row(
                 par,
-                alexander_storage::Tuple::new(vec![
-                    alexander_ir::Const::sym(a),
-                    alexander_ir::Const::sym(b),
-                ]),
+                &[alexander_ir::Const::sym(a), alexander_ir::Const::sym(b)],
             );
         }
         alexander_durable::write_snapshot(&db, &snap).unwrap();
@@ -834,12 +831,12 @@ seth,enos
         // then delete par(adam, seth) — recovery must honour both.
         let mut db = Database::new();
         let par = alexander_ir::Predicate::new("par", 2);
-        db.insert(
+        db.insert_row(
             par,
-            alexander_storage::Tuple::new(vec![
+            &[
                 alexander_ir::Const::sym("adam"),
                 alexander_ir::Const::sym("seth"),
-            ]),
+            ],
         );
         alexander_durable::write_snapshot(&db, &snap).unwrap();
         let mut w = alexander_durable::Wal::create(&wal).unwrap();

@@ -280,15 +280,14 @@ pub fn read_snapshot(path: &Path) -> Result<Database, DurableError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use alexander_storage::Tuple;
 
     fn sample() -> Database {
         let mut db = Database::new();
         let e = Predicate::new("edge", 2);
-        db.insert(e, Tuple::new(vec![Const::sym("a"), Const::sym("b")]));
-        db.insert(e, Tuple::new(vec![Const::sym("b"), Const::int(-7)]));
-        db.insert(Predicate::new("flag", 0), Tuple::new(Vec::new()));
-        db.insert(Predicate::new("n", 1), Tuple::new(vec![Const::int(42)]));
+        db.insert_row(e, &[Const::sym("a"), Const::sym("b")]);
+        db.insert_row(e, &[Const::sym("b"), Const::int(-7)]);
+        db.insert_row(Predicate::new("flag", 0), &[]);
+        db.insert_row(Predicate::new("n", 1), &[Const::int(42)]);
         db
     }
 

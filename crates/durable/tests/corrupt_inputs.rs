@@ -11,7 +11,7 @@
 
 use alexander_durable::{decode_snapshot, decode_wal, encode_snapshot, DurableError, Wal};
 use alexander_ir::{Const, Predicate};
-use alexander_storage::{Database, Tuple};
+use alexander_storage::Database;
 use proptest::prelude::*;
 use std::path::Path;
 
@@ -19,12 +19,9 @@ fn sample_db(rows: &[(i64, i64)]) -> Database {
     let mut db = Database::new();
     let e = Predicate::new("edge", 2);
     for &(a, b) in rows {
-        db.insert(e, Tuple::new(vec![Const::int(a), Const::int(b)]));
+        db.insert_row(e, &[Const::int(a), Const::int(b)]);
     }
-    db.insert(
-        Predicate::new("label", 1),
-        Tuple::new(vec![Const::sym("seed")]),
-    );
+    db.insert_row(Predicate::new("label", 1), &[Const::sym("seed")]);
     db
 }
 

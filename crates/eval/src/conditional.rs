@@ -403,9 +403,8 @@ pub fn eval_conditional_opts(
 mod tests {
     use super::*;
     use crate::stratified::eval_stratified;
-    use alexander_ir::Predicate;
+    use alexander_ir::{Const, Predicate};
     use alexander_parser::parse;
-    use alexander_storage::tuple_of_syms;
 
     fn run(src: &str) -> ConditionalResult {
         let parsed = parse(src).unwrap();
@@ -456,7 +455,7 @@ mod tests {
             win(X) :- move(X, Y), !win(Y).
         ");
         let win = Predicate::new("win", 1);
-        assert!(r.db.relation(win).unwrap().contains(&tuple_of_syms(&["c"])));
+        assert!(r.db.relation(win).unwrap().contains_row(&[Const::sym("c")]));
         assert_eq!(r.undefined.len(), 2); // win(a), win(b)
     }
 
@@ -552,6 +551,6 @@ mod tests {
             .db
             .relation(p)
             .unwrap()
-            .contains(&tuple_of_syms(&["c", "a"])));
+            .contains_row(&[Const::sym("c"), Const::sym("a")]));
     }
 }

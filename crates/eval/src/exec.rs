@@ -478,13 +478,17 @@ mod tests {
     use crate::join::{compile_rule, compile_rule_seeded, CompiledRule, DeltaSource};
     use crate::plan::compile_plan;
     use alexander_ir::{atom, match_atom, Atom, Builtin, Literal, Predicate, Rule, Subst, Term};
-    use alexander_storage::{tuple_of_syms, DeltaSpans, Mask, Tuple};
+    use alexander_storage::{row_atom, DeltaSpans, Mask};
+
+    fn syms(names: &[&str]) -> Vec<Const> {
+        names.iter().map(|n| Const::sym(n)).collect()
+    }
 
     fn edb() -> Database {
         let mut db = Database::new();
         let e = Predicate::new("e", 2);
         for (a, b) in [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")] {
-            db.insert(e, tuple_of_syms(&[a, b]));
+            db.insert_row(e, &syms(&[a, b]));
         }
         db
     }
@@ -560,7 +564,7 @@ mod tests {
             } else {
                 for row in rows_of(input, i, inst.predicate()) {
                     let mut s2 = s.clone();
-                    if match_atom(&inst, &Tuple::new(row).to_atom(inst.pred), &mut s2) {
+                    if match_atom(&inst, &row_atom(inst.pred, row), &mut s2) {
                         go(r, input, i + 1, &s2, out);
                     }
                 }
@@ -578,10 +582,14 @@ mod tests {
         rule: &CompiledRule,
         input: &JoinInput<'_>,
         pinned: (u64, u64, u64),
-    ) -> Vec<Tuple> {
-        let want: Vec<Tuple> = brute_force(rule, input)
+    ) -> Vec<Vec<Const>> {
+        let want: Vec<Vec<Const>> = brute_force(rule, input)
             .iter()
-            .map(|s| Tuple::from_atom(&s.apply_atom(&rule.source.head)).expect("ground head"))
+            .map(|s| {
+                s.apply_atom(&rule.source.head)
+                    .ground_args()
+                    .expect("ground head")
+            })
             .collect();
         let plan = compile_plan(rule);
         let mut m = EvalMetrics::default();
@@ -593,7 +601,7 @@ mod tests {
             &mut m,
             &mut |h, row| {
                 assert_eq!(h, hash_row(row), "sink digest must be the row hash");
-                out.push(Tuple::new(row));
+                out.push(row.to_vec());
                 Emitted::New
             },
         );
@@ -611,10 +619,7 @@ mod tests {
         // Unindexed: the second literal is a filtered scan per binding, so
         // every probe charges the whole relation (4 + 4 × 4).
         let out = assert_matches_reference(&composition_rule(), &JoinInput::naive(&db), (5, 20, 2));
-        assert_eq!(
-            out,
-            [tuple_of_syms(&["a", "c"]), tuple_of_syms(&["b", "d"])]
-        );
+        assert_eq!(out, [syms(&["a", "c"]), syms(&["b", "d"])]);
     }
 
     #[test]
@@ -624,18 +629,14 @@ mod tests {
         let mut db = edb();
         db.ensure_index(e, Mask::of_columns(&[0]));
         let mut fresh = Database::new();
-        fresh.insert(e, tuple_of_syms(&["d", "q"]));
+        fresh.insert_row(e, &[Const::sym("d"), Const::sym("q")]);
         db.merge(&fresh);
         let spans = DeltaSpans::after_merge(&db, &fresh);
         for (delta_pos, pinned, want) in [
             // d->q joined with q->? : nothing.
             (0, (2, 1, 0), vec![]),
             // ?->d joined with the delta d->q.
-            (
-                1,
-                (6, 7, 2),
-                vec![tuple_of_syms(&["c", "q"]), tuple_of_syms(&["a", "q"])],
-            ),
+            (1, (6, 7, 2), vec![syms(&["c", "q"]), syms(&["a", "q"])]),
         ] {
             let input = JoinInput {
                 delta: Some((delta_pos, DeltaSource::Spans(&spans))),
@@ -649,13 +650,13 @@ mod tests {
     fn delta_database_restricts_one_literal() {
         let db = edb();
         let mut delta = Database::new();
-        delta.insert(Predicate::new("e", 2), tuple_of_syms(&["b", "c"]));
+        delta.insert_row(Predicate::new("e", 2), &[Const::sym("b"), Const::sym("c")]);
         let input = JoinInput {
             delta: Some((0, DeltaSource::Db(&delta))),
             ..JoinInput::naive(&db)
         };
         let out = assert_matches_reference(&composition_rule(), &input, (2, 5, 1));
-        assert_eq!(out, [tuple_of_syms(&["b", "d"])]);
+        assert_eq!(out, [syms(&["b", "d"])]);
     }
 
     #[test]
@@ -667,17 +668,17 @@ mod tests {
         );
         let db = edb();
         let out = assert_matches_reference(&r, &JoinInput::naive(&db), (1, 4, 2));
-        assert_eq!(out, [tuple_of_syms(&["b"]), tuple_of_syms(&["d"])]);
+        assert_eq!(out, [syms(&["b"]), syms(&["d"])]);
     }
 
     #[test]
     fn negation_builtin_and_repeated_variables() {
         let mut db = edb();
-        db.insert(Predicate::new("e", 2), tuple_of_syms(&["z", "z"]));
-        db.insert(Predicate::new("blocked", 1), tuple_of_syms(&["a"]));
+        db.insert_row(Predicate::new("e", 2), &[Const::sym("z"), Const::sym("z")]);
+        db.insert_row(Predicate::new("blocked", 1), &[Const::sym("a")]);
         // a is blocked, z->z fails neq: b and c survive.
         let out = assert_matches_reference(&filtered_rule(), &JoinInput::naive(&db), (10, 5, 2));
-        assert_eq!(out, [tuple_of_syms(&["b"]), tuple_of_syms(&["c"])]);
+        assert_eq!(out, [syms(&["b"]), syms(&["c"])]);
 
         // loop(X) :- e(X, X): repeated free variable inside one literal.
         let r = rule(
@@ -685,7 +686,7 @@ mod tests {
             vec![Literal::pos(atom("e", [var("X"), var("X")]))],
         );
         let out = assert_matches_reference(&r, &JoinInput::naive(&db), (1, 5, 1));
-        assert_eq!(out, [tuple_of_syms(&["z"])]);
+        assert_eq!(out, [syms(&["z"])]);
     }
 
     #[test]
@@ -706,7 +707,7 @@ mod tests {
         let d = Predicate::new("d", 1);
         let mut db = Database::new();
         for i in 0..70 {
-            db.insert(d, Tuple::new(vec![Const::int(i)]));
+            db.insert_row(d, &[Const::int(i)]);
         }
         // cross(X, Y) :- d(X), d(Y).   70 * 70 = 4900 > 4 * BLOCK_ROWS.
         let r = rule(
@@ -752,10 +753,10 @@ mod tests {
         // ok() :- d(X): an arity-0 head over a non-empty body.
         let d = Predicate::new("d", 1);
         let mut db = Database::new();
-        db.insert(d, Tuple::new(vec![Const::int(1)]));
+        db.insert_row(d, &[Const::int(1)]);
         let r = rule(atom("ok", []), vec![Literal::pos(atom("d", [var("X")]))]);
         let out = assert_matches_reference(&r, &JoinInput::naive(&db), (1, 1, 1));
-        assert_eq!(out, vec![Tuple::new(Vec::<Const>::new())]);
+        assert_eq!(out, vec![Vec::<Const>::new()]);
     }
 
     #[test]
@@ -815,8 +816,8 @@ mod tests {
         // record, in body order.
         let r = filtered_rule();
         let mut db = edb();
-        db.insert(Predicate::new("e", 2), tuple_of_syms(&["z", "z"]));
-        db.insert(Predicate::new("blocked", 1), tuple_of_syms(&["a"]));
+        db.insert_row(Predicate::new("e", 2), &[Const::sym("z"), Const::sym("z")]);
+        db.insert_row(Predicate::new("blocked", 1), &[Const::sym("a")]);
         let input = JoinInput::naive(&db);
         let want: Vec<Vec<Atom>> = brute_force(&r, &input)
             .iter()
@@ -848,10 +849,10 @@ mod tests {
         let plan = compile_plan(&seeded);
         let mut db = Database::new();
         for (a, b) in [("a", "b"), ("a", "c"), ("x", "y")] {
-            db.insert(Predicate::new("e", 2), tuple_of_syms(&[a, b]));
+            db.insert_row(Predicate::new("e", 2), &syms(&[a, b]));
         }
         for (a, b) in [("b", "d"), ("c", "d"), ("y", "w")] {
-            db.insert(Predicate::new("tc", 2), tuple_of_syms(&[a, b]));
+            db.insert_row(Predicate::new("tc", 2), &syms(&[a, b]));
         }
         crate::join::ensure_rule_indexes(&seeded, &mut db);
         (seeded, plan, db)
@@ -879,10 +880,9 @@ mod tests {
         let mut scratch = ExecScratch::new();
         let mut m = EvalMetrics::default();
         for plan in [&constant_head, &repeated_head] {
-            let fact = tuple_of_syms(&["a", "b"]);
             let flow = exec_plan_seeded(
                 plan,
-                fact.values(),
+                &syms(&["a", "b"]),
                 &JoinInput::naive(&db),
                 &mut scratch,
                 &mut m,
@@ -898,7 +898,7 @@ mod tests {
             let mut hits = 0;
             let flow = exec_plan_seeded(
                 plan,
-                tuple_of_syms(&fact).values(),
+                &syms(&fact),
                 &JoinInput::naive(&db),
                 &mut scratch,
                 &mut m,
@@ -922,7 +922,7 @@ mod tests {
             let mut witness = None;
             let flow = exec_plan_seeded(
                 &plan,
-                tuple_of_syms(&fact).values(),
+                &syms(&fact),
                 &input,
                 &mut scratch,
                 m,

@@ -187,7 +187,7 @@ impl IncrementalEngine {
     /// distinct rule firings currently deriving it; for any other stored
     /// fact, 1. Zero iff the fact is absent.
     pub fn support_of(&self, fact: &Atom) -> u64 {
-        let Some(row) = ground_row(fact) else {
+        let Some(row) = fact.ground_args() else {
             return 0;
         };
         match self.counts.get(&fact.predicate()) {
@@ -246,7 +246,7 @@ impl IncrementalEngine {
             if self.program.is_idb(pred) {
                 return Err(EvalError::IdbUpdate(pred));
             }
-            let row = ground_row(fact).ok_or_else(|| {
+            let row = fact.ground_args().ok_or_else(|| {
                 EvalError::Invalid(vec![alexander_ir::ProgramError::NonGroundFact {
                     fact: fact.to_string(),
                 }])
@@ -569,11 +569,6 @@ impl IncrementalEngine {
                 ) == Some(ControlFlow::Break(()))
         })
     }
-}
-
-/// The row of a ground atom; `None` if it has variables.
-fn ground_row(atom: &Atom) -> Option<Vec<Const>> {
-    atom.terms.iter().map(|t| t.as_const()).collect()
 }
 
 /// True iff none of `rule`'s body predicates has rows in `removed` — the

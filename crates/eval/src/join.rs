@@ -22,7 +22,7 @@
 use crate::govern::Governor;
 use crate::order::{order_for_evaluation, Unorderable};
 use alexander_ir::{Atom, Const, FxHashMap, Polarity, Predicate, Rule, Term, Var};
-use alexander_storage::{Database, DeltaSpans, Mask, Relation, Tuple};
+use alexander_storage::{Database, DeltaSpans, Mask, Relation};
 
 /// A compiled term: a constant or a variable slot.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -51,20 +51,6 @@ impl AtomPat {
             pred: self.pred.name,
             terms: terms.collect(),
         }
-    }
-
-    /// Instantiates the pattern under a partial binding array into a tuple;
-    /// `None` if any slot is unbound.
-    pub fn to_tuple(&self, bind: &[Option<Const>]) -> Option<Tuple> {
-        let vals: Option<Vec<Const>> = self
-            .args
-            .iter()
-            .map(|p| match p {
-                Pat::Const(c) => Some(*c),
-                Pat::Var(v) => bind[*v as usize],
-            })
-            .collect();
-        vals.map(Tuple::from)
     }
 }
 
@@ -340,7 +326,6 @@ pub fn ensure_rule_indexes(rule: &CompiledRule, db: &mut Database) {
 mod tests {
     use super::*;
     use alexander_ir::{atom, Literal};
-    use alexander_storage::tuple_of_syms;
 
     /// p(X, Y) :- e(X, Z), e(Z, Y).
     fn composition() -> Rule {
@@ -400,7 +385,7 @@ mod tests {
     fn ensure_rule_indexes_builds_probe_masks() {
         let c = compile_rule(&composition()).unwrap();
         let mut db = Database::new();
-        db.insert(Predicate::new("e", 2), tuple_of_syms(&["a", "b"]));
+        db.insert_row(Predicate::new("e", 2), &[Const::sym("a"), Const::sym("b")]);
         ensure_rule_indexes(&c, &mut db);
         assert!(db
             .relation(Predicate::new("e", 2))

@@ -119,8 +119,8 @@ pub fn eval_naive_opts(
 mod tests {
     use super::*;
     use crate::govern::Resource;
+    use alexander_ir::Const;
     use alexander_parser::parse;
-    use alexander_storage::tuple_of_syms;
 
     fn run(src: &str) -> EvalResult {
         let parsed = parse(src).unwrap();
@@ -141,7 +141,7 @@ mod tests {
             .db
             .relation(tc)
             .unwrap()
-            .contains(&tuple_of_syms(&["a", "d"])));
+            .contains_row(&[Const::sym("a"), Const::sym("d")]));
         assert!(r.completion.is_complete());
     }
 
@@ -169,7 +169,7 @@ mod tests {
             .db
             .relation(good)
             .unwrap()
-            .contains(&tuple_of_syms(&["a"])));
+            .contains_row(&[Const::sym("a")]));
     }
 
     #[test]

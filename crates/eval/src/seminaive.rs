@@ -427,7 +427,6 @@ mod tests {
     use crate::govern::{Budget, Completion, Resource};
     use crate::naive::eval_naive;
     use alexander_parser::parse;
-    use alexander_storage::tuple_of_syms;
 
     const TC: &str = "
         e(a, b). e(b, c). e(c, d). e(d, e5). e(e5, f).
@@ -479,7 +478,7 @@ mod tests {
             .db
             .relation(Predicate::new("tc", 2))
             .unwrap()
-            .contains(&tuple_of_syms(&["a", "d"])));
+            .contains_row(&[Const::sym("a"), Const::sym("d")]));
     }
 
     #[test]
@@ -570,7 +569,7 @@ mod tests {
     fn staging_sink_classifies_every_outcome() {
         let (p, q) = (Predicate::new("p", 1), Predicate::new("q", 1));
         let mut total = Database::new();
-        total.insert(p, tuple_of_syms(&["old"]));
+        total.insert_row(p, &[Const::sym("old")]);
 
         // Ungoverned, then governed with exactly the three new rows' worth
         // of budget: one classification.
@@ -689,9 +688,12 @@ mod tests {
         let mut edb = Database::new();
         let e = Predicate::new("e", 2);
         for i in 0..20 {
-            edb.insert(
+            edb.insert_row(
                 e,
-                tuple_of_syms(&[&format!("n{i}"), &format!("n{}", i + 1)]),
+                &[
+                    Const::sym(&format!("n{i}")),
+                    Const::sym(&format!("n{}", i + 1)),
+                ],
             );
         }
         let r = eval_seminaive(&parsed.program, &edb).unwrap();

@@ -99,9 +99,8 @@ pub fn eval_stratified_opts(
 mod tests {
     use super::*;
     use crate::govern::{Budget, Resource};
-    use alexander_ir::Predicate;
+    use alexander_ir::{Const, Predicate};
     use alexander_parser::parse;
-    use alexander_storage::tuple_of_syms;
 
     #[test]
     fn reach_unreach_two_strata() {
@@ -162,7 +161,7 @@ mod tests {
             .db
             .relation(Predicate::new("s2", 1))
             .unwrap()
-            .contains(&tuple_of_syms(&["a"])));
+            .contains_row(&[Const::sym("a")]));
     }
 
     #[test]

@@ -19,6 +19,13 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 
+/// Base of the retry-after hint a shed request carries, in milliseconds;
+/// [`Admission::admit`] scales it by queue depth.
+pub const RETRY_AFTER_BASE_MS: u64 = 25;
+
+/// Ceiling of the retry-after hint, in milliseconds.
+const RETRY_AFTER_MAX_MS: u64 = 10_000;
+
 #[derive(Debug, Default)]
 struct Counts {
     active: usize,
@@ -42,8 +49,6 @@ pub struct Admission {
     tenant_cap: usize,
     /// Waiters beyond this are shed with [`Busy`].
     max_queue: usize,
-    /// Base of the retry-after hint (scaled by queue depth).
-    retry_after_ms: u64,
     counts: Mutex<Counts>,
     freed: Condvar,
     shed: AtomicU64,
@@ -59,17 +64,10 @@ impl Admission {
             global_cap,
             tenant_cap: tenant_cap.clamp(1, global_cap),
             max_queue,
-            retry_after_ms: 25,
             counts: Mutex::new(Counts::default()),
             freed: Condvar::new(),
             shed: AtomicU64::new(0),
         }
-    }
-
-    /// Overrides the base retry-after hint (clamped to at least 1ms).
-    pub fn with_retry_after_ms(mut self, ms: u64) -> Admission {
-        self.retry_after_ms = ms.max(1);
-        self
     }
 
     /// Admits `tenant` or sheds. If a slot is free the call returns at once;
@@ -114,7 +112,7 @@ impl Admission {
     /// global-cap "rounds" of work are already queued ahead of it.
     fn retry_hint(&self, waiting: usize) -> u64 {
         let rounds = 1 + (waiting / self.global_cap) as u64;
-        (self.retry_after_ms * rounds).min(10_000)
+        (RETRY_AFTER_BASE_MS * rounds).min(RETRY_AFTER_MAX_MS)
     }
 
     /// Currently executing queries (all tenants).
@@ -281,16 +279,11 @@ mod tests {
 
     #[test]
     fn retry_hint_scales_with_queue_depth() {
-        let a = Admission::new(2, 2, 0).with_retry_after_ms(10);
-        assert_eq!(a.retry_hint(0), 10);
-        assert_eq!(a.retry_hint(2), 20);
-        assert_eq!(a.retry_hint(7), 40);
+        let a = Admission::new(2, 2, 0);
+        assert_eq!(a.retry_hint(0), RETRY_AFTER_BASE_MS);
+        assert_eq!(a.retry_hint(2), 2 * RETRY_AFTER_BASE_MS);
+        assert_eq!(a.retry_hint(7), 4 * RETRY_AFTER_BASE_MS);
         // Bounded: the hint never promises more than 10s of backoff.
-        assert_eq!(
-            Admission::new(1, 1, 0)
-                .with_retry_after_ms(9999)
-                .retry_hint(100),
-            10_000
-        );
+        assert_eq!(Admission::new(1, 1, 0).retry_hint(1_000), 10_000);
     }
 }

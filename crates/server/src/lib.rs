@@ -26,8 +26,8 @@
 //! * **Wire protocol** ([`proto`], [`net`]): a line-oriented text protocol
 //!   over TCP or a unix socket (`HELLO`/`QUERY`/`INSERT`/`DELETE`/`COMMIT`/
 //!   `EPOCH`/`HEALTH`/`PING`/`QUIT`), served by the `alexander serve`
-//!   subcommand — with per-session idle/write deadlines, bounded reply
-//!   buffers, and structured session teardown.
+//!   subcommand — with per-session idle/write deadlines, bounded request
+//!   lines and reply buffers, and structured session teardown.
 //!
 //! [`Engine`]: alexander_core::Engine
 //! [`Epoch`]: epoch::Epoch

@@ -9,14 +9,16 @@
 //! Sessions are defended against misbehaving peers: an idle timeout closes
 //! silent connections (and, separately, connections stalled mid-request), a
 //! per-write socket deadline disconnects clients that stop draining their
-//! replies, reply buffers are capped (an oversized answer becomes an `ERR`
-//! line, not unbounded memory), and a write failure (`EPIPE`, reset, timed
+//! replies, a request line is capped at [`MAX_REQUEST_LINE_BYTES`] (a longer
+//! one gets an `ERR` line and the session ends), reply buffers are capped at
+//! [`MAX_REPLY_BYTES`] (an oversized answer becomes an `ERR` line, not
+//! unbounded memory), and a write failure (`EPIPE`, reset, timed
 //! out) tears down *only* that session with a structured [`SessionEnd`]
 //! reason — one log line, no panic, no per-byte spam. [`NetStats`] counts
 //! every outcome so tests and operators can see what connections did.
 
 use crate::health::ServerState;
-use crate::proto::{err_line, parse_request, Request};
+use crate::proto::{err_line, parse_request, Request, MAX_REQUEST_LINE_BYTES};
 use crate::service::{QueryService, ServerError};
 use alexander_core::Strategy;
 use alexander_parser::parse_atom;
@@ -30,6 +32,10 @@ use std::time::{Duration, Instant};
 
 /// How often blocked reads/accepts re-check the shutdown flag.
 const POLL: Duration = Duration::from_millis(50);
+
+/// The largest reply a session buffers, in bytes; a larger one is replaced
+/// by a one-line `ERR`.
+pub const MAX_REPLY_BYTES: usize = 16 << 20;
 
 /// Why a session ended. `Quit`/`Eof`/`Shutdown` are clean; the rest are
 /// defects of the connection (and get exactly one log line each).
@@ -46,6 +52,9 @@ pub enum SessionEnd {
     /// A request line started but never finished within the idle timeout
     /// (half-open socket or a peer trickling a frame forever).
     Stalled,
+    /// A request line ran past [`MAX_REQUEST_LINE_BYTES`] without a
+    /// newline; the peer got one `ERR` line.
+    Oversized,
     /// The peer stopped draining replies; a socket write missed its
     /// deadline.
     SlowClient,
@@ -78,6 +87,7 @@ pub struct NetStats {
     shutdown: AtomicU64,
     idle: AtomicU64,
     stalled: AtomicU64,
+    oversized: AtomicU64,
     slow_client: AtomicU64,
     client_gone: AtomicU64,
     read_error: AtomicU64,
@@ -107,6 +117,7 @@ impl NetStats {
             SessionEnd::Shutdown => &self.shutdown,
             SessionEnd::Idle => &self.idle,
             SessionEnd::Stalled => &self.stalled,
+            SessionEnd::Oversized => &self.oversized,
             SessionEnd::SlowClient => &self.slow_client,
             SessionEnd::ClientGone => &self.client_gone,
             SessionEnd::ReadError => &self.read_error,
@@ -115,12 +126,13 @@ impl NetStats {
     }
 
     /// Every session-end outcome with its wire name, for `STATS` lines.
-    const ENDS: [(SessionEnd, &'static str); 9] = [
+    const ENDS: [(SessionEnd, &'static str); 10] = [
         (SessionEnd::Quit, "quit"),
         (SessionEnd::Eof, "eof"),
         (SessionEnd::Shutdown, "shutdown"),
         (SessionEnd::Idle, "idle"),
         (SessionEnd::Stalled, "stalled"),
+        (SessionEnd::Oversized, "oversized"),
         (SessionEnd::SlowClient, "slow_client"),
         (SessionEnd::ClientGone, "client_gone"),
         (SessionEnd::ReadError, "read_error"),
@@ -404,20 +416,24 @@ fn session<S: Read + Write>(
     net: &NetStats,
 ) -> SessionEnd {
     let idle_timeout = service.config().idle_timeout;
-    let mut reply = CappedBuf::new(service.config().max_reply_bytes);
+    let mut reply = CappedBuf::new(MAX_REPLY_BYTES);
     let mut reader = BufReader::new(stream);
     let mut tenant = String::from("anon");
-    let mut line = String::new();
+    let mut line = Vec::new();
     let mut last_progress = Instant::now();
     loop {
         if shutdown.load(Ordering::SeqCst) {
             return SessionEnd::Shutdown;
         }
         let before = line.len();
-        let eof = match reader.read_line(&mut line) {
+        // Read at most one byte past the cap: a line that never ends costs
+        // bounded memory and is refused as soon as it passes the cap.
+        let room = (MAX_REQUEST_LINE_BYTES + 1 - before) as u64;
+        let eof = match (&mut reader).take(room).read_until(b'\n', &mut line) {
             Ok(0) => true,
-            // read_line returns Ok without a trailing newline only at EOF.
-            Ok(_) => !line.ends_with('\n'),
+            // Without a trailing newline the read stopped at the cap or at
+            // EOF; the cap is checked below.
+            Ok(_) => !line.ends_with(b"\n"),
             Err(e)
                 if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
             {
@@ -443,7 +459,20 @@ fn session<S: Read + Write>(
             Err(_) => return SessionEnd::ReadError,
         };
         last_progress = Instant::now();
-        if line.trim().is_empty() {
+        if eof && line.len() > MAX_REQUEST_LINE_BYTES {
+            let refusal = format!("ERR request line exceeds {MAX_REQUEST_LINE_BYTES} bytes\n");
+            let stream = reader.get_mut();
+            // The session ends either way; a failed write changes nothing.
+            stream
+                .write_all(refusal.as_bytes())
+                .and_then(|()| stream.flush())
+                .ok();
+            return SessionEnd::Oversized;
+        }
+        let Ok(text) = std::str::from_utf8(&line) else {
+            return SessionEnd::ReadError;
+        };
+        if text.trim().is_empty() {
             if eof {
                 return SessionEnd::Eof;
             }
@@ -454,8 +483,7 @@ fn session<S: Read + Write>(
         // multi-line answer must not trickle out as per-line segments.
         reply.clear();
         // invariant: CappedBuf never returns an IO error.
-        let quit =
-            respond(service, &mut tenant, &line, &mut reply, net).expect("infallible buffer");
+        let quit = respond(service, &mut tenant, text, &mut reply, net).expect("infallible buffer");
         let wire = reply.wire();
         let wrote = reader
             .get_mut()
@@ -711,13 +739,18 @@ mod tests {
             max_concurrent: 1,
             tenant_cap: 1,
             max_queue: 0,
-            shed_retry_after_ms: 9,
             ..ServerConfig::default()
         });
         let _hog = s.admission().admit("hog").expect("a free slot admits");
         let mut tenant = String::from("anon");
         let out = roundtrip(&s, &mut tenant, "QUERY anc(adam, X)");
-        assert_eq!(out, "ERR BUSY retry-after-ms=9\n");
+        assert_eq!(
+            out,
+            format!(
+                "ERR BUSY retry-after-ms={}\n",
+                crate::admission::RETRY_AFTER_BASE_MS
+            )
+        );
     }
 
     /// Input arrives in scripted fragments; an `Err` entry simulates the
@@ -849,6 +882,67 @@ mod tests {
             session(&s, stream, &shutdown, &NetStats::default()),
             SessionEnd::ClientGone
         );
+    }
+
+    /// An in-memory peer: `input` is what it sends, `out` what it received.
+    struct MemoryPeer {
+        input: io::Cursor<Vec<u8>>,
+        out: Vec<u8>,
+    }
+
+    impl Read for MemoryPeer {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.input.read(buf)
+        }
+    }
+
+    impl Write for MemoryPeer {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.out.write(buf)
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn an_endless_request_line_is_refused_after_reading_a_bounded_prefix() {
+        let s = service();
+        let mut peer = MemoryPeer {
+            input: io::Cursor::new(vec![b'a'; 4 * MAX_REQUEST_LINE_BYTES]),
+            out: Vec::new(),
+        };
+        let net = NetStats::default();
+        let end = session(&s, &mut peer, &AtomicBool::new(false), &net);
+        net.counter(end).fetch_add(1, Ordering::Relaxed);
+        assert_eq!(end, SessionEnd::Oversized);
+        let reply = String::from_utf8(peer.out).unwrap();
+        assert_eq!(
+            reply,
+            format!("ERR request line exceeds {MAX_REQUEST_LINE_BYTES} bytes\n")
+        );
+        // Reading stopped just past the cap: at most one buffer-fill more.
+        let read = peer.input.position() as usize;
+        let buffer = BufReader::new(io::empty()).capacity();
+        assert!(read <= MAX_REQUEST_LINE_BYTES + buffer, "read {read} bytes");
+        // `STATS` reports it.
+        let mut out = Vec::new();
+        respond(&s, &mut String::new(), "STATS", &mut out, &net).unwrap();
+        let text = String::from_utf8(out).unwrap();
+        assert!(text.contains("STAT net.oversized 1\n"), "{text}");
+    }
+
+    #[test]
+    fn a_request_line_at_the_cap_is_served() {
+        let s = service();
+        let pad = " ".repeat(MAX_REQUEST_LINE_BYTES - "PING".len());
+        let mut peer = MemoryPeer {
+            input: io::Cursor::new(format!("PING{pad}\nPING\n").into_bytes()),
+            out: Vec::new(),
+        };
+        let end = session(&s, &mut peer, &AtomicBool::new(false), &NetStats::default());
+        assert_eq!(end, SessionEnd::Eof);
+        assert_eq!(String::from_utf8(peer.out).unwrap(), "OK pong\nOK pong\n");
     }
 
     #[test]

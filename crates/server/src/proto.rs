@@ -21,7 +21,13 @@
 //! Every response's final line starts with `OK` or `ERR` — that is the
 //! whole framing contract. `ANSWER` lines only appear before a `QUERY`'s
 //! terminal line, and `STAT` lines only before a `STATS` terminal line.
-//! Error text is flattened to one line.
+//! Error text is flattened to one line. A request line holds at most
+//! [`MAX_REQUEST_LINE_BYTES`] bytes before its newline; a longer one is
+//! answered with one `ERR request line exceeds <n> bytes` line and the
+//! connection closes.
+
+/// The longest request line the server reads, in bytes, newline excluded.
+pub const MAX_REQUEST_LINE_BYTES: usize = 64 << 10;
 
 /// One parsed client request.
 #[derive(Clone, Debug, PartialEq, Eq)]

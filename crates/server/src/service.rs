@@ -49,8 +49,6 @@ pub struct ServerConfig {
     /// Admission wait-queue bound; arrivals beyond it are shed with
     /// [`ServerError::Busy`] instead of queueing unbounded latency.
     pub max_queue: usize,
-    /// Base retry-after hint (ms) attached to shed requests.
-    pub shed_retry_after_ms: u64,
     /// Worker threads per bottom-up fixpoint round, per query.
     pub threads: usize,
     /// The budget every query runs under.
@@ -66,9 +64,6 @@ pub struct ServerConfig {
     /// Per-write socket deadline; a client that can't drain a reply within
     /// it is disconnected as a slow client (None = block forever).
     pub write_timeout: Option<Duration>,
-    /// Hard cap on one reply's size; larger replies are replaced by an
-    /// `ERR` line instead of buffering without bound.
-    pub max_reply_bytes: usize,
 }
 
 impl Default for ServerConfig {
@@ -77,7 +72,6 @@ impl Default for ServerConfig {
             max_concurrent: 8,
             tenant_cap: 4,
             max_queue: 16,
-            shed_retry_after_ms: 25,
             threads: 1,
             budget: Budget::default(),
             default_strategy: Strategy::Alexander,
@@ -85,7 +79,6 @@ impl Default for ServerConfig {
             heal_backoff_max_ms: 1_000,
             idle_timeout: Some(Duration::from_secs(300)),
             write_timeout: Some(Duration::from_secs(30)),
-            max_reply_bytes: 16 << 20,
         }
     }
 }
@@ -306,8 +299,7 @@ impl QueryService {
         }
         writer.commit()?;
         let engine0 = epoch_engine(&program, writer.edb(), &config);
-        let admission = Admission::new(config.max_concurrent, config.tenant_cap, config.max_queue)
-            .with_retry_after_ms(config.shed_retry_after_ms);
+        let admission = Admission::new(config.max_concurrent, config.tenant_cap, config.max_queue);
         let core = Arc::new(Core {
             program,
             epochs: EpochStore::new(Epoch::new(0, engine0)),
@@ -761,7 +753,6 @@ mod tests {
             max_concurrent: 1,
             tenant_cap: 1,
             max_queue: 0,
-            shed_retry_after_ms: 7,
             ..ServerConfig::default()
         };
         let s = QueryService::open(program, Database::new(), None, config).unwrap();
@@ -772,7 +763,9 @@ mod tests {
             .query("t", &parse_atom("anc(a, X)").unwrap(), None)
             .unwrap_err();
         match err {
-            ServerError::Busy { retry_after_ms } => assert!(retry_after_ms >= 7),
+            ServerError::Busy { retry_after_ms } => {
+                assert_eq!(retry_after_ms, crate::admission::RETRY_AFTER_BASE_MS);
+            }
             other => panic!("expected Busy, got {other}"),
         }
         assert_eq!(s.admission().shed_total(), 1);

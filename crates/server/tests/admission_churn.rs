@@ -23,7 +23,7 @@ fn step(state: &mut u64) -> u64 {
 /// the admission gate drained completely.
 fn churn(threads: usize, global_cap: usize, tenant_cap: usize, max_queue: usize, seed: u64) {
     const OPS: usize = 60;
-    let adm = Arc::new(Admission::new(global_cap, tenant_cap, max_queue).with_retry_after_ms(1));
+    let adm = Arc::new(Admission::new(global_cap, tenant_cap, max_queue));
     let tenants = ["alpha", "beta", "gamma", "delta", "omega"];
     let workers: Vec<_> = (0..threads)
         .map(|t| {

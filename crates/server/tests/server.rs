@@ -4,6 +4,7 @@
 use alexander_core::{Engine, Strategy};
 use alexander_ir::Program;
 use alexander_parser::{parse, parse_atom};
+use alexander_server::admission::RETRY_AFTER_BASE_MS;
 use alexander_server::{serve_tcp, serve_unix, QueryService, ServerConfig, SessionEnd};
 use alexander_storage::Database;
 use std::collections::BTreeSet;
@@ -171,7 +172,6 @@ fn a_saturated_server_sheds_over_tcp_and_the_retry_is_answered() {
         max_concurrent: 1,
         tenant_cap: 1,
         max_queue: 0,
-        shed_retry_after_ms: 7,
         ..ServerConfig::default()
     };
     let service =
@@ -194,7 +194,7 @@ fn a_saturated_server_sheds_over_tcp_and_the_retry_is_answered() {
         .unwrap_or_else(|| panic!("{terminal}"))
         .parse()
         .unwrap();
-    assert!(hint >= 7, "{terminal}");
+    assert_eq!(hint, RETRY_AFTER_BASE_MS, "{terminal}");
 
     let stats = exchange(&mut conn, "STATS");
     assert!(

@@ -1,8 +1,7 @@
 //! A database: one relation per predicate.
 
 use crate::relation::{Mask, Relation};
-use crate::tuple::{row_atom, Tuple};
-use alexander_ir::{Atom, Const, FxHashMap, Predicate, Program};
+use alexander_ir::{Atom, Const, FxHashMap, Predicate, Program, Symbol, Term};
 use std::fmt;
 use std::sync::Arc;
 
@@ -78,13 +77,7 @@ impl Database {
         }
     }
 
-    /// Inserts a tuple for `pred`; returns `true` if new.
-    pub fn insert(&mut self, pred: Predicate, t: Tuple) -> bool {
-        self.relation_mut(pred).insert(t)
-    }
-
-    /// Inserts a row slice for `pred`; returns `true` if new. The
-    /// allocation-free twin of [`Database::insert`] — the row is copied
+    /// Inserts a row for `pred`; returns `true` if new. The row is copied
     /// straight into the relation's arena.
     pub fn insert_row(&mut self, pred: Predicate, row: &[Const]) -> bool {
         self.relation_mut(pred).insert_row(row)
@@ -128,19 +121,17 @@ impl Database {
     /// Inserts a ground atom as a fact. Returns `Ok(true)` if new,
     /// `Ok(false)` if duplicate, `Err` if the atom has variables.
     pub fn insert_atom(&mut self, atom: &Atom) -> Result<bool, NonGround> {
-        let t = Tuple::from_atom(atom).ok_or_else(|| NonGround(atom.to_string()))?;
-        Ok(self.insert(atom.predicate(), t))
+        let row = atom
+            .ground_args()
+            .ok_or_else(|| NonGround(atom.to_string()))?;
+        Ok(self.insert_row(atom.predicate(), &row))
     }
 
     /// True iff the ground atom is stored. Non-ground atoms are never
     /// "contained".
     pub fn contains_atom(&self, atom: &Atom) -> bool {
-        let Some(t) = Tuple::from_atom(atom) else {
-            return false;
-        };
-        self.relations
-            .get(&atom.predicate())
-            .is_some_and(|r| r.contains(&t))
+        atom.ground_args()
+            .is_some_and(|row| self.contains_row(atom.predicate(), &row))
     }
 
     /// Number of tuples for `pred` (0 if absent).
@@ -236,8 +227,8 @@ impl Database {
     /// Removes a ground atom; returns whether it was present. Non-ground
     /// atoms are never present.
     pub fn remove_atom(&mut self, atom: &Atom) -> bool {
-        let row: Option<Vec<Const>> = atom.terms.iter().map(|t| t.as_const()).collect();
-        row.is_some_and(|row| self.remove_row(atom.predicate(), &row))
+        atom.ground_args()
+            .is_some_and(|row| self.remove_row(atom.predicate(), &row))
     }
 
     /// Removes one row of `pred`; returns whether it was present. The row
@@ -270,6 +261,15 @@ impl Database {
         for r in self.relations.values_mut() {
             Arc::make_mut(r).clear_rows();
         }
+    }
+}
+
+/// The ground atom of predicate name `pred` whose arguments are `row`: the
+/// one row-to-atom conversion ([`Atom::ground_args`] is its inverse).
+pub fn row_atom(pred: Symbol, row: &[Const]) -> Atom {
+    Atom {
+        pred,
+        terms: row.iter().map(|&c| Term::Const(c)).collect(),
     }
 }
 
@@ -361,8 +361,11 @@ impl fmt::Debug for Database {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tuple::{row_atom, tuple_of_syms};
-    use alexander_ir::{atom, Term};
+    use alexander_ir::atom;
+
+    fn syms(names: &[&str]) -> Vec<Const> {
+        names.iter().map(|n| Const::sym(n)).collect()
+    }
 
     #[test]
     fn insert_and_contains_atoms() {
@@ -386,8 +389,8 @@ mod tests {
     #[test]
     fn same_name_different_arity_are_separate() {
         let mut db = Database::new();
-        db.insert(Predicate::new("p", 1), tuple_of_syms(&["a"]));
-        db.insert(Predicate::new("p", 2), tuple_of_syms(&["a", "b"]));
+        db.insert_row(Predicate::new("p", 1), &syms(&["a"]));
+        db.insert_row(Predicate::new("p", 2), &syms(&["a", "b"]));
         assert_eq!(db.len_of(Predicate::new("p", 1)), 1);
         assert_eq!(db.len_of(Predicate::new("p", 2)), 1);
         assert_eq!(db.total_tuples(), 2);
@@ -396,10 +399,10 @@ mod tests {
     #[test]
     fn merge_counts_new_tuples_only() {
         let mut a = Database::new();
-        a.insert(Predicate::new("e", 1), tuple_of_syms(&["x"]));
+        a.insert_row(Predicate::new("e", 1), &syms(&["x"]));
         let mut b = Database::new();
-        b.insert(Predicate::new("e", 1), tuple_of_syms(&["x"]));
-        b.insert(Predicate::new("e", 1), tuple_of_syms(&["y"]));
+        b.insert_row(Predicate::new("e", 1), &syms(&["x"]));
+        b.insert_row(Predicate::new("e", 1), &syms(&["y"]));
         assert_eq!(a.merge(&b), 1);
         assert_eq!(a.len_of(Predicate::new("e", 1)), 2);
     }
@@ -429,11 +432,11 @@ mod tests {
         let e = Predicate::new("e", 1);
         let f = Predicate::new("f", 1);
         let mut db = Database::new();
-        db.insert(e, tuple_of_syms(&["a"]));
+        db.insert_row(e, &syms(&["a"]));
         let mut delta = Database::new();
-        delta.insert(e, tuple_of_syms(&["b"]));
-        delta.insert(e, tuple_of_syms(&["c"]));
-        delta.insert(f, tuple_of_syms(&["x"]));
+        delta.insert_row(e, &syms(&["b"]));
+        delta.insert_row(e, &syms(&["c"]));
+        delta.insert_row(f, &syms(&["x"]));
         db.merge(&delta);
         let spans = DeltaSpans::after_merge(&db, &delta);
         assert_eq!(spans.get(e), Some((1, 3)));
@@ -445,7 +448,7 @@ mod tests {
         // The ranged rows are exactly the delta rows, in order.
         let rows: Vec<_> = db.relation(e).unwrap().rows_in(1, 3).collect();
         assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0], tuple_of_syms(&["b"]).values());
+        assert_eq!(rows[0], &syms(&["b"]));
         assert_eq!(DeltaSpans::default().total_tuples(), 0);
     }
 
@@ -454,8 +457,8 @@ mod tests {
         let e = Predicate::new("e", 2);
         let f = Predicate::new("f", 1);
         let mut db = Database::new();
-        db.insert(e, tuple_of_syms(&["a", "b"]));
-        db.insert(f, tuple_of_syms(&["x"]));
+        db.insert_row(e, &syms(&["a", "b"]));
+        db.insert_row(f, &syms(&["x"]));
 
         // An epoch clone is O(#relations): every arena is shared.
         let epoch = db.clone();
@@ -463,7 +466,7 @@ mod tests {
         assert!(db.shares_relation(&epoch, f));
 
         // Writing to one relation copies it — and only it.
-        db.insert(e, tuple_of_syms(&["b", "c"]));
+        db.insert_row(e, &syms(&["b", "c"]));
         assert!(!db.shares_relation(&epoch, e));
         assert!(
             db.shares_relation(&epoch, f),
@@ -486,17 +489,14 @@ mod tests {
     fn removing_an_absent_row_leaves_a_shared_relation_shared() {
         let e = Predicate::new("e", 2);
         let mut db = Database::new();
-        db.insert(e, tuple_of_syms(&["a", "b"]));
+        db.insert_row(e, &syms(&["a", "b"]));
         let epoch = db.clone();
         assert!(!db.remove_atom(&atom("e", [Term::sym("b"), Term::sym("a")])));
-        assert!(!db.remove_row(e, tuple_of_syms(&["z", "z"]).values()));
-        assert!(
-            !db.remove_row(e, tuple_of_syms(&["a"]).values()),
-            "wrong arity"
-        );
+        assert!(!db.remove_row(e, &syms(&["z", "z"])));
+        assert!(!db.remove_row(e, &syms(&["a"])), "wrong arity");
         assert!(db.shares_relation(&epoch, e), "a miss copies nothing");
         // Removing a stored row copies the relation, as any write does.
-        assert!(db.remove_row(e, tuple_of_syms(&["a", "b"]).values()));
+        assert!(db.remove_row(e, &syms(&["a", "b"])));
         assert!(!db.shares_relation(&epoch, e));
         assert_eq!((db.len_of(e), epoch.len_of(e)), (0, 1));
     }
@@ -506,18 +506,18 @@ mod tests {
         let (e, f) = (Predicate::new("e", 1), Predicate::new("f", 1));
         let mut db = Database::new();
         for x in ["a", "b", "c"] {
-            db.insert(e, tuple_of_syms(&[x]));
-            db.insert(f, tuple_of_syms(&[x]));
+            db.insert_row(e, &syms(&[x]));
+            db.insert_row(f, &syms(&[x]));
         }
         let mut victims = Database::new();
-        victims.insert(e, tuple_of_syms(&["a"]));
-        victims.insert(e, tuple_of_syms(&["z"])); // absent
-        victims.insert(f, tuple_of_syms(&["b"]));
-        victims.insert(Predicate::new("ghost", 1), tuple_of_syms(&["a"]));
+        victims.insert_row(e, &syms(&["a"]));
+        victims.insert_row(e, &syms(&["z"])); // absent
+        victims.insert_row(f, &syms(&["b"]));
+        victims.insert_row(Predicate::new("ghost", 1), &syms(&["a"]));
         assert_eq!(db.remove_rows(&victims), 2);
         assert_eq!((db.len_of(e), db.len_of(f)), (2, 2));
-        assert!(!db.contains_row(e, tuple_of_syms(&["a"]).values()));
-        assert!(!db.contains_row(f, tuple_of_syms(&["b"]).values()));
+        assert!(!db.contains_row(e, &syms(&["a"])));
+        assert!(!db.contains_row(f, &syms(&["b"])));
     }
 
     #[test]
@@ -525,7 +525,7 @@ mod tests {
         let e = Predicate::new("e", 2);
         let col0 = Mask::of_columns(&[0]);
         let mut db = Database::new();
-        db.insert(e, tuple_of_syms(&["a", "b"]));
+        db.insert_row(e, &syms(&["a", "b"]));
         db.ensure_index(e, col0);
 
         // The clone already carries the index: nothing to build, nothing copied.
@@ -546,12 +546,13 @@ mod tests {
         // An absent relation is created, indexed, and maintained on insert.
         let ghost = Predicate::new("ghost", 1);
         db.ensure_index(ghost, col0);
-        db.insert(ghost, tuple_of_syms(&["g"]));
+        db.insert_row(ghost, &syms(&["g"]));
         assert_eq!(
             db.relation(ghost)
                 .unwrap()
-                .select(col0, &[Const::sym("g")])
-                .len(),
+                .probe(col0, &[Const::sym("g")])
+                .0
+                .count(),
             1
         );
     }
@@ -566,7 +567,7 @@ mod tests {
             ("b", "b", "y"),
             ("a", "a", "y"),
         ] {
-            db.insert(p, tuple_of_syms(&[a, b, c]));
+            db.insert_row(p, &syms(&[a, b, c]));
         }
         let rows = |db: &Database, q: &str| -> Vec<String> {
             let terms: Vec<Term> = q

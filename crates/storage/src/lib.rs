@@ -1,23 +1,28 @@
 //! # alexander-storage
 //!
 //! Relation storage for the Alexander-templates reproduction: duplicate-free
-//! tuple sets per predicate, arena-backed (one flat `Vec<Const>` pool per
-//! relation, tuples addressed by dense `u32` ids), with lazily built
+//! row sets per predicate, arena-backed (one flat `Vec<Const>` pool per
+//! relation, rows addressed by dense `u32` ids), with lazily built
 //! hash-of-projection indexes keyed by binding pattern ([`Mask`]). The
 //! evaluators' join loops probe these indexes without materialising keys;
 //! the EDB, the materialised IDB, the semi-naive deltas (id ranges, see
 //! [`DeltaSpans`]) and the incremental engine's fact sets all live in
-//! [`Database`]s. Removal takes rows too: [`Relation::remove_rows`] drops
-//! another relation's rows, reusing their stored digests.
+//! [`Database`]s. A fact is a row (`&[Const]`) at every entry point —
+//! insert, membership, probe, removal — and an atom meets storage through
+//! one conversion each way: [`Atom::ground_args`] into a row, [`row_atom`]
+//! back out ([`Database::insert_atom`], [`Database::contains_atom`] and
+//! [`Database::remove_atom`] are the atom doors).
+//!
+//! [`Atom::ground_args`]: alexander_ir::Atom::ground_args
 //!
 //! ```
 //! use alexander_ir::Predicate;
-//! use alexander_storage::{Database, Mask, Tuple};
+//! use alexander_storage::{Database, Mask};
 //! use alexander_ir::Const;
 //!
 //! let edge = Predicate::new("edge", 2);
 //! let mut db = Database::new();
-//! db.insert(edge, Tuple::new(vec![Const::sym("a"), Const::sym("b")]));
+//! db.insert_row(edge, &[Const::sym("a"), Const::sym("b")]);
 //! db.ensure_index(edge, Mask::of_columns(&[0]));
 //! let rel = db.relation(edge).unwrap();
 //! let key = [Const::sym("a")];
@@ -35,9 +40,7 @@
 pub mod database;
 pub mod load;
 pub mod relation;
-pub mod tuple;
 
-pub use database::{Database, DeltaSpans, NonGround};
+pub use database::{row_atom, Database, DeltaSpans, NonGround};
 pub use load::{load_delimited, load_file, LoadError};
 pub use relation::{IndexProbe, Mask, MaskColumns, Relation, Rows};
-pub use tuple::{row_atom, tuple_of_syms, Tuple};

@@ -2,7 +2,7 @@
 //!
 //! Downstream users keep their extensional data in flat files; this module
 //! turns them into [`Database`] relations without going through the program
-//! parser. Each line is one tuple; each cell is an integer if it parses as
+//! parser. Each line is one row; each cell is an integer if it parses as
 //! one, otherwise a symbolic constant (surrounding whitespace trimmed).
 //!
 //! Errors carry everything needed to fix the input without opening it: the
@@ -12,7 +12,6 @@
 //! panic.
 
 use crate::database::Database;
-use crate::tuple::Tuple;
 use alexander_ir::{Const, Predicate};
 use std::fmt;
 use std::io::BufRead;
@@ -113,7 +112,7 @@ pub fn load_delimited(
             )
             .with_token(trimmed));
         }
-        if db.insert(pred, Tuple::from(cells)) {
+        if db.insert_row(pred, &cells) {
             added += 1;
         }
     }

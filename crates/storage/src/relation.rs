@@ -3,12 +3,12 @@
 //!
 //! ## Layout
 //!
-//! Tuples live in one flat `Vec<Const>` pool with fixed stride = arity;
-//! a tuple is addressed by its dense `u32` id and read back as the slice
+//! Rows live in one flat `Vec<Const>` pool with fixed stride = arity;
+//! a row is addressed by its dense `u32` id and read back as the slice
 //! `pool[id * arity .. (id + 1) * arity]`. Every row's 64-bit Fx hash is
 //! precomputed at insert time (`hashes[id]`), so duplicate detection is an
 //! open-addressing probe over ids — hash compare first, then a direct
-//! column compare against the pool. No tuple is ever boxed, and no key is
+//! column compare against the pool. No row is ever boxed, and no key is
 //! ever materialised: probes hash the lookup values in place with
 //! [`RowHasher`] and verify candidates by comparing columns in the arena.
 //!
@@ -32,7 +32,6 @@
 //!   small deletes, one order-preserving remap pass on mass deletes —
 //!   never a from-scratch rebuild.
 
-use crate::tuple::Tuple;
 use alexander_ir::{hash_row, Const, FxHashMap, RowHasher, Term};
 use std::fmt;
 
@@ -411,10 +410,8 @@ impl Index {
 /// A stored relation: a duplicate-free set of ground tuples of a fixed
 /// arity, arena-backed, with lazily built hash indexes per binding pattern.
 ///
-/// See the module docs for the layout and its invariants. The public
-/// surface speaks both languages: allocation-free rows (`&[Const]`) for the
-/// evaluators' hot paths, and [`Tuple`] wrappers for loading, tests, and
-/// cold paths.
+/// See the module docs for the layout and its invariants. A fact is a row
+/// (`&[Const]`) at every entry point: insert, membership, probe, removal.
 #[derive(Clone, Default)]
 pub struct Relation {
     arity: usize,
@@ -537,11 +534,6 @@ impl Relation {
         self.len = id + 1;
     }
 
-    /// Inserts a tuple; returns `true` if it was new.
-    pub fn insert(&mut self, t: Tuple) -> bool {
-        self.insert_row(t.values())
-    }
-
     /// The id of the stored row equal to `row` (whose hash is `h`), if any.
     #[inline]
     fn find_id(&self, h: u64, row: &[Const]) -> Option<u32> {
@@ -551,8 +543,8 @@ impl Relation {
 
     /// The id of the stored row equal to `row`, if present. Arity
     /// mismatches simply miss.
-    #[inline]
-    pub fn id_of(&self, row: &[Const]) -> Option<u32> {
+    #[cfg(test)]
+    fn id_of(&self, row: &[Const]) -> Option<u32> {
         if row.len() != self.arity {
             return None;
         }
@@ -593,11 +585,6 @@ impl Relation {
                 (0..self.arity).all(|i| row[i] == get(i))
             })
             .is_some()
-    }
-
-    /// Membership test.
-    pub fn contains(&self, t: &Tuple) -> bool {
-        t.arity() == self.arity && self.contains_row(t.values())
     }
 
     /// Iterates over all rows in insertion (id) order.
@@ -707,12 +694,6 @@ impl Relation {
         };
         self.rows_in(0, end)
             .filter(move |row| row_matches(pattern, row))
-    }
-
-    /// All tuples matching `key` under `mask`, materialised (convenience for
-    /// tests).
-    pub fn select(&self, mask: Mask, key: &[Const]) -> Vec<Tuple> {
-        self.probe(mask, key).0.map(Tuple::new).collect()
     }
 
     /// Removes every row of `victims` (a relation of the same arity; any
@@ -970,12 +951,20 @@ impl fmt::Debug for Relation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tuple::tuple_of_syms;
+
+    fn syms(names: &[&str]) -> Vec<Const> {
+        names.iter().map(|n| Const::sym(n)).collect()
+    }
+
+    /// How many rows `key` finds under `mask`.
+    fn hits(r: &Relation, mask: Mask, key: &[Const]) -> usize {
+        r.probe(mask, key).0.count()
+    }
 
     fn edges() -> Relation {
         let mut r = Relation::new(2);
         for (a, b) in [("a", "b"), ("b", "c"), ("a", "c")] {
-            r.insert(tuple_of_syms(&[a, b]));
+            r.insert_row(&syms(&[a, b]));
         }
         r
     }
@@ -983,8 +972,8 @@ mod tests {
     #[test]
     fn insert_deduplicates() {
         let mut r = Relation::new(2);
-        assert!(r.insert(tuple_of_syms(&["a", "b"])));
-        assert!(!r.insert(tuple_of_syms(&["a", "b"])));
+        assert!(r.insert_row(&syms(&["a", "b"])));
+        assert!(!r.insert_row(&syms(&["a", "b"])));
         assert_eq!(r.len(), 1);
     }
 
@@ -992,7 +981,7 @@ mod tests {
     #[should_panic(expected = "arity mismatch")]
     fn arity_is_enforced() {
         let mut r = Relation::new(2);
-        r.insert(tuple_of_syms(&["a"]));
+        r.insert_row(&syms(&["a"]));
     }
 
     #[test]
@@ -1017,7 +1006,7 @@ mod tests {
         let got: Vec<_> = it.collect();
         assert_eq!(got.len(), 2);
         // Missing key yields nothing.
-        assert_eq!(r.select(mask, &[Const::sym("zzz")]).len(), 0);
+        assert_eq!(hits(&r, mask, &[Const::sym("zzz")]), 0);
     }
 
     #[test]
@@ -1025,8 +1014,8 @@ mod tests {
         let mut r = edges();
         let mask = Mask::of_columns(&[1]);
         r.ensure_index(mask);
-        r.insert(tuple_of_syms(&["d", "c"]));
-        assert_eq!(r.select(mask, &[Const::sym("c")]).len(), 3);
+        r.insert_row(&syms(&["d", "c"]));
+        assert_eq!(hits(&r, mask, &[Const::sym("c")]), 3);
     }
 
     #[test]
@@ -1042,7 +1031,7 @@ mod tests {
         let mut r = edges();
         let mask = Mask::of_columns(&[0, 1]);
         r.ensure_index(mask);
-        assert_eq!(r.select(mask, &[Const::sym("a"), Const::sym("c")]).len(), 1);
+        assert_eq!(hits(&r, mask, &[Const::sym("a"), Const::sym("c")]), 1);
         assert_eq!(mask.columns().collect::<Vec<_>>(), vec![0, 1]);
         assert_eq!(mask.count(), 2);
     }
@@ -1051,7 +1040,7 @@ mod tests {
     fn rows_in_slices_new_tuples() {
         let mut r = edges();
         let watermark = r.len() as u32;
-        r.insert(tuple_of_syms(&["x", "y"]));
+        r.insert_row(&syms(&["x", "y"]));
         assert_eq!(r.rows_in(watermark, u32::MAX).len(), 1);
         assert_eq!(r.rows_in(0, u32::MAX).len(), 4);
         assert_eq!(r.rows_in(999, u32::MAX).len(), 0);
@@ -1061,17 +1050,14 @@ mod tests {
     fn iteration_is_insertion_ordered() {
         let r = edges();
         let first = r.iter().next().unwrap();
-        assert_eq!(first, tuple_of_syms(&["a", "b"]).values());
+        assert_eq!(first, &syms(&["a", "b"]));
     }
 
     #[test]
     fn probe_ids_are_ascending_and_exact() {
         let mut r = Relation::new(2);
         for i in 0..100u32 {
-            r.insert(Tuple::new(vec![
-                Const::int(i64::from(i % 3)),
-                Const::int(i64::from(i)),
-            ]));
+            r.insert_row(&[Const::int(i64::from(i % 3)), Const::int(i64::from(i))]);
         }
         let mask = Mask::of_columns(&[0]);
         r.ensure_index(mask);
@@ -1114,13 +1100,13 @@ mod tests {
         assert!(!r.insert_row(&row));
         let mask = Mask::of_columns(&[63]);
         r.ensure_index(mask);
-        assert_eq!(r.select(mask, &[Const::int(63)]).len(), 1);
-        assert_eq!(r.select(mask, &[Const::int(0)]).len(), 0);
+        assert_eq!(hits(&r, mask, &[Const::int(63)]), 1);
+        assert_eq!(hits(&r, mask, &[Const::int(0)]), 0);
         let mut other = row.clone();
         other[63] = Const::int(999);
         assert!(r.insert_row(&other));
         assert_eq!(r.len(), 2);
-        assert_eq!(r.select(mask, &[Const::int(999)]).len(), 1);
+        assert_eq!(hits(&r, mask, &[Const::int(999)]), 1);
     }
 
     #[test]
@@ -1144,7 +1130,7 @@ mod tests {
         let mask = Mask::of_columns(&[0]);
         r.ensure_index(mask);
         for i in 0..10 {
-            r.insert(Tuple::new(vec![Const::int(i % 2), Const::int(i)]));
+            r.insert_row(&[Const::int(i % 2), Const::int(i)]);
         }
         let victims = ints(2, (0..5).map(|i| vec![i % 2, i]));
         assert_eq!(r.remove_rows(&victims), 5);
@@ -1152,10 +1138,10 @@ mod tests {
         // Ids are re-densified: the survivors are rows 0..5 in their old
         // relative order, the index reflects exactly them, and re-inserting
         // a victim succeeds (the dedup table forgot it).
-        assert_eq!(r.select(mask, &[Const::int(1)]).len(), 3); // 5, 7, 9
-        assert!(!r.contains(&Tuple::new(vec![Const::int(0), Const::int(4)])));
-        assert!(r.insert(Tuple::new(vec![Const::int(0), Const::int(4)])));
-        assert_eq!(r.select(mask, &[Const::int(0)]).len(), 3); // 6, 8, new 4
+        assert_eq!(hits(&r, mask, &[Const::int(1)]), 3); // 5, 7, 9
+        assert!(!r.contains_row(&[Const::int(0), Const::int(4)]));
+        assert!(r.insert_row(&[Const::int(0), Const::int(4)]));
+        assert_eq!(hits(&r, mask, &[Const::int(0)]), 3); // 6, 8, new 4
     }
 
     #[test]
@@ -1171,7 +1157,7 @@ mod tests {
             r.ensure_index(m01);
             let mut model: Vec<(i64, i64)> = Vec::new();
             for i in 0..60 {
-                r.insert(Tuple::new(vec![Const::int(i % 5), Const::int(i)]));
+                r.insert_row(&[Const::int(i % 5), Const::int(i)]);
                 model.push((i % 5, i));
             }
             // Every third row, plus one absent row.
@@ -1203,7 +1189,7 @@ mod tests {
             }
             for k in 0..5i64 {
                 let want = model.iter().filter(|&&(a, _)| a == k).count();
-                assert_eq!(r.select(m0, &[Const::int(k)]).len(), want, "k={k}");
+                assert_eq!(hits(&r, m0, &[Const::int(k)]), want, "k={k}");
             }
             // Posting lists stay ascending (binary-search probes rely on it).
             for index in r.indexes.values() {
@@ -1212,8 +1198,8 @@ mod tests {
                 }
             }
             // The dedup table forgot the victims and still dedups survivors.
-            assert!(r.insert(Tuple::new(vec![Const::int(0), Const::int(0)])));
-            assert!(!r.insert(Tuple::new(vec![Const::int(1), Const::int(1)])));
+            assert!(r.insert_row(&[Const::int(0), Const::int(0)]));
+            assert!(!r.insert_row(&[Const::int(1), Const::int(1)]));
         }
     }
 
@@ -1225,7 +1211,7 @@ mod tests {
         let mask = Mask::of_columns(&[0, 1]);
         r.ensure_index(mask);
         for i in 0..40i64 {
-            r.insert(Tuple::new(vec![Const::int(i), Const::int(-i)]));
+            r.insert_row(&[Const::int(i), Const::int(-i)]);
         }
         for i in (0..20i64).rev().map(|k| 2 * k) {
             assert!(8 < r.len(), "one tail swap");
@@ -1234,7 +1220,7 @@ mod tests {
         assert_eq!(r.len(), 20);
         for i in 0..40i64 {
             let key = [Const::int(i), Const::int(-i)];
-            assert_eq!(r.select(mask, &key).len(), usize::from(i % 2 == 1), "i={i}");
+            assert_eq!(hits(&r, mask, &key), usize::from(i % 2 == 1), "i={i}");
             assert_eq!(r.contains_row(&key), i % 2 == 1);
         }
     }
@@ -1276,7 +1262,7 @@ mod tests {
         assert_eq!(new, 17);
         assert_eq!(r.len(), 17);
         for k in 0..17 {
-            assert_eq!(r.select(Mask::of_columns(&[0]), &[Const::int(k)]).len(), 1);
+            assert_eq!(hits(&r, Mask::of_columns(&[0]), &[Const::int(k)]), 1);
         }
     }
 
@@ -1292,9 +1278,9 @@ mod tests {
     #[test]
     fn id_of_resolves_rows_and_misses_cleanly() {
         let r = edges();
-        let id = r.id_of(tuple_of_syms(&["b", "c"]).values()).unwrap();
-        assert_eq!(r.row(id), tuple_of_syms(&["b", "c"]).values());
-        assert!(r.id_of(tuple_of_syms(&["z", "z"]).values()).is_none());
+        let id = r.id_of(&syms(&["b", "c"])).unwrap();
+        assert_eq!(r.row(id), &syms(&["b", "c"]));
+        assert!(r.id_of(&syms(&["z", "z"])).is_none());
         assert!(r.id_of(&[Const::sym("a")]).is_none(), "arity mismatch");
     }
 
@@ -1309,11 +1295,11 @@ mod tests {
         let mask = Mask::of_columns(&[0, 1]);
         r.ensure_index(mask);
         for i in 0..50 {
-            r.insert(Tuple::new(vec![Const::int(i / 10), Const::int(i % 10)]));
+            r.insert_row(&[Const::int(i / 10), Const::int(i % 10)]);
         }
         for i in 0..50 {
             let key = [Const::int(i / 10), Const::int(i % 10)];
-            assert_eq!(r.select(mask, &key).len(), 1, "key {key:?}");
+            assert_eq!(hits(&r, mask, &key), 1, "key {key:?}");
         }
     }
 }

@@ -1,8 +1,9 @@
 //! Model-checking the relation store: random operation sequences must agree
-//! with a trivial reference implementation (a `BTreeSet` of rows).
+//! with a trivial reference implementation (a `BTreeSet` of rows), and the
+//! atom doors of a `Database` must agree with its row doors.
 
-use alexander_ir::Const;
-use alexander_storage::{Mask, Relation, Tuple};
+use alexander_ir::{atom, Atom, Const, Predicate, Term};
+use alexander_storage::{Database, Mask, Relation};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -28,11 +29,50 @@ fn op() -> impl Strategy<Value = Op> {
     ]
 }
 
-fn tup(cells: [u8; 2]) -> Tuple {
-    Tuple::new(vec![
-        Const::Int(cells[0] as i64),
-        Const::Int(cells[1] as i64),
-    ])
+fn row(cells: [u8; 2]) -> Vec<Const> {
+    cells.iter().map(|&c| Const::Int(c as i64)).collect()
+}
+
+/// One operation through a `Database`'s atom doors. A cell of 3 is the
+/// variable `X`, so about half the atoms are not ground.
+#[derive(Clone, Debug)]
+enum AtomOp {
+    Insert([u8; 2]),
+    Contains([u8; 2]),
+    Remove([u8; 2]),
+    /// Take an epoch clone, which shares every relation until written.
+    Snapshot,
+}
+
+fn atom_op() -> impl Strategy<Value = AtomOp> {
+    let cells = || proptest::array::uniform2(0u8..4);
+    prop_oneof![
+        cells().prop_map(AtomOp::Insert),
+        cells().prop_map(AtomOp::Contains),
+        cells().prop_map(AtomOp::Remove),
+        Just(AtomOp::Snapshot),
+    ]
+}
+
+fn atom_of(cells: [u8; 2]) -> Atom {
+    atom(
+        "e",
+        cells.map(|c| match c {
+            3 => Term::var("X"),
+            c => Term::int(c as i64),
+        }),
+    )
+}
+
+/// The row of `cells`, `None` when the atom has a variable.
+fn row_if_ground(cells: [u8; 2]) -> Option<Vec<Const>> {
+    cells.iter().all(|&c| c < 3).then(|| row(cells))
+}
+
+fn rows_of(db: &Database, pred: Predicate) -> Vec<Vec<Const>> {
+    db.relation(pred)
+        .map(|r| r.iter().map(<[Const]>::to_vec).collect())
+        .unwrap_or_default()
 }
 
 fn mask_of(m: u8) -> Mask {
@@ -46,29 +86,29 @@ proptest! {
     #[test]
     fn relation_agrees_with_reference_model(ops in proptest::collection::vec(op(), 0..60)) {
         let mut rel = Relation::new(2);
-        let mut model: BTreeSet<Tuple> = BTreeSet::new();
+        let mut model: BTreeSet<Vec<Const>> = BTreeSet::new();
 
         for op in ops {
             match op {
                 Op::Insert(cells) => {
-                    let t = tup(cells);
-                    let fresh = rel.insert(t.clone());
-                    prop_assert_eq!(fresh, model.insert(t));
+                    let r = row(cells);
+                    let fresh = rel.insert_row(&r);
+                    prop_assert_eq!(fresh, model.insert(r));
                 }
                 Op::Remove(cells) => {
-                    let t = tup(cells);
-                    let was = rel.remove_row(t.values());
-                    prop_assert_eq!(was, model.remove(&t));
+                    let r = row(cells);
+                    let was = rel.remove_row(&r);
+                    prop_assert_eq!(was, model.remove(&r));
                 }
                 Op::RemoveRows(victims) => {
                     let mut batch = Relation::new(2);
                     for v in &victims {
-                        batch.insert(tup(*v));
+                        batch.insert_row(&row(*v));
                     }
                     let removed = rel.remove_rows(&batch);
                     let want = batch
                         .iter()
-                        .filter(|row| model.remove(&Tuple::new(*row)))
+                        .filter(|&r| model.remove(r))
                         .count();
                     prop_assert_eq!(removed, want);
                 }
@@ -82,11 +122,12 @@ proptest! {
                         .iter()
                         .map(|&c| Const::Int(key_cells[c] as i64))
                         .collect();
-                    let mut got: Vec<Tuple> = rel.select(mask, &key);
+                    let mut got: Vec<Vec<Const>> =
+                        rel.probe(mask, &key).0.map(<[Const]>::to_vec).collect();
                     got.sort();
-                    let want: Vec<Tuple> = model
+                    let want: Vec<Vec<Const>> = model
                         .iter()
-                        .filter(|t| t.project(&cols) == key)
+                        .filter(|r| cols.iter().map(|&c| r[c]).eq(key.iter().copied()))
                         .cloned()
                         .collect();
                     prop_assert_eq!(got, want, "mask {:?}", mask);
@@ -96,9 +137,9 @@ proptest! {
             prop_assert_eq!(rel.len(), model.len());
         }
         // Final full-content check.
-        let mut got: Vec<Tuple> = rel.iter().map(Tuple::new).collect();
+        let mut got: Vec<Vec<Const>> = rel.iter().map(<[Const]>::to_vec).collect();
         got.sort();
-        let want: Vec<Tuple> = model.into_iter().collect();
+        let want: Vec<Vec<Const>> = model.into_iter().collect();
         prop_assert_eq!(got, want);
     }
 
@@ -110,14 +151,14 @@ proptest! {
         let mut a = Relation::new(2);
         let mut b = Relation::new(2);
         for r in &rows {
-            a.insert(tup(*r));
-            b.insert(tup(*r));
+            a.insert_row(&row(*r));
+            b.insert_row(&row(*r));
         }
         a.ensure_index(Mask::of_columns(&[0]));
 
         let mut batch = Relation::new(2);
         for v in &victims {
-            batch.insert(tup(*v));
+            batch.insert_row(&row(*v));
         }
         let removed = a.remove_rows(&batch);
         let mut removed_one_by_one = 0;
@@ -137,6 +178,51 @@ proptest! {
                 .filter(|row| row[0] == Const::Int(key0 as i64))
                 .count();
             prop_assert_eq!(got, want);
+        }
+    }
+
+    #[test]
+    fn atom_doors_agree_with_row_doors(ops in proptest::collection::vec(atom_op(), 0..60)) {
+        let e = Predicate::new("e", 2);
+        let mut by_atom = Database::new();
+        let mut by_row = Database::new();
+        by_atom.insert_row(e, &row([0, 0]));
+        by_row.insert_row(e, &row([0, 0]));
+        let mut epoch = by_atom.clone();
+
+        for op in ops {
+            let (cells, before) = match op {
+                AtomOp::Snapshot => {
+                    epoch = by_atom.clone();
+                    continue;
+                }
+                AtomOp::Insert(c) | AtomOp::Contains(c) | AtomOp::Remove(c) => (c, rows_of(&by_atom, e)),
+            };
+            let shared = by_atom.shares_relation(&epoch, e);
+            let a = atom_of(cells);
+            match (op, row_if_ground(cells)) {
+                (AtomOp::Insert(_), Some(r)) => {
+                    prop_assert_eq!(by_atom.insert_atom(&a), Ok(by_row.insert_row(e, &r)));
+                }
+                (AtomOp::Contains(_), Some(r)) => {
+                    prop_assert_eq!(by_atom.contains_atom(&a), by_row.contains_row(e, &r));
+                }
+                (AtomOp::Remove(_), Some(r)) => {
+                    prop_assert_eq!(by_atom.remove_atom(&a), by_row.remove_row(e, &r));
+                }
+                (AtomOp::Insert(_), None) => prop_assert!(by_atom.insert_atom(&a).is_err()),
+                (AtomOp::Contains(_), None) => prop_assert!(!by_atom.contains_atom(&a)),
+                (AtomOp::Remove(_), None) => prop_assert!(!by_atom.remove_atom(&a)),
+                (AtomOp::Snapshot, _) => unreachable!("handled above"),
+            }
+            if row_if_ground(cells).is_none() {
+                // A non-ground atom touches nothing, not even the sharing.
+                prop_assert_eq!(rows_of(&by_atom, e), before);
+                prop_assert_eq!(by_atom.shares_relation(&epoch, e), shared);
+            }
+            // Same operations in the same order: same rows in the same ids.
+            prop_assert_eq!(rows_of(&by_atom, e), rows_of(&by_row, e));
+            prop_assert_eq!(by_atom.total_tuples(), by_row.total_tuples());
         }
     }
 }

@@ -40,7 +40,7 @@ use alexander_ir::{
     Adornment, Atom, Bf, Builtin, Const, FxHashMap, FxHashSet, Polarity, Predicate, Program, Subst,
     Term,
 };
-use alexander_storage::{Database, Tuple};
+use alexander_storage::Database;
 use alexander_transform::sip_order;
 
 /// The result of a QSQR run.
@@ -64,6 +64,10 @@ pub struct QsqrResult {
 
 type Key = (Predicate, Adornment);
 
+/// The constants at an adornment's bound positions: a subquery's input, or
+/// an answer's posting-list key.
+type Row = Box<[Const]>;
+
 /// Answer table for one adorned predicate. Insertion order is kept so the
 /// per-input cursors below stay stable; `by_input` posts each answer under
 /// its projection onto the adornment's bound positions, so consumption for
@@ -72,7 +76,7 @@ type Key = (Predicate, Adornment);
 struct AnswerTable {
     list: Vec<Atom>,
     set: FxHashSet<Atom>,
-    by_input: FxHashMap<Tuple, Vec<usize>>,
+    by_input: FxHashMap<Row, Vec<usize>>,
 }
 
 /// How a delta variant consumes one positive intensional literal: answers
@@ -86,12 +90,12 @@ enum Mode {
 
 struct Engine<'a> {
     clauses: &'a Clauses,
-    inputs: FxHashMap<Key, FxHashSet<Tuple>>,
+    inputs: FxHashMap<Key, FxHashSet<Row>>,
     answers: FxHashMap<Key, AnswerTable>,
     /// Per processed `(key, input)`: the length of every answer table at
     /// the start of its last *completed* pass. Answers at or past the
     /// cursor are that input's delta on the next pass.
-    cursors: FxHashMap<(Key, Tuple), FxHashMap<Key, usize>>,
+    cursors: FxHashMap<(Key, Row), FxHashMap<Key, usize>>,
     /// Keys currently being solved (cycle breaker).
     in_progress: FxHashSet<Key>,
     metrics: OldtMetrics,
@@ -116,30 +120,27 @@ fn adornment_of(goal: &Atom, s: &Subst) -> Adornment {
     )
 }
 
-fn bound_tuple(goal: &Atom, s: &Subst, ad: &Adornment) -> Tuple {
-    let consts: Vec<Const> = goal
-        .terms
+fn bound_row(goal: &Atom, s: &Subst, ad: &Adornment) -> Row {
+    goal.terms
         .iter()
         .zip(&ad.0)
         .filter(|(_, bf)| **bf == Bf::Bound)
         // invariant: the adornment marks a position Bound only when the
         // call substitution grounds it.
         .map(|(&t, _)| s.walk(t).as_const().expect("bound position is ground"))
-        .collect();
-    Tuple::from(consts)
+        .collect()
 }
 
 /// The projection of a ground answer onto the adornment's bound positions —
 /// the posting-list key its consumers probe with.
-fn projection(answer: &Atom, ad: &Adornment) -> Tuple {
-    let consts: Vec<Const> = answer
+fn projection(answer: &Atom, ad: &Adornment) -> Row {
+    answer
         .terms
         .iter()
         .zip(&ad.0)
         .filter(|(_, bf)| **bf == Bf::Bound)
         .map(|(&t, _)| t.as_const().expect("answers are ground"))
-        .collect();
-    Tuple::from(consts)
+        .collect()
 }
 
 impl<'a> Engine<'a> {
@@ -155,11 +156,11 @@ impl<'a> Engine<'a> {
         self.stopped
     }
 
-    /// Registers a subquery; returns its key and bound-argument tuple.
-    fn register(&mut self, goal: &Atom, s: &Subst) -> (Key, Tuple) {
+    /// Registers a subquery; returns its key and bound-argument row.
+    fn register(&mut self, goal: &Atom, s: &Subst) -> (Key, Row) {
         let ad = adornment_of(goal, s);
         let key = (goal.predicate(), ad.clone());
-        let t = bound_tuple(goal, s, &ad);
+        let t = bound_row(goal, s, &ad);
         if self
             .inputs
             .entry(key.clone())
@@ -191,7 +192,7 @@ impl<'a> Engine<'a> {
         self.in_progress.insert(key.clone());
         // Snapshot the inputs: new ones found while solving are caught by
         // the restart loop.
-        let inputs: Vec<Tuple> = self
+        let inputs: Vec<Row> = self
             .inputs
             .get(key)
             .map(|s| s.iter().cloned().collect())
@@ -222,13 +223,13 @@ impl<'a> Engine<'a> {
                     continue;
                 }
                 let fresh = rule.rectified();
-                // Bind the head's bound positions to the input tuple.
+                // Bind the head's bound positions to the input row.
                 let mut s = Subst::new();
                 let mut ok = true;
                 let mut bi = 0usize;
                 for (t, bf) in fresh.head.terms.iter().zip(&key.1 .0) {
                     if *bf == Bf::Bound {
-                        let c = Term::Const(input.get(bi));
+                        let c = Term::Const(input[bi]);
                         bi += 1;
                         if !alexander_ir::unify_terms(*t, c, &mut s) {
                             ok = false;

@@ -4,7 +4,7 @@
 //! Node names are interned symbols `n0, n1, …` so tuples stay cheap.
 
 use alexander_ir::{Const, Predicate};
-use alexander_storage::{Database, Tuple};
+use alexander_storage::Database;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -16,7 +16,7 @@ pub fn node(i: usize) -> Const {
 fn insert_edges(db: &mut Database, pred: &str, edges: impl IntoIterator<Item = (usize, usize)>) {
     let p = Predicate::new(pred, 2);
     for (a, b) in edges {
-        db.insert(p, Tuple::new(vec![node(a), node(b)]));
+        db.insert_row(p, &[node(a), node(b)]);
     }
 }
 
@@ -93,7 +93,7 @@ pub fn random_graph(pred: &str, nodes: usize, edges: usize, seed: u64) -> Databa
         if a == b {
             continue;
         }
-        if db.insert(p, Tuple::new(vec![node(a), node(b)])) {
+        if db.insert_row(p, &[node(a), node(b)]) {
             inserted += 1;
         }
     }
@@ -118,7 +118,7 @@ pub fn random_dag(pred: &str, nodes: usize, edges: usize, seed: u64) -> Database
             continue;
         }
         let (lo, hi) = (a.min(b), a.max(b));
-        if db.insert(p, Tuple::new(vec![node(lo), node(hi)])) {
+        if db.insert_row(p, &[node(lo), node(hi)]) {
             inserted += 1;
         }
     }
@@ -147,8 +147,8 @@ pub fn sg_tree(depth: usize) -> (Database, Const) {
     let first_leaf = nodes - (1 << depth).min(nodes);
     for i in (1..nodes).step_by(2) {
         if i + 1 < nodes {
-            db.insert(flat, Tuple::new(vec![node(i), node(i + 1)]));
-            db.insert(flat, Tuple::new(vec![node(i + 1), node(i)]));
+            db.insert_row(flat, &[node(i), node(i + 1)]);
+            db.insert_row(flat, &[node(i + 1), node(i)]);
         }
     }
     (db, node(first_leaf.max(1)))
@@ -175,7 +175,7 @@ mod tests {
     fn cycle_wraps() {
         let db = cycle("e", 5);
         let rel = db.relation(Predicate::new("e", 2)).unwrap();
-        assert!(rel.contains(&Tuple::new(vec![node(4), node(0)])));
+        assert!(rel.contains_row(&[node(4), node(0)]));
         assert_eq!(rel.len(), 5);
     }
 

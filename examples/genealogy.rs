@@ -12,7 +12,7 @@
 use alexander_core::{Engine, Strategy};
 use alexander_ir::{Const, Predicate};
 use alexander_parser::{parse, parse_atom};
-use alexander_storage::{Database, Tuple};
+use alexander_storage::Database;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::time::Instant;
@@ -31,12 +31,12 @@ fn synthesize_families(seed: u64) -> Database {
         for i in 0..per_gen {
             let child = g * per_gen + i;
             let parent = (g - 1) * per_gen + rng.random_range(0..per_gen);
-            db.insert(
+            db.insert_row(
                 par,
-                Tuple::new(vec![
+                &[
                     Const::sym(&format!("p{parent}")),
                     Const::sym(&format!("p{child}")),
-                ]),
+                ],
             );
         }
     }

@@ -119,18 +119,18 @@ fn random_edb() -> impl Strategy<Value = Database> {
         .prop_map(|(es, fs)| {
             let mut db = Database::new();
             for (a, b) in es {
-                db.insert(
+                db.insert_row(
                     Predicate::new("e", 2),
-                    alexander_storage::Tuple::new(vec![
+                    &[
                         alexander_ir::Const::sym(CONSTS[a]),
                         alexander_ir::Const::sym(CONSTS[b]),
-                    ]),
+                    ],
                 );
             }
             for a in fs {
-                db.insert(
+                db.insert_row(
                     Predicate::new("f", 1),
-                    alexander_storage::Tuple::new(vec![alexander_ir::Const::sym(CONSTS[a])]),
+                    &[alexander_ir::Const::sym(CONSTS[a])],
                 );
             }
             db
@@ -140,7 +140,7 @@ fn random_edb() -> impl Strategy<Value = Database> {
 fn legacy_snapshot(db: &LegacyDb) -> Vec<String> {
     let mut out: Vec<String> = db
         .iter()
-        .map(|(p, t)| t.to_atom(p.name).to_string())
+        .map(|(p, row)| alexander_storage::row_atom(p.name, row).to_string())
         .collect();
     out.sort();
     out

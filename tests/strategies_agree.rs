@@ -194,14 +194,14 @@ fn parallel_seminaive_matches_sequential_with_negation() {
     for seed in [21u64, 22] {
         let mut edb = workload::random_graph("edge", 18, 36, seed);
         for i in 0..18 {
-            edb.insert(
+            edb.insert_row(
                 alexander_ir::Predicate::new("node", 1),
-                alexander_storage::Tuple::new(vec![workload::node(i)]),
+                &[workload::node(i)],
             );
         }
-        edb.insert(
+        edb.insert_row(
             alexander_ir::Predicate::new("source", 1),
-            alexander_storage::Tuple::new(vec![workload::node(0)]),
+            &[workload::node(0)],
         );
         let program = workload::reach_unreach();
         let seq = Engine::new(program.clone(), edb.clone()).unwrap();
@@ -231,14 +231,14 @@ fn stratified_negation_strategies_agree() {
     for seed in [11u64, 12] {
         let mut edb = workload::random_graph("edge", 20, 40, seed);
         for i in 0..20 {
-            edb.insert(
+            edb.insert_row(
                 alexander_ir::Predicate::new("node", 1),
-                alexander_storage::Tuple::new(vec![workload::node(i)]),
+                &[workload::node(i)],
             );
         }
-        edb.insert(
+        edb.insert_row(
             alexander_ir::Predicate::new("source", 1),
-            alexander_storage::Tuple::new(vec![workload::node(0)]),
+            &[workload::node(0)],
         );
         let engine = Engine::new(workload::reach_unreach(), edb).unwrap();
         let query = parse_atom("unreach(X)").unwrap();
