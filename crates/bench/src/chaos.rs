@@ -238,9 +238,6 @@ pub fn run(config: &ChaosConfig) -> Result<ChaosReport, String> {
     let server_config = ServerConfig {
         max_concurrent: config.clients.max(1) + 2,
         tenant_cap: config.clients.max(1) + 2,
-        // Tight backoff keeps each heal window short; the soak runs many.
-        heal_backoff_ms: 5,
-        heal_backoff_max_ms: 100,
         ..ServerConfig::default()
     };
     let service = Arc::new(

@@ -9,7 +9,7 @@
 //! ```
 
 use crate::{Engine, Strategy};
-use alexander_eval::{eval_with_provenance, Budget};
+use alexander_eval::{eval_stratified, prove, Budget, EvalError, EvalMetrics, Prover};
 use alexander_ir::analysis::{loosely_stratified, stratify};
 use alexander_ir::{Atom, Program};
 use alexander_parser::{parse, parse_atom};
@@ -488,12 +488,15 @@ pub fn run(source: &str, opts: &CliOptions) -> Result<String, String> {
         return Err("no queries: add `?- goal.` lines to the file or pass --query".into());
     }
 
-    // Provenance is computed once if proofs were requested (stratified
-    // programs only — report a friendly error otherwise).
-    let provenance = if opts.proof {
-        let (_, prov) = eval_with_provenance(engine.program(), engine.edb())
-            .map_err(|e| format!("--proof needs a stratified program: {e}"))?;
-        Some(prov)
+    // Proofs are read off the stratified model, computed once if requested
+    // (stratified programs only — report a friendly error otherwise).
+    let proofs = if opts.proof {
+        let unproven = |e: EvalError| format!("--proof needs a stratified program: {e}");
+        let program = engine.program();
+        let mut model = eval_stratified(program, engine.edb()).map_err(unproven)?.db;
+        let prover = Prover::new(program, &mut EvalMetrics::default()).map_err(unproven)?;
+        prover.ensure_indexes(&mut model);
+        Some((prover, model))
     } else {
         None
     };
@@ -507,14 +510,14 @@ pub fn run(source: &str, opts: &CliOptions) -> Result<String, String> {
                 }
                 for a in &result.answers {
                     writeln!(out, "  {a}").unwrap();
-                    if let Some(prov) = &provenance {
-                        match prov.proof(a, engine.edb()) {
+                    if let Some((prover, model)) = &proofs {
+                        match prove(prover, model, engine.edb(), a) {
                             Some(tree) => {
                                 for line in tree.to_string().lines() {
                                     writeln!(out, "    | {line}").unwrap();
                                 }
                             }
-                            None => writeln!(out, "    | (no recorded proof)").unwrap(),
+                            None => writeln!(out, "    | (not in the stratified model)").unwrap(),
                         }
                     }
                 }
@@ -607,6 +610,34 @@ mod tests {
         let out = run(SRC, &opts).unwrap();
         assert!(out.contains("[rule 1]"), "{out}");
         assert!(out.contains("[fact]"), "{out}");
+    }
+
+    #[test]
+    fn proofs_show_builtins_negations_and_inline_facts() {
+        let src = "
+            e(a, b). e(b, b). e(c, d). blocked(c). q(z).
+            q(X) :- e(X, Y), neq(X, Y), !blocked(X).
+        ";
+        let opts = CliOptions {
+            queries: vec!["q(X)".into()],
+            proof: true,
+            ..CliOptions::default()
+        };
+        let out = run(src, &opts).unwrap();
+        for line in [
+            "    | q(a)  [rule 0]",
+            "    |   neq(a, b)  [holds]",
+            "    |   !blocked(a)  [fails]",
+            "    |   e(a, b)  [fact]",
+            // The inline fact of `q` is a body-less rule, printed as the
+            // fact it was written as: every `[rule N]` names a rule of the
+            // file.
+            "    | q(z)  [fact]",
+        ] {
+            assert!(out.lines().any(|l| l == line), "missing `{line}`:\n{out}");
+        }
+        assert!(!out.contains("no recorded proof"), "{out}");
+        assert!(!out.contains("[rule 1]"), "{out}");
     }
 
     #[test]

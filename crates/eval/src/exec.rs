@@ -32,12 +32,12 @@
 //!   the firing, and checks the governor's deadline once per block.
 //! * [`exec_plan_bindings`] — the bindings sink: hands the caller the bound
 //!   row itself, for evaluators that need the ground body instance and not
-//!   just the head (conditional statements, provenance). The caller counts
-//!   firings and consults the governor, and may `Break` at any row.
+//!   just the head (conditional statements). The caller counts firings
+//!   and consults the governor, and may `Break` at any row.
 //! * [`exec_plan_seeded`] — the bindings sink started from a *pre-bound*
 //!   seed row: the head slots are filled from a fact, so a plan lowered from
-//!   [`compile_rule_seeded`](crate::join::compile_rule_seeded) answers "does
-//!   this fact still have a derivation?" with indexed point lookups.
+//!   [`compile_rule_seeded`](crate::join::compile_rule_seeded) answers
+//!   "which rule instances derive this fact?" with indexed point lookups.
 //!
 //! ## Governance
 //!
@@ -239,9 +239,9 @@ pub fn exec_plan_bindings(
 /// A head-seeded derivability probe: pre-binds the head slots from
 /// `head_row` and runs the body over `input`, calling `emit` with the bound
 /// row of each satisfying assignment (which may `Break` at the first
-/// witness). This is DRed's rederivation question — "does *this specific*
-/// doomed fact still have a derivation?" — asked as indexed point lookups
-/// instead of a full rule join.
+/// witness). This is the [`Prover`](crate::provenance::Prover)'s question —
+/// "which instances of this rule derive *this specific* fact?" — asked as
+/// indexed point lookups instead of a full rule join.
 ///
 /// `plan` must be lowered from a [`compile_rule_seeded`] compilation: only
 /// there do the operators treat the head slots as bound (probe keys) rather
@@ -812,8 +812,8 @@ mod tests {
     #[test]
     fn bindings_sink_yields_the_ground_body_instances() {
         // A negative literal and a builtin: the sink must hand out exactly
-        // the ground premises the conditional fixpoint and provenance
-        // record, in body order.
+        // the ground premises the conditional fixpoint records, in body
+        // order.
         let r = filtered_rule();
         let mut db = edb();
         db.insert_row(Predicate::new("e", 2), &[Const::sym("z"), Const::sym("z")]);

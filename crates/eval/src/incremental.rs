@@ -46,14 +46,14 @@
 //! both directions and need stratified counting, out of scope here.
 
 use crate::error::EvalError;
-use crate::exec::{exec_plan, exec_plan_seeded, ExecScratch};
+use crate::exec::{exec_plan, ExecScratch};
 use crate::join::{
-    compile_rule, compile_rule_seeded, ensure_rule_indexes, CompiledRule, DeltaSource, Emitted,
-    JoinInput, SideSources,
+    compile_rule, ensure_rule_indexes, CompiledRule, DeltaSource, Emitted, JoinInput, SideSources,
 };
 use crate::metrics::EvalMetrics;
 use crate::naive::seed_database;
 use crate::plan::{compile_plans, RulePlan};
+use crate::provenance::Prover;
 use alexander_ir::analysis::{tarjan, DepGraph};
 use alexander_ir::{Atom, Const, FxHashMap, FxHashSet, Predicate, Program};
 use alexander_storage::{Database, DeltaSpans};
@@ -92,11 +92,8 @@ pub struct IncrementalEngine {
     compiled: Vec<CompiledRule>,
     /// One executor plan per compiled rule.
     plans: Vec<RulePlan>,
-    /// Head-seeded compilations of the same rules, for DRed's per-fact
-    /// rederivation probes.
-    seeded: Vec<CompiledRule>,
-    /// One executor plan per seeded compilation.
-    seeded_plans: Vec<RulePlan>,
+    /// DRed's per-fact rederivation probes.
+    prover: Prover,
     /// EDB + all derived facts.
     total: Database,
     /// The extensional predicates (facts the user may insert/delete).
@@ -138,15 +135,10 @@ impl IncrementalEngine {
             .iter()
             .map(|r| compile_rule(r).map_err(EvalError::from))
             .collect::<Result<_, _>>()?;
-        let seeded: Vec<CompiledRule> = program
-            .rules
-            .iter()
-            .map(|r| compile_rule_seeded(r).map_err(EvalError::from))
-            .collect::<Result<_, _>>()?;
         let total = seed_database(&program, &edb);
         let mut metrics = EvalMetrics::default();
         let plans: Vec<RulePlan> = compile_plans(&compiled, &mut metrics);
-        let seeded_plans: Vec<RulePlan> = compile_plans(&seeded, &mut metrics);
+        let prover = Prover::new(&program, &mut metrics)?;
         let mut edb_preds: FxHashSet<Predicate> = edb.predicates().into_iter().collect();
         edb_preds.extend(program.facts.iter().map(|f| f.predicate()));
         let (groups, counts) = classify(&program);
@@ -154,8 +146,7 @@ impl IncrementalEngine {
             program,
             compiled,
             plans,
-            seeded,
-            seeded_plans,
+            prover,
             total,
             edb_preds,
             counts,
@@ -172,9 +163,7 @@ impl IncrementalEngine {
         // database is settled — inserts maintain them incrementally from
         // here on — so the first deletion's phase 2 doesn't pay an
         // O(|relation|) index build inside its cascade.
-        for ri in 0..engine.seeded.len() {
-            ensure_rule_indexes(&engine.seeded[ri], &mut engine.total);
-        }
+        engine.prover.ensure_indexes(&mut engine.total);
         Ok(engine)
     }
 
@@ -511,19 +500,22 @@ impl IncrementalEngine {
         // nothing: a fact may only become rederivable after a premise of
         // its alternative derivation came back, so this converges to
         // exactly the facts with support in the new state. A doomed fact
-        // is back once the total holds it again.
+        // is back, in the total, at its first witness.
         let mut rederived = 0usize;
+        let mut first = |_: usize, _: &[Const]| ControlFlow::Break(());
         loop {
             self.metrics.iterations += 1;
-            for &ri in &group.rules {
-                ensure_rule_indexes(&self.seeded[ri], &mut self.total);
-            }
+            self.prover.ensure_indexes(&mut self.total);
             let before = rederived;
             for (p, rel) in doomed.iter() {
                 for (row, &h) in rel.iter().zip(rel.row_hashes()) {
                     if !self.total.contains_row_hashed(p, h, row)
-                        && self.has_derivation(group, p, row, scratch)
+                        && self
+                            .prover
+                            .witnesses(p, row, &self.total, scratch, &mut self.metrics, &mut first)
+                            .is_break()
                     {
+                        self.metrics.firings += 1;
                         self.total.push_new_row_hashed(p, h, row);
                         rederived += 1;
                         self.metrics.new_facts += 1;
@@ -542,32 +534,6 @@ impl IncrementalEngine {
             }
         }
         (overdeleted, rederived)
-    }
-
-    /// True iff some rule of `group` with head `pred` fires for `row` over
-    /// the current total: one head-seeded probe per rule, stopping at the
-    /// first firing.
-    fn has_derivation(
-        &mut self,
-        group: &SccGroup,
-        pred: Predicate,
-        row: &[Const],
-        scratch: &mut ExecScratch,
-    ) -> bool {
-        group.rules.iter().any(|&ri| {
-            self.seeded[ri].head.pred == pred
-                && exec_plan_seeded(
-                    &self.seeded_plans[ri],
-                    row,
-                    &JoinInput::naive(&self.total),
-                    scratch,
-                    &mut self.metrics,
-                    &mut |_, metrics| {
-                        metrics.firings += 1;
-                        ControlFlow::Break(())
-                    },
-                ) == Some(ControlFlow::Break(()))
-        })
     }
 }
 

@@ -41,7 +41,7 @@ pub struct AtomPat {
 impl AtomPat {
     /// The ground atom this pattern denotes under a fully bound binding row
     /// (what the executor's bindings sink hands out). Allocates — for cold
-    /// paths (conditional statements, provenance, rederivation witnesses).
+    /// paths (conditional statements, proof trees).
     pub fn ground(&self, row: &[Const]) -> Atom {
         let terms = self.args.iter().map(|p| match p {
             Pat::Const(c) => Term::Const(*c),

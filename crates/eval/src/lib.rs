@@ -21,8 +21,8 @@
 //! operator pipeline. Its sink either projects and hashes each derived head
 //! row exactly once (the fixpoint evaluators — this is also where the
 //! governor's per-block deadline look and per-fact claims happen), or hands
-//! the caller the bound row itself (conditional statements, provenance, and
-//! the incremental engine's head-seeded rederivation probes). The independent
+//! the caller the bound row itself (conditional statements, and the
+//! [`Prover`]'s head-seeded probes that DRed and [`prove`] ask). The independent
 //! oracle is the boxed-tuple reference engine in `alexander-bench`, which
 //! shares neither storage nor join code and must agree on the model and on
 //! every [`EvalMetrics`] counter.
@@ -105,6 +105,6 @@ pub use metrics::{EvalMetrics, ExecStats};
 pub use naive::{eval_naive, eval_naive_opts, EvalOptions, EvalResult};
 pub use order::{order_for_evaluation, Unorderable};
 pub use plan::{compile_plan, PlanOp, RulePlan};
-pub use provenance::{eval_with_provenance, Justification, ProofTree, Provenance};
+pub use provenance::{prove, ProofTree, Prover};
 pub use seminaive::{eval_seminaive, eval_seminaive_opts};
 pub use stratified::{eval_stratified, eval_stratified_opts, StratifiedResult};

@@ -1,89 +1,87 @@
-//! Provenance: record *why* each fact was derived, and extract constructive
-//! proof trees.
+//! Proofs: *why* a fact holds, read off a computed model.
 //!
 //! Bry's proof-theoretic reading (PODS 1989, Prop. 5.1) characterises a
 //! proof of a fact `F` as `F` itself when `F` is stored, or a rule instance
 //! `Hσ ← Bσ` with `Hσ = F` together with proofs of `Bσ`'s positive premises
-//! and failure witnesses for its negative ones. This module materialises
-//! exactly that object: evaluation with provenance records, for every
-//! derived fact, the first rule instance that produced it; proof trees are
-//! then read back on demand.
-//!
-//! The recorded justification graph is acyclic by construction: premises of
-//! a fact derived in round *k* were stored in rounds `< k`, so
-//! first-justification-wins yields well-founded trees.
-//!
-//! The one consumer is the CLI's `--proof`: a [`Provenance`] is built once
-//! by [`eval_with_provenance`] and only read afterwards.
+//! and failure witnesses for its negative ones. Over a computed model that
+//! is a head-seeded probe ([`exec_plan_seeded`]): the [`Prover`] binds a
+//! rule's head to `F` and runs the body over the model, so each binding it
+//! yields is an instance deriving `F` whose premises hold there. DRed asks
+//! it whether a doomed fact still has a witness; [`prove`] builds the
+//! CLI's `--proof` trees from its witnesses. Nothing here applies rules
+//! round after round.
 
 use crate::error::EvalError;
-use crate::exec::{exec_plan_bindings, ExecScratch};
-use crate::govern::Completion;
-use crate::join::{compile_rule, ensure_rule_indexes, CompiledRule, JoinInput};
+use crate::exec::{exec_plan_seeded, ExecScratch};
+use crate::join::{compile_rule_seeded, ensure_rule_indexes, CompiledRule, JoinInput};
 use crate::metrics::EvalMetrics;
-use crate::naive::{seed_database, EvalResult};
 use crate::plan::{compile_plans, RulePlan};
-use alexander_ir::analysis::stratify;
-use alexander_ir::{Atom, FxHashMap, Polarity, Program, Rule};
+use alexander_ir::{Atom, Builtin, Const, FxHashMap, Literal, Polarity, Predicate, Program};
 use alexander_storage::Database;
 use std::fmt;
 use std::ops::ControlFlow;
 
-/// Why one fact holds: the rule instance that first derived it.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Justification {
-    /// Index of the rule in the source program.
-    pub rule: usize,
-    /// Ground positive premises, in body order.
-    pub premises: Vec<Atom>,
-    /// Ground negative premises (atoms whose absence was used).
-    pub negatives: Vec<Atom>,
+/// Every rule of a program compiled head-seeded: answers "which rule
+/// instances derive this row over this database?".
+pub struct Prover {
+    rules: Vec<CompiledRule>,
+    plans: Vec<RulePlan>,
+    /// Rule indices by head predicate, ascending.
+    by_head: FxHashMap<Predicate, Vec<usize>>,
 }
 
-/// First-derivation provenance for a whole evaluation.
-#[derive(Clone, Debug, Default)]
-pub struct Provenance {
-    justifications: FxHashMap<Atom, Justification>,
-}
-
-impl Provenance {
-    /// The recorded justification for `fact`, if it was derived by a rule
-    /// (EDB facts have none).
-    pub fn justification(&self, fact: &Atom) -> Option<&Justification> {
-        self.justifications.get(fact)
-    }
-
-    /// Number of justified facts.
-    pub fn len(&self) -> usize {
-        self.justifications.len()
-    }
-
-    /// True iff nothing was derived.
-    pub fn is_empty(&self) -> bool {
-        self.justifications.is_empty()
-    }
-
-    /// Builds the constructive proof tree of `fact`. Facts with no recorded
-    /// justification are leaves if they are in `edb`, otherwise `None`
-    /// (the atom does not hold).
-    pub fn proof(&self, fact: &Atom, edb: &Database) -> Option<ProofTree> {
-        if let Some(j) = self.justifications.get(fact) {
-            let children = j
-                .premises
-                .iter()
-                .map(|p| self.proof(p, edb))
-                .collect::<Option<Vec<_>>>()?;
-            Some(ProofTree::Derived {
-                atom: fact.clone(),
-                rule: j.rule,
-                children,
-                negatives: j.negatives.clone(),
-            })
-        } else if edb.contains_atom(fact) {
-            Some(ProofTree::Fact(fact.clone()))
-        } else {
-            None
+impl Prover {
+    /// Compiles `program`'s rules, charging the plans to `metrics`. Fails
+    /// only on a rule whose negations cannot be grounded.
+    pub fn new(program: &Program, metrics: &mut EvalMetrics) -> Result<Prover, EvalError> {
+        let rules: Vec<CompiledRule> = program
+            .rules
+            .iter()
+            .map(compile_rule_seeded)
+            .collect::<Result<_, _>>()?;
+        let mut by_head: FxHashMap<Predicate, Vec<usize>> = FxHashMap::default();
+        for (i, r) in rules.iter().enumerate() {
+            by_head.entry(r.head.pred).or_default().push(i);
         }
+        let plans = compile_plans(&rules, metrics);
+        Ok(Prover {
+            rules,
+            plans,
+            by_head,
+        })
+    }
+
+    /// Builds in `db` the indexes the probes read (every head slot is bound
+    /// from the start, so their masks differ from the forward joins').
+    pub fn ensure_indexes(&self, db: &mut Database) {
+        for r in &self.rules {
+            ensure_rule_indexes(r, db);
+        }
+    }
+
+    /// Probes each rule with head `pred`, seeded with `row`, over `db`,
+    /// charging the probes to `metrics`. `emit` gets the rule's index and the
+    /// binding row of every satisfying instance (a firing the caller counts),
+    /// and may `Break`; returns `Break` iff it did.
+    pub(crate) fn witnesses(
+        &self,
+        pred: Predicate,
+        row: &[Const],
+        db: &Database,
+        scratch: &mut ExecScratch,
+        metrics: &mut EvalMetrics,
+        emit: &mut dyn FnMut(usize, &[Const]) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        let input = JoinInput::naive(db);
+        for &ri in self.by_head.get(&pred).into_iter().flatten() {
+            let mut emit = |b: &[Const], _: &mut EvalMetrics| emit(ri, b);
+            if exec_plan_seeded(&self.plans[ri], row, &input, scratch, metrics, &mut emit)
+                == Some(ControlFlow::Break(()))
+            {
+                return ControlFlow::Break(());
+            }
+        }
+        ControlFlow::Continue(())
     }
 }
 
@@ -92,12 +90,14 @@ impl Provenance {
 pub enum ProofTree {
     /// A stored (extensional) fact: a proof of itself.
     Fact(Atom),
-    /// A rule application: proofs of the premises plus the negative
-    /// failure witnesses.
+    /// An instance of rule `rule`: proofs of its positive premises, its
+    /// built-ins (which hold) and its negative premises' atoms (absent from
+    /// the model), each in compiled body order.
     Derived {
         atom: Atom,
         rule: usize,
         children: Vec<ProofTree>,
+        builtins: Vec<Literal>,
         negatives: Vec<Atom>,
     },
 }
@@ -111,7 +111,7 @@ impl ProofTree {
         }
     }
 
-    /// Tree height: 1 for a leaf.
+    /// Tree height: 1 for a node without children.
     pub fn height(&self) -> usize {
         match self {
             ProofTree::Fact(_) => 1,
@@ -121,49 +121,31 @@ impl ProofTree {
         }
     }
 
-    /// Every atom the proof *depends negatively on* (Bry Def. 5.1),
-    /// anywhere in the tree.
-    pub fn negative_dependencies(&self) -> Vec<Atom> {
-        let mut out = Vec::new();
-        self.walk(&mut |t| {
-            if let ProofTree::Derived { negatives, .. } = t {
-                out.extend(negatives.iter().cloned());
-            }
-        });
-        out.sort();
-        out.dedup();
-        out
-    }
-
-    fn walk(&self, f: &mut impl FnMut(&ProofTree)) {
-        f(self);
-        if let ProofTree::Derived { children, .. } = self {
-            for c in children {
-                c.walk(f);
-            }
-        }
-    }
-
     fn render(&self, indent: usize, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let pad = "  ".repeat(indent);
-        match self {
-            ProofTree::Fact(a) => writeln!(f, "{pad}{a}  [fact]"),
-            ProofTree::Derived {
-                atom,
-                rule,
-                children,
-                negatives,
-            } => {
-                writeln!(f, "{pad}{atom}  [rule {rule}]")?;
-                for n in negatives {
-                    writeln!(f, "{pad}  !{n}  [fails]")?;
-                }
-                for c in children {
-                    c.render(indent + 1, f)?;
-                }
-                Ok(())
-            }
+        let ProofTree::Derived {
+            atom,
+            rule,
+            children,
+            builtins,
+            negatives,
+        } = self
+        else {
+            return writeln!(f, "{pad}{}  [fact]", self.atom());
+        };
+        // Only a body-less rule (an inline fact of the program) has no
+        // premise at all: it is printed as the fact it was written as.
+        if children.is_empty() && builtins.is_empty() && negatives.is_empty() {
+            return writeln!(f, "{pad}{atom}  [fact]");
         }
+        writeln!(f, "{pad}{atom}  [rule {rule}]")?;
+        for b in builtins {
+            writeln!(f, "{pad}  {b}  [holds]")?;
+        }
+        for n in negatives {
+            writeln!(f, "{pad}  !{n}  [fails]")?;
+        }
+        children.iter().try_for_each(|c| c.render(indent + 1, f))
     }
 }
 
@@ -173,136 +155,175 @@ impl fmt::Display for ProofTree {
     }
 }
 
-/// Stratified evaluation that records provenance. Accepts any stratified
-/// program (definite programs are a single stratum).
-pub fn eval_with_provenance(
-    program: &Program,
-    edb: &Database,
-) -> Result<(EvalResult, Provenance), EvalError> {
-    program.validate().map_err(EvalError::Invalid)?;
-    let strat = stratify(program)?;
-    let mut db = seed_database(program, edb);
-    let mut metrics = EvalMetrics::default();
-    let mut prov = Provenance::default();
-    let mut scratch = ExecScratch::new();
+/// A minimal-height proof of `fact` over `model`, the model of the program
+/// `prover` was built from over `edb`: a row of `edb` is a
+/// [`ProofTree::Fact`], and `None` means `fact` is not in `model`. `model`
+/// must hold the prover's indexes ([`Prover::ensure_indexes`]).
+///
+/// The search is height-bounded and memoised: a fact is tried at height
+/// `k` only once it is known to have no proof of height `k - 1`. So every
+/// proof found has minimal height, each (fact, height) pair is explored at
+/// most once, and only facts this proof may need are probed.
+pub fn prove(prover: &Prover, model: &Database, edb: &Database, fact: &Atom) -> Option<ProofTree> {
+    if !model.contains_atom(fact) {
+        return None;
+    }
+    let mut search = Search {
+        prover,
+        model,
+        edb,
+        memo: FxHashMap::default(),
+    };
+    // A minimal proof repeats no fact along a path, so it is no taller
+    // than the model is large.
+    search.within(fact, model.total_tuples())
+}
 
-    // Indexed rule list per stratum, keeping source indices for the
-    // justification records.
-    for layer in 0..strat.len().max(1) {
-        let rules: Vec<(usize, &Rule)> = program
-            .rules
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| strat.stratum_of(r.head.predicate()) == layer)
-            .collect();
-        if rules.is_empty() {
-            continue;
+/// One [`prove`] call's state.
+struct Search<'a> {
+    prover: &'a Prover,
+    model: &'a Database,
+    edb: &'a Database,
+    /// Per fact: its minimal-height proof, or the largest height within
+    /// which it is known to have none.
+    memo: FxHashMap<Atom, Result<ProofTree, usize>>,
+}
+
+impl Search<'_> {
+    /// A minimal-height proof of `fact`, if it is `height` tall or less.
+    fn within(&mut self, fact: &Atom, height: usize) -> Option<ProofTree> {
+        let from = match self.memo.get(fact) {
+            Some(Ok(tree)) => return (tree.height() <= height).then(|| tree.clone()),
+            Some(Err(failed)) => failed + 1,
+            None => 1,
+        };
+        for k in from..=height {
+            let tree = self.at(fact, k);
+            self.memo.insert(fact.clone(), tree.clone().ok_or(k));
+            if tree.is_some() {
+                return tree;
+            }
         }
-        let compiled: Vec<CompiledRule> = rules
-            .iter()
-            .map(|(_, r)| compile_rule(r))
-            .collect::<Result<_, crate::order::Unorderable>>()?;
-        let plans: Vec<RulePlan> = compile_plans(&compiled, &mut metrics);
+        None
+    }
 
-        // Naive rounds within the stratum (provenance favours clarity over
-        // delta bookkeeping; the recorded trees are identical).
-        loop {
-            metrics.iterations += 1;
-            for r in &compiled {
-                ensure_rule_indexes(r, &mut db);
-            }
-            let mut fresh: Vec<(Atom, Justification)> = Vec::new();
-            for ((&(ri, _), rule), plan) in rules.iter().zip(&compiled).zip(&plans) {
-                let _ = exec_plan_bindings(
-                    plan,
-                    &JoinInput::naive(&db),
-                    &mut scratch,
-                    &mut metrics,
-                    &mut |row, metrics| {
-                        metrics.firings += 1;
-                        let head = rule.head.ground(row);
-                        if db.contains_atom(&head) {
-                            metrics.duplicate_facts += 1;
-                            return ControlFlow::Continue(());
-                        }
-                        let mut premises = Vec::new();
-                        let mut negatives = Vec::new();
-                        for lit in &rule.body {
-                            let atom = lit.atom.ground(row);
-                            match lit.polarity {
-                                Polarity::Positive => premises.push(atom),
-                                Polarity::Negative => negatives.push(atom),
-                            }
-                        }
-                        metrics.new_facts += 1;
-                        fresh.push((
-                            head,
-                            Justification {
-                                rule: ri,
-                                premises,
-                                negatives,
-                            },
-                        ));
-                        ControlFlow::Continue(())
-                    },
-                );
-            }
-            let mut grew = false;
-            for (atom, j) in fresh {
-                // invariant: `fresh` only holds atoms built from ground
-                // tuples above.
-                if db.insert_atom(&atom).expect("ground") {
-                    prov.justifications.entry(atom).or_insert(j);
-                    grew = true;
+    /// A proof of `fact` at most `height` tall: a leaf, or the first
+    /// witnessing instance whose premises have proofs below `height`.
+    fn at(&mut self, fact: &Atom, height: usize) -> Option<ProofTree> {
+        if self.edb.contains_atom(fact) {
+            return Some(ProofTree::Fact(fact.clone()));
+        }
+        let mut found: Vec<(usize, Box<[Const]>)> = Vec::new();
+        let _ = self.prover.witnesses(
+            fact.predicate(),
+            &fact.ground_args()?,
+            self.model,
+            &mut ExecScratch::new(),
+            &mut EvalMetrics::default(),
+            &mut |ri, binding| {
+                found.push((ri, binding.into()));
+                ControlFlow::Continue(())
+            },
+        );
+        let prover = self.prover;
+        found.into_iter().find_map(|(rule, binding)| {
+            let (mut children, mut builtins, mut negatives) = (Vec::new(), Vec::new(), Vec::new());
+            for lit in &prover.rules[rule].body {
+                let atom = lit.atom.ground(&binding);
+                if Builtin::of(lit.atom.pred).is_some() {
+                    let polarity = lit.polarity;
+                    builtins.push(Literal { atom, polarity });
+                } else if lit.polarity == Polarity::Negative {
+                    negatives.push(atom);
+                } else {
+                    children.push(self.within(&atom, height - 1)?);
                 }
             }
-            if !grew {
-                break;
-            }
-        }
+            Some(ProofTree::Derived {
+                atom: fact.clone(),
+                rule,
+                children,
+                builtins,
+                negatives,
+            })
+        })
     }
-    Ok((
-        EvalResult {
-            db,
-            metrics,
-            completion: Completion::Complete,
-        },
-        prov,
-    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stratified::eval_stratified;
     use alexander_parser::{parse, parse_atom};
 
-    fn setup(src: &str) -> (Program, Database) {
-        let parsed = parse(src).unwrap();
-        let edb = Database::from_program(&parsed.program);
-        let program = Program {
-            rules: parsed.program.rules,
-            facts: Vec::new(),
-        };
-        (program, edb)
+    /// The model of `src`'s rules over its facts, with a prover ready on it.
+    struct Proofs {
+        prover: Prover,
+        model: Database,
+        edb: Database,
+    }
+
+    impl Proofs {
+        fn of(src: &str) -> Proofs {
+            let parsed = parse(src).unwrap();
+            let edb = Database::from_program(&parsed.program);
+            let program = Program {
+                rules: parsed.program.rules,
+                facts: Vec::new(),
+            };
+            let mut model = eval_stratified(&program, &edb).unwrap().db;
+            let prover = Prover::new(&program, &mut EvalMetrics::default()).unwrap();
+            prover.ensure_indexes(&mut model);
+            Proofs { prover, model, edb }
+        }
+
+        fn prove(&self, atom: &str) -> Option<ProofTree> {
+            prove(
+                &self.prover,
+                &self.model,
+                &self.edb,
+                &parse_atom(atom).unwrap(),
+            )
+        }
+    }
+
+    fn shown(atoms: &[Atom]) -> Vec<String> {
+        atoms.iter().map(Atom::to_string).collect()
+    }
+
+    /// Every atom `proof` *depends negatively on* (Bry Def. 5.1), anywhere
+    /// in the tree.
+    fn negative_dependencies(proof: &ProofTree) -> Vec<Atom> {
+        let mut out = Vec::new();
+        if let ProofTree::Derived {
+            children,
+            negatives,
+            ..
+        } = proof
+        {
+            out.extend(children.iter().flat_map(negative_dependencies));
+            out.extend(negatives.iter().cloned());
+        }
+        out.sort();
+        out.dedup();
+        out
     }
 
     #[test]
     fn proof_tree_of_a_chain_derivation() {
-        let (program, edb) = setup(
+        let p = Proofs::of(
             "
             par(a, b). par(b, c). par(c, d).
             anc(X, Y) :- par(X, Y).
             anc(X, Y) :- par(X, Z), anc(Z, Y).
         ",
         );
-        let (result, prov) = eval_with_provenance(&program, &edb).unwrap();
-        assert_eq!(result.db.len_of(alexander_ir::Predicate::new("anc", 2)), 6);
+        assert_eq!(p.model.len_of(alexander_ir::Predicate::new("anc", 2)), 6);
 
-        let goal = parse_atom("anc(a, d)").unwrap();
-        let proof = prov.proof(&goal, &edb).expect("anc(a,d) holds");
-        assert_eq!(proof.atom(), &goal);
-        // a->d goes through the recursive rule at least twice: height >= 3.
-        assert!(proof.height() >= 3, "{proof}");
+        let proof = p.prove("anc(a, d)").expect("anc(a,d) holds");
+        assert_eq!(proof.atom(), &parse_atom("anc(a, d)").unwrap());
+        // a->d goes through the recursive rule twice, then the base rule.
+        assert_eq!(proof.height(), 4, "{proof}");
         let shown = proof.to_string();
         assert!(shown.contains("anc(a, d)"), "{shown}");
         assert!(shown.contains("[fact]"), "{shown}");
@@ -310,110 +331,102 @@ mod tests {
 
     #[test]
     fn edb_facts_prove_themselves() {
-        let (program, edb) = setup("par(a, b). anc(X, Y) :- par(X, Y).");
-        let (_, prov) = eval_with_provenance(&program, &edb).unwrap();
+        let p = Proofs::of("par(a, b). anc(X, Y) :- par(X, Y).");
         let fact = parse_atom("par(a, b)").unwrap();
-        assert_eq!(prov.proof(&fact, &edb), Some(ProofTree::Fact(fact.clone())));
-        assert!(prov.justification(&fact).is_none());
+        assert_eq!(p.prove("par(a, b)"), Some(ProofTree::Fact(fact)));
     }
 
     #[test]
     fn non_facts_have_no_proof() {
-        let (program, edb) = setup("par(a, b). anc(X, Y) :- par(X, Y).");
-        let (_, prov) = eval_with_provenance(&program, &edb).unwrap();
-        assert!(prov
-            .proof(&parse_atom("anc(b, a)").unwrap(), &edb)
-            .is_none());
+        let p = Proofs::of("par(a, b). anc(X, Y) :- par(X, Y).");
+        assert!(p.prove("anc(b, a)").is_none());
     }
 
     #[test]
     fn negative_dependencies_are_reported() {
-        let (program, edb) = setup(
+        let p = Proofs::of(
             "
             node(a). node(b). bad(b).
             blocked(X) :- bad(X).
             good(X) :- node(X), !blocked(X).
         ",
         );
-        let (_, prov) = eval_with_provenance(&program, &edb).unwrap();
-        let proof = prov
-            .proof(&parse_atom("good(a)").unwrap(), &edb)
-            .expect("good(a) holds");
-        let negs: Vec<String> = proof
-            .negative_dependencies()
-            .iter()
-            .map(|a| a.to_string())
-            .collect();
-        assert_eq!(negs, ["blocked(a)"]);
+        let proof = p.prove("good(a)").expect("good(a) holds");
+        assert_eq!(shown(&negative_dependencies(&proof)), ["blocked(a)"]);
         assert!(proof.to_string().contains("!blocked(a)  [fails]"));
     }
 
     #[test]
-    fn justification_grounds_the_whole_body_instance() {
-        // Positive premises (builtins included) in body order, negative
-        // premises apart: the ground instance of the firing, as recorded.
-        let (program, edb) = setup(
+    fn a_proof_node_grounds_the_whole_body_instance() {
+        // Positive premises, built-ins and negative premises apart, each in
+        // body order: the ground instance of the firing.
+        let p = Proofs::of(
             "
             e(a, b). e(b, b). e(c, d). blocked(c).
             q(X) :- e(X, Y), neq(X, Y), !blocked(X).
         ",
         );
-        let (_, prov) = eval_with_provenance(&program, &edb).unwrap();
-        let j = prov.justification(&parse_atom("q(a)").unwrap()).unwrap();
-        let shown = |atoms: &[Atom]| atoms.iter().map(Atom::to_string).collect::<Vec<_>>();
-        assert_eq!(shown(&j.premises), ["e(a, b)", "neq(a, b)"]);
-        assert_eq!(shown(&j.negatives), ["blocked(a)"]);
-        // b fails the builtin, c the negation: neither fires.
-        assert_eq!(prov.len(), 1);
+        let Some(ProofTree::Derived {
+            rule,
+            children,
+            builtins,
+            negatives,
+            ..
+        }) = p.prove("q(a)")
+        else {
+            panic!("q(a) holds by a rule");
+        };
+        assert_eq!(rule, 0);
+        assert_eq!(children, [ProofTree::Fact(parse_atom("e(a, b)").unwrap())]);
+        let builtins: Vec<String> = builtins.iter().map(Literal::to_string).collect();
+        assert_eq!(builtins, ["neq(a, b)"]);
+        assert_eq!(shown(&negatives), ["blocked(a)"]);
+        // b fails the builtin, c the negation: neither has a proof.
+        assert!(p.prove("q(b)").is_none());
+        assert!(p.prove("q(c)").is_none());
     }
 
     #[test]
-    fn justification_records_the_rule_index() {
-        let (program, edb) = setup(
+    fn a_proof_node_names_the_rule_index() {
+        let p = Proofs::of(
             "
             par(a, b). par(b, c).
             anc(X, Y) :- par(X, Y).
             anc(X, Y) :- par(X, Z), anc(Z, Y).
         ",
         );
-        let (_, prov) = eval_with_provenance(&program, &edb).unwrap();
-        let base = prov
-            .justification(&parse_atom("anc(a, b)").unwrap())
-            .unwrap();
-        assert_eq!(base.rule, 0);
-        let step = prov
-            .justification(&parse_atom("anc(a, c)").unwrap())
-            .unwrap();
-        assert_eq!(step.rule, 1);
-        assert_eq!(step.premises.len(), 2);
+        let rule_and_premises = |atom: &str| match p.prove(atom) {
+            Some(ProofTree::Derived { rule, children, .. }) => (rule, children.len()),
+            other => panic!("{atom} is derived: {other:?}"),
+        };
+        assert_eq!(rule_and_premises("anc(a, b)"), (0, 1));
+        assert_eq!(rule_and_premises("anc(a, c)"), (1, 2));
     }
 
     #[test]
-    fn provenance_agrees_with_plain_evaluation() {
-        let (program, edb) = setup(
+    fn every_fact_of_a_cyclic_model_has_a_well_founded_proof() {
+        let p = Proofs::of(
             "
             e(a, b). e(b, c). e(c, a). e(c, d).
             tc(X, Y) :- e(X, Y).
             tc(X, Y) :- e(X, Z), tc(Z, Y).
         ",
         );
-        let (with, prov) = eval_with_provenance(&program, &edb).unwrap();
-        let plain = crate::seminaive::eval_seminaive(&program, &edb).unwrap();
         let tc = alexander_ir::Predicate::new("tc", 2);
-        assert_eq!(with.db.len_of(tc), plain.db.len_of(tc));
+        assert_eq!(p.model.len_of(tc), 12);
         // Every derived fact has a proof, and the proofs are well-founded
-        // even on the cyclic graph.
-        for a in with.db.atoms_of(tc) {
-            let p = prov
-                .proof(&a, &edb)
+        // even on the cyclic graph: the longest shortest path is a→d
+        // (three edges), so no proof is taller than 4.
+        for a in p.model.atoms_of(tc) {
+            let proof = prove(&p.prover, &p.model, &p.edb, &a)
                 .unwrap_or_else(|| panic!("no proof for {a}"));
-            assert!(p.height() <= 50, "suspiciously deep proof for {a}");
+            assert!(proof.height() <= 4, "{proof}");
         }
     }
 
     #[test]
     fn proofs_in_higher_strata_reach_into_lower_ones() {
-        let (program, edb) = setup(
+        let p = Proofs::of(
             "
             edge(s, a). edge(a, b). node(s). node(a). node(b). node(z).
             source(s).
@@ -422,10 +435,8 @@ mod tests {
             unreach(X) :- node(X), !reach(X).
         ",
         );
-        let (_, prov) = eval_with_provenance(&program, &edb).unwrap();
-        let proof = prov
-            .proof(&parse_atom("unreach(z)").unwrap(), &edb)
-            .expect("z is unreachable");
-        assert_eq!(proof.negative_dependencies()[0].to_string(), "reach(z)");
+        let proof = p.prove("unreach(z)").expect("z is unreachable");
+        assert_eq!(shown(&negative_dependencies(&proof)), ["reach(z)"]);
+        assert!(p.prove("unreach(a)").is_none());
     }
 }

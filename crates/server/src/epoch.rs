@@ -28,9 +28,9 @@ impl Epoch {
         self.generation
     }
 
-    /// The engine over this epoch's frozen EDB. Queries clone it (cheap:
-    /// copy-on-write EDB) to attach their own budget/threads, so one epoch
-    /// serves any number of concurrent readers.
+    /// The engine over this epoch's frozen EDB, built at publication with the
+    /// service's threads and budget. Queries borrow it through the pin, so
+    /// one epoch serves any number of concurrent readers.
     pub fn engine(&self) -> &Engine {
         &self.engine
     }

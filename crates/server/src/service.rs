@@ -55,10 +55,6 @@ pub struct ServerConfig {
     pub budget: Budget,
     /// Strategy used when a request names none.
     pub default_strategy: Strategy,
-    /// Supervisor backoff after a failed heal attempt: first retry delay…
-    pub heal_backoff_ms: u64,
-    /// …doubling (with jitter) up to this ceiling.
-    pub heal_backoff_max_ms: u64,
     /// Sessions idle longer than this are closed (None = never).
     pub idle_timeout: Option<Duration>,
     /// Per-write socket deadline; a client that can't drain a reply within
@@ -75,8 +71,6 @@ impl Default for ServerConfig {
             threads: 1,
             budget: Budget::default(),
             default_strategy: Strategy::Alexander,
-            heal_backoff_ms: 10,
-            heal_backoff_max_ms: 1_000,
             idle_timeout: Some(Duration::from_secs(300)),
             write_timeout: Some(Duration::from_secs(30)),
         }
@@ -547,14 +541,19 @@ fn epoch_engine(program: &Program, edb: &Database, config: &ServerConfig) -> Eng
         .with_budget(config.budget)
 }
 
+/// The supervisor's delay after a failed heal attempt: the first retry…
+const HEAL_BACKOFF_MS: u64 = 10;
+/// …doubling (with jitter) up to this ceiling.
+const HEAL_BACKOFF_MAX_MS: u64 = 1_000;
+
 /// The supervisor loop: sleep until degraded, then retry [`Core::heal`]
 /// with jittered exponential backoff until it succeeds or the service
-/// stops. Backoff is bounded (`heal_backoff_max_ms`) so a long outage
+/// stops. Backoff is bounded (`HEAL_BACKOFF_MAX_MS`) so a long outage
 /// retries steadily instead of backing off into the far future.
 fn supervise(core: &Core) {
     let mut rng = rng_seed();
     while core.health.wait_degraded_or_stop(&core.stop) {
-        let mut backoff = core.config.heal_backoff_ms.max(1);
+        let mut backoff = HEAL_BACKOFF_MS;
         loop {
             if core.stop.load(Ordering::SeqCst) {
                 return;
@@ -566,7 +565,7 @@ fn supervise(core: &Core) {
             // storms if several services share a failing disk.
             let jitter = xorshift(&mut rng) % (backoff / 2 + 1);
             sleep_unless_stopped(&core.stop, Duration::from_millis(backoff / 2 + jitter));
-            backoff = (backoff * 2).min(core.config.heal_backoff_max_ms.max(1));
+            backoff = (backoff * 2).min(HEAL_BACKOFF_MAX_MS);
         }
     }
 }

@@ -30,13 +30,13 @@ fn durable_service(tag: &str) -> (Arc<QueryService>, PathBuf, PathBuf) {
     std::fs::remove_file(&sp).ok();
     std::fs::remove_file(&wp).ok();
     let program = parse(&format!("{RULES} par(a, b).")).unwrap().program;
-    let config = ServerConfig {
-        // Tight backoff: these tests wait on real heals.
-        heal_backoff_ms: 5,
-        heal_backoff_max_ms: 50,
-        ..ServerConfig::default()
-    };
-    let s = QueryService::open(program, Database::new(), Some((&sp, &wp)), config).unwrap();
+    let s = QueryService::open(
+        program,
+        Database::new(),
+        Some((&sp, &wp)),
+        ServerConfig::default(),
+    )
+    .unwrap();
     (Arc::new(s), sp, wp)
 }
 
@@ -203,13 +203,13 @@ fn inline_facts_survive_poison_and_heal() {
     let program = parse(&format!("{RULES} par(a, b). par(b, c). anc(z, z)."))
         .unwrap()
         .program;
-    let config = ServerConfig {
-        heal_backoff_ms: 5,
-        heal_backoff_max_ms: 50,
-        ..ServerConfig::default()
-    };
-    let durable =
-        QueryService::open(program.clone(), Database::new(), Some((&sp, &wp)), config).unwrap();
+    let durable = QueryService::open(
+        program.clone(),
+        Database::new(),
+        Some((&sp, &wp)),
+        ServerConfig::default(),
+    )
+    .unwrap();
     let memory =
         QueryService::open(program, Database::new(), None, ServerConfig::default()).unwrap();
     let same_answers = |step: &str| {

@@ -5,10 +5,13 @@
 use alexander_bench::legacy::{eval_seminaive_legacy, LegacyDb};
 use alexander_eval::{
     eval_conditional, eval_naive, eval_naive_opts, eval_seminaive, eval_seminaive_opts,
-    eval_stratified, eval_stratified_opts, Budget, Completion, EvalOptions, Resource,
+    eval_stratified, eval_stratified_opts, order_for_evaluation, prove, Budget, Completion,
+    EvalMetrics, EvalOptions, ProofTree, Prover, Resource,
 };
 use alexander_ir::analysis::{locally_stratified, loosely_stratified, stratify};
-use alexander_ir::{Atom, Literal, Polarity, Predicate, Program, Rule, Term};
+use alexander_ir::{
+    match_atom, Atom, Builtin, Literal, Polarity, Predicate, Program, Rule, Subst, Term,
+};
 use alexander_storage::Database;
 use alexander_topdown::oldt_query;
 use alexander_transform::{alexander, sup_magic_sets, SipOptions};
@@ -155,6 +158,81 @@ fn db_snapshot(db: &Database) -> Vec<String> {
         .collect();
     out.sort();
     out
+}
+
+/// Checks every node of `tree`: a leaf is an EDB row, and a `Derived` node
+/// is a ground instance of the rule it names, built over `model` — its
+/// children prove positive premises of the model, its built-ins hold and
+/// its negative premises are absent from the model. Premises come in the
+/// compiled (evaluation-ordered) body order.
+fn check_proof(
+    tree: &ProofTree,
+    program: &Program,
+    model: &Database,
+    edb: &Database,
+) -> Result<(), String> {
+    let (atom, rule, children, builtins, negatives) = match tree {
+        ProofTree::Fact(a) if edb.contains_atom(a) => return Ok(()),
+        ProofTree::Fact(a) => return Err(format!("leaf {a} is not an EDB row")),
+        ProofTree::Derived {
+            atom,
+            rule,
+            children,
+            builtins,
+            negatives,
+        } => (atom, *rule, children, builtins, negatives),
+    };
+    let ordered = order_for_evaluation(&program.rules[rule]).unwrap();
+    let is_builtin = |l: &&Literal| Builtin::of(l.atom.predicate()).is_some();
+    let want_builtins: Vec<&Literal> = ordered.body.iter().filter(is_builtin).collect();
+    let (want_pos, want_neg): (Vec<&Literal>, Vec<&Literal>) = ordered
+        .body
+        .iter()
+        .filter(|l| !is_builtin(l))
+        .partition(|l| l.is_positive());
+    let mut s = Subst::new();
+    let matched = match_atom(&ordered.head, atom, &mut s)
+        && want_pos.len() == children.len()
+        && want_pos
+            .iter()
+            .zip(children)
+            .all(|(l, c)| match_atom(&l.atom, c.atom(), &mut s))
+        && want_builtins.len() == builtins.len()
+        && want_builtins
+            .iter()
+            .zip(builtins)
+            .all(|(l, b)| l.polarity == b.polarity && match_atom(&l.atom, &b.atom, &mut s))
+        && want_neg.len() == negatives.len()
+        && want_neg
+            .iter()
+            .zip(negatives)
+            .all(|(l, n)| match_atom(&l.atom, n, &mut s));
+    if !matched {
+        return Err(format!("{atom} is no instance of rule {rule}: {ordered}"));
+    }
+    for b in builtins {
+        let args = b.atom.ground_args().unwrap();
+        if Builtin::of(b.atom.predicate())
+            .unwrap()
+            .eval(args[0], args[1])
+            != b.is_positive()
+        {
+            return Err(format!("built-in {b} of {atom} does not hold"));
+        }
+    }
+    if let Some(n) = negatives.iter().find(|n| model.contains_atom(n)) {
+        return Err(format!("negative premise {n} of {atom} is in the model"));
+    }
+    for c in children {
+        if !model.contains_atom(c.atom()) {
+            return Err(format!(
+                "premise {} of {atom} is not in the model",
+                c.atom()
+            ));
+        }
+        check_proof(c, program, model, edb)?;
+    }
+    Ok(())
 }
 
 proptest! {
@@ -431,5 +509,74 @@ proptest! {
         let cond = eval_conditional(&program, &edb).unwrap();
         prop_assert!(cond.is_total(), "stratified program left residue");
         prop_assert_eq!(db_snapshot(&strat.db), db_snapshot(&cond.db));
+    }
+}
+
+proptest! {
+    // A non-minimal proof needs a fact with two derivations of different
+    // heights, which few small random programs have: this property runs more
+    // cases than the rest.
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Proofs are read off the stratified model: every atom of it has one,
+    /// each node is an instance of its rule over the model with EDB rows at
+    /// the leaves, and no other atom has one. On a definite program a
+    /// proof's height is one more than the naive round that first derives
+    /// the fact: the proof is of minimal height.
+    #[test]
+    fn every_model_atom_has_a_minimal_proof_over_the_model(
+        program in prop_oneof![definite_program(), negation_program()],
+        edb in random_edb(),
+    ) {
+        prop_assume!(program.validate().is_ok());
+        prop_assume!(stratify(&program).is_ok());
+        let mut model = eval_stratified(&program, &edb).unwrap().db;
+        let prover = Prover::new(&program, &mut EvalMetrics::default()).unwrap();
+        prover.ensure_indexes(&mut model);
+        // Naive round k's database, for k = 0 (the EDB) until the model.
+        let rounds: Vec<Database> = if program.is_definite() {
+            let mut rounds = Vec::new();
+            for k in 0.. {
+                let budget = Budget::default().with_max_rounds(k);
+                let db = eval_naive_opts(&program, &edb, EvalOptions::default().with_budget(budget))
+                    .unwrap()
+                    .db;
+                let done = db.total_tuples() == model.total_tuples();
+                rounds.push(db);
+                if done {
+                    break;
+                }
+            }
+            rounds
+        } else {
+            Vec::new()
+        };
+        for p in model.predicates() {
+            for atom in model.atoms_of(p) {
+                let proof = prove(&prover, &model, &edb, &atom);
+                prop_assert!(proof.is_some(), "no proof of {}", atom);
+                let proof = proof.unwrap();
+                prop_assert_eq!(proof.atom(), &atom);
+                if let Err(e) = check_proof(&proof, &program, &model, &edb) {
+                    prop_assert!(false, "{}\n{}", e, proof);
+                }
+                if !rounds.is_empty() {
+                    let first = rounds.iter().position(|db| db.contains_atom(&atom)).unwrap();
+                    prop_assert_eq!(proof.height(), first + 1, "{}", proof);
+                }
+            }
+        }
+        let preds = IDB.iter().chain(EDB).map(|&(name, arity)| Predicate::new(name, arity));
+        for pred in preds {
+            for i in 0..CONSTS.len().pow(pred.arity as u32) {
+                let terms = (0..pred.arity)
+                    .map(|j| Term::sym(CONSTS[i / CONSTS.len().pow(j as u32) % CONSTS.len()]))
+                    .collect();
+                let atom = Atom::new(pred.name.as_str(), terms);
+                if !model.contains_atom(&atom) {
+                    prop_assert_eq!(prove(&prover, &model, &edb, &atom), None, "{}", atom);
+                }
+            }
+        }
     }
 }
