@@ -118,6 +118,12 @@ impl Symbol {
         self.0
     }
 
+    /// How many symbols the process has interned so far. Takes the read
+    /// lock and inserts nothing, so it can watch the interner's growth.
+    pub fn interned() -> usize {
+        read_interner().names.len()
+    }
+
     /// Creates a fresh symbol guaranteed not to collide with any symbol
     /// interned so far, based on `base` (used for generated variables and
     /// rewritten predicate names).

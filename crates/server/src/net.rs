@@ -21,6 +21,7 @@ use crate::health::ServerState;
 use crate::proto::{err_line, parse_request, Request, MAX_REQUEST_LINE_BYTES};
 use crate::service::{QueryService, ServerError};
 use alexander_core::Strategy;
+use alexander_ir::Symbol;
 use alexander_parser::parse_atom;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener};
@@ -594,8 +595,11 @@ fn respond<W: Write>(
 /// Writes the `STAT <section>.<key> <value>` lines for a `STATS` request:
 /// this listener's connection counters ([`NetStats`]), the admission
 /// controller's live occupancy and shed total, and the health state
-/// machine's transition counts. Returns how many lines were written (the
-/// terminal `OK` line echoes it, mirroring `QUERY`'s answer count).
+/// machine's transition counts, and how many symbols the process-global
+/// interner holds (it only grows, so a rising value between two `STATS`
+/// names a path that interns per request). Returns how many lines were
+/// written (the terminal `OK` line echoes it, mirroring `QUERY`'s answer
+/// count).
 fn write_stats<W: Write>(service: &QueryService, net: &NetStats, w: &mut W) -> io::Result<usize> {
     let adm = service.admission();
     let health = service.health();
@@ -612,6 +616,7 @@ fn write_stats<W: Write>(service: &QueryService, net: &NetStats, w: &mut W) -> i
         ("admission.shed".into(), adm.shed_total()),
         ("health.degradations".into(), health.degradations()),
         ("health.heals".into(), health.heals()),
+        ("interner.symbols".into(), Symbol::interned() as u64),
     ]);
     for (key, value) in &stats {
         writeln!(w, "STAT {key} {value}")?;
@@ -731,6 +736,11 @@ mod tests {
         ] {
             assert!(stat_lines.contains(&expected), "missing {expected}: {text}");
         }
+        let symbols = stat_lines
+            .iter()
+            .find_map(|l| l.strip_prefix("STAT interner.symbols "))
+            .unwrap_or_else(|| panic!("missing STAT interner.symbols: {text}"));
+        assert!(symbols.parse::<u64>().unwrap() > 0, "{text}");
     }
 
     #[test]

@@ -8,9 +8,7 @@
 //! own business; `Clauses::negated_idb` is where its check starts.
 
 use alexander_ir::analysis::NotStratified;
-use alexander_ir::{
-    match_atom, Atom, Const, FxHashMap, FxHashSet, Predicate, Program, Rule, Subst,
-};
+use alexander_ir::{Atom, Const, FxHashMap, FxHashSet, Predicate, Program, Rule};
 use alexander_storage::{row_atom, Database, Mask};
 use std::fmt;
 
@@ -95,29 +93,27 @@ impl Clauses {
         })
     }
 
-    /// The stored rows of an extensional `goal` that agree with its ground
-    /// columns, probed on those columns: resolution steps count matches,
-    /// not the table size.
-    pub(crate) fn probe(&self, goal: &Atom) -> Vec<Atom> {
-        let Some(rel) = self.edb.relation(goal.predicate()) else {
-            return Vec::new();
-        };
-        let (cols, key): (Vec<usize>, Vec<Const>) = goal
-            .terms
-            .iter()
-            .enumerate()
-            .filter_map(|(c, t)| Some((c, t.as_const()?)))
-            .unzip();
-        let (rows, _) = rel.probe(Mask::of_columns(&cols), &key);
-        rows.map(|row| row_atom(goal.pred, row)).collect()
+    /// The rows of `pred` whose `mask` columns equal `key`, in row order,
+    /// through the index when one is built and by a scan otherwise.
+    pub(crate) fn probe<'a>(
+        &'a self,
+        pred: Predicate,
+        mask: Mask,
+        key: &'a [Const],
+    ) -> Box<dyn Iterator<Item = &'a [Const]> + 'a> {
+        match self.edb.relation(pred) {
+            Some(rel) => rel.probe(mask, key).0,
+            None => Box::new(std::iter::empty()),
+        }
     }
 
-    /// The answers to an extensional `query`: the probed rows that also
-    /// repeat where the query repeats a variable.
+    /// The answers to an extensional `query`: the stored rows that equal
+    /// its constants and repeat where it repeats a variable.
     pub(crate) fn lookup(&self, query: &Atom) -> Vec<Atom> {
-        let mut rows = self.probe(query);
-        rows.retain(|a| match_atom(query, a, &mut Subst::new()));
-        rows
+        self.edb
+            .matching(query)
+            .map(|row| row_atom(query.pred, row))
+            .collect()
     }
 }
 

@@ -3,11 +3,22 @@
 //!
 //! Calls to intensional predicates are *tabled*: the first occurrence of a
 //! call (up to variable renaming) becomes a **generator** that resolves the
-//! call against the program's rules; later occurrences become **consumers**
+//! call against the program's clauses; later occurrences become **consumers**
 //! suspended on the call's answer table. Every answer is delivered to every
 //! consumer exactly once, so repeated subqueries cost table lookups instead
 //! of recomputation — this is what makes top-down evaluation terminate on
 //! recursive Datalog and what the Alexander templates simulate bottom-up.
+//!
+//! Clauses are compiled before resolution, once per call *pattern*
+//! reachable from the query (a predicate and, per argument, a constant or
+//! the call's `k`-th distinct variable): the body in SIP order, variables
+//! and constants as dense slots, head unification as slot loads and checks.
+//! A table, keyed by pattern and constants, holds its answer rows in a
+//! [`Relation`]; a generator is a node (clause, next goal, slot array) and a
+//! consumer a node parked at its call goal, resumed per answer with a bound
+//! copy of its slots. Extensional goals probe an index on their bound
+//! columns, built once per run on the private store. Nothing is renamed or
+//! interned while resolving; atoms are built only for the [`OldtResult`].
 //!
 //! The engine is instrumented for the power comparison (experiment E3):
 //! [`OldtResult::calls_by_pred`] is the call table (one entry per distinct
@@ -25,10 +36,12 @@ use crate::metrics::OldtMetrics;
 use alexander_eval::{Budget, Completion, Governor};
 use alexander_ir::analysis::stratify;
 use alexander_ir::{
-    match_atom, Atom, FxHashMap, FxHashSet, Literal, Polarity, Predicate, Program, Subst, Term, Var,
+    hash_row, Atom, Builtin, Const, FxHashMap, FxHashSet, Polarity, Predicate, Program, Rule, Term,
+    Var,
 };
-use alexander_storage::Database;
+use alexander_storage::{row_atom, Database, Mask, Relation};
 use alexander_transform::sip_order;
+use std::ops::Range;
 
 /// Options for the OLDT engine.
 #[derive(Clone, Debug)]
@@ -87,108 +100,243 @@ impl OldtResult {
     }
 }
 
-struct Consumer {
-    /// The goal instance the consumer is suspended on.
-    goal: Atom,
-    /// Environment at suspension time.
-    subst: Subst,
-    /// Remaining goals after the suspended one.
-    rest: Vec<Literal>,
-    /// Table the eventual answer belongs to.
-    producer_for: usize,
-    /// Instantiated head template of the producing rule.
-    head: Atom,
-}
+/// Per argument of a call: `None` for a constant, `Some(k)` for its `k`-th
+/// distinct variable. A predicate and a shape are a call *pattern*.
+type Shape = Vec<Option<u32>>;
 
+/// A literal's slots as its goal reads them: `key` at its bound positions;
+/// `binds`, the `(column, slot)` of each free slot's first occurrence;
+/// `repeats`, each later occurrence's `(column, first column)`.
 #[derive(Default)]
-struct Table {
-    answers: Vec<Atom>,
-    answer_set: FxHashSet<Atom>,
-    consumers: Vec<Consumer>,
+struct Args {
+    key: Vec<usize>,
+    binds: Vec<(usize, usize)>,
+    repeats: Vec<(usize, usize)>,
 }
 
-struct Node {
-    table: usize,
-    head: Atom,
-    goals: Vec<Literal>,
-    subst: Subst,
+/// A body literal, compiled for the slots bound when it is selected. A
+/// negated literal is ground, so its key is the whole row.
+enum Goal {
+    /// A built-in over two bound slots; passes when it yields the bool.
+    Test(Builtin, [usize; 2], bool),
+    /// An extensional literal, probed on the mask's columns.
+    Edb(Predicate, Mask, Args, Polarity),
+    /// An intensional literal: a call of the given pattern.
+    Call(usize, Args, Polarity),
+    /// A negation or built-in selected while non-ground: an error if reached.
+    NonGround(String),
 }
 
-struct Engine<'a> {
-    clauses: &'a Clauses,
-    tables: Vec<Table>,
-    table_of: FxHashMap<Atom, usize>,
-    work: Vec<Node>,
-    metrics: OldtMetrics,
-    reorder: bool,
-    gov: Governor,
+/// A clause compiled for one call pattern: every variable class and every
+/// constant of the rule is a slot.
+struct Clause {
+    /// The slots before head unification, constants in place.
+    init: Vec<Const>,
+    /// Per constant of the call, in order: `(slot, load)` stores it in the
+    /// slot when `load`, else checks that the slot holds it.
+    unify: Vec<(usize, bool)>,
+    body: Vec<Goal>,
+    /// The slots of the answer row.
+    head: Vec<usize>,
 }
 
-/// Canonicalises an atom: variables are renamed `_C0, _C1, …` in order of
-/// first occurrence, so two calls equal up to renaming share a table.
-fn canonicalize(atom: &Atom) -> Atom {
-    let mut renaming: FxHashMap<Var, Var> = FxHashMap::default();
-    let terms = atom
-        .terms
-        .iter()
-        .map(|t| match t {
-            Term::Const(_) => *t,
-            Term::Var(v) => {
-                let next = renaming.len();
-                Term::Var(
-                    *renaming
-                        .entry(*v)
-                        .or_insert_with(|| Var::new(&format!("_C{next}"))),
-                )
+/// The patterns reachable from the query's (pattern 0), each with its
+/// clauses compiled: pattern `p`'s are `clauses[patterns[p].2]`.
+struct Code {
+    patterns: Vec<(Predicate, Shape, Range<usize>)>,
+    clauses: Vec<Clause>,
+}
+
+impl Code {
+    /// Compiles every clause for every pattern reachable from `pred` called
+    /// with `shape`, then indexes the probed columns in `front`'s private
+    /// store (copy-on-write: the caller's database is never touched).
+    fn compile(front: &mut Clauses, pred: Predicate, shape: Shape, sip: bool) -> Code {
+        let mut code = Code {
+            patterns: vec![(pred, shape, 0..0)],
+            clauses: Vec::new(),
+        };
+        let mut p = 0;
+        while let Some((pred, shape, _)) = code.patterns.get(p).cloned() {
+            let start = code.clauses.len();
+            for rule in front.by_pred.get(&pred).into_iter().flatten() {
+                let clause = code.clause(front, sip, rule, &shape);
+                code.clauses.extend(clause);
             }
+            code.patterns[p].2 = start..code.clauses.len();
+            p += 1;
+        }
+        for goal in code.clauses.iter().flat_map(|c| &c.body) {
+            if let Goal::Edb(pred, mask, _, Polarity::Positive) = goal {
+                front.edb.ensure_index(*pred, *mask);
+            }
+        }
+        code
+    }
+
+    fn pattern(&mut self, pred: Predicate, shape: Shape) -> usize {
+        let known = self
+            .patterns
+            .iter()
+            .position(|p| (p.0, &p.1) == (pred, &shape));
+        known.unwrap_or_else(|| {
+            self.patterns.push((pred, shape, 0..0));
+            self.patterns.len() - 1
         })
-        .collect();
-    Atom {
-        pred: atom.pred,
-        terms,
+    }
+
+    /// `rule` compiled for calls of `shape`; `None` if none unifies with it.
+    fn clause(&mut self, front: &Clauses, sip: bool, rule: &Rule, shape: &Shape) -> Option<Clause> {
+        // Slots: the rule's variables, then its constants. The head terms a
+        // repeated call variable meets share a slot; two constants clash.
+        let vars = rule.vars();
+        let atoms = std::iter::once(&rule.head).chain(rule.body.iter().map(|l| &l.atom));
+        let consts: Vec<Const> = atoms
+            .flat_map(|a| &a.terms)
+            .filter_map(|t| t.as_const())
+            .collect();
+        let n = vars.len();
+        let index = |t: &Term| match *t {
+            Term::Var(v) => vars.iter().position(|&w| w == v).expect("a rule variable"),
+            Term::Const(c) => n + consts.iter().position(|&d| d == c).expect("a constant"),
+        };
+        let head: Vec<usize> = rule.head.terms.iter().map(index).collect();
+        let mut slot: Vec<usize> = (0..n + consts.len()).collect();
+        for (i, k) in shape.iter().enumerate().filter(|(_, k)| k.is_some()) {
+            let j = shape.iter().position(|b| b == k).expect("k occurs at i");
+            let (a, b) = (slot[head[i]], slot[head[j]]);
+            if a >= n && b >= n && a != b {
+                return None;
+            }
+            let (from, to) = if a >= n { (b, a) } else { (a, b) };
+            slot.iter_mut()
+                .filter(|s| **s == from)
+                .for_each(|s| *s = to);
+        }
+        let arg = |t: &Term| slot[index(t)];
+        let mut bound: Vec<bool> = (0..slot.len()).map(|s| s >= n).collect();
+        let mut unify = Vec::new();
+        for i in (0..shape.len()).filter(|&i| shape[i].is_none()) {
+            unify.push((slot[head[i]], !bound[slot[head[i]]]));
+            bound[slot[head[i]]] = true;
+        }
+        let head_bound = vars.iter().copied().filter(|&v| bound[arg(&Term::Var(v))]);
+        let body = match sip {
+            true => sip_order(&rule.body, &head_bound.collect()),
+            false => rule.body.clone(),
+        };
+
+        let mut goals = Vec::with_capacity(body.len());
+        for lit in &body {
+            let (pred, positive) = (lit.atom.predicate(), lit.polarity == Polarity::Positive);
+            let (mut call, mut args) = (Shape::new(), Args::default());
+            for (col, s) in lit.atom.terms.iter().map(arg).enumerate() {
+                let first = args.binds.iter().position(|&(_, t)| t == s);
+                call.push((!bound[s]).then(|| first.unwrap_or(args.binds.len()) as u32));
+                match (bound[s], first) {
+                    (true, _) => args.key.push(s),
+                    (false, Some(k)) => args.repeats.push((col, args.binds[k].0)),
+                    (false, None) => args.binds.push((col, s)),
+                }
+            }
+            args.binds.iter().for_each(|&(_, s)| bound[s] = true);
+            let builtin = Builtin::of(pred);
+            let goal = if !args.binds.is_empty() && (!positive || builtin.is_some()) {
+                Goal::NonGround(lit.atom.to_string())
+            } else if let Some(b) = builtin {
+                Goal::Test(b, [args.key[0], args.key[1]], positive)
+            } else if front.idb.contains(&pred) {
+                Goal::Call(self.pattern(pred, call), args, lit.polarity)
+            } else {
+                let cols: Vec<usize> = (0..call.len()).filter(|&c| call[c].is_none()).collect();
+                Goal::Edb(pred, Mask::of_columns(&cols), args, lit.polarity)
+            };
+            goals.push(goal);
+        }
+        Some(Clause {
+            init: vars.iter().map(|_| Const::Int(0)).chain(consts).collect(),
+            unify,
+            body: goals,
+            head: head.iter().map(|&h| slot[h]).collect(),
+        })
     }
 }
 
+/// A resolution node: clause `clause` answering for table `table`, about to
+/// select its goal `goal` under `slots`. A consumer is a node parked at its
+/// call goal.
+struct Node {
+    table: usize,
+    clause: usize,
+    goal: usize,
+    slots: Vec<Const>,
+}
+
+/// A call's answers, and its consumers with their calls' arguments.
+struct Table<'a> {
+    answers: Relation,
+    consumers: Vec<(Node, &'a Args)>,
+}
+
+struct Engine<'a> {
+    code: &'a Code,
+    front: &'a Clauses,
+    /// Per pattern, its tables by the call's constants.
+    table_of: Vec<FxHashMap<Box<[Const]>, usize>>,
+    tables: Vec<Table<'a>>,
+    work: Vec<Node>,
+    metrics: OldtMetrics,
+    gov: Governor,
+}
+
+/// Queues `node` moved on to its next goal, with a copy of its slots bound
+/// from `row` (a fact or an answer) by `args`, unless `row` breaks a repeat.
+fn advance(work: &mut Vec<Node>, node: &Node, args: &Args, row: &[Const]) {
+    if args.repeats.iter().all(|&(c, first)| row[c] == row[first]) {
+        let mut slots = node.slots.clone();
+        args.binds.iter().for_each(|&(c, s)| slots[s] = row[c]);
+        let goal = node.goal + 1;
+        work.push(Node {
+            goal,
+            slots,
+            ..*node
+        });
+    }
+}
+
+/// The values `slots` holds at the slots `of`.
+fn values(slots: &[Const], of: &[usize]) -> Vec<Const> {
+    of.iter().map(|&s| slots[s]).collect()
+}
+
 impl<'a> Engine<'a> {
-    /// Gets or creates the table for `call` (already substituted). Returns
-    /// the table index.
-    fn ensure_table(&mut self, call: &Atom) -> usize {
-        let canon = canonicalize(call);
-        if let Some(&t) = self.table_of.get(&canon) {
+    /// The table of `pattern` for the call constants `key`; a new one seeds
+    /// a generator per clause whose head unifies with the call.
+    fn ensure_table(&mut self, pattern: usize, key: &[Const]) -> usize {
+        if let Some(&t) = self.table_of[pattern].get(key) {
             return t;
         }
-        let t = self.tables.len();
-        self.tables.push(Table::default());
-        self.table_of.insert(canon.clone(), t);
+        let ((pred, _, clauses), t) = (&self.code.patterns[pattern], self.tables.len());
+        let (answers, consumers) = (Relation::new(pred.arity), Vec::new());
+        self.tables.push(Table { answers, consumers });
+        self.table_of[pattern].insert(key.into(), t);
         self.metrics.calls += 1;
-
-        // Seed generators: resolve the canonical call against every clause.
-        let clauses = self.clauses;
-        for rule in clauses
-            .by_pred
-            .get(&canon.predicate())
-            .into_iter()
-            .flatten()
-        {
-            let fresh = rule.rectified();
-            let mut s = Subst::new();
-            if alexander_ir::unify_atoms(&canon, &fresh.head, &mut s) {
+        for clause in clauses.clone() {
+            let Clause { init, unify, .. } = &self.code.clauses[clause];
+            let mut slots = init.clone();
+            let unifies = unify.iter().zip(key).all(|(&(s, load), &k)| {
+                if load {
+                    slots[s] = k;
+                }
+                slots[s] == k
+            });
+            if unifies {
                 self.metrics.resolution_steps += 1;
-                let bound: FxHashSet<Var> = fresh
-                    .head
-                    .vars()
-                    .filter(|v| s.walk(Term::Var(*v)).is_ground())
-                    .collect();
-                let goals = if self.reorder {
-                    sip_order(&fresh.body, &bound)
-                } else {
-                    fresh.body.clone()
-                };
                 self.work.push(Node {
                     table: t,
-                    head: fresh.head.clone(),
-                    goals,
-                    subst: s,
+                    clause,
+                    goal: 0,
+                    slots,
                 });
             }
         }
@@ -196,9 +344,9 @@ impl<'a> Engine<'a> {
     }
 
     /// Records an answer in `table`; on novelty, resumes every consumer.
-    fn add_answer(&mut self, table: usize, answer: Atom) {
-        debug_assert!(answer.is_ground(), "answers are ground: {answer}");
-        if self.tables[table].answer_set.contains(&answer) {
+    fn add_answer(&mut self, table: usize, answer: &[Const]) {
+        let (h, tab) = (hash_row(answer), &mut self.tables[table]);
+        if tab.answers.contains_row_hashed(h, answer) {
             return;
         }
         // Claim-before-insert, as in the bottom-up evaluators: a refused
@@ -206,42 +354,11 @@ impl<'a> Engine<'a> {
         if self.gov.claim_fact().is_break() {
             return;
         }
-        self.tables[table].answer_set.insert(answer.clone());
-        self.tables[table].answers.push(answer.clone());
+        tab.answers.push_new_row_hashed(h, answer);
         self.metrics.answers += 1;
-        // Deliver to the consumers registered so far.
-        for ci in 0..self.tables[table].consumers.len() {
-            let (goal, subst, rest, producer_for, head) = {
-                let c = &self.tables[table].consumers[ci];
-                (
-                    c.goal.clone(),
-                    c.subst.clone(),
-                    c.rest.clone(),
-                    c.producer_for,
-                    c.head.clone(),
-                )
-            };
-            self.resume(goal, subst, rest, producer_for, head, &answer);
-        }
-    }
-
-    fn resume(
-        &mut self,
-        goal: Atom,
-        mut subst: Subst,
-        rest: Vec<Literal>,
-        producer_for: usize,
-        head: Atom,
-        answer: &Atom,
-    ) {
-        self.metrics.resolution_steps += 1;
-        if match_atom(&goal, answer, &mut subst) {
-            self.work.push(Node {
-                table: producer_for,
-                head,
-                goals: rest,
-                subst,
-            });
+        for (c, args) in &tab.consumers {
+            self.metrics.resolution_steps += 1;
+            advance(&mut self.work, c, args, answer);
         }
     }
 
@@ -259,85 +376,45 @@ impl<'a> Engine<'a> {
     }
 
     fn step(&mut self, mut node: Node) -> Result<(), TopdownError> {
-        if node.goals.is_empty() {
-            let answer = node.subst.apply_atom(&node.head);
-            self.add_answer(node.table, answer);
+        let clause: &'a Clause = &self.code.clauses[node.clause];
+        let Some(goal) = clause.body.get(node.goal) else {
+            self.add_answer(node.table, &values(&node.slots, &clause.head));
             return Ok(());
-        }
-        let lit = node.goals.remove(0);
-        let goal = node.subst.apply_atom(&lit.atom);
-
-        // Built-in comparisons: evaluate natively (arguments are ground by
-        // the ordering guarantees of safe rules plus the SIP).
-        if let Some(b) = alexander_ir::Builtin::of(goal.predicate()) {
-            let Some(args) = goal.ground_args() else {
-                return Err(TopdownError::NonGroundNegation(goal.to_string()));
-            };
-            self.metrics.resolution_steps += 1;
-            let holds = b.eval(args[0], args[1]);
-            let want = lit.polarity == Polarity::Positive;
-            if holds == want {
-                self.work.push(node);
+        };
+        let passes = match goal {
+            Goal::Test(builtin, [a, b], holds) => {
+                builtin.eval(node.slots[*a], node.slots[*b]) == *holds
             }
-            return Ok(());
-        }
-
-        match (lit.polarity, self.clauses.idb.contains(&goal.predicate())) {
-            (Polarity::Positive, false) => {
-                // Extensional: probe the database.
-                for fact in self.clauses.probe(&goal) {
+            Goal::Edb(pred, mask, args, Polarity::Positive) => {
+                let key = values(&node.slots, &args.key);
+                for row in self.front.probe(*pred, *mask, &key) {
                     self.metrics.resolution_steps += 1;
-                    let mut s = node.subst.clone();
-                    if match_atom(&goal, &fact, &mut s) {
-                        self.work.push(Node {
-                            table: node.table,
-                            head: node.head.clone(),
-                            goals: node.goals.clone(),
-                            subst: s,
-                        });
-                    }
+                    advance(&mut self.work, &node, args, row);
                 }
+                return Ok(());
             }
-            (Polarity::Positive, true) => {
-                // Intensional: table the call, suspend as a consumer.
-                let t = self.ensure_table(&goal);
+            Goal::Edb(pred, _, args, Polarity::Negative) => {
+                let row = values(&node.slots, &args.key);
+                !self.front.edb.contains_row(*pred, &row)
+            }
+            Goal::Call(pattern, args, Polarity::Positive) => {
+                // Table the call, deliver what it has so far, and park the
+                // node as a consumer for the rest.
+                let t = self.ensure_table(*pattern, &values(&node.slots, &args.key));
                 self.metrics.suspensions += 1;
-                let existing = self.tables[t].answers.clone();
-                self.tables[t].consumers.push(Consumer {
-                    goal: goal.clone(),
-                    subst: node.subst.clone(),
-                    rest: node.goals.clone(),
-                    producer_for: node.table,
-                    head: node.head.clone(),
-                });
-                for answer in existing {
-                    self.resume(
-                        goal.clone(),
-                        node.subst.clone(),
-                        node.goals.clone(),
-                        node.table,
-                        node.head.clone(),
-                        &answer,
-                    );
+                let tab = &mut self.tables[t];
+                for answer in tab.answers.iter() {
+                    self.metrics.resolution_steps += 1;
+                    advance(&mut self.work, &node, args, answer);
                 }
+                tab.consumers.push((node, args));
+                return Ok(());
             }
-            (Polarity::Negative, false) => {
-                if !goal.is_ground() {
-                    return Err(TopdownError::NonGroundNegation(goal.to_string()));
-                }
-                self.metrics.resolution_steps += 1;
-                if !self.clauses.edb.contains_atom(&goal) {
-                    self.work.push(node);
-                }
-            }
-            (Polarity::Negative, true) => {
-                if !goal.is_ground() {
-                    return Err(TopdownError::NonGroundNegation(goal.to_string()));
-                }
+            Goal::Call(pattern, args, Polarity::Negative) => {
                 // Complete the subquery's table (terminates: the program is
                 // stratified, so the negated predicate's evaluation never
                 // reaches back here).
-                let t = self.ensure_table(&goal);
+                let t = self.ensure_table(*pattern, &values(&node.slots, &args.key));
                 self.drain()?;
                 if self.gov.should_stop() {
                     // The subquery's table may be incomplete; concluding
@@ -345,11 +422,14 @@ impl<'a> Engine<'a> {
                     // Drop this branch instead.
                     return Ok(());
                 }
-                self.metrics.resolution_steps += 1;
-                if self.tables[t].answers.is_empty() {
-                    self.work.push(node);
-                }
+                self.tables[t].answers.is_empty()
             }
+            Goal::NonGround(goal) => return Err(TopdownError::NonGroundNegation(goal.clone())),
+        };
+        self.metrics.resolution_steps += 1;
+        if passes {
+            node.goal += 1;
+            self.work.push(node);
         }
         Ok(())
     }
@@ -371,68 +451,69 @@ pub fn oldt_query_opts(
     query: &Atom,
     opts: OldtOptions,
 ) -> Result<OldtResult, TopdownError> {
-    let clauses = Clauses::new(program, edb)?;
-    if clauses.negated_idb.is_some() {
+    let mut front = Clauses::new(program, edb)?;
+    if front.negated_idb.is_some() {
         stratify(program).map_err(TopdownError::NotStratified)?;
     }
-
+    // The query's pattern: its variables numbered by first occurrence.
+    let vars = Rule::new(query.clone(), Vec::new()).vars();
+    let var = |v| vars.iter().position(|&w| w == v).map(|k| k as u32);
+    let shape = query.terms.iter().map(|t| t.as_var().and_then(var));
+    let key: Vec<Const> = query.terms.iter().filter_map(|t| t.as_const()).collect();
+    let code = Code::compile(&mut front, query.predicate(), shape.collect(), opts.reorder);
     let mut engine = Engine {
-        clauses: &clauses,
+        code: &code,
+        front: &front,
+        table_of: vec![FxHashMap::default(); code.patterns.len()],
         tables: Vec::new(),
-        table_of: FxHashMap::default(),
         work: Vec::new(),
         metrics: OldtMetrics::default(),
-        reorder: opts.reorder,
         gov: Governor::new(opts.budget),
     };
-
-    let answers = if clauses.idb.contains(&query.predicate()) {
-        let t = engine.ensure_table(query);
+    let answers = if front.idb.contains(&query.predicate()) {
+        let t = engine.ensure_table(0, &key);
         engine.drain()?;
-        // The table answers are instances of the canonical call; filter
-        // through the original query pattern (handles repeated variables).
-        engine.tables[t]
-            .answers
-            .iter()
-            .filter(|a| {
-                let mut s = Subst::new();
-                match_atom(query, a, &mut s)
-            })
-            .cloned()
-            .collect()
+        let rows = engine.tables[t].answers.iter();
+        rows.map(|row| row_atom(query.pred, row)).collect()
     } else {
-        clauses.lookup(query)
+        front.lookup(query)
     };
 
-    let mut calls_by_pred: FxHashMap<Predicate, u64> = FxHashMap::default();
-    for call in engine.table_of.keys() {
-        *calls_by_pred.entry(call.predicate()).or_default() += 1;
-    }
-    let mut call_tables: Vec<(Atom, u64)> = engine
-        .table_of
-        .iter()
-        .map(|(call, &t)| (call.clone(), engine.tables[t].answers.len() as u64))
+    // Each table as its canonical call atom (`_C<k>` for the call's `k`-th
+    // variable) and answer count; tables of one predicate can share
+    // answers, so `answers_by_pred` counts their union.
+    let width = code.patterns.iter().map(|p| p.1.len()).max().unwrap_or(0);
+    let canonical: Vec<Term> = (0..width)
+        .map(|k| Term::Var(Var::new(&format!("_C{k}"))))
         .collect();
-    call_tables.sort_by_key(|(a, _)| a.to_string());
-    let mut answers_by_pred: FxHashMap<Predicate, u64> = FxHashMap::default();
-    // Distinct answers per predicate across tables (tables of the same
-    // predicate can share answers; count the union).
-    let mut per_pred_sets: FxHashMap<Predicate, FxHashSet<Atom>> = FxHashMap::default();
-    for (call, &t) in &engine.table_of {
-        let set = per_pred_sets.entry(call.predicate()).or_default();
-        for a in &engine.tables[t].answers {
-            set.insert(a.clone());
+    let (mut calls_by_pred, mut call_tables) = (FxHashMap::default(), Vec::new());
+    let mut union: FxHashMap<Predicate, FxHashSet<&[Const]>> = FxHashMap::default();
+    for ((pred, shape, _), of) in code.patterns.iter().zip(&engine.table_of) {
+        for (key, &t) in of {
+            let answers = &engine.tables[t].answers;
+            *calls_by_pred.entry(*pred).or_default() += 1;
+            union.entry(*pred).or_default().extend(answers.iter());
+            let mut consts = key.iter().map(|&c| Term::Const(c));
+            // invariant: a table's key holds one constant per constant
+            // position of its pattern.
+            let mut term = |a: &Option<u32>| match a {
+                Some(k) => canonical[*k as usize],
+                None => consts.next().expect("a constant per bound position"),
+            };
+            let call = Atom {
+                pred: pred.name,
+                terms: shape.iter().map(&mut term).collect(),
+            };
+            call_tables.push((call, answers.len() as u64));
         }
     }
-    for (p, set) in per_pred_sets {
-        answers_by_pred.insert(p, set.len() as u64);
-    }
-
+    call_tables.sort_by_key(|(a, _)| a.to_string());
+    let answers_by_pred = union.iter().map(|(p, r)| (*p, r.len() as u64));
     Ok(OldtResult {
         answers,
         metrics: engine.metrics,
         calls_by_pred,
-        answers_by_pred,
+        answers_by_pred: answers_by_pred.collect(),
         call_tables,
         completion: engine.gov.completion(),
     })
@@ -649,6 +730,293 @@ mod tests {
                 assert!(full.answers.contains(a), "unsound {a} at max_facts {max}");
             }
         }
+    }
+
+    /// One row of the counter pin: a program, a query, the options, and the
+    /// expected metrics, sorted call table and sorted answers.
+    struct Golden {
+        name: &'static str,
+        src: &'static str,
+        query: &'static str,
+        reorder: bool,
+        max_facts: Option<u64>,
+        want: [&'static str; 3],
+    }
+
+    const CHAIN: &str = "
+        par(c0, c1). par(c1, c2). par(c2, c3). par(c3, c4).
+        anc(X, Y) :- par(X, Y).
+        anc(X, Y) :- par(X, Z), anc(Z, Y).
+    ";
+
+    const TREE: &str = "
+        par(t1, t2). par(t1, t3). par(t2, t4). par(t2, t5). par(t3, t6). par(t3, t7).
+        anc(X, Y) :- par(X, Y).
+        anc(X, Y) :- par(X, Z), anc(Z, Y).
+    ";
+
+    const SG: &str = "
+        up(a, g1). up(b, g1). up(c, g2). up(g1, r). up(g2, r).
+        flat(r, r).
+        down(r, g1). down(r, g2). down(g1, a). down(g1, b). down(g2, c).
+        sg(X, Y) :- flat(X, Y).
+        sg(X, Y) :- up(X, U), sg(U, V), down(V, Y).
+    ";
+
+    const NEGATION: &str = "
+        edge(s, a). edge(a, b). edge(z, s). node(s). node(a). node(b). node(z).
+        blocked(a).
+        reach(X) :- edge(s, X).
+        reach(Y) :- reach(X), edge(X, Y).
+        unreach(X) :- node(X), !reach(X).
+        open(X, Y) :- edge(X, Y), !blocked(X).
+    ";
+
+    const BUILTINS: &str = "
+        e(1, 2). e(2, 2). e(3, 1). e(2, 5).
+        step(X, Y) :- e(X, Y), neq(X, Y).
+        up(X, Y) :- e(X, Y), lt(X, Y).
+        both(X, Y) :- step(X, Y), up(X, Y).
+    ";
+
+    const REPEATED: &str = "
+        e(a, b). e(b, a). e(b, c). e(c, c). e(d, d).
+        t(X, Y) :- e(X, Y).
+        t(X, Y) :- e(X, Z), t(Z, Y).
+        self(X) :- t(X, X).
+    ";
+
+    const INLINE: &str = "
+        par(a, b). par(b, c). anc(z, z). anc(c, w).
+        anc(X, Y) :- par(X, Y).
+        anc(X, Y) :- par(X, Z), anc(Z, Y).
+    ";
+
+    const PERMUTED_SG: &str = "
+        up(a, g1). up(b, g1). flat(g1, g1). down(g1, c). down(g1, d).
+        sg(X, Y) :- flat(X, Y).
+        sg(X, Y) :- sg(U, V), down(V, Y), up(X, U).
+    ";
+
+    fn golden_rows() -> Vec<Golden> {
+        let row = |name, src, query, want| Golden {
+            name,
+            src,
+            query,
+            reorder: true,
+            max_facts: None,
+            want,
+        };
+        vec![
+            row(
+                "chain bf",
+                CHAIN,
+                "anc(c0, X)",
+                [
+                    "calls=5 answers=10 steps=24 suspensions=4",
+                    "anc(c0, _C0)=4 anc(c1, _C0)=3 anc(c2, _C0)=2 anc(c3, _C0)=1 anc(c4, _C0)=0",
+                    "anc(c0, c1) anc(c0, c2) anc(c0, c3) anc(c0, c4)",
+                ],
+            ),
+            row(
+                "chain ff",
+                CHAIN,
+                "anc(X, Y)",
+                [
+                    "calls=5 answers=16 steps=33 suspensions=7",
+                    "anc(_C0, _C1)=10 anc(c1, _C0)=3 anc(c2, _C0)=2 anc(c3, _C0)=1 anc(c4, _C0)=0",
+                    "anc(c0, c1) anc(c0, c2) anc(c0, c3) anc(c0, c4) anc(c1, c2) anc(c1, c3) anc(c1, c4) anc(c2, c3) anc(c2, c4) anc(c3, c4)",
+                ],
+            ),
+            row(
+                "chain bb",
+                CHAIN,
+                "anc(c1, c4)",
+                [
+                    "calls=4 answers=3 steps=14 suspensions=3",
+                    "anc(c1, c4)=1 anc(c2, c4)=1 anc(c3, c4)=1 anc(c4, c4)=0",
+                    "anc(c1, c4)",
+                ],
+            ),
+            row(
+                "tree bf",
+                TREE,
+                "anc(t1, X)",
+                [
+                    "calls=7 answers=10 steps=30 suspensions=6",
+                    "anc(t1, _C0)=6 anc(t2, _C0)=2 anc(t3, _C0)=2 anc(t4, _C0)=0 anc(t5, _C0)=0 anc(t6, _C0)=0 anc(t7, _C0)=0",
+                    "anc(t1, t2) anc(t1, t3) anc(t1, t4) anc(t1, t5) anc(t1, t6) anc(t1, t7)",
+                ],
+            ),
+            row(
+                "tree ff",
+                TREE,
+                "anc(X, Y)",
+                [
+                    "calls=7 answers=14 steps=38 suspensions=10",
+                    "anc(_C0, _C1)=10 anc(t2, _C0)=2 anc(t3, _C0)=2 anc(t4, _C0)=0 anc(t5, _C0)=0 anc(t6, _C0)=0 anc(t7, _C0)=0",
+                    "anc(t1, t2) anc(t1, t3) anc(t1, t4) anc(t1, t5) anc(t1, t6) anc(t1, t7) anc(t2, t4) anc(t2, t5) anc(t3, t6) anc(t3, t7)",
+                ],
+            ),
+            row(
+                "tree bb",
+                TREE,
+                "anc(t1, t7)",
+                [
+                    "calls=7 answers=2 steps=22 suspensions=6",
+                    "anc(t1, t7)=1 anc(t2, t7)=0 anc(t3, t7)=1 anc(t4, t7)=0 anc(t5, t7)=0 anc(t6, t7)=0 anc(t7, t7)=0",
+                    "anc(t1, t7)",
+                ],
+            ),
+            row(
+                "same generation",
+                SG,
+                "sg(a, Y)",
+                [
+                    "calls=3 answers=6 steps=17 suspensions=2",
+                    "sg(a, _C0)=3 sg(g1, _C0)=2 sg(r, _C0)=1",
+                    "sg(a, a) sg(a, b) sg(a, c)",
+                ],
+            ),
+            row(
+                "idb negation",
+                NEGATION,
+                "unreach(X)",
+                [
+                    "calls=5 answers=4 steps=22 suspensions=3",
+                    "reach(a)=1 reach(b)=1 reach(s)=0 reach(z)=0 unreach(_C0)=2",
+                    "unreach(s) unreach(z)",
+                ],
+            ),
+            row(
+                "edb negation",
+                NEGATION,
+                "open(X, Y)",
+                [
+                    "calls=1 answers=2 steps=7 suspensions=0",
+                    "open(_C0, _C1)=2",
+                    "open(s, a) open(z, s)",
+                ],
+            ),
+            row(
+                "neq and lt",
+                BUILTINS,
+                "both(X, Y)",
+                [
+                    "calls=5 answers=7 steps=24 suspensions=4",
+                    "both(_C0, _C1)=2 step(_C0, _C1)=3 up(1, 2)=1 up(2, 5)=1 up(3, 1)=0",
+                    "both(1, 2) both(2, 5)",
+                ],
+            ),
+            row(
+                "repeated query",
+                REPEATED,
+                "t(X, X)",
+                [
+                    "calls=9 answers=10 steps=52 suspensions=15",
+                    "t(_C0, _C0)=4 t(a, a)=1 t(a, b)=1 t(b, a)=1 t(b, b)=1 t(c, a)=0 t(c, b)=0 t(c, c)=1 t(d, d)=1",
+                    "t(a, a) t(b, b) t(c, c) t(d, d)",
+                ],
+            ),
+            row(
+                "repeated body call",
+                REPEATED,
+                "self(X)",
+                [
+                    "calls=10 answers=14 steps=57 suspensions=16",
+                    "self(_C0)=4 t(_C0, _C0)=4 t(a, a)=1 t(a, b)=1 t(b, a)=1 t(b, b)=1 t(c, a)=0 t(c, b)=0 t(c, c)=1 t(d, d)=1",
+                    "self(a) self(b) self(c) self(d)",
+                ],
+            ),
+            row(
+                "intensional inline fact",
+                INLINE,
+                "anc(a, X)",
+                [
+                    "calls=3 answers=6 steps=14 suspensions=2",
+                    "anc(a, _C0)=3 anc(b, _C0)=2 anc(c, _C0)=1",
+                    "anc(a, b) anc(a, c) anc(a, w)",
+                ],
+            ),
+            Golden {
+                reorder: false,
+                ..row(
+                    "reorder off",
+                    PERMUTED_SG,
+                    "sg(a, Y)",
+                    [
+                        "calls=2 answers=7 steps=25 suspensions=2",
+                        "sg(_C0, _C1)=5 sg(a, _C0)=2",
+                        "sg(a, c) sg(a, d)",
+                    ],
+                )
+            },
+            Golden {
+                max_facts: Some(5),
+                ..row(
+                    "max_facts stop",
+                    CHAIN,
+                    "anc(X, Y)",
+                    [
+                        "calls=4 answers=5 steps=20 suspensions=5",
+                        "anc(_C0, _C1)=2 anc(c2, _C0)=2 anc(c3, _C0)=1 anc(c4, _C0)=0",
+                        "anc(c1, c4) anc(c2, c4)",
+                    ],
+                )
+            },
+        ]
+    }
+
+    /// The counters, call tables and answers of every `golden_rows` case —
+    /// the paper's units, pinned so a change to the engine's representation
+    /// cannot move them.
+    #[test]
+    fn counters_call_tables_and_answers_are_pinned() {
+        let mut mismatches = Vec::new();
+        for g in golden_rows() {
+            let parsed = parse(g.src).unwrap();
+            let edb = Database::from_program(&parsed.program);
+            let mut budget = Budget::default();
+            if let Some(n) = g.max_facts {
+                budget = budget.with_max_facts(n);
+            }
+            let opts = OldtOptions {
+                reorder: g.reorder,
+                budget,
+            };
+            let r = oldt_query_opts(&parsed.program, &edb, &parse_atom(g.query).unwrap(), opts)
+                .unwrap();
+            assert_eq!(
+                r.completion.is_complete(),
+                g.max_facts.is_none(),
+                "{}",
+                g.name
+            );
+            let mut tables: Vec<String> = r.tables().map(|(c, n)| format!("{c}={n}")).collect();
+            tables.sort();
+            let mut answers: Vec<String> = r.answers.iter().map(|a| a.to_string()).collect();
+            answers.sort();
+            let got = [r.metrics.to_string(), tables.join(" "), answers.join(" ")];
+            if got != g.want {
+                mismatches.push(format!("{}: {got:?}", g.name));
+            }
+        }
+        assert!(mismatches.is_empty(), "\n{}", mismatches.join("\n"));
+    }
+
+    #[test]
+    fn a_negation_selected_before_its_binder_is_an_error() {
+        let parsed = parse("e(a, b). blocked(b). q(X) :- !blocked(X), e(X, Y).").unwrap();
+        let edb = Database::from_program(&parsed.program);
+        let q = parse_atom("q(X)").unwrap();
+        let textual = OldtOptions {
+            reorder: false,
+            ..OldtOptions::default()
+        };
+        let err = oldt_query_opts(&parsed.program, &edb, &q, textual).unwrap_err();
+        assert!(matches!(err, TopdownError::NonGroundNegation(_)), "{err}");
+        let r = oldt_query_opts(&parsed.program, &edb, &q, OldtOptions::default()).unwrap();
+        assert_eq!(r.answers.len(), 1);
     }
 
     #[test]

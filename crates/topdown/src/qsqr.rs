@@ -40,7 +40,7 @@ use alexander_ir::{
     Adornment, Atom, Bf, Builtin, Const, FxHashMap, FxHashSet, Polarity, Predicate, Program, Subst,
     Term,
 };
-use alexander_storage::Database;
+use alexander_storage::{Database, Mask};
 use alexander_transform::sip_order;
 
 /// The result of a QSQR run.
@@ -143,6 +143,18 @@ fn projection(answer: &Atom, ad: &Adornment) -> Row {
         .collect()
 }
 
+/// [`alexander_ir::match_atom`] against a stored row: extends `s` so that
+/// `goal` instantiated by it is `row`.
+fn match_row(goal: &Atom, row: &[Const], s: &mut Subst) -> bool {
+    goal.terms.iter().zip(row).all(|(&t, &c)| match s.walk(t) {
+        Term::Const(x) => x == c,
+        Term::Var(v) => {
+            s.bind(v, Term::Const(c));
+            true
+        }
+    })
+}
+
 impl<'a> Engine<'a> {
     /// Governance check between resolution steps: latches `stopped` so the
     /// depth-first recursion unwinds without doing further work.
@@ -222,12 +234,12 @@ impl<'a> Engine<'a> {
                     // already derived everything this rule can.
                     continue;
                 }
-                let fresh = rule.rectified();
-                // Bind the head's bound positions to the input row.
+                // Bind the head's bound positions to the input row (its
+                // constants: the rule needs no renaming apart).
                 let mut s = Subst::new();
                 let mut ok = true;
                 let mut bi = 0usize;
-                for (t, bf) in fresh.head.terms.iter().zip(&key.1 .0) {
+                for (t, bf) in rule.head.terms.iter().zip(&key.1 .0) {
                     if *bf == Bf::Bound {
                         let c = Term::Const(input[bi]);
                         bi += 1;
@@ -240,12 +252,12 @@ impl<'a> Engine<'a> {
                 if !ok {
                     continue;
                 }
-                let bound_vars: FxHashSet<alexander_ir::Var> = fresh
+                let bound_vars: FxHashSet<alexander_ir::Var> = rule
                     .head
                     .vars()
                     .filter(|v| s.walk(Term::Var(*v)).is_ground())
                     .collect();
-                let goals = sip_order(&fresh.body, &bound_vars);
+                let goals = sip_order(&rule.body, &bound_vars);
                 let idb_positions: Vec<usize> = goals
                     .iter()
                     .enumerate()
@@ -257,7 +269,7 @@ impl<'a> Engine<'a> {
                     .collect();
                 if first_pass || idb_positions.is_empty() {
                     self.metrics.resolution_steps += 1;
-                    self.body(&fresh.head, &goals, 0, s, key, &[], &thresholds);
+                    self.body(&rule.head, &goals, 0, s, key, &[], &thresholds);
                 } else {
                     for delta_ord in 0..idb_positions.len() {
                         if self.tripped() {
@@ -272,7 +284,7 @@ impl<'a> Engine<'a> {
                             };
                         }
                         self.metrics.resolution_steps += 1;
-                        self.body(&fresh.head, &goals, 0, s.clone(), key, &modes, &thresholds);
+                        self.body(&rule.head, &goals, 0, s.clone(), key, &modes, &thresholds);
                     }
                 }
             }
@@ -347,10 +359,17 @@ impl<'a> Engine<'a> {
         match (lit.polarity, self.clauses.idb.contains(&goal.predicate())) {
             (Polarity::Positive, false) => {
                 // Extensional: probe on the ground columns, as OLDT does.
-                for fact in self.clauses.probe(&goal) {
+                let (cols, row): (Vec<usize>, Vec<Const>) = goal
+                    .terms
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(c, t)| Some((c, t.as_const()?)))
+                    .unzip();
+                let clauses = self.clauses;
+                for fact in clauses.probe(goal.predicate(), Mask::of_columns(&cols), &row) {
                     self.metrics.resolution_steps += 1;
                     let mut s2 = s.clone();
-                    if alexander_ir::match_atom(&goal, &fact, &mut s2) {
+                    if match_row(&goal, fact, &mut s2) {
                         self.body(head, goals, i + 1, s2, key, modes, thresholds);
                     }
                 }
