@@ -103,7 +103,7 @@ pub use join::{
 };
 pub use metrics::{EvalMetrics, ExecStats};
 pub use naive::{eval_naive, eval_naive_opts, EvalOptions, EvalResult};
-pub use order::{order_for_evaluation, Unorderable};
+pub use order::{order_body, order_for_evaluation, Unorderable};
 pub use plan::{compile_plan, PlanOp, RulePlan};
 pub use provenance::{prove, ProofTree, Prover};
 pub use seminaive::{eval_seminaive, eval_seminaive_opts};

@@ -35,15 +35,27 @@ impl std::error::Error for Unorderable {}
 /// relative order (the SIP chosen upstream is preserved); each negative
 /// literal is placed at the earliest point where it is ground.
 pub fn order_for_evaluation(rule: &Rule) -> Result<Rule, Unorderable> {
+    match order_body(&rule.body, FxHashSet::default()) {
+        Some(body) => Ok(Rule::new(rule.head.clone(), body)),
+        None => Err(Unorderable {
+            rule: rule.to_string(),
+        }),
+    }
+}
+
+/// [`order_for_evaluation`]'s ordering of `body` when the variables in
+/// `bound` are bound before it runs (a top-down call's bound head
+/// arguments): positives in their order, each negation or built-in at the
+/// first point its variables are all bound. `None` when one never is.
+pub fn order_body(body: &[Literal], mut bound: FxHashSet<Var>) -> Option<Vec<Literal>> {
     // Deferred literals are tests, not generators: negations and built-in
     // comparisons. Both need their variables ground before running.
     let deferred =
         |l: &&Literal| l.is_negative() || alexander_ir::Builtin::of(l.atom.predicate()).is_some();
-    let mut pending_neg: Vec<&Literal> = rule.body.iter().filter(deferred).collect();
-    let positives: Vec<&Literal> = rule.body.iter().filter(|l| !deferred(l)).collect();
+    let mut pending_neg: Vec<&Literal> = body.iter().filter(deferred).collect();
+    let positives: Vec<&Literal> = body.iter().filter(|l| !deferred(l)).collect();
 
-    let mut bound: FxHashSet<Var> = FxHashSet::default();
-    let mut out: Vec<Literal> = Vec::with_capacity(rule.body.len());
+    let mut out: Vec<Literal> = Vec::with_capacity(body.len());
 
     let flush_ready =
         |bound: &FxHashSet<Var>, pending: &mut Vec<&Literal>, out: &mut Vec<Literal>| {
@@ -64,12 +76,7 @@ pub fn order_for_evaluation(rule: &Rule) -> Result<Rule, Unorderable> {
         flush_ready(&bound, &mut pending_neg, &mut out);
     }
 
-    if !pending_neg.is_empty() {
-        return Err(Unorderable {
-            rule: rule.to_string(),
-        });
-    }
-    Ok(Rule::new(rule.head.clone(), out))
+    pending_neg.is_empty().then_some(out)
 }
 
 #[cfg(test)]
@@ -144,5 +151,18 @@ mod tests {
             ],
         );
         assert!(order_for_evaluation(&r).is_err());
+    }
+
+    #[test]
+    fn a_negation_over_bound_variables_comes_first() {
+        // With `X` bound by the caller, `!q(X)` is ground before `r(X, Y)`.
+        let body = [
+            Literal::pos(atom("r", [Term::var("X"), Term::var("Y")])),
+            Literal::neg(atom("q", [Term::var("X")])),
+        ];
+        let x = FxHashSet::from_iter([Var::new("X")]);
+        let o = order_body(&body, x).unwrap();
+        assert!(o[0].is_negative());
+        assert_eq!(order_body(&body, FxHashSet::default()).unwrap(), body);
     }
 }

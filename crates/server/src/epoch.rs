@@ -110,8 +110,9 @@ mod tests {
 
     #[test]
     fn epoch_engines_share_relations_until_written() {
-        // The cheap-clone property the whole design rests on: cloning the
-        // engine for a request does not copy the EDB.
+        // The copy-on-write property serving rests on: a clone of an
+        // epoch's engine, like the copy of the EDB a request evaluates
+        // over, shares every relation until one is written.
         let store = EpochStore::new(Epoch::new(0, engine("par(a, b).")));
         let epoch = store.pin();
         let request_engine = epoch.engine().clone();

@@ -12,6 +12,11 @@
 //! ever materialised: probes hash the lookup values in place with
 //! [`RowHasher`] and verify candidates by comparing columns in the arena.
 //!
+//! An index is three flat vectors: its columns, a table from projection
+//! hash to group, and the groups. A group's posting list sits inside the
+//! group up to three ids and spills to a heap `Vec` past that, so an index
+//! of small groups builds, clones and drops without an allocation per key.
+//!
 //! ## Invariants
 //!
 //! - Ids are dense: rows occupy `0..len` with no holes. Inserts append in
@@ -229,18 +234,82 @@ fn row_of(pool: &[Const], arity: usize, id: u32) -> &[Const] {
     &pool[id as usize * arity..id as usize * arity + arity]
 }
 
+/// How many ids a posting list holds inline before it spills to the heap.
+/// Three keeps a [`Group`] at 32 bytes, the size of a hash beside a bare
+/// `Vec`: the inline form's 16 bytes fit around the spilled vector's niche.
+/// A fourth inline id would grow every group to 40 bytes; on a tree's
+/// indexes (one or two ids per key) the two capacities index and copy
+/// equally fast.
+const INLINE_IDS: usize = 3;
+
+/// A key group's posting list: ascending row ids, inline while there are
+/// at most [`INLINE_IDS`] of them and spilled to a `Vec` past that. A
+/// spilled list stays spilled when deletions shrink it, so a group that
+/// hovers at the boundary allocates once, not per crossing.
+#[derive(Clone)]
+enum Postings {
+    /// The first `.0` entries of the array; the rest are ignored.
+    Inline(u32, [u32; INLINE_IDS]),
+    Spilled(Vec<u32>),
+}
+
+impl Postings {
+    #[inline]
+    fn as_slice(&self) -> &[u32] {
+        match self {
+            Postings::Inline(n, ids) => &ids[..*n as usize],
+            Postings::Spilled(ids) => ids,
+        }
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [u32] {
+        match self {
+            Postings::Inline(n, ids) => &mut ids[..*n as usize],
+            Postings::Spilled(ids) => ids,
+        }
+    }
+
+    /// Appends `id`, spilling a full inline list to the heap.
+    fn push(&mut self, id: u32) {
+        match self {
+            Postings::Inline(n, ids) if (*n as usize) < INLINE_IDS => {
+                ids[*n as usize] = id;
+                *n += 1;
+            }
+            Postings::Inline(_, ids) => {
+                let mut spilled = Vec::with_capacity(2 * INLINE_IDS);
+                spilled.extend_from_slice(ids);
+                spilled.push(id);
+                *self = Postings::Spilled(spilled);
+            }
+            Postings::Spilled(ids) => ids.push(id),
+        }
+    }
+
+    /// Keeps the first `len` ids.
+    fn truncate(&mut self, len: usize) {
+        match self {
+            Postings::Inline(n, _) => *n = (*n).min(len as u32),
+            Postings::Spilled(ids) => ids.truncate(len),
+        }
+    }
+}
+
 /// One key group of an index: every row whose projection onto the index
 /// columns hashes to `hash` *and* equals the group's representative
 /// projection. Ids are ascending (insertion order), which is what lets a
-/// delta probe narrow a group to an id range by binary search.
+/// delta probe narrow a group to an id range by binary search; the list is
+/// inline or spilled ([`Postings`]), and every operation below works on
+/// either form through its slice.
 #[derive(Clone)]
 struct Group {
     hash: u64,
-    ids: Vec<u32>,
+    ids: Postings,
 }
 
 /// One secondary index: a hash-of-projection table. `table` maps a
-/// projection hash to a group id; groups hold the matching row ids. Distinct
+/// projection hash to a group id; groups hold the matching row ids, inline
+/// for small groups and spilled to the heap for large ones. Distinct
 /// projections that collide on the 64-bit hash stay distinct groups (the
 /// representative-row comparison separates them), so a probe's candidate set
 /// is exactly the rows whose key columns equal the probe values.
@@ -281,8 +350,8 @@ impl Index {
             let grp = &groups[g as usize];
             grp.hash == h && {
                 // invariant: groups are never empty — they are created with
-                // their first id and only ever grow.
-                let rep = row_at(grp.ids[0]);
+                // their first id and deleted when their last one goes.
+                let rep = row_at(grp.ids.as_slice()[0]);
                 cols.iter().all(|&c| rep[c as usize] == row[c as usize])
             }
         });
@@ -292,7 +361,7 @@ impl Index {
                 let g = u32::try_from(self.groups.len()).expect("index group overflow");
                 self.groups.push(Group {
                     hash: h,
-                    ids: vec![id],
+                    ids: Postings::Inline(1, [id; INLINE_IDS]),
                 });
                 if self.table.needs_grow() {
                     let groups = &self.groups;
@@ -313,7 +382,7 @@ impl Index {
             .find(h, |g| {
                 let grp = &groups[g as usize];
                 grp.hash == h && {
-                    let rep = row_at(grp.ids[0]);
+                    let rep = row_at(grp.ids.as_slice()[0]);
                     cols.iter().all(|&c| rep[c as usize] == row[c as usize])
                 }
             })
@@ -326,12 +395,12 @@ impl Index {
     fn remove_id<'p>(&mut self, id: u32, row: &[Const], row_at: impl Fn(u32) -> &'p [Const]) {
         let g = self.group_of(row, &row_at);
         let grp = &mut self.groups[g as usize];
-        let pos = grp
-            .ids
-            .binary_search(&id)
-            .expect("indexed row in its group");
-        grp.ids.remove(pos);
-        if !grp.ids.is_empty() {
+        let ids = grp.ids.as_mut_slice();
+        let pos = ids.binary_search(&id).expect("indexed row in its group");
+        ids.copy_within(pos + 1.., pos);
+        let len = ids.len() - 1;
+        grp.ids.truncate(len);
+        if len != 0 {
             return;
         }
         let hash = grp.hash;
@@ -357,11 +426,13 @@ impl Index {
         row_at: impl Fn(u32) -> &'p [Const],
     ) {
         let g = self.group_of(row, &row_at);
-        let ids = &mut self.groups[g as usize].ids;
+        let ids = self.groups[g as usize].ids.as_mut_slice();
         debug_assert_eq!(ids.last(), Some(&old), "max id ends its posting list");
-        ids.pop();
+        // `new < old`, so shifting the ids above `new` right by one slot
+        // overwrites `old` and leaves the length alone.
         let pos = ids.partition_point(|&x| x < new);
-        ids.insert(pos, new);
+        ids.copy_within(pos..ids.len() - 1, pos + 1);
+        ids[pos] = new;
     }
 
     /// Rewrites the index after a bulk removal: `remap[old_id]` is a
@@ -373,13 +444,18 @@ impl Index {
     /// in place anyway).
     fn remove_remap(&mut self, remap: &[u32]) {
         for grp in &mut self.groups {
-            grp.ids.retain_mut(|id| {
-                let nid = remap[*id as usize];
-                *id = nid;
-                nid != EMPTY
-            });
+            let ids = grp.ids.as_mut_slice();
+            let mut kept = 0;
+            for i in 0..ids.len() {
+                let nid = remap[ids[i] as usize];
+                if nid != EMPTY {
+                    ids[kept] = nid;
+                    kept += 1;
+                }
+            }
+            grp.ids.truncate(kept);
         }
-        self.groups.retain(|g| !g.ids.is_empty());
+        self.groups.retain(|g| !g.ids.as_slice().is_empty());
         self.table.clear_retaining();
         for (g, grp) in self.groups.iter().enumerate() {
             self.table.insert_no_grow(grp.hash, g as u32);
@@ -399,9 +475,9 @@ impl Index {
         let groups = &self.groups;
         match self.table.find(hash, |g| {
             let grp = &groups[g as usize];
-            grp.hash == hash && key_eq(row_at(grp.ids[0]))
+            grp.hash == hash && key_eq(row_at(grp.ids.as_slice()[0]))
         }) {
-            Some(g) => &self.groups[g as usize].ids,
+            Some(g) => self.groups[g as usize].ids.as_slice(),
             None => &[],
         }
     }
@@ -951,6 +1027,7 @@ impl fmt::Debug for Relation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     fn syms(names: &[&str]) -> Vec<Const> {
         names.iter().map(|n| Const::sym(n)).collect()
@@ -1194,7 +1271,8 @@ mod tests {
             // Posting lists stay ascending (binary-search probes rely on it).
             for index in r.indexes.values() {
                 for grp in &index.groups {
-                    assert!(grp.ids.windows(2).all(|w| w[0] < w[1]), "sorted postings");
+                    let ids = grp.ids.as_slice();
+                    assert!(ids.windows(2).all(|w| w[0] < w[1]), "sorted postings");
                 }
             }
             // The dedup table forgot the victims and still dedups survivors.
@@ -1282,6 +1360,111 @@ mod tests {
         assert_eq!(r.row(id), &syms(&["b", "c"]));
         assert!(r.id_of(&syms(&["z", "z"])).is_none());
         assert!(r.id_of(&[Const::sym("a")]).is_none(), "arity mismatch");
+    }
+
+    /// Checks every index of `r` against `model`: each posting list is
+    /// ascending and non-empty, and `probe_ids` under column 0 returns
+    /// exactly the model's rows of each key.
+    fn agrees_with(r: &Relation, model: &BTreeSet<(i64, i64)>, keys: i64) {
+        assert_eq!(r.len(), model.len());
+        for index in r.indexes.values() {
+            for grp in &index.groups {
+                let ids = grp.ids.as_slice();
+                assert!(!ids.is_empty(), "no empty group");
+                assert!(ids.windows(2).all(|w| w[0] < w[1]), "sorted postings");
+            }
+        }
+        let mask = Mask::of_columns(&[0]);
+        for k in 0..keys {
+            let key = [Const::int(k)];
+            let ids = r.probe_ids(mask, hash_row(&key), |rep| rep[0] == key[0]);
+            let got: BTreeSet<(i64, i64)> = ids
+                .unwrap()
+                .iter()
+                .map(|&id| match r.row(id) {
+                    [Const::Int(a), Const::Int(b)] => (*a, *b),
+                    row => panic!("unexpected row {row:?}"),
+                })
+                .collect();
+            let want: BTreeSet<_> = model
+                .range((k, i64::MIN)..=(k, i64::MAX))
+                .copied()
+                .collect();
+            assert_eq!(got, want, "key {k}");
+        }
+    }
+
+    #[test]
+    fn posting_lists_agree_with_a_model_across_the_spill_boundary() {
+        // Key `k` owns `k` rows, for every group size from 1 to twice the
+        // inline capacity plus one. Rows go in round-robin over the keys,
+        // so every group grows through the spill while the others grow, and
+        // the last round adds one row to every key, so the tail rows that
+        // swap removals rename belong to groups of every size.
+        let keys = 2 * INLINE_IDS as i64 + 2;
+        let all: Vec<(i64, i64)> = (0..keys)
+            .rev()
+            .flat_map(|j| (j + 1..keys).map(move |k| (k, j)))
+            .collect();
+        let fill = |r: &mut Relation, model: &mut BTreeSet<(i64, i64)>| {
+            for &(k, j) in &all {
+                assert!(r.insert_row(&[Const::int(k), Const::int(j)]));
+                model.insert((k, j));
+            }
+        };
+        let spilled = |r: &Relation, row: &[Const]| {
+            let index = &r.indexes[&Mask::of_columns(&[0])];
+            let g = index.group_of(row, |id| r.row(id));
+            matches!(index.groups[g as usize].ids, Postings::Spilled(_))
+        };
+
+        // Insert, with indexes built before the rows and after them.
+        let mut r = Relation::new(2);
+        let mut model = BTreeSet::new();
+        r.ensure_index(Mask::of_columns(&[0]));
+        fill(&mut r, &mut model);
+        r.ensure_index(Mask::of_columns(&[0, 1]));
+        agrees_with(&r, &model, keys);
+        for k in 1..keys {
+            let row = [Const::int(k), Const::int(0)];
+            assert_eq!(spilled(&r, &row), k as usize > INLINE_IDS, "key {k}");
+        }
+
+        // Single removals take the swap path; note the form of the group
+        // each renamed tail row lands in.
+        let mut renamed = [false; 2];
+        for (i, &(k, j)) in all.iter().enumerate().filter(|(i, _)| i % 3 == 0) {
+            assert!(8 < r.len(), "one tail swap");
+            let tail = r.row(r.len() as u32 - 1).to_vec();
+            if tail != [Const::int(k), Const::int(j)] {
+                renamed[usize::from(spilled(&r, &tail))] = true;
+            }
+            assert!(r.remove_row(&[Const::int(k), Const::int(j)]), "row {i}");
+            model.remove(&(k, j));
+            agrees_with(&r, &model, keys);
+        }
+        assert_eq!(renamed, [true; 2], "tails renamed into both forms");
+
+        // A batch of a third of the rows takes the compaction.
+        let victims: Vec<(i64, i64)> = model.iter().copied().step_by(3).collect();
+        assert!(victims.len() * 8 >= r.len(), "one compaction");
+        let batch = ints(2, victims.iter().map(|&(k, j)| vec![k, j]));
+        assert_eq!(r.remove_rows(&batch), victims.len());
+        victims.iter().for_each(|v| _ = model.remove(v));
+        agrees_with(&r, &model, keys);
+
+        // Cleared rows drop the indexes; re-inserting rebuilds both forms.
+        r.clear_rows();
+        model.clear();
+        agrees_with(&Relation::new(2), &model, 0);
+        fill(&mut r, &mut model);
+        r.ensure_index(Mask::of_columns(&[0]));
+        agrees_with(&r, &model, keys);
+    }
+
+    #[test]
+    fn a_group_is_a_hash_beside_a_vector() {
+        assert_eq!(std::mem::size_of::<Group>(), 32);
     }
 
     #[test]

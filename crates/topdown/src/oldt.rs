@@ -33,7 +33,7 @@
 
 use crate::front::{Clauses, TopdownError};
 use crate::metrics::OldtMetrics;
-use alexander_eval::{Budget, Completion, Governor};
+use alexander_eval::{order_body, Budget, Completion, Governor};
 use alexander_ir::analysis::stratify;
 use alexander_ir::{
     hash_row, Atom, Builtin, Const, FxHashMap, FxHashSet, Polarity, Predicate, Program, Rule, Term,
@@ -47,8 +47,9 @@ use std::ops::Range;
 #[derive(Clone, Debug)]
 pub struct OldtOptions {
     /// Select body literals with the same greedy SIP the rewritings use.
-    /// When off, bodies are only reordered as far as negation groundness
-    /// requires (ablation E9).
+    /// When off, positive literals keep their textual order and each
+    /// negation or built-in runs at the first point its variables are bound
+    /// (ablation E9).
     pub reorder: bool,
     /// Resource limits. `max_facts` bounds tabled answers and the
     /// deadline is checked between resolution steps; rounds do not apply
@@ -221,9 +222,13 @@ impl Code {
             bound[slot[head[i]]] = true;
         }
         let head_bound = vars.iter().copied().filter(|&v| bound[arg(&Term::Var(v))]);
+        // Off, positives keep their textual order; a body no order can
+        // ground stays textual and fails when its negation is reached.
         let body = match sip {
             true => sip_order(&rule.body, &head_bound.collect()),
-            false => rule.body.clone(),
+            false => {
+                order_body(&rule.body, head_bound.collect()).unwrap_or_else(|| rule.body.clone())
+            }
         };
 
         let mut goals = Vec::with_capacity(body.len());
@@ -1005,18 +1010,22 @@ mod tests {
     }
 
     #[test]
-    fn a_negation_selected_before_its_binder_is_an_error() {
+    fn a_negation_written_before_its_binder_waits_for_it_in_either_order() {
         let parsed = parse("e(a, b). blocked(b). q(X) :- !blocked(X), e(X, Y).").unwrap();
         let edb = Database::from_program(&parsed.program);
         let q = parse_atom("q(X)").unwrap();
-        let textual = OldtOptions {
-            reorder: false,
-            ..OldtOptions::default()
-        };
-        let err = oldt_query_opts(&parsed.program, &edb, &q, textual).unwrap_err();
-        assert!(matches!(err, TopdownError::NonGroundNegation(_)), "{err}");
-        let r = oldt_query_opts(&parsed.program, &edb, &q, OldtOptions::default()).unwrap();
-        assert_eq!(r.answers.len(), 1);
+        for reorder in [false, true] {
+            let opts = OldtOptions {
+                reorder,
+                ..OldtOptions::default()
+            };
+            let r = oldt_query_opts(&parsed.program, &edb, &q, opts).unwrap();
+            assert_eq!(
+                r.answers,
+                [parse_atom("q(a)").unwrap()],
+                "reorder={reorder}"
+            );
+        }
     }
 
     #[test]
