@@ -1,13 +1,22 @@
 //! # alexander-topdown
 //!
+//! The goal-directed engines the Alexander templates are compared with.
 //! OLDT resolution — top-down evaluation with tabulation (Tamaki & Sato
-//! 1986). This is the goal-directed strategy the Alexander templates
-//! simulate bottom-up; the engine is instrumented so the call and answer
-//! tables can be compared fact-for-fact with the `call_…` / `ans_…`
-//! relations of the transformed program (the reproduced paper's power
-//! theorem, experiment E3). QSQR and plain SLD share its front end: one
-//! clause table (rules plus intensional inline facts as body-less rules),
-//! one extensional store and one [`TopdownError`].
+//! 1986) — is the strategy the templates simulate bottom-up; the engine is
+//! instrumented so the call and answer tables can be compared
+//! fact-for-fact with the `call_…` / `ans_…` relations of the transformed
+//! program (the reproduced paper's power theorem, experiment E3). QSQR
+//! (Vieille 1986) completes its tables by recursive restarts instead of
+//! suspension, and plain SLD, without tables, is the baseline both are
+//! measured against (E11).
+//!
+//! The three share one front end: one clause table (rules plus intensional
+//! inline facts as body-less rules), one extensional store and one
+//! [`TopdownError`]. OLDT and QSQR also share one compiled clause form,
+//! read once per call pattern (slots, SIP order, indexed extensional
+//! probes); they differ in control and in one numbering — OLDT tables
+//! variant calls, QSQR adorned predicates — so both report their tables in
+//! one canonical form ([`OldtResult::tables`], [`QsqrResult::tables`]).
 //!
 //! ```
 //! use alexander_parser::{parse, parse_atom};

@@ -9,10 +9,10 @@
 //! of recomputation — this is what makes top-down evaluation terminate on
 //! recursive Datalog and what the Alexander templates simulate bottom-up.
 //!
-//! Clauses are compiled before resolution, once per call *pattern*
-//! reachable from the query (a predicate and, per argument, a constant or
-//! the call's `k`-th distinct variable): the body in SIP order, variables
-//! and constants as dense slots, head unification as slot loads and checks.
+//! Clauses are compiled before resolution by the compiler QSQR shares
+//! (`front.rs`), once per call *pattern* reachable from the query: a
+//! predicate and, per argument, a constant or the call's `k`-th distinct
+//! variable, so a repeated variable is part of the call (variant tabling).
 //! A table, keyed by pattern and constants, holds its answer rows in a
 //! [`Relation`]; a generator is a node (clause, next goal, slot array) and a
 //! consumer a node parked at its call goal, resumed per answer with a bound
@@ -21,27 +21,22 @@
 //! interned while resolving; atoms are built only for the [`OldtResult`].
 //!
 //! The engine is instrumented for the power comparison (experiment E3):
-//! [`OldtResult::calls_by_pred`] is the call table (one entry per distinct
-//! tabled call) and [`OldtResult::answers_by_pred`] the answer table,
-//! the two quantities the Alexander-transformed program materialises as
-//! `call_…` and `ans_…` facts.
+//! [`OldtResult::tables`] is the call table (one entry per distinct tabled
+//! call, with its answer count), the two quantities the
+//! Alexander-transformed program materialises as `call_…` and `ans_…`
+//! facts.
 //!
 //! Negation: ground negative literals over extensional predicates are
 //! checked against the database; ground negative intensional literals force
 //! the completion of their subquery's table first (admissible because the
 //! program must be stratified — checked up front).
 
-use crate::front::{Clauses, TopdownError};
+use crate::front::{values, Args, Clause, Clauses, Code, Goal, Tabling, TopdownError};
 use crate::metrics::OldtMetrics;
-use alexander_eval::{order_body, Budget, Completion, Governor};
+use alexander_eval::{Budget, Completion, Governor};
 use alexander_ir::analysis::stratify;
-use alexander_ir::{
-    hash_row, Atom, Builtin, Const, FxHashMap, FxHashSet, Polarity, Predicate, Program, Rule, Term,
-    Var,
-};
-use alexander_storage::{row_atom, Database, Mask, Relation};
-use alexander_transform::sip_order;
-use std::ops::Range;
+use alexander_ir::{hash_row, Atom, Const, FxHashMap, Polarity, Program};
+use alexander_storage::{row_atom, Database, Relation};
 
 /// Options for the OLDT engine.
 #[derive(Clone, Debug)]
@@ -80,11 +75,8 @@ pub struct OldtResult {
     /// Ground instances of the query atom, in discovery order.
     pub answers: Vec<Atom>,
     pub metrics: OldtMetrics,
-    /// Distinct tabled calls per predicate (OLDT's call table).
-    pub calls_by_pred: FxHashMap<Predicate, u64>,
-    /// Distinct answers per predicate across all of its tables.
-    pub answers_by_pred: FxHashMap<Predicate, u64>,
-    /// Every table: its canonical call atom and its answer count.
+    /// Every table: its canonical call atom (`_C<k>` for the call's `k`-th
+    /// distinct variable) and its answer count, sorted by the atom's text.
     pub call_tables: Vec<(Atom, u64)>,
     /// Whether resolution ran to exhaustion. On a budget stop the
     /// `answers` are a sound subset of the complete answer set (every
@@ -98,172 +90,6 @@ impl OldtResult {
     /// table, exposed for the power-correspondence check.
     pub fn tables(&self) -> impl Iterator<Item = (&Atom, u64)> + '_ {
         self.call_tables.iter().map(|(a, n)| (a, *n))
-    }
-}
-
-/// Per argument of a call: `None` for a constant, `Some(k)` for its `k`-th
-/// distinct variable. A predicate and a shape are a call *pattern*.
-type Shape = Vec<Option<u32>>;
-
-/// A literal's slots as its goal reads them: `key` at its bound positions;
-/// `binds`, the `(column, slot)` of each free slot's first occurrence;
-/// `repeats`, each later occurrence's `(column, first column)`.
-#[derive(Default)]
-struct Args {
-    key: Vec<usize>,
-    binds: Vec<(usize, usize)>,
-    repeats: Vec<(usize, usize)>,
-}
-
-/// A body literal, compiled for the slots bound when it is selected. A
-/// negated literal is ground, so its key is the whole row.
-enum Goal {
-    /// A built-in over two bound slots; passes when it yields the bool.
-    Test(Builtin, [usize; 2], bool),
-    /// An extensional literal, probed on the mask's columns.
-    Edb(Predicate, Mask, Args, Polarity),
-    /// An intensional literal: a call of the given pattern.
-    Call(usize, Args, Polarity),
-    /// A negation or built-in selected while non-ground: an error if reached.
-    NonGround(String),
-}
-
-/// A clause compiled for one call pattern: every variable class and every
-/// constant of the rule is a slot.
-struct Clause {
-    /// The slots before head unification, constants in place.
-    init: Vec<Const>,
-    /// Per constant of the call, in order: `(slot, load)` stores it in the
-    /// slot when `load`, else checks that the slot holds it.
-    unify: Vec<(usize, bool)>,
-    body: Vec<Goal>,
-    /// The slots of the answer row.
-    head: Vec<usize>,
-}
-
-/// The patterns reachable from the query's (pattern 0), each with its
-/// clauses compiled: pattern `p`'s are `clauses[patterns[p].2]`.
-struct Code {
-    patterns: Vec<(Predicate, Shape, Range<usize>)>,
-    clauses: Vec<Clause>,
-}
-
-impl Code {
-    /// Compiles every clause for every pattern reachable from `pred` called
-    /// with `shape`, then indexes the probed columns in `front`'s private
-    /// store (copy-on-write: the caller's database is never touched).
-    fn compile(front: &mut Clauses, pred: Predicate, shape: Shape, sip: bool) -> Code {
-        let mut code = Code {
-            patterns: vec![(pred, shape, 0..0)],
-            clauses: Vec::new(),
-        };
-        let mut p = 0;
-        while let Some((pred, shape, _)) = code.patterns.get(p).cloned() {
-            let start = code.clauses.len();
-            for rule in front.by_pred.get(&pred).into_iter().flatten() {
-                let clause = code.clause(front, sip, rule, &shape);
-                code.clauses.extend(clause);
-            }
-            code.patterns[p].2 = start..code.clauses.len();
-            p += 1;
-        }
-        for goal in code.clauses.iter().flat_map(|c| &c.body) {
-            if let Goal::Edb(pred, mask, _, Polarity::Positive) = goal {
-                front.edb.ensure_index(*pred, *mask);
-            }
-        }
-        code
-    }
-
-    fn pattern(&mut self, pred: Predicate, shape: Shape) -> usize {
-        let known = self
-            .patterns
-            .iter()
-            .position(|p| (p.0, &p.1) == (pred, &shape));
-        known.unwrap_or_else(|| {
-            self.patterns.push((pred, shape, 0..0));
-            self.patterns.len() - 1
-        })
-    }
-
-    /// `rule` compiled for calls of `shape`; `None` if none unifies with it.
-    fn clause(&mut self, front: &Clauses, sip: bool, rule: &Rule, shape: &Shape) -> Option<Clause> {
-        // Slots: the rule's variables, then its constants. The head terms a
-        // repeated call variable meets share a slot; two constants clash.
-        let vars = rule.vars();
-        let atoms = std::iter::once(&rule.head).chain(rule.body.iter().map(|l| &l.atom));
-        let consts: Vec<Const> = atoms
-            .flat_map(|a| &a.terms)
-            .filter_map(|t| t.as_const())
-            .collect();
-        let n = vars.len();
-        let index = |t: &Term| match *t {
-            Term::Var(v) => vars.iter().position(|&w| w == v).expect("a rule variable"),
-            Term::Const(c) => n + consts.iter().position(|&d| d == c).expect("a constant"),
-        };
-        let head: Vec<usize> = rule.head.terms.iter().map(index).collect();
-        let mut slot: Vec<usize> = (0..n + consts.len()).collect();
-        for (i, k) in shape.iter().enumerate().filter(|(_, k)| k.is_some()) {
-            let j = shape.iter().position(|b| b == k).expect("k occurs at i");
-            let (a, b) = (slot[head[i]], slot[head[j]]);
-            if a >= n && b >= n && a != b {
-                return None;
-            }
-            let (from, to) = if a >= n { (b, a) } else { (a, b) };
-            slot.iter_mut()
-                .filter(|s| **s == from)
-                .for_each(|s| *s = to);
-        }
-        let arg = |t: &Term| slot[index(t)];
-        let mut bound: Vec<bool> = (0..slot.len()).map(|s| s >= n).collect();
-        let mut unify = Vec::new();
-        for i in (0..shape.len()).filter(|&i| shape[i].is_none()) {
-            unify.push((slot[head[i]], !bound[slot[head[i]]]));
-            bound[slot[head[i]]] = true;
-        }
-        let head_bound = vars.iter().copied().filter(|&v| bound[arg(&Term::Var(v))]);
-        // Off, positives keep their textual order; a body no order can
-        // ground stays textual and fails when its negation is reached.
-        let body = match sip {
-            true => sip_order(&rule.body, &head_bound.collect()),
-            false => {
-                order_body(&rule.body, head_bound.collect()).unwrap_or_else(|| rule.body.clone())
-            }
-        };
-
-        let mut goals = Vec::with_capacity(body.len());
-        for lit in &body {
-            let (pred, positive) = (lit.atom.predicate(), lit.polarity == Polarity::Positive);
-            let (mut call, mut args) = (Shape::new(), Args::default());
-            for (col, s) in lit.atom.terms.iter().map(arg).enumerate() {
-                let first = args.binds.iter().position(|&(_, t)| t == s);
-                call.push((!bound[s]).then(|| first.unwrap_or(args.binds.len()) as u32));
-                match (bound[s], first) {
-                    (true, _) => args.key.push(s),
-                    (false, Some(k)) => args.repeats.push((col, args.binds[k].0)),
-                    (false, None) => args.binds.push((col, s)),
-                }
-            }
-            args.binds.iter().for_each(|&(_, s)| bound[s] = true);
-            let builtin = Builtin::of(pred);
-            let goal = if !args.binds.is_empty() && (!positive || builtin.is_some()) {
-                Goal::NonGround(lit.atom.to_string())
-            } else if let Some(b) = builtin {
-                Goal::Test(b, [args.key[0], args.key[1]], positive)
-            } else if front.idb.contains(&pred) {
-                Goal::Call(self.pattern(pred, call), args, lit.polarity)
-            } else {
-                let cols: Vec<usize> = (0..call.len()).filter(|&c| call[c].is_none()).collect();
-                Goal::Edb(pred, Mask::of_columns(&cols), args, lit.polarity)
-            };
-            goals.push(goal);
-        }
-        Some(Clause {
-            init: vars.iter().map(|_| Const::Int(0)).chain(consts).collect(),
-            unify,
-            body: goals,
-            head: head.iter().map(|&h| slot[h]).collect(),
-        })
     }
 }
 
@@ -297,9 +123,8 @@ struct Engine<'a> {
 /// Queues `node` moved on to its next goal, with a copy of its slots bound
 /// from `row` (a fact or an answer) by `args`, unless `row` breaks a repeat.
 fn advance(work: &mut Vec<Node>, node: &Node, args: &Args, row: &[Const]) {
-    if args.repeats.iter().all(|&(c, first)| row[c] == row[first]) {
-        let mut slots = node.slots.clone();
-        args.binds.iter().for_each(|&(c, s)| slots[s] = row[c]);
+    let mut slots = node.slots.clone();
+    if args.bind(row, &mut slots) {
         let goal = node.goal + 1;
         work.push(Node {
             goal,
@@ -307,11 +132,6 @@ fn advance(work: &mut Vec<Node>, node: &Node, args: &Args, row: &[Const]) {
             ..*node
         });
     }
-}
-
-/// The values `slots` holds at the slots `of`.
-fn values(slots: &[Const], of: &[usize]) -> Vec<Const> {
-    of.iter().map(|&s| slots[s]).collect()
 }
 
 impl<'a> Engine<'a> {
@@ -327,15 +147,7 @@ impl<'a> Engine<'a> {
         self.table_of[pattern].insert(key.into(), t);
         self.metrics.calls += 1;
         for clause in clauses.clone() {
-            let Clause { init, unify, .. } = &self.code.clauses[clause];
-            let mut slots = init.clone();
-            let unifies = unify.iter().zip(key).all(|(&(s, load), &k)| {
-                if load {
-                    slots[s] = k;
-                }
-                slots[s] == k
-            });
-            if unifies {
+            if let Some(slots) = self.code.clauses[clause].bind(key) {
                 self.metrics.resolution_steps += 1;
                 self.work.push(Node {
                     table: t,
@@ -460,12 +272,8 @@ pub fn oldt_query_opts(
     if front.negated_idb.is_some() {
         stratify(program).map_err(TopdownError::NotStratified)?;
     }
-    // The query's pattern: its variables numbered by first occurrence.
-    let vars = Rule::new(query.clone(), Vec::new()).vars();
-    let var = |v| vars.iter().position(|&w| w == v).map(|k| k as u32);
-    let shape = query.terms.iter().map(|t| t.as_var().and_then(var));
     let key: Vec<Const> = query.terms.iter().filter_map(|t| t.as_const()).collect();
-    let code = Code::compile(&mut front, query.predicate(), shape.collect(), opts.reorder);
+    let code = Code::compile(&mut front, query, Tabling::Variant, opts.reorder);
     let mut engine = Engine {
         code: &code,
         front: &front,
@@ -483,43 +291,15 @@ pub fn oldt_query_opts(
     } else {
         front.lookup(query)
     };
-
-    // Each table as its canonical call atom (`_C<k>` for the call's `k`-th
-    // variable) and answer count; tables of one predicate can share
-    // answers, so `answers_by_pred` counts their union.
-    let width = code.patterns.iter().map(|p| p.1.len()).max().unwrap_or(0);
-    let canonical: Vec<Term> = (0..width)
-        .map(|k| Term::Var(Var::new(&format!("_C{k}"))))
-        .collect();
-    let (mut calls_by_pred, mut call_tables) = (FxHashMap::default(), Vec::new());
-    let mut union: FxHashMap<Predicate, FxHashSet<&[Const]>> = FxHashMap::default();
-    for ((pred, shape, _), of) in code.patterns.iter().zip(&engine.table_of) {
-        for (key, &t) in of {
-            let answers = &engine.tables[t].answers;
-            *calls_by_pred.entry(*pred).or_default() += 1;
-            union.entry(*pred).or_default().extend(answers.iter());
-            let mut consts = key.iter().map(|&c| Term::Const(c));
-            // invariant: a table's key holds one constant per constant
-            // position of its pattern.
-            let mut term = |a: &Option<u32>| match a {
-                Some(k) => canonical[*k as usize],
-                None => consts.next().expect("a constant per bound position"),
-            };
-            let call = Atom {
-                pred: pred.name,
-                terms: shape.iter().map(&mut term).collect(),
-            };
-            call_tables.push((call, answers.len() as u64));
-        }
-    }
-    call_tables.sort_by_key(|(a, _)| a.to_string());
-    let answers_by_pred = union.iter().map(|(p, r)| (*p, r.len() as u64));
+    let tables = engine.table_of.iter().enumerate().flat_map(|(p, of)| {
+        let tables = &engine.tables;
+        of.iter()
+            .map(move |(key, &t)| (p, &key[..], tables[t].answers.len() as u64))
+    });
     Ok(OldtResult {
         answers,
         metrics: engine.metrics,
-        calls_by_pred,
-        answers_by_pred: answers_by_pred.collect(),
-        call_tables,
+        call_tables: code.call_tables(tables),
         completion: engine.gov.completion(),
     })
 }
@@ -553,9 +333,15 @@ mod tests {
     fn tabling_is_goal_directed() {
         let r = run(ANCESTOR, "anc(a, X)");
         // Calls: anc(a,_), anc(b,_), anc(c,_), anc(d,_). Never anc(x,_).
-        assert_eq!(r.calls_by_pred[&Predicate::new("anc", 2)], 4);
-        // Answers across tables: a->{b,c,d}, b->{c,d}, c->{d}, d->{}.
-        assert_eq!(r.answers_by_pred[&Predicate::new("anc", 2)], 6);
+        // Answers: a->{b,c,d}, b->{c,d}, c->{d}, d->{}.
+        let tables: Vec<String> = r.tables().map(|(c, n)| format!("{c}={n}")).collect();
+        let want = [
+            "anc(a, _C0)=3",
+            "anc(b, _C0)=2",
+            "anc(c, _C0)=1",
+            "anc(d, _C0)=0",
+        ];
+        assert_eq!(tables, want);
     }
 
     #[test]
@@ -658,7 +444,7 @@ mod tests {
     fn canonicalization_shares_tables() {
         // Both recursive descents reach anc(c, _): one table, not two.
         let r = run(ANCESTOR, "anc(b, X)");
-        assert_eq!(r.calls_by_pred[&Predicate::new("anc", 2)], 3); // b, c, d
+        assert_eq!(r.tables().count(), 3); // b, c, d
     }
 
     #[test]

@@ -13,8 +13,7 @@
 use crate::front::{Clauses, TopdownError};
 use crate::metrics::OldtMetrics;
 use alexander_ir::{
-    match_atom, Atom, Builtin, FxHashMap, FxHashSet, Literal, Polarity, Program, Rule, Subst, Term,
-    Var,
+    Atom, Builtin, Const, FxHashMap, FxHashSet, Literal, Polarity, Program, Rule, Subst, Term, Var,
 };
 use alexander_storage::Database;
 
@@ -53,6 +52,18 @@ pub struct SldResult {
 struct Node {
     goals: Vec<(Literal, usize)>,
     subst: Subst,
+}
+
+/// [`alexander_ir::match_atom`] against a stored row: extends `s` so that
+/// `goal` instantiated by it is `row`.
+fn match_row(goal: &Atom, row: &[Const], s: &mut Subst) -> bool {
+    goal.terms.iter().zip(row).all(|(&t, &c)| match s.walk(t) {
+        Term::Const(x) => x == c,
+        Term::Var(v) => {
+            s.bind(v, Term::Const(c));
+            true
+        }
+    })
 }
 
 /// Renames `rule` for use at `depth`: along one derivation path each depth
@@ -151,20 +162,16 @@ pub fn sld_query(
                 }
             }
             (Polarity::Positive, false) => {
-                if let Some(rel) = clauses.edb.relation(goal.predicate()) {
-                    let facts: Vec<Atom> = rel
-                        .iter()
-                        .map(|row| alexander_storage::row_atom(goal.pred, row))
-                        .collect();
-                    for fact in facts {
-                        metrics.resolution_steps += 1;
-                        let mut s = node.subst.clone();
-                        if match_atom(&goal, &fact, &mut s) {
-                            stack.push(Node {
-                                goals: node.goals.clone(),
-                                subst: s,
-                            });
-                        }
+                // No index either: one step per stored row, matched in place.
+                let rows = clauses.edb.relation(goal.predicate()).into_iter();
+                for row in rows.flat_map(|rel| rel.iter()) {
+                    metrics.resolution_steps += 1;
+                    let mut s = node.subst.clone();
+                    if match_row(&goal, row, &mut s) {
+                        stack.push(Node {
+                            goals: node.goals.clone(),
+                            subst: s,
+                        });
                     }
                 }
             }
