@@ -26,7 +26,8 @@ pub fn run_sized(depth: usize) -> Table {
     let mut t = Table::new(
         "E2",
         &format!("same-generation(seed, Y) on a depth-{depth} binary tree"),
-        "The nonlinear recursion the magic-sets literature is built around. \
+        "The same-generation recursion the magic-sets literature is built around \
+         (linear: one recursive call between two joins). \
          Full bottom-up computes same-generation pairs for every level; the \
          goal-directed strategies only explore generations reachable from \
          the seed. The crossover with E5 shows this reverses on free \

@@ -1,5 +1,6 @@
 //! E3 (Table 3): the power theorem — Alexander-template bottom-up
-//! evaluation materialises exactly OLDT's call and answer tables.
+//! evaluation materialises exactly OLDT's call and answer tables, compared
+//! row for row.
 
 use crate::table::Table;
 use alexander_core::check_power_correspondence;
@@ -15,8 +16,9 @@ pub fn run() -> Table {
         "The reproduced paper's headline result. For every adorned \
          predicate, the call/answer relations the Alexander-transformed \
          program materialises bottom-up must equal OLDT's call/answer \
-         tables exactly — not approximately. `holds` must read `yes` on \
-         every row.",
+         tables exactly — not approximately. The count columns are the \
+         sizes of the sets compared; `holds` compares their contents \
+         (call constants and answer rows) and must read `yes` on every row.",
         &[
             "workload",
             "adorned pred",

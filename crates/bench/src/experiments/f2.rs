@@ -26,7 +26,7 @@ pub fn run_with(depths: &[usize]) -> Table {
     let mut t = Table::new(
         "F2",
         "figure: same-generation(seed, Y) vs tree depth (series = strategy)",
-        "The nonlinear recursion makes full bottom-up explode with the \
+        "The same-generation recursion makes full bottom-up explode with the \
          square of the generation width while the goal-directed strategies \
          follow only the seed's ancestor path and its generations. Expected \
          shape: widening gap as depth grows, goal-directed series clustered.",

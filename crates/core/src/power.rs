@@ -2,22 +2,22 @@
 //! Alexander-transformed program materialises exactly OLDT's call and answer
 //! tables.
 //!
-//! For every adorned intensional predicate `p^a` reachable from the query:
+//! For every adorned intensional predicate `p^a` reachable from the query,
+//! the check compares contents, not counts:
 //!
-//! * `|call_p^a|` (facts of the call predicate) must equal the number of
-//!   distinct OLDT tabled calls to `p` whose canonical form binds exactly
-//!   the positions `a` binds;
-//! * `|ans_p^a|` must equal the number of distinct answers across those
-//!   tables.
+//! * the rows of `call_p^a` must be exactly the constants of OLDT's tabled
+//!   calls to `p` whose shape binds the positions `a` binds;
+//! * the rows of `ans_p^a` must be exactly the union of those tables'
+//!   answer rows.
 //!
-//! [`check_power_correspondence`] computes both sides and reports them row
-//! by row; the integration tests and the harness assert exact equality on
-//! definite programs.
+//! [`check_power_correspondence`] builds both sides and reports them row
+//! by row, with the size of each set; the integration tests and the harness
+//! assert that every row agrees on definite programs.
 
 use crate::engine::EngineError;
 use alexander_eval::eval_seminaive;
-use alexander_ir::{AdornedPredicate, Adornment, Atom, Bf, FxHashMap, Predicate, Program};
-use alexander_storage::Database;
+use alexander_ir::{AdornedPredicate, Adornment, Atom, Bf, Predicate, Program};
+use alexander_storage::{Database, Relation};
 use alexander_topdown::oldt_query;
 use alexander_transform::{alexander, SipOptions};
 use std::fmt;
@@ -37,12 +37,15 @@ pub struct PowerRow {
     pub alexander_answers: u64,
     /// Distinct OLDT answers across this adornment's tables.
     pub oldt_answers: u64,
+    /// True iff `call_p^a` holds exactly OLDT's calls and `ans_p^a`
+    /// exactly their answers, row for row.
+    pub same_rows: bool,
 }
 
 impl PowerRow {
-    /// True iff both counts agree.
+    /// True iff both sides hold the same calls and the same answers.
     pub fn matches(&self) -> bool {
-        self.alexander_calls == self.oldt_calls && self.alexander_answers == self.oldt_answers
+        self.same_rows
     }
 }
 
@@ -92,15 +95,11 @@ impl fmt::Display for PowerCorrespondence {
     }
 }
 
-/// The adornment shape of a canonical OLDT call: positions holding constants
-/// are bound.
-fn call_adornment(call: &Atom) -> Adornment {
-    Adornment(
-        call.terms
-            .iter()
-            .map(|t| if t.is_ground() { Bf::Bound } else { Bf::Free })
-            .collect(),
-    )
+/// True iff `a` and `b` hold the same rows of `pred`.
+fn same(a: &Database, b: &Database, pred: Predicate) -> bool {
+    let (a, b) = (a.relation(pred), b.relation(pred));
+    let nonempty = |r: &&Relation| !r.is_empty();
+    a.filter(nonempty) == b.filter(nonempty)
 }
 
 /// Runs both sides and compares, for a **definite** program (the theorem as
@@ -127,37 +126,37 @@ pub fn check_power_correspondence(
     // Top-down side: instrumented OLDT.
     let td = oldt_query(program, edb, query)?;
 
-    // Group the OLDT call/answer tables by (predicate, adornment).
-    let mut oldt_calls: FxHashMap<(Predicate, String), u64> = FxHashMap::default();
-    let mut oldt_answers: FxHashMap<(Predicate, String), u64> = FxHashMap::default();
-    for (call, n_answers) in td.tables() {
-        let key = (call.predicate(), call_adornment(call).suffix());
-        *oldt_calls.entry(key.clone()).or_default() += 1;
-        *oldt_answers.entry(key).or_default() += n_answers;
+    // OLDT's tables as the template relations they must equal: a call's
+    // constants are a row of `call_p^a`, its answers rows of `ans_p^a`.
+    let mut oldt = Database::new();
+    for t in &td.tables {
+        let bf = |a: &Option<u32>| if a.is_some() { Bf::Free } else { Bf::Bound };
+        let adorned = AdornedPredicate::new(t.pred, Adornment(t.shape.iter().map(bf).collect()));
+        let name = adorned.mangled_name();
+        oldt.insert_row(Predicate::new(&format!("call_{name}"), t.key.len()), &t.key);
+        let ans = Predicate::new(&format!("ans_{name}"), t.pred.arity);
+        t.answers
+            .iter()
+            .for_each(|row| _ = oldt.insert_row(ans, row));
     }
 
-    // Read the template relations: one row per adorned predicate.
+    // Compare the template relations: one row per adorned predicate.
     let mut rows = Vec::new();
     let mut adorned: Vec<(&alexander_ir::Symbol, &AdornedPredicate)> =
         rw.adorned.map.iter().collect();
     adorned.sort_by_key(|(s, _)| s.as_str());
     for (mangled, ap) in adorned {
-        let call_pred = Predicate {
-            name: alexander_ir::Symbol::intern(&format!("call_{mangled}")),
-            arity: ap.adornment.bound_positions().len(),
-        };
-        let ans_pred = Predicate {
-            name: alexander_ir::Symbol::intern(&format!("ans_{mangled}")),
-            arity: ap.pred.arity,
-        };
-        let key = (ap.pred, ap.adornment.suffix());
+        let bound = ap.adornment.bound_positions().len();
+        let call_pred = Predicate::new(&format!("call_{mangled}"), bound);
+        let ans_pred = Predicate::new(&format!("ans_{mangled}"), ap.pred.arity);
         rows.push(PowerRow {
             pred: ap.pred,
             adornment: ap.adornment.suffix(),
             alexander_calls: bu.db.len_of(call_pred) as u64,
-            oldt_calls: oldt_calls.get(&key).copied().unwrap_or(0),
+            oldt_calls: oldt.len_of(call_pred) as u64,
             alexander_answers: bu.db.len_of(ans_pred) as u64,
-            oldt_answers: oldt_answers.get(&key).copied().unwrap_or(0),
+            oldt_answers: oldt.len_of(ans_pred) as u64,
+            same_rows: same(&bu.db, &oldt, call_pred) && same(&bu.db, &oldt, ans_pred),
         });
     }
 
@@ -178,6 +177,28 @@ mod tests {
         let parsed = parse(src).unwrap();
         let edb = Database::from_program(&parsed.program);
         check_power_correspondence(&parsed.program, &edb, &parse_atom(q).unwrap()).unwrap()
+    }
+
+    /// Equal sizes are not equal sets: a seed that bound the query's
+    /// constants in reverse order demands `tc(_, n0)` where OLDT calls
+    /// `tc(_, n3)` on a 6-cycle, six calls and six answers on each side.
+    #[test]
+    fn relations_compare_by_rows_not_by_size() {
+        let call = Predicate::new("call_tc_bb", 2);
+        let demand = |y: usize| {
+            let mut db = Database::new();
+            for z in 0..6 {
+                db.insert_row(call, &[workload::node(z), workload::node(y)]);
+            }
+            db
+        };
+        assert!(same(&demand(3), &demand(3), call));
+        assert!(!same(&demand(0), &demand(3), call));
+        // An absent relation holds no rows.
+        let mut empty = Database::new();
+        empty.relation_mut(call);
+        assert!(same(&Database::new(), &empty, call));
+        assert!(!same(&Database::new(), &demand(3), call));
     }
 
     #[test]

@@ -95,10 +95,6 @@ impl Statements {
         sets.push(conds);
         true
     }
-
-    fn heads(&self) -> impl Iterator<Item = &Atom> + '_ {
-        self.by_head.keys()
-    }
 }
 
 /// Runs the conditional fixpoint procedure on `program` over `edb`.
@@ -196,24 +192,21 @@ pub fn eval_conditional_opts(
     let mut stmts = Statements::default();
     let mut scratch = ExecScratch::new();
     let mut stopped = false;
+    // `known` carries the EDB plus every conditional head, so positive
+    // premises can match conditional statements. Heads only grow: a round
+    // joins against those stored before it began and adds its own at its
+    // end, and the indexes, built once, follow the inserts.
+    let mut known = static_db.clone();
+    for r in &compiled {
+        ensure_rule_indexes(r, &mut known);
+    }
     'phase1: loop {
         if gov.note_round().is_break() {
             stopped = true;
             break 'phase1;
         }
-        // `known` carries the EDB plus every conditional head, so positive
-        // premises can match conditional statements.
-        let mut known = static_db.clone();
-        for h in stmts.heads() {
-            // invariant: statement heads are grounded against a full body
-            // match, which only produces ground atoms.
-            known.insert_atom(h).expect("statement heads are ground");
-        }
-        for r in &compiled {
-            ensure_rule_indexes(r, &mut known);
-        }
-
         let mut changed = false;
+        let mut stored: Vec<Atom> = Vec::new();
         for (rule, plan) in compiled.iter().zip(&plans) {
             let input = JoinInput {
                 total: &known,
@@ -291,6 +284,7 @@ pub fn eval_conditional_opts(
                 }
                 for conds in combos {
                     if stmts.insert(head.clone(), conds) {
+                        stored.push(head.clone());
                         metrics.conditional_statements += 1;
                         changed = true;
                         // A new statement is a (conditional) derived fact:
@@ -302,6 +296,11 @@ pub fn eval_conditional_opts(
                     }
                 }
             }
+        }
+        for h in &stored {
+            // invariant: statement heads are grounded against a full body
+            // match, which only produces ground atoms.
+            known.insert_atom(h).expect("statement heads are ground");
         }
         metrics.iterations += 1;
         if !changed {

@@ -1018,6 +1018,18 @@ impl<'a> Iterator for Rows<'a> {
 
 impl ExactSizeIterator for Rows<'_> {}
 
+/// Two relations are equal when they hold the same rows, in any order: row
+/// ids and built indexes are not compared.
+impl PartialEq for Relation {
+    fn eq(&self, other: &Relation) -> bool {
+        self.arity == other.arity
+            && self.len == other.len
+            && (self.iter().zip(&self.hashes)).all(|(row, &h)| other.contains_row_hashed(h, row))
+    }
+}
+
+impl Eq for Relation {}
+
 impl fmt::Debug for Relation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Relation(arity={}, {} tuples)", self.arity, self.len())
@@ -1031,6 +1043,24 @@ mod tests {
 
     fn syms(names: &[&str]) -> Vec<Const> {
         names.iter().map(|n| Const::sym(n)).collect()
+    }
+
+    #[test]
+    fn equality_compares_rows_in_any_order() {
+        let (mut a, mut b) = (Relation::new(2), Relation::new(2));
+        for r in [["a", "b"], ["b", "c"], ["c", "a"]] {
+            a.insert_row(&syms(&r));
+        }
+        for r in [["c", "a"], ["a", "b"], ["b", "c"]] {
+            b.insert_row(&syms(&r));
+        }
+        b.ensure_index(Mask::of_columns(&[0]));
+        assert_eq!(a, b);
+        b.remove_row(&syms(&["a", "b"]));
+        assert_ne!(a, b);
+        b.insert_row(&syms(&["a", "c"]));
+        assert_ne!(a, b, "same length, different rows");
+        assert_ne!(Relation::new(1), Relation::new(2));
     }
 
     /// How many rows `key` finds under `mask`.

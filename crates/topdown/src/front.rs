@@ -1,6 +1,6 @@
 //! The front end the top-down engines share: one validation, one clause
-//! table, one extensional store and one error type for OLDT, QSQR and SLD,
-//! and one clause compiler for the two tabled engines, OLDT and QSQR.
+//! table, one extensional store, one error type, one clause compiler for
+//! OLDT, QSQR and SLD, and one report of the tabled engines' tables.
 //!
 //! Inline facts are read the way every strategy reads them
 //! ([`Program::normalize`]): a fact of an intensional predicate is a
@@ -11,17 +11,17 @@
 //! The compiler reads each clause once per call *pattern* reachable from
 //! the query (a predicate and, per argument, a constant or the call's
 //! `k`-th free class): the body in SIP order, variables and constants as
-//! dense slots, head unification as slot loads and checks. The tabled
-//! engines differ in control (OLDT suspends, QSQR restarts), not in how a
-//! clause is read; the one thing they number differently is a callee's free
-//! positions ([`Tabling`]).
+//! dense slots, head unification as slot loads and checks. The engines
+//! differ in control (OLDT suspends, QSQR restarts, SLD re-resolves), not
+//! in how a clause is read; the one thing they number differently is a
+//! callee's free positions ([`Tabling`]).
 
 use alexander_eval::order_body;
 use alexander_ir::analysis::NotStratified;
 use alexander_ir::{
-    Atom, Builtin, Const, FxHashMap, FxHashSet, Polarity, Predicate, Program, Rule, Term, Var,
+    Atom, Builtin, Const, FxHashMap, FxHashSet, Polarity, Predicate, Program, Rule, Term,
 };
-use alexander_storage::{row_atom, Database, Mask};
+use alexander_storage::{row_atom, Database, Mask, Relation};
 use alexander_transform::sip_order;
 use std::fmt;
 use std::ops::Range;
@@ -131,11 +131,12 @@ impl Clauses {
     }
 }
 
-/// How a tabled engine numbers a call's free positions: the one place the
+/// How an engine numbers a call's free positions: the one place the
 /// compiled forms of OLDT and QSQR differ.
 #[derive(Clone, Copy, PartialEq)]
 pub(crate) enum Tabling {
     /// OLDT tables *variant* calls: a repeated variable shares its `k`.
+    /// SLD, which tables nothing, calls the same patterns.
     Variant,
     /// QSQR tables *adornments*: every free position is its own `k`, and a
     /// repeat is checked when an answer is consumed (`Args::repeats`).
@@ -164,6 +165,23 @@ impl Tabling {
 /// Per argument of a call: `None` for a constant, `Some(k)` for its `k`-th
 /// free class. A predicate and a shape are a call *pattern*.
 pub(crate) type Shape = Vec<Option<u32>>;
+
+/// A call table as a tabled engine reports it: one call and the answer
+/// rows it derived. OLDT reports one per variant call, QSQR one per input
+/// of an adorned predicate; where no call repeats a variable the two are
+/// the same calls, and their reports hold equal tables.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct CallTable {
+    pub pred: Predicate,
+    /// Per argument: `None` where the call passes a constant, `Some(k)`
+    /// where it passes its `k`-th free class (under OLDT a repeated
+    /// variable shares its `k`; under QSQR every free argument has its own).
+    pub shape: Vec<Option<u32>>,
+    /// The call's constants, in argument order.
+    pub key: Vec<Const>,
+    /// The answers, as full rows of `pred`.
+    pub answers: Relation,
+}
 
 /// A literal's slots as its goal reads them: `key` at its bound positions;
 /// `binds`, the `(column, slot)` of each free slot's first occurrence;
@@ -361,47 +379,38 @@ impl Code {
             head: head.iter().map(|&h| slot[h]).collect(),
         })
     }
-
-    /// Every table as its canonical call atom (`_C<k>` at the pattern's
-    /// `k`-th free class, the call's constants elsewhere) and its answer
-    /// count, sorted by the atom's text. `tables` yields each table's
-    /// pattern, constants and answer count.
-    pub(crate) fn call_tables<'k>(
-        &self,
-        tables: impl Iterator<Item = (usize, &'k [Const], u64)>,
-    ) -> Vec<(Atom, u64)> {
-        let width = self.patterns.iter().map(|p| p.1.len()).max().unwrap_or(0);
-        let canonical: Vec<Term> = (0..width)
-            .map(|k| Term::Var(Var::new(&format!("_C{k}"))))
-            .collect();
-        let mut out: Vec<(Atom, u64)> = tables
-            .map(|(p, key, answers)| {
-                let (pred, shape, _) = &self.patterns[p];
-                let mut consts = key.iter().map(|&c| Term::Const(c));
-                // invariant: a table's key holds one constant per constant
-                // position of its pattern.
-                let mut term = |a: &Option<u32>| match a {
-                    Some(k) => canonical[*k as usize],
-                    None => consts.next().expect("a constant per bound position"),
-                };
-                let terms = shape.iter().map(&mut term).collect();
-                (
-                    Atom {
-                        pred: pred.name,
-                        terms,
-                    },
-                    answers,
-                )
-            })
-            .collect();
-        out.sort_by_key(|(a, _)| a.to_string());
-        out
-    }
 }
 
 /// The values `slots` holds at the slots `of`.
 pub(crate) fn values(slots: &[Const], of: &[usize]) -> Vec<Const> {
     of.iter().map(|&s| slots[s]).collect()
+}
+
+/// Each table as `call=answers`, its call in the canonical text the golden
+/// pins were written in (`_C<k>` at the `k`-th free class, the constants
+/// elsewhere), sorted by that text.
+#[cfg(test)]
+pub(crate) fn canonical(tables: &[CallTable]) -> Vec<String> {
+    let mut calls: Vec<(String, usize)> = (tables.iter())
+        .map(|t| {
+            let mut key = t.key.iter();
+            let mut term = |a: &Option<u32>| match a {
+                Some(k) => Term::Var(alexander_ir::Var::new(&format!("_C{k}"))),
+                None => Term::Const(*key.next().expect("a constant per bound position")),
+            };
+            let terms = t.shape.iter().map(&mut term).collect();
+            let call = Atom {
+                pred: t.pred.name,
+                terms,
+            };
+            (call.to_string(), t.answers.len())
+        })
+        .collect();
+    calls.sort();
+    calls
+        .iter()
+        .map(|(call, n)| format!("{call}={n}"))
+        .collect()
 }
 
 #[cfg(test)]

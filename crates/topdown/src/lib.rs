@@ -11,12 +11,14 @@
 //! measured against (E11).
 //!
 //! The three share one front end: one clause table (rules plus intensional
-//! inline facts as body-less rules), one extensional store and one
-//! [`TopdownError`]. OLDT and QSQR also share one compiled clause form,
-//! read once per call pattern (slots, SIP order, indexed extensional
-//! probes); they differ in control and in one numbering — OLDT tables
-//! variant calls, QSQR adorned predicates — so both report their tables in
-//! one canonical form ([`OldtResult::tables`], [`QsqrResult::tables`]).
+//! inline facts as body-less rules), one extensional store, one
+//! [`TopdownError`] and one compiled clause form, read once per call
+//! pattern (slots, body order, indexed extensional probes). They differ in
+//! control — OLDT suspends, QSQR restarts, SLD re-resolves without tables —
+//! and in one numbering: OLDT and SLD call variant patterns, QSQR adorned
+//! predicates. The two tabled engines report their tables as the rows they
+//! hold, one [`CallTable`] per call ([`OldtResult::tables`],
+//! [`QsqrResult::tables`]), compared by content.
 //!
 //! ```
 //! use alexander_parser::{parse, parse_atom};
@@ -40,7 +42,7 @@ pub mod oldt;
 pub mod qsqr;
 pub mod sld;
 
-pub use front::TopdownError;
+pub use front::{CallTable, TopdownError};
 pub use metrics::OldtMetrics;
 pub use oldt::{oldt_query, oldt_query_opts, OldtOptions, OldtResult};
 pub use qsqr::{qsqr_query, qsqr_query_opts, QsqrResult};

@@ -18,11 +18,11 @@
 //! consumer a node parked at its call goal, resumed per answer with a bound
 //! copy of its slots. Extensional goals probe an index on their bound
 //! columns, built once per run on the private store. Nothing is renamed or
-//! interned while resolving; atoms are built only for the [`OldtResult`].
+//! interned while resolving; atoms are built only for the answers.
 //!
 //! The engine is instrumented for the power comparison (experiment E3):
-//! [`OldtResult::tables`] is the call table (one entry per distinct tabled
-//! call, with its answer count), the two quantities the
+//! [`OldtResult::tables`] holds every tabled call with its answer rows,
+//! moved out of the engine as they are, the calls and answers the
 //! Alexander-transformed program materialises as `call_…` and `ans_…`
 //! facts.
 //!
@@ -31,7 +31,7 @@
 //! the completion of their subquery's table first (admissible because the
 //! program must be stratified — checked up front).
 
-use crate::front::{values, Args, Clause, Clauses, Code, Goal, Tabling, TopdownError};
+use crate::front::{values, Args, CallTable, Clause, Clauses, Code, Goal, Tabling, TopdownError};
 use crate::metrics::OldtMetrics;
 use alexander_eval::{Budget, Completion, Governor};
 use alexander_ir::analysis::stratify;
@@ -75,22 +75,14 @@ pub struct OldtResult {
     /// Ground instances of the query atom, in discovery order.
     pub answers: Vec<Atom>,
     pub metrics: OldtMetrics,
-    /// Every table: its canonical call atom (`_C<k>` for the call's `k`-th
-    /// distinct variable) and its answer count, sorted by the atom's text.
-    pub call_tables: Vec<(Atom, u64)>,
+    /// Every table, one per variant call, in the order the calls were
+    /// first made.
+    pub tables: Vec<CallTable>,
     /// Whether resolution ran to exhaustion. On a budget stop the
     /// `answers` are a sound subset of the complete answer set (every
     /// reported answer has a full derivation; negative conclusions are
     /// never drawn from tables the stop left incomplete).
     pub completion: Completion,
-}
-
-impl OldtResult {
-    /// Iterates over `(canonical call, answer count)` pairs — the call
-    /// table, exposed for the power-correspondence check.
-    pub fn tables(&self) -> impl Iterator<Item = (&Atom, u64)> + '_ {
-        self.call_tables.iter().map(|(a, n)| (a, *n))
-    }
 }
 
 /// A resolution node: clause `clause` answering for table `table`, about to
@@ -103,9 +95,9 @@ struct Node {
     slots: Vec<Const>,
 }
 
-/// A call's answers, and its consumers with their calls' arguments.
+/// A call with its answers, and its consumers with their calls' arguments.
 struct Table<'a> {
-    answers: Relation,
+    call: CallTable,
     consumers: Vec<(Node, &'a Args)>,
 }
 
@@ -141,9 +133,15 @@ impl<'a> Engine<'a> {
         if let Some(&t) = self.table_of[pattern].get(key) {
             return t;
         }
-        let ((pred, _, clauses), t) = (&self.code.patterns[pattern], self.tables.len());
-        let (answers, consumers) = (Relation::new(pred.arity), Vec::new());
-        self.tables.push(Table { answers, consumers });
+        let ((pred, shape, clauses), t) = (&self.code.patterns[pattern], self.tables.len());
+        let call = CallTable {
+            pred: *pred,
+            shape: shape.clone(),
+            key: key.to_vec(),
+            answers: Relation::new(pred.arity),
+        };
+        let consumers = Vec::new();
+        self.tables.push(Table { call, consumers });
         self.table_of[pattern].insert(key.into(), t);
         self.metrics.calls += 1;
         for clause in clauses.clone() {
@@ -163,7 +161,7 @@ impl<'a> Engine<'a> {
     /// Records an answer in `table`; on novelty, resumes every consumer.
     fn add_answer(&mut self, table: usize, answer: &[Const]) {
         let (h, tab) = (hash_row(answer), &mut self.tables[table]);
-        if tab.answers.contains_row_hashed(h, answer) {
+        if tab.call.answers.contains_row_hashed(h, answer) {
             return;
         }
         // Claim-before-insert, as in the bottom-up evaluators: a refused
@@ -171,7 +169,7 @@ impl<'a> Engine<'a> {
         if self.gov.claim_fact().is_break() {
             return;
         }
-        tab.answers.push_new_row_hashed(h, answer);
+        tab.call.answers.push_new_row_hashed(h, answer);
         self.metrics.answers += 1;
         for (c, args) in &tab.consumers {
             self.metrics.resolution_steps += 1;
@@ -220,7 +218,7 @@ impl<'a> Engine<'a> {
                 let t = self.ensure_table(*pattern, &values(&node.slots, &args.key));
                 self.metrics.suspensions += 1;
                 let tab = &mut self.tables[t];
-                for answer in tab.answers.iter() {
+                for answer in tab.call.answers.iter() {
                     self.metrics.resolution_steps += 1;
                     advance(&mut self.work, &node, args, answer);
                 }
@@ -239,7 +237,7 @@ impl<'a> Engine<'a> {
                     // Drop this branch instead.
                     return Ok(());
                 }
-                self.tables[t].answers.is_empty()
+                self.tables[t].call.answers.is_empty()
             }
             Goal::NonGround(goal) => return Err(TopdownError::NonGroundNegation(goal.clone())),
         };
@@ -286,20 +284,15 @@ pub fn oldt_query_opts(
     let answers = if front.idb.contains(&query.predicate()) {
         let t = engine.ensure_table(0, &key);
         engine.drain()?;
-        let rows = engine.tables[t].answers.iter();
+        let rows = engine.tables[t].call.answers.iter();
         rows.map(|row| row_atom(query.pred, row)).collect()
     } else {
         front.lookup(query)
     };
-    let tables = engine.table_of.iter().enumerate().flat_map(|(p, of)| {
-        let tables = &engine.tables;
-        of.iter()
-            .map(move |(key, &t)| (p, &key[..], tables[t].answers.len() as u64))
-    });
     Ok(OldtResult {
         answers,
         metrics: engine.metrics,
-        call_tables: code.call_tables(tables),
+        tables: engine.tables.into_iter().map(|t| t.call).collect(),
         completion: engine.gov.completion(),
     })
 }
@@ -307,6 +300,7 @@ pub fn oldt_query_opts(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::front::canonical;
     use alexander_parser::{parse, parse_atom};
 
     fn run(src: &str, q: &str) -> OldtResult {
@@ -334,7 +328,7 @@ mod tests {
         let r = run(ANCESTOR, "anc(a, X)");
         // Calls: anc(a,_), anc(b,_), anc(c,_), anc(d,_). Never anc(x,_).
         // Answers: a->{b,c,d}, b->{c,d}, c->{d}, d->{}.
-        let tables: Vec<String> = r.tables().map(|(c, n)| format!("{c}={n}")).collect();
+        let tables = canonical(&r.tables);
         let want = [
             "anc(a, _C0)=3",
             "anc(b, _C0)=2",
@@ -444,7 +438,7 @@ mod tests {
     fn canonicalization_shares_tables() {
         // Both recursive descents reach anc(c, _): one table, not two.
         let r = run(ANCESTOR, "anc(b, X)");
-        assert_eq!(r.tables().count(), 3); // b, c, d
+        assert_eq!(r.tables.len(), 3); // b, c, d
     }
 
     #[test]
@@ -490,7 +484,7 @@ mod tests {
             .unwrap()
         };
         assert!(!r.completion.is_complete());
-        let tabled: u64 = r.tables().map(|(_, n)| n).sum();
+        let tabled: usize = r.tables.iter().map(|t| t.answers.len()).sum();
         assert!(tabled <= 2, "{tabled} answers tabled under a 2-fact budget");
     }
 
@@ -507,8 +501,8 @@ mod tests {
         let parsed = parse(src).unwrap();
         let edb = Database::from_program(&parsed.program);
         let full = oldt_query(&parsed.program, &edb, &parse_atom("unreach(X)").unwrap()).unwrap();
-        let tabled: u64 = full.tables().map(|(_, n)| n).sum();
-        for max in 0..tabled {
+        let tabled: usize = full.tables.iter().map(|t| t.answers.len()).sum();
+        for max in 0..tabled as u64 {
             let r = oldt_query_opts(
                 &parsed.program,
                 &edb,
@@ -783,7 +777,7 @@ mod tests {
                 "{}",
                 g.name
             );
-            let mut tables: Vec<String> = r.tables().map(|(c, n)| format!("{c}={n}")).collect();
+            let mut tables = canonical(&r.tables);
             tables.sort();
             let mut answers: Vec<String> = r.answers.iter().map(|a| a.to_string()).collect();
             answers.sort();

@@ -22,7 +22,7 @@
 //! consumed. A pattern's inputs are a [`Relation`] of the constants at its
 //! bound positions, in registration order; its answers a `Relation`
 //! indexed on those columns. A body runs depth-first over one slot array,
-//! bound in place; atoms are built only for the [`QsqrResult`].
+//! bound in place; atoms are built only for the answers.
 //!
 //! A naive restart re-joins every input against every answer ever derived,
 //! which blows the step count up by orders of magnitude against OLDT on
@@ -50,9 +50,10 @@
 //!
 //! Its `input` tables must coincide with the magic/call demand sets and
 //! with OLDT's call tables on the same SIP — asserted by the test suite and
-//! experiment E13, the four-way power comparison.
+//! experiment E13, the four-way power comparison. [`QsqrResult::tables`]
+//! reports them in OLDT's form, one [`CallTable`] per input.
 
-use crate::front::{values, Clause, Clauses, Code, Goal, Tabling, TopdownError};
+use crate::front::{values, CallTable, Clause, Clauses, Code, Goal, Tabling, TopdownError};
 use crate::metrics::OldtMetrics;
 use alexander_eval::{Budget, Completion, Governor};
 use alexander_ir::{hash_row, Atom, Const, FxHashMap, Polarity, Program};
@@ -65,10 +66,9 @@ pub struct QsqrResult {
     /// Ground instances of the query.
     pub answers: Vec<Atom>,
     pub metrics: OldtMetrics,
-    /// Every input as its canonical call atom (the input's constants at
-    /// the adornment's bound positions, `_C<k>` at its `k`-th free one) and
-    /// its answer count, sorted by the atom's text.
-    pub call_tables: Vec<(Atom, u64)>,
+    /// Every input with the answers posted under it, by adorned predicate
+    /// and then in registration order.
+    pub tables: Vec<CallTable>,
     /// Number of global restarts until the tables stabilised.
     pub restarts: u64,
     /// Whether the tables stabilised. On a budget stop the answers
@@ -76,14 +76,6 @@ pub struct QsqrResult {
     /// answers in the same deterministic order and only adds, never
     /// retracts, so an early stop is a prefix of the full derivation).
     pub completion: Completion,
-}
-
-impl QsqrResult {
-    /// Iterates over `(canonical call, answer count)` pairs — the input
-    /// tables, in the form [`crate::OldtResult::tables`] reports OLDT's.
-    pub fn tables(&self) -> impl Iterator<Item = (&Atom, u64)> + '_ {
-        self.call_tables.iter().map(|(a, n)| (a, *n))
-    }
 }
 
 /// One adorned predicate's tables.
@@ -391,14 +383,24 @@ pub fn qsqr_query_opts(
     };
     answers.sort();
 
-    let tables = engine.tables.iter().enumerate().flat_map(|(p, t)| {
-        let inputs = t.inputs.iter();
-        inputs.map(move |key| (p, key, t.answers_to(key).len() as u64))
+    let tables = engine.tables.iter().zip(&code.patterns).flat_map(|(t, p)| {
+        t.inputs.iter().map(|key| {
+            let mut answers = Relation::new(p.0.arity);
+            for id in t.answers_to(key) {
+                answers.insert_row(t.answers.row(id));
+            }
+            CallTable {
+                pred: p.0,
+                shape: p.1.clone(),
+                key: key.to_vec(),
+                answers,
+            }
+        })
     });
     Ok(QsqrResult {
         answers,
         metrics: engine.metrics,
-        call_tables: code.call_tables(tables),
+        tables: tables.collect(),
         restarts,
         completion: engine.gov.completion(),
     })
@@ -407,6 +409,7 @@ pub fn qsqr_query_opts(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::front::canonical;
     use alexander_ir::{Predicate, Term};
     use alexander_parser::{parse, parse_atom};
 
@@ -422,11 +425,6 @@ mod tests {
         anc(X, Y) :- par(X, Z), anc(Z, Y).
     ";
 
-    /// Each table as `call=answers`, in the engines' (text) order.
-    fn show<'r>(tables: impl Iterator<Item = (&'r Atom, u64)>) -> Vec<String> {
-        tables.map(|(call, n)| format!("{call}={n}")).collect()
-    }
-
     #[test]
     fn bound_free_ancestor() {
         let r = run(ANCESTOR, "anc(a, X)");
@@ -439,12 +437,12 @@ mod tests {
             "anc(c, _C0)=1",
             "anc(d, _C0)=0",
         ];
-        assert_eq!(show(r.tables()), want);
+        assert_eq!(canonical(&r.tables), want);
     }
 
     /// Where no call repeats a variable, OLDT's variant calls and QSQR's
     /// adorned inputs are the same calls: the tables agree call for call
-    /// and answer count for answer count.
+    /// and answer row for answer row.
     #[test]
     fn agrees_with_oldt_tables() {
         let mut compared = 0;
@@ -458,14 +456,17 @@ mod tests {
             let mut answers = ol.answers.clone();
             answers.sort();
             assert_eq!(qs.answers, answers, "{}", g.name);
-            let repeats = |call: &Atom| {
-                let vars: Vec<_> = call.terms.iter().filter_map(|t| t.as_var()).collect();
-                (1..vars.len()).any(|i| vars[..i].contains(&vars[i]))
+            let repeats = |t: &CallTable| {
+                let free: Vec<u32> = t.shape.iter().flatten().copied().collect();
+                (1..free.len()).any(|i| free[..i].contains(&free[i]))
             };
-            if ol.tables().any(|(call, _)| repeats(call)) {
+            if ol.tables.iter().any(repeats) {
                 continue;
             }
-            assert_eq!(show(qs.tables()), show(ol.tables()), "{}", g.name);
+            assert_eq!(qs.tables.len(), ol.tables.len(), "{}", g.name);
+            for t in &ol.tables {
+                assert!(qs.tables.contains(t), "{}: {t:?}", g.name);
+            }
             assert_eq!(qs.metrics.calls, ol.metrics.calls, "{}", g.name);
             compared += 1;
         }
@@ -612,11 +613,11 @@ mod tests {
     /// input table by content, and the work counters.
     fn columns(r: &QsqrResult) -> [String; 5] {
         let mut by_adornment: Vec<(String, u64, u64)> = Vec::new();
-        for (call, n) in r.tables() {
-            let ad: String = (call.terms.iter())
-                .map(|t| if t.is_ground() { 'b' } else { 'f' })
+        for t in &r.tables {
+            let ad: String = (t.shape.iter())
+                .map(|a| if a.is_none() { 'b' } else { 'f' })
                 .collect();
-            let key = format!("{}^{ad}", call.pred);
+            let (key, n) = (format!("{}^{ad}", t.pred.name), t.answers.len() as u64);
             match by_adornment.iter_mut().find(|(k, ..)| *k == key) {
                 Some((_, inputs, answers)) => (*inputs, *answers) = (*inputs + 1, *answers + n),
                 None => by_adornment.push((key, 1, n)),
@@ -637,7 +638,7 @@ mod tests {
             ),
             digest(&tables),
             digest(&answers),
-            digest(&show(r.tables())),
+            digest(&canonical(&r.tables)),
             format!("steps={} restarts={}", m.resolution_steps, r.restarts),
         ]
     }

@@ -1,21 +1,23 @@
-//! Plain SLD resolution — Prolog's strategy, *without* tabulation.
+//! Plain SLD resolution — Prolog's strategy, *without* tabulation: the
+//! baseline OLDT is measured against (experiment E11).
 //!
-//! This engine exists as the baseline OLDT is measured against (experiment
-//! E11): depth-first resolution with no call table re-derives shared
-//! subgoals exponentially often and loops forever on cyclic data. Both
-//! failure modes are made observable rather than fatal: the engine takes a
-//! resolution-step budget and reports whether the search space was
-//! exhausted (`complete`) or the budget ran out first.
+//! SLD resolves on the clauses OLDT compiles (`front.rs`), in Prolog's
+//! order: clauses and positive literals as written, each negation or
+//! built-in where `order_body` puts it (the first point its variables are
+//! bound). It counts a step where OLDT does (a clause whose head unifies
+//! with a call, a probed row, a test), so the two differ by tabling alone:
+//! SLD resolves a repeated subgoal again at every occurrence and loops on
+//! cyclic data. Both failure modes are observable rather than fatal: a step
+//! budget and a depth limit bound the search, and `complete` reports
+//! whether it was exhausted.
 //!
 //! Supports definite programs plus ground negation over extensional
 //! predicates and built-ins (the same fragment as the naive evaluator).
 
-use crate::front::{Clauses, TopdownError};
+use crate::front::{values, Clauses, Code, Goal, Tabling, TopdownError};
 use crate::metrics::OldtMetrics;
-use alexander_ir::{
-    Atom, Builtin, Const, FxHashMap, FxHashSet, Literal, Polarity, Program, Rule, Subst, Term, Var,
-};
-use alexander_storage::Database;
+use alexander_ir::{Atom, Const, Polarity, Program};
+use alexander_storage::{row_atom, Database, Relation};
 
 /// Options for the SLD engine.
 #[derive(Clone, Copy, Debug)]
@@ -47,55 +49,44 @@ pub struct SldResult {
     pub metrics: OldtMetrics,
 }
 
-/// One DFS node: remaining goals (with the depth that introduced each, for
-/// depth accounting) and the environment.
+/// A clause frame: clause `clause` about to select its goal `goal`, its
+/// slots from `base` in its node's slot array.
+#[derive(Clone, Copy)]
+struct Frame {
+    clause: usize,
+    goal: usize,
+    base: usize,
+}
+
+/// A search node: a stack of clause frames over one slot array, each frame
+/// below the top parked at the call goal the frame above it answers. The
+/// frame count is the derivation depth.
+#[derive(Clone, Default)]
 struct Node {
-    goals: Vec<(Literal, usize)>,
-    subst: Subst,
+    frames: Vec<Frame>,
+    slots: Vec<Const>,
 }
 
-/// [`alexander_ir::match_atom`] against a stored row: extends `s` so that
-/// `goal` instantiated by it is `row`.
-fn match_row(goal: &Atom, row: &[Const], s: &mut Subst) -> bool {
-    goal.terms.iter().zip(row).all(|(&t, &c)| match s.walk(t) {
-        Term::Const(x) => x == c,
-        Term::Var(v) => {
-            s.bind(v, Term::Const(c));
-            true
+/// Pushes a copy of `node` per clause of `pattern` whose head unifies with
+/// the call constants `key`, topped with that clause's frame; the first
+/// clause is pushed last, so it is popped first (Prolog's clause order).
+fn call(code: &Code, pattern: usize, key: &[Const], node: &Node, stack: &mut Vec<Node>) -> u64 {
+    let mut steps = 0;
+    for clause in code.patterns[pattern].2.clone().rev() {
+        if let Some(slots) = code.clauses[clause].bind(key) {
+            steps += 1;
+            let mut callee = node.clone();
+            let base = callee.slots.len();
+            callee.frames.push(Frame {
+                clause,
+                goal: 0,
+                base,
+            });
+            callee.slots.extend(slots);
+            stack.push(callee);
         }
-    })
-}
-
-/// Renames `rule` for use at `depth`: along one derivation path each depth
-/// introduces at most one rule instance, so depth-indexed names are fresh
-/// where it matters and keep the interner small across the exponential
-/// search.
-fn rename_at_depth(rule: &Rule, depth: usize) -> Rule {
-    let mut map: FxHashMap<Var, Var> = FxHashMap::default();
-    let mut rn = |t: Term| match t {
-        Term::Const(_) => t,
-        Term::Var(v) => Term::Var(
-            *map.entry(v)
-                .or_insert_with(|| Var::new(&format!("_D{depth}_{}", v.name()))),
-        ),
-    };
-    Rule {
-        head: Atom {
-            pred: rule.head.pred,
-            terms: rule.head.terms.iter().map(|&t| rn(t)).collect(),
-        },
-        body: rule
-            .body
-            .iter()
-            .map(|l| Literal {
-                atom: Atom {
-                    pred: l.atom.pred,
-                    terms: l.atom.terms.iter().map(|&t| rn(t)).collect(),
-                },
-                polarity: l.polarity,
-            })
-            .collect(),
     }
+    steps
 }
 
 /// Answers `query` by plain SLD resolution under `opts`.
@@ -105,31 +96,42 @@ pub fn sld_query(
     query: &Atom,
     opts: SldOptions,
 ) -> Result<SldResult, TopdownError> {
-    let clauses = Clauses::new(program, edb)?;
-    if let Some(p) = clauses.negated_idb {
+    let mut front = Clauses::new(program, edb)?;
+    if let Some(p) = front.negated_idb {
         return Err(TopdownError::NegatedIdb(p));
     }
-
+    let code = Code::compile(&mut front, query, Tabling::Variant, false);
     let mut metrics = OldtMetrics::default();
-    let mut answers: Vec<Atom> = Vec::new();
-    let mut answer_set: FxHashSet<Atom> = FxHashSet::default();
+    let mut rows = Relation::new(query.terms.len());
     let mut complete = true;
-
-    let mut stack: Vec<Node> = vec![Node {
-        goals: vec![(Literal::pos(query.clone()), 0)],
-        subst: Subst::new(),
-    }];
+    let mut stack = Vec::new();
+    let key: Vec<Const> = query.terms.iter().filter_map(|t| t.as_const()).collect();
+    metrics.resolution_steps += call(&code, 0, &key, &Node::default(), &mut stack);
 
     while let Some(mut node) = stack.pop() {
         if metrics.resolution_steps >= opts.step_budget {
             complete = false;
             break;
         }
-        let Some((lit, depth)) = node.goals.pop() else {
-            let answer = node.subst.apply_atom(query);
-            if answer.is_ground() && answer_set.insert(answer.clone()) {
-                answers.push(answer);
-                metrics.answers += 1;
+        let (top, depth) = (node.frames.len() - 1, node.frames.len());
+        let Frame { clause, goal, base } = node.frames[top];
+        let clause = &code.clauses[clause];
+        let Some(goal) = clause.body.get(goal) else {
+            // The frame is done: its head row answers the query or binds
+            // its caller's call goal.
+            let row = values(&node.slots[base..], &clause.head);
+            node.frames.pop();
+            node.slots.truncate(base);
+            let Some(caller) = node.frames.last_mut() else {
+                rows.insert_row(&row);
+                continue;
+            };
+            let Goal::Call(_, args, _) = &code.clauses[caller.clause].body[caller.goal] else {
+                unreachable!("a caller is parked at a call goal");
+            };
+            if args.bind(&row, &mut node.slots[caller.base..]) {
+                caller.goal += 1;
+                stack.push(node);
             }
             continue;
         };
@@ -137,72 +139,45 @@ pub fn sld_query(
             complete = false;
             continue;
         }
-        let goal = node.subst.apply_atom(&lit.atom);
-
-        // Built-ins.
-        if let Some(b) = Builtin::of(goal.predicate()) {
-            let Some(args) = goal.ground_args() else {
-                return Err(TopdownError::NonGroundNegation(goal.to_string()));
-            };
-            metrics.resolution_steps += 1;
-            if b.eval(args[0], args[1]) == (lit.polarity == Polarity::Positive) {
-                stack.push(node);
-            }
-            continue;
-        }
-
-        match (lit.polarity, clauses.idb.contains(&goal.predicate())) {
-            (Polarity::Negative, _) => {
-                if !goal.is_ground() {
-                    return Err(TopdownError::NonGroundNegation(goal.to_string()));
-                }
-                metrics.resolution_steps += 1;
-                if !clauses.edb.contains_atom(&goal) {
-                    stack.push(node);
-                }
-            }
-            (Polarity::Positive, false) => {
-                // No index either: one step per stored row, matched in place.
-                let rows = clauses.edb.relation(goal.predicate()).into_iter();
-                for row in rows.flat_map(|rel| rel.iter()) {
+        let slots = &node.slots[base..];
+        let passes = match goal {
+            Goal::Test(builtin, [a, b], holds) => builtin.eval(slots[*a], slots[*b]) == *holds,
+            Goal::Edb(pred, mask, args, Polarity::Positive) => {
+                for row in front.probe(*pred, *mask, &values(slots, &args.key)) {
                     metrics.resolution_steps += 1;
-                    let mut s = node.subst.clone();
-                    if match_row(&goal, row, &mut s) {
-                        stack.push(Node {
-                            goals: node.goals.clone(),
-                            subst: s,
-                        });
+                    let mut next = node.clone();
+                    if args.bind(row, &mut next.slots[base..]) {
+                        next.frames[top].goal += 1;
+                        stack.push(next);
                     }
                 }
+                continue;
             }
-            (Polarity::Positive, true) => {
-                // No tabling: every occurrence re-resolves against the rules.
-                // Push alternatives in reverse so the stack pops the FIRST
-                // clause first (Prolog's clause order).
-                for rule in clauses
-                    .by_pred
-                    .get(&goal.predicate())
-                    .into_iter()
-                    .flatten()
-                    .rev()
-                {
-                    metrics.resolution_steps += 1;
-                    let fresh = rename_at_depth(rule, depth + 1);
-                    let mut s = node.subst.clone();
-                    if alexander_ir::unify_atoms(&goal, &fresh.head, &mut s) {
-                        let mut goals = node.goals.clone();
-                        // Push body in reverse so it is solved left to right.
-                        for l in fresh.body.iter().rev() {
-                            goals.push((l.clone(), depth + 1));
-                        }
-                        stack.push(Node { goals, subst: s });
-                    }
-                }
+            Goal::Edb(pred, _, args, Polarity::Negative) => {
+                !front.edb.contains_row(*pred, &values(slots, &args.key))
             }
+            Goal::Call(pattern, args, Polarity::Positive) => {
+                // No tabling: every occurrence resolves against the clauses.
+                let key = values(slots, &args.key);
+                metrics.resolution_steps += call(&code, *pattern, &key, &node, &mut stack);
+                continue;
+            }
+            Goal::Call(..) => unreachable!("a negated intensional literal is refused up front"),
+            Goal::NonGround(goal) => return Err(TopdownError::NonGroundNegation(goal.clone())),
+        };
+        metrics.resolution_steps += 1;
+        if passes {
+            node.frames[top].goal += 1;
+            stack.push(node);
         }
     }
 
+    let mut answers = match front.idb.contains(&query.predicate()) {
+        true => rows.iter().map(|row| row_atom(query.pred, row)).collect(),
+        false => front.lookup(query),
+    };
     answers.sort();
+    metrics.answers = answers.len() as u64;
     Ok(SldResult {
         answers,
         complete,
@@ -276,29 +251,20 @@ mod tests {
 
     #[test]
     fn sld_redoes_work_oldt_tables() {
-        // Same-generation on a small tree: SLD revisits sg subgoals; OLDT
-        // tables them. Compare step counts on identical inputs.
-        let src = "
-            up(a, g1). up(b, g1). up(g1, h1). up(g2, h1).
-            flat(h1, h1). flat(g1, g2).
-            down(h1, g3). down(g2, c). down(g3, d).
-            sg(X, Y) :- flat(X, Y).
-            sg(X, Y) :- up(X, U), sg(U, V), down(V, Y).
-        ";
-        let sld = run(src, "sg(a, Y)", SldOptions::default());
+        // Four diamonds in series: the call at the junction after the i-th
+        // diamond is reached along 2^i paths. SLD resolves each occurrence
+        // again; OLDT tables it. Compare step counts on identical inputs.
+        let program = alexander_workload::transitive_closure();
+        let edb = alexander_workload::diamonds("e", 4);
+        let query = parse_atom("tc(n0, Y)").unwrap();
+        let sld = sld_query(&program, &edb, &query, SldOptions::default()).unwrap();
         assert!(sld.complete);
-        let parsed = parse(src).unwrap();
-        let edb = Database::from_program(&parsed.program);
-        let oldt = crate::oldt::oldt_query(&parsed.program, &edb, &parse_atom("sg(a, Y)").unwrap())
-            .unwrap();
-        let mut sld_ans: Vec<String> = sld.answers.iter().map(|a| a.to_string()).collect();
-        let mut oldt_ans: Vec<String> = oldt.answers.iter().map(|a| a.to_string()).collect();
-        sld_ans.sort();
-        oldt_ans.sort();
-        oldt_ans.dedup();
-        assert_eq!(sld_ans, oldt_ans);
+        let oldt = crate::oldt::oldt_query(&program, &edb, &query).unwrap();
+        let mut oldt_answers = oldt.answers.clone();
+        oldt_answers.sort();
+        assert_eq!(sld.answers, oldt_answers);
         assert!(
-            sld.metrics.resolution_steps >= oldt.metrics.resolution_steps,
+            sld.metrics.resolution_steps > oldt.metrics.resolution_steps,
             "sld {} vs oldt {}",
             sld.metrics.resolution_steps,
             oldt.metrics.resolution_steps

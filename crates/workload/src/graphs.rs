@@ -34,6 +34,25 @@ pub fn cycle(pred: &str, len: usize) -> Database {
     db
 }
 
+/// `k` diamonds in series in relation `pred`: junction `n(3i)` forks to
+/// `n(3i+1)` and `n(3i+2)`, which both join at `n(3i+3)`. From `n0` every
+/// junction `n(3i)` is reached along `2^i` paths, so a search without a
+/// call table meets each subgoal there `2^i` times.
+pub fn diamonds(pred: &str, k: usize) -> Database {
+    let mut db = Database::new();
+    let diamond = |i: usize| {
+        let (top, bottom) = (3 * i, 3 * i + 3);
+        [
+            (top, top + 1),
+            (top, top + 2),
+            (top + 1, bottom),
+            (top + 2, bottom),
+        ]
+    };
+    insert_edges(&mut db, pred, (0..k).flat_map(diamond));
+    db
+}
+
 /// A complete `k`-ary tree of the given depth: edges point parent → child in
 /// `pred`. Returns the database and the number of nodes.
 pub fn tree(pred: &str, k: usize, depth: usize) -> (Database, usize) {
@@ -164,6 +183,15 @@ pub fn merged(a: Database, b: &Database) -> Database {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn diamonds_have_four_edges_each() {
+        let db = diamonds("e", 3);
+        assert_eq!(db.total_tuples(), 12);
+        let e = Predicate::new("e", 2);
+        assert!(db.contains_row(e, &[node(3), node(5)]));
+        assert!(db.contains_row(e, &[node(8), node(9)]));
+    }
 
     #[test]
     fn chain_has_len_edges() {

@@ -18,7 +18,9 @@
 pub mod graphs;
 pub mod programs;
 
-pub use graphs::{chain, cycle, grid, merged, node, random_dag, random_graph, sg_tree, tree};
+pub use graphs::{
+    chain, cycle, diamonds, grid, merged, node, random_dag, random_graph, sg_tree, tree,
+};
 pub use programs::{
     ancestor, loose_guard, reach_unreach, same_generation, standard_suite, transitive_closure,
     transitive_closure_nonlinear, win_move, Workload,

@@ -42,7 +42,8 @@ pub fn ancestor() -> Program {
     )
 }
 
-/// The nonlinear same-generation program over `up/2`, `flat/2`, `down/2`.
+/// The same-generation program over `up/2`, `flat/2`, `down/2`: a linear
+/// recursion (one recursive call, between an `up` and a `down` join).
 pub fn same_generation() -> Program {
     must_parse(
         "
