@@ -7,7 +7,7 @@
 //! harness e3 e4              # run selected experiments
 //! harness --list             # list experiment ids
 //! harness --json             # print JSON instead of markdown
-//! harness f4 --out BENCH_F4.json   # also write the JSON tables to a file
+//! harness f6 --out BENCH_F6.json   # also write the JSON tables to a file
 //! harness gate f6 a.json b.json    # CI perf gate: best of two `--out` runs
 //!                                  # against ./BENCH_F6.json
 //! ```

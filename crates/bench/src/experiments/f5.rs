@@ -35,7 +35,7 @@ pub fn run_with(chain_n: usize, crossover_n: usize, reps: usize) -> Table {
     let mut t = Table::new(
         "F5",
         "figure: governance overhead, governed-but-unhit vs ungoverned",
-        "Same workloads and strategies as the F4 sweep, sequential rounds. \
+        "Chain and crossover workloads under Alexander and semi-naive. \
          `governed` attaches a budget far above what the run consumes \
          (nothing ever trips), `ungoverned` attaches none. Each repetition \
          times the two back-to-back in alternating order and records their \

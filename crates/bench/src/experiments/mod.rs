@@ -7,7 +7,6 @@
 pub mod e1;
 pub mod e10;
 pub mod e11;
-pub mod e12;
 pub mod e13;
 pub mod e2;
 pub mod e3;
@@ -21,7 +20,6 @@ pub mod f1;
 pub mod f10;
 pub mod f2;
 pub mod f3;
-pub mod f4;
 pub mod f5;
 pub mod f6;
 pub mod f8;
@@ -35,7 +33,7 @@ pub type Experiment = (&'static str, fn() -> Table);
 
 /// Every experiment, in report order: the one list [`all`], [`by_id`] and
 /// [`ids`] read.
-pub const EXPERIMENTS: [Experiment; 21] = [
+pub const EXPERIMENTS: [Experiment; 19] = [
     ("e1", e1::run),
     ("e2", e2::run),
     ("e3", e3::run),
@@ -47,12 +45,10 @@ pub const EXPERIMENTS: [Experiment; 21] = [
     ("e9", e9::run),
     ("e10", e10::run),
     ("e11", e11::run),
-    ("e12", e12::run),
     ("e13", e13::run),
     ("f1", f1::run),
     ("f2", f2::run),
     ("f3", f3::run),
-    ("f4", f4::run),
     ("f5", f5::run),
     ("f6", f6::run),
     ("f8", f8::run),
@@ -142,13 +138,15 @@ mod tests {
     #[test]
     fn every_listed_id_resolves_without_running() {
         let ids: Vec<&str> = ids().collect();
-        assert_eq!(ids.len(), 21);
+        assert_eq!(ids.len(), 19);
         for (i, id) in ids.iter().enumerate() {
             assert!(!ids[..i].contains(id), "duplicate id {id}");
             assert!(lookup(id).is_some(), "{id}");
             assert!(lookup(&id.to_ascii_uppercase()).is_some(), "{id}");
         }
         assert!(lookup("nope").is_none());
-        assert!(lookup("f9").is_none(), "F9 is retired");
+        for retired in ["f4", "f9", "e12"] {
+            assert!(lookup(retired).is_none(), "{retired} is retired");
+        }
     }
 }

@@ -30,8 +30,6 @@ pub struct CliOptions {
     pub analyze: bool,
     /// `pred/arity=path.csv` specs to bulk-load into the EDB.
     pub loads: Vec<String>,
-    /// Worker threads for bottom-up fixpoint rounds (`None` = sequential).
-    pub threads: Option<usize>,
     /// Wall-clock budget per query, in milliseconds.
     pub timeout_ms: Option<u64>,
     /// Derived-fact budget per query.
@@ -103,8 +101,6 @@ usage: alexander <file.dl | -> [options]
                       supmagic | alexander | oldt | qsqr  (default: alexander)
       --load P/N=FILE bulk-load relation P (arity N) from a CSV/TSV file
                       (query mode only)
-      --threads N     worker threads per bottom-up fixpoint round (default 1);
-                      answers and counters are identical at any thread count
       --timeout-ms N  wall-clock budget per query; on expiry the partial
                       answers derived so far are printed and flagged
       --max-facts N   stop after deriving N facts (partial answers, flagged)
@@ -163,17 +159,6 @@ pub fn parse_args(args: &[String]) -> Result<(Option<String>, CliOptions), Strin
                 i += 1;
                 let l = args.get(i).ok_or("missing argument to --load")?;
                 opts.loads.push(l.clone());
-            }
-            "--threads" => {
-                i += 1;
-                let t = args.get(i).ok_or("missing argument to --threads")?;
-                let n: usize = t
-                    .parse()
-                    .map_err(|_| format!("--threads expects a positive integer, got `{t}`"))?;
-                if n == 0 {
-                    return Err("--threads expects a positive integer, got `0`".into());
-                }
-                opts.threads = Some(n);
             }
             "--timeout-ms" | "--max-facts" | "--max-rounds" => {
                 let flag = a.to_string();
@@ -473,7 +458,6 @@ pub fn run(source: &str, opts: &CliOptions) -> Result<String, String> {
 
     let engine = Engine::new(parsed.program, edb)
         .map_err(|e| e.to_string())?
-        .with_threads(opts.threads.unwrap_or(1))
         .with_budget(opts.budget());
 
     let queries: Vec<Atom> = if opts.queries.is_empty() {
@@ -726,25 +710,15 @@ seth,enos
 
     #[test]
     fn parse_args_roundtrip() {
-        let args: Vec<String> = [
-            "prog.dl",
-            "-q",
-            "p(X)",
-            "-s",
-            "oldt",
-            "--stats",
-            "--threads",
-            "4",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
+        let args: Vec<String> = ["prog.dl", "-q", "p(X)", "-s", "oldt", "--stats"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
         let (path, opts) = parse_args(&args).unwrap();
         assert_eq!(path.as_deref(), Some("prog.dl"));
         assert_eq!(opts.queries, ["p(X)"]);
         assert_eq!(opts.strategy.as_deref(), Some("oldt"));
         assert!(opts.stats);
-        assert_eq!(opts.threads, Some(4));
         assert!(parse_args(&["--bogus".to_string()]).is_err());
         assert!(parse_args(&["--help".to_string()]).is_err());
     }
@@ -809,12 +783,17 @@ seth,enos
 
     #[test]
     fn retired_exec_flag_is_an_unknown_option() {
-        let args: Vec<String> = ["prog.dl", "--exec", "tuple"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let err = parse_args(&args).unwrap_err();
-        assert!(err.starts_with("unknown option `--exec`"), "{err}");
+        for (flag, value) in [("--exec", "tuple"), ("--threads", "2")] {
+            let args: Vec<String> = ["prog.dl", flag, value]
+                .iter()
+                .map(|s| s.to_string())
+                .collect();
+            let err = parse_args(&args).unwrap_err();
+            assert!(
+                err.starts_with(&format!("unknown option `{flag}`")),
+                "{err}"
+            );
+        }
     }
 
     #[test]
@@ -1308,34 +1287,5 @@ seth,enos
         ] {
             assert!(parse_args(&bad).is_err(), "{bad:?}");
         }
-    }
-
-    #[test]
-    fn threads_flag_is_validated_and_applied() {
-        for bad in [
-            vec!["prog.dl".to_string(), "--threads".to_string()],
-            vec![
-                "prog.dl".to_string(),
-                "--threads".to_string(),
-                "zero".to_string(),
-            ],
-            vec![
-                "prog.dl".to_string(),
-                "--threads".to_string(),
-                "0".to_string(),
-            ],
-        ] {
-            assert!(parse_args(&bad).is_err(), "{bad:?}");
-        }
-        let opts = CliOptions {
-            queries: vec!["anc(adam, X)".into()],
-            strategy: Some("seminaive".into()),
-            stats: true,
-            threads: Some(4),
-            ..CliOptions::default()
-        };
-        let out = run(SRC, &opts).unwrap();
-        assert!(out.contains("anc(adam, enos)"), "{out}");
-        assert!(out.contains("threads=4"), "{out}");
     }
 }

@@ -123,10 +123,9 @@ impl Engine {
         self
     }
 
-    /// Sets the worker-thread count for the bottom-up fixpoint rounds
-    /// (1 = sequential; answers and metrics are identical either way).
-    pub fn with_threads(mut self, threads: usize) -> Engine {
-        self.opts.threads = threads;
+    /// Has no effect: every fixpoint round runs on the calling thread. Kept
+    /// only until the `e2e` benchmark stops naming it (ROADMAP item 1(d)).
+    pub fn with_threads(self, _threads: usize) -> Engine {
         self
     }
 
@@ -261,7 +260,6 @@ impl Engine {
                 eval: Some(metrics),
                 facts_materialised: (db.total_tuples() - self.edb.total_tuples()) as u64,
                 rules_evaluated: self.program.rules.len(),
-                threads: self.opts.threads.max(1),
                 completion,
                 ..Report::default()
             },
@@ -308,7 +306,6 @@ impl Engine {
                 calls: Some(calls),
                 undefined,
                 rules_evaluated: rw.program.rules.len(),
-                threads: self.opts.threads.max(1),
                 completion,
                 ..Report::default()
             },
@@ -473,28 +470,6 @@ mod tests {
             Strategy::ConditionalFixpoint,
         );
         assert!(matches!(err, Err(EngineError::UndefinedAnswers(_))));
-    }
-
-    #[test]
-    fn threads_change_neither_answers_nor_metrics() {
-        let q = parse_atom("anc(a, X)").unwrap();
-        let seq = engine();
-        for threads in [2, 4, 8] {
-            let par = Engine::from_source(ANCESTOR).unwrap().with_threads(threads);
-            for s in [
-                Strategy::SemiNaive,
-                Strategy::Stratified,
-                Strategy::Magic,
-                Strategy::SupplementaryMagic,
-                Strategy::Alexander,
-            ] {
-                let a = seq.query(&q, s).unwrap();
-                let b = par.query(&q, s).unwrap();
-                assert_eq!(a.answers, b.answers, "{s} @ {threads} threads");
-                assert_eq!(a.report.eval, b.report.eval, "{s} @ {threads} threads");
-                assert_eq!(b.report.threads, threads);
-            }
-        }
     }
 
     #[test]

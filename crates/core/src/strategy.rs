@@ -94,9 +94,6 @@ pub struct Report {
     pub undefined: Vec<Atom>,
     /// Number of rules actually evaluated (after rewriting).
     pub rules_evaluated: usize,
-    /// Worker threads the bottom-up fixpoint ran with (0 when no bottom-up
-    /// evaluation happened, e.g. pure OLDT runs or EDB lookups).
-    pub threads: usize,
     /// Whether the evaluation ran to its full fixpoint / answer set. A
     /// non-`Complete` value means the answers are a sound *partial* result:
     /// everything reported holds, but more may be derivable.
@@ -117,9 +114,6 @@ impl fmt::Display for Report {
         }
         if !self.undefined.is_empty() {
             write!(f, " undefined={}", self.undefined.len())?;
-        }
-        if self.threads > 1 {
-            write!(f, " threads={}", self.threads)?;
         }
         if !self.completion.is_complete() {
             write!(f, " PARTIAL: {}", self.completion)?;
@@ -171,19 +165,5 @@ mod tests {
         let shown = partial.to_string();
         assert!(shown.contains("PARTIAL"), "{shown}");
         assert!(shown.contains("facts"), "{shown}");
-    }
-
-    #[test]
-    fn report_display_mentions_threads_only_when_parallel() {
-        let seq = Report {
-            threads: 1,
-            ..Report::default()
-        };
-        assert!(!seq.to_string().contains("threads"));
-        let par = Report {
-            threads: 4,
-            ..Report::default()
-        };
-        assert!(par.to_string().contains("threads=4"));
     }
 }

@@ -102,9 +102,8 @@ pub fn eval_conditional(program: &Program, edb: &Database) -> Result<Conditional
     eval_conditional_opts(program, edb, crate::naive::EvalOptions::default())
 }
 
-/// [`eval_conditional`] with explicit options. The options (indexes, thread
-/// count) govern the semi-naive run of the definite core; the conditional
-/// phases themselves are sequential.
+/// [`eval_conditional`] with explicit options. The options (indexes, budget)
+/// govern the semi-naive run of the definite core.
 pub fn eval_conditional_opts(
     program: &Program,
     edb: &Database,

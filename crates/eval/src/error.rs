@@ -21,10 +21,9 @@ pub enum EvalError {
     /// An incremental update targeted an intensional predicate (only EDB
     /// facts can be inserted or deleted).
     IdbUpdate(Predicate),
-    /// A parallel round worker panicked. The panic is caught inside the
-    /// worker, every sibling worker is drained first, and the payload is
-    /// surfaced here instead of aborting the process or poisoning the
-    /// thread scope.
+    /// A panic inside a fixpoint round. The panic is caught at the round's
+    /// boundary and its payload surfaced here, so a served query that trips
+    /// one gets an error reply instead of unwinding its session thread.
     WorkerPanicked { payload: String },
 }
 
@@ -49,7 +48,7 @@ impl fmt::Display for EvalError {
                 "predicate {p} is intensional; only extensional facts can be updated"
             ),
             EvalError::WorkerPanicked { payload } => {
-                write!(f, "evaluation worker panicked: {payload}")
+                write!(f, "evaluation panicked inside a round: {payload}")
             }
         }
     }
@@ -82,6 +81,6 @@ mod tests {
         let e = EvalError::WorkerPanicked {
             payload: "boom".to_string(),
         };
-        assert!(e.to_string().contains("worker panicked: boom"));
+        assert!(e.to_string().contains("panicked inside a round: boom"));
     }
 }

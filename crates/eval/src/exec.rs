@@ -18,11 +18,10 @@
 //! remaining operators *before* the operator resumes — downstream work for
 //! earlier rows always completes before later rows are generated. Emissions
 //! therefore occur in exactly the depth-first order of a nested-loop join
-//! over the body literals with rows in id order, which is what preserves
-//! the bit-identical-across-threads merge discipline (insertion order into
+//! over the body literals with rows in id order, so the insertion order into
 //! staging databases, and hence delta spans and row ids, are a function of
-//! the input alone) and what the boxed-tuple reference engine in
-//! `alexander-bench` reproduces counter for counter.
+//! the input alone, and the boxed-tuple reference engine in
+//! `alexander-bench` reproduces it counter for counter.
 //!
 //! ## Entry points
 //!

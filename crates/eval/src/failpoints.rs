@@ -3,14 +3,14 @@
 //! Evaluator hot paths call [`crate::fail_point`] with a site name; without
 //! the feature that call is an empty inline function and the registry does
 //! not exist. With the feature, tests configure an [`Action`] per site to
-//! inject worker panics (exercising the `WorkerPanicked` path), artificial
-//! per-round delays (exercising wall-clock deadlines deterministically),
-//! or allocation pressure (exercising large-round memory behaviour).
+//! inject panics inside a round (exercising the `WorkerPanicked` path),
+//! artificial per-round delays (exercising wall-clock deadlines
+//! deterministically), or allocation pressure (exercising large-round memory
+//! behaviour).
 //!
 //! Sites currently instrumented:
-//! - `"round-worker"` — before every task of the shared round executor
-//!   (`seminaive::run_chunk`), which is both the fan-out worker body and the
-//!   inline sequential round, so injection also covers `threads = 1`.
+//! - `"round-task"` — before every task of the shared round executor
+//!   (`seminaive::run_round_tasks`).
 //! - `"round-start"` — top of every round of the one fixpoint loop
 //!   (`seminaive::fixpoint`), naive and semi-naive alike.
 //!
@@ -35,7 +35,7 @@ use std::time::Duration;
 pub enum Action {
     /// Panic with this message (the payload surfaced by `WorkerPanicked`).
     Panic(String),
-    /// Sleep this long, simulating a slow round / slow worker.
+    /// Sleep this long, simulating a slow round or task.
     Sleep(Duration),
     /// Allocate and immediately drop this many bytes, simulating a round
     /// with heavy transient allocation.

@@ -30,18 +30,16 @@
 //! There is likewise one fixpoint round. Naive and semi-naive evaluation
 //! (and everything layered on them) share the round executor and the staging
 //! sink in [`seminaive`]; they differ only in whether a round's tasks
-//! restrict a body literal to the previous round's delta. The executor can
-//! fan each round out across worker threads via [`EvalOptions::threads`];
-//! the resulting relations *and* metrics are identical to a sequential run
-//! at any thread count (see [`seminaive`] for the round protocol).
+//! restrict a body literal to the previous round's delta. Every round runs
+//! on the calling thread (see [`seminaive`] for the round protocol).
 //!
 //! Every evaluator is resource-governed: [`EvalOptions::budget`] bounds
 //! wall-clock time, derived facts and rounds. On exhaustion the evaluators
 //! return a well-formed *partial* result tagged with a non-`Complete`
 //! [`Completion`] instead of an error (see [`govern`]); the metrics say
-//! what the run spent. Rounds are panic-isolated at every thread count: a
-//! panic inside a round surfaces as [`EvalError::WorkerPanicked`] after any
-//! sibling workers drain, never as an unwind or a process abort.
+//! what the run spent. Rounds are panic-isolated: a panic inside a round
+//! surfaces as [`EvalError::WorkerPanicked`], never as an unwind through the
+//! caller or a process abort.
 //!
 //! ```
 //! use alexander_parser::parse;

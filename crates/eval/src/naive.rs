@@ -16,12 +16,6 @@ pub struct EvalOptions {
     /// Build hash indexes for the masks rules probe. Turning this off forces
     /// every probe into a filtered scan (ablation E10).
     pub use_indexes: bool,
-    /// Worker threads for the per-round task fan-out of the shared round
-    /// executor: naive and semi-naive evaluation and everything layered on
-    /// them (stratified strata, conditional phase 0). `0` or `1` means
-    /// sequential; metrics are exact and identical to the sequential run at
-    /// any thread count.
-    pub threads: usize,
     /// Resource limits for the run; unlimited by default. On exhaustion the
     /// evaluator stops cleanly and reports [`Completion::BudgetExhausted`]
     /// on its (partial but well-formed) result.
@@ -32,21 +26,12 @@ impl Default for EvalOptions {
     fn default() -> EvalOptions {
         EvalOptions {
             use_indexes: true,
-            threads: 1,
             budget: Budget::UNLIMITED,
         }
     }
 }
 
 impl EvalOptions {
-    /// `Default` with the given thread count.
-    pub fn with_threads(threads: usize) -> EvalOptions {
-        EvalOptions {
-            threads,
-            ..EvalOptions::default()
-        }
-    }
-
     /// Builder: attach a resource budget.
     pub fn with_budget(mut self, budget: Budget) -> EvalOptions {
         self.budget = budget;
@@ -105,8 +90,8 @@ pub fn eval_naive(program: &Program, edb: &Database) -> Result<EvalResult, EvalE
 }
 
 /// [`eval_naive`] with explicit options. Runs on the shared round executor
-/// (see [`crate::seminaive`]), so `threads`, `use_indexes`, the budget and
-/// panic isolation behave exactly as they do for semi-naive evaluation.
+/// (see [`crate::seminaive`]), so `use_indexes`, the budget and panic
+/// isolation behave exactly as they do for semi-naive evaluation.
 pub fn eval_naive_opts(
     program: &Program,
     edb: &Database,
@@ -193,34 +178,9 @@ mod tests {
         assert!(matches!(err, EvalError::Invalid(_)));
     }
 
-    #[test]
-    fn without_indexes_same_answers() {
-        let parsed = parse(
-            "
-            e(a, b). e(b, c).
-            tc(X, Y) :- e(X, Y).
-            tc(X, Y) :- e(X, Z), tc(Z, Y).
-        ",
-        )
-        .unwrap();
-        let with = eval_naive(&parsed.program, &Database::new()).unwrap();
-        let without = eval_naive_opts(
-            &parsed.program,
-            &Database::new(),
-            EvalOptions {
-                use_indexes: false,
-                ..EvalOptions::default()
-            },
-        )
-        .unwrap();
-        let tc = alexander_ir::Predicate::new("tc", 2);
-        assert_eq!(with.db.len_of(tc), without.db.len_of(tc));
-    }
-
-    /// Several rules per round, so a round genuinely splits across workers;
-    /// the two `same` rules derive identical head rows, so with two or more
-    /// workers they land in different chunks, both stage every `same` fact,
-    /// and the merge must demote one copy to a duplicate.
+    /// Several rules per round; the two `same` rules derive identical head
+    /// rows, so the second rule's derivations are duplicates of the staging
+    /// database.
     const VIEWS: &str = "
         e(a, b). e(b, c). e(c, d). e(d, e5).
         tc(X, Y) :- e(X, Y).
@@ -232,59 +192,32 @@ mod tests {
     ";
 
     #[test]
-    fn thread_count_changes_neither_relations_nor_metrics() {
+    fn without_indexes_same_answers() {
         let parsed = parse(VIEWS).unwrap();
         let edb = Database::new();
-        let run = |use_indexes, threads| {
+        let run = |use_indexes| {
             let opts = EvalOptions {
                 use_indexes,
-                threads,
                 ..EvalOptions::default()
             };
             eval_naive_opts(&parsed.program, &edb, opts).unwrap()
         };
-        for use_indexes in [true, false] {
-            let seq = run(use_indexes, 1);
-            assert_eq!(seq.db.len_of(alexander_ir::Predicate::new("same", 2)), 4);
-            assert!(seq.metrics.duplicate_facts >= 4, "{}", seq.metrics);
-            // 0 is clamped to sequential.
-            for threads in [0, 2, 4, 8] {
-                let par = run(use_indexes, threads);
-                let ctx = format!("indexes {use_indexes} @ {threads} threads");
-                assert_eq!(seq.metrics, par.metrics, "metrics, {ctx}");
-                assert_eq!(seq.db.predicates(), par.db.predicates(), "{ctx}");
-                for p in seq.db.predicates() {
-                    assert_eq!(seq.db.atoms_of(p), par.db.atoms_of(p), "{p}, {ctx}");
-                }
-                assert!(par.completion.is_complete(), "{ctx}");
-            }
+        let (indexed, scanned) = (run(true), run(false));
+        for r in [&indexed, &scanned] {
+            assert_eq!(r.db.len_of(alexander_ir::Predicate::new("same", 2)), 4);
+            assert!(r.metrics.duplicate_facts >= 4, "{}", r.metrics);
+            assert!(r.completion.is_complete());
         }
-        // The fan-out honours `use_indexes`: unindexed probes scan.
+        assert_eq!(indexed.metrics.new_facts, scanned.metrics.new_facts);
+        assert_eq!(indexed.db.predicates(), scanned.db.predicates());
+        for p in indexed.db.predicates() {
+            assert_eq!(indexed.db.atoms_of(p), scanned.db.atoms_of(p), "{p}");
+        }
+        // Unindexed probes scan.
         assert!(
-            run(false, 4).metrics.tuples_considered > run(true, 4).metrics.tuples_considered,
-            "unindexed parallel rounds must consider more tuples"
+            scanned.metrics.tuples_considered > indexed.metrics.tuples_considered,
+            "unindexed rounds must consider more tuples"
         );
-    }
-
-    #[test]
-    fn fact_budget_yields_sound_subset_at_every_thread_count() {
-        let parsed = parse(TC).unwrap();
-        let full = eval_naive(&parsed.program, &Database::new()).unwrap();
-        let tc = alexander_ir::Predicate::new("tc", 2);
-        for threads in [1, 2, 4, 8] {
-            let opts =
-                EvalOptions::with_threads(threads).with_budget(Budget::default().with_max_facts(3));
-            let r = eval_naive_opts(&parsed.program, &Database::new(), opts).unwrap();
-            assert!(
-                matches!(r.completion, Completion::BudgetExhausted { .. }),
-                "@ {threads} threads: {:?}",
-                r.completion
-            );
-            assert!(r.db.len_of(tc) <= 3, "@ {threads} threads");
-            for row in r.db.relation(tc).unwrap().iter() {
-                assert!(full.db.relation(tc).unwrap().contains_row(row));
-            }
-        }
     }
 
     #[test]
@@ -357,24 +290,21 @@ mod tests {
     #[test]
     fn round_budget_stops_naive_loop() {
         let parsed = parse(TC).unwrap();
-        for threads in [1, 2] {
-            let r = eval_naive_opts(
-                &parsed.program,
-                &Database::new(),
-                EvalOptions::with_threads(threads)
-                    .with_budget(Budget::default().with_max_rounds(1)),
-            )
-            .unwrap();
-            assert_eq!(
-                r.completion,
-                Completion::BudgetExhausted {
-                    resource: Resource::Rounds
-                }
-            );
-            assert_eq!(r.metrics.iterations, 1);
-            // One naive round derives exactly the base tc facts.
-            assert_eq!(r.db.len_of(alexander_ir::Predicate::new("tc", 2)), 4);
-        }
+        let r = eval_naive_opts(
+            &parsed.program,
+            &Database::new(),
+            EvalOptions::default().with_budget(Budget::default().with_max_rounds(1)),
+        )
+        .unwrap();
+        assert_eq!(
+            r.completion,
+            Completion::BudgetExhausted {
+                resource: Resource::Rounds
+            }
+        );
+        assert_eq!(r.metrics.iterations, 1);
+        // One naive round derives exactly the base tc facts.
+        assert_eq!(r.db.len_of(alexander_ir::Predicate::new("tc", 2)), 4);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! Every bottom-up fixpoint in this crate — naive, semi-naive, each stratum
 //! of the stratified evaluator, phase 0 of the conditional one — is the one
 //! loop in `fixpoint`, and every round of it runs through one executor
-//! (`run_round_tasks` → `run_chunk`) into one sink (`StagingSink`). Naive
+//! (`run_round_tasks`) into one sink (`StagingSink`). Naive
 //! and semi-naive differ only in which tasks a round holds: naive
 //! applies every rule to the whole database every round; semi-naive, after
 //! the first round, restricts one body literal per task to the facts the
@@ -22,32 +22,19 @@
 //! ## One executor, one sink
 //!
 //! A round's total is read-only for the round's duration; all indexes are
-//! built up front by the single-threaded prelude. `run_chunk` runs a slice
-//! of the round's tasks through the blocked executor and hands every derived
-//! head row to `StagingSink::emit`, the single place a row is classified:
-//! duplicate of the total, duplicate of the staging database, refused by the
-//! fact budget, or new (and staged). With one thread (or one task) the chunk
-//! is the whole round, run inline, staging straight into the round's output.
+//! built up front by the round's prelude. `run_round_tasks` runs the round's
+//! tasks in order on the calling thread through the blocked executor and
+//! hands every derived head row to `StagingSink::emit`, the single place a
+//! row is classified: duplicate of the total, duplicate of the staging
+//! database, refused by the fact budget, or new (and staged). A task is one
+//! rule — or, in a delta round, one `(rule, delta position)` variant. The
+//! staging database's insertion order, and so the next round's delta spans
+//! and every [`EvalMetrics`] counter, is a function of the round's input
+//! alone.
 //!
-//! With `EvalOptions::threads > 1` the tasks fan out over scoped workers
-//! sharing one `&Database` of the total, which no one can write while they
-//! hold it. A task is one rule — or, in a
-//! delta round, one `(rule, delta position)` variant, so a program with
-//! fewer rules than threads still splits. Each worker runs the same
-//! `run_chunk` into a sink over a worker-local staging database that also
-//! keeps an ordered log of what it staged.
-//!
-//! What the merge guarantees: workers are joined, then a single thread
-//! replays their logs in task order into the round's output. A fact two
-//! workers both staged was counted new by each; the merge demotes the later
-//! copies to duplicates. So the output's insertion order, the relations and
-//! every [`EvalMetrics`] counter are bit-identical to the one-thread run at
-//! any thread count — `new_facts` counts the distinct facts absent from the
-//! total, a property of the round's input, not of task scheduling.
-//!
-//! A panic in any chunk — inline or on a worker, after every sibling is
-//! joined — surfaces as [`EvalError::WorkerPanicked`], never as an unwind
-//! through the caller or a process abort.
+//! A panic inside a round surfaces as [`EvalError::WorkerPanicked`], never as
+//! an unwind through the caller: a served query that trips one gets an error
+//! reply, not a dead session.
 //!
 //! ## Governance
 //!
@@ -166,17 +153,15 @@ fn fixpoint(
         ps
     };
 
-    // Rule plans, compiled once and shared read-only by every round and
-    // worker.
+    // Rule plans, compiled once and shared read-only by every round.
     let plans: Vec<RulePlan> = compile_plans(&compiled, metrics);
 
     let governor = gov.filter(|g| g.active());
-    let threads = opts.threads.max(1);
 
     // One scratch, staging database and task list for the whole fixpoint:
     // round N+1 reuses round N's grown buffers (rows cleared, allocations
     // kept), so steady-state rounds stage and merge without touching the
-    // allocator. The parallel fan-out keeps per-worker scratches instead.
+    // allocator.
     let mut scratch = ExecScratch::new();
     let mut staged = Database::new();
     let mut tasks: Vec<RoundTask<'_>> = Vec::new();
@@ -225,11 +210,10 @@ fn fixpoint(
         let mut sink = StagingSink {
             total: db,
             staged: &mut staged,
-            log: None,
             governor,
         };
         let round = (spans.as_ref(), negatives);
-        run_round_tasks(&tasks, round, threads, &mut sink, &mut scratch, metrics)?;
+        run_round_tasks(&tasks, round, &mut sink, &mut scratch, metrics)?;
         // Facts staged before a governance stop are sound: keep them.
         if db.absorb_staged(&staged) == 0 || governor.is_some_and(|g| g.should_stop()) {
             return Ok(());
@@ -258,9 +242,6 @@ struct StagingSink<'a> {
     total: &'a Database,
     /// Facts accepted so far this round; doubles as the dedup set.
     staged: &'a mut Database,
-    /// Fan-out workers record each accepted row's `(predicate, staging id)`
-    /// in emission order, so the merge can replay them deterministically.
-    log: Option<Vec<(Predicate, u32)>>,
     governor: Option<&'a Governor>,
 }
 
@@ -291,47 +272,12 @@ impl StagingSink<'_> {
                 self.staged.push_new_row_hashed(pred, h, row);
             }
         }
-        if let Some(log) = &mut self.log {
-            log.push((pred, self.staged.len_of(pred) as u32 - 1));
-        }
         Emitted::New
     }
 }
 
-/// Runs `tasks` in order through the blocked executor into `sink`, stopping
-/// at the first governance break. The whole round when sequential; one
-/// worker's share in the fan-out.
-fn run_chunk(
-    tasks: &[RoundTask<'_>],
-    (spans, negatives): RoundSources<'_>,
-    sink: &mut StagingSink<'_>,
-    scratch: &mut ExecScratch,
-    metrics: &mut EvalMetrics,
-) {
-    for task in tasks {
-        fail_point("round-worker");
-        let input = JoinInput {
-            total: sink.total,
-            // invariant: `fixpoint` sets `delta_pos` only on the tasks of
-            // delta rounds, which always pass the round's spans.
-            delta: task.delta_pos.map(|i| {
-                let spans = spans.expect("delta tasks only occur in delta rounds");
-                (i, DeltaSource::Spans(spans))
-            }),
-            sides: None,
-            negatives,
-            governor: sink.governor,
-        };
-        let head = task.plan.head_pred;
-        let mut emit = |h: u64, row: &[Const]| sink.emit(head, h, row);
-        if exec_plan(task.plan, &input, scratch, metrics, &mut emit).is_break() {
-            break;
-        }
-    }
-}
-
 /// Maps a caught panic payload to [`EvalError::WorkerPanicked`].
-fn worker_panicked(payload: Box<dyn std::any::Any + Send>) -> EvalError {
+fn round_panicked(payload: Box<dyn std::any::Any + Send>) -> EvalError {
     let payload = match payload.downcast::<String>() {
         Ok(s) => *s,
         Err(payload) => match payload.downcast::<&'static str>() {
@@ -342,83 +288,39 @@ fn worker_panicked(payload: Box<dyn std::any::Any + Send>) -> EvalError {
     EvalError::WorkerPanicked { payload }
 }
 
-/// Executes one round's tasks, staging fresh derivations through `sink`.
-///
-/// With one thread (or one task) the tasks run in order on the calling
-/// thread straight into `sink`. Otherwise they fan out over scoped workers,
-/// each running the same [`run_chunk`] into a worker-local sink, and a
-/// single-threaded merge replays the workers' logs into `sink.staged`.
-/// Either way the staged facts and every metrics counter come out identical
-/// (see the module docs), and a panic in any chunk returns
-/// [`EvalError::WorkerPanicked`] once every worker is joined.
+/// Executes one round: runs `tasks` in order on the calling thread through
+/// the blocked executor into `sink`, stopping at the first governance break.
+/// A panic inside the round returns [`EvalError::WorkerPanicked`].
 fn run_round_tasks(
     tasks: &[RoundTask<'_>],
-    round: RoundSources<'_>,
-    threads: usize,
+    (spans, negatives): RoundSources<'_>,
     sink: &mut StagingSink<'_>,
     scratch: &mut ExecScratch,
     metrics: &mut EvalMetrics,
 ) -> Result<(), EvalError> {
-    if threads <= 1 || tasks.len() <= 1 {
-        return catch_unwind(AssertUnwindSafe(|| {
-            run_chunk(tasks, round, sink, scratch, metrics)
-        }))
-        .map_err(worker_panicked);
-    }
-
-    let (total, governor) = (sink.total, sink.governor);
-    type WorkerOut = (EvalMetrics, Database, Vec<(Predicate, u32)>);
-    let results: Vec<std::thread::Result<WorkerOut>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = tasks
-            .chunks(tasks.len().div_ceil(threads))
-            .map(|chunk| {
-                scope.spawn(move || {
-                    let mut local = EvalMetrics::default();
-                    let mut staged = Database::new();
-                    let mut sink = StagingSink {
-                        total,
-                        staged: &mut staged,
-                        log: Some(Vec::new()),
-                        governor,
-                    };
-                    run_chunk(chunk, round, &mut sink, &mut ExecScratch::new(), &mut local);
-                    let log = sink.log.unwrap_or_default();
-                    (local, staged, log)
-                })
-            })
-            .collect();
-        // Joining every handle by hand hands a worker's panic back as its
-        // `Err` payload; the scope only re-raises panics nobody collected.
-        handles.into_iter().map(|h| h.join()).collect()
-    });
-    // All workers are drained at this point; surface the first panic as a
-    // structured error instead of a process abort.
-    let outs: Vec<WorkerOut> = results
-        .into_iter()
-        .collect::<Result<_, _>>()
-        .map_err(worker_panicked)?;
-
-    // Single-threaded merge, in task order so the staging insertion order
-    // (and hence all downstream iteration) matches the sequential run. A
-    // fact two workers both derived was provisionally counted new by each;
-    // demote the later copies so the totals equal the sequential
-    // classification.
-    for (local, staged, log) in outs {
-        *metrics += local;
-        for (p, id) in log {
-            // invariant: every log entry was appended right after its row
-            // was inserted into the worker's staging database.
-            let rel = staged
-                .relation(p)
-                .expect("logged predicate exists in staging");
-            let (row, h) = (rel.row(id), rel.row_hashes()[id as usize]);
-            if !sink.staged.insert_row_hashed(p, h, row) {
-                metrics.new_facts -= 1;
-                metrics.duplicate_facts += 1;
+    catch_unwind(AssertUnwindSafe(|| {
+        for task in tasks {
+            fail_point("round-task");
+            let input = JoinInput {
+                total: sink.total,
+                // invariant: `fixpoint` sets `delta_pos` only on the tasks of
+                // delta rounds, which always pass the round's spans.
+                delta: task.delta_pos.map(|i| {
+                    let spans = spans.expect("delta tasks only occur in delta rounds");
+                    (i, DeltaSource::Spans(spans))
+                }),
+                sides: None,
+                negatives,
+                governor: sink.governor,
+            };
+            let head = task.plan.head_pred;
+            let mut emit = |h: u64, row: &[Const]| sink.emit(head, h, row);
+            if exec_plan(task.plan, &input, scratch, metrics, &mut emit).is_break() {
+                break;
             }
         }
-    }
-    Ok(())
+    }))
+    .map_err(round_panicked)
 }
 
 #[cfg(test)]
@@ -530,35 +432,6 @@ mod tests {
         assert_eq!(r.db.len_of(odd), 2); // b, d
     }
 
-    #[test]
-    fn thread_count_changes_neither_relations_nor_metrics() {
-        // Nonlinear same-generation: multiple rules and delta positions per
-        // round, so work genuinely splits across workers.
-        let parsed = parse(
-            "
-            up(a, b). up(c, b). flat(b, b2). up(x, b). down(b2, y).
-            e(a, b). e(b, c). e(c, d).
-            sg(X, Y) :- flat(X, Y).
-            sg(X, Y) :- up(X, U), sg(U, V), down(V, Y).
-            tc(X, Y) :- e(X, Y).
-            tc(X, Y) :- tc(X, Z), tc(Z, Y).
-        ",
-        )
-        .unwrap();
-        let edb = Database::new();
-        let seq = eval_seminaive(&parsed.program, &edb).unwrap();
-        for threads in [2, 4, 8] {
-            let par =
-                eval_seminaive_opts(&parsed.program, &edb, EvalOptions::with_threads(threads))
-                    .unwrap();
-            assert_eq!(seq.metrics, par.metrics, "metrics @ {threads} threads");
-            assert_eq!(seq.db.predicates(), par.db.predicates());
-            for p in seq.db.predicates() {
-                assert_eq!(seq.db.atoms_of(p), par.db.atoms_of(p), "{p} @ {threads}");
-            }
-        }
-    }
-
     /// Emits the unary row `pred(sym)` through `sink`, as the executor would.
     fn emit(sink: &mut StagingSink<'_>, pred: Predicate, sym: &str) -> Emitted {
         let row = [Const::sym(sym)];
@@ -579,7 +452,6 @@ mod tests {
             let mut sink = StagingSink {
                 total: &total,
                 staged: &mut staged,
-                log: Some(Vec::new()),
                 governor,
             };
             assert_eq!(emit(&mut sink, p, "old"), Emitted::Duplicate, "vs total");
@@ -587,8 +459,6 @@ mod tests {
             assert_eq!(emit(&mut sink, q, "a"), Emitted::New);
             assert_eq!(emit(&mut sink, p, "a"), Emitted::Duplicate, "vs staged");
             assert_eq!(emit(&mut sink, p, "b"), Emitted::New);
-            // The log holds each accepted row's staging id, in emission order.
-            assert_eq!(sink.log, Some(vec![(p, 0), (q, 0), (p, 1)]));
             assert_eq!(staged.relation(p).unwrap().row(1), &[Const::sym("b")]);
             assert_eq!(staged.total_tuples(), 3);
         }
@@ -603,14 +473,12 @@ mod tests {
         let mut sink = StagingSink {
             total: &total,
             staged: &mut staged,
-            log: None,
             governor: Some(&spent),
         };
         assert_eq!(emit(&mut sink, p, "a"), Emitted::New);
         assert_eq!(emit(&mut sink, p, "b"), Emitted::Refused);
         assert_eq!(emit(&mut sink, p, "a"), Emitted::Duplicate);
         assert_eq!(emit(&mut sink, p, "old"), Emitted::Duplicate);
-        assert_eq!(sink.log, None);
         assert_eq!(staged.total_tuples(), 1, "the refused row was not staged");
         assert_eq!(
             spent.completion(),
@@ -618,59 +486,6 @@ mod tests {
                 resource: Resource::Facts
             }
         );
-    }
-
-    #[test]
-    fn two_thread_merge_matches_the_sequential_classification() {
-        // Both rules derive the same three head rows. Sequentially the second
-        // rule's derivations are duplicates of the staging database; with two
-        // workers each rule stages all three and the merge must demote one
-        // copy of each.
-        let parsed = parse("n(a). n(b). n(c). same(X, X) :- n(X). same(Y, Y) :- n(Y).").unwrap();
-        let mut total = seed_database(&parsed.program, &Database::new());
-        let compiled: Vec<CompiledRule> = parsed
-            .program
-            .rules
-            .iter()
-            .map(|r| compile_rule(r).unwrap())
-            .collect();
-        for r in &compiled {
-            ensure_rule_indexes(r, &mut total);
-        }
-        let plans: Vec<RulePlan> = compiled.iter().map(crate::plan::compile_plan).collect();
-        let tasks: Vec<RoundTask<'_>> = plans
-            .iter()
-            .map(|plan| RoundTask {
-                plan,
-                delta_pos: None,
-            })
-            .collect();
-        let round = |threads| {
-            let (mut staged, mut metrics) = (Database::new(), EvalMetrics::default());
-            let mut sink = StagingSink {
-                total: &total,
-                staged: &mut staged,
-                log: None,
-                governor: None,
-            };
-            let mut scratch = ExecScratch::new();
-            run_round_tasks(
-                &tasks,
-                (None, None),
-                threads,
-                &mut sink,
-                &mut scratch,
-                &mut metrics,
-            )
-            .unwrap();
-            (staged, metrics)
-        };
-        let (seq_staged, seq) = round(1);
-        let (par_staged, par) = round(2);
-        assert_eq!((seq.new_facts, seq.duplicate_facts), (3, 3));
-        assert_eq!(par, seq, "merged counters equal the sequential ones");
-        let same = Predicate::new("same", 2);
-        assert_eq!(par_staged.atoms_of(same), seq_staged.atoms_of(same));
     }
 
     #[test]
@@ -734,24 +549,6 @@ mod tests {
         .unwrap();
         assert!(exact.completion.is_complete());
         assert_eq!(exact.db.len_of(tc), full.db.len_of(tc));
-    }
-
-    #[test]
-    fn fact_budget_in_parallel_rounds_yields_sound_subset() {
-        let parsed = parse(TC).unwrap();
-        let edb = Database::new();
-        let full = eval_seminaive(&parsed.program, &edb).unwrap();
-        let tc = Predicate::new("tc", 2);
-        for threads in [2, 4, 8] {
-            let opts =
-                EvalOptions::with_threads(threads).with_budget(Budget::default().with_max_facts(6));
-            let limited = eval_seminaive_opts(&parsed.program, &edb, opts).unwrap();
-            assert!(!limited.completion.is_complete(), "@ {threads} threads");
-            assert!(limited.db.len_of(tc) <= 6);
-            for row in limited.db.relation(tc).unwrap().iter() {
-                assert!(full.db.relation(tc).unwrap().contains_row(row));
-            }
-        }
     }
 
     #[test]

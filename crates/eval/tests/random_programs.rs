@@ -1,10 +1,9 @@
 //! Differential property tests for incremental maintenance: random
 //! insert/delete sequences applied in mixed batches must leave the engine
-//! and a from-scratch recompute (at one and four evaluation threads) with
-//! bit-identical databases — and the engine's supports must satisfy their
-//! invariant at every step: support > 0 iff the fact is derivable, and for
-//! counted (non-recursive) predicates the support equals the distinct rule
-//! firings over the final database.
+//! and a from-scratch recompute with bit-identical databases — and the
+//! engine's supports must satisfy their invariant at every step: support > 0
+//! iff the fact is derivable, and for counted (non-recursive) predicates the
+//! support equals the distinct rule firings over the final database.
 
 use alexander_eval::{
     compile_plan, compile_rule, eval_seminaive_opts, exec_plan_bindings, EvalMetrics, EvalOptions,
@@ -154,14 +153,10 @@ proptest! {
             inc.apply_batch(&batch_ops).unwrap();
 
             let edb = model_db(&model);
-            let seq = eval_seminaive_opts(&program, &edb, EvalOptions::with_threads(1))
-                .unwrap()
-                .db;
-            let par = eval_seminaive_opts(&program, &edb, EvalOptions::with_threads(4))
+            let seq = eval_seminaive_opts(&program, &edb, EvalOptions::default())
                 .unwrap()
                 .db;
             let expected = snapshot(&seq);
-            prop_assert_eq!(&snapshot(&par), &expected, "parallel recompute diverged");
             prop_assert_eq!(&snapshot(inc.db()), &expected, "incremental diverged");
             check_supports(&inc, &program, &seq);
         }

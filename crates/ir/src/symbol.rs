@@ -69,9 +69,10 @@ fn interner() -> &'static RwLock<Interner> {
     })
 }
 
-/// Reads through lock poison. Evaluator workers run under `catch_unwind`
-/// (panics become structured `WorkerPanicked` errors rather than aborts), so
-/// a panic while holding this lock must not brick every later query.
+/// Reads through lock poison. Every fixpoint round runs under `catch_unwind`
+/// (a panic inside a round becomes a structured `WorkerPanicked` error
+/// rather than an unwind), so a panic while holding this lock must not brick
+/// every later query.
 /// `Interner::intern` only mutates after its fallible steps, so the guarded
 /// state is consistent even when poisoned.
 fn read_interner() -> std::sync::RwLockReadGuard<'static, Interner> {

@@ -92,9 +92,6 @@ fn serve(source: &str, opts: &cli::CliOptions) {
     if let Some(n) = opts.tenant_cap {
         config.tenant_cap = n;
     }
-    if let Some(n) = opts.threads {
-        config.threads = n;
-    }
     if let Some(n) = opts.max_queue {
         config.max_queue = n;
     }

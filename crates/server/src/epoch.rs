@@ -29,8 +29,8 @@ impl Epoch {
     }
 
     /// The engine over this epoch's frozen EDB, built at publication with the
-    /// service's threads and budget. Queries borrow it through the pin, so
-    /// one epoch serves any number of concurrent readers.
+    /// service's budget. Queries borrow it through the pin, so one epoch
+    /// serves any number of concurrent readers.
     pub fn engine(&self) -> &Engine {
         &self.engine
     }

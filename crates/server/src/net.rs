@@ -653,6 +653,7 @@ mod tests {
     use crate::service::ServerConfig;
     use alexander_parser::parse;
     use alexander_storage::Database;
+    use proptest::prelude::*;
 
     fn service() -> Arc<QueryService> {
         let program =
@@ -971,6 +972,97 @@ mod tests {
         capped.clear();
         writeln!(capped, "OK pong").unwrap();
         assert_eq!(capped.wire(), b"OK pong\n");
+    }
+
+    /// What `session` must do with `input`: the number of non-blank request
+    /// lines it serves, and how it ends. A line that is not UTF-8 ends the
+    /// session unserved; a served `QUIT` ends it after its reply.
+    fn expected_session(input: &[u8]) -> (usize, SessionEnd) {
+        let mut served = 0;
+        for line in input.split_inclusive(|&b| b == b'\n') {
+            let Ok(text) = std::str::from_utf8(line) else {
+                return (served, SessionEnd::ReadError);
+            };
+            if text.trim().is_empty() {
+                continue;
+            }
+            served += 1;
+            if parse_request(text) == Ok(Request::Quit) {
+                return (served, SessionEnd::Quit);
+            }
+        }
+        (served, SessionEnd::Eof)
+    }
+
+    /// Serves `input` over a [`MemoryPeer`] and checks the framing contract:
+    /// every reply line is an `ANSWER`, `STAT`, `OK` or `ERR` line, and each
+    /// served request gets exactly one `OK`/`ERR` terminal line.
+    fn check_framing(input: Vec<u8>) -> Result<(), TestCaseError> {
+        let (served, expected_end) = expected_session(&input);
+        let s = service();
+        let mut peer = MemoryPeer {
+            input: io::Cursor::new(input),
+            out: Vec::new(),
+        };
+        let end = session(&s, &mut peer, &AtomicBool::new(false), &NetStats::default());
+        prop_assert_eq!(end, expected_end);
+        let out = String::from_utf8(peer.out).expect("replies to UTF-8 requests are UTF-8");
+        let mut terminals = 0;
+        for line in out.lines() {
+            let terminal = line.starts_with("OK") || line.starts_with("ERR");
+            prop_assert!(
+                terminal || line.starts_with("ANSWER ") || line.starts_with("STAT "),
+                "unframed reply line {line:?} in {out:?}"
+            );
+            terminals += usize::from(terminal);
+        }
+        prop_assert_eq!(terminals, served, "terminal lines in {:?}", out);
+        Ok(())
+    }
+
+    /// The pieces request-shaped input is built from, `|`-separated:
+    /// verbs, atom fragments and strategy names, and line ends. Some pieces
+    /// are not UTF-8, and an empty line end runs two lines together.
+    const VERBS: &[u8] =
+        b"HELLO |QUERY |query |QUERY |INSERT |DELETE |COMMIT|EPOCH|HEALTH|STATS|PING|QUIT|";
+    const FRAGMENTS: &[u8] = b"anc(adam, X)|anc(X, Y)|par(adam, seth)|par(seth, enos)|par(X, X)|\
+        par('a b', -7)|lt(X, 3)|neq(adam, seth)|anc|anc(|par(|X|adam|'a b'|'|-7|99999999999999999999|\
+        , |)|(|.|!|:-| |\t| STRATEGY |STRATEGY|alexander|supmagic|magic|oldt|qsqr|naive|seminaive|\
+        stratified|conditional|quantum|\xff|\xc3|\xed\xa0\x80";
+    const LINE_ENDS: &[u8] = b"\n|\n|\n|\n|\r\n||\xff\n";
+
+    fn pieces(table: &'static [u8]) -> Vec<&'static [u8]> {
+        table.split(|&b| b == b'|').collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        #[test]
+        fn arbitrary_bytes_keep_the_reply_framing(
+            bytes in proptest::collection::vec(0u16..256, 0..300),
+        ) {
+            check_framing(bytes.into_iter().map(|b| b as u8).collect())?;
+        }
+
+        #[test]
+        fn a_request_soup_keeps_the_reply_framing(
+            lines in proptest::collection::vec(
+                (0..64usize, proptest::collection::vec(0..64usize, 0..6), 0..64usize),
+                0..12,
+            ),
+        ) {
+            let (verbs, fragments, ends) = (pieces(VERBS), pieces(FRAGMENTS), pieces(LINE_ENDS));
+            let mut input = Vec::new();
+            for (verb, args, end) in lines {
+                input.extend_from_slice(verbs[verb % verbs.len()]);
+                for f in args {
+                    input.extend_from_slice(fragments[f % fragments.len()]);
+                }
+                input.extend_from_slice(ends[end % ends.len()]);
+            }
+            check_framing(input)?;
+        }
     }
 
     #[test]

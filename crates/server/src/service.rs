@@ -10,9 +10,9 @@
 //! and the writer's next mutation copies only the relations it touches.
 //!
 //! Queries admission-check, pin the current epoch, and evaluate against its
-//! engine, built once per epoch with the service's threads and budget. A
-//! query pinned at generation N returns
-//! bit-identical answers whether or not generations N+1.. commit mid-query.
+//! engine, built once per epoch with the service's budget. A query pinned at
+//! generation N returns bit-identical answers whether or not generations
+//! N+1.. commit mid-query.
 //!
 //! When a durable commit half-fails (the writer poisons because disk and
 //! memory may disagree) the service does not die: it enters the degraded
@@ -49,7 +49,9 @@ pub struct ServerConfig {
     /// Admission wait-queue bound; arrivals beyond it are shed with
     /// [`ServerError::Busy`] instead of queueing unbounded latency.
     pub max_queue: usize,
-    /// Worker threads per bottom-up fixpoint round, per query.
+    /// Has no effect and is read by nothing: every fixpoint round runs on the
+    /// calling thread. Kept only until the `e2e` benchmark stops naming it
+    /// (ROADMAP item 1(d)).
     pub threads: usize,
     /// The budget every query runs under.
     pub budget: Budget,
@@ -529,15 +531,14 @@ impl Core {
 }
 
 /// The engine an epoch serves: `program` over a copy-on-write clone of
-/// `edb`, O(#relations), configured once with `config`'s threads and
-/// budget, so a read runs it as it is.
+/// `edb`, O(#relations), configured once with `config`'s budget, so a read
+/// runs it as it is.
 fn epoch_engine(program: &Program, edb: &Database, config: &ServerConfig) -> Engine {
     // invariant: `program` was validated at open and is never changed, and
     // `open` refuses an EDB with rows of an intensional predicate, so
     // construction cannot fail.
     Engine::new(program.clone(), edb.clone())
         .expect("program validated at open")
-        .with_threads(config.threads)
         .with_budget(config.budget)
 }
 

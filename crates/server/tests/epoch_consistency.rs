@@ -1,7 +1,7 @@
 //! Property: a query pinned to epoch N returns bit-identical answers whether
-//! or not epochs N+1..N+k commit mid-query — at 1 and at 4 eval threads.
+//! or not epochs N+1..N+k commit mid-query.
 //!
-//! The oracle is a fresh single-threaded [`Engine`] built over the exact EDB
+//! The oracle is a fresh [`Engine`] built over the exact EDB
 //! of each generation; "bit-identical" means the rendered answer vectors are
 //! equal as strings (the engine sorts and dedups, so equality is exact, not
 //! set-ish).
@@ -42,17 +42,15 @@ proptest! {
     fn pinned_reads_are_bit_identical_under_concurrent_commits(
         base in 2usize..10,
         commits in 1usize..5,
-        t in 0usize..2,
     ) {
-        let threads = [1usize, 4][t];
         let query = parse_atom("anc(n0, X)").unwrap();
         let oracles: Vec<Vec<String>> =
             (0..=commits).map(|g| oracle(base, g, &query)).collect();
 
         let program = parse(RULES).unwrap().program;
-        let config = ServerConfig { threads, ..ServerConfig::default() };
-        let service =
-            Arc::new(QueryService::open(program, chain(base), None, config).unwrap());
+        let service = Arc::new(
+            QueryService::open(program, chain(base), None, ServerConfig::default()).unwrap(),
+        );
 
         // Pin generation 0 before any writer activity.
         let pinned = service.pin();
@@ -100,12 +98,7 @@ proptest! {
 
         // The epoch pinned before the commits still answers exactly as the
         // generation-0 oracle: publications never leaked into the pin.
-        let frozen = pinned
-            .engine()
-            .clone()
-            .with_threads(threads)
-            .query(&query, Strategy::Alexander)
-            .unwrap();
+        let frozen = pinned.engine().query(&query, Strategy::Alexander).unwrap();
         let frozen: Vec<String> = frozen.answers.iter().map(|a| a.to_string()).collect();
         prop_assert_eq!(&frozen, &oracles[0]);
 

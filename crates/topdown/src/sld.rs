@@ -67,24 +67,33 @@ struct Node {
     slots: Vec<Const>,
 }
 
-/// Pushes a copy of `node` per clause of `pattern` whose head unifies with
-/// the call constants `key`, topped with that clause's frame; the first
-/// clause is pushed last, so it is popped first (Prolog's clause order).
-fn call(code: &Code, pattern: usize, key: &[Const], node: &Node, stack: &mut Vec<Node>) -> u64 {
+/// Pushes `node` per clause of `pattern` whose head unifies with the call
+/// constants `key`, topped with that clause's frame; the first clause is
+/// pushed last, so it is popped first (Prolog's clause order). Every
+/// alternative but the last gets a copy of `node`; the last takes it.
+fn call(code: &Code, pattern: usize, key: &[Const], node: Node, stack: &mut Vec<Node>) -> u64 {
+    let push = |mut callee: Node, (clause, slots): (usize, Vec<Const>), stack: &mut Vec<Node>| {
+        let base = callee.slots.len();
+        callee.frames.push(Frame {
+            clause,
+            goal: 0,
+            base,
+        });
+        callee.slots.extend(slots);
+        stack.push(callee);
+    };
     let mut steps = 0;
+    let mut pending = None;
     for clause in code.patterns[pattern].2.clone().rev() {
         if let Some(slots) = code.clauses[clause].bind(key) {
             steps += 1;
-            let mut callee = node.clone();
-            let base = callee.slots.len();
-            callee.frames.push(Frame {
-                clause,
-                goal: 0,
-                base,
-            });
-            callee.slots.extend(slots);
-            stack.push(callee);
+            if let Some(earlier) = pending.replace((clause, slots)) {
+                push(node.clone(), earlier, stack);
+            }
         }
+    }
+    if let Some(last) = pending {
+        push(node, last, stack);
     }
     steps
 }
@@ -106,7 +115,7 @@ pub fn sld_query(
     let mut complete = true;
     let mut stack = Vec::new();
     let key: Vec<Const> = query.terms.iter().filter_map(|t| t.as_const()).collect();
-    metrics.resolution_steps += call(&code, 0, &key, &Node::default(), &mut stack);
+    metrics.resolution_steps += call(&code, 0, &key, Node::default(), &mut stack);
 
     while let Some(mut node) = stack.pop() {
         if metrics.resolution_steps >= opts.step_budget {
@@ -143,13 +152,24 @@ pub fn sld_query(
         let passes = match goal {
             Goal::Test(builtin, [a, b], holds) => builtin.eval(slots[*a], slots[*b]) == *holds,
             Goal::Edb(pred, mask, args, Polarity::Positive) => {
-                for row in front.probe(*pred, *mask, &values(slots, &args.key)) {
-                    metrics.resolution_steps += 1;
-                    let mut next = node.clone();
+                // Each row binds a copy of the node but the last, which
+                // takes the node itself.
+                let mut push = |mut next: Node, row: &[Const]| {
                     if args.bind(row, &mut next.slots[base..]) {
                         next.frames[top].goal += 1;
                         stack.push(next);
                     }
+                };
+                let key = values(slots, &args.key);
+                let mut pending = None;
+                for row in front.probe(*pred, *mask, &key) {
+                    metrics.resolution_steps += 1;
+                    if let Some(earlier) = pending.replace(row) {
+                        push(node.clone(), earlier);
+                    }
+                }
+                if let Some(last) = pending {
+                    push(node, last);
                 }
                 continue;
             }
@@ -159,7 +179,7 @@ pub fn sld_query(
             Goal::Call(pattern, args, Polarity::Positive) => {
                 // No tabling: every occurrence resolves against the clauses.
                 let key = values(slots, &args.key);
-                metrics.resolution_steps += call(&code, *pattern, &key, &node, &mut stack);
+                metrics.resolution_steps += call(&code, *pattern, &key, node, &mut stack);
                 continue;
             }
             Goal::Call(..) => unreachable!("a negated intensional literal is refused up front"),

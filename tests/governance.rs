@@ -1,7 +1,7 @@
 //! End-to-end resource governance through the public engine: an exploding
 //! workload under a budget must come back as a sound partial result, on
-//! every strategy, at 1 and 4 threads, in time proportional to the budget —
-//! never the (much larger) time of the full fixpoint.
+//! every strategy, in time proportional to the budget — never the (much
+//! larger) time of the full fixpoint.
 
 use alexander_core::eval::Budget;
 use alexander_core::{Engine, Strategy};
@@ -34,6 +34,8 @@ fn big_cycle_source(n: usize) -> String {
 
 #[test]
 fn fact_budget_bounds_every_strategy_at_one_and_four_threads() {
+    // (The name predates the removal of the round fan-out; every strategy
+    // now runs its rounds on the calling thread.)
     // 12^4 = 20736 potential answers against a 10_000-fact budget: the run
     // must stop early and say so, on every strategy. The 200ms deadline is a
     // belt-and-braces second trigger; the elapsed bound is what the issue's
@@ -49,33 +51,25 @@ fn fact_budget_bounds_every_strategy_at_one_and_four_threads() {
         .unwrap();
     assert_eq!(full.answers.len(), 20_736);
 
-    for threads in [1usize, 4] {
-        for strategy in Strategy::ALL {
-            let engine = Engine::from_source(&src)
-                .unwrap()
-                .with_threads(threads)
-                .with_budget(budget);
-            let started = Instant::now();
-            let result = engine.query(&query, strategy).unwrap();
-            let elapsed = started.elapsed();
-            assert!(
-                elapsed < Duration::from_millis(400),
-                "{strategy}/{threads}t: took {elapsed:?} against a 200ms budget"
-            );
-            assert!(
-                !result.report.completion.is_complete(),
-                "{strategy}/{threads}t: 10k-fact budget did not trip on a 20736-fact answer set"
-            );
-            assert!(
-                result.answers.len() < full.answers.len(),
-                "{strategy}/{threads}t: partial run returned every answer"
-            );
-            for a in &result.answers {
-                assert!(
-                    full.answers.contains(a),
-                    "{strategy}/{threads}t: unsound answer {a}"
-                );
-            }
+    for strategy in Strategy::ALL {
+        let engine = Engine::from_source(&src).unwrap().with_budget(budget);
+        let started = Instant::now();
+        let result = engine.query(&query, strategy).unwrap();
+        let elapsed = started.elapsed();
+        assert!(
+            elapsed < Duration::from_millis(400),
+            "{strategy}: took {elapsed:?} against a 200ms budget"
+        );
+        assert!(
+            !result.report.completion.is_complete(),
+            "{strategy}: 10k-fact budget did not trip on a 20736-fact answer set"
+        );
+        assert!(
+            result.answers.len() < full.answers.len(),
+            "{strategy}: partial run returned every answer"
+        );
+        for a in &result.answers {
+            assert!(full.answers.contains(a), "{strategy}: unsound answer {a}");
         }
     }
 }
@@ -86,24 +80,21 @@ fn wall_clock_deadline_cuts_a_deep_fixpoint_short() {
     // of work ungoverned. A 150ms deadline must bound the run regardless.
     let src = big_cycle_source(900);
     let query = parse_atom("tc(n0, Y)").unwrap();
-    for threads in [1usize, 4] {
-        for strategy in [Strategy::Naive, Strategy::SemiNaive, Strategy::Stratified] {
-            let engine = Engine::from_source(&src)
-                .unwrap()
-                .with_threads(threads)
-                .with_budget(Budget::default().with_timeout_ms(150));
-            let started = Instant::now();
-            let result = engine.query(&query, strategy).unwrap();
-            let elapsed = started.elapsed();
-            assert!(
-                elapsed < Duration::from_millis(450),
-                "{strategy}/{threads}t: took {elapsed:?} against a 150ms deadline"
-            );
-            assert!(
-                !result.report.completion.is_complete(),
-                "{strategy}/{threads}t: deadline did not trip"
-            );
-        }
+    for strategy in [Strategy::Naive, Strategy::SemiNaive, Strategy::Stratified] {
+        let engine = Engine::from_source(&src)
+            .unwrap()
+            .with_budget(Budget::default().with_timeout_ms(150));
+        let started = Instant::now();
+        let result = engine.query(&query, strategy).unwrap();
+        let elapsed = started.elapsed();
+        assert!(
+            elapsed < Duration::from_millis(450),
+            "{strategy}: took {elapsed:?} against a 150ms deadline"
+        );
+        assert!(
+            !result.report.completion.is_complete(),
+            "{strategy}: deadline did not trip"
+        );
     }
 }
 
@@ -153,33 +144,28 @@ fn conditional_fixpoint_runs_compiled_plans_too() {
 #[test]
 fn blocked_budget_trip_is_exact_and_identical_across_thread_counts() {
     // The acceptance bar for the blocked path: a tripped fact budget claims
-    // exactly `max` facts at every thread count, and the materialised
-    // partial databases carry exactly the claimed number of answers.
+    // exactly `max` facts, and the materialised partial database carries
+    // exactly the claimed number of answers. (The name predates the removal
+    // of the round fan-out; the one-thread leg is all that is left.)
     let src = cross_product_source(8);
     let query = parse_atom("p(X, Y, Z, W)").unwrap();
-    for threads in [1usize, 2, 4, 8] {
-        let engine = Engine::from_source(&src)
-            .unwrap()
-            .with_threads(threads)
-            .with_budget(Budget::default().with_max_facts(100));
-        let result = engine.query(&query, Strategy::SemiNaive).unwrap();
-        assert!(
-            !result.report.completion.is_complete(),
-            "@ {threads} threads"
-        );
-        assert_eq!(
-            result
-                .report
-                .eval
-                .expect("bottom-up run reports metrics")
-                .new_facts,
-            100,
-            "@ {threads} threads: claims are exact"
-        );
-        assert_eq!(
-            result.answers.len(),
-            100,
-            "@ {threads} threads: materialised facts match the claims"
-        );
-    }
+    let engine = Engine::from_source(&src)
+        .unwrap()
+        .with_budget(Budget::default().with_max_facts(100));
+    let result = engine.query(&query, Strategy::SemiNaive).unwrap();
+    assert!(!result.report.completion.is_complete());
+    assert_eq!(
+        result
+            .report
+            .eval
+            .expect("bottom-up run reports metrics")
+            .new_facts,
+        100,
+        "claims are exact"
+    );
+    assert_eq!(
+        result.answers.len(),
+        100,
+        "materialised facts match the claims"
+    );
 }

@@ -316,9 +316,10 @@ proptest! {
         }
     }
 
-    /// Parallel semi-naive produces identical relations AND identical
-    /// facts-derived metrics at 1, 2, 4 and 8 threads on random definite
-    /// programs.
+    /// Semi-naive evaluation is deterministic: with options spelled out or
+    /// defaulted it produces identical relations AND identical metrics on
+    /// random definite programs. (The name predates the removal of the round
+    /// fan-out.)
     #[test]
     fn parallel_seminaive_is_exact_on_definite_programs(
         program in definite_program(),
@@ -326,19 +327,14 @@ proptest! {
     ) {
         prop_assume!(program.validate().is_ok());
         let seq = eval_seminaive(&program, &edb).unwrap();
-        for threads in [1usize, 2, 4, 8] {
-            let par =
-                eval_seminaive_opts(&program, &edb, EvalOptions::with_threads(threads)).unwrap();
-            prop_assert_eq!(&db_snapshot(&par.db), &db_snapshot(&seq.db),
-                "relations differ at {} threads", threads);
-            prop_assert_eq!(par.metrics, seq.metrics,
-                "metrics differ at {} threads", threads);
-        }
+        let par = eval_seminaive_opts(&program, &edb, EvalOptions::default()).unwrap();
+        prop_assert_eq!(&db_snapshot(&par.db), &db_snapshot(&seq.db), "relations differ");
+        prop_assert_eq!(par.metrics, seq.metrics, "metrics differ");
     }
 
     /// The same exactness holds through stratified negation: random stratified
-    /// programs evaluate to the same model with the same counters at any
-    /// thread count.
+    /// programs evaluate to the same model with the same counters on every
+    /// run. (The name predates the removal of the round fan-out.)
     #[test]
     fn parallel_stratified_is_exact_on_stratified_programs(
         program in negation_program(),
@@ -347,23 +343,18 @@ proptest! {
         prop_assume!(program.validate().is_ok());
         prop_assume!(stratify(&program).is_ok());
         let seq = eval_stratified(&program, &edb).unwrap();
-        for threads in [2usize, 4, 8] {
-            let par =
-                eval_stratified_opts(&program, &edb, EvalOptions::with_threads(threads)).unwrap();
-            prop_assert_eq!(&db_snapshot(&par.db), &db_snapshot(&seq.db),
-                "relations differ at {} threads", threads);
-            prop_assert_eq!(par.metrics, seq.metrics,
-                "metrics differ at {} threads", threads);
-        }
+        let par = eval_stratified_opts(&program, &edb, EvalOptions::default()).unwrap();
+        prop_assert_eq!(&db_snapshot(&par.db), &db_snapshot(&seq.db), "relations differ");
+        prop_assert_eq!(par.metrics, seq.metrics, "metrics differ");
     }
 
     /// The arena storage rewrite is semantics- and counter-preserving: on
     /// random definite programs the arena engine produces the same model,
     /// fact totals and inference counters as the pre-rewrite boxed-tuple
     /// engine, and stays bit-identical across rewriting strategies
-    /// (base/alexander/supmagic) × {1,4} threads × budget/no-budget. The budget leg uses a non-binding
-    /// budget — binding budgets legitimately truncate, and their soundness
-    /// is covered by the budget properties below.
+    /// (base/alexander/supmagic) × budget/no-budget. The budget leg uses a
+    /// non-binding budget — binding budgets legitimately truncate, and their
+    /// soundness is covered by the budget properties below.
     #[test]
     fn arena_matches_legacy_across_strategies_threads_and_budgets(
         program in definite_program(),
@@ -389,32 +380,24 @@ proptest! {
                 "{}: fact totals differ", sname);
             prop_assert_eq!(&legacy.metrics, &seq.metrics,
                 "{}: inference counters differ", sname);
-            let budgets = [None, Some(Budget::default().with_max_facts(u64::MAX))];
-            for threads in [1usize, 4] {
-                for budget in budgets {
-                    let mut o = EvalOptions::with_threads(threads);
-                    if let Some(b) = budget {
-                        o = o.with_budget(b);
-                    }
-                    let r = eval_seminaive_opts(prog, &edb, o).unwrap();
-                    prop_assert!(r.completion.is_complete(),
-                        "{}/{} threads: non-binding budget cut the run",
-                        sname, threads);
-                    prop_assert_eq!(&db_snapshot(&r.db), &want,
-                        "{}/{} threads/budget {}: model differs",
-                        sname, threads, budget.is_some());
-                    prop_assert_eq!(&r.metrics, &seq.metrics,
-                        "{}/{} threads/budget {}: counters differ",
-                        sname, threads, budget.is_some());
+            for budget in [None, Some(Budget::default().with_max_facts(u64::MAX))] {
+                let mut o = EvalOptions::default();
+                if let Some(b) = budget {
+                    o = o.with_budget(b);
                 }
+                let r = eval_seminaive_opts(prog, &edb, o).unwrap();
+                prop_assert!(r.completion.is_complete(),
+                    "{}: non-binding budget cut the run", sname);
+                prop_assert_eq!(&db_snapshot(&r.db), &want,
+                    "{}/budget {}: model differs", sname, budget.is_some());
+                prop_assert_eq!(&r.metrics, &seq.metrics,
+                    "{}/budget {}: counters differ", sname, budget.is_some());
             }
         }
     }
 
     /// A fact budget never invents facts: whatever a budgeted run derives is
-    /// a subset of the unbudgeted fixpoint, on every evaluator and at every
-    /// thread count (parallel runs may refuse a different subset, but never
-    /// an unsound one).
+    /// a subset of the unbudgeted fixpoint, on every evaluator.
     #[test]
     fn fact_budgeted_runs_are_sound_subsets(
         program in definite_program(),
@@ -424,21 +407,11 @@ proptest! {
         prop_assume!(program.validate().is_ok());
         let full = db_snapshot(&eval_seminaive(&program, &edb).unwrap().db);
         let budget = Budget::default().with_max_facts(max_facts);
-        let mut results = Vec::new();
-        for threads in [1usize, 4] {
-            results.push((
-                "seminaive",
-                eval_seminaive_opts(
-                    &program, &edb,
-                    EvalOptions::with_threads(threads).with_budget(budget)).unwrap(),
-            ));
-            results.push((
-                "naive",
-                eval_naive_opts(
-                    &program, &edb,
-                    EvalOptions::with_threads(threads).with_budget(budget)).unwrap(),
-            ));
-        }
+        let opts = EvalOptions::default().with_budget(budget);
+        let results = [
+            ("seminaive", eval_seminaive_opts(&program, &edb, opts.clone()).unwrap()),
+            ("naive", eval_naive_opts(&program, &edb, opts).unwrap()),
+        ];
         for (name, r) in results {
             let part = db_snapshot(&r.db);
             for f in &part {

@@ -142,9 +142,10 @@ fn bound_second_argument_flips_the_sip() {
     assert_eq!(r.answers.len(), 5); // n0..n4
 }
 
-/// Parallel semi-naive is bit-identical to sequential: same relations, same
-/// facts-derived metrics, at every thread count — on definite workloads and
-/// through every strategy layered on the semi-naive engine.
+/// Semi-naive evaluation is deterministic: two engines over the same inputs
+/// give the same answers, metrics and materialisation — on definite
+/// workloads and through every strategy layered on the semi-naive engine.
+/// (The name predates the removal of the round fan-out.)
 #[test]
 fn parallel_seminaive_matches_sequential_exactly() {
     let cases: Vec<(&str, Database)> = vec![
@@ -159,36 +160,32 @@ fn parallel_seminaive_matches_sequential_exactly() {
             workload::transitive_closure_nonlinear(),
         ] {
             let seq = Engine::new(program.clone(), edb.clone()).unwrap();
-            for threads in [1usize, 2, 4, 8] {
-                let par = Engine::new(program.clone(), edb.clone())
-                    .unwrap()
-                    .with_threads(threads);
-                for strat in [
-                    Strategy::SemiNaive,
-                    Strategy::Stratified,
-                    Strategy::Magic,
-                    Strategy::SupplementaryMagic,
-                    Strategy::Alexander,
-                ] {
-                    let q = parse_atom("tc(n0, X)").unwrap();
-                    let a = seq.query(&q, strat).unwrap();
-                    let b = par.query(&q, strat).unwrap();
-                    let label = format!("{name}/{strat} @ {threads} threads");
-                    assert_eq!(a.answers, b.answers, "{label}: answers");
-                    assert_eq!(a.report.eval, b.report.eval, "{label}: metrics");
-                    assert_eq!(
-                        a.report.facts_materialised, b.report.facts_materialised,
-                        "{label}: materialisation"
-                    );
-                }
+            let par = Engine::new(program.clone(), edb.clone()).unwrap();
+            for strat in [
+                Strategy::SemiNaive,
+                Strategy::Stratified,
+                Strategy::Magic,
+                Strategy::SupplementaryMagic,
+                Strategy::Alexander,
+            ] {
+                let q = parse_atom("tc(n0, X)").unwrap();
+                let a = seq.query(&q, strat).unwrap();
+                let b = par.query(&q, strat).unwrap();
+                let label = format!("{name}/{strat}");
+                assert_eq!(a.answers, b.answers, "{label}: answers");
+                assert_eq!(a.report.eval, b.report.eval, "{label}: metrics");
+                assert_eq!(
+                    a.report.facts_materialised, b.report.facts_materialised,
+                    "{label}: materialisation"
+                );
             }
         }
     }
 }
 
-/// The same identity holds under stratified negation: the strata run through
-/// the parallel engine one by one, and negative literals still read a frozen,
-/// complete lower stratum.
+/// The same identity holds under stratified negation: the strata run one by
+/// one, and negative literals still read a frozen, complete lower stratum.
+/// (The name predates the removal of the round fan-out.)
 #[test]
 fn parallel_seminaive_matches_sequential_with_negation() {
     for seed in [21u64, 22] {
@@ -207,20 +204,16 @@ fn parallel_seminaive_matches_sequential_with_negation() {
         let seq = Engine::new(program.clone(), edb.clone()).unwrap();
         let query = parse_atom("unreach(X)").unwrap();
         let base = seq.query(&query, Strategy::Stratified).unwrap();
-        for threads in [2usize, 4, 8] {
-            let par = Engine::new(program.clone(), edb.clone())
-                .unwrap()
-                .with_threads(threads);
-            for strat in [Strategy::Stratified, Strategy::ConditionalFixpoint] {
-                let r = par.query(&query, strat).unwrap();
-                assert_eq!(base.answers, r.answers, "seed {seed}/{strat} @ {threads}");
-            }
-            let strat_par = par.query(&query, Strategy::Stratified).unwrap();
-            assert_eq!(
-                base.report.eval, strat_par.report.eval,
-                "seed {seed}: stratified metrics @ {threads} threads"
-            );
+        let par = Engine::new(program.clone(), edb.clone()).unwrap();
+        for strat in [Strategy::Stratified, Strategy::ConditionalFixpoint] {
+            let r = par.query(&query, strat).unwrap();
+            assert_eq!(base.answers, r.answers, "seed {seed}/{strat}");
         }
+        let strat_par = par.query(&query, Strategy::Stratified).unwrap();
+        assert_eq!(
+            base.report.eval, strat_par.report.eval,
+            "seed {seed}: stratified metrics"
+        );
     }
 }
 
