@@ -18,17 +18,20 @@
 //! remaining operators *before* the operator resumes — downstream work for
 //! earlier rows always completes before later rows are generated. Emissions
 //! therefore occur in exactly the depth-first order of a nested-loop join
-//! over the body literals with rows in id order, so the insertion order into
-//! staging databases, and hence delta spans and row ids, are a function of
-//! the input alone, and the boxed-tuple reference engine in
+//! over the body literals with rows in id order, so the order rows are
+//! staged and folded into the total, and hence delta spans and row ids, are
+//! a function of the input alone, and the boxed-tuple reference engine in
 //! `alexander-bench` reproduces it counter for counter.
 //!
 //! ## Entry points
 //!
 //! * [`exec_plan`] — the fixpoint sink: projects each bound row onto the
-//!   head, hashes it **once** (the digest is reused for the duplicate check
-//!   and the insert via the storage layer's `_hashed` entry points), counts
-//!   the firing, and checks the governor's deadline once per block.
+//!   head, hashes it **once** (the caller stages the digest beside the row,
+//!   or reuses it for a duplicate check via the storage layer's `_hashed`
+//!   entry points), counts the firing, and checks the governor's deadline
+//!   once per block. Duplicates are counted where they are classified: here
+//!   when `emit` classifies the row itself, at the fixpoint round's fold
+//!   when it only stages it.
 //! * [`exec_plan_bindings`] — the bindings sink: hands the caller the bound
 //!   row itself, for evaluators that need the ground body instance and not
 //!   just the head (conditional statements). The caller counts firings
@@ -42,8 +45,9 @@
 //!
 //! Budget checks are amortised per block, not per tuple: the governor's
 //! deadline look happens once per block reaching [`exec_plan`]'s sink. Fact
-//! claims stay in the caller's emit closure, so a tripped fact budget
-//! admits exactly `max` new facts.
+//! claims stay with the caller (the fixpoint claims a round's facts in
+//! bulk at its fold, or per emission once the budget could run out that
+//! round), so a tripped fact budget admits exactly `max` new facts.
 //!
 //! All buffers live in an [`ExecScratch`] the caller keeps per worker; the
 //! steady state allocates nothing.
@@ -52,7 +56,7 @@ use crate::join::{Emitted, JoinInput, Pat};
 use crate::metrics::EvalMetrics;
 use crate::plan::{PlanOp, RulePlan};
 use alexander_ir::{hash_row, Const, RowHasher};
-use alexander_storage::Database;
+use alexander_storage::{extend_row, Database};
 use std::ops::ControlFlow;
 
 /// Rows per binding block. 1024 keeps a block of typical width (2–4 slots
@@ -122,7 +126,7 @@ impl Block {
     #[inline]
     fn push_extended(&mut self, base: &[Const], cand: &[Const], load: &[(u32, u32)]) {
         let start = self.data.len();
-        self.data.extend_from_slice(base);
+        extend_row(&mut self.data, base);
         for &(col, slot) in load {
             self.data[start + slot as usize] = cand[col as usize];
         }
@@ -171,11 +175,16 @@ pub type EmitBindings<'a> = dyn FnMut(&[Const], &mut EvalMetrics) -> ControlFlow
 
 /// Executes `plan` over `input` blockwise, calling `emit` with each
 /// instantiated head row and its [`hash_row`] digest (computed once here so
-/// the sink can reuse it for both the membership check and the insert). The
-/// row lives in scratch and is only valid for the duration of the call.
+/// the sink can stage it, or reuse it for both the membership check and the
+/// insert). The row lives in scratch and is only valid for the duration of
+/// the call.
 ///
-/// `emit` reports whether the row was new, a duplicate, or refused by the
-/// fact budget; firings and fact counters are charged here. Returns
+/// `emit` reports what became of the row: [`Emitted::New`] or
+/// [`Emitted::Duplicate`] when it classified the row, [`Emitted::Staged`]
+/// when it recorded the row for its caller to classify later (a fixpoint
+/// round's fold counts those new or duplicate), or [`Emitted::Refused`] by
+/// the fact budget. Every emission but a refused one counts a firing here,
+/// and a classified one its new or duplicate fact. Returns
 /// [`ControlFlow::Break`] when the run stopped early (fact refusal or
 /// deadline).
 pub fn exec_plan(
@@ -211,6 +220,7 @@ pub fn exec_plan(
                     metrics.firings += 1;
                     metrics.duplicate_facts += 1;
                 }
+                Emitted::Staged => metrics.firings += 1,
                 Emitted::Refused => return ControlFlow::Break(()),
             }
         }

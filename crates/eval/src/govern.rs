@@ -19,11 +19,12 @@
 //! stops, so a sequential run reports `BudgetExhausted { Facts }` **iff**
 //! its database is a strict subset of the unbudgeted fixpoint (a refusal
 //! witnesses a derivable missing fact; conversely, a fixpoint that fits the
-//! budget never triggers a refusal). Parallel rounds share the claim
-//! counter across workers; two workers claiming the same fresh fact each
-//! consume a slot, so enforcement there is (slightly) conservative — the
-//! partial database is still always a subset, and `Complete` still implies
-//! the full fixpoint.
+//! budget never triggers a refusal). A fixpoint round need not claim one
+//! fact at a time while the rows it has staged are fewer than
+//! [`Governor::facts_left`] — no claim could be refused — so it claims its
+//! new facts in bulk when it folds them in ([`Governor::claim_facts`]),
+//! and claims per fact only from the emission that could exhaust the
+//! budget on.
 //!
 //! When no limit is set, [`Governor::active`] is false and every check is a
 //! single branch — governance costs nothing on the default path and the
@@ -245,6 +246,23 @@ impl Governor {
         match self.max_facts {
             Some(max) if self.facts.fetch_add(1, Ordering::Relaxed) >= max => self.trip(STOP_FACTS),
             _ => ControlFlow::Continue(()),
+        }
+    }
+
+    /// How many more facts the fact budget admits; `None` without one.
+    pub fn facts_left(&self) -> Option<u64> {
+        let max = self.max_facts.filter(|_| self.active)?;
+        Some(max.saturating_sub(self.facts.load(Ordering::Relaxed)))
+    }
+
+    /// Claims `n` slots at once for facts already materialised that the
+    /// caller knows fit the budget (at most [`Governor::facts_left`] of
+    /// them): a fixpoint round that stayed below its budget claims its new
+    /// facts when it folds them in.
+    pub fn claim_facts(&self, n: u64) {
+        if let Some(max) = self.max_facts.filter(|_| self.active) {
+            let before = self.facts.fetch_add(n, Ordering::Relaxed);
+            debug_assert!(before + n <= max, "claimed past the fact budget");
         }
     }
 

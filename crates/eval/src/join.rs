@@ -305,6 +305,10 @@ pub enum Emitted {
     New,
     /// The tuple was already known.
     Duplicate,
+    /// The tuple was recorded unclassified: the caller counts it new or
+    /// duplicate later (a fixpoint round's fold), so only its firing is
+    /// charged here.
+    Staged,
     /// The governor refused the fact-budget claim: the tuple was dropped
     /// and the join must stop. Refused emissions touch no metric counters,
     /// which is what keeps sequential `BudgetExhausted { Facts }`

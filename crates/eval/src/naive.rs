@@ -179,8 +179,8 @@ mod tests {
     }
 
     /// Several rules per round; the two `same` rules derive identical head
-    /// rows, so the second rule's derivations are duplicates of the staging
-    /// database.
+    /// rows, so the second rule's derivations are duplicates of rows staged
+    /// earlier in the same round.
     const VIEWS: &str = "
         e(a, b). e(b, c). e(c, d). e(d, e5).
         tc(X, Y) :- e(X, Y).

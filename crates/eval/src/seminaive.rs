@@ -12,25 +12,38 @@
 //!
 //! ## Range deltas
 //!
-//! Because [`Database::merge`] appends each relation's new rows as a
-//! contiguous id suffix, a round's delta is not a separate database but a
+//! Because a round's fold appends each relation's new rows as a contiguous
+//! id suffix, a round's delta is not a separate database but a
 //! [`DeltaSpans`] — per-predicate `(lo, hi)` id ranges into the total. A
 //! delta-restricted literal probes the total's own indexes and narrows the
 //! (id-sorted) posting list to the range with two binary searches, so no
 //! per-round delta relations or delta indexes are ever built.
 //!
-//! ## One executor, one sink
+//! ## One executor, one sink: stage raw, deduplicate once
 //!
 //! A round's total is read-only for the round's duration; all indexes are
 //! built up front by the round's prelude. `run_round_tasks` runs the round's
 //! tasks in order on the calling thread through the blocked executor and
-//! hands every derived head row to `StagingSink::emit`, the single place a
-//! row is classified: duplicate of the total, duplicate of the staging
-//! database, refused by the fact budget, or new (and staged). A task is one
-//! rule — or, in a delta round, one `(rule, delta position)` variant. The
-//! staging database's insertion order, and so the next round's delta spans
-//! and every [`EvalMetrics`] counter, is a function of the round's input
-//! alone.
+//! hands every derived head row to `StagingSink::emit`. A task is one rule
+//! — or, in a delta round, one `(rule, delta position)` variant — and knows
+//! its head predicate's position among the fixpoint's derived predicates,
+//! which is where its rows are staged: one [`StagedRows`] buffer per
+//! derived predicate, so staging a row is an append and nothing else — no
+//! probe of the total, no map lookup, no dedup insert.
+//!
+//! The round's end is where rows are classified. The fold inserts every
+//! staged row into the total with one find-or-insert, in emission order,
+//! so each relation's new ids — and hence the next round's delta spans —
+//! are exactly those classifying at emission would give. The executor
+//! counts firings; the fold (and the compactions below) count new and
+//! duplicate facts, so every [`EvalMetrics`] counter is a function of the
+//! round's input alone.
+//!
+//! Staged rows are firings, not facts. A buffer that outgrows both twice
+//! its size after its last compaction and `COMPACT_ROWS` compacts in place
+//! — rows the total holds and repeats of earlier rows go, first
+//! occurrences stay in emission order — so a duplicate-heavy round stages
+//! O(new facts) rows, not O(firings).
 //!
 //! A panic inside a round surfaces as [`EvalError::WorkerPanicked`], never as
 //! an unwind through the caller: a served query that trips one gets an error
@@ -39,14 +52,21 @@
 //! ## Governance
 //!
 //! A [`Governor`] (from [`crate::govern`]) rides along when the options
-//! carry a budget: rounds check it at their boundary, the executor's sink
-//! checks the deadline once per block, and new facts are claimed against
-//! the fact budget *before* insertion. On a trip the current round's
-//! accepted facts are still merged (they are sound) and the run reports a
+//! carry a budget: rounds check it at their boundary and the executor's
+//! sink checks the deadline once per block. The fact budget stays exact
+//! without a claim per emission: while a round's staged rows are fewer
+//! than the facts the budget still admits, no claim could be refused, and
+//! the fold claims the round's new facts in bulk. When the staged rows
+//! reach that room, every buffer is compacted, its rows (all new) are
+//! claimed, and from then on each emission is classified against the total
+//! and the buffer and claimed before it is staged — so a tripped budget
+//! stops at the same emission, with the same admitted facts and counters,
+//! as claiming every new fact as it is derived. On a trip the round's
+//! staged facts are still folded in (they are sound) and the run reports a
 //! non-`Complete` [`crate::Completion`].
 
 use crate::error::EvalError;
-use crate::exec::{exec_plan, ExecScratch};
+use crate::exec::{exec_plan, ExecScratch, BLOCK_ROWS};
 use crate::fail_point;
 use crate::govern::Governor;
 use crate::join::{
@@ -56,8 +76,18 @@ use crate::metrics::EvalMetrics;
 use crate::naive::{check_semipositive, seed_database, EvalOptions, EvalResult};
 use crate::plan::{compile_plans, RulePlan};
 use alexander_ir::{Const, Polarity, Predicate, Program, Rule};
-use alexander_storage::{Database, DeltaSpans};
+use alexander_storage::{Database, DeltaSpans, StagedRows};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+
+/// Staged rows a buffer may hold before its first compaction. Past it, a
+/// buffer compacts whenever it has doubled since its last compaction, so a
+/// round stages at most about twice its new facts plus this many rows per
+/// derived predicate. Four blocks: a duplicate-free round this small never
+/// pays a compaction's probes (one block compacted the larger rounds of a
+/// depth-12 tree's `anc` queries, ~10% of their time), while a
+/// duplicate-heavy round holds at most 4096 unary rows (~100 KB, twice
+/// that in capacity) past its new facts.
+const COMPACT_ROWS: usize = 4 * BLOCK_ROWS;
 
 /// Runs semi-naive evaluation of a semipositive `program` over `edb`.
 pub fn eval_seminaive(program: &Program, edb: &Database) -> Result<EvalResult, EvalError> {
@@ -118,11 +148,12 @@ pub(crate) fn run_rules(
 
 /// The fixpoint loop over an explicit rule set, mutating `db` in place.
 ///
-/// Every round runs through [`run_round_tasks`] and ends when a round adds
-/// nothing. With `delta_rounds` the rounds after the first are semi-naive —
-/// the delta tracks only the head predicates of `rules`; facts of other
-/// predicates are static during the run. Without it every round re-applies
-/// every rule to the whole database (naive evaluation).
+/// Every round runs through [`run_round_tasks`], is folded into `db`, and
+/// the loop ends when a round adds nothing. With `delta_rounds` the rounds
+/// after the first are semi-naive — the delta tracks only the head
+/// predicates of `rules`; facts of other predicates are static during the
+/// run. Without it every round re-applies every rule to the whole database
+/// (naive evaluation).
 ///
 /// `negatives`: where negative literals are checked; `None` means the current
 /// total (correct when negated predicates are already complete in `db`, as in
@@ -158,15 +189,15 @@ fn fixpoint(
 
     let governor = gov.filter(|g| g.active());
 
-    // One scratch, staging database and task list for the whole fixpoint:
-    // round N+1 reuses round N's grown buffers (rows cleared, allocations
-    // kept), so steady-state rounds stage and merge without touching the
-    // allocator.
+    // One scratch, set of staging buffers and task list for the whole
+    // fixpoint: round N+1 reuses round N's grown buffers (rows cleared,
+    // allocations kept), so steady-state rounds stage and fold without
+    // touching the allocator.
     let mut scratch = ExecScratch::new();
-    let mut staged = Database::new();
+    let mut staged: Vec<StagedRows> = derived.iter().map(|p| StagedRows::new(p.arity)).collect();
     let mut tasks: Vec<RoundTask<'_>> = Vec::new();
 
-    // The previous round's delta: the id ranges its merge appended. `None`
+    // The previous round's delta: the id ranges its fold appended. `None`
     // in the first round and in every naive round, which run one full-join
     // task per rule.
     let mut spans: Option<DeltaSpans> = None;
@@ -181,20 +212,25 @@ fn fixpoint(
                 ensure_rule_indexes(r, db);
             }
         }
-        staged.clear_retaining();
         tasks.clear();
         for (rule, plan) in compiled.iter().zip(&plans) {
+            // A task's rows are staged at its head's position in `derived`.
+            // invariant: `derived` holds every rule's head predicate.
+            let head = derived
+                .binary_search(&rule.head.pred)
+                .expect("a rule's head is derived");
             let Some(spans) = &spans else {
                 tasks.push(RoundTask {
                     plan,
+                    head,
                     delta_pos: None,
                 });
                 continue;
             };
             // Every derived-predicate literal takes a turn as the delta
             // position; each (rule, position) pair is one task. The round
-            // probes the total's indexes (kept fresh by `insert_row`) and
-            // never builds delta indexes.
+            // probes the total's indexes (kept fresh by the fold) and never
+            // builds delta indexes.
             for (i, lit) in rule.body.iter().enumerate() {
                 if lit.polarity == Polarity::Positive
                     && derived.binary_search(&lit.atom.pred).is_ok()
@@ -202,32 +238,67 @@ fn fixpoint(
                 {
                     tasks.push(RoundTask {
                         plan,
+                        head,
                         delta_pos: Some(i),
                     });
                 }
             }
         }
-        let mut sink = StagingSink {
-            total: db,
-            staged: &mut staged,
-            governor,
-        };
+        let mut sink = StagingSink::new(db, &derived, &mut staged, governor);
         let round = (spans.as_ref(), negatives);
         run_round_tasks(&tasks, round, &mut sink, &mut scratch, metrics)?;
+        let exact = sink.exact;
+        metrics.duplicate_facts += sink.dropped;
         // Facts staged before a governance stop are sound: keep them.
-        if db.absorb_staged(&staged) == 0 || governor.is_some_and(|g| g.should_stop()) {
+        let (next, added) = fold_round(db, &derived, &mut staged, metrics);
+        // A round that never classified its emissions claims its facts now.
+        if let Some(g) = governor.filter(|_| !exact) {
+            g.claim_facts(added);
+        }
+        if added == 0 || governor.is_some_and(|g| g.should_stop()) {
             return Ok(());
         }
         if delta_rounds {
-            spans = Some(DeltaSpans::after_merge(db, &staged));
+            spans = Some(next);
         }
     }
 }
 
-/// One unit of per-round work: a rule's plan, optionally specialised to a
-/// delta position (one delta-rewriting variant).
+/// The round's end: folds every staged row into `db` in emission order,
+/// counts the new and duplicate facts, and empties the buffers. Returns
+/// the spans the fold appended and how many facts were new.
+fn fold_round(
+    db: &mut Database,
+    derived: &[Predicate],
+    staged: &mut [StagedRows],
+    metrics: &mut EvalMetrics,
+) -> (DeltaSpans, u64) {
+    let mut spans = DeltaSpans::default();
+    let mut added = 0u64;
+    for (&pred, rows) in derived.iter().zip(staged) {
+        if rows.is_empty() {
+            continue;
+        }
+        let total = db.relation_mut(pred);
+        let lo = total.len();
+        let new = rows.fold_into(total);
+        metrics.new_facts += new as u64;
+        metrics.duplicate_facts += (rows.len() - new) as u64;
+        // invariant: relations cap at u32::MAX rows (`Relation` asserts on
+        // overflow), so the narrowing conversions are lossless.
+        spans.push(pred, lo as u32, (lo + new) as u32);
+        added += new as u64;
+        rows.clear();
+    }
+    (spans, added)
+}
+
+/// One unit of per-round work: a rule's plan, the position of its head
+/// predicate among the derived ones, and optionally a delta position (one
+/// delta-rewriting variant).
 struct RoundTask<'a> {
     plan: &'a RulePlan,
+    head: usize,
     delta_pos: Option<usize>,
 }
 
@@ -235,44 +306,93 @@ struct RoundTask<'a> {
 /// rounds only) and the negative-literal source.
 type RoundSources<'a> = (Option<&'a DeltaSpans>, Option<&'a Database>);
 
-/// Where every derived head row of a round lands — the single place a row
-/// is classified as duplicate, refused, or new.
+/// Where every derived head row of a round lands: appended to its head's
+/// buffer, or — once the fact budget could run out this round — classified
+/// as duplicate, refused, or new and staged.
 struct StagingSink<'a> {
     /// The round's total, immutable while the round runs.
     total: &'a Database,
-    /// Facts accepted so far this round; doubles as the dedup set.
-    staged: &'a mut Database,
+    /// The fixpoint's derived predicates, sorted.
+    derived: &'a [Predicate],
+    /// One buffer per derived predicate, by position in `derived`.
+    staged: &'a mut [StagedRows],
     governor: Option<&'a Governor>,
+    /// The facts the budget admits at the round's start; `None` without a
+    /// fact cap.
+    room: Option<u64>,
+    /// Rows staged across all buffers.
+    buffered: u64,
+    /// Set once `buffered` reached `room`: every buffer was compacted and
+    /// its rows claimed, and each later emission is classified and claimed.
+    exact: bool,
+    /// Emissions compactions dropped: duplicates the fold never sees.
+    dropped: u64,
 }
 
-impl StagingSink<'_> {
+impl<'a> StagingSink<'a> {
+    fn new(
+        total: &'a Database,
+        derived: &'a [Predicate],
+        staged: &'a mut [StagedRows],
+        governor: Option<&'a Governor>,
+    ) -> StagingSink<'a> {
+        StagingSink {
+            total,
+            derived,
+            staged,
+            governor,
+            room: governor.and_then(Governor::facts_left),
+            buffered: 0,
+            exact: false,
+            dropped: 0,
+        }
+    }
+
     #[inline]
-    fn emit(&mut self, pred: Predicate, h: u64, row: &[Const]) -> Emitted {
-        if self.total.contains_row_hashed(pred, h, row) {
+    fn emit(&mut self, slot: usize, h: u64, row: &[Const]) -> Emitted {
+        if !self.exact {
+            if self.room.is_none_or(|room| self.buffered < room) {
+                let rows = &mut self.staged[slot];
+                rows.push(h, row);
+                self.buffered += 1;
+                if rows.len() > COMPACT_ROWS.max(2 * rows.distinct()) {
+                    self.compact(slot);
+                }
+                return Emitted::Staged;
+            }
+            self.classify_from_here();
+        }
+        let rows = &mut self.staged[slot];
+        let total = self.total.relation(self.derived[slot]);
+        if total.is_some_and(|t| t.contains_row_hashed(h, row)) || rows.contains(h, row) {
             return Emitted::Duplicate;
         }
-        match self.governor {
-            // Ungoverned: no claim can refuse, so newness comes straight off
-            // the staging insert — one staging lookup, not a contains/insert
-            // pair.
-            None => {
-                if !self.staged.insert_row_hashed(pred, h, row) {
-                    return Emitted::Duplicate;
-                }
-            }
-            Some(gov) => {
-                if self.staged.contains_row_hashed(pred, h, row) {
-                    return Emitted::Duplicate;
-                }
-                if gov.claim_fact().is_break() {
-                    return Emitted::Refused;
-                }
-                // Both contains checks just proved the row absent, so skip
-                // insert's dedup find.
-                self.staged.push_new_row_hashed(pred, h, row);
-            }
+        if self.governor.is_some_and(|g| g.claim_fact().is_break()) {
+            return Emitted::Refused;
         }
-        Emitted::New
+        rows.push_distinct(h, row);
+        Emitted::Staged
+    }
+
+    /// Compacts buffer `slot` against the total.
+    fn compact(&mut self, slot: usize) {
+        let dropped = self.staged[slot].compact(self.total.relation(self.derived[slot])) as u64;
+        self.dropped += dropped;
+        self.buffered -= dropped;
+    }
+
+    /// The staged rows reached the fact budget's room: compacts every
+    /// buffer, claims the rows that remain (all new, and at most `room` of
+    /// them), and switches to classifying each emission.
+    #[cold]
+    fn classify_from_here(&mut self) {
+        for slot in 0..self.staged.len() {
+            self.compact(slot);
+        }
+        if let Some(g) = self.governor {
+            g.claim_facts(self.buffered);
+        }
+        self.exact = true;
     }
 }
 
@@ -313,7 +433,7 @@ fn run_round_tasks(
                 negatives,
                 governor: sink.governor,
             };
-            let head = task.plan.head_pred;
+            let head = task.head;
             let mut emit = |h: u64, row: &[Const]| sink.emit(head, h, row);
             if exec_plan(task.plan, &input, scratch, metrics, &mut emit).is_break() {
                 break;
@@ -432,60 +552,109 @@ mod tests {
         assert_eq!(r.db.len_of(odd), 2); // b, d
     }
 
-    /// Emits the unary row `pred(sym)` through `sink`, as the executor would.
-    fn emit(sink: &mut StagingSink<'_>, pred: Predicate, sym: &str) -> Emitted {
+    /// Emits the unary row `sym` of derived predicate `slot` through
+    /// `sink`, as the executor would.
+    fn emit(sink: &mut StagingSink<'_>, slot: usize, sym: &str) -> Emitted {
         let row = [Const::sym(sym)];
-        sink.emit(pred, alexander_ir::hash_row(&row), &row)
+        sink.emit(slot, alexander_ir::hash_row(&row), &row)
+    }
+
+    /// The rendered rows of one staging buffer, in staged order.
+    fn staged_rows(rows: &StagedRows) -> Vec<String> {
+        (0..rows.len())
+            .map(|i| rows.row(i)[0].to_string())
+            .collect()
     }
 
     #[test]
     fn staging_sink_classifies_every_outcome() {
-        let (p, q) = (Predicate::new("p", 1), Predicate::new("q", 1));
+        let derived = [Predicate::new("p", 1), Predicate::new("q", 1)];
+        let (p, q) = (0, 1);
         let mut total = Database::new();
-        total.insert_row(p, &[Const::sym("old")]);
+        total.insert_row(derived[p], &[Const::sym("old")]);
+        let buffers = || derived.map(|d| StagedRows::new(d.arity));
 
-        // Ungoverned, then governed with exactly the three new rows' worth
-        // of budget: one classification.
-        let exact = Governor::new(Budget::default().with_max_facts(3));
-        for governor in [None, Some(&exact)] {
-            let mut staged = Database::new();
-            let mut sink = StagingSink {
-                total: &total,
-                staged: &mut staged,
-                governor,
-            };
-            assert_eq!(emit(&mut sink, p, "old"), Emitted::Duplicate, "vs total");
-            assert_eq!(emit(&mut sink, p, "a"), Emitted::New);
-            assert_eq!(emit(&mut sink, q, "a"), Emitted::New);
-            assert_eq!(emit(&mut sink, p, "a"), Emitted::Duplicate, "vs staged");
-            assert_eq!(emit(&mut sink, p, "b"), Emitted::New);
-            assert_eq!(staged.relation(p).unwrap().row(1), &[Const::sym("b")]);
-            assert_eq!(staged.total_tuples(), 3);
+        // Below the budget's room every emission is staged unclassified,
+        // and the fold classifies: a duplicate of the total, a repeat, and
+        // three new rows in emission order.
+        let roomy = Governor::new(Budget::default().with_max_facts(6));
+        for governor in [None, Some(&roomy)] {
+            let mut staged = buffers();
+            let mut sink = StagingSink::new(&total, &derived, &mut staged, governor);
+            for (slot, sym) in [(p, "old"), (p, "a"), (q, "a"), (p, "a"), (p, "b")] {
+                assert_eq!(emit(&mut sink, slot, sym), Emitted::Staged);
+            }
+            assert!(!sink.exact);
+            let mut db = total.clone();
+            let mut m = EvalMetrics::default();
+            let (spans, added) = fold_round(&mut db, &derived, &mut staged, &mut m);
+            assert_eq!((added, m.new_facts, m.duplicate_facts), (3, 3, 2));
+            assert_eq!(spans.get(derived[p]), Some((1, 3)));
+            assert_eq!(db.relation(derived[p]).unwrap().row(2), &[Const::sym("b")]);
+            assert!(staged.iter().all(StagedRows::is_empty), "the fold empties");
         }
-        // The three new rows took the whole budget; duplicates claimed nothing.
-        assert!(exact.completion().is_complete());
-        assert!(exact.claim_fact().is_break(), "duplicates claim nothing");
+        assert!(roomy.claim_fact().is_continue(), "staging claims nothing");
 
-        // An exhausted fact budget refuses the next new row and stages
-        // nothing for it; duplicates still classify without a claim.
-        let spent = Governor::new(Budget::default().with_max_facts(1));
-        let mut staged = Database::new();
-        let mut sink = StagingSink {
-            total: &total,
-            staged: &mut staged,
-            governor: Some(&spent),
-        };
-        assert_eq!(emit(&mut sink, p, "a"), Emitted::New);
-        assert_eq!(emit(&mut sink, p, "b"), Emitted::Refused);
-        assert_eq!(emit(&mut sink, p, "a"), Emitted::Duplicate);
-        assert_eq!(emit(&mut sink, p, "old"), Emitted::Duplicate);
-        assert_eq!(staged.total_tuples(), 1, "the refused row was not staged");
+        // Once the staged rows reach the room, the buffers compact, their
+        // rows are claimed, and every later emission is classified: against
+        // the total, against the buffer, and refused past the budget.
+        let tight = Governor::new(Budget::default().with_max_facts(3));
+        let mut staged = buffers();
+        let mut sink = StagingSink::new(&total, &derived, &mut staged, Some(&tight));
+        for (slot, sym) in [(p, "old"), (p, "a"), (p, "a")] {
+            assert_eq!(emit(&mut sink, slot, sym), Emitted::Staged);
+        }
+        assert_eq!(emit(&mut sink, q, "a"), Emitted::Staged, "new: claimed");
+        assert!(sink.exact);
+        assert_eq!(sink.dropped, 2, "the compaction dropped `old` and a repeat");
+        assert_eq!(emit(&mut sink, p, "old"), Emitted::Duplicate, "vs total");
+        assert_eq!(emit(&mut sink, p, "a"), Emitted::Duplicate, "vs staged");
+        assert_eq!(emit(&mut sink, p, "b"), Emitted::Staged, "the last slot");
+        assert_eq!(emit(&mut sink, p, "c"), Emitted::Refused);
+        assert_eq!(emit(&mut sink, q, "a"), Emitted::Duplicate, "no claim");
+        assert_eq!(staged_rows(&staged[p]), ["a", "b"]);
+        assert_eq!(staged_rows(&staged[q]), ["a"]);
         assert_eq!(
-            spent.completion(),
+            tight.completion(),
             Completion::BudgetExhausted {
                 resource: Resource::Facts
             }
         );
+
+        // A budget with no room left classifies from the first emission.
+        let spent = Governor::new(Budget::default().with_max_facts(0));
+        let mut staged = buffers();
+        let mut sink = StagingSink::new(&total, &derived, &mut staged, Some(&spent));
+        assert_eq!(emit(&mut sink, p, "old"), Emitted::Duplicate);
+        assert_eq!(emit(&mut sink, p, "a"), Emitted::Refused);
+        assert!(staged.iter().all(StagedRows::is_empty));
+    }
+
+    #[test]
+    fn compaction_keeps_first_occurrences_and_drops_the_total() {
+        let derived = [Predicate::new("p", 1)];
+        let mut total = Database::new();
+        total.insert_row(derived[0], &[Const::sym("n0")]);
+        let mut staged = [StagedRows::new(1)];
+        let mut sink = StagingSink::new(&total, &derived, &mut staged, None);
+        // `n0` .. `n299` cyclically, newest last: the emission one past
+        // `COMPACT_ROWS` compacts the buffer to the 299 first occurrences
+        // the total lacks.
+        let sym = |i: usize| format!("n{}", (i * 7) % 300);
+        for i in 0..=COMPACT_ROWS {
+            assert_eq!(emit(&mut sink, 0, &sym(i)), Emitted::Staged);
+        }
+        let dropped = sink.dropped;
+        assert_eq!(dropped, (COMPACT_ROWS + 1 - 299) as u64);
+        let mut want: Vec<String> = Vec::new();
+        for i in 0..=COMPACT_ROWS {
+            let s = sym(i);
+            if s != "n0" && !want.contains(&s) {
+                want.push(s);
+            }
+        }
+        assert_eq!(staged_rows(&staged[0]), want, "first occurrences, in order");
+        assert_eq!(staged[0].distinct(), 299);
     }
 
     #[test]

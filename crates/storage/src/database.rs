@@ -6,9 +6,9 @@ use std::fmt;
 use std::sync::Arc;
 
 /// A set of named relations. Used for the EDB, for materialised IDB results,
-/// for the delta stores of semi-naive evaluation, and for every fact set of
-/// the incremental update path (a batch's victims, DRed's doomed set), which
-/// removes from its total with [`Database::remove_rows`].
+/// and for every fact set of the incremental update path (its staging
+/// stores, a batch's victims, DRed's doomed set), which removes from its
+/// total with [`Database::remove_rows`].
 ///
 /// Relations are held behind `Arc` with copy-on-write semantics: cloning a
 /// database is O(#relations) refcount bumps, and a later mutation copies
@@ -192,10 +192,10 @@ impl Database {
     }
 
     /// Appends every row of `staged`, skipping the per-row dedup probe
-    /// [`Database::merge`] pays — the fixpoint engines' round merges, where
-    /// each staged row was membership-checked against `self` when it was
-    /// derived and `self` stayed immutable for the round, so the probe is
-    /// known to miss. Returns the number of rows appended (all of them).
+    /// [`Database::merge`] pays — the incremental engine's round merges,
+    /// where each staged row was membership-checked against `self` when it
+    /// was derived and `self` stayed immutable for the round, so the probe
+    /// is known to miss. Returns the number of rows appended (all of them).
     /// Hashes are reused from the staging relations; debug builds re-verify
     /// the absence of every row.
     pub fn absorb_staged(&mut self, staged: &Database) -> usize {
@@ -255,8 +255,9 @@ impl Database {
     }
 
     /// Empties every relation while keeping their allocations (their
-    /// indexes are dropped — see [`Relation::clear_rows`]). Fixpoint
-    /// engines recycle their staging database through this between rounds.
+    /// indexes are dropped — see [`Relation::clear_rows`]). The
+    /// incremental engine recycles its staging database through this
+    /// between rounds.
     pub fn clear_retaining(&mut self) {
         for r in self.relations.values_mut() {
             Arc::make_mut(r).clear_rows();
@@ -274,8 +275,9 @@ pub fn row_atom(pred: Symbol, row: &[Const]) -> Atom {
 }
 
 /// A semi-naive delta as per-predicate id ranges into the *total* database:
-/// after `db.merge(&next)` appended a round's new facts, the round's delta
-/// is "ids `[lo, hi)` of each touched relation", not a copied database.
+/// after a round's new facts were appended (a fixpoint round's fold, or
+/// the incremental engine's merge), the round's delta is "ids `[lo, hi)`
+/// of each touched relation", not a copied database.
 /// Probing a delta literal then reuses the total's indexes (posting lists
 /// are id-sorted, so the range restriction is two binary searches) and the
 /// per-round delta-index builds of the old representation disappear.
@@ -310,6 +312,16 @@ impl DeltaSpans {
             total += n as u64;
         }
         DeltaSpans { spans, total }
+    }
+
+    /// Records that `pred`'s rows `[lo, hi)` are delta rows — a fold's
+    /// span, `(len before, len after)`. An empty range records nothing.
+    pub fn push(&mut self, pred: Predicate, lo: u32, hi: u32) {
+        debug_assert!(lo <= hi && !self.spans.contains_key(&pred));
+        if lo < hi {
+            self.spans.insert(pred, (lo, hi));
+            self.total += u64::from(hi - lo);
+        }
     }
 
     /// The id range of `pred`'s delta rows, if it has any.

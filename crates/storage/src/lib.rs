@@ -7,8 +7,10 @@
 //! evaluators' join loops probe these indexes without materialising keys;
 //! the EDB, the materialised IDB, the semi-naive deltas (id ranges, see
 //! [`DeltaSpans`]) and the incremental engine's fact sets all live in
-//! [`Database`]s. A fact is a row (`&[Const]`) at every entry point —
-//! insert, membership, probe, removal — and an atom meets storage through
+//! [`Database`]s, and a fixpoint round's derived rows wait in
+//! [`StagedRows`] until the round folds them into its total. A fact is a
+//! row (`&[Const]`) at every entry point — insert, membership, probe,
+//! removal — and an atom meets storage through
 //! one conversion each way: [`Atom::ground_args`] into a row, [`row_atom`]
 //! back out ([`Database::insert_atom`], [`Database::contains_atom`] and
 //! [`Database::remove_atom`] are the atom doors).
@@ -40,7 +42,9 @@
 pub mod database;
 pub mod load;
 pub mod relation;
+pub mod staged;
 
 pub use database::{row_atom, Database, DeltaSpans, NonGround};
 pub use load::{load_delimited, load_file, LoadError};
-pub use relation::{IndexProbe, Mask, MaskColumns, Relation, Rows};
+pub use relation::{extend_row, IndexProbe, Mask, MaskColumns, Relation, Rows};
+pub use staged::StagedRows;

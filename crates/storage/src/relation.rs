@@ -110,7 +110,7 @@ const EMPTY: u32 = u32::MAX;
 /// verification is delegated to the caller's closure, which compares columns
 /// directly in the arena — the table itself stores no keys at all.
 #[derive(Clone, Default)]
-struct RawTable {
+pub(crate) struct RawTable {
     slots: Vec<u32>,
     len: usize,
 }
@@ -118,14 +118,14 @@ struct RawTable {
 impl RawTable {
     /// True when the next insert would push the load factor past 7/8.
     #[inline]
-    fn needs_grow(&self) -> bool {
+    pub(crate) fn needs_grow(&self) -> bool {
         // The capacity is always a power of two; `* 8 / 7` keeps probes short.
         self.slots.is_empty() || (self.len + 1) * 8 > self.slots.len() * 7
     }
 
     /// Doubles capacity and re-slots every entry; `hash_of` recovers an
     /// entry's hash (from the side structure that owns the real data).
-    fn grow(&mut self, mut hash_of: impl FnMut(u32) -> u64) {
+    pub(crate) fn grow(&mut self, mut hash_of: impl FnMut(u32) -> u64) {
         let cap = (self.slots.len() * 2).max(16);
         let mut slots = vec![EMPTY; cap];
         for &v in self.slots.iter().filter(|&&v| v != EMPTY) {
@@ -140,7 +140,7 @@ impl RawTable {
 
     /// Linear-probes for an entry with this hash accepted by `eq`.
     #[inline]
-    fn find(&self, hash: u64, mut eq: impl FnMut(u32) -> bool) -> Option<u32> {
+    pub(crate) fn find(&self, hash: u64, mut eq: impl FnMut(u32) -> bool) -> Option<u32> {
         if self.slots.is_empty() {
             return None;
         }
@@ -161,7 +161,7 @@ impl RawTable {
     /// Inserts an entry. The caller must have handled `needs_grow` first and
     /// established (via [`RawTable::find`]) that no equal entry exists.
     #[inline]
-    fn insert_no_grow(&mut self, hash: u64, value: u32) {
+    pub(crate) fn insert_no_grow(&mut self, hash: u64, value: u32) {
         let cap = self.slots.len();
         let mut i = hash as usize & (cap - 1);
         while self.slots[i] != EMPTY {
@@ -221,8 +221,8 @@ impl RawTable {
     }
 
     /// Empties the table while keeping its slot array, so a recycled
-    /// staging relation stays allocation-free round to round.
-    fn clear_retaining(&mut self) {
+    /// staging relation or buffer stays allocation-free round to round.
+    pub(crate) fn clear_retaining(&mut self) {
         self.slots.fill(EMPTY);
         self.len = 0;
     }
@@ -232,6 +232,32 @@ impl RawTable {
 #[inline]
 fn row_of(pool: &[Const], arity: usize, id: u32) -> &[Const] {
     &pool[id as usize * arity..id as usize * arity + arity]
+}
+
+/// Appends `row` to a flat arena. A row is a few constants wide, and
+/// `extend_from_slice` of a length known only at run time calls libc's
+/// `memcpy` once per row; a fixed width compiles to plain register moves,
+/// so rows up to eight columns wide move column by column.
+#[inline]
+pub fn extend_row(dst: &mut Vec<Const>, row: &[Const]) {
+    #[inline(always)]
+    fn fixed<const N: usize>(dst: &mut Vec<Const>, row: &[Const]) {
+        // invariant: the caller dispatched on `row.len() == N`.
+        let row: &[Const; N] = row.try_into().expect("row width is N");
+        dst.extend_from_slice(row);
+    }
+    match row.len() {
+        0 => {}
+        1 => fixed::<1>(dst, row),
+        2 => fixed::<2>(dst, row),
+        3 => fixed::<3>(dst, row),
+        4 => fixed::<4>(dst, row),
+        5 => fixed::<5>(dst, row),
+        6 => fixed::<6>(dst, row),
+        7 => fixed::<7>(dst, row),
+        8 => fixed::<8>(dst, row),
+        _ => dst.extend_from_slice(row),
+    }
 }
 
 /// How many ids a posting list holds inline before it spills to the heap.
@@ -570,10 +596,11 @@ impl Relation {
 
     /// Appends a row the caller guarantees is **absent**, with its
     /// [`hash_row`] digest already computed — the dedup probe is skipped
-    /// entirely. This is the round-merge entry point: every staged row was
-    /// membership-checked against the target while the target was immutable
-    /// for the round, so probing again on merge would only repeat a lookup
-    /// that is known to miss. Debug builds re-verify the absence.
+    /// entirely. Round merges use it for rows that were membership-checked
+    /// against the target while the target was immutable for the round (a
+    /// compacted [`StagedRows`](crate::StagedRows) prefix, an incremental
+    /// staging relation), where probing again would only repeat a lookup
+    /// known to miss. Debug builds re-verify the absence.
     ///
     /// Panics on arity mismatch.
     pub fn push_new_row_hashed(&mut self, h: u64, row: &[Const]) {
@@ -605,9 +632,16 @@ impl Relation {
             self.dedup.grow(|rid| hashes[rid as usize]);
         }
         self.dedup.insert_no_grow(h, id);
-        self.pool.extend_from_slice(row);
+        extend_row(&mut self.pool, row);
         self.hashes.push(h);
         self.len = id + 1;
+    }
+
+    /// Reserves room for `additional` more rows, so a fold of known size
+    /// grows the arena once.
+    pub fn reserve(&mut self, additional: usize) {
+        self.pool.reserve(additional * self.arity);
+        self.hashes.reserve(additional);
     }
 
     /// The id of the stored row equal to `row` (whose hash is `h`), if any.
@@ -760,16 +794,43 @@ impl Relation {
 
     /// The rows that match `pattern`, a query atom's arguments: equal to
     /// each constant, and equal across the columns of a repeated variable.
-    /// One scan in id order that allocates nothing; a pattern of the wrong
-    /// arity matches nothing.
+    /// In id order, allocating nothing; a pattern of the wrong arity
+    /// matches nothing. When an index's mask is exactly the pattern's
+    /// constant columns, only that key group's posting list is walked;
+    /// otherwise the whole relation is scanned.
     pub fn matching<'a>(&'a self, pattern: &'a [Term]) -> impl Iterator<Item = &'a [Const]> + 'a {
-        let end = if pattern.len() == self.arity {
-            self.len
+        let (group, scan): (&[u32], _) = if pattern.len() != self.arity {
+            (&[], 0..0)
+        } else if let Some(ids) = self.constant_group(pattern) {
+            (ids, 0..0)
         } else {
-            0
+            (&[], 0..self.len)
         };
-        self.rows_in(0, end)
+        let ids = group.iter().copied().chain(scan);
+        ids.map(move |id| self.row(id))
             .filter(move |row| row_matches(pattern, row))
+    }
+
+    /// The posting list of the rows whose constant columns equal
+    /// `pattern`'s constants, when an index has exactly those columns.
+    fn constant_group(&self, pattern: &[Term]) -> Option<&[u32]> {
+        if pattern.len() > 64 {
+            return None;
+        }
+        let mut mask = 0u64;
+        let mut h = RowHasher::new();
+        for (c, t) in pattern.iter().enumerate() {
+            if let Term::Const(k) = t {
+                mask |= 1 << c;
+                h.push(k);
+            }
+        }
+        self.probe_ids(Mask(mask), h.finish(), |rep| {
+            pattern
+                .iter()
+                .zip(rep)
+                .all(|(t, v)| !matches!(t, Term::Const(k) if k != v))
+        })
     }
 
     /// Removes every row of `victims` (a relation of the same arity; any
@@ -915,9 +976,9 @@ impl Relation {
     }
 
     /// Removes every row while retaining the arena's and dedup table's
-    /// allocations (indexes are dropped). Fixpoint engines recycle their
-    /// staging relations through this, so the steady state stages rounds
-    /// without allocating.
+    /// allocations (indexes are dropped). The incremental engine recycles
+    /// its staging relations through this, so the steady state stages
+    /// rounds without allocating.
     pub fn clear_rows(&mut self) {
         self.pool.clear();
         self.hashes.clear();
@@ -1513,6 +1574,48 @@ mod tests {
         for i in 0..50 {
             let key = [Const::int(i / 10), Const::int(i % 10)];
             assert_eq!(hits(&r, mask, &key), 1, "key {key:?}");
+        }
+    }
+
+    #[test]
+    fn matching_through_an_index_equals_the_scan() {
+        // Random rows over a small domain, so patterns hit groups of every
+        // size; `indexed` carries an index for every binding pattern.
+        let mut seed = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |n: u64| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed % n
+        };
+        let mut scanned = Relation::new(3);
+        for _ in 0..120 {
+            let row = [0; 3].map(|_| Const::int(next(4) as i64));
+            scanned.insert_row(&row);
+        }
+        let mut indexed = scanned.clone();
+        for m in 1..8u64 {
+            indexed.ensure_index(Mask(m));
+        }
+        let (x, y) = (Term::var("X"), Term::var("Y"));
+        for _ in 0..500 {
+            // A constant, `X` or `Y` per column: repeated variables and
+            // constant-free patterns come up often.
+            let pattern = [0; 3].map(|_| match next(6) {
+                0 => x,
+                1 => y,
+                k => Term::Const(Const::int(k as i64 - 2)),
+            });
+            let consts = pattern.iter().filter(|t| matches!(t, Term::Const(_)));
+            assert_eq!(
+                indexed.constant_group(&pattern).is_some(),
+                consts.count() > 0,
+                "{pattern:?} takes the index exactly when it has a constant"
+            );
+            assert!(scanned.constant_group(&pattern).is_none());
+            let got: Vec<&[Const]> = indexed.matching(&pattern).collect();
+            let want: Vec<&[Const]> = scanned.matching(&pattern).collect();
+            assert_eq!(got, want, "{pattern:?}");
         }
     }
 }

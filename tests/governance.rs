@@ -3,7 +3,9 @@
 //! every strategy, in time proportional to the budget — never the (much
 //! larger) time of the full fixpoint.
 
-use alexander_core::eval::Budget;
+use alexander_core::eval::{eval_seminaive_opts, Budget, Completion, EvalOptions, Resource};
+use alexander_core::ir::{Const, Predicate};
+use alexander_core::storage::Database;
 use alexander_core::{Engine, Strategy};
 use alexander_parser::parse_atom;
 use std::fmt::Write as _;
@@ -168,4 +170,45 @@ fn blocked_budget_trip_is_exact_and_identical_across_thread_counts() {
         100,
         "materialised facts match the claims"
     );
+}
+
+#[test]
+fn a_budget_tripped_among_repeats_admits_the_first_facts_in_emission_order() {
+    // `p(X) :- e(X, Y)` fires three times per `X`, so the five-fact cap
+    // falls in a round whose emissions are two-thirds repeats: the budget
+    // must count facts, not firings, and stop at the sixth new one.
+    let mut src = String::new();
+    for x in 0..8 {
+        for y in 0..3 {
+            writeln!(src, "e(x{x}, y{y}).").unwrap();
+        }
+    }
+    src.push_str("p(X) :- e(X, Y).\n");
+    let program = alexander_parser::parse(&src).unwrap().program;
+    let edb = Database::from_program(&program);
+    let p = Predicate::new("p", 1);
+    let run = |opts: EvalOptions| eval_seminaive_opts(&program, &edb, opts).unwrap();
+    let full = run(EvalOptions::default());
+    let capped = run(EvalOptions::default().with_budget(Budget::default().with_max_facts(5)));
+
+    assert_eq!(
+        capped.completion,
+        Completion::BudgetExhausted {
+            resource: Resource::Facts
+        }
+    );
+    let m = capped.metrics;
+    assert_eq!(m.new_facts, 5, "claims are exact");
+    // Three firings each for x0..x4; the refused sixth fact fires nothing.
+    assert_eq!((m.firings, m.duplicate_facts), (15, 10));
+    let rows = |db: &Database| -> Vec<Vec<Const>> {
+        db.relation(p)
+            .unwrap()
+            .iter()
+            .map(<[Const]>::to_vec)
+            .collect()
+    };
+    let all = rows(&full.db);
+    assert_eq!(all.len(), 8);
+    assert_eq!(rows(&capped.db), all[..5], "the first five, in id order");
 }
