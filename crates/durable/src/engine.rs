@@ -295,17 +295,13 @@ impl DurableStore {
 
     /// Writes the current EDB as a fresh snapshot and empties the WAL.
     /// Buffered (uncommitted) mutations must be committed or they are not
-    /// part of the checkpoint — calling with a non-empty buffer is rejected.
+    /// part of the checkpoint — calling with a non-empty buffer is rejected
+    /// with [`DurableError::Pending`].
     pub fn checkpoint(&mut self) -> Result<(), DurableError> {
         self.check_usable()?;
         if !self.pending.is_empty() {
-            return Err(DurableError::Corrupt {
-                path: self.snapshot_path.clone(),
-                offset: 0,
-                detail: format!(
-                    "checkpoint with {} uncommitted mutations; commit first",
-                    self.pending.len()
-                ),
+            return Err(DurableError::Pending {
+                records: self.pending.len(),
             });
         }
         // Atomic: on failure the old snapshot is intact and the WAL still
@@ -493,8 +489,19 @@ mod tests {
         eng.insert(&edge("a", "b")).unwrap();
         assert_eq!(eng.pending(), 1);
         assert_eq!(eng.db().total_tuples(), 0, "not visible before commit");
+        let before = std::fs::read(&sp).unwrap();
         let err = eng.checkpoint().unwrap_err();
-        assert!(err.to_string().contains("uncommitted"), "{err}");
+        assert!(matches!(err, DurableError::Pending { records: 1 }), "{err}");
+        assert_eq!(
+            std::fs::read(&sp).unwrap(),
+            before,
+            "the snapshot is untouched"
+        );
+        // The refusal is the caller's error, not the store's: committing
+        // first lets the same handle checkpoint.
+        eng.commit().unwrap();
+        eng.checkpoint().unwrap();
+        assert_eq!(snap(&read_snapshot(&sp).unwrap()), ["edge(a, b)"]);
         std::fs::remove_file(&sp).ok();
         std::fs::remove_file(&wp).ok();
     }

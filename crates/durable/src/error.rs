@@ -61,6 +61,13 @@ pub enum DurableError {
         /// The operation whose failure poisoned the store.
         op: &'static str,
     },
+    /// A checkpoint was asked for while mutations were buffered. They are
+    /// not part of the committed EDB a snapshot holds, so the caller must
+    /// commit them first; nothing on disk was read or written.
+    Pending {
+        /// Buffered (uncommitted) records.
+        records: usize,
+    },
 }
 
 impl fmt::Display for DurableError {
@@ -95,6 +102,10 @@ impl fmt::Display for DurableError {
                 f,
                 "durable store poisoned by a failed {op}; \
                  recover from disk (DurableStore::recover) to continue"
+            ),
+            DurableError::Pending { records } => write!(
+                f,
+                "checkpoint with {records} uncommitted mutations; commit first"
             ),
         }
     }
@@ -165,5 +176,7 @@ mod tests {
         assert!(e.to_string().contains("poisoned"), "{e}");
         assert!(e.to_string().contains("commit: wal append"), "{e}");
         assert!(e.to_string().contains("recover"), "{e}");
+        let e = DurableError::Pending { records: 3 };
+        assert!(e.to_string().contains("3 uncommitted"), "{e}");
     }
 }

@@ -101,8 +101,8 @@ impl Health {
     }
 
     /// Blocks until the state satisfies `pred` or `timeout` elapses; true
-    /// when the predicate held. The supervisor and the chaos tests use this
-    /// instead of polling loops.
+    /// when the predicate held. `QueryService::wait_for_healthy` is this
+    /// wait, which the fault-injection tests use instead of polling loops.
     pub fn wait_for(&self, timeout: Duration, pred: impl Fn(&ServerState) -> bool) -> bool {
         let deadline = Instant::now() + timeout;
         let mut st = self.state.lock().expect("health lock");

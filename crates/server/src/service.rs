@@ -479,7 +479,7 @@ impl QueryService {
     }
 
     /// Current WAL length in bytes (`None` for an in-memory service). The
-    /// chaos harness aims crash offsets relative to this.
+    /// fault-injection tests aim WAL crash offsets relative to this.
     pub fn durable_wal_len(&self) -> Option<u64> {
         match &*self.core.writer.lock().expect("writer lock") {
             Writer::Durable(d) => Some(d.wal_len()),

@@ -219,7 +219,7 @@ fn parallel_seminaive_matches_sequential_with_negation() {
 
 #[test]
 fn stratified_negation_strategies_agree() {
-    // reach/unreach over random graphs: the three evaluators that support
+    // reach/unreach over random graphs: the four evaluators that support
     // IDB negation must agree.
     for seed in [11u64, 12] {
         let mut edb = workload::random_graph("edge", 20, 40, seed);
@@ -238,7 +238,9 @@ fn stratified_negation_strategies_agree() {
         let strat = engine.query(&query, Strategy::Stratified).unwrap();
         let cond = engine.query(&query, Strategy::ConditionalFixpoint).unwrap();
         let oldt = engine.query(&query, Strategy::Oldt).unwrap();
+        let qsqr = engine.query(&query, Strategy::Qsqr).unwrap();
         assert_eq!(strat.answers, cond.answers, "seed {seed}");
         assert_eq!(strat.answers, oldt.answers, "seed {seed}");
+        assert_eq!(strat.answers, qsqr.answers, "seed {seed}");
     }
 }
