@@ -5,9 +5,7 @@ use alexander_eval::{
     eval_conditional_opts, eval_naive_opts, eval_seminaive_opts, eval_stratified_opts, Budget,
     Completion, EvalError, EvalOptions,
 };
-use alexander_ir::{
-    match_atom, sort_atoms, sort_rows, Atom, Const, Polarity, Program, Subst, Symbol,
-};
+use alexander_ir::{match_atom, sort_atoms, sort_rows, Atom, Const, Program, Subst, Symbol};
 use alexander_parser::{parse, ParseError};
 use alexander_storage::{row_atom, Database};
 use alexander_topdown::{oldt_query_opts, qsqr_query_opts, OldtOptions, TopdownError};
@@ -267,46 +265,33 @@ impl Engine {
     }
 
     /// Result assembly for the rewriting strategies: evaluate the rewritten
-    /// program (semi-naive when it is semipositive, conditional fixpoint
-    /// otherwise — rewriting destroys stratification), then map answers back
-    /// to the original predicate.
+    /// program under the conditional fixpoint (rewriting destroys
+    /// stratification; on a semipositive rewrite its phase 0 is the whole,
+    /// semi-naive run), then map answers back to the original predicate.
     fn rewritten_result(
         &self,
         query: &Atom,
         strategy: Strategy,
         rw: Rewritten,
     ) -> Result<QueryResult, EngineError> {
-        let idb = rw.program.idb_predicates();
-        let semipositive = rw.program.rules.iter().all(|r| {
-            r.body
-                .iter()
-                .all(|l| l.polarity == Polarity::Positive || !idb.contains(&l.atom.predicate()))
-        });
-        let (db, metrics, undefined, completion) = if semipositive {
-            let r = eval_seminaive_opts(&rw.program, &self.edb, self.opts.clone())?;
-            (r.db, r.metrics, Vec::new(), r.completion)
-        } else {
-            let r = eval_conditional_opts(&rw.program, &self.edb, self.opts.clone())?;
-            (r.db, r.metrics, r.undefined, r.completion)
-        };
-
-        let undefined_matching = matching(&undefined, &rw.query);
+        let r = eval_conditional_opts(&rw.program, &self.edb, self.opts.clone())?;
+        let undefined_matching = matching(&r.undefined, &rw.query);
         if !undefined_matching.is_empty() {
             return Err(EngineError::UndefinedAnswers(undefined_matching));
         }
         // Map back: same terms, original predicate name.
-        let answers = answers(&db, &rw.query, query.pred);
-        let calls = db.len_of(rw.call_pred) as u64;
+        let answers = answers(&r.db, &rw.query, query.pred);
+        let calls = r.db.len_of(rw.call_pred) as u64;
         Ok(QueryResult {
             answers,
             strategy,
             report: Report {
-                eval: Some(metrics),
-                facts_materialised: (db.total_tuples() - self.edb.total_tuples()) as u64,
+                eval: Some(r.metrics),
+                facts_materialised: (r.db.total_tuples() - self.edb.total_tuples()) as u64,
                 calls: Some(calls),
-                undefined,
+                undefined: r.undefined,
                 rules_evaluated: rw.program.rules.len(),
-                completion,
+                completion: r.completion,
                 ..Report::default()
             },
         })

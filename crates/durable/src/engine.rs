@@ -131,6 +131,9 @@ pub struct CommitStats {
     pub seq: Option<u64>,
     /// Insert/delete records in the batch.
     pub records: usize,
+    /// Records that changed the EDB, applied in order: an insert of a
+    /// present fact or a delete of an absent one changes nothing.
+    pub changed: usize,
 }
 
 /// A crash-safe extensional database (see module docs for the protocol).
@@ -286,10 +289,11 @@ impl DurableStore {
                 return Err(e);
             }
         };
-        apply_to_database(&batch, &mut self.edb);
+        let changed = apply_to_database(&batch, &mut self.edb);
         Ok(CommitStats {
             seq: Some(seq),
             records: batch.len(),
+            changed,
         })
     }
 

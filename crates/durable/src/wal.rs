@@ -352,14 +352,17 @@ pub fn read_wal(path: &Path) -> Result<WalContents, DurableError> {
 /// Applies one batch's records, in order, to an EDB [`Database`]. This is
 /// the one fold from logged records to stored facts: commit, recovery, the
 /// CLI's `--recover` and the in-memory server all go through it, so a
-/// replayed batch lands exactly where its live commit did.
-pub fn apply_to_database(records: &[WalRecord], db: &mut Database) {
-    for r in records {
-        match r.op {
+/// replayed batch lands exactly where its live commit did. Returns how many
+/// records changed `db`: an insert of a present fact or a delete of an
+/// absent one changes nothing.
+pub fn apply_to_database(records: &[WalRecord], db: &mut Database) -> usize {
+    records
+        .iter()
+        .filter(|r| match r.op {
             Op::Insert => db.insert_row(r.pred, &r.values),
             Op::Delete => db.remove_row(r.pred, &r.values),
-        };
-    }
+        })
+        .count()
 }
 
 #[cfg(test)]
@@ -529,8 +532,10 @@ mod tests {
         let mut db = Database::new();
         let ab = sym2(Op::Insert, "edge", "a", "b");
         let bc = sym2(Op::Insert, "edge", "b", "c");
-        apply_to_database(&[ab.clone(), bc.clone()], &mut db);
-        apply_to_database(&[sym2(Op::Delete, "edge", "a", "b")], &mut db);
+        assert_eq!(apply_to_database(&[ab.clone(), bc.clone()], &mut db), 2);
+        let gone = sym2(Op::Delete, "edge", "a", "b");
+        assert_eq!(apply_to_database(&[gone.clone(), bc.clone()], &mut db), 1);
+        assert_eq!(apply_to_database(&[gone], &mut db), 0, "absent: no change");
         assert!(!db.contains_atom(&ab.atom()));
         assert!(db.contains_atom(&bc.atom()));
         assert_eq!(db.total_tuples(), 1);

@@ -637,10 +637,10 @@ mod tests {
         let rule = composition_rule();
         let mut db = edb();
         db.ensure_index(e, Mask::of_columns(&[0]));
-        let mut fresh = Database::new();
-        fresh.insert_row(e, &[Const::sym("d"), Const::sym("q")]);
-        db.merge(&fresh);
-        let spans = DeltaSpans::after_merge(&db, &fresh);
+        let lo = db.len_of(e) as u32;
+        db.insert_row(e, &[Const::sym("d"), Const::sym("q")]);
+        let mut spans = DeltaSpans::default();
+        spans.push(e, lo, lo + 1);
         for (delta_pos, pinned, want) in [
             // d->q joined with q->? : nothing.
             (0, (2, 1, 0), vec![]),

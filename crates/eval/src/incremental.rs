@@ -30,10 +30,14 @@
 //! of a stratum re-join; nothing is remembered between cascades. The
 //! choice is made from the SCCs alone; there is no mode to select.
 //!
-//! Every fact set on the update path — a batch's net inserts and its
-//! victims, a counted component's zero-count rows, DRed's doomed set — is a
-//! storage [`Database`]: membership tests and removals reuse the row
-//! digests the executor already computed, and no fact is re-encoded.
+//! An insertion round — materialisation's naive round 0 and every delta
+//! round after a batch — stages its derived rows and folds them once, in
+//! the same sink and fold as every fixpoint round (`crate::seminaive`);
+//! the counts stay here, in the round's emit closure. Every other fact set
+//! on the update path — a batch's net inserts and its victims, a counted
+//! component's zero-count rows, DRed's doomed set — is a storage
+//! [`Database`]: membership tests and removals reuse the row digests the
+//! executor already computed, and no fact is re-encoded.
 //!
 //! ## Batches
 //!
@@ -54,9 +58,10 @@ use crate::metrics::EvalMetrics;
 use crate::naive::seed_database;
 use crate::plan::{compile_plans, RulePlan};
 use crate::provenance::Prover;
+use crate::seminaive::{derived_predicates, fold_round, StagingSink};
 use alexander_ir::analysis::{tarjan, DepGraph};
 use alexander_ir::{Atom, Const, FxHashMap, FxHashSet, Predicate, Program};
-use alexander_storage::{Database, DeltaSpans};
+use alexander_storage::{Database, DeltaSpans, StagedRows};
 use std::ops::ControlFlow;
 
 /// What one mixed update batch did to the database.
@@ -153,11 +158,11 @@ impl IncrementalEngine {
             groups,
             metrics,
         };
-        // Initial materialisation: the same counting fixpoint the insertion
-        // path runs, seeded with a naive round 0. Maintenance is not
-        // governed: updates are small deltas and a partially-maintained view
-        // would be permanently inconsistent.
-        engine.materialise();
+        // Initial materialisation: the same counting rounds the insertion
+        // path runs, from a naive round 0. Maintenance is not governed:
+        // updates are small deltas and a partially-maintained view would be
+        // permanently inconsistent.
+        engine.insertion_rounds(None);
         // The DRed rederivation probes run head-seeded plans whose index
         // masks differ from the forward joins'. Build them now, while the
         // database is settled — inserts maintain them incrementally from
@@ -261,80 +266,87 @@ impl IncrementalEngine {
         if delta.total_tuples() > 0 {
             self.edb_preds
                 .extend(delta.iter().filter(|(_, r)| !r.is_empty()).map(|(p, _)| p));
-            out.added = self.total.merge(&delta);
-            let spans = DeltaSpans::after_merge(&self.total, &delta);
-            out.added += self.counting_rounds(spans);
+            // Every netted insert is absent from the total: append it, and
+            // the appended rows are the first round's delta.
+            let mut spans = DeltaSpans::default();
+            for (p, rows) in delta.iter() {
+                let lo = self.total.len_of(p);
+                for (row, &h) in rows.iter().zip(rows.row_hashes()) {
+                    self.total.push_new_row_hashed(p, h, row);
+                }
+                // invariant: relations cap at u32::MAX rows, so the
+                // narrowing conversions are lossless.
+                spans.push(p, lo as u32, self.total.len_of(p) as u32);
+            }
+            out.added = spans.total_tuples() as usize + self.insertion_rounds(Some(spans));
         }
         Ok(out)
     }
 
-    /// Initial materialisation: one naive round over the seed database,
-    /// then the shared counting delta rounds.
-    fn materialise(&mut self) {
-        self.metrics.iterations += 1;
-        for r in &self.compiled {
-            ensure_rule_indexes(r, &mut self.total);
-        }
+    /// Insertion rounds until one adds nothing, each staged in a
+    /// `StagingSink` and folded once, as every fixpoint round is. `spans`
+    /// is the first round's delta; `None` makes that round naive
+    /// (materialisation's round 0). Every later round is semi-naive over
+    /// the previous fold's spans through [`SideSources::InsertTriangle`],
+    /// which enumerates each new firing exactly once, so a repeat emission
+    /// of a counted head is exactly one more firing of it: the emit closure
+    /// bumps its count and passes only its first firing to the sink.
+    /// Returns the number of facts added.
+    fn insertion_rounds(&mut self, mut spans: Option<DeltaSpans>) -> usize {
+        let derived = derived_predicates(&self.compiled);
+        let mut staged: Vec<StagedRows> =
+            derived.iter().map(|p| StagedRows::new(p.arity)).collect();
         let mut scratch = ExecScratch::new();
-        let mut staged = Database::new();
-        for (ri, rule) in self.compiled.iter().enumerate() {
-            counting_emit_pass(
-                &self.plans[ri],
-                rule.head.pred,
-                self.counts.get_mut(&rule.head.pred),
-                &JoinInput::naive(&self.total),
-                &mut staged,
-                &mut scratch,
-                &mut self.metrics,
-            );
-        }
-        self.total.absorb_staged(&staged);
-        let spans = DeltaSpans::after_merge(&self.total, &staged);
-        self.counting_rounds(spans);
-    }
-
-    /// Semi-naive delta rounds over contiguous id spans, with firing counts
-    /// riding the emit path. [`SideSources::InsertTriangle`] guarantees each
-    /// new firing is enumerated exactly once, so duplicate emissions of a
-    /// counted head are exactly its count increments. Returns the number of
-    /// facts added.
-    fn counting_rounds(&mut self, mut spans: DeltaSpans) -> usize {
-        let mut added = 0usize;
-        let mut scratch = ExecScratch::new();
-        let mut staged = Database::new();
-        while !spans.is_empty() {
+        let mut added = 0u64;
+        loop {
             self.metrics.iterations += 1;
             for r in &self.compiled {
                 ensure_rule_indexes(r, &mut self.total);
             }
-            staged.clear_retaining();
-            for (ri, rule) in self.compiled.iter().enumerate() {
-                for (i, lit) in rule.body.iter().enumerate() {
-                    if spans.len_of(lit.atom.pred) == 0 {
-                        continue;
+            let mut sink = StagingSink::new(&self.total, &derived, &mut staged, None);
+            for (rule, plan) in self.compiled.iter().zip(&self.plans) {
+                // invariant: `derived` holds every rule's head predicate.
+                let slot = derived
+                    .binary_search(&rule.head.pred)
+                    .expect("a rule's head is derived");
+                let mut counts = self.counts.get_mut(&rule.head.pred);
+                let mut emit = |h: u64, row: &[Const]| {
+                    if let Some(counts) = counts.as_deref_mut() {
+                        if let Some(n) = counts.get_mut(row) {
+                            *n += 1;
+                            return Emitted::Duplicate;
+                        }
+                        counts.insert(row.into(), 1);
                     }
-                    let input = JoinInput {
-                        total: &self.total,
-                        delta: Some((i, DeltaSource::Spans(&spans))),
-                        sides: Some(SideSources::InsertTriangle),
-                        negatives: None,
-                        governor: None,
-                    };
-                    counting_emit_pass(
-                        &self.plans[ri],
-                        rule.head.pred,
-                        self.counts.get_mut(&rule.head.pred),
-                        &input,
-                        &mut staged,
-                        &mut scratch,
-                        &mut self.metrics,
-                    );
+                    sink.emit(slot, h, row)
+                };
+                let mut run = |input: JoinInput<'_>| {
+                    let _ = exec_plan(plan, &input, &mut scratch, &mut self.metrics, &mut emit);
+                };
+                let Some(spans) = &spans else {
+                    run(JoinInput::naive(&self.total));
+                    continue;
+                };
+                for (i, lit) in rule.body.iter().enumerate() {
+                    if spans.len_of(lit.atom.pred) > 0 {
+                        run(JoinInput {
+                            total: &self.total,
+                            delta: Some((i, DeltaSource::Spans(spans))),
+                            sides: Some(SideSources::InsertTriangle),
+                            negatives: None,
+                            governor: None,
+                        });
+                    }
                 }
             }
-            added += self.total.absorb_staged(&staged);
-            spans = DeltaSpans::after_merge(&self.total, &staged);
+            self.metrics.duplicate_facts += sink.dropped;
+            let (next, new) = fold_round(&mut self.total, &derived, &mut staged, &mut self.metrics);
+            added += new;
+            if new == 0 {
+                return added as usize;
+            }
+            spans = Some(next);
         }
-        added
     }
 
     /// Retraction cascade over the SCC groups in dependencies-first order.
@@ -485,9 +497,7 @@ impl IncrementalEngine {
             if next.total_tuples() == 0 {
                 break;
             }
-            // Every row of `next` missed `doomed`, which the round left as
-            // it was.
-            doomed.absorb_staged(&next);
+            doomed.merge(&next);
             delta = next;
         }
         if doomed.total_tuples() == 0 {
@@ -543,40 +553,6 @@ fn body_misses_removed(rule: &CompiledRule, removed: &Database) -> bool {
     rule.body
         .iter()
         .all(|lit| removed.len_of(lit.atom.pred) == 0)
-}
-
-/// One blocked-executor pass with the counting emit discipline. A counted
-/// head (`counts` is its count map, whose keys are its stored and staged
-/// rows) gains one firing, and is staged on its first; any other head is
-/// staged unless the total or the stage already holds it.
-fn counting_emit_pass(
-    plan: &RulePlan,
-    head: Predicate,
-    counts: Option<&mut Counts>,
-    input: &JoinInput<'_>,
-    staged: &mut Database,
-    scratch: &mut ExecScratch,
-    metrics: &mut EvalMetrics,
-) {
-    let total = input.total;
-    let _ = match counts {
-        Some(counts) => exec_plan(plan, input, scratch, metrics, &mut |h, row| {
-            if let Some(n) = counts.get_mut(row) {
-                *n += 1;
-                return Emitted::Duplicate;
-            }
-            counts.insert(row.into(), 1);
-            staged.push_new_row_hashed(head, h, row);
-            Emitted::New
-        }),
-        None => exec_plan(plan, input, scratch, metrics, &mut |h, row| {
-            if !total.contains_row_hashed(head, h, row) && staged.insert_row_hashed(head, h, row) {
-                Emitted::New
-            } else {
-                Emitted::Duplicate
-            }
-        }),
-    };
 }
 
 /// SCC decomposition of the head predicates: groups in dependencies-first
@@ -993,6 +969,92 @@ mod tests {
             facts: Vec::new(),
         };
         assert!(IncrementalEngine::new(program, edb).is_err());
+    }
+
+    /// `step`'s counters (firings new dup probes considered iterations) and
+    /// outcome (added overdeleted rederived), then each maintained
+    /// relation's rows in id order.
+    fn transcript(step: &str, inc: &IncrementalEngine, out: BatchOutcome) -> Vec<String> {
+        let m = inc.metrics();
+        let mut lines = vec![format!(
+            "{step}: {} {} {} {} {} {} / {} {} {}",
+            m.firings,
+            m.new_facts,
+            m.duplicate_facts,
+            m.probes,
+            m.tuples_considered,
+            m.iterations,
+            out.added,
+            out.overdeleted,
+            out.rederived
+        )];
+        for p in inc.db().predicates() {
+            let rel = inc.db().relation(p).unwrap();
+            let row = |row: &[Const]| row.iter().map(|c| c.to_string()).collect::<String>();
+            let rows: Vec<String> = rel.iter().map(row).collect();
+            lines.push(format!("  {}: {}", p.name, rows.join(" ")));
+        }
+        lines
+    }
+
+    #[test]
+    fn counters_outcomes_and_row_order_are_pinned() {
+        // An op is `+fact` (insert) or `-fact` (delete). The inserts hold a
+        // present fact, an absent delete and a netted pair; the deletes an
+        // absent one and an insert.
+        let batch = |ops: &str| -> Vec<(bool, Atom)> {
+            let op = |op: &str| (op.starts_with('+'), parse_atom(&op[1..]).unwrap());
+            ops.split_whitespace().map(op).collect()
+        };
+        let inserts = batch("+e(f,g) +e(a,c) +e(b,f) -e(g,a) +e(g,h) -e(g,h)");
+        let deletes = batch("-e(b,c) -e(c,d) -e(h,a) +e(d,c)");
+        let mut got = Vec::new();
+        for text in [
+            "e(a, b). e(b, c). e(c, d). e(d, f).
+             tc(X, Y) :- e(X, Y). tc(X, Y) :- e(X, Z), tc(Z, Y).",
+            "e(a, b). e(a, c). e(b, c). e(b, d). e(c, d). e(d, a). e(c, f). e(f, a).
+             two(X, Z) :- e(X, Y), e(Y, Z). three(X, W) :- two(X, Z), e(Z, W).",
+        ] {
+            let program = parse(text).unwrap().program;
+            let mut inc = IncrementalEngine::new(program, Database::new()).unwrap();
+            got.extend(transcript("new", &inc, BatchOutcome::default()));
+            let out = inc.apply_batch(&inserts).unwrap();
+            got.extend(transcript("insert", &inc, out));
+            let out = inc.apply_batch(&deletes).unwrap();
+            got.extend(transcript("delete", &inc, out));
+        }
+        let want = [
+            "new: 10 10 0 26 30 5 / 0 0 0",
+            "  e: ab bc cd df",
+            "  tc: ab bc cd df ac bd cf ad bf af",
+            "insert: 21 15 6 55 65 9 / 8 0 0",
+            "  e: ab bc cd df fg ac bf",
+            "  tc: ab bc cd df ac bd cf ad bf af fg dg bg ag cg",
+            "delete: 44 32 12 134 124 16 / 2 13 5",
+            "  e: ab df fg ac bf dc",
+            "  tc: ab df fg dg bf bg ac af ag dc",
+            "new: 31 25 6 21 50 3 / 0 0 0",
+            "  e: ab ac bc bd cd da cf fa",
+            "  three: ad af aa ba bb bc cb cc dc dd df fc fd ff",
+            "  two: ac ad af bd bf ba ca db dc fb fc",
+            "insert: 39 29 10 48 81 5 / 6 0 0",
+            "  e: ab ac bc bd cd da cf fa fg bf",
+            "  three: ad af aa ba bb bc cb cc dc dd df fc fd ff ag bg",
+            "  two: ac ad af bd bf ba ca db dc fb fc bg cg",
+            "delete: 59 35 24 105 145 10 / 7 11 0",
+            "  e: ab ac bd da cf fa fg bf dc",
+            "  three: aa bb bc cb cc dd df fd ff ag ac da dg bf",
+            "  two: ad af ba ca db dc fb fc bg cg df bc",
+        ];
+        assert_eq!(got, want);
+        // A dense graph's rounds outgrow the staging buffers' compaction
+        // threshold, so some duplicates never reach the fold.
+        let dense = workload::random_graph("e", 100, 2000, 7);
+        let inc = IncrementalEngine::new(workload::transitive_closure(), dense).unwrap();
+        assert_eq!(
+            transcript("dense", &inc, BatchOutcome::default())[0],
+            "dense: 202000 10000 192000 8005 210000 4 / 0 0 0"
+        );
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! applies every rule to the whole database every round; semi-naive, after
 //! the first round, restricts one body literal per task to the facts the
 //! previous round discovered (the *delta*), eliminating the bulk of naive
-//! evaluation's re-derivations.
+//! evaluation's re-derivations. The incremental engine's insertion rounds
+//! stage into the same sink and fold (`fold_round`); its firing counts
+//! ride its own emit closure in front of the sink.
 //!
 //! ## Range deltas
 //!
@@ -177,12 +179,7 @@ fn fixpoint(
         .iter()
         .map(|r| compile_rule(r).map_err(EvalError::from))
         .collect::<Result<_, _>>()?;
-    let derived: Vec<Predicate> = {
-        let mut ps: Vec<Predicate> = compiled.iter().map(|r| r.head.pred).collect();
-        ps.sort_unstable();
-        ps.dedup();
-        ps
-    };
+    let derived = derived_predicates(&compiled);
 
     // Rule plans, compiled once and shared read-only by every round.
     let plans: Vec<RulePlan> = compile_plans(&compiled, metrics);
@@ -264,10 +261,19 @@ fn fixpoint(
     }
 }
 
+/// The head predicates of `rules`, sorted and deduplicated: a round stages
+/// a rule's rows in the buffer at its head's position here.
+pub(crate) fn derived_predicates(rules: &[CompiledRule]) -> Vec<Predicate> {
+    let mut ps: Vec<Predicate> = rules.iter().map(|r| r.head.pred).collect();
+    ps.sort_unstable();
+    ps.dedup();
+    ps
+}
+
 /// The round's end: folds every staged row into `db` in emission order,
 /// counts the new and duplicate facts, and empties the buffers. Returns
 /// the spans the fold appended and how many facts were new.
-fn fold_round(
+pub(crate) fn fold_round(
     db: &mut Database,
     derived: &[Predicate],
     staged: &mut [StagedRows],
@@ -309,7 +315,7 @@ type RoundSources<'a> = (Option<&'a DeltaSpans>, Option<&'a Database>);
 /// Where every derived head row of a round lands: appended to its head's
 /// buffer, or — once the fact budget could run out this round — classified
 /// as duplicate, refused, or new and staged.
-struct StagingSink<'a> {
+pub(crate) struct StagingSink<'a> {
     /// The round's total, immutable while the round runs.
     total: &'a Database,
     /// The fixpoint's derived predicates, sorted.
@@ -326,11 +332,11 @@ struct StagingSink<'a> {
     /// its rows claimed, and each later emission is classified and claimed.
     exact: bool,
     /// Emissions compactions dropped: duplicates the fold never sees.
-    dropped: u64,
+    pub(crate) dropped: u64,
 }
 
 impl<'a> StagingSink<'a> {
-    fn new(
+    pub(crate) fn new(
         total: &'a Database,
         derived: &'a [Predicate],
         staged: &'a mut [StagedRows],
@@ -349,7 +355,7 @@ impl<'a> StagingSink<'a> {
     }
 
     #[inline]
-    fn emit(&mut self, slot: usize, h: u64, row: &[Const]) -> Emitted {
+    pub(crate) fn emit(&mut self, slot: usize, h: u64, row: &[Const]) -> Emitted {
         if !self.exact {
             if self.room.is_none_or(|room| self.buffered < room) {
                 let rows = &mut self.staged[slot];

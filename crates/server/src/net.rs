@@ -83,16 +83,8 @@ impl SessionEnd {
 pub struct NetStats {
     active: AtomicUsize,
     accepted: AtomicU64,
-    quit: AtomicU64,
-    eof: AtomicU64,
-    shutdown: AtomicU64,
-    idle: AtomicU64,
-    stalled: AtomicU64,
-    oversized: AtomicU64,
-    slow_client: AtomicU64,
-    client_gone: AtomicU64,
-    read_error: AtomicU64,
-    write_error: AtomicU64,
+    /// Finished sessions per outcome, by the outcome's position in `ENDS`.
+    ended: [AtomicU64; 10],
 }
 
 impl NetStats {
@@ -112,18 +104,9 @@ impl NetStats {
     }
 
     fn counter(&self, end: SessionEnd) -> &AtomicU64 {
-        match end {
-            SessionEnd::Quit => &self.quit,
-            SessionEnd::Eof => &self.eof,
-            SessionEnd::Shutdown => &self.shutdown,
-            SessionEnd::Idle => &self.idle,
-            SessionEnd::Stalled => &self.stalled,
-            SessionEnd::Oversized => &self.oversized,
-            SessionEnd::SlowClient => &self.slow_client,
-            SessionEnd::ClientGone => &self.client_gone,
-            SessionEnd::ReadError => &self.read_error,
-            SessionEnd::WriteError => &self.write_error,
-        }
+        // invariant: `ENDS` lists every outcome.
+        let i = Self::ENDS.iter().position(|&(e, _)| e == end);
+        &self.ended[i.expect("every session end is in ENDS")]
     }
 
     /// Every session-end outcome with its wire name, for `STATS` lines.
@@ -716,7 +699,8 @@ mod tests {
         let mut tenant = String::from("anon");
         let net = NetStats::default();
         net.accepted.fetch_add(3, Ordering::Relaxed);
-        net.quit.fetch_add(2, Ordering::Relaxed);
+        net.counter(SessionEnd::Quit)
+            .fetch_add(2, Ordering::Relaxed);
         s.health().degrade("io");
         s.health().heal();
         let mut out = Vec::new();

@@ -143,7 +143,8 @@ pub struct QueryResponse {
 /// One committed batch, as seen by clients.
 #[derive(Clone, Copy, Debug)]
 pub struct CommitInfo {
-    /// The generation the batch created.
+    /// The generation the batch created; the current one when no record
+    /// changed the EDB.
     pub generation: u64,
     /// Records in the batch (inserts + deletes).
     pub committed: usize,
@@ -200,13 +201,14 @@ impl Writer {
     }
 
     /// Applies the buffered batch to the EDB — durably: WAL append and
-    /// fsync first — and returns its record count.
-    fn commit(&mut self) -> Result<usize, DurableError> {
+    /// fsync first — and returns its record count and how many of its
+    /// records changed the EDB.
+    fn commit(&mut self) -> Result<(usize, usize), DurableError> {
         match self {
-            Writer::Durable(d) => Ok(d.commit()?.records),
+            Writer::Durable(d) => d.commit().map(|s| (s.records, s.changed)),
             Writer::InMemory { edb, pending } => {
-                apply_to_database(pending, edb);
-                Ok(std::mem::take(pending).len())
+                let changed = apply_to_database(pending, edb);
+                Ok((std::mem::take(pending).len(), changed))
             }
         }
     }
@@ -377,27 +379,28 @@ impl QueryService {
         }
     }
 
-    /// Commits the buffered batch and publishes the next epoch over the
-    /// writer's EDB. Durable mode: WAL append + fsync, then apply; a failed
-    /// commit degrades the service to read-only (the buffered batch's fate
-    /// is decided by recovery — disk is authoritative) and the supervisor
-    /// heals it.
+    /// Commits the buffered batch and, when it changed the EDB, publishes
+    /// the next epoch over the writer's EDB; a batch that changed nothing
+    /// keeps the current epoch. Durable mode: WAL append + fsync (the frame
+    /// is written either way), then apply; a failed commit degrades the
+    /// service to read-only (the buffered batch's fate is decided by
+    /// recovery — disk is authoritative) and the supervisor heals it.
     pub fn commit(&self) -> Result<CommitInfo, ServerError> {
         let mut w = self.core.writer.lock().expect("writer lock");
         if let ServerState::Degraded { reason } = self.core.health.state() {
             return Err(ServerError::Degraded(reason));
         }
-        let committed = match w.commit() {
-            Ok(n) => n,
+        let (committed, changed) = match w.commit() {
+            Ok(counts) => counts,
             // The durable store already dropped the batch: its outcome is
             // indeterminate (the frame may be fully on disk even though the
             // commit call failed), so recovery decides.
             Err(e) => return Err(self.core.writer_failed(&w, e)),
         };
-        if committed == 0 {
+        if changed == 0 {
             return Ok(CommitInfo {
                 generation: self.core.epochs.generation(),
-                committed: 0,
+                committed,
             });
         }
         // Publish under the writer lock so generations are strictly ordered
@@ -659,6 +662,12 @@ mod tests {
         let info = s.commit().unwrap();
         assert_eq!(info.generation, 0);
         assert_eq!(info.committed, 0);
+        assert_eq!(s.generation(), 0);
+        // A batch that changes nothing publishes nothing either.
+        s.insert(&parse_atom("par(a, b)").unwrap()).unwrap();
+        s.delete(&parse_atom("par(x, y)").unwrap()).unwrap();
+        let info = s.commit().unwrap();
+        assert_eq!((info.generation, info.committed), (0, 2));
         assert_eq!(s.generation(), 0);
     }
 

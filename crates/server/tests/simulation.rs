@@ -1,8 +1,10 @@
 //! Seeded whole-stack simulation: one loop takes a durable
 //! [`QueryService`] through random insert, delete, commit, checkpoint, query
 //! and reopen steps, and checks the service against a `BTreeSet` model of
-//! its EDB after every step. Every run is a fixed seed from [`SEEDS`]; a
-//! failing run prints the program, seed and step that replay it.
+//! its EDB after every step. A commit publishes a new generation exactly
+//! when one of its ops, applied in order, changes the model. Every run is
+//! a fixed seed from [`SEEDS`]; a failing run prints the program, seed and
+//! step that replay it.
 //!
 //! Three programs run. The `anc` chain, with extensional and intensional
 //! inline facts, is answered by a breadth-first closure of the model's
@@ -110,7 +112,7 @@ const WIN: Case = Case {
 
 /// Every step kind a run over all seeds must take.
 const KINDS: &str = "insert, delete, rejected, empty commit, plain commit, mixed commit, \
-                     checkpoint, checkpoint refused, query, reopen";
+                     unchanged commit, checkpoint, checkpoint refused, query, reopen";
 /// …and every fault kind and outcome, when faults are compiled in.
 #[cfg(feature = "failpoints")]
 const FAULT_KINDS: &str = ", wal crash, fsync error, mixed-batch fsync error, snapshot crash, \
@@ -204,17 +206,18 @@ fn served(s: &QueryService, q: &Query, strategy: Strategy) -> (u64, Result<Facts
     }
 }
 
-/// `model` with `batch` applied in order, as the store's fold applies it.
-fn applied(model: &Facts, batch: &[(bool, String)]) -> Facts {
-    let mut out = model.clone();
+/// Applies `batch` to `model` in order, as the store's fold applies it;
+/// true iff some op changed it.
+fn apply(model: &mut Facts, batch: &[(bool, String)]) -> bool {
+    let mut changed = false;
     for (insert, fact) in batch {
-        if *insert {
-            out.insert(fact.clone());
+        changed |= if *insert {
+            model.insert(fact.clone())
         } else {
-            out.remove(fact);
-        }
+            model.remove(fact)
+        };
     }
-    out
+    changed
 }
 
 /// One seeded run: the service, its files, and the model it must match.
@@ -421,9 +424,13 @@ impl Sim {
         let pinned = self.service().pin();
         let info = self.service().commit().unwrap();
         assert_eq!(info.committed, self.pending.len());
-        self.model = applied(&self.model, &std::mem::take(&mut self.pending));
-        if info.committed > 0 {
+        // Only a batch with an op that changes the model publishes:
+        // inserting a present fact or deleting an absent one does not.
+        let batch = std::mem::take(&mut self.pending);
+        if apply(&mut self.model, &batch) {
             self.publish();
+        } else if !batch.is_empty() {
+            self.took("unchanged commit");
         }
         assert_eq!(info.generation, self.generation);
         // The epoch pinned before the commit still answers its own state.
@@ -520,7 +527,8 @@ impl Sim {
         }
         self.buffer(true, extend);
         let before = self.model.clone();
-        let after = applied(&before, &std::mem::take(&mut self.pending));
+        let mut after = before.clone();
+        apply(&mut after, &std::mem::take(&mut self.pending));
         let heals = self.service().health().heals();
 
         failpoints::configure(SITE_WAL, action);

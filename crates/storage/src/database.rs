@@ -191,25 +191,6 @@ impl Database {
         added
     }
 
-    /// Appends every row of `staged`, skipping the per-row dedup probe
-    /// [`Database::merge`] pays — the incremental engine's round merges,
-    /// where each staged row was membership-checked against `self` when it
-    /// was derived and `self` stayed immutable for the round, so the probe
-    /// is known to miss. Returns the number of rows appended (all of them).
-    /// Hashes are reused from the staging relations; debug builds re-verify
-    /// the absence of every row.
-    pub fn absorb_staged(&mut self, staged: &Database) -> usize {
-        let mut added = 0;
-        for (p, r) in staged.iter() {
-            let target = self.relation_mut(p);
-            for (row, &h) in r.iter().zip(r.row_hashes()) {
-                target.push_new_row_hashed(h, row);
-                added += 1;
-            }
-        }
-        added
-    }
-
     /// Ensures an index on `pred` for `mask`. An absent relation is created
     /// empty and indexed, so later inserts maintain the index. A relation
     /// that already has it is left alone: a clone sharing its arena stays
@@ -253,16 +234,6 @@ impl Database {
         }
         dropped
     }
-
-    /// Empties every relation while keeping their allocations (their
-    /// indexes are dropped — see [`Relation::clear_rows`]). The
-    /// incremental engine recycles its staging database through this
-    /// between rounds.
-    pub fn clear_retaining(&mut self) {
-        for r in self.relations.values_mut() {
-            Arc::make_mut(r).clear_rows();
-        }
-    }
 }
 
 /// The ground atom of predicate name `pred` whose arguments are `row`: the
@@ -275,9 +246,9 @@ pub fn row_atom(pred: Symbol, row: &[Const]) -> Atom {
 }
 
 /// A semi-naive delta as per-predicate id ranges into the *total* database:
-/// after a round's new facts were appended (a fixpoint round's fold, or
-/// the incremental engine's merge), the round's delta is "ids `[lo, hi)`
-/// of each touched relation", not a copied database.
+/// after a round's new facts were appended (a fixpoint round's fold, or an
+/// update batch's inserts), the round's delta is "ids `[lo, hi)` of each
+/// touched relation", not a copied database.
 /// Probing a delta literal then reuses the total's indexes (posting lists
 /// are id-sorted, so the range restriction is two binary searches) and the
 /// per-round delta-index builds of the old representation disappear.
@@ -288,32 +259,6 @@ pub struct DeltaSpans {
 }
 
 impl DeltaSpans {
-    /// The spans of `delta`'s rows inside `db`. Call immediately after
-    /// `db.merge(&delta)`: because a round's fresh facts are deduplicated
-    /// against the pre-round total before they enter `delta`, the merge
-    /// appended exactly `delta.len_of(p)` rows to each relation, and those
-    /// rows are the relation's current suffix.
-    pub fn after_merge(db: &Database, delta: &Database) -> DeltaSpans {
-        let mut spans = FxHashMap::default();
-        let mut total = 0u64;
-        for (p, r) in delta.iter() {
-            let n = r.len();
-            if n == 0 {
-                continue;
-            }
-            let hi = db.len_of(p);
-            debug_assert!(hi >= n, "delta rows must have merged as a suffix");
-            // invariant: relations cap at u32::MAX rows (`Relation` asserts
-            // on overflow), so the narrowing conversions are lossless.
-            spans.insert(
-                p,
-                (u32::try_from(hi - n).unwrap(), u32::try_from(hi).unwrap()),
-            );
-            total += n as u64;
-        }
-        DeltaSpans { spans, total }
-    }
-
     /// Records that `pred`'s rows `[lo, hi)` are delta rows — a fold's
     /// span, `(len before, len after)`. An empty range records nothing.
     pub fn push(&mut self, pred: Predicate, lo: u32, hi: u32) {
@@ -440,17 +385,19 @@ mod tests {
     }
 
     #[test]
-    fn delta_spans_track_merge_suffixes() {
+    fn delta_spans_track_appended_suffixes() {
         let e = Predicate::new("e", 1);
         let f = Predicate::new("f", 1);
         let mut db = Database::new();
         db.insert_row(e, &syms(&["a"]));
-        let mut delta = Database::new();
-        delta.insert_row(e, &syms(&["b"]));
-        delta.insert_row(e, &syms(&["c"]));
-        delta.insert_row(f, &syms(&["x"]));
-        db.merge(&delta);
-        let spans = DeltaSpans::after_merge(&db, &delta);
+        let mut spans = DeltaSpans::default();
+        for (p, new) in [(e, &["b", "c"][..]), (f, &["x"])] {
+            let lo = db.len_of(p) as u32;
+            for &c in new {
+                db.insert_row(p, &syms(&[c]));
+            }
+            spans.push(p, lo, db.len_of(p) as u32);
+        }
         assert_eq!(spans.get(e), Some((1, 3)));
         assert_eq!(spans.get(f), Some((0, 1)));
         assert_eq!(spans.get(Predicate::new("ghost", 1)), None);

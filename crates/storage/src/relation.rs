@@ -221,7 +221,8 @@ impl RawTable {
     }
 
     /// Empties the table while keeping its slot array, so a recycled
-    /// staging relation or buffer stays allocation-free round to round.
+    /// staging buffer stays allocation-free round to round and a re-slot
+    /// after removals reuses the slots it has.
     pub(crate) fn clear_retaining(&mut self) {
         self.slots.fill(EMPTY);
         self.len = 0;
@@ -598,8 +599,8 @@ impl Relation {
     /// [`hash_row`] digest already computed — the dedup probe is skipped
     /// entirely. Round merges use it for rows that were membership-checked
     /// against the target while the target was immutable for the round (a
-    /// compacted [`StagedRows`](crate::StagedRows) prefix, an incremental
-    /// staging relation), where probing again would only repeat a lookup
+    /// compacted [`StagedRows`](crate::StagedRows) prefix, an update
+    /// batch's netted inserts), where probing again would only repeat a lookup
     /// known to miss. Debug builds re-verify the absence.
     ///
     /// Panics on arity mismatch.
@@ -973,18 +974,6 @@ impl Relation {
             index.remove_remap(&remap);
         }
         victim_ids.len()
-    }
-
-    /// Removes every row while retaining the arena's and dedup table's
-    /// allocations (indexes are dropped). The incremental engine recycles
-    /// its staging relations through this, so the steady state stages
-    /// rounds without allocating.
-    pub fn clear_rows(&mut self) {
-        self.pool.clear();
-        self.hashes.clear();
-        self.dedup.clear_retaining();
-        self.indexes.clear();
-        self.len = 0;
     }
 }
 
@@ -1542,14 +1531,6 @@ mod tests {
         let batch = ints(2, victims.iter().map(|&(k, j)| vec![k, j]));
         assert_eq!(r.remove_rows(&batch), victims.len());
         victims.iter().for_each(|v| _ = model.remove(v));
-        agrees_with(&r, &model, keys);
-
-        // Cleared rows drop the indexes; re-inserting rebuilds both forms.
-        r.clear_rows();
-        model.clear();
-        agrees_with(&Relation::new(2), &model, 0);
-        fill(&mut r, &mut model);
-        r.ensure_index(Mask::of_columns(&[0]));
         agrees_with(&r, &model, keys);
     }
 
